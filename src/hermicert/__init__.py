@@ -11,6 +11,7 @@ from ._kernels import BACKEND as KERNEL_BACKEND
 from .certificates import (
     BallQuery,
     NonnegQuery,
+    ball_from_outcome,
     ball_polynomial,
     bezout_bound,
     certify_ball,
@@ -22,7 +23,7 @@ from .certify import (
     CertificationOutcome,
     certify_nonradical,
     certify_pipeline,
-    certify_univariate_fastpath,
+    derive_hg,
     signature,
 )
 from .hermite import (
@@ -40,6 +41,7 @@ from .linalg import (
     inverse,
     max_nonsingular_connected_submatrix,
     rank,
+    sign_variations,
     signature_descartes,
 )
 from .numroots import (
@@ -59,7 +61,6 @@ from .polynomials import (
     PolySystem,
     newton_girard_power_sums,
     parse_poly,
-    sign_variations,
     univ_gcd,
 )
 from .ratrecon import convergents, denominator_bound, rational_reconstruct
@@ -81,6 +82,7 @@ __all__ = [
     "PolySystem",
     "RatMatrix",
     "approx_extended_hermite",
+    "ball_from_outcome",
     "ball_polynomial",
     "bezout_bound",
     "build_extended_hermite",
@@ -89,10 +91,10 @@ __all__ = [
     "certify_nonneg",
     "certify_nonradical",
     "certify_pipeline",
-    "certify_univariate_fastpath",
     "char_poly",
     "convergents",
     "denominator_bound",
+    "derive_hg",
     "inertia_ldl",
     "inverse",
     "lagrange_system",

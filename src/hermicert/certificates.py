@@ -16,8 +16,9 @@ from .certify import (
     DEFAULT_RETRIES,
     DEFAULT_SEED,
     CertificationOutcome,
+    StepFailure,
     certify_pipeline,
-    hermite_for_g,
+    derive_hg,
     signature,
 )
 from .hermite import (
@@ -32,7 +33,9 @@ from .ratrecon import exact_fraction
 
 
 def real_root_count(h1: RatMatrix) -> int:
-    """Number of distinct real roots, i.e. the signature of a certified H1."""
+    """Number of distinct real roots, i.e. the signature of a certified H1.
+
+    A certified outcome already carries it as sigma_h1."""
     return signature(h1)
 
 
@@ -142,10 +145,20 @@ def certify_ball(
     """
     g = ball_polynomial(system.variables, query)
     outcome = certify_pipeline(system, g, hplus, seed=seed, retries=retries)
+    return ball_from_outcome(outcome, system.variables, query)
+
+
+def ball_from_outcome(
+    outcome: CertificationOutcome, variables: Sequence[str], query: BallQuery
+) -> BallCertificate:
+    """Ball verdict from an outcome certified for any g: H_g for the ball
+    polynomial is derived from it, and sigma(H1) is read off it."""
     if not outcome.certified:
         return BallCertificate("fail", None, None, outcome, query)
-    s1 = signature(outcome.h1)
-    sg = signature(outcome.hg)
+    derived = derive_hg(outcome, ball_polynomial(variables, query))
+    if isinstance(derived, StepFailure):
+        return BallCertificate("fail", None, None, outcome, query)
+    s1, sg = outcome.sigma_h1, derived[1]
     verdict = "false" if s1 == sg else "true"
     return BallCertificate(verdict, s1, sg, outcome, query)
 
@@ -222,14 +235,13 @@ def certify_nonneg(
     outcome = certify_pipeline(lag, g_ext, hplus, seed=seed, retries=retries)
     if not outcome.certified:
         return failed(outcome.reason or "certification_failed", outcome, basis)
-    hg2 = hermite_for_g(outcome.h1, outcome.mult_matrices, g_ext * g_ext)
-    if not isinstance(hg2, RatMatrix):
+    derived = derive_hg(outcome, g_ext * g_ext)
+    if isinstance(derived, StepFailure):
         return failed("hg2_not_symmetric", outcome, basis)
-    s_g = signature(outcome.hg)
-    s_g2 = signature(hg2)
+    hg2, s_g2 = derived
     return NonnegCertificate(
-        "true" if s_g == s_g2 else "false",
-        s_g,
+        "true" if outcome.sigma_hg == s_g2 else "false",
+        outcome.sigma_hg,
         s_g2,
         outcome,
         lag,

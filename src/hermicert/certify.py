@@ -39,7 +39,6 @@ from .polynomials import (
     MultiPoly,
     PolySystem,
     monomial_mul,
-    newton_girard_power_sums,
     univ_derivative,
     univ_gcd,
 )
@@ -71,10 +70,11 @@ class StepFailure:
 class CertificationOutcome:
     """Certified matrices or the first failing step.
 
-    status is "certified" or "fail"; when certified, h1, hg and
-    mult_matrices are all present.  For the non-radical route h1/hg are the
-    trace-based matrices of the radical and the multiplicity-weighted pair
-    is exposed separately.
+    status is "certified" or "fail"; when certified, g, h1, hg,
+    mult_matrices and the signatures sigma_h1, sigma_hg are all present, and
+    every other H_g and its signature is derived from them by derive_hg.
+    For the non-radical route h1/hg are the trace-based matrices of the
+    radical and the multiplicity-weighted pair is exposed separately.
     """
 
     status: str
@@ -85,6 +85,9 @@ class CertificationOutcome:
     h1: RatMatrix | None = None
     hg: RatMatrix | None = None
     mult_matrices: list[RatMatrix] | None = None
+    g: MultiPoly | None = None
+    sigma_h1: int | None = None
+    sigma_hg: int | None = None
     weighted_h1: RatMatrix | None = None
     weighted_hg: RatMatrix | None = None
     diagnostics: list[dict] = field(default_factory=list)
@@ -354,44 +357,25 @@ def certify_pipeline(
         h1=h1,
         hg=hg,
         mult_matrices=list(ms),
+        g=g,
+        sigma_h1=signature(h1),
+        sigma_hg=signature(hg),
         diagnostics=diag,
     )
 
 
-def certify_univariate_fastpath(hplus: HermitePlus, m1: RatMatrix) -> StepFailure | None:
-    """Univariate shortcut: for B = {1, x, ..., x^(k-1)} verify that M1 is a
-    companion matrix, then check the whole extended matrix against the power
-    sums obtained from the characteristic polynomial by Newton-Girard.
+def derive_hg(outcome: CertificationOutcome, g: MultiPoly) -> tuple[RatMatrix, int] | StepFailure:
+    """Step 7 for another g on a certified outcome: (H1 * g(M), its signature).
 
-    Reading the coefficients off the verified companion column replaces the
-    O(k^4) characteristic polynomial computation.
+    The outcome's own g gives the stored pair.  Nothing is logged: the
+    outcome's diagnostics describe its certification, not later derivations.
     """
-    basis = hplus.labels.base
-    k = len(basis)
-    var = None
-    for mono in basis.monomials[1:]:
-        nz = [i for i, e in enumerate(mono) if e]
-        if len(nz) != 1 or (var is not None and nz[0] != var):
-            return StepFailure(3, "not_univariate_basis", "basis is not a power ladder")
-        var = nz[0]
-    for t, mono in enumerate(basis.monomials):
-        if sum(mono) != t:
-            return StepFailure(3, "not_univariate_basis", "powers are not consecutive")
-    for t in range(k - 1):
-        for r in range(k):
-            if m1.entry(r, t) != (1 if r == t + 1 else 0):
-                return StepFailure(3, "not_companion", f"column {t} is not e_{t + 2}")
-    coeffs = [Fraction(1)] + [-m1.entry(k - j, k - 1) for j in range(1, k + 1)]
-    sums = newton_girard_power_sums(coeffs, 2 * k)
-    ext = hplus.labels.extension
-    for i in range(len(ext)):
-        for j in range(len(ext)):
-            expected = sums[sum(ext[i]) + sum(ext[j])]
-            if hplus.matrix.entry(i, j) != expected:
-                return StepFailure(
-                    6, "trace_mismatch", f"entry ({i}, {j}) != power sum {expected}"
-                )
-    return None
+    if g == outcome.g:
+        return outcome.hg, outcome.sigma_hg
+    hg = hermite_for_g(outcome.h1, outcome.mult_matrices, g)
+    if isinstance(hg, StepFailure):
+        return hg
+    return hg, signature(hg)
 
 
 def certify_nonradical(
@@ -455,11 +439,13 @@ def certify_nonradical(
     if isinstance(hg_weighted, StepFailure):
         _log(diag, 7, "weighted_hermite_for_g", hg_weighted)
         return _fail(basis, diag, hg_weighted)
+    sigmas = {}
     for name, trace_m, weighted_m in (
         ("1", h1_trace, h1_weighted),
         ("g", hg_trace, hg_weighted),
     ):
-        if signature(trace_m) != signature(weighted_m):
+        sigmas[name] = signature(trace_m)
+        if sigmas[name] != signature(weighted_m):
             failure = StepFailure(
                 7,
                 "weighted_signature_mismatch",
@@ -475,6 +461,9 @@ def certify_nonradical(
         h1=h1_trace,
         hg=hg_trace,
         mult_matrices=list(ms),
+        g=g,
+        sigma_h1=sigmas["1"],
+        sigma_hg=sigmas["g"],
         weighted_h1=h1_weighted,
         weighted_hg=hg_weighted,
         diagnostics=diag,

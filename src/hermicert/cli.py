@@ -18,10 +18,10 @@ from . import jsonio
 from .certificates import (
     BallQuery,
     NonnegQuery,
+    ball_from_outcome,
     bezout_bound,
     certify_ball,
     certify_nonneg,
-    real_root_count,
 )
 from .certify import DEFAULT_RETRIES, DEFAULT_SEED, certify_nonradical, certify_pipeline
 from .hermite import (
@@ -100,7 +100,7 @@ def _build_hermite(args, system, roots):
     h1 = hplus.matrix.submatrix(range(k), range(k))
     if rank(h1) == k:
         return hplus, None
-    reduced = build_nonradical(roots, basis)
+    reduced = build_nonradical(hplus)
     return reduced.hplus, reduced
 
 
@@ -190,7 +190,7 @@ def cmd_count_real(args) -> tuple[int, dict]:
     report = jsonio.report_to_json(outcome, system.variables)
     if not outcome.certified:
         return EXIT_CERTIFY_FAIL, {"real_root_count": None, "certificate": report}
-    return EXIT_OK, {"real_root_count": real_root_count(outcome.h1), "certificate": report}
+    return EXIT_OK, {"real_root_count": outcome.sigma_h1, "certificate": report}
 
 
 def cmd_refine(args) -> tuple[int, dict]:
@@ -263,14 +263,14 @@ def cmd_pipeline(args) -> tuple[int, dict]:
     if not outcome.certified:
         payload["verdict"] = "fail"
         return EXIT_CERTIFY_FAIL, payload
-    payload["real_root_count"] = real_root_count(outcome.h1)
+    payload["real_root_count"] = outcome.sigma_h1
     if args.center is not None or args.eps2 is not None:
         if args.center is None or args.eps2 is None:
             raise ValueError("--center and --eps2 must be given together")
         if reduced is not None:
             raise ValueError("ball certificates require the radical route")
         query = BallQuery(center=_parse_center(args.center), radius_squared=Fraction(args.eps2))
-        cert = certify_ball(system, query, hplus, seed=args.seed, retries=args.retries)
+        cert = ball_from_outcome(outcome, system.variables, query)
         payload["ball"] = {
             "verdict": cert.verdict,
             "sigma_H1": cert.sigma_h1,

@@ -240,19 +240,19 @@ class NonRadicalBuild:
     hplus: HermitePlus
 
 
-def build_nonradical(points: ApproxRootSet, basis: MonomialBasis) -> NonRadicalBuild:
+def build_nonradical(full: HermitePlus) -> NonRadicalBuild:
     """Hermite construction when the point multiset carries multiplicities.
 
-    Builds the full extended matrix, restricts to the largest connected
-    nonsingular block of the base submatrix, and fails unless rank(H+)
-    matches that block size.  The returned matrix is indexed by the reduced
-    extended basis; its provenance keeps the original point count (the total
-    multiplicity).
+    Takes the full extended matrix built from the points, restricts it to the
+    largest connected nonsingular block of the base submatrix, and fails
+    unless rank(H+) matches that block size.  The returned matrix is indexed
+    by the reduced extended basis; its provenance keeps the original point
+    count (the total multiplicity).
     """
-    if len(points) != len(basis):
-        raise ValueError("basis size must equal the number of points (with multiplicity)")
-    full = build_extended_hermite(points, basis)
+    basis = full.labels.base
     k = len(basis)
+    if full.provenance.point_count != k:
+        raise ValueError("basis size must equal the number of points (with multiplicity)")
     h1 = full.matrix.submatrix(range(k), range(k))
     selection = max_nonsingular_connected_submatrix(h1, basis.monomials)
     kbar = len(selection.monomials)
@@ -264,15 +264,8 @@ def build_nonradical(points: ApproxRootSet, basis: MonomialBasis) -> NonRadicalB
     reduced_ext = ExtendedBasis(reduced)
     idx = [full.labels.index_of(m) for m in reduced_ext.extension]
     sub = full.matrix.submatrix(idx, idx)
-    bounds = {
-        alpha: b
-        for alpha, b in full.provenance.bounds.items()
-        if any(
-            monomial_mul(a, c) == alpha
-            for a in reduced_ext.extension
-            for c in reduced_ext.extension
-        )
-    }
+    products = {monomial_mul(a, c) for a in reduced_ext.extension for c in reduced_ext.extension}
+    bounds = {alpha: b for alpha, b in full.provenance.bounds.items() if alpha in products}
     prov = HermiteProvenance(
         full.provenance.accuracy, full.provenance.coord_bound, full.provenance.point_count, bounds
     )

@@ -12,7 +12,7 @@ import json
 from fractions import Fraction
 from typing import Sequence
 
-from .certify import CertificationOutcome, signature
+from .certify import CertificationOutcome
 from .hermite import HermitePlus, HermiteProvenance
 from .linalg import RatMatrix
 from .numroots import ApproxRootSet
@@ -180,10 +180,7 @@ def report_to_json(outcome: CertificationOutcome, variables: Sequence[str]) -> d
         out["H1"] = matrix_to_json(outcome.h1)
         out["Hg"] = matrix_to_json(outcome.hg)
         out["mult_matrices"] = [matrix_to_json(m) for m in outcome.mult_matrices]
-        out["signatures"] = {
-            "H1": signature(outcome.h1),
-            "Hg": signature(outcome.hg),
-        }
+        out["signatures"] = {"H1": outcome.sigma_h1, "Hg": outcome.sigma_hg}
         if outcome.weighted_h1 is not None:
             out["weighted_H1"] = matrix_to_json(outcome.weighted_h1)
         if outcome.weighted_hg is not None:

@@ -25,6 +25,10 @@ class NoConnectedSelectionError(ValueError):
     """No connected-to-1 monomial subset reaches the required rank."""
 
 
+class InverseCheckError(AssertionError):
+    """A computed inverse failed A * A^-1 = I; this indicates a bug."""
+
+
 class Inertia(NamedTuple):
     positive: int
     negative: int
@@ -210,7 +214,8 @@ def inverse(a: RatMatrix) -> RatMatrix:
     if res is None:
         raise SingularMatrixError("matrix is singular")
     inv = RatMatrix(a.rows, a.cols, res[0], res[1])
-    assert (a @ inv) == RatMatrix.identity(a.rows)
+    if a @ inv != RatMatrix.identity(a.rows):
+        raise InverseCheckError("A * A^-1 != I: the inverse kernel is wrong")
     return inv
 
 
@@ -238,7 +243,7 @@ def inertia_ldl(a: RatMatrix) -> Inertia:
     return Inertia(pos, neg, zero)
 
 
-def sign_variations_int(coeffs: Sequence[Fraction]) -> int:
+def sign_variations(coeffs: Sequence[Fraction]) -> int:
     """Sign changes across the nonzero coefficients, in order."""
     signs = [1 if c > 0 else -1 for c in coeffs if c != 0]
     return sum(1 for x, y in zip(signs, signs[1:]) if x != y)
@@ -255,7 +260,7 @@ def signature_descartes(a: RatMatrix) -> int:
     p = char_poly(a)
     k = len(p) - 1
     flipped = [c if (k - i) % 2 == 0 else -c for i, c in enumerate(p)]
-    return sign_variations_int(p) - sign_variations_int(flipped)
+    return sign_variations(p) - sign_variations(flipped)
 
 
 class ConnectedSelection(NamedTuple):

@@ -578,12 +578,6 @@ def _univ_mod(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return univ_normalize(r)
 
 
-def sign_variations(coeffs: Sequence) -> int:
-    """Number of sign changes across the nonzero coefficients."""
-    signs = [1 if Fraction(c) > 0 else -1 for c in coeffs if Fraction(c) != 0]
-    return sum(1 for x, y in zip(signs, signs[1:]) if x != y)
-
-
 def newton_girard_power_sums(char_coeffs: Sequence, upto: int) -> list[Fraction]:
     """Power sums p_0..p_upto of the roots of a monic polynomial.
 

@@ -256,7 +256,7 @@ def test_criterion_6_nonradical_pipeline():
     pts = ApproxRootSet(
         points=((1 + 0j,), (1 + 0j,), (-2 + 0j,)), accuracy="1e-8", coord_bound=3
     )
-    nb = build_nonradical(pts, MonomialBasis([(0,), (1,), (2,)]))
+    nb = build_nonradical(build_extended_hermite(pts, MonomialBasis([(0,), (1,), (2,)])))
     assert nb.reduced_size == 2
     out = certify_nonradical(
         f, parse_poly("x", ["x"]), nb.reduced_size, nb.reduced_basis, nb.hplus
@@ -270,7 +270,7 @@ def test_criterion_6_nonradical_pipeline():
     # comparison contradicts the weighted entry (1 vs 2)
     f2 = PolySystem(["x"], [parse_poly("x^2-2*x+1", ["x"])])
     pts2 = ApproxRootSet(points=((1 + 0j,), (1 + 0j,)), accuracy="1e-8", coord_bound=2)
-    nb2 = build_nonradical(pts2, MonomialBasis([(0,), (1,)]))
+    nb2 = build_nonradical(build_extended_hermite(pts2, MonomialBasis([(0,), (1,)])))
     out2 = certify_nonradical(
         f2, parse_poly("1", ["x"]), nb2.reduced_size, nb2.reduced_basis, nb2.hplus
     )

@@ -6,6 +6,7 @@ import pytest
 from hermicert.certificates import (
     BallQuery,
     NonnegQuery,
+    ball_from_outcome,
     ball_polynomial,
     bezout_bound,
     certify_ball,
@@ -13,6 +14,7 @@ from hermicert.certificates import (
     lagrange_system,
     real_root_count,
 )
+from hermicert.certify import certify_pipeline
 from hermicert.hermite import build_extended_hermite
 from hermicert.linalg import RatMatrix
 from hermicert.numroots import ApproxRootSet
@@ -163,6 +165,30 @@ def test_ball_fail_propagates():
     cert = certify_ball(
         F_SQRT2, BallQuery(center=(Fraction(0),), radius_squared=Fraction(1, 4)), bad
     )
+    assert cert.verdict == "fail"
+    assert cert.sigma_h1 is None and cert.sigma_hg is None
+
+
+def test_ball_from_outcome_matches_certify_ball():
+    outcome = certify_pipeline(F_SQRT2, parse_poly("x", ["x"]), sqrt2_hermite())
+    steps = list(outcome.diagnostics)
+    for eps2 in (Fraction(1, 100), Fraction(1, 10000)):
+        query = BallQuery(center=(Fraction(7, 5),), radius_squared=eps2)
+        derived = ball_from_outcome(outcome, ["x"], query)
+        direct = certify_ball(F_SQRT2, query, sqrt2_hermite())
+        assert (derived.verdict, derived.sigma_h1, derived.sigma_hg) == (
+            direct.verdict,
+            direct.sigma_h1,
+            direct.sigma_hg,
+        )
+    assert outcome.diagnostics == steps
+
+
+def test_ball_fails_when_derived_hg_is_not_symmetric():
+    outcome = certify_pipeline(F_SQRT2, parse_poly("x", ["x"]), sqrt2_hermite())
+    outcome.mult_matrices = [RatMatrix.from_rows([[0, 1], [0, 0]])]
+    query = BallQuery(center=(Fraction(1),), radius_squared=Fraction(1, 4))
+    cert = ball_from_outcome(outcome, ["x"], query)
     assert cert.verdict == "fail"
     assert cert.sigma_h1 is None and cert.sigma_hg is None
 

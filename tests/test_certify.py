@@ -6,11 +6,11 @@ from hermicert.certify import (
     StepFailure,
     certify_nonradical,
     certify_pipeline,
-    certify_univariate_fastpath,
     check_commute_and_membership,
     check_identity_rows,
     check_squarefree,
     check_traces,
+    derive_hg,
     extract_blocks,
     hermite_for_g,
     mult_matrices,
@@ -185,38 +185,25 @@ def test_pipeline_short_circuits_in_step_order():
     assert [entry["step"] for entry in out.diagnostics] == [1, 2]
 
 
-def test_fastpath_accepts_companion_and_power_sums():
-    hp = sqrt2_hermite()
-    m1 = RatMatrix.from_rows([[0, 2], [1, 0]])
-    assert certify_univariate_fastpath(hp, m1) is None
+def test_derive_hg_reuses_own_g_and_derives_others():
+    out = certify_pipeline(F_SQRT2, G_X, sqrt2_hermite())
+    assert out.certified and out.g == G_X
+    assert (out.sigma_h1, out.sigma_hg) == (signature(out.h1), signature(out.hg)) == (2, 0)
+    assert derive_hg(out, G_X) == (out.hg, out.sigma_hg)
+    steps = list(out.diagnostics)
+    x2 = parse_poly("x^2", ["x"])
+    hg2, sigma = derive_hg(out, x2)
+    assert hg2 == hermite_for_g(out.h1, out.mult_matrices, x2)
+    assert sigma == signature(hg2) == 2
+    assert out.diagnostics == steps
 
 
-def test_fastpath_rejects_non_companion():
-    hp = sqrt2_hermite()
-    assert certify_univariate_fastpath(hp, RatMatrix.from_rows([[1, 2], [0, 1]])) is not None
-
-
-def test_fastpath_power_sums_of_two_rational_roots():
-    hp = exact_hermite_plus(roots_as_qc([Fraction(1), Fraction(-2)], []), B1X)
-    h1, shifted = extract_blocks(hp)
-    ms = mult_matrices(h1, shifted, hp.matrix)
-    assert certify_univariate_fastpath(hp, ms[0]) is None
-    sums = [2, -1, 5, -7, 17]
-    ext = hp.labels.extension
-    for i in range(3):
-        for j in range(3):
-            assert hp.matrix.entry(i, j) == sums[sum(ext[i]) + sum(ext[j])]
-
-
-def test_fastpath_detects_tampered_entry():
-    hp = exact_hermite_plus(roots_as_qc([Fraction(1), Fraction(-2)], []), B1X)
-    h1, shifted = extract_blocks(hp)
-    ms = mult_matrices(h1, shifted, hp.matrix)
-    rows = hp.matrix.to_rows()
-    rows[2][2] += 1
-    bad = HermitePlus(RatMatrix.from_rows(rows), hp.labels, hp.provenance)
-    failure = certify_univariate_fastpath(bad, ms[0])
-    assert failure is not None and failure.reason == "trace_mismatch"
+def test_derive_hg_reports_step_7_failure():
+    out = certify_pipeline(F_SQRT2, G_X, sqrt2_hermite())
+    out.mult_matrices = [RatMatrix.from_rows([[0, 1], [0, 0]])]
+    failure = derive_hg(out, parse_poly("x+1", ["x"]))
+    assert isinstance(failure, StepFailure) and failure.step == 7
+    assert [entry["step"] for entry in out.diagnostics] == [1, 2, 3, 4, 5, 6, 7]
 
 
 # -- non-radical certification -------------------------------------------------
@@ -225,12 +212,13 @@ def test_fastpath_detects_tampered_entry():
 def test_nonradical_certifies_double_root_plus_simple():
     f = PolySystem(["x"], [parse_poly("x^3-3*x+2", ["x"])])
     pts = ApproxRootSet(points=((1 + 0j,), (1 + 0j,), (-2 + 0j,)), accuracy="1e-8", coord_bound=3)
-    nb = build_nonradical(pts, MonomialBasis([(0,), (1,), (2,)]))
+    nb = build_nonradical(build_extended_hermite(pts, MonomialBasis([(0,), (1,), (2,)])))
     out = certify_nonradical(f, G_X, nb.reduced_size, nb.reduced_basis, nb.hplus)
     assert out.certified
     assert out.mult_matrices[0] == RatMatrix.from_rows([[0, 2], [1, -1]])
     assert out.h1 == RatMatrix.from_rows([[2, -1], [-1, 5]])
-    assert signature(out.h1) == 2
+    assert signature(out.h1) == out.sigma_h1 == 2
+    assert signature(out.hg) == out.sigma_hg
     assert out.weighted_h1 == RatMatrix.from_rows([[3, 0], [0, 6]])
     assert out.weighted_h1.entry(0, 0) == 3  # total multiplicity
 
@@ -241,7 +229,7 @@ def test_nonradical_literal_trace_comparison_would_fail():
     # check cannot be applied verbatim to weighted matrices
     f = PolySystem(["x"], [parse_poly("x^2-2*x+1", ["x"])])
     pts = ApproxRootSet(points=((1 + 0j,), (1 + 0j,)), accuracy="1e-8", coord_bound=2)
-    nb = build_nonradical(pts, B1X)
+    nb = build_nonradical(build_extended_hermite(pts, B1X))
     out = certify_nonradical(f, parse_poly("1", ["x"]), nb.reduced_size, nb.reduced_basis, nb.hplus)
     assert out.certified
     assert out.h1.entry(0, 0) == 1
@@ -254,7 +242,7 @@ def test_nonradical_literal_trace_comparison_would_fail():
 def test_nonradical_weighted_consistency_checks_guard_the_input():
     f = PolySystem(["x"], [parse_poly("x^3-3*x+2", ["x"])])
     pts = ApproxRootSet(points=((1 + 0j,), (1 + 0j,), (-2 + 0j,)), accuracy="1e-8", coord_bound=3)
-    nb = build_nonradical(pts, MonomialBasis([(0,), (1,), (2,)]))
+    nb = build_nonradical(build_extended_hermite(pts, MonomialBasis([(0,), (1,), (2,)])))
     out = certify_nonradical(
         f, G_X, nb.reduced_size, nb.reduced_basis, nb.hplus, total_multiplicity=4
     )
@@ -276,7 +264,7 @@ def test_nonradical_signature_agreement_between_weighted_and_trace():
         f = PolySystem(["x"], [f_poly])
         pts = ApproxRootSet(points=tuple(points), accuracy="1e-12", coord_bound=5)
         basis = MonomialBasis([(d,) for d in range(k)])
-        nb = build_nonradical(pts, basis)
+        nb = build_nonradical(build_extended_hermite(pts, basis))
         out = certify_nonradical(f, G_X, nb.reduced_size, nb.reduced_basis, nb.hplus)
         assert out.certified, (out.reason, out.detail)
         assert signature(out.h1) == len(distinct)

@@ -1,8 +1,11 @@
+import hashlib
 import json
 import math
+import sys
 
 import pytest
 
+import hermicert.certify
 from hermicert.cli import main
 
 SQRT2 = math.sqrt(2)
@@ -266,3 +269,123 @@ def test_outputs_are_byte_identical_across_runs(files, tmp_path):
     assert main(argv + ["--out", str(out1)]) == 0
     assert main(argv + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+GRID2 = {"variables": ["x", "y"], "polynomials": ["x^2-1", "y^2-4"]}
+GRID2_ROOTS = {
+    "accuracy_E": "1e-12",
+    "bound_M": "3",
+    "points": [
+        [[a, "0"], [b, "0"]] for a in ("1", "-1") for b in ("2", "-2")
+    ],
+}
+CIRCLE = {"variables": ["x", "y"], "polynomials": ["x^2+y^2-1"]}
+CIRCLE_LAGRANGE_ROOTS = {
+    "accuracy_E": "1e-8",
+    "bound_M": "2",
+    "points": [
+        [["1", "0"], ["0", "0"], ["-0.5", "0"]],
+        [["-1", "0"], ["0", "0"], ["0.5", "0"]],
+    ],
+}
+DOUBLE_ROOT = {"variables": ["x"], "polynomials": ["x^3-3*x+2"]}
+DOUBLE_ROOT_ROOTS = {
+    "accuracy_E": "1e-8",
+    "bound_M": "3",
+    "points": [[["1", "0"]], [["1", "0"]], [["-2", "0"]]],
+}
+
+
+def _grid2_hermite(tmp_path):
+    sys_path = write(tmp_path / "grid2.json", GRID2)
+    roots = write(tmp_path / "grid2_roots.json", GRID2_ROOTS)
+    herm = str(tmp_path / "grid2_herm.json")
+    assert main(["build", "--system", sys_path, "--roots", roots, "--out", herm]) == 0
+    return sys_path, roots, herm
+
+
+def _pinned_pipeline_ball(tmp_path):
+    sys_path, roots, _ = _grid2_hermite(tmp_path)
+    return ["pipeline", "--system", sys_path, "--roots", roots,
+            "--g", "x", "--center", "3/4,2", "--eps2", "1/4"]
+
+
+def _pinned_ball(tmp_path):
+    sys_path, _, herm = _grid2_hermite(tmp_path)
+    return ["ball", "--system", sys_path, "--hermite", herm, "--center", "0,0", "--eps2", "4"]
+
+
+def _pinned_count_real(tmp_path):
+    sys_path, _, herm = _grid2_hermite(tmp_path)
+    return ["count-real", "--system", sys_path, "--hermite", herm]
+
+
+def _pinned_nonradical(tmp_path):
+    sys_path = write(tmp_path / "s3.json", DOUBLE_ROOT)
+    roots = write(tmp_path / "r3.json", DOUBLE_ROOT_ROOTS)
+    basis = write(tmp_path / "b3.json", {"monomials": ["1", "x", "x^2"]})
+    return ["pipeline", "--system", sys_path, "--roots", roots, "--basis", basis, "--g", "x"]
+
+
+def _pinned_nonneg(tmp_path):
+    circle = write(tmp_path / "circle.json", CIRCLE)
+    lroots = write(tmp_path / "lroots.json", CIRCLE_LAGRANGE_ROOTS)
+    return ["nonneg", "--system", circle, "--g", "x+2", "--roots", lroots]
+
+
+# sha256 of the --out bytes, recorded from the implementation that computed
+# every signature afresh; a refactor must reproduce them exactly.
+PINNED_OUTPUTS = {
+    "pipeline-ball": (
+        _pinned_pipeline_ball,
+        0,
+        "417b11c75df1bee15969c928aa94aabb1bb6f2a3838eee872a289a7938a1298d",
+    ),
+    "ball": (
+        _pinned_ball,
+        4,
+        "5c80dd05847fce0ac73f9abd29d8b193ba74b740f91b753a171b8b23e6b86777",
+    ),
+    "count-real": (
+        _pinned_count_real,
+        0,
+        "da1150fde4f469befe98c2d244f74d9f8f5d922616ae22fb513234825223e72e",
+    ),
+    "pipeline-nonradical": (
+        _pinned_nonradical,
+        0,
+        "2c560cf6bf652114e4677d8c1ff8412c04b29c415cc779215e726660ae31219d",
+    ),
+    "nonneg": (
+        _pinned_nonneg,
+        0,
+        "49aec61a586ab540e3b13097efdaca2eeab4aff4053734493cf82416e6820575",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_OUTPUTS))
+def test_out_bytes_match_pinned_digest(name, tmp_path):
+    make_argv, exit_code, digest = PINNED_OUTPUTS[name]
+    out = tmp_path / "out.json"
+    assert main(make_argv(tmp_path) + ["--out", str(out)]) == exit_code
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "name, calls", [("pipeline-ball", 3), ("pipeline-nonradical", 4), ("nonneg", 3)]
+)
+def test_each_signature_is_computed_once(name, calls, tmp_path, monkeypatch):
+    original = hermicert.certify.signature
+    seen = []
+
+    def counting(a):
+        seen.append(a)
+        return original(a)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("hermicert") and getattr(mod, "signature", None) is original:
+            monkeypatch.setattr(mod, "signature", counting)
+    make_argv, exit_code, _ = PINNED_OUTPUTS[name]
+    assert main(make_argv(tmp_path) + ["--out", str(tmp_path / "out.json")]) == exit_code
+    assert len(seen) == calls

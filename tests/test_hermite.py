@@ -150,7 +150,7 @@ def test_nonradical_double_root_plus_simple():
     pts = ApproxRootSet(
         points=((1 + 0j,), (1 + 0j,), (-2 + 0j,)), accuracy="1e-8", coord_bound=3
     )
-    nb = build_nonradical(pts, MonomialBasis([(0,), (1,), (2,)]))
+    nb = build_nonradical(build_extended_hermite(pts, MonomialBasis([(0,), (1,), (2,)])))
     assert nb.reduced_size == 2
     assert nb.reduced_basis.monomials == ((0,), (1,))
     assert nb.hplus.matrix == RatMatrix.from_rows([[3, 0, 6], [0, 6, -6], [6, -6, 18]])
@@ -163,17 +163,25 @@ def test_nonradical_double_root_plus_simple():
 
 def test_nonradical_distinct_points_keep_everything():
     pts = ApproxRootSet(points=((1 + 0j,), (-2 + 0j,)), accuracy="1e-8", coord_bound=3)
-    nb = build_nonradical(pts, B1X)
+    nb = build_nonradical(build_extended_hermite(pts, B1X))
     assert nb.reduced_size == 2
     assert nb.reduced_basis == B1X
 
 
 def test_nonradical_double_root_only():
     pts = ApproxRootSet(points=((1 + 0j,), (1 + 0j,)), accuracy="1e-8", coord_bound=2)
-    nb = build_nonradical(pts, B1X)
+    nb = build_nonradical(build_extended_hermite(pts, B1X))
     assert nb.reduced_size == 1
     assert nb.hplus.matrix.entry(0, 0) == 2
     assert nb.hplus.labels.extension == ((0,), (1,))
+
+
+def test_nonradical_rejects_basis_size_mismatch():
+    pts = ApproxRootSet(
+        points=((1 + 0j,), (1 + 0j,), (-2 + 0j,)), accuracy="1e-8", coord_bound=3
+    )
+    with pytest.raises(ValueError):
+        build_nonradical(build_extended_hermite(pts, B1X))
 
 
 def test_nonradical_output_rank_contract():
@@ -182,7 +190,7 @@ def test_nonradical_output_rank_contract():
     pts = ApproxRootSet(
         points=((1 + 0j,), (1 + 0j,), (-2 + 0j,)), accuracy="1e-8", coord_bound=3
     )
-    nb = build_nonradical(pts, MonomialBasis([(0,), (1,), (2,)]))
+    nb = build_nonradical(build_extended_hermite(pts, MonomialBasis([(0,), (1,), (2,)])))
     kbar = nb.reduced_size
     h1 = nb.hplus.matrix.submatrix(range(kbar), range(kbar))
     assert rank(h1) == rank(nb.hplus.matrix) == kbar

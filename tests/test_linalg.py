@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -66,6 +70,28 @@ def test_inverse_examples():
     assert left == RatMatrix.from_rows([[0, 2], [1, 0]])
     with pytest.raises(SingularMatrixError):
         inverse(RatMatrix.from_rows([[1, 1], [1, 1]]))
+
+
+def test_inverse_check_survives_optimize_flag():
+    # a wrong kernel inverse must be caught even when asserts are stripped
+    script = """
+import hermicert._kernels as kernels
+from hermicert.linalg import InverseCheckError, RatMatrix, inverse
+if __debug__:
+    raise SystemExit(2)
+kernels.mat_inverse = lambda k, nums, dens: ([2, 0, 0, 1], [1, 1, 1, 1])
+try:
+    inverse(RatMatrix.identity(2))
+except InverseCheckError:
+    raise SystemExit(0)
+raise SystemExit(1)
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_inertia_examples():

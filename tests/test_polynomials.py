@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hermicert.linalg import RatMatrix, char_poly
+from hermicert.linalg import RatMatrix, char_poly, sign_variations
 from hermicert.polynomials import (
     ExtendedBasis,
     MonomialBasis,
@@ -18,7 +18,6 @@ from hermicert.polynomials import (
     newton_girard_power_sums,
     parse_monomial,
     parse_poly,
-    sign_variations,
     univ_derivative,
     univ_eval,
     univ_gcd,
