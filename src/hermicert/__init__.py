@@ -46,7 +46,6 @@ from .linalg import (
 )
 from .numroots import (
     ApproxRootSet,
-    FloatMatrix,
     match_and_filter,
     newton_refine,
     random_square_combination,
@@ -72,7 +71,6 @@ __all__ = [
     "BallQuery",
     "CertificationOutcome",
     "ExtendedBasis",
-    "FloatMatrix",
     "HermitePlus",
     "Inertia",
     "KERNEL_BACKEND",

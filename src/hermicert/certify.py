@@ -332,8 +332,14 @@ def certify_pipeline(
     (transposed) multiplication matrices, H1 is the Hermite matrix of the
     ideal and H_g = H1 * g(M).  The caller asserts that the point count is
     at least the quotient dimension; superfluous points make some step fail.
+    A matrix built from more points than its basis size (a reduced
+    non-radical build) goes to certify_nonradical instead.
     """
     basis = hplus.labels.base
+    if hplus.provenance.point_count > len(basis):
+        return certify_nonradical(
+            system, g, len(basis), basis, hplus, seed=seed, retries=retries
+        )
     diag: list[dict] = []
     res = _run_steps_1_to_5(system, hplus, seed, retries, diag)
     if isinstance(res, StepFailure):
@@ -351,6 +357,7 @@ def certify_pipeline(
         return _fail(basis, diag, hg)
     _log(diag, 7, "hermite_for_g", None)
 
+    sigma_h1 = signature(h1)
     return CertificationOutcome(
         status="certified",
         basis=basis,
@@ -358,10 +365,15 @@ def certify_pipeline(
         hg=hg,
         mult_matrices=list(ms),
         g=g,
-        sigma_h1=signature(h1),
-        sigma_hg=signature(hg),
+        sigma_h1=sigma_h1,
+        sigma_hg=_signature_of_hg(hg, h1, sigma_h1),
         diagnostics=diag,
     )
+
+
+def _signature_of_hg(hg: RatMatrix, h1: RatMatrix, sigma_h1: int) -> int:
+    """sigma(H_g), reusing sigma(H1) when g(M) = I makes the two equal."""
+    return sigma_h1 if hg == h1 else signature(hg)
 
 
 def derive_hg(outcome: CertificationOutcome, g: MultiPoly) -> tuple[RatMatrix, int] | StepFailure:
@@ -439,20 +451,22 @@ def certify_nonradical(
     if isinstance(hg_weighted, StepFailure):
         _log(diag, 7, "weighted_hermite_for_g", hg_weighted)
         return _fail(basis, diag, hg_weighted)
-    sigmas = {}
-    for name, trace_m, weighted_m in (
-        ("1", h1_trace, h1_weighted),
-        ("g", hg_trace, hg_weighted),
-    ):
-        sigmas[name] = signature(trace_m)
-        if sigmas[name] != signature(weighted_m):
-            failure = StepFailure(
-                7,
-                "weighted_signature_mismatch",
-                f"trace-based and weighted signatures differ for g = {name}",
-            )
-            _log(diag, 7, "signature_agreement", failure)
-            return _fail(basis, diag, failure)
+    sigma_h1 = signature(h1_trace)
+    mismatch = None
+    if signature(h1_weighted) != sigma_h1:
+        mismatch = "1"
+    else:  # both H1 agree, so sigma_h1 stands in for either H_g equal to its H1
+        sigma_hg = _signature_of_hg(hg_trace, h1_trace, sigma_h1)
+        if _signature_of_hg(hg_weighted, h1_weighted, sigma_h1) != sigma_hg:
+            mismatch = "g"
+    if mismatch:
+        failure = StepFailure(
+            7,
+            "weighted_signature_mismatch",
+            f"trace-based and weighted signatures differ for g = {mismatch}",
+        )
+        _log(diag, 7, "signature_agreement", failure)
+        return _fail(basis, diag, failure)
     _log(diag, 7, "hermite_for_g", None)
 
     return CertificationOutcome(
@@ -462,8 +476,8 @@ def certify_nonradical(
         hg=hg_trace,
         mult_matrices=list(ms),
         g=g,
-        sigma_h1=sigmas["1"],
-        sigma_hg=sigmas["g"],
+        sigma_h1=sigma_h1,
+        sigma_hg=sigma_hg,
         weighted_h1=h1_weighted,
         weighted_hg=hg_weighted,
         diagnostics=diag,

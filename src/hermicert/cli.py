@@ -23,7 +23,7 @@ from .certificates import (
     certify_ball,
     certify_nonneg,
 )
-from .certify import DEFAULT_RETRIES, DEFAULT_SEED, certify_nonradical, certify_pipeline
+from .certify import DEFAULT_RETRIES, DEFAULT_SEED, certify_pipeline
 from .hermite import (
     NonRadicalRankError,
     ReconstructionFailedError,
@@ -112,28 +112,11 @@ def cmd_build(args) -> tuple[int, dict]:
     return EXIT_OK, jsonio.hermite_to_json(hplus, system.variables, **extra)
 
 
-def _dispatch_certify(system, g, hplus, seed, retries):
-    k_points = hplus.provenance.point_count
-    kbar = len(hplus.labels.base)
-    if k_points > kbar:
-        return certify_nonradical(
-            system,
-            g,
-            kbar,
-            hplus.labels.base,
-            hplus,
-            total_multiplicity=k_points,
-            seed=seed,
-            retries=retries,
-        )
-    return certify_pipeline(system, g, hplus, seed=seed, retries=retries)
-
-
 def cmd_certify(args) -> tuple[int, dict]:
     system = _load_system(args.system)
     hplus = jsonio.hermite_from_json(_load_json(args.hermite), system.variables)
     g = parse_poly(args.g, system.variables)
-    outcome = _dispatch_certify(system, g, hplus, args.seed, args.retries)
+    outcome = certify_pipeline(system, g, hplus, seed=args.seed, retries=args.retries)
     report = jsonio.report_to_json(outcome, system.variables)
     return (EXIT_OK if outcome.certified else EXIT_CERTIFY_FAIL), report
 
@@ -186,7 +169,7 @@ def cmd_count_real(args) -> tuple[int, dict]:
     system = _load_system(args.system)
     hplus = jsonio.hermite_from_json(_load_json(args.hermite), system.variables)
     one = parse_poly("1", system.variables)
-    outcome = _dispatch_certify(system, one, hplus, args.seed, args.retries)
+    outcome = certify_pipeline(system, one, hplus, seed=args.seed, retries=args.retries)
     report = jsonio.report_to_json(outcome, system.variables)
     if not outcome.certified:
         return EXIT_CERTIFY_FAIL, {"real_root_count": None, "certificate": report}
@@ -258,7 +241,7 @@ def cmd_pipeline(args) -> tuple[int, dict]:
         )
     }
     g = parse_poly(args.g, system.variables)
-    outcome = _dispatch_certify(system, g, hplus, args.seed, args.retries)
+    outcome = certify_pipeline(system, g, hplus, seed=args.seed, retries=args.retries)
     payload["certificate"] = jsonio.report_to_json(outcome, system.variables)
     if not outcome.certified:
         payload["verdict"] = "fail"
@@ -267,8 +250,6 @@ def cmd_pipeline(args) -> tuple[int, dict]:
     if args.center is not None or args.eps2 is not None:
         if args.center is None or args.eps2 is None:
             raise ValueError("--center and --eps2 must be given together")
-        if reduced is not None:
-            raise ValueError("ball certificates require the radical route")
         query = BallQuery(center=_parse_center(args.center), radius_squared=Fraction(args.eps2))
         cert = ball_from_outcome(outcome, system.variables, query)
         payload["ball"] = {

@@ -8,6 +8,7 @@ certification stages.
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
 from dataclasses import dataclass
@@ -44,9 +45,9 @@ _MAX_GROWTH = 3
 class ApproxRootSet:
     """Approximate roots with a shared accuracy bound E and coordinate bound M.
 
-    Every point must satisfy max_i |z_i| <= M - E.  Optional per-point radii
-    are upper bounds on the distance to the exact root each point
-    approximates (used by match_and_filter).
+    Every point must have finite coordinates with max_i |z_i| <= M - E.
+    Optional per-point radii are upper bounds on the distance to the exact
+    root each point approximates (used by match_and_filter).
     """
 
     points: tuple[Point, ...]
@@ -67,6 +68,8 @@ class ApproxRootSet:
                 raise ValueError("one radius per point required")
         limit = float(self.coord_bound - self.accuracy)
         for p in pts:
+            if not all(cmath.isfinite(z) for z in p):
+                raise ValueError(f"point {p} has a non-finite coordinate")
             if p and max(abs(z) for z in p) > limit:
                 raise ValueError(
                     f"point {p} violates the coordinate bound |z|_inf <= M - E = {limit}"
@@ -77,26 +80,6 @@ class ApproxRootSet:
 
     def arity(self) -> int:
         return len(self.points[0]) if self.points else 0
-
-
-@dataclass(frozen=True)
-class FloatMatrix:
-    """Dense complex matrix with finite entries."""
-
-    rows: int
-    cols: int
-    data: tuple[tuple[complex, ...], ...]
-
-    def __post_init__(self):
-        if len(self.data) != self.rows or any(len(r) != self.cols for r in self.data):
-            raise ValueError("data does not match dimensions")
-        for row in self.data:
-            for z in row:
-                if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-                    raise ValueError("non-finite matrix entry")
-
-    def to_numpy(self) -> np.ndarray:
-        return np.array(self.data, dtype=complex).reshape(self.rows, self.cols)
 
 
 class RefineResult(NamedTuple):
@@ -255,64 +238,25 @@ def match_and_filter(
     return FilterResult(tuple(kept), inconclusive)
 
 
-def vandermonde(points: Sequence[Point], monomials: Sequence[Monomial]) -> FloatMatrix:
-    """Rows index points, columns index monomials, entries z_i^alpha_j."""
-    rows = []
-    for p in points:
-        row = []
-        for mono in monomials:
-            v = 1 + 0j
-            for z, e in zip(p, mono):
-                if e:
-                    v *= complex(z) ** e
-            row.append(v)
-        rows.append(tuple(row))
-    return FloatMatrix(len(points), len(monomials), tuple(rows))
+def vandermonde(points: Sequence[Point], monomials: Sequence[Monomial]) -> np.ndarray:
+    """Complex matrix with rows indexing points, columns indexing monomials,
+    entries z_i^alpha_j."""
+    arity = len(points[0]) if points else 0
+    z = np.array(points, dtype=complex).reshape(len(points), arity)
+    exps = np.array(monomials, dtype=int).reshape(len(monomials), arity)
+    return (z[:, None, :] ** exps[None, :, :]).prod(axis=2)
 
 
-def singular_values_jacobi(a: FloatMatrix, tol: float = 1e-13, max_sweeps: int = 60) -> list[float]:
-    """Singular values by one-sided Jacobi column orthogonalization.
+def smallest_singular_value(v: np.ndarray) -> float:
+    """The min(rows, cols)-th singular value by LAPACK; 0.0 without columns.
 
-    Small dense matrices only; converges to high relative accuracy, which
-    matters because the smallest singular value is compared against
-    perturbation thresholds.
+    LAPACK's SVD is backward stable, so the value is accurate to about
+    eps * ||V|| in absolute terms (eps the machine epsilon), not relative
+    to sigma_min itself.  select_basis never trusts a value below that level.
     """
-    if a.rows < a.cols:
-        raise ValueError("one-sided Jacobi expects rows >= cols")
-    m = a.to_numpy().copy()
-    n = a.cols
-    for _ in range(max_sweeps):
-        rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                cp = m[:, p]
-                cq = m[:, q]
-                app = float(np.real(np.vdot(cp, cp)))
-                aqq = float(np.real(np.vdot(cq, cq)))
-                apq = complex(np.vdot(cp, cq))
-                if abs(apq) <= tol * math.sqrt(app * aqq) or abs(apq) == 0.0:
-                    continue
-                rotated = True
-                phase = apq / abs(apq)
-                zeta = (aqq - app) / (2.0 * abs(apq))
-                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
-                c = 1.0 / math.hypot(1.0, t)
-                s = c * t
-                qcol = cq / phase
-                new_p = c * cp - s * qcol
-                new_q = s * cp + c * qcol
-                m[:, p] = new_p
-                m[:, q] = new_q
-        if not rotated:
-            break
-    return sorted(float(np.linalg.norm(m[:, j])) for j in range(n))
-
-
-def smallest_singular_value(a: FloatMatrix) -> float:
-    """sigma_min via one-sided Jacobi; rows >= cols required."""
-    if a.cols == 0:
+    if v.shape[1] == 0:
         return 0.0
-    return singular_values_jacobi(a)[0]
+    return float(np.linalg.svd(v, compute_uv=False)[-1])
 
 
 def select_basis(points: ApproxRootSet, variables: Sequence[str]) -> MonomialBasis:
@@ -320,10 +264,13 @@ def select_basis(points: ApproxRootSet, variables: Sequence[str]) -> MonomialBas
 
     Monomials are scanned in graded-lex order; a candidate needs all of its
     single-variable divisors already selected (so the result is an order
-    ideal, in particular connected to 1) and must keep
-    sigma_min(Vandermonde) above k*n*d*M^(d-1)*E, where d is the maximal
-    degree selected so far.  Any order ideal of size k has degree <= k-1,
-    which bounds the scan.
+    ideal, in particular connected to 1) and must keep sigma_min of the
+    trial Vandermonde V above both k*n*d*M^(d-1)*E, where d is the maximal
+    degree selected so far, and the rounding floor max(rows, cols)*eps*||V||_F
+    (numpy's matrix_rank tolerance, with the Frobenius norm standing in for
+    sigma_max).  Below the floor a computed sigma_min is indistinguishable
+    from rounding error, however small E is.  Any order ideal of size k has
+    degree <= k-1, which bounds the scan.
     """
     k = len(points)
     if k < 1:
@@ -348,9 +295,10 @@ def select_basis(points: ApproxRootSet, variables: Sequence[str]) -> MonomialBas
                 continue
         trial = chosen + [mono]
         d = max(sum(m) for m in trial)
-        threshold = k * n * d * m_val ** (d - 1) * e_val
-        sigma = smallest_singular_value(vandermonde(points.points, trial))
-        if sigma > threshold:
+        v = vandermonde(points.points, trial)
+        floor = max(v.shape) * np.finfo(float).eps * np.linalg.norm(v)
+        threshold = max(k * n * d * m_val ** (d - 1) * e_val, floor)
+        if smallest_singular_value(v) > threshold:
             chosen.append(mono)
             chosen_set.add(mono)
     if len(chosen) != k:

@@ -296,6 +296,44 @@ DOUBLE_ROOT_ROOTS = {
 }
 
 
+GRID5 = {"variables": ["x", "y"], "polynomials": ["x^5-5*x^3+4*x", "y^5-5*y^3+4*y"]}
+GRID5_EXACT_ROOTS = {
+    "accuracy_E": "1e-40",
+    "bound_M": "3",
+    "points": [[[str(a), "0"], [str(b), "0"]] for a in range(-2, 3) for b in range(-2, 3)],
+}
+
+
+def test_pipeline_certifies_exact_grid_with_tiny_accuracy(tmp_path, capsys):
+    # Exact, distinct points with a tiny E: a basis monomial accepted on a
+    # rounding-level sigma_min would send the build down the non-radical
+    # route, where it fails with NonRadicalRankError (exit 2).
+    sys_path = write(tmp_path / "grid5.json", GRID5)
+    roots = write(tmp_path / "grid5_roots.json", GRID5_EXACT_ROOTS)
+    code, v = run(capsys, "pipeline", "--system", sys_path, "--roots", roots)
+    assert code == 0
+    assert v["real_root_count"] == 25 and "kbar" not in v["hermite"]
+
+
+@pytest.mark.parametrize(
+    "center, eps2, code, verdict", [("1", "1/4", 0, "true"), ("5", "1", 4, "false")]
+)
+def test_ball_queries_take_the_nonradical_route(center, eps2, code, verdict, tmp_path, capsys):
+    sys_path = write(tmp_path / "s3.json", DOUBLE_ROOT)
+    roots = write(tmp_path / "r3.json", DOUBLE_ROOT_ROOTS)
+    basis = write(tmp_path / "b3.json", {"monomials": ["1", "x", "x^2"]})
+    herm = str(tmp_path / "h3.json")
+    assert main(["build", "--system", sys_path, "--roots", roots, "--basis", basis,
+                 "--out", herm]) == 0
+    query = ["--center", center, "--eps2", eps2]
+    got, v = run(capsys, "ball", "--system", sys_path, "--hermite", herm, *query)
+    assert (got, v["verdict"], v["sigma_H1"]) == (code, verdict, 2)
+    got, v = run(capsys, "pipeline", "--system", sys_path, "--roots", roots,
+                 "--basis", basis, *query)
+    assert (got, v["ball"]["verdict"], v["real_root_count"]) == (code, verdict, 2)
+    assert v["hermite"]["kbar"] == 2
+
+
 def _grid2_hermite(tmp_path):
     sys_path = write(tmp_path / "grid2.json", GRID2)
     roots = write(tmp_path / "grid2_roots.json", GRID2_ROOTS)
@@ -373,7 +411,8 @@ def test_out_bytes_match_pinned_digest(name, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "name, calls", [("pipeline-ball", 3), ("pipeline-nonradical", 4), ("nonneg", 3)]
+    "name, calls",
+    [("pipeline-ball", 3), ("pipeline-nonradical", 4), ("nonneg", 3), ("count-real", 1)],
 )
 def test_each_signature_is_computed_once(name, calls, tmp_path, monkeypatch):
     original = hermicert.certify.signature

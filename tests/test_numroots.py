@@ -8,14 +8,12 @@ import pytest
 from hermicert.numroots import (
     ApproxRootSet,
     DivergedError,
-    FloatMatrix,
     NoWellConditionedBasisError,
     SingularJacobianError,
     match_and_filter,
     newton_refine,
     random_square_combination,
     select_basis,
-    singular_values_jacobi,
     smallest_singular_value,
     vandermonde,
 )
@@ -93,50 +91,54 @@ def test_random_combination_needs_enough_polys():
 
 def test_vandermonde_ones_column():
     v = vandermonde([(1 + 2j,), (3 + 0j,), (0j,)], [(0,)])
-    assert v.rows == 3 and v.cols == 1
-    assert all(row[0] == 1 for row in v.data)
+    assert v.shape == (3, 1) and v.dtype == complex
+    assert (v[:, 0] == 1).all()
 
 
 def test_vandermonde_sqrt2_points():
     v = vandermonde([(SQRT2 + 0j,), (-SQRT2 + 0j,)], [(0,), (1,)])
-    assert v.data[0] == (1 + 0j, SQRT2 + 0j)
-    assert v.data[1] == (1 + 0j, -SQRT2 + 0j)
+    assert v[0].tolist() == [1 + 0j, SQRT2 + 0j]
+    assert v[1].tolist() == [1 + 0j, -SQRT2 + 0j]
+
+
+def test_vandermonde_matches_loop_reference():
+    from hermicert.polynomials import iter_monomials
+
+    rng = random.Random(5)
+    tol = 16 * np.finfo(float).eps
+    for n in (1, 2, 3):
+        pts = [tuple(complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(n))
+               for _ in range(5)]
+        monos = list(iter_monomials(n, 6))
+        v = vandermonde(pts, monos)
+        assert v.shape == (len(pts), len(monos))
+        for i, p in enumerate(pts):
+            for j, mono in enumerate(monos):
+                ref = 1 + 0j
+                for z, e in zip(p, mono):
+                    ref *= z**e
+                assert abs(v[i, j] - ref) <= tol * abs(ref)
 
 
 def test_vandermonde_empty_basis():
     v = vandermonde([(1 + 0j,), (2 + 0j,)], [])
-    assert v.rows == 2 and v.cols == 0
+    assert v.shape == (2, 0)
     assert smallest_singular_value(v) == 0.0
 
 
-def test_float_matrix_rejects_non_finite():
-    with pytest.raises(ValueError):
-        FloatMatrix(1, 1, ((complex(float("inf"), 0),),))
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0, float("-inf"))])
+def test_approx_root_set_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        ApproxRootSet(points=((0.5 + 0j,), (bad,)), accuracy="1e-8", coord_bound=2)
 
 
 def test_smallest_singular_value_examples():
-    ident = FloatMatrix(2, 2, ((1 + 0j, 0j), (0j, 1 + 0j)))
+    ident = np.array([[1, 0], [0, 1]], dtype=complex)
     assert abs(smallest_singular_value(ident) - 1) < 1e-13
-    padded = FloatMatrix(3, 2, ((3 + 0j, 0j), (0j, 1 + 0j), (0j, 0j)))
+    padded = np.array([[3, 0], [0, 1], [0, 0]], dtype=complex)
     assert abs(smallest_singular_value(padded) - 1) < 1e-13
-    near = FloatMatrix(2, 2, ((1 + 0j, 1 + 0j), (1 + 0j, 1 + 1e-6 + 0j)))
+    near = np.array([[1, 1], [1, 1 + 1e-6]], dtype=complex)
     assert abs(smallest_singular_value(near) - 5e-7) < 1e-8
-
-
-def test_jacobi_matches_numpy_svd():
-    rng = random.Random(3)
-    for _ in range(25):
-        rows = rng.randint(1, 6)
-        cols = rng.randint(1, rows)
-        data = tuple(
-            tuple(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(cols))
-            for _ in range(rows)
-        )
-        fm = FloatMatrix(rows, cols, data)
-        ours = singular_values_jacobi(fm)
-        ref = sorted(np.linalg.svd(fm.to_numpy(), compute_uv=False).tolist())
-        for a, b in zip(ours, ref):
-            assert abs(a - b) <= 1e-8 * max(1.0, abs(b))
 
 
 def test_frobenius_perturbation_bound_on_samples():
@@ -157,7 +159,7 @@ def test_frobenius_perturbation_bound_on_samples():
             xis.append((z + delta * complex(math.cos(angle), math.sin(angle)),))
         v_z = vandermonde(zs, monos)
         v_xi = vandermonde(xis, monos)
-        frob = float(np.linalg.norm(v_xi.to_numpy() - v_z.to_numpy()))
+        frob = float(np.linalg.norm(v_xi - v_z))
         bound = k * 1 * d * m_bound ** (d - 1) * e_bound
         assert frob <= bound
         assert smallest_singular_value(v_xi) >= smallest_singular_value(v_z) - frob - 1e-12
@@ -187,6 +189,17 @@ def test_select_basis_rejects_near_duplicates():
     )
     with pytest.raises(NoWellConditionedBasisError):
         select_basis(pts, ["x"])
+
+
+def test_select_basis_rejects_rounding_level_sigma_min():
+    # Exact points of a 5x5 grid with a truthful, tiny E: the E-threshold
+    # alone accepts x^5 and x^6, whose sigma_min is rounding error, and the
+    # build then fails on the non-radical route.
+    grid = tuple((complex(a), complex(b)) for a in range(-2, 3) for b in range(-2, 3))
+    pts = ApproxRootSet(points=grid, accuracy="1e-40", coord_bound=3)
+    basis = select_basis(pts, ["x", "y"])
+    grlex = sorted(((i, j) for i in range(5) for j in range(5)), key=lambda m: (sum(m), -m[0]))
+    assert basis.monomials == tuple(grlex)
 
 
 def test_select_basis_output_is_connected():
