@@ -1,25 +1,15 @@
 """Backend selection for the exact-rational matrix kernels.
 
-The compiled extension ``_speedups`` (Cython) is preferred when importable;
+The compiled extension ``_speedups`` (Cython) is used when importable;
 otherwise the pure-Python twin ``pure`` is used.  Both expose the same
-functions and produce bit-identical results.  Set HERMICERT_KERNELS=pure or
-HERMICERT_KERNELS=compiled to force a backend (the latter raises if the
-extension is unavailable).
+functions and produce bit-identical results; ``BACKEND`` names the active
+one.
 """
 
-import os
-
-_choice = os.environ.get("HERMICERT_KERNELS", "").strip().lower()
-
-if _choice == "pure":
-    from . import pure as _impl
-elif _choice == "compiled":
+try:
     from . import _speedups as _impl  # type: ignore[attr-defined]
-else:
-    try:
-        from . import _speedups as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import pure as _impl
+except ImportError:
+    from . import pure as _impl
 
 BACKEND = _impl.BACKEND
 q_add = _impl.q_add

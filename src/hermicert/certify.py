@@ -130,11 +130,10 @@ def mult_matrices(
 ) -> list[RatMatrix] | StepFailure:
     """M_s = H1^{-1} H1^{x_s}, guarded by rank H1 = rank H+ = k."""
     k = h1.rows
-    if rank(h1) != k or rank(hplus_matrix) != k:
+    rank_h1, rank_hplus = rank(h1), rank(hplus_matrix)
+    if rank_h1 != k or rank_hplus != k:
         return StepFailure(
-            2,
-            "rank_deficient",
-            f"rank H1 = {rank(h1)}, rank H+ = {rank(hplus_matrix)}, expected {k}",
+            2, "rank_deficient", f"rank H1 = {rank_h1}, rank H+ = {rank_hplus}, expected {k}"
         )
     try:
         h1_inv = inverse(h1)
@@ -337,9 +336,7 @@ def certify_pipeline(
     """
     basis = hplus.labels.base
     if hplus.provenance.point_count > len(basis):
-        return certify_nonradical(
-            system, g, len(basis), basis, hplus, seed=seed, retries=retries
-        )
+        return certify_nonradical(system, g, hplus, seed=seed, retries=retries)
     diag: list[dict] = []
     res = _run_steps_1_to_5(system, hplus, seed, retries, diag)
     if isinstance(res, StepFailure):
@@ -393,44 +390,38 @@ def derive_hg(outcome: CertificationOutcome, g: MultiPoly) -> tuple[RatMatrix, i
 def certify_nonradical(
     system: PolySystem,
     g: MultiPoly,
-    reduced_size: int,
-    reduced_basis: MonomialBasis,
     hplus: HermitePlus,
-    total_multiplicity: int | None = None,
     seed: int = DEFAULT_SEED,
     retries: int = DEFAULT_RETRIES,
 ) -> CertificationOutcome:
     """Certification through the radical of a non-radical ideal.
 
-    Steps 1-5 on the reduced extended matrix certify the multiplication
+    hplus is the reduced extended matrix from build_nonradical: its base
+    labels span the quotient by the radical, and its provenance keeps the
+    total point count.  Steps 1-5 on it certify the multiplication
     matrices of the radical.  The literal trace comparison of step 6 cannot
     hold against multiplicity-weighted entries, so the Hermite matrices of
     the radical are instead built directly from traces, H1[i,j] =
     Tr((b_i b_j)(M)) and H_g = H1 * g(M), while the weighted input matrix is
     validated by exact consistency checks: H1bar * M_s = H1bar^{x_s}, the
-    (1,1) entry equals the total point count, and the signatures of the
+    (1,1) entry equals the provenance point count, and the signatures of the
     weighted and trace-based g-matrices agree (positive weights preserve
     sign counts).  Any disagreement is a failure, never silently resolved.
     """
     basis = hplus.labels.base
-    if basis != reduced_basis:
-        raise ValueError("reduced basis does not match the matrix labels")
-    if len(basis) != reduced_size:
-        raise ValueError("reduced basis size mismatch")
     diag: list[dict] = []
     res = _run_steps_1_to_5(system, hplus, seed, retries, diag)
     if isinstance(res, StepFailure):
         return _fail(basis, diag, res)
     h1_weighted, shifted, ms = res
 
-    if total_multiplicity is None:
-        total_multiplicity = hplus.provenance.point_count
     failure = None
-    if h1_weighted.entry(0, 0) != total_multiplicity:
+    points = hplus.provenance.point_count
+    if h1_weighted.entry(0, 0) != points:
         failure = StepFailure(
             6,
             "weighted_inconsistent",
-            f"H1[1,1] = {h1_weighted.entry(0, 0)} but {total_multiplicity} points were used",
+            f"H1[1,1] = {h1_weighted.entry(0, 0)} but {points} points were used",
         )
     if failure is None:
         for s, hs in enumerate(shifted):

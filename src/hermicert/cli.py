@@ -86,7 +86,8 @@ def _parse_center(text: str) -> tuple[Fraction, ...]:
 
 def _build_hermite(args, system, roots):
     """Shared by build and pipeline: full matrix, or the non-radical route
-    when the basis block is singular."""
+    when the basis block is singular.  The test is rank(H1) itself: with
+    complex roots a nonsingular H1 can have a singular connected minor."""
     if args.basis:
         basis = _load_basis(args.basis, system.variables)
     else:
@@ -98,18 +99,14 @@ def _build_hermite(args, system, roots):
     hplus = build_extended_hermite(roots, basis)
     k = len(basis)
     h1 = hplus.matrix.submatrix(range(k), range(k))
-    if rank(h1) == k:
-        return hplus, None
-    reduced = build_nonradical(hplus)
-    return reduced.hplus, reduced
+    return hplus if rank(h1) == k else build_nonradical(hplus)
 
 
 def cmd_build(args) -> tuple[int, dict]:
     system = _load_system(args.system)
     roots = _load_roots(args.roots)
-    hplus, reduced = _build_hermite(args, system, roots)
-    extra = {} if reduced is None else {"kbar": reduced.reduced_size}
-    return EXIT_OK, jsonio.hermite_to_json(hplus, system.variables, **extra)
+    hplus = _build_hermite(args, system, roots)
+    return EXIT_OK, jsonio.hermite_to_json(hplus, system.variables)
 
 
 def cmd_certify(args) -> tuple[int, dict]:
@@ -234,12 +231,8 @@ def cmd_reconstruct_rational(args) -> tuple[int, dict]:
 def cmd_pipeline(args) -> tuple[int, dict]:
     system = _load_system(args.system)
     roots = _load_roots(args.roots)
-    hplus, reduced = _build_hermite(args, system, roots)
-    payload: dict = {
-        "hermite": jsonio.hermite_to_json(
-            hplus, system.variables, **({} if reduced is None else {"kbar": reduced.reduced_size})
-        )
-    }
+    hplus = _build_hermite(args, system, roots)
+    payload: dict = {"hermite": jsonio.hermite_to_json(hplus, system.variables)}
     g = parse_poly(args.g, system.variables)
     outcome = certify_pipeline(system, g, hplus, seed=args.seed, retries=args.retries)
     payload["certificate"] = jsonio.report_to_json(outcome, system.variables)

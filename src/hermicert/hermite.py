@@ -233,21 +233,15 @@ def build_extended_hermite(
     )
 
 
-@dataclass(frozen=True)
-class NonRadicalBuild:
-    reduced_size: int  # number of distinct roots found (kbar)
-    reduced_basis: MonomialBasis
-    hplus: HermitePlus
-
-
-def build_nonradical(full: HermitePlus) -> NonRadicalBuild:
+def build_nonradical(full: HermitePlus) -> HermitePlus:
     """Hermite construction when the point multiset carries multiplicities.
 
     Takes the full extended matrix built from the points, restricts it to the
     largest connected nonsingular block of the base submatrix, and fails
     unless rank(H+) matches that block size.  The returned matrix is indexed
-    by the reduced extended basis; its provenance keeps the original point
-    count (the total multiplicity).
+    by the reduced extended basis, whose base size is the number of distinct
+    roots (kbar); its provenance keeps the original point count (the total
+    multiplicity).
     """
     basis = full.labels.base
     k = len(basis)
@@ -260,8 +254,7 @@ def build_nonradical(full: HermitePlus) -> NonRadicalBuild:
         raise NonRadicalRankError(
             f"rank of the extended matrix exceeds the connected block size {kbar}"
         )
-    reduced = MonomialBasis(selection.monomials)
-    reduced_ext = ExtendedBasis(reduced)
+    reduced_ext = ExtendedBasis(MonomialBasis(selection.monomials))
     idx = [full.labels.index_of(m) for m in reduced_ext.extension]
     sub = full.matrix.submatrix(idx, idx)
     products = {monomial_mul(a, c) for a in reduced_ext.extension for c in reduced_ext.extension}
@@ -269,4 +262,4 @@ def build_nonradical(full: HermitePlus) -> NonRadicalBuild:
     prov = HermiteProvenance(
         full.provenance.accuracy, full.provenance.coord_bound, full.provenance.point_count, bounds
     )
-    return NonRadicalBuild(kbar, reduced, HermitePlus(sub, reduced_ext, prov))
+    return HermitePlus(sub, reduced_ext, prov)

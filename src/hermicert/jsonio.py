@@ -127,7 +127,9 @@ def matrix_from_json(data: dict) -> RatMatrix:
 # -- Hermite matrices -----------------------------------------------------
 
 
-def hermite_to_json(hp: HermitePlus, variables: Sequence[str], **extra) -> dict:
+def hermite_to_json(hp: HermitePlus, variables: Sequence[str]) -> dict:
+    """A matrix built from more points than its basis size (a reduced
+    non-radical build) also records that size as "kbar"."""
     vs = list(variables)
     out = matrix_to_json(hp.matrix, labels=hp.labels.strings(vs))
     out["variables"] = vs
@@ -141,7 +143,8 @@ def hermite_to_json(hp: HermitePlus, variables: Sequence[str], **extra) -> dict:
             for alpha, b in sorted(hp.provenance.bounds.items())
         },
     }
-    out.update(extra)
+    if hp.provenance.point_count > hp.base_size():
+        out["kbar"] = hp.base_size()
     return out
 
 

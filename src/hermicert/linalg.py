@@ -8,6 +8,7 @@ exact; there is no floating point anywhere in this module.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, NamedTuple, Sequence
 
 from . import _kernels as kernels
@@ -286,30 +287,45 @@ def max_nonsingular_connected_submatrix(
 
     Scans the labels in their given (graded-lex) order and greedily keeps a
     monomial when it is linked to the current selection by a single-variable
-    quotient and the principal minor stays nonsingular.  Stops as soon as
-    rank(h) labels are selected; raises NoConnectedSelectionError when the
-    scan cannot reach that size.
+    quotient and the principal minor stays nonsingular.  The scan is one
+    fraction-free (Bareiss) elimination of h, scaled to integers, with the
+    kept labels as diagonal pivots: the current diagonal entry of a label is
+    then its Schur complement against the kept block (times that block's
+    determinant), so it is non-zero exactly when keeping the label leaves
+    the minor nonsingular.  The block left over on the other labels is that
+    Schur complement too; it is zero exactly when the selection reaches
+    rank(h), and NoConnectedSelectionError is raised otherwise.
     """
     if not h.is_symmetric():
         raise NotSymmetricError("submatrix selection requires a symmetric matrix")
-    if len(monomials) != h.rows:
+    k = h.rows
+    if len(monomials) != k:
         raise ValueError("label count does not match matrix size")
-    target = rank(h)
+    scale = 1
+    for d in h._d:
+        scale = scale * d // gcd(scale, d)
+    a = [[h._n[i * k + j] * (scale // h._d[i * k + j]) for j in range(k)] for i in range(k)]
+    open_idx = list(range(k))
     chosen_idx: list[int] = []
     chosen_set: set = set()
+    prev = 1
     for pos, mono in enumerate(monomials):
-        if len(chosen_idx) == target:
-            break
-        if not _has_divisor_link(tuple(mono), chosen_set):
+        pv = a[pos][pos]
+        if not pv or not _has_divisor_link(tuple(mono), chosen_set):
             continue
-        trial = chosen_idx + [pos]
-        sub = h.submatrix(trial, trial)
-        if rank(sub) == len(trial):
-            chosen_idx.append(pos)
-            chosen_set.add(tuple(mono))
-    if len(chosen_idx) != target:
+        chosen_idx.append(pos)
+        chosen_set.add(tuple(mono))
+        open_idx.remove(pos)
+        row_p = a[pos]
+        for i in open_idx:
+            row = a[i]
+            f = row[pos]
+            for j in open_idx:
+                row[j] = (pv * row[j] - f * row_p[j]) // prev
+        prev = pv
+    if any(a[i][j] for i in open_idx for j in open_idx):
         raise NoConnectedSelectionError(
-            f"no connected selection of size {target} found (got {len(chosen_idx)})"
+            f"no connected selection of size {rank(h)} found (got {len(chosen_idx)})"
         )
     sub = h.submatrix(chosen_idx, chosen_idx)
     return ConnectedSelection(

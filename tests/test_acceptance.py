@@ -256,11 +256,9 @@ def test_criterion_6_nonradical_pipeline():
     pts = ApproxRootSet(
         points=((1 + 0j,), (1 + 0j,), (-2 + 0j,)), accuracy="1e-8", coord_bound=3
     )
-    nb = build_nonradical(build_extended_hermite(pts, MonomialBasis([(0,), (1,), (2,)])))
-    assert nb.reduced_size == 2
-    out = certify_nonradical(
-        f, parse_poly("x", ["x"]), nb.reduced_size, nb.reduced_basis, nb.hplus
-    )
+    hp = build_nonradical(build_extended_hermite(pts, MonomialBasis([(0,), (1,), (2,)])))
+    assert hp.base_size() == 2
+    out = certify_nonradical(f, parse_poly("x", ["x"]), hp)
     assert out.certified
     assert out.mult_matrices[0] == RatMatrix.from_rows([[0, 2], [1, -1]])
     assert out.h1 == RatMatrix.from_rows([[2, -1], [-1, 5]])
@@ -270,16 +268,14 @@ def test_criterion_6_nonradical_pipeline():
     # comparison contradicts the weighted entry (1 vs 2)
     f2 = PolySystem(["x"], [parse_poly("x^2-2*x+1", ["x"])])
     pts2 = ApproxRootSet(points=((1 + 0j,), (1 + 0j,)), accuracy="1e-8", coord_bound=2)
-    nb2 = build_nonradical(build_extended_hermite(pts2, MonomialBasis([(0,), (1,)])))
-    out2 = certify_nonradical(
-        f2, parse_poly("1", ["x"]), nb2.reduced_size, nb2.reduced_basis, nb2.hplus
-    )
+    hp2 = build_nonradical(build_extended_hermite(pts2, MonomialBasis([(0,), (1,)])))
+    out2 = certify_nonradical(f2, parse_poly("1", ["x"]), hp2)
     assert out2.certified
     assert out2.h1.entry(0, 0) == 1
     assert out2.weighted_h1.entry(0, 0) == 2
     from hermicert.certify import check_traces
 
-    assert check_traces(nb2.hplus, out2.mult_matrices) is not None
+    assert check_traces(hp2, out2.mult_matrices) is not None
     _report(6, "non-radical pipeline", time.perf_counter() - start, 1.0)
 
 

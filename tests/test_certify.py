@@ -1,7 +1,11 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
+import pytest
+
+import hermicert.certify as certify_module
 from hermicert.certify import (
     StepFailure,
     certify_nonradical,
@@ -17,7 +21,7 @@ from hermicert.certify import (
     signature,
 )
 from hermicert.hermite import HermitePlus, build_extended_hermite, build_nonradical
-from hermicert.linalg import RatMatrix
+from hermicert.linalg import RatMatrix, rank
 from hermicert.numroots import ApproxRootSet
 from hermicert.polynomials import MonomialBasis, PolySystem, parse_poly
 
@@ -69,6 +73,28 @@ def test_mult_matrices_rank_deficient_fails():
     h1, shifted = extract_blocks(hp)
     out = mult_matrices(h1, shifted, hp.matrix)
     assert isinstance(out, StepFailure) and out.step == 2 and out.reason == "rank_deficient"
+
+
+@pytest.mark.parametrize(
+    "roots, detail",
+    [
+        ([1, 1], "rank H1 = 1, rank H+ = 1, expected 2"),  # H1 itself is singular
+        ([1, -2, 3], "rank H1 = 2, rank H+ = 3, expected 2"),  # only H+ is too large
+    ],
+)
+def test_mult_matrices_computes_each_rank_once(roots, detail, monkeypatch):
+    hp = exact_hermite_plus(roots_as_qc([Fraction(r) for r in roots], []), B1X)
+    h1, shifted = extract_blocks(hp)
+    calls = []
+
+    def counting(a):
+        calls.append(a.rows)
+        return rank(a)
+
+    monkeypatch.setattr(certify_module, "rank", counting)
+    out = mult_matrices(h1, shifted, hp.matrix)
+    assert isinstance(out, StepFailure) and out.detail == detail
+    assert sorted(calls) == [2, 3]
 
 
 def test_identity_columns_companion_passes():
@@ -212,8 +238,8 @@ def test_derive_hg_reports_step_7_failure():
 def test_nonradical_certifies_double_root_plus_simple():
     f = PolySystem(["x"], [parse_poly("x^3-3*x+2", ["x"])])
     pts = ApproxRootSet(points=((1 + 0j,), (1 + 0j,), (-2 + 0j,)), accuracy="1e-8", coord_bound=3)
-    nb = build_nonradical(build_extended_hermite(pts, MonomialBasis([(0,), (1,), (2,)])))
-    out = certify_nonradical(f, G_X, nb.reduced_size, nb.reduced_basis, nb.hplus)
+    hp = build_nonradical(build_extended_hermite(pts, MonomialBasis([(0,), (1,), (2,)])))
+    out = certify_nonradical(f, G_X, hp)
     assert out.certified
     assert out.mult_matrices[0] == RatMatrix.from_rows([[0, 2], [1, -1]])
     assert out.h1 == RatMatrix.from_rows([[2, -1], [-1, 5]])
@@ -229,23 +255,24 @@ def test_nonradical_literal_trace_comparison_would_fail():
     # check cannot be applied verbatim to weighted matrices
     f = PolySystem(["x"], [parse_poly("x^2-2*x+1", ["x"])])
     pts = ApproxRootSet(points=((1 + 0j,), (1 + 0j,)), accuracy="1e-8", coord_bound=2)
-    nb = build_nonradical(build_extended_hermite(pts, B1X))
-    out = certify_nonradical(f, parse_poly("1", ["x"]), nb.reduced_size, nb.reduced_basis, nb.hplus)
+    hp = build_nonradical(build_extended_hermite(pts, B1X))
+    out = certify_nonradical(f, parse_poly("1", ["x"]), hp)
     assert out.certified
     assert out.h1.entry(0, 0) == 1
     assert out.weighted_h1.entry(0, 0) == 2
     assert out.h1.entry(0, 0) != out.weighted_h1.entry(0, 0)
-    assert check_traces(nb.hplus, out.mult_matrices) is not None
+    assert check_traces(hp, out.mult_matrices) is not None
     assert signature(out.h1) == 1
 
 
 def test_nonradical_weighted_consistency_checks_guard_the_input():
     f = PolySystem(["x"], [parse_poly("x^3-3*x+2", ["x"])])
     pts = ApproxRootSet(points=((1 + 0j,), (1 + 0j,), (-2 + 0j,)), accuracy="1e-8", coord_bound=3)
-    nb = build_nonradical(build_extended_hermite(pts, MonomialBasis([(0,), (1,), (2,)])))
-    out = certify_nonradical(
-        f, G_X, nb.reduced_size, nb.reduced_basis, nb.hplus, total_multiplicity=4
-    )
+    hp = build_nonradical(build_extended_hermite(pts, MonomialBasis([(0,), (1,), (2,)])))
+    assert certify_nonradical(f, G_X, hp).certified
+    # the same matrix claiming 4 points: H1[1,1] = 3 contradicts the count
+    four = replace(hp, provenance=replace(hp.provenance, point_count=4))
+    out = certify_nonradical(f, G_X, four)
     assert out.status == "fail" and out.reason == "weighted_inconsistent"
 
 
@@ -264,8 +291,8 @@ def test_nonradical_signature_agreement_between_weighted_and_trace():
         f = PolySystem(["x"], [f_poly])
         pts = ApproxRootSet(points=tuple(points), accuracy="1e-12", coord_bound=5)
         basis = MonomialBasis([(d,) for d in range(k)])
-        nb = build_nonradical(build_extended_hermite(pts, basis))
-        out = certify_nonradical(f, G_X, nb.reduced_size, nb.reduced_basis, nb.hplus)
+        hp = build_nonradical(build_extended_hermite(pts, basis))
+        out = certify_nonradical(f, G_X, hp)
         assert out.certified, (out.reason, out.detail)
         assert signature(out.h1) == len(distinct)
         assert signature(out.weighted_h1) == signature(out.h1)

@@ -150,30 +150,30 @@ def test_nonradical_double_root_plus_simple():
     pts = ApproxRootSet(
         points=((1 + 0j,), (1 + 0j,), (-2 + 0j,)), accuracy="1e-8", coord_bound=3
     )
-    nb = build_nonradical(build_extended_hermite(pts, MonomialBasis([(0,), (1,), (2,)])))
-    assert nb.reduced_size == 2
-    assert nb.reduced_basis.monomials == ((0,), (1,))
-    assert nb.hplus.matrix == RatMatrix.from_rows([[3, 0, 6], [0, 6, -6], [6, -6, 18]])
-    assert nb.hplus.provenance.point_count == 3
-    h1 = nb.hplus.matrix.submatrix([0, 1], [0, 1])
-    hx = nb.hplus.matrix.submatrix([0, 1], [1, 2])
+    hp = build_nonradical(build_extended_hermite(pts, MonomialBasis([(0,), (1,), (2,)])))
+    assert hp.base_size() == 2
+    assert hp.labels.base.monomials == ((0,), (1,))
+    assert hp.matrix == RatMatrix.from_rows([[3, 0, 6], [0, 6, -6], [6, -6, 18]])
+    assert hp.provenance.point_count == 3
+    h1 = hp.matrix.submatrix([0, 1], [0, 1])
+    hx = hp.matrix.submatrix([0, 1], [1, 2])
     assert h1 == RatMatrix.from_rows([[3, 0], [0, 6]])
     assert hx == RatMatrix.from_rows([[0, 6], [6, -6]])
 
 
 def test_nonradical_distinct_points_keep_everything():
     pts = ApproxRootSet(points=((1 + 0j,), (-2 + 0j,)), accuracy="1e-8", coord_bound=3)
-    nb = build_nonradical(build_extended_hermite(pts, B1X))
-    assert nb.reduced_size == 2
-    assert nb.reduced_basis == B1X
+    hp = build_nonradical(build_extended_hermite(pts, B1X))
+    assert hp.base_size() == 2
+    assert hp.labels.base == B1X
 
 
 def test_nonradical_double_root_only():
     pts = ApproxRootSet(points=((1 + 0j,), (1 + 0j,)), accuracy="1e-8", coord_bound=2)
-    nb = build_nonradical(build_extended_hermite(pts, B1X))
-    assert nb.reduced_size == 1
-    assert nb.hplus.matrix.entry(0, 0) == 2
-    assert nb.hplus.labels.extension == ((0,), (1,))
+    hp = build_nonradical(build_extended_hermite(pts, B1X))
+    assert hp.base_size() == 1
+    assert hp.matrix.entry(0, 0) == 2
+    assert hp.labels.extension == ((0,), (1,))
 
 
 def test_nonradical_rejects_basis_size_mismatch():
@@ -190,7 +190,7 @@ def test_nonradical_output_rank_contract():
     pts = ApproxRootSet(
         points=((1 + 0j,), (1 + 0j,), (-2 + 0j,)), accuracy="1e-8", coord_bound=3
     )
-    nb = build_nonradical(build_extended_hermite(pts, MonomialBasis([(0,), (1,), (2,)])))
-    kbar = nb.reduced_size
-    h1 = nb.hplus.matrix.submatrix(range(kbar), range(kbar))
-    assert rank(h1) == rank(nb.hplus.matrix) == kbar
+    hp = build_nonradical(build_extended_hermite(pts, MonomialBasis([(0,), (1,), (2,)])))
+    kbar = hp.base_size()
+    h1 = hp.matrix.submatrix(range(kbar), range(kbar))
+    assert rank(h1) == rank(hp.matrix) == kbar

@@ -1,8 +1,10 @@
+import math
 import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -207,6 +209,67 @@ def test_connected_submatrix_failure_when_only_disconnected_subsets_work():
     h = RatMatrix.from_rows([[0, 0, 0], [0, 0, 0], [0, 0, 1]])
     with pytest.raises(NoConnectedSelectionError):
         max_nonsingular_connected_submatrix(h, [(0,), (1,), (2,)])
+
+
+def greedy_selection_reference(h, monomials):
+    """The selection by definition: a fresh exact rank of every trial
+    principal submatrix, stopping at rank(h); None when it falls short."""
+    target = rank(h)
+    chosen = []
+    for pos, mono in enumerate(monomials):
+        if len(chosen) == target:
+            break
+        linked = sum(mono) == 0 or any(
+            e and monomials[c] == mono[:i] + (e - 1,) + mono[i + 1 :]
+            for c in chosen
+            for i, e in enumerate(mono)
+        )
+        trial = chosen + [pos]
+        if linked and rank(h.submatrix(trial, trial)) == len(trial):
+            chosen.append(pos)
+    return tuple(chosen) if len(chosen) == target else None
+
+
+def test_connected_submatrix_matches_per_trial_reference_on_weighted_grams():
+    # H = V^T diag(w) V over rational points, labelled by a random graded
+    # subset of monomials in one or two variables; negative weights make H
+    # indefinite, and dropped labels (1 or a linking quotient) force failures
+    rng = random.Random(2718)
+    pool = [Fraction(n, d) for n in range(-3, 4) for d in (1, 2)]
+    seen = set()
+    for _ in range(300):
+        arity = rng.randint(1, 2)
+        degree = rng.randint(1, 5 if arity == 1 else 3)
+        graded = sorted(
+            (m for m in product(range(degree + 1), repeat=arity) if sum(m) <= degree),
+            key=lambda m: (sum(m), tuple(-e for e in m)),
+        )
+        labels = [m for m in graded if rng.random() < 0.85]
+        if not labels:
+            continue
+        points = [tuple(rng.choice(pool) for _ in range(arity)) for _ in range(rng.randint(1, 5))]
+        weights = [rng.choice([-2, -1, 1, 1, 2, 3]) for _ in points]
+        values = [
+            [math.prod(c**e for c, e in zip(p, m)) for p in points] for m in labels
+        ]
+        h = RatMatrix.from_rows(
+            [
+                [sum(w * a * b for w, a, b in zip(weights, row_i, row_j)) for row_j in values]
+                for row_i in values
+            ]
+        )
+        expected = greedy_selection_reference(h, labels)
+        if expected is None:
+            with pytest.raises(NoConnectedSelectionError):
+                max_nonsingular_connected_submatrix(h, labels)
+        else:
+            sel = max_nonsingular_connected_submatrix(h, labels)
+            assert sel.indices == expected
+            assert sel.monomials == tuple(labels[i] for i in expected)
+            assert sel.matrix == h.submatrix(expected, expected)
+        seen.add((arity, min(weights) < 0, expected is None))
+    assert {(1, False, False), (2, False, False), (1, True, False), (2, True, False)} <= seen
+    assert any(raised for _, _, raised in seen)
 
 
 def test_matrix_equality_and_trace():
