@@ -2,10 +2,12 @@
 """Benchmark the compiled kernels against the pure-Python fallback.
 
 Times the hot exact-arithmetic loops (matrix product, characteristic
-polynomial, inertia, rank) on two entry regimes: small rationals, where
-interpreter overhead dominates and the compiled backend helps most, and the
+polynomial, inertia, rank) on three entry regimes: small rationals, where
+interpreter overhead dominates and the compiled backend helps most; the
 larger power-sum entries typical of extended Hermite matrices, where
-arbitrary-precision integer arithmetic dominates and the gap narrows.
+arbitrary-precision integer arithmetic dominates and the gap narrows; and
+the k=25 weighted matrix of a ball query on the 5x5 grid, whose rational
+entries are where the characteristic polynomial's cost lies.
 
 Usage: python benchmarks/bench_kernels.py [--repeat N]
 """
@@ -41,6 +43,28 @@ def power_sum_entries(rng, k):
     return nums, [1] * (k * k)
 
 
+def ball_hg_entries(rng):
+    """The k=25 ball matrix H_g of the 5x5 integer grid: entry (i, j) is
+    sum_p g(p) p^(b_i + b_j) over the grid, b the monomials x^a y^b with
+    a, b <= 4, and g = |p - c|^2 - r^2 with c in odd quarters and r^2 in
+    odd sixteenths, as a ball query makes them (denominators up to 16)."""
+    grid = range(-2, 3)
+    basis = [(a, b) for a in range(5) for b in range(5)]
+    c = [Fraction(2 * rng.randint(-6, 5) + 1, 4) for _ in range(2)]
+    r2 = Fraction(2 * rng.randint(0, 15) + 1, 16)
+    weights = {(x, y): (x - c[0]) ** 2 + (y - c[1]) ** 2 - r2 for x in grid for y in grid}
+    sums = {}
+    nums, dens = [], []
+    for bi in basis:
+        for bj in basis:
+            e = (bi[0] + bj[0], bi[1] + bj[1])
+            if e not in sums:
+                sums[e] = sum(w * x ** e[0] * y ** e[1] for (x, y), w in weights.items())
+            nums.append(sums[e].numerator)
+            dens.append(sums[e].denominator)
+    return nums, dens
+
+
 def symmetrize(k, nums, dens):
     for i in range(k):
         for j in range(i + 1, k):
@@ -64,6 +88,7 @@ def workloads(rng):
     b = small_entries(rng, k * k)
     sym = symmetrize(k, *small_entries(rng, k * k))
     big = power_sum_entries(rng, 10)
+    ball = ball_hg_entries(rng)
     return [
         ("mat_mul 8x8 small", "mat_mul", (k, k, k, *a, *b)),
         ("charpoly 8x8 small", "charpoly", (k, *a)),
@@ -71,6 +96,7 @@ def workloads(rng):
         ("mat_rank 8x8 small", "mat_rank", (k, k, *a)),
         ("charpoly 10x10 power-sums", "charpoly", (10, *big)),
         ("inertia 10x10 power-sums", "inertia", (10, *big)),
+        ("charpoly 25x25 ball H_g", "charpoly", (25, *ball)),
     ]
 
 

@@ -7,6 +7,7 @@ ordinary Python ints.  Results are bit-identical to the pure backend.
 """
 
 from math import gcd
+from operator import mul
 
 BACKEND = "compiled"
 
@@ -170,27 +171,31 @@ def mat_inverse(Py_ssize_t k, list nums, list dens):
     return b_n, b_d
 
 
-def charpoly(Py_ssize_t k, list nums, list dens):
-    cdef Py_ssize_t i, step, p
-    cdef list cn = [1]
-    cdef list cd = [1]
-    cdef list m_n = [0] * (k * k)
-    cdef list m_d = [1] * (k * k)
-    for i in range(k):
-        m_n[i * k + i] = 1
-    for step in range(1, k + 1):
-        m_n, m_d = mat_mul(k, k, k, nums, dens, m_n, m_d)
-        tn, td = 0, 1
-        for i in range(k):
-            tn, td = _q_add(tn, td, m_n[i * k + i], m_d[i * k + i])
-        ci_n, ci_d = _q_mul(-tn, td, 1, step)
-        if ci_d < 0:
-            ci_n, ci_d = -ci_n, -ci_d
-        cn.append(ci_n)
-        cd.append(ci_d)
-        for i in range(k):
-            p = i * k + i
-            m_n[p], m_d[p] = _q_add(m_n[p], m_d[p], ci_n, ci_d)
+def charpoly(k, nums, dens):
+    """Berkowitz on the integer-scaled matrix; plain Python, as in pure.py."""
+    if k == 0:
+        return [1], [1]
+    l = 1
+    for d in dens:
+        l = l * d // gcd(l, d)
+    a = [[nums[i * k + j] * (l // dens[i * k + j]) for j in range(k)] for i in range(k)]
+    p = [1, -a[k - 1][k - 1]]
+    for r in range(k - 2, -1, -1):
+        rows = [row[r + 1 :] for row in a[r + 1 :]]
+        top = a[r][r + 1 :]
+        v = [row[r] for row in a[r + 1 :]]
+        t = [1, -a[r][r], -sum(map(mul, top, v))]
+        for _ in range(k - 2 - r):
+            v = [sum(map(mul, row, v)) for row in rows]
+            t.append(-sum(map(mul, top, v)))
+        p = [sum(map(mul, t[i::-1], p)) for i in range(len(t))]
+    cn, cd = [], []
+    li = 1
+    for c in p:
+        g = gcd(c, li)
+        cn.append(c // g)
+        cd.append(li // g)
+        li *= l
     return cn, cd
 
 

@@ -3,10 +3,13 @@
 A matrix is a flat row-major pair of lists (nums, dens) of Python ints with
 every entry stored reduced and dens[i] > 0.  These functions are the inner
 loops of the whole package; ``hermicert._kernels`` picks this module or the
-compiled twin ``_speedups`` built from the same algorithms.
+compiled twin ``_speedups`` built from the same algorithms.  The
+characteristic polynomial is the exception to rational entries: it scales
+the matrix to integers once and runs division-free on plain ints.
 """
 
 from math import gcd
+from operator import mul
 
 BACKEND = "pure"
 
@@ -161,28 +164,41 @@ def mat_inverse(k, nums, dens):
 
 
 def charpoly(k, nums, dens):
-    """Monic characteristic polynomial via Faddeev-LeVerrier.
+    """Monic characteristic polynomial by Berkowitz's division-free algorithm.
 
     Returns descending coefficient pair lists ([1, c1, ..., ck] for
-    lambda^k + c1 lambda^(k-1) + ... + ck).
+    lambda^k + c1 lambda^(k-1) + ... + ck).  The matrix is scaled to the
+    integer matrix B = L * A, L the lcm of the denominators; Berkowitz's
+    recurrence runs on plain ints (no gcd, no division), and
+    c_i(A) = c_i(B) / L^i is reduced once per coefficient at the end.
     """
-    cn = [1]
-    cd = [1]
-    m_n = [0] * (k * k)
-    m_d = [1] * (k * k)
-    for i in range(k):
-        m_n[i * k + i] = 1
-    for step in range(1, k + 1):
-        m_n, m_d = mat_mul(k, k, k, nums, dens, m_n, m_d)
-        tn, td = 0, 1
-        for i in range(k):
-            tn, td = q_add(tn, td, m_n[i * k + i], m_d[i * k + i])
-        ci_n, ci_d = q_div(-tn, td, step, 1)
-        cn.append(ci_n)
-        cd.append(ci_d)
-        for i in range(k):
-            p = i * k + i
-            m_n[p], m_d[p] = q_add(m_n[p], m_d[p], ci_n, ci_d)
+    if k == 0:
+        return [1], [1]
+    l = 1
+    for d in dens:
+        l = l * d // gcd(l, d)
+    a = [[nums[i * k + j] * (l // dens[i * k + j]) for j in range(k)] for i in range(k)]
+    # grow the trailing principal submatrix A_r = a[r:, r:] one row and
+    # column at a time: with A_r = [[a_rr, R], [S, A_(r+1)]],
+    # p_r = T p_(r+1) where T is lower-triangular Toeplitz with first column
+    # (1, -a_rr, -R S, -R A_(r+1) S, ..., -R A_(r+1)^(k-r-2) S)
+    p = [1, -a[k - 1][k - 1]]
+    for r in range(k - 2, -1, -1):
+        rows = [row[r + 1 :] for row in a[r + 1 :]]
+        top = a[r][r + 1 :]
+        v = [row[r] for row in a[r + 1 :]]
+        t = [1, -a[r][r], -sum(map(mul, top, v))]
+        for _ in range(k - 2 - r):
+            v = [sum(map(mul, row, v)) for row in rows]
+            t.append(-sum(map(mul, top, v)))
+        p = [sum(map(mul, t[i::-1], p)) for i in range(len(t))]
+    cn, cd = [], []
+    li = 1
+    for c in p:
+        g = gcd(c, li)
+        cn.append(c // g)
+        cd.append(li // g)
+        li *= l
     return cn, cd
 
 

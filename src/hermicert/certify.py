@@ -21,6 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 from .hermite import HermitePlus
@@ -128,17 +129,23 @@ def extract_blocks(hplus: HermitePlus) -> tuple[RatMatrix, list[RatMatrix]]:
 def mult_matrices(
     h1: RatMatrix, h_shifted: Sequence[RatMatrix], hplus_matrix: RatMatrix
 ) -> list[RatMatrix] | StepFailure:
-    """M_s = H1^{-1} H1^{x_s}, guarded by rank H1 = rank H+ = k."""
+    """M_s = H1^{-1} H1^{x_s}, guarded by rank H1 = rank H+ = k.
+
+    H1 is eliminated once, by the inverse, and only when rank H+ = k; its
+    rank is computed only on a failure, to word the message.
+    """
     k = h1.rows
-    rank_h1, rank_hplus = rank(h1), rank(hplus_matrix)
-    if rank_h1 != k or rank_hplus != k:
+    rank_hplus = rank(hplus_matrix)
+    h1_inv = None
+    if rank_hplus == k:
+        try:
+            h1_inv = inverse(h1)
+        except SingularMatrixError:
+            pass
+    if h1_inv is None:
         return StepFailure(
-            2, "rank_deficient", f"rank H1 = {rank_h1}, rank H+ = {rank_hplus}, expected {k}"
+            2, "rank_deficient", f"rank H1 = {rank(h1)}, rank H+ = {rank_hplus}, expected {k}"
         )
-    try:
-        h1_inv = inverse(h1)
-    except SingularMatrixError:  # unreachable after the rank test
-        return StepFailure(2, "rank_deficient", "H1 singular")
     return [h1_inv @ hs for hs in h_shifted]
 
 
@@ -201,29 +208,78 @@ def check_commute_and_membership(
 
 
 def _trace_grid(
-    ms: Sequence[RatMatrix], monomials: Sequence[Monomial]
+    ms: Sequence[RatMatrix], basis: Sequence[Monomial], monomials: Sequence[Monomial]
 ) -> list[list[Fraction]]:
-    """Tr((b_i * b_j)(M)) for all label pairs, cached per monomial product."""
+    """Tr((b_i * b_j)(M)) for all label pairs b_i, b_j in monomials.
+
+    No matrix product is formed.  The coordinate vectors v_gamma = M^gamma e_1
+    are memoised, each from v_(gamma - e_s) by one product with M_s that
+    visits only the non-zero entries of its columns, and
+    Tr(M^alpha) = sum_i (v_(alpha + beta_i))_i over the basis exponents
+    beta_i.  Precondition, established by steps 3 and 5 on both routes:
+
+    - the basis starts with 1 and is connected to 1, and step 3 proved the
+      identity columns, so M^(beta_i) e_1 = e_i by induction on deg beta_i;
+    - step 5 proved that the M_s commute, so M^gamma is well defined and
+      every path to gamma gives the same v_gamma.
+
+    Then Tr(M^alpha) = sum_i e_i^T M^alpha M^(beta_i) e_1, the same exact
+    rational as the trace of the matrix product.  Each M_s is scaled to
+    integers by the lcm D_s of its denominators, so a vector is an integer
+    list with one denominator, D^gamma.
+    """
     k = ms[0].rows
-    max_exp = [0] * len(ms)
-    for m in monomials:
-        for i, e in enumerate(m):
-            max_exp[i] = max(max_exp[i], 2 * e)
-    powers = []
-    for i, m in enumerate(ms):
-        cache = [RatMatrix.identity(k)]
-        for _ in range(max_exp[i]):
-            cache.append(cache[-1] @ m)
-        powers.append(cache)
+    scales = []
+    columns = []  # columns[s][t]: non-zero (row, integer entry) of D_s * M_s
+    for m in ms:
+        nums, dens = m.row_pairs()
+        d = 1
+        for x in dens:
+            d = d * x // gcd(d, x)
+        scales.append(d)
+        columns.append(
+            [
+                [(r, nums[r * k + t] * (d // dens[r * k + t])) for r in range(k) if nums[r * k + t]]
+                for t in range(k)
+            ]
+        )
+    start = [0] * k
+    start[0] = 1
+    vectors: dict[Monomial, tuple[list[int], int]] = {(0,) * len(ms): (start, 1)}
+
+    def vector(gamma: Monomial) -> tuple[list[int], int]:
+        chain = []
+        while gamma not in vectors:
+            s = next(s for s, e in enumerate(gamma) if e)
+            chain.append((gamma, s))
+            gamma = gamma[:s] + (gamma[s] - 1,) + gamma[s + 1 :]
+        w, d = vectors[gamma]
+        for gamma, s in reversed(chain):
+            out = [0] * k
+            for t, x in enumerate(w):
+                if x:
+                    for r, c in columns[s][t]:
+                        out[r] += c * x
+            w, d = out, d * scales[s]
+            vectors[gamma] = (w, d)
+        return w, d
+
     traces: dict[Monomial, Fraction] = {}
 
     def trace_of(alpha: Monomial) -> Fraction:
         if alpha not in traces:
-            acc = RatMatrix.identity(k)
-            for i, e in enumerate(alpha):
-                if e:
-                    acc = acc @ powers[i][e]
-            traces[alpha] = acc.trace()
+            num, den = 0, 1
+            for i, beta in enumerate(basis):
+                w, d = vector(monomial_mul(alpha, beta))
+                x = w[i]
+                if x:
+                    if d == den:
+                        num += x
+                    else:
+                        g = gcd(d, den)
+                        num = num * (d // g) + x * (den // g)
+                        den = den // g * d
+            traces[alpha] = Fraction(num, den)
         return traces[alpha]
 
     return [[trace_of(monomial_mul(a, b)) for b in monomials] for a in monomials]
@@ -231,9 +287,11 @@ def _trace_grid(
 
 def check_traces(hplus: HermitePlus, ms: Sequence[RatMatrix]) -> StepFailure | None:
     """Every entry of the full extended matrix must equal the trace of the
-    corresponding product of multiplication matrices."""
+    corresponding product of multiplication matrices.
+
+    The ms must have passed steps 3 and 5 (see _trace_grid)."""
     ext = hplus.labels.extension
-    grid = _trace_grid(ms, ext)
+    grid = _trace_grid(ms, hplus.labels.base.monomials, ext)
     for i in range(len(ext)):
         for j in range(len(ext)):
             if hplus.matrix.entry(i, j) != grid[i][j]:
@@ -432,7 +490,7 @@ def certify_nonradical(
     if failure:
         return _fail(basis, diag, failure)
 
-    grid = _trace_grid(ms, basis.monomials)
+    grid = _trace_grid(ms, basis.monomials, basis.monomials)
     h1_trace = RatMatrix.from_rows(grid)
     hg_trace = hermite_for_g(h1_trace, ms, g)
     if isinstance(hg_trace, StepFailure):

@@ -223,8 +223,9 @@ def inverse(a: RatMatrix) -> RatMatrix:
 def char_poly(a: RatMatrix) -> list[Fraction]:
     """Monic characteristic polynomial, descending coefficients.
 
-    Faddeev-LeVerrier: O(k^4) but exact and simple; the matrices certified
-    here are small.
+    Berkowitz's algorithm on the integer matrix L * A, L the lcm of the
+    denominators: division-free, O(k^4) integer operations and no gcd in
+    the loop; the i-th coefficient is divided by L^i once at the end.
     """
     if a.rows != a.cols:
         raise ValueError("characteristic polynomial of a non-square matrix")

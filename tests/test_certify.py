@@ -20,10 +20,11 @@ from hermicert.certify import (
     mult_matrices,
     signature,
 )
+from hermicert.certificates import lagrange_system
 from hermicert.hermite import HermitePlus, build_extended_hermite, build_nonradical
 from hermicert.linalg import RatMatrix, rank
 from hermicert.numroots import ApproxRootSet
-from hermicert.polynomials import MonomialBasis, PolySystem, parse_poly
+from hermicert.polynomials import MonomialBasis, PolySystem, monomial_mul, parse_poly
 
 from conftest import QC, exact_hermite_plus, roots_as_qc, univariate_from_roots
 
@@ -97,6 +98,21 @@ def test_mult_matrices_computes_each_rank_once(roots, detail, monkeypatch):
     assert sorted(calls) == [2, 3]
 
 
+def test_mult_matrices_makes_one_rank_call_when_it_succeeds(monkeypatch):
+    hp = sqrt2_hermite()
+    h1, shifted = extract_blocks(hp)
+    calls = []
+
+    def counting(a):
+        calls.append(a.rows)
+        return rank(a)
+
+    monkeypatch.setattr(certify_module, "rank", counting)
+    ms = mult_matrices(h1, shifted, hp.matrix)
+    assert ms == [RatMatrix.from_rows([[0, 2], [1, 0]])]
+    assert calls == [3]  # rank H+ only; the inverse proves H1 nonsingular
+
+
 def test_identity_columns_companion_passes():
     m = RatMatrix.from_rows([[0, 2], [1, 0]])
     assert check_identity_rows([m], B1X) is None
@@ -164,6 +180,95 @@ def test_traces_match_and_detect_perturbation():
 def test_traces_single_point():
     hp = exact_hermite_plus([(QC(3),)], MonomialBasis([(0,)]))
     assert check_traces(hp, [RatMatrix.from_rows([[3]])]) is None
+
+
+def per_product_trace_grid(ms, monomials):
+    """Reference: one product of cached matrix powers per distinct monomial."""
+    k = ms[0].rows
+    max_exp = [0] * len(ms)
+    for m in monomials:
+        for i, e in enumerate(m):
+            max_exp[i] = max(max_exp[i], 2 * e)
+    powers = []
+    for i, m in enumerate(ms):
+        cache = [RatMatrix.identity(k)]
+        for _ in range(max_exp[i]):
+            cache.append(cache[-1] @ m)
+        powers.append(cache)
+    traces = {}
+
+    def trace_of(alpha):
+        if alpha not in traces:
+            acc = RatMatrix.identity(k)
+            for i, e in enumerate(alpha):
+                if e:
+                    acc = acc @ powers[i][e]
+            traces[alpha] = acc.trace()
+        return traces[alpha]
+
+    return [[trace_of(monomial_mul(a, b)) for b in monomials] for a in monomials]
+
+
+def grid_case():
+    grid = range(-2, 3)
+    points = [(QC(a), QC(b)) for a in grid for b in grid]
+    basis = MonomialBasis(
+        sorted(((i, j) for i in range(5) for j in range(5)), key=lambda m: (sum(m), -m[0]))
+    )
+    system = PolySystem(["x", "y"], [parse_poly("x^5-5*x^3+4*x", ["x", "y"]),
+                                     parse_poly("y^5-5*y^3+4*y", ["x", "y"])])
+    return system, exact_hermite_plus(points, basis)
+
+
+def lagrange_case():
+    # the nonneg-lagrange ring: the critical points of 6x+6y-5 on the 4x4
+    # grid, l = -6 / f'(coordinate) with f = x(x-1)(x-2)(x-3)
+    roots = [Fraction(r) for r in range(4)]
+    variables = ["x", "y"]
+    system = PolySystem(variables, [parse_poly("x^4-6*x^3+11*x^2-6*x", variables),
+                                    parse_poly("y^4-6*y^3+11*y^2-6*y", variables)])
+    lag = lagrange_system(system, parse_poly("6*x+6*y-5", variables))
+    points = [
+        (QC(a), QC(b), QC(-6 / math.prod(a - r for r in roots if r != a)),
+         QC(-6 / math.prod(b - r for r in roots if r != b)))
+        for a in roots
+        for b in roots
+    ]
+    basis = MonomialBasis(
+        sorted(((i, j, 0, 0) for i in range(4) for j in range(4)), key=lambda m: (sum(m), -m[0]))
+    )
+    return lag, exact_hermite_plus(points, basis)
+
+
+def univariate_case():
+    real = [Fraction(1), Fraction(-2), Fraction(3, 2)]
+    pairs = [(Fraction(1, 3), Fraction(2))]
+    system = PolySystem(["x"], [univariate_from_roots(real, pairs)])
+    basis = MonomialBasis([(d,) for d in range(5)])
+    return system, exact_hermite_plus(roots_as_qc(real, pairs), basis)
+
+
+@pytest.mark.parametrize("case", [grid_case, lagrange_case, univariate_case])
+def test_trace_grid_matches_per_product_reference(case):
+    system, hp = case()
+    out = certify_pipeline(system, parse_poly("1", list(system.variables)), hp)
+    assert out.certified, (out.reason, out.detail)
+    ms, ext = out.mult_matrices, hp.labels.extension
+    assert len(ext) > hp.base_size()
+    got = certify_module._trace_grid(ms, hp.labels.base.monomials, ext)
+    assert got == per_product_trace_grid(ms, ext) == hp.matrix.to_rows()
+
+
+def test_trace_grid_matches_per_product_reference_on_reduced_basis():
+    # the DOUBLE_ROOT fixture: x^3-3x+2 with roots 1, 1, -2, reduced basis {1, x}
+    f = PolySystem(["x"], [parse_poly("x^3-3*x+2", ["x"])])
+    pts = ApproxRootSet(points=((1 + 0j,), (1 + 0j,), (-2 + 0j,)), accuracy="1e-8", coord_bound=3)
+    hp = build_nonradical(build_extended_hermite(pts, MonomialBasis([(0,), (1,), (2,)])))
+    out = certify_nonradical(f, G_X, hp)
+    assert out.certified
+    basis = hp.labels.base.monomials
+    got = certify_module._trace_grid(out.mult_matrices, basis, basis)
+    assert got == per_product_trace_grid(out.mult_matrices, basis) == out.h1.to_rows()
 
 
 def test_hermite_for_g_examples():

@@ -18,10 +18,10 @@ def rand_fraction(rng, span=9, dens=9):
     return Fraction(rng.randint(-span, span), rng.randint(1, dens))
 
 
-def rand_pairs(rng, count):
+def rand_pairs(rng, count, span=9, dens_max=9):
     nums, dens = [], []
     for _ in range(count):
-        f = rand_fraction(rng)
+        f = rand_fraction(rng, span, dens_max)
         nums.append(f.numerator)
         dens.append(f.denominator)
     return nums, dens
@@ -73,6 +73,9 @@ def test_backends_agree_on_random_inputs():
         assert compiled.mat_inverse(k, an, ad) == pure.mat_inverse(k, an, ad)
         sn, sd = rand_symmetric_pairs(rng, k)
         assert compiled.inertia(k, sn, sd) == pure.inertia(k, sn, sd)
+    for k in list(range(11)) * 3:
+        an, ad = rand_pairs(rng, k * k, 2**12, 2**20)
+        assert compiled.charpoly(k, an, ad) == pure.charpoly(k, an, ad)
 
 
 def test_rank_matches_gauss_oracle():

@@ -128,6 +128,65 @@ def test_char_poly_examples():
     assert char_poly(RatMatrix.diagonal([2, 4])) == [1, -6, 8]
 
 
+def faddeev_leverrier(rows):
+    """Reference characteristic polynomial over Fraction, descending."""
+    k = len(rows)
+    coeffs = [Fraction(1)]
+    m = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
+    for step in range(1, k + 1):
+        m = [[sum(rows[i][t] * m[t][j] for t in range(k)) for j in range(k)] for i in range(k)]
+        c = -sum(m[i][i] for i in range(k)) / step
+        coeffs.append(c)
+        for i in range(k):
+            m[i][i] += c
+    return coeffs
+
+
+def oracle_matrix(rng, k, kind):
+    den_bits = rng.randint(0, 20)
+
+    def entry():
+        return Fraction(rng.randint(-(2**10), 2**10), rng.randint(1, 2**den_bits))
+
+    rows = [[entry() for _ in range(k)] for _ in range(k)]
+    if kind == "symmetric":
+        rows = [[rows[min(i, j)][max(i, j)] for j in range(k)] for i in range(k)]
+    elif kind == "singular" and k >= 2:
+        rows[-1] = [2 * x - y for x, y in zip(rows[0], rows[1])]
+    elif kind == "nilpotent":
+        # strictly upper triangular, conjugated by a unit lower triangular mix
+        upper = [[x if j > i else 0 for j, x in enumerate(row)] for i, row in enumerate(rows)]
+        mix = RatMatrix.from_rows(
+            [[int(i == j) or (rng.randint(-3, 3) if j < i else 0) for j in range(k)]
+             for i in range(k)]
+        )
+        rows = (mix @ RatMatrix.from_rows(upper) @ inverse(mix)).to_rows()
+    elif kind == "diagonal":
+        rows = [[x if i == j else 0 for j, x in enumerate(row)] for i, row in enumerate(rows)]
+    elif kind == "zero-leading" and k:
+        rows[0][0] = Fraction(0)
+    elif kind == "zero-first-row" and k:
+        rows[0] = [Fraction(0)] * k
+    return rows
+
+
+KINDS = (
+    "dense", "symmetric", "singular", "nilpotent", "diagonal", "zero-leading", "zero-first-row"
+)
+
+
+def test_char_poly_matches_faddeev_leverrier_oracle():
+    rng = random.Random(31)
+    for trial in range(210):
+        k = trial % 10
+        kind = KINDS[trial % len(KINDS)]
+        rows = oracle_matrix(rng, k, kind)
+        got = char_poly(RatMatrix.from_rows(rows))
+        assert got == faddeev_leverrier(rows), (k, kind)
+        if kind == "nilpotent":
+            assert got == [1] + [0] * k
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=8))
 def test_signature_methods_agree(seed, k):
