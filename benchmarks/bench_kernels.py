@@ -1,13 +1,12 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled kernels against the pure-Python fallback.
+"""Benchmark the exact-arithmetic kernels of hermicert._kernels.
 
 Times the hot exact-arithmetic loops (matrix product, characteristic
 polynomial, inertia, rank) on three entry regimes: small rationals, where
-interpreter overhead dominates and the compiled backend helps most; the
-larger power-sum entries typical of extended Hermite matrices, where
-arbitrary-precision integer arithmetic dominates and the gap narrows; and
-the k=25 weighted matrix of a ball query on the 5x5 grid, whose rational
-entries are where the characteristic polynomial's cost lies.
+interpreter overhead dominates; the larger power-sum entries typical of
+extended Hermite matrices, where arbitrary-precision integer arithmetic
+dominates; and the k=25 weighted matrix of a ball query on the 5x5 grid,
+whose rational entries are where the characteristic polynomial's cost lies.
 
 Usage: python benchmarks/bench_kernels.py [--repeat N]
 """
@@ -17,12 +16,7 @@ import random
 import time
 from fractions import Fraction
 
-from hermicert._kernels import pure
-
-try:
-    from hermicert._kernels import _speedups as compiled
-except ImportError:
-    compiled = None
+from hermicert import _kernels as kernels
 
 
 def small_entries(rng, count):
@@ -106,28 +100,12 @@ def main():
     args = parser.parse_args()
 
     rng = random.Random(2024)
-    rows = []
-    for label, name, call_args in workloads(rng):
-        t_pure = bench(getattr(pure, name), *call_args, repeat=args.repeat)
-        if compiled is not None:
-            t_comp = bench(getattr(compiled, name), *call_args, repeat=args.repeat)
-            assert getattr(compiled, name)(*call_args) == getattr(pure, name)(*call_args)
-            rows.append((label, t_pure, t_comp, t_pure / t_comp))
-        else:
-            rows.append((label, t_pure, None, None))
-
-    header = f"{'workload':<28} {'pure':>10} {'compiled':>10} {'speedup':>8}"
+    header = f"{'workload':<28} {'best':>10}"
     print(header)
     print("-" * len(header))
-    for label, t_pure, t_comp, speedup in rows:
-        if t_comp is None:
-            print(f"{label:<28} {t_pure * 1e3:>8.3f}ms {'n/a':>10} {'n/a':>8}")
-        else:
-            print(
-                f"{label:<28} {t_pure * 1e3:>8.3f}ms {t_comp * 1e3:>8.3f}ms {speedup:>7.2f}x"
-            )
-    if compiled is None:
-        print("\ncompiled backend unavailable; build it with: pip install -e . --no-build-isolation")
+    for label, name, call_args in workloads(rng):
+        best = bench(getattr(kernels, name), *call_args, repeat=args.repeat)
+        print(f"{label:<28} {best * 1e3:>8.3f}ms")
 
 
 if __name__ == "__main__":

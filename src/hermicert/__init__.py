@@ -7,7 +7,6 @@ rational certificates: real-root counts, real roots inside a ball, and
 non-negativity of a polynomial over a real variety.
 """
 
-from ._kernels import BACKEND as KERNEL_BACKEND
 from .certificates import (
     BallQuery,
     NonnegQuery,
@@ -48,7 +47,6 @@ from .numroots import (
     ApproxRootSet,
     match_and_filter,
     newton_refine,
-    random_square_combination,
     select_basis,
     smallest_singular_value,
     vandermonde,
@@ -58,13 +56,16 @@ from .polynomials import (
     MonomialBasis,
     MultiPoly,
     PolySystem,
-    newton_girard_power_sums,
     parse_poly,
     univ_gcd,
 )
 from .ratrecon import convergents, denominator_bound, rational_reconstruct
 
 __version__ = "0.1.0"
+
+# The exact kernels have one implementation, hermicert._kernels; benchmark
+# records still name it.
+KERNEL_BACKEND = "pure"
 
 __all__ = [
     "ApproxRootSet",
@@ -98,10 +99,8 @@ __all__ = [
     "lagrange_system",
     "match_and_filter",
     "max_nonsingular_connected_submatrix",
-    "newton_girard_power_sums",
     "newton_refine",
     "parse_poly",
-    "random_square_combination",
     "rank",
     "rational_reconstruct",
     "real_root_count",

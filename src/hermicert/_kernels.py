@@ -1,17 +1,14 @@
-"""Dense exact-rational matrix kernels, pure-Python backend.
+"""Dense exact-rational matrix kernels: the package's exact-arithmetic core.
 
 A matrix is a flat row-major pair of lists (nums, dens) of Python ints with
 every entry stored reduced and dens[i] > 0.  These functions are the inner
-loops of the whole package; ``hermicert._kernels`` picks this module or the
-compiled twin ``_speedups`` built from the same algorithms.  The
-characteristic polynomial is the exception to rational entries: it scales
-the matrix to integers once and runs division-free on plain ints.
+loops of the whole package; ``hermicert.linalg`` wraps them for RatMatrix.
+The characteristic polynomial is the exception to rational entries: it
+scales the matrix to integers once and runs division-free on plain ints.
 """
 
 from math import gcd
 from operator import mul
-
-BACKEND = "pure"
 
 
 def q_add(an, ad, bn, bd):

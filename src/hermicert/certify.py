@@ -62,10 +62,6 @@ class StepFailure:
     reason: str
     detail: str = ""
 
-    def describe(self) -> str:
-        msg = f"step {self.step}: {self.reason}"
-        return f"{msg} ({self.detail})" if self.detail else msg
-
 
 @dataclass
 class CertificationOutcome:

@@ -19,7 +19,6 @@ from .polynomials import (
     ExtendedBasis,
     Monomial,
     MonomialBasis,
-    MultiPoly,
     monomial_mul,
 )
 from .ratrecon import RationalLike, denominator_bound, exact_fraction, rational_reconstruct
@@ -73,42 +72,22 @@ class HermitePlus:
     def base_size(self) -> int:
         return len(self.labels.base)
 
-    def is_coherent(self) -> bool:
-        """Symmetry plus equal entries on equal monomial products."""
-        if not self.matrix.is_symmetric():
-            return False
-        seen: dict[Monomial, Fraction] = {}
-        ext = self.labels.extension
-        for i, bi in enumerate(ext):
-            for j, bj in enumerate(ext):
-                key = monomial_mul(bi, bj)
-                value = self.matrix.entry(i, j)
-                if seen.setdefault(key, value) != value:
-                    return False
-        return True
-
 
 def approx_extended_hermite(
     points: ApproxRootSet | Sequence[Sequence[complex]],
     basis: ExtendedBasis,
-    weight: MultiPoly | None = None,
 ) -> list[list[complex]]:
-    """Approximate extended Hermite matrix; entry (i,j) is the weighted
-    power sum sum_t g(z_t) * z_t^(alpha_i + alpha_j) in complex doubles.
+    """Approximate extended Hermite matrix; entry (i,j) is the power sum
+    sum_t z_t^(alpha_i + alpha_j) in complex doubles.
 
-    The weight defaults to 1.  Weighted variants are diagnostic only; the
-    certified weighted matrices are always derived by the certify module.
+    Weighted matrices H_g are never approximated: the certify module
+    derives them exactly from the certified multiplication matrices.
     """
     pts = points.points if isinstance(points, ApproxRootSet) else [tuple(p) for p in points]
     arity = basis.base.arity
     for p in pts:
         if len(p) != arity:
             raise ValueError("point arity does not match the basis")
-    gvals = [1 + 0j] * len(pts)
-    if weight is not None:
-        if len(weight.variables) != arity:
-            raise ValueError("weight polynomial arity mismatch")
-        gvals = [weight.eval_complex(p) for p in pts]
     ext = basis.extension
     max_exp = [0] * arity
     for mono in ext:
@@ -126,9 +105,8 @@ def approx_extended_hermite(
 
     def power_sum(alpha: Monomial) -> complex:
         total = 0j
-        for t in range(len(pts)):
-            v = gvals[t]
-            pw = coord_powers[t]
+        for pw in coord_powers:
+            v = 1 + 0j
             for i, e in enumerate(alpha):
                 if e:
                     v *= pw[i][e]

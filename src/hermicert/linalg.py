@@ -75,21 +75,9 @@ class RatMatrix:
             m._n[i * k + i] = 1
         return m
 
-    @classmethod
-    def diagonal(cls, values: Iterable) -> "RatMatrix":
-        vals = [Fraction(v) for v in values]
-        m = cls.zeros(len(vals), len(vals))
-        for i, v in enumerate(vals):
-            m._n[i * len(vals) + i] = v.numerator
-            m._d[i * len(vals) + i] = v.denominator
-        return m
-
     def entry(self, i: int, j: int) -> Fraction:
         p = i * self.cols + j
         return Fraction(self._n[p], self._d[p])
-
-    def __getitem__(self, ij: tuple[int, int]) -> Fraction:
-        return self.entry(*ij)
 
     def to_rows(self) -> list[list[Fraction]]:
         return [[self.entry(i, j) for j in range(self.cols)] for i in range(self.rows)]
@@ -151,15 +139,6 @@ class RatMatrix:
             d.append(rd)
         return RatMatrix(self.rows, self.cols, n, d)
 
-    def transpose(self) -> "RatMatrix":
-        n = [0] * (self.rows * self.cols)
-        d = [1] * (self.rows * self.cols)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                n[j * self.rows + i] = self._n[i * self.cols + j]
-                d[j * self.rows + i] = self._d[i * self.cols + j]
-        return RatMatrix(self.cols, self.rows, n, d)
-
     def is_symmetric(self) -> bool:
         if self.rows != self.cols:
             return False
@@ -175,15 +154,6 @@ class RatMatrix:
 
     def is_zero(self) -> bool:
         return all(x == 0 for x in self._n)
-
-    def trace(self) -> Fraction:
-        if self.rows != self.cols:
-            raise ValueError("trace of a non-square matrix")
-        tn, td = 0, 1
-        for i in range(self.rows):
-            p = i * self.cols + i
-            tn, td = kernels.q_add(tn, td, self._n[p], self._d[p])
-        return Fraction(tn, td)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "RatMatrix":
         n, d = [], []

@@ -10,16 +10,17 @@ from __future__ import annotations
 
 import cmath
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-import numpy as np
-
-from .linalg import RatMatrix, rank as rat_rank
-from .polynomials import Monomial, MonomialBasis, MultiPoly, PolySystem, iter_monomials
+from .polynomials import Monomial, MonomialBasis, PolySystem, iter_monomials
 from .ratrecon import exact_fraction
+
+# numpy is imported inside the functions that use it, so that commands which
+# never refine or select a basis do not pay for importing it.
+if TYPE_CHECKING:
+    import numpy as np
 
 Point = tuple[complex, ...]
 
@@ -92,6 +93,8 @@ def _residual(system: PolySystem, z: Sequence[complex]) -> float:
 
 
 def _jacobian(system: PolySystem, z: Sequence[complex]) -> np.ndarray:
+    import numpy as np
+
     n = system.arity()
     rows = []
     for p in system.polys:
@@ -109,6 +112,8 @@ def newton_refine(system: PolySystem, z: Sequence[complex], iters: int) -> Refin
     """
     if len(system.polys) != system.arity():
         raise ValueError("newton_refine requires a square system")
+    import numpy as np
+
     current = tuple(complex(c) for c in z)
     res = _residual(system, current)
     growth = 0
@@ -139,32 +144,6 @@ def newton_refine(system: PolySystem, z: Sequence[complex], iters: int) -> Refin
         growth = 0
         current, res = accepted
     return RefineResult(current, res)
-
-
-def random_square_combination(
-    system: PolySystem, n: int, seed: int
-) -> tuple[PolySystem, tuple[tuple[int, ...], ...]]:
-    """n random integer combinations of the system, full row rank, seeded.
-
-    The combination matrix is returned for reproducibility; the combined
-    system vanishes everywhere the input system does.
-    """
-    m = len(system.polys)
-    if m < n:
-        raise ValueError(f"need at least {n} polynomials, got {m}")
-    rng = random.Random(seed)
-    while True:
-        matrix = tuple(tuple(rng.randint(-3, 3) for _ in range(m)) for _ in range(n))
-        if rat_rank(RatMatrix.from_rows(matrix)) == n:
-            break
-    combined = []
-    for row in matrix:
-        acc = MultiPoly.zero(system.variables)
-        for coeff, poly in zip(row, system.polys):
-            if coeff:
-                acc = acc + poly.scale(coeff)
-        combined.append(acc)
-    return PolySystem(system.variables, combined), matrix
 
 
 def _dist(a: Point, b: Point) -> float:
@@ -241,6 +220,8 @@ def match_and_filter(
 def vandermonde(points: Sequence[Point], monomials: Sequence[Monomial]) -> np.ndarray:
     """Complex matrix with rows indexing points, columns indexing monomials,
     entries z_i^alpha_j."""
+    import numpy as np
+
     arity = len(points[0]) if points else 0
     z = np.array(points, dtype=complex).reshape(len(points), arity)
     exps = np.array(monomials, dtype=int).reshape(len(monomials), arity)
@@ -254,6 +235,8 @@ def smallest_singular_value(v: np.ndarray) -> float:
     eps * ||V|| in absolute terms (eps the machine epsilon), not relative
     to sigma_min itself.  select_basis never trusts a value below that level.
     """
+    import numpy as np
+
     if v.shape[1] == 0:
         return 0.0
     return float(np.linalg.svd(v, compute_uv=False)[-1])
@@ -272,6 +255,8 @@ def select_basis(points: ApproxRootSet, variables: Sequence[str]) -> MonomialBas
     from rounding error, however small E is.  Any order ideal of size k has
     degree <= k-1, which bounds the scan.
     """
+    import numpy as np
+
     k = len(points)
     if k < 1:
         raise ValueError("need at least one point")

@@ -164,9 +164,6 @@ class MultiPoly:
     def total_degree(self) -> int:
         return max((monomial_degree(m) for m in self.terms), default=0)
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * len(self.variables), Fraction(0))
-
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         # descending grlex with earlier variables heavier: x^2 before x*y before y^2
         return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
@@ -533,23 +530,10 @@ def univ_normalize(coeffs: Sequence) -> list[Fraction]:
     return out[i:]
 
 
-def univ_degree(coeffs: Sequence[Fraction]) -> int:
-    stripped = univ_normalize(coeffs)
-    return len(stripped) - 1 if stripped else -1
-
-
 def univ_derivative(coeffs: Sequence) -> list[Fraction]:
     cs = univ_normalize(coeffs)
     n = len(cs) - 1
     return [c * (n - i) for i, c in enumerate(cs[:-1])]
-
-
-def univ_eval(coeffs: Sequence, x) -> Fraction:
-    acc = Fraction(0)
-    xf = Fraction(x)
-    for c in coeffs:
-        acc = acc * xf + Fraction(c)
-    return acc
 
 
 def univ_gcd(p: Sequence, q: Sequence) -> list[Fraction]:
@@ -577,27 +561,3 @@ def _univ_mod(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
         r.pop(0)
     return univ_normalize(r)
 
-
-def newton_girard_power_sums(char_coeffs: Sequence, upto: int) -> list[Fraction]:
-    """Power sums p_0..p_upto of the roots of a monic polynomial.
-
-    Newton's identities applied to descending coefficients
-    [1, a_1, ..., a_k]: for m <= k,  p_m = -m*a_m - sum a_i p_(m-i), and for
-    m > k the recurrence drops the m*a_m term.
-    """
-    cs = univ_normalize(char_coeffs)
-    if not cs or cs[0] != 1:
-        raise ValueError("expected a monic polynomial")
-    if upto < 0:
-        raise ValueError("upto must be >= 0")
-    k = len(cs) - 1
-    a = cs[1:]
-    sums = [Fraction(k)]
-    for m in range(1, upto + 1):
-        acc = Fraction(0)
-        for i in range(1, min(m - 1, k) + 1):
-            acc += a[i - 1] * sums[m - i]
-        if m <= k:
-            acc += m * a[m - 1]
-        sums.append(-acc)
-    return sums

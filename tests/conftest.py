@@ -46,6 +46,33 @@ class QC:
         return complex(float(self.re), float(self.im))
 
 
+def matrix_trace(m: RatMatrix) -> Fraction:
+    return sum((m.entry(i, i) for i in range(m.rows)), Fraction(0))
+
+
+def newton_girard_power_sums(char_coeffs, upto: int) -> list[Fraction]:
+    """Power sums p_0..p_upto of the roots of a monic polynomial.
+
+    Newton's identities applied to descending coefficients
+    [1, a_1, ..., a_k]: for m <= k,  p_m = -m*a_m - sum a_i p_(m-i), and for
+    m > k the recurrence drops the m*a_m term.
+    """
+    cs = [Fraction(c) for c in char_coeffs]
+    if not cs or cs[0] != 1:
+        raise ValueError("expected a monic polynomial")
+    k = len(cs) - 1
+    a = cs[1:]
+    sums = [Fraction(k)]
+    for m in range(1, upto + 1):
+        acc = Fraction(0)
+        for i in range(1, min(m - 1, k) + 1):
+            acc += a[i - 1] * sums[m - i]
+        if m <= k:
+            acc += m * a[m - 1]
+        sums.append(-acc)
+    return sums
+
+
 def exact_power_sum(points: list[tuple[QC, ...]], alpha, weights=None) -> Fraction:
     """sum_t w_t * z_t^alpha; must come out real."""
     total = QC(0)

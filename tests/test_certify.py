@@ -26,7 +26,7 @@ from hermicert.linalg import RatMatrix, rank
 from hermicert.numroots import ApproxRootSet
 from hermicert.polynomials import MonomialBasis, PolySystem, monomial_mul, parse_poly
 
-from conftest import QC, exact_hermite_plus, roots_as_qc, univariate_from_roots
+from conftest import QC, exact_hermite_plus, matrix_trace, roots_as_qc, univariate_from_roots
 
 SQRT2 = math.sqrt(2)
 B1X = MonomialBasis([(0,), (1,)])
@@ -203,7 +203,7 @@ def per_product_trace_grid(ms, monomials):
             for i, e in enumerate(alpha):
                 if e:
                     acc = acc @ powers[i][e]
-            traces[alpha] = acc.trace()
+            traces[alpha] = matrix_trace(acc)
         return traces[alpha]
 
     return [[trace_of(monomial_mul(a, b)) for b in monomials] for a in monomials]

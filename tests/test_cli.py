@@ -1,7 +1,10 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -269,6 +272,16 @@ def test_outputs_are_byte_identical_across_runs(files, tmp_path):
     assert main(argv + ["--out", str(out1)]) == 0
     assert main(argv + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_cli_import_does_not_load_numpy():
+    # numpy is needed only by Newton refinement and basis selection, so it is
+    # imported there; commands such as nonradical never pay for it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    script = "import sys, hermicert.cli; sys.exit('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr or "numpy was imported"
 
 
 GRID2 = {"variables": ["x", "y"], "polynomials": ["x^2-1", "y^2-4"]}

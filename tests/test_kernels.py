@@ -1,17 +1,10 @@
-"""Backend agreement and independent oracles for the matrix kernels."""
+"""Independent oracles for the exact matrix kernels."""
 
 import random
 from fractions import Fraction
 
-import pytest
-
-from hermicert import _kernels as active
-from hermicert._kernels import pure
-
-try:
-    from hermicert._kernels import _speedups as compiled
-except ImportError:
-    compiled = None
+from hermicert import _kernels as kernels
+from hermicert.linalg import RatMatrix, signature_descartes
 
 
 def rand_fraction(rng, span=9, dens=9):
@@ -60,22 +53,67 @@ def gauss_rank_oracle(rows, cols, nums, dens):
     return rank
 
 
-@pytest.mark.skipif(compiled is None, reason="compiled kernels unavailable")
-def test_backends_agree_on_random_inputs():
+def mat_mul_oracle(ar, ac, bc, an, ad, bn, bd):
+    """Fraction triple loop, independent of the kernel's pair arithmetic."""
+    a = [Fraction(n, d) for n, d in zip(an, ad)]
+    b = [Fraction(n, d) for n, d in zip(bn, bd)]
+    c = [
+        sum((a[i * ac + t] * b[t * bc + j] for t in range(ac)), Fraction(0))
+        for i in range(ar)
+        for j in range(bc)
+    ]
+    return [f.numerator for f in c], [f.denominator for f in c]
+
+
+def test_mat_mul_matches_fraction_triple_loop():
     rng = random.Random(99)
     for _ in range(40):
-        k = rng.randint(1, 6)
-        an, ad = rand_pairs(rng, k * k)
-        bn, bd = rand_pairs(rng, k * k)
-        assert compiled.mat_mul(k, k, k, an, ad, bn, bd) == pure.mat_mul(k, k, k, an, ad, bn, bd)
-        assert compiled.mat_rank(k, k, an, ad) == pure.mat_rank(k, k, an, ad)
-        assert compiled.charpoly(k, an, ad) == pure.charpoly(k, an, ad)
-        assert compiled.mat_inverse(k, an, ad) == pure.mat_inverse(k, an, ad)
-        sn, sd = rand_symmetric_pairs(rng, k)
-        assert compiled.inertia(k, sn, sd) == pure.inertia(k, sn, sd)
-    for k in list(range(11)) * 3:
+        ar, ac, bc = (rng.randint(1, 6) for _ in range(3))
+        an, ad = rand_pairs(rng, ar * ac)
+        bn, bd = rand_pairs(rng, ac * bc)
+        expected = mat_mul_oracle(ar, ac, bc, an, ad, bn, bd)
+        assert kernels.mat_mul(ar, ac, bc, an, ad, bn, bd) == expected
+    for k in list(range(1, 9)) * 2:
         an, ad = rand_pairs(rng, k * k, 2**12, 2**20)
-        assert compiled.charpoly(k, an, ad) == pure.charpoly(k, an, ad)
+        bn, bd = rand_pairs(rng, k * k, 2**12, 2**20)
+        expected = mat_mul_oracle(k, k, k, an, ad, bn, bd)
+        assert kernels.mat_mul(k, k, k, an, ad, bn, bd) == expected
+
+
+def low_rank_symmetric_pairs(rng, k, r):
+    """C^T D C with C r x k and D diagonal: symmetric of rank at most r."""
+    c = [[rand_fraction(rng, 4, 3) for _ in range(k)] for _ in range(r)]
+    d = [Fraction(rng.choice([-2, -1, 1, 3])) for _ in range(r)]
+    entries = [sum(d[t] * c[t][i] * c[t][j] for t in range(r)) for i in range(k) for j in range(k)]
+    return [f.numerator for f in entries], [f.denominator for f in entries]
+
+
+def test_inertia_matches_rank_and_descartes_signature():
+    # two independent routes: zero = k - rank (Bareiss) and
+    # pos - neg = signature from the characteristic polynomial (Berkowitz)
+    rng = random.Random(99)
+    cases = []
+    for _ in range(40):
+        k = rng.randint(1, 6)
+        cases.append((k, *rand_symmetric_pairs(rng, k)))
+        cases.append((k, *low_rank_symmetric_pairs(rng, k, rng.randint(1, k))))
+    # a zero diagonal forces the antidiagonal 2x2 step; a wrong Schur
+    # complement after it changes the inertia of only a few percent of them
+    for _ in range(300):
+        k = rng.randint(2, 7)
+        nums, dens = rand_symmetric_pairs(rng, k)
+        for i in range(k):
+            nums[i * k + i], dens[i * k + i] = 0, 1
+        cases.append((k, nums, dens))
+    seen_zero = seen_block = False
+    for k, nums, dens in cases:
+        pos, neg, zero = kernels.inertia(k, nums, dens)
+        assert pos + neg + zero == k
+        assert zero == k - kernels.mat_rank(k, k, nums, dens)
+        assert pos - neg == signature_descartes(RatMatrix(k, k, list(nums), list(dens)))
+        seen_zero |= zero > 0
+        seen_block |= k > 1 and not any(nums[i * k + i] for i in range(k)) and pos > 0
+    assert seen_zero and seen_block
 
 
 def test_rank_matches_gauss_oracle():
@@ -89,7 +127,7 @@ def test_rank_matches_gauss_oracle():
                 for j in range(c):
                     nums[(r - 1) * c + j] = nums[j]
                     dens[(r - 1) * c + j] = dens[j]
-        assert active.mat_rank(r, c, nums, dens) == gauss_rank_oracle(r, c, nums, dens)
+        assert kernels.mat_rank(r, c, nums, dens) == gauss_rank_oracle(r, c, nums, dens)
 
 
 def test_q_arithmetic_matches_fraction():
@@ -97,16 +135,16 @@ def test_q_arithmetic_matches_fraction():
     for _ in range(300):
         a = rand_fraction(rng, 50, 50)
         b = rand_fraction(rng, 50, 50)
-        assert active.q_add(a.numerator, a.denominator, b.numerator, b.denominator) == (
+        assert kernels.q_add(a.numerator, a.denominator, b.numerator, b.denominator) == (
             (a + b).numerator,
             (a + b).denominator,
         )
-        assert active.q_mul(a.numerator, a.denominator, b.numerator, b.denominator) == (
+        assert kernels.q_mul(a.numerator, a.denominator, b.numerator, b.denominator) == (
             (a * b).numerator,
             (a * b).denominator,
         )
         if b != 0:
-            assert active.q_div(a.numerator, a.denominator, b.numerator, b.denominator) == (
+            assert kernels.q_div(a.numerator, a.denominator, b.numerator, b.denominator) == (
                 (a / b).numerator,
                 (a / b).denominator,
             )
@@ -118,10 +156,10 @@ def test_inverse_times_matrix_is_identity():
     while done < 25:
         k = rng.randint(1, 6)
         nums, dens = rand_pairs(rng, k * k)
-        inv = active.mat_inverse(k, nums, dens)
+        inv = kernels.mat_inverse(k, nums, dens)
         if inv is None:
             continue
-        prod_n, prod_d = active.mat_mul(k, k, k, nums, dens, inv[0], inv[1])
+        prod_n, prod_d = kernels.mat_mul(k, k, k, nums, dens, inv[0], inv[1])
         for i in range(k):
             for j in range(k):
                 expect = 1 if i == j else 0

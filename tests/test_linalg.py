@@ -26,6 +26,12 @@ from hermicert.linalg import (
 )
 from hermicert.polynomials import MultiPoly
 
+from conftest import matrix_trace
+
+
+def transpose(m: RatMatrix) -> RatMatrix:
+    return RatMatrix.from_rows(list(zip(*m.to_rows())))
+
 
 def rand_matrix(rng, k, span=4):
     return RatMatrix.from_rows(
@@ -61,12 +67,12 @@ def test_rank_equals_rank_of_transpose():
                 for _ in range(r)
             ]
         )
-        assert rank(m) == rank(m.transpose())
+        assert rank(m) == rank(transpose(m))
 
 
 def test_inverse_examples():
-    assert inverse(RatMatrix.diagonal([2, 4])) == RatMatrix.diagonal(
-        [Fraction(1, 2), Fraction(1, 4)]
+    assert inverse(RatMatrix.from_rows([[2, 0], [0, 4]])) == RatMatrix.from_rows(
+        [[Fraction(1, 2), 0], [0, Fraction(1, 4)]]
     )
     left = inverse(RatMatrix.from_rows([[2, 0], [0, 4]])) @ RatMatrix.from_rows([[0, 4], [4, 0]])
     assert left == RatMatrix.from_rows([[0, 2], [1, 0]])
@@ -97,8 +103,8 @@ raise SystemExit(1)
 
 
 def test_inertia_examples():
-    assert inertia_ldl(RatMatrix.diagonal([2, -3])) == Inertia(1, 1, 0)
-    assert inertia_ldl(RatMatrix.diagonal([2, -3])).signature == 0
+    assert inertia_ldl(RatMatrix.from_rows([[2, 0], [0, -3]])) == Inertia(1, 1, 0)
+    assert inertia_ldl(RatMatrix.from_rows([[2, 0], [0, -3]])).signature == 0
     assert inertia_ldl(RatMatrix.from_rows([[4, 2], [2, 4]])) == Inertia(2, 0, 0)
     assert inertia_ldl(RatMatrix.from_rows([[2, 2], [2, 2]])) == Inertia(1, 0, 1)
 
@@ -125,7 +131,7 @@ def test_signature_descartes_examples():
 def test_char_poly_examples():
     assert char_poly(RatMatrix.from_rows([[0, 2], [1, 0]])) == [1, 0, -2]
     assert char_poly(RatMatrix.identity(3)) == [1, -3, 3, -1]
-    assert char_poly(RatMatrix.diagonal([2, 4])) == [1, -6, 8]
+    assert char_poly(RatMatrix.from_rows([[2, 0], [0, 4]])) == [1, -6, 8]
 
 
 def faddeev_leverrier(rows):
@@ -212,7 +218,7 @@ def test_sylvester_congruence_invariance():
             s = rand_matrix(rng, k, span=3)
             if rank(s) == k:
                 break
-        assert inertia_ldl(s.transpose() @ a @ s) == inertia_ldl(a)
+        assert inertia_ldl(transpose(s) @ a @ s) == inertia_ldl(a)
 
 
 def test_cayley_hamilton():
@@ -333,6 +339,6 @@ def test_connected_submatrix_matches_per_trial_reference_on_weighted_grams():
 
 def test_matrix_equality_and_trace():
     m = RatMatrix.from_rows([[1, 2], [3, 4]])
-    assert m.trace() == 5
+    assert matrix_trace(m) == 5
     assert m == RatMatrix.from_rows([[1, 2], [3, 4]])
     assert m != RatMatrix.from_rows([[1, 2], [3, 5]])

@@ -12,7 +12,6 @@ from hermicert.numroots import (
     SingularJacobianError,
     match_and_filter,
     newton_refine,
-    random_square_combination,
     select_basis,
     smallest_singular_value,
     vandermonde,
@@ -57,33 +56,6 @@ def test_newton_residual_non_increasing_in_iteration_count():
 def test_newton_requires_square_system():
     with pytest.raises(ValueError):
         newton_refine(system("x^2-2", "x^3-2"), [1.0 + 0j], 1)
-
-
-# -- random combinations -----------------------------------------------------
-
-
-def test_random_combination_deterministic_and_vanishing():
-    f = system("x^2-1", "y^2-1", "x+y", variables=("x", "y"))
-    combined, matrix = random_square_combination(f, 2, seed=42)
-    combined2, matrix2 = random_square_combination(f, 2, seed=42)
-    assert matrix == matrix2
-    assert [p.terms for p in combined.polys] == [p.terms for p in combined2.polys]
-    for p in combined.polys:  # (1, -1) solves the full system
-        assert p.eval_complex([1, -1]) == 0
-
-
-def test_random_combination_full_row_rank():
-    f = system("x^2-1", "y^2-1", "x+y", variables=("x", "y"))
-    from hermicert.linalg import RatMatrix, rank
-
-    for seed in range(10):
-        _, matrix = random_square_combination(f, 2, seed=seed)
-        assert rank(RatMatrix.from_rows(matrix)) == 2
-
-
-def test_random_combination_needs_enough_polys():
-    with pytest.raises(ValueError):
-        random_square_combination(system("x^2-1"), 2, seed=0)
 
 
 # -- vandermonde / svd -------------------------------------------------------
