@@ -2,11 +2,13 @@
 """Benchmark the exact-arithmetic kernels of hermicert._kernels.
 
 Times the hot exact-arithmetic loops (matrix product, characteristic
-polynomial, inertia, rank) on three entry regimes: small rationals, where
-interpreter overhead dominates; the larger power-sum entries typical of
-extended Hermite matrices, where arbitrary-precision integer arithmetic
-dominates; and the k=25 weighted matrix of a ball query on the 5x5 grid,
-whose rational entries are where the characteristic polynomial's cost lies.
+polynomial, inertia, rank, solve) on four entry regimes: small rationals,
+where interpreter overhead dominates; the larger power-sum entries typical
+of extended Hermite matrices, where arbitrary-precision integer arithmetic
+dominates; the k=25 weighted matrix of a ball query on the 5x5 grid, whose
+rational entries are where the characteristic polynomial's cost lies; and
+the H1 of that grid with its border columns, the one solve of
+certification step 2.
 
 Usage: python benchmarks/bench_kernels.py [--repeat N]
 """
@@ -59,6 +61,23 @@ def ball_hg_entries(rng):
     return nums, dens
 
 
+def grid_border_entries():
+    """H1 of the 5x5 integer grid and its 10 border columns: entry (i, j) of
+    H1 is sum_p p^(b_i + b_j) over the grid, b the monomials x^a y^b with
+    a, b <= 4, and the right-hand side holds the columns labelled x * b_i
+    and y * b_i that leave the basis (a = 4 or b = 4)."""
+    grid = range(-2, 3)
+    basis = [(a, b) for a in range(5) for b in range(5)]
+    border = [(5, b) for b in range(5)] + [(a, 5) for a in range(5)]
+
+    def power_sum(e):
+        return sum(x ** e[0] * y ** e[1] for x in grid for y in grid)
+
+    h1 = [power_sum((bi[0] + bj[0], bi[1] + bj[1])) for bi in basis for bj in basis]
+    rhs = [power_sum((bi[0] + c[0], bi[1] + c[1])) for bi in basis for c in border]
+    return (h1, [1] * len(h1)), (rhs, [1] * len(rhs))
+
+
 def symmetrize(k, nums, dens):
     for i in range(k):
         for j in range(i + 1, k):
@@ -83,6 +102,7 @@ def workloads(rng):
     sym = symmetrize(k, *small_entries(rng, k * k))
     big = power_sum_entries(rng, 10)
     ball = ball_hg_entries(rng)
+    h1, border = grid_border_entries()
     return [
         ("mat_mul 8x8 small", "mat_mul", (k, k, k, *a, *b)),
         ("charpoly 8x8 small", "charpoly", (k, *a)),
@@ -91,6 +111,7 @@ def workloads(rng):
         ("charpoly 10x10 power-sums", "charpoly", (10, *big)),
         ("inertia 10x10 power-sums", "inertia", (10, *big)),
         ("charpoly 25x25 ball H_g", "charpoly", (25, *ball)),
+        ("mat_solve 25x10 grid H1 border", "mat_solve", (25, 10, *h1, *border)),
     ]
 
 
@@ -100,12 +121,12 @@ def main():
     args = parser.parse_args()
 
     rng = random.Random(2024)
-    header = f"{'workload':<28} {'best':>10}"
+    header = f"{'workload':<32} {'best':>10}"
     print(header)
     print("-" * len(header))
     for label, name, call_args in workloads(rng):
         best = bench(getattr(kernels, name), *call_args, repeat=args.repeat)
-        print(f"{label:<28} {best * 1e3:>8.3f}ms")
+        print(f"{label:<32} {best * 1e3:>8.3f}ms")
 
 
 if __name__ == "__main__":

@@ -37,11 +37,11 @@ from .linalg import (
     RatMatrix,
     char_poly,
     inertia_ldl,
-    inverse,
     max_nonsingular_connected_submatrix,
     rank,
     sign_variations,
     signature_descartes,
+    solve,
 )
 from .numroots import (
     ApproxRootSet,
@@ -95,7 +95,6 @@ __all__ = [
     "denominator_bound",
     "derive_hg",
     "inertia_ldl",
-    "inverse",
     "lagrange_system",
     "match_and_filter",
     "max_nonsingular_connected_submatrix",
@@ -110,6 +109,7 @@ __all__ = [
     "signature",
     "signature_descartes",
     "smallest_singular_value",
+    "solve",
     "univ_gcd",
     "vandermonde",
     "__version__",

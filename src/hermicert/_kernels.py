@@ -115,14 +115,13 @@ def mat_rank(r, c, nums, dens):
     return rank
 
 
-def mat_inverse(k, nums, dens):
-    """Gauss-Jordan inverse; returns None when the matrix is singular."""
-    a_n = list(nums)
-    a_d = list(dens)
-    b_n = [0] * (k * k)
-    b_d = [1] * (k * k)
-    for i in range(k):
-        b_n[i * k + i] = 1
+def mat_solve(k, m, an, ad, bn, bd):
+    """Gauss-Jordan solution X of A X = B for A (k x k) and B (k x m);
+    returns None when A is singular.  B = I gives the inverse."""
+    a_n = list(an)
+    a_d = list(ad)
+    b_n = list(bn)
+    b_d = list(bd)
     for col in range(k):
         piv = -1
         for i in range(col, k):
@@ -132,31 +131,33 @@ def mat_inverse(k, nums, dens):
         if piv < 0:
             return None
         if piv != col:
-            pr, cr = piv * k, col * k
-            for j in range(k):
-                a_n[pr + j], a_n[cr + j] = a_n[cr + j], a_n[pr + j]
-                a_d[pr + j], a_d[cr + j] = a_d[cr + j], a_d[pr + j]
-                b_n[pr + j], b_n[cr + j] = b_n[cr + j], b_n[pr + j]
-                b_d[pr + j], b_d[cr + j] = b_d[cr + j], b_d[pr + j]
-        base = col * k
-        pn, pd = a_n[base + col], a_d[base + col]
-        for j in range(k):
-            a_n[base + j], a_d[base + j] = q_div(a_n[base + j], a_d[base + j], pn, pd)
-            b_n[base + j], b_d[base + j] = q_div(b_n[base + j], b_d[base + j], pn, pd)
+            pa, ca = piv * k, col * k
+            a_n[pa : pa + k], a_n[ca : ca + k] = a_n[ca : ca + k], a_n[pa : pa + k]
+            a_d[pa : pa + k], a_d[ca : ca + k] = a_d[ca : ca + k], a_d[pa : pa + k]
+            pb, cb = piv * m, col * m
+            b_n[pb : pb + m], b_n[cb : cb + m] = b_n[cb : cb + m], b_n[pb : pb + m]
+            b_d[pb : pb + m], b_d[cb : cb + m] = b_d[cb : cb + m], b_d[pb : pb + m]
+        base_a, base_b = col * k, col * m
+        pn, pd = a_n[base_a + col], a_d[base_a + col]
+        for j in range(base_a, base_a + k):
+            a_n[j], a_d[j] = q_div(a_n[j], a_d[j], pn, pd)
+        for j in range(base_b, base_b + m):
+            b_n[j], b_d[j] = q_div(b_n[j], b_d[j], pn, pd)
         for i in range(k):
             if i == col:
                 continue
-            ri = i * k
+            ri, rb = i * k, i * m
             fn, fd = a_n[ri + col], a_d[ri + col]
             if fn == 0:
                 continue
             for j in range(k):
-                if a_n[base + j]:
-                    tn, td = q_mul(fn, fd, a_n[base + j], a_d[base + j])
+                if a_n[base_a + j]:
+                    tn, td = q_mul(fn, fd, a_n[base_a + j], a_d[base_a + j])
                     a_n[ri + j], a_d[ri + j] = q_sub(a_n[ri + j], a_d[ri + j], tn, td)
-                if b_n[base + j]:
-                    tn, td = q_mul(fn, fd, b_n[base + j], b_d[base + j])
-                    b_n[ri + j], b_d[ri + j] = q_sub(b_n[ri + j], b_d[ri + j], tn, td)
+            for j in range(m):
+                if b_n[base_b + j]:
+                    tn, td = q_mul(fn, fd, b_n[base_b + j], b_d[base_b + j])
+                    b_n[rb + j], b_d[rb + j] = q_sub(b_n[rb + j], b_d[rb + j], tn, td)
     return b_n, b_d
 
 

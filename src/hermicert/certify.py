@@ -10,6 +10,14 @@ Mourrain's border-basis criterion) that the candidate is the true Hermite
 matrix of the input ideal; every failure is reported with the step that
 caught it.
 
+No dense k x k product of multiplication matrices is formed.  Column i of
+M_s is a unit vector whenever x_s * b_i lies in the basis, so step 2 solves
+only the border columns (x_s * b_i outside the basis), all of them in one
+elimination of H1.  After step 3 one NormalForms table of the vectors
+v_gamma = M^gamma e_1 serves the remaining steps: step 5 checks commutation
+column by column and membership as f(M) e_1 = 0, step 6 reads the trace
+grid off it, and step 7 builds g(M) from it for the one product H1 * g(M).
+
 Orientation convention, pinned by unit tests on companion matrices: the
 matrices M_s = H1^{-1} H1^{x_s} hold the expansion of x_s * b_t in their
 t-th COLUMN, i.e. they are the transposes of the row-convention
@@ -30,9 +38,9 @@ from .linalg import (
     SingularMatrixError,
     char_poly,
     inertia_ldl,
-    inverse,
     rank,
     signature_descartes,
+    solve,
 )
 from .polynomials import (
     Monomial,
@@ -122,38 +130,85 @@ def extract_blocks(hplus: HermitePlus) -> tuple[RatMatrix, list[RatMatrix]]:
     return h.submatrix(base_idx, base_idx), blocks
 
 
+def _shift_targets(basis: MonomialBasis) -> list[list[int | None]]:
+    """targets[s][i] = j when x_s * b_i = b_j lies in the basis, and None
+    when x_s * b_i is outside it: column i of M_s is then a border column."""
+    index = {m: i for i, m in enumerate(basis.monomials)}
+    targets = []
+    for s in range(basis.arity):
+        unit = tuple(1 if t == s else 0 for t in range(basis.arity))
+        targets.append([index.get(monomial_mul(mono, unit)) for mono in basis.monomials])
+    return targets
+
+
+def _border_columns(mats: Sequence[RatMatrix], targets: Sequence[Sequence[int | None]]) -> RatMatrix:
+    """The k x m matrix of column i of mats[s] for every border pair (s, i),
+    ordered by s, then i."""
+    k = mats[0].rows
+    picks = []
+    for mat, row in zip(mats, targets):
+        nums, dens = mat.row_pairs()
+        picks += [(nums, dens, i) for i, j in enumerate(row) if j is None]
+    return RatMatrix(
+        k,
+        len(picks),
+        [nums[r * k + i] for r in range(k) for nums, _, i in picks],
+        [dens[r * k + i] for r in range(k) for _, dens, i in picks],
+    )
+
+
 def mult_matrices(
-    h1: RatMatrix, h_shifted: Sequence[RatMatrix], hplus_matrix: RatMatrix
+    h1: RatMatrix, h_shifted: Sequence[RatMatrix], hplus_matrix: RatMatrix, basis: MonomialBasis
 ) -> list[RatMatrix] | StepFailure:
     """M_s = H1^{-1} H1^{x_s}, guarded by rank H1 = rank H+ = k.
 
-    H1 is eliminated once, by the inverse, and only when rank H+ = k; its
-    rank is computed only on a failure, to word the message.
+    Column i of H1^{x_s} is the column of H+ labelled x_s * b_i.  When that
+    label is a basis element b_j, extract_blocks read H1's own column j (the
+    labels are unique and the base comes first), so column i of M_s is e_j
+    by construction.  Only the border columns are solved: all of them, for
+    every s, in one elimination of H1 by linalg.solve, which checks the
+    exact residual H1 X = H1^{x_s} on them.  The rank of H+ is computed
+    first; on the non-radical route it is the only check that sees the
+    entries of H+ outside H1 and the blocks.  H1's own rank is computed
+    only on a failure, to word the message.
     """
     k = h1.rows
+    targets = _shift_targets(basis)
     rank_hplus = rank(hplus_matrix)
-    h1_inv = None
+    x = None
     if rank_hplus == k:
         try:
-            h1_inv = inverse(h1)
+            x = solve(h1, _border_columns(h_shifted, targets))
         except SingularMatrixError:
             pass
-    if h1_inv is None:
+    if x is None:
         return StepFailure(
             2, "rank_deficient", f"rank H1 = {rank(h1)}, rank H+ = {rank_hplus}, expected {k}"
         )
-    return [h1_inv @ hs for hs in h_shifted]
+    xn, xd = x.row_pairs()
+    m = x.cols
+    c = 0  # column of x holding the next border column
+    ms = []
+    for row in targets:
+        nums, dens = [0] * (k * k), [1] * (k * k)
+        for i, j in enumerate(row):
+            if j is not None:
+                nums[j * k + i] = 1
+                continue
+            for r in range(k):
+                nums[r * k + i] = xn[r * m + c]
+                dens[r * k + i] = xd[r * m + c]
+            c += 1
+        ms.append(RatMatrix(k, k, nums, dens))
+    return ms
 
 
 def check_identity_rows(ms: Sequence[RatMatrix], basis: MonomialBasis) -> StepFailure | None:
     """Whenever x_s * b_i lands in the basis at position j, column i of M_s
     must be the j-th unit vector."""
-    index = {m: i for i, m in enumerate(basis.monomials)}
     k = len(basis)
-    for s, m in enumerate(ms):
-        unit = tuple(1 if t == s else 0 for t in range(basis.arity))
-        for i, mono in enumerate(basis.monomials):
-            j = index.get(monomial_mul(mono, unit))
+    for s, (m, row) in enumerate(zip(ms, _shift_targets(basis))):
+        for i, j in enumerate(row):
             if j is None:
                 continue
             for r in range(k):
@@ -190,60 +245,70 @@ def check_squarefree(
     return StepFailure(4, "not_squarefree", last or "")
 
 
-def check_commute_and_membership(
-    ms: Sequence[RatMatrix], system: PolySystem
-) -> StepFailure | None:
-    for i in range(len(ms)):
-        for j in range(i + 1, len(ms)):
-            if ms[i] @ ms[j] != ms[j] @ ms[i]:
-                return StepFailure(5, "noncommuting", f"M_{i} and M_{j}")
-    for idx, poly in enumerate(system.polys):
-        if not poly.eval_at_matrices(list(ms)).is_zero():
-            return StepFailure(5, "nonmember", f"input polynomial {idx} does not vanish")
-    return None
+class NormalForms:
+    """The normal-form table of one certification: v_gamma = M^gamma e_1.
 
-
-def _trace_grid(
-    ms: Sequence[RatMatrix], basis: Sequence[Monomial], monomials: Sequence[Monomial]
-) -> list[list[Fraction]]:
-    """Tr((b_i * b_j)(M)) for all label pairs b_i, b_j in monomials.
-
-    No matrix product is formed.  The coordinate vectors v_gamma = M^gamma e_1
-    are memoised, each from v_(gamma - e_s) by one product with M_s that
-    visits only the non-zero entries of its columns, and
-    Tr(M^alpha) = sum_i (v_(alpha + beta_i))_i over the basis exponents
-    beta_i.  Precondition, established by steps 3 and 5 on both routes:
+    Each M_s is scaled to integers by the lcm D_s of its denominators and
+    kept as its columns' non-zero entries, so a vector is an integer list
+    with one denominator, D^gamma.  v_gamma is memoised, each from
+    v_(gamma - e_s) by one product with D_s M_s that visits only the
+    non-zero entries of its columns.  The table is built once per
+    certification, after step 3, and shared by steps 5, 6 and 7.  Its
+    vectors mean what they say under the precondition that steps 3 and 5
+    establish on both routes:
 
     - the basis starts with 1 and is connected to 1, and step 3 proved the
-      identity columns, so M^(beta_i) e_1 = e_i by induction on deg beta_i;
+      identity columns, so v_(beta_i) = M^(beta_i) e_1 = e_i by induction on
+      deg beta_i;
     - step 5 proved that the M_s commute, so M^gamma is well defined and
       every path to gamma gives the same v_gamma.
 
-    Then Tr(M^alpha) = sum_i e_i^T M^alpha M^(beta_i) e_1, the same exact
-    rational as the trace of the matrix product.  Each M_s is scaled to
-    integers by the lcm D_s of its denominators, so a vector is an integer
-    list with one denominator, D^gamma.
+    Step 5 itself uses only the columns until commutation is proved.
     """
-    k = ms[0].rows
-    scales = []
-    columns = []  # columns[s][t]: non-zero (row, integer entry) of D_s * M_s
-    for m in ms:
-        nums, dens = m.row_pairs()
-        d = 1
-        for x in dens:
-            d = d * x // gcd(d, x)
-        scales.append(d)
-        columns.append(
-            [
-                [(r, nums[r * k + t] * (d // dens[r * k + t])) for r in range(k) if nums[r * k + t]]
-                for t in range(k)
-            ]
-        )
-    start = [0] * k
-    start[0] = 1
-    vectors: dict[Monomial, tuple[list[int], int]] = {(0,) * len(ms): (start, 1)}
 
-    def vector(gamma: Monomial) -> tuple[list[int], int]:
+    def __init__(self, ms: Sequence[RatMatrix], basis: Sequence[Monomial]):
+        k = ms[0].rows
+        self.k = k
+        self.basis = tuple(basis)
+        self.scales: list[int] = []
+        # columns[s][t]: non-zero (row, integer entry) of D_s * M_s e_t
+        self.columns: list[list[list[tuple[int, int]]]] = []
+        for m in ms:
+            nums, dens = m.row_pairs()
+            d = 1
+            for x in dens:
+                d = d * x // gcd(d, x)
+            self.scales.append(d)
+            self.columns.append(
+                [
+                    [(r, nums[r * k + t] * (d // dens[r * k + t])) for r in range(k) if nums[r * k + t]]
+                    for t in range(k)
+                ]
+            )
+        start = [0] * k
+        start[0] = 1
+        self._vectors: dict[Monomial, tuple[list[int], int]] = {(0,) * len(ms): (start, 1)}
+
+    def apply(self, s: int, w: Sequence[int]) -> list[int]:
+        """D_s * M_s * w for an integer vector w."""
+        out = [0] * self.k
+        columns = self.columns[s]
+        for t, x in enumerate(w):
+            if x:
+                for r, c in columns[t]:
+                    out[r] += c * x
+        return out
+
+    def column(self, s: int, t: int) -> list[int]:
+        """D_s * M_s e_t as a dense integer vector."""
+        out = [0] * self.k
+        for r, c in self.columns[s][t]:
+            out[r] = c
+        return out
+
+    def vector(self, gamma: Monomial) -> tuple[list[int], int]:
+        """(D^gamma * v_gamma, D^gamma)."""
+        vectors = self._vectors
         chain = []
         while gamma not in vectors:
             s = next(s for s, e in enumerate(gamma) if e)
@@ -251,22 +316,82 @@ def _trace_grid(
             gamma = gamma[:s] + (gamma[s] - 1,) + gamma[s + 1 :]
         w, d = vectors[gamma]
         for gamma, s in reversed(chain):
-            out = [0] * k
-            for t, x in enumerate(w):
-                if x:
-                    for r, c in columns[s][t]:
-                        out[r] += c * x
-            w, d = out, d * scales[s]
+            w, d = self.apply(s, w), d * self.scales[s]
             vectors[gamma] = (w, d)
         return w, d
 
+    def image(self, g: MultiPoly, beta: Monomial) -> tuple[list[int], int]:
+        """g(M) M^beta e_1 = sum_alpha g_alpha v_(alpha + beta), as an integer
+        vector over one denominator."""
+        if len(g.variables) != len(self.columns):
+            raise ValueError("matrix count does not match ring arity")
+        terms = []
+        den = 1
+        for alpha, coeff in g.terms.items():
+            w, d = self.vector(monomial_mul(alpha, beta))
+            q = coeff.denominator * d
+            terms.append((coeff.numerator, q, w))
+            den = den * q // gcd(den, q)
+        out = [0] * self.k
+        for p, q, w in terms:
+            f = p * (den // q)
+            for r, x in enumerate(w):
+                if x:
+                    out[r] += f * x
+        return out, den
+
+    def poly_matrix(self, g: MultiPoly) -> RatMatrix:
+        """g(M_1, ..., M_n), column j being g(M) e_j = g(M) M^(beta_j) e_1."""
+        k = self.k
+        nums, dens = [0] * (k * k), [1] * (k * k)
+        for j, beta in enumerate(self.basis):
+            w, den = self.image(g, beta)
+            for r, x in enumerate(w):
+                if x:
+                    common = gcd(x, den)
+                    nums[r * k + j], dens[r * k + j] = x // common, den // common
+        return RatMatrix(k, k, nums, dens)
+
+
+def check_commute_and_membership(nf: NormalForms, system: PolySystem) -> StepFailure | None:
+    """Step 5: the M_s commute pairwise and every input polynomial vanishes
+    at them.
+
+    Commutation is checked column by column in the integer-scaled form:
+    D_a D_b M_a (M_b e_t) against D_b D_a M_b (M_a e_t).  Membership then
+    needs one vector per polynomial: the M_s commute and step 3 gave
+    M^(beta_j) e_1 = e_j, so f(M) e_j = M^(beta_j) f(M) e_1, and f(M) = 0
+    exactly when f(M) e_1 = sum_alpha f_alpha v_alpha = 0.
+    """
+    n = len(nf.columns)
+    for a in range(n):
+        for b in range(a + 1, n):
+            for t in range(nf.k):
+                if nf.apply(a, nf.column(b, t)) != nf.apply(b, nf.column(a, t)):
+                    return StepFailure(5, "noncommuting", f"M_{a} and M_{b}")
+    origin = (0,) * n
+    for idx, poly in enumerate(system.polys):
+        if any(nf.image(poly, origin)[0]):
+            return StepFailure(5, "nonmember", f"input polynomial {idx} does not vanish")
+    return None
+
+
+def _trace_grid(nf: NormalForms, monomials: Sequence[Monomial]) -> list[list[Fraction]]:
+    """Tr((b_i * b_j)(M)) for all label pairs b_i, b_j in monomials.
+
+    No matrix product is formed: Tr(M^alpha) = sum_i (v_(alpha + beta_i))_i
+    over the basis exponents beta_i, read off the normal-form table.  With
+    the table's precondition (steps 3 and 5), Tr(M^alpha) =
+    sum_i e_i^T M^alpha M^(beta_i) e_1, the same exact rational as the
+    trace of the matrix product.
+    """
     traces: dict[Monomial, Fraction] = {}
 
     def trace_of(alpha: Monomial) -> Fraction:
         if alpha not in traces:
             num, den = 0, 1
-            for i, beta in enumerate(basis):
-                w, d = vector(monomial_mul(alpha, beta))
+            for i, beta in enumerate(nf.basis):
+                w, d = nf.vector(monomial_mul(alpha, beta))
                 x = w[i]
                 if x:
                     if d == den:
@@ -281,13 +406,13 @@ def _trace_grid(
     return [[trace_of(monomial_mul(a, b)) for b in monomials] for a in monomials]
 
 
-def check_traces(hplus: HermitePlus, ms: Sequence[RatMatrix]) -> StepFailure | None:
+def check_traces(hplus: HermitePlus, nf: NormalForms) -> StepFailure | None:
     """Every entry of the full extended matrix must equal the trace of the
     corresponding product of multiplication matrices.
 
-    The ms must have passed steps 3 and 5 (see _trace_grid)."""
+    The table's matrices must have passed steps 3 and 5 (see NormalForms)."""
     ext = hplus.labels.extension
-    grid = _trace_grid(ms, hplus.labels.base.monomials, ext)
+    grid = _trace_grid(nf, ext)
     for i in range(len(ext)):
         for j in range(len(ext)):
             if hplus.matrix.entry(i, j) != grid[i][j]:
@@ -299,11 +424,12 @@ def check_traces(hplus: HermitePlus, ms: Sequence[RatMatrix]) -> StepFailure | N
     return None
 
 
-def hermite_for_g(
-    h1: RatMatrix, ms: Sequence[RatMatrix], g: MultiPoly
-) -> RatMatrix | StepFailure:
-    """H_g = H1 * g(M_1, ..., M_n); must come out symmetric."""
-    hg = h1 @ g.eval_at_matrices(list(ms))
+def hermite_for_g(h1: RatMatrix, nf: NormalForms, g: MultiPoly) -> RatMatrix | StepFailure:
+    """H_g = H1 * g(M_1, ..., M_n); must come out symmetric.
+
+    g(M) is read off the normal-form table, so the one product formed is
+    H1 * g(M)."""
+    hg = h1 @ nf.poly_matrix(g)
     if not hg.is_symmetric():
         return StepFailure(7, "not_symmetric", "H1 * g(M) is not symmetric")
     return hg
@@ -337,7 +463,7 @@ def _run_steps_1_to_5(
     seed: int,
     retries: int,
     diag: list[dict],
-) -> tuple[RatMatrix, list[RatMatrix], list[RatMatrix]] | StepFailure:
+) -> tuple[RatMatrix, list[RatMatrix], list[RatMatrix], NormalForms] | StepFailure:
     basis = hplus.labels.base
     if basis.arity != system.arity():
         raise ValueError("system arity does not match the basis")
@@ -349,7 +475,7 @@ def _run_steps_1_to_5(
         return failure
     _log(diag, 1, "extract_blocks", None)
 
-    ms = mult_matrices(h1, shifted, hplus.matrix)
+    ms = mult_matrices(h1, shifted, hplus.matrix, basis)
     if isinstance(ms, StepFailure):
         _log(diag, 2, "mult_matrices", ms)
         return ms
@@ -359,17 +485,18 @@ def _run_steps_1_to_5(
     _log(diag, 3, "identity_columns", failure)
     if failure:
         return failure
+    nf = NormalForms(ms, basis.monomials)
 
     failure = check_squarefree(ms, seed=seed, retries=retries)
     _log(diag, 4, "squarefree", failure)
     if failure:
         return failure
 
-    failure = check_commute_and_membership(ms, system)
+    failure = check_commute_and_membership(nf, system)
     _log(diag, 5, "commute_and_membership", failure)
     if failure:
         return failure
-    return h1, shifted, ms
+    return h1, shifted, ms, nf
 
 
 def certify_pipeline(
@@ -395,14 +522,14 @@ def certify_pipeline(
     res = _run_steps_1_to_5(system, hplus, seed, retries, diag)
     if isinstance(res, StepFailure):
         return _fail(basis, diag, res)
-    h1, _, ms = res
+    h1, _, ms, nf = res
 
-    failure = check_traces(hplus, ms)
+    failure = check_traces(hplus, nf)
     _log(diag, 6, "trace_grid", failure)
     if failure:
         return _fail(basis, diag, failure)
 
-    hg = hermite_for_g(h1, ms, g)
+    hg = hermite_for_g(h1, nf, g)
     if isinstance(hg, StepFailure):
         _log(diag, 7, "hermite_for_g", hg)
         return _fail(basis, diag, hg)
@@ -430,12 +557,15 @@ def _signature_of_hg(hg: RatMatrix, h1: RatMatrix, sigma_h1: int) -> int:
 def derive_hg(outcome: CertificationOutcome, g: MultiPoly) -> tuple[RatMatrix, int] | StepFailure:
     """Step 7 for another g on a certified outcome: (H1 * g(M), its signature).
 
-    The outcome's own g gives the stored pair.  Nothing is logged: the
+    The outcome's own g gives the stored pair.  Any other g gets a fresh
+    normal-form table of the outcome's multiplication matrices, so the
+    outcome carries no cache that could go stale.  Nothing is logged: the
     outcome's diagnostics describe its certification, not later derivations.
     """
     if g == outcome.g:
         return outcome.hg, outcome.sigma_hg
-    hg = hermite_for_g(outcome.h1, outcome.mult_matrices, g)
+    nf = NormalForms(outcome.mult_matrices, outcome.basis.monomials)
+    hg = hermite_for_g(outcome.h1, nf, g)
     if isinstance(hg, StepFailure):
         return hg
     return hg, signature(hg)
@@ -467,7 +597,7 @@ def certify_nonradical(
     res = _run_steps_1_to_5(system, hplus, seed, retries, diag)
     if isinstance(res, StepFailure):
         return _fail(basis, diag, res)
-    h1_weighted, shifted, ms = res
+    h1_weighted, shifted, ms, nf = res
 
     failure = None
     points = hplus.provenance.point_count
@@ -478,21 +608,21 @@ def certify_nonradical(
             f"H1[1,1] = {h1_weighted.entry(0, 0)} but {points} points were used",
         )
     if failure is None:
-        for s, hs in enumerate(shifted):
-            if h1_weighted @ ms[s] != hs:
+        # the unit columns of M_s hold by construction (see mult_matrices)
+        for s, row in enumerate(_shift_targets(basis)):
+            if h1_weighted @ _border_columns([ms[s]], [row]) != _border_columns([shifted[s]], [row]):
                 failure = StepFailure(6, "weighted_inconsistent", f"H1 * M_{s} != H1^(x_{s})")
                 break
     _log(diag, 6, "weighted_consistency", failure)
     if failure:
         return _fail(basis, diag, failure)
 
-    grid = _trace_grid(ms, basis.monomials, basis.monomials)
-    h1_trace = RatMatrix.from_rows(grid)
-    hg_trace = hermite_for_g(h1_trace, ms, g)
+    h1_trace = RatMatrix.from_rows(_trace_grid(nf, basis.monomials))
+    hg_trace = hermite_for_g(h1_trace, nf, g)
     if isinstance(hg_trace, StepFailure):
         _log(diag, 7, "hermite_for_g", hg_trace)
         return _fail(basis, diag, hg_trace)
-    hg_weighted = hermite_for_g(h1_weighted, ms, g)
+    hg_weighted = hermite_for_g(h1_weighted, nf, g)
     if isinstance(hg_weighted, StepFailure):
         _log(diag, 7, "weighted_hermite_for_g", hg_weighted)
         return _fail(basis, diag, hg_weighted)

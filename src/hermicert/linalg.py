@@ -15,7 +15,7 @@ from . import _kernels as kernels
 
 
 class SingularMatrixError(ValueError):
-    """Inverse requested for a singular matrix."""
+    """Solve or inverse requested for a singular matrix."""
 
 
 class NotSymmetricError(ValueError):
@@ -27,7 +27,7 @@ class NoConnectedSelectionError(ValueError):
 
 
 class InverseCheckError(AssertionError):
-    """A computed inverse failed A * A^-1 = I; this indicates a bug."""
+    """A computed solution failed the residual A * X = B; this indicates a bug."""
 
 
 class Inertia(NamedTuple):
@@ -177,17 +177,31 @@ def rank(a: RatMatrix) -> int:
     return kernels.mat_rank(a.rows, a.cols, a._n, a._d)
 
 
-def inverse(a: RatMatrix) -> RatMatrix:
-    """Exact inverse; raises SingularMatrixError when det = 0."""
+def solve(a: RatMatrix, b: RatMatrix) -> RatMatrix:
+    """Exact X with A * X = B; raises SingularMatrixError when det A = 0.
+
+    One Gauss-Jordan elimination of A carries every column of B; the exact
+    residual A * X = B is then checked, as an exception that survives -O.
+    """
     if a.rows != a.cols:
-        raise ValueError("inverse of a non-square matrix")
-    res = kernels.mat_inverse(a.rows, a._n, a._d)
+        raise ValueError("solve with a non-square matrix")
+    if b.rows != a.rows:
+        raise ValueError(f"dimension mismatch: {a.rows} vs {b.rows}")
+    res = kernels.mat_solve(a.rows, b.cols, a._n, a._d, b._n, b._d)
     if res is None:
         raise SingularMatrixError("matrix is singular")
-    inv = RatMatrix(a.rows, a.cols, res[0], res[1])
-    if a @ inv != RatMatrix.identity(a.rows):
-        raise InverseCheckError("A * A^-1 != I: the inverse kernel is wrong")
-    return inv
+    x = RatMatrix(a.rows, b.cols, res[0], res[1])
+    if a @ x != b:
+        raise InverseCheckError("A * X != B: the solve kernel is wrong")
+    return x
+
+
+def inverse(a: RatMatrix) -> RatMatrix:
+    """Exact inverse, solve(a, I); raises SingularMatrixError when det = 0.
+
+    No command calls it: certification solves only the border columns
+    (certify.mult_matrices).  perfbench/tracer.py still probes this name."""
+    return solve(a, RatMatrix.identity(a.rows))
 
 
 def char_poly(a: RatMatrix) -> list[Fraction]:

@@ -131,19 +131,6 @@ class MultiPoly:
                 terms[m] = terms.get(m, Fraction(0)) + ca * cb
         return MultiPoly(self.variables, terms)
 
-    def __pow__(self, exponent: int) -> "MultiPoly":
-        if exponent < 0:
-            raise ValueError("negative exponent")
-        result = MultiPoly.constant(self.variables, 1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     def scale(self, factor) -> "MultiPoly":
         f = Fraction(factor)
         return MultiPoly(self.variables, {m: c * f for m, c in self.terms.items()})
@@ -196,7 +183,9 @@ class MultiPoly:
         """p(M_1, ..., M_n) with the constant term contributing c*I.
 
         The matrices must commute pairwise; this is a caller-owned
-        precondition and is not re-checked here.
+        precondition and is not re-checked here.  No command calls it:
+        certification reads g(M) off certify.NormalForms without dense
+        products.  perfbench/tracer.py still probes this name.
         """
         if len(mats) != len(self.variables):
             raise ValueError("matrix count does not match ring arity")

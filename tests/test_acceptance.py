@@ -273,9 +273,10 @@ def test_criterion_6_nonradical_pipeline():
     assert out2.certified
     assert out2.h1.entry(0, 0) == 1
     assert out2.weighted_h1.entry(0, 0) == 2
-    from hermicert.certify import check_traces
+    from hermicert.certify import NormalForms, check_traces
 
-    assert check_traces(hp2, out2.mult_matrices) is not None
+    nf2 = NormalForms(out2.mult_matrices, hp2.labels.base.monomials)
+    assert check_traces(hp2, nf2) is not None
     _report(6, "non-radical pipeline", time.perf_counter() - start, 1.0)
 
 

@@ -186,7 +186,9 @@ def test_ball_from_outcome_matches_certify_ball():
 
 def test_ball_fails_when_derived_hg_is_not_symmetric():
     outcome = certify_pipeline(F_SQRT2, parse_poly("x", ["x"]), sqrt2_hermite())
-    outcome.mult_matrices = [RatMatrix.from_rows([[0, 1], [0, 0]])]
+    # a wrong (still symmetric) H1: for g = (x - 1)^2 - 1/4, g(M) is
+    # [[11/4, -4], [-2, 11/4]] and H1 * g(M) = [[33/4, -12], [-8, 11]]
+    outcome.h1 = RatMatrix.from_rows([[3, 0], [0, 4]])
     query = BallQuery(center=(Fraction(1),), radius_squared=Fraction(1, 4))
     cert = ball_from_outcome(outcome, ["x"], query)
     assert cert.verdict == "fail"

@@ -7,6 +7,7 @@ import pytest
 
 import hermicert.certify as certify_module
 from hermicert.certify import (
+    NormalForms,
     StepFailure,
     certify_nonradical,
     certify_pipeline,
@@ -20,9 +21,9 @@ from hermicert.certify import (
     mult_matrices,
     signature,
 )
-from hermicert.certificates import lagrange_system
+from hermicert.certificates import BallQuery, ball_polynomial, lagrange_system
 from hermicert.hermite import HermitePlus, build_extended_hermite, build_nonradical
-from hermicert.linalg import RatMatrix, rank
+from hermicert.linalg import RatMatrix, inverse, rank
 from hermicert.numroots import ApproxRootSet
 from hermicert.polynomials import MonomialBasis, PolySystem, monomial_mul, parse_poly
 
@@ -57,7 +58,7 @@ def test_extract_blocks_single_point():
 def test_mult_matrices_from_blocks():
     hp = sqrt2_hermite()
     h1, shifted = extract_blocks(hp)
-    ms = mult_matrices(h1, shifted, hp.matrix)
+    ms = mult_matrices(h1, shifted, hp.matrix, B1X)
     assert ms[0] == RatMatrix.from_rows([[0, 2], [1, 0]])
 
 
@@ -65,14 +66,14 @@ def test_mult_matrices_of_two_distinct_roots():
     # roots {1, -2}: H1 = [[2,-1],[-1,5]], H1^x = [[-1,5],[5,-7]]
     hp = exact_hermite_plus(roots_as_qc([Fraction(1), Fraction(-2)], []), B1X)
     h1, shifted = extract_blocks(hp)
-    ms = mult_matrices(h1, shifted, hp.matrix)
+    ms = mult_matrices(h1, shifted, hp.matrix, B1X)
     assert ms[0] == RatMatrix.from_rows([[0, 2], [1, -1]])
 
 
 def test_mult_matrices_rank_deficient_fails():
     hp = exact_hermite_plus(roots_as_qc([Fraction(1), Fraction(1)], []), B1X)
     h1, shifted = extract_blocks(hp)
-    out = mult_matrices(h1, shifted, hp.matrix)
+    out = mult_matrices(h1, shifted, hp.matrix, B1X)
     assert isinstance(out, StepFailure) and out.step == 2 and out.reason == "rank_deficient"
 
 
@@ -93,7 +94,7 @@ def test_mult_matrices_computes_each_rank_once(roots, detail, monkeypatch):
         return rank(a)
 
     monkeypatch.setattr(certify_module, "rank", counting)
-    out = mult_matrices(h1, shifted, hp.matrix)
+    out = mult_matrices(h1, shifted, hp.matrix, B1X)
     assert isinstance(out, StepFailure) and out.detail == detail
     assert sorted(calls) == [2, 3]
 
@@ -108,9 +109,9 @@ def test_mult_matrices_makes_one_rank_call_when_it_succeeds(monkeypatch):
         return rank(a)
 
     monkeypatch.setattr(certify_module, "rank", counting)
-    ms = mult_matrices(h1, shifted, hp.matrix)
+    ms = mult_matrices(h1, shifted, hp.matrix, B1X)
     assert ms == [RatMatrix.from_rows([[0, 2], [1, 0]])]
-    assert calls == [3]  # rank H+ only; the inverse proves H1 nonsingular
+    assert calls == [3]  # rank H+ only; the solve proves H1 nonsingular
 
 
 def test_identity_columns_companion_passes():
@@ -153,33 +154,58 @@ def test_squarefree_retry_recovers_from_degenerate_combination():
     assert failure is not None and failure.step == 4
 
 
+def table(ms, basis=B1X):
+    return NormalForms(ms, basis.monomials)
+
+
 def test_commute_and_membership():
     m = RatMatrix.from_rows([[0, 2], [1, 0]])
-    assert check_commute_and_membership([m], F_SQRT2) is None
+    assert check_commute_and_membership(table([m]), F_SQRT2) is None
     wrong = RatMatrix.from_rows([[0, 3], [1, 0]])
-    failure = check_commute_and_membership([wrong], F_SQRT2)
+    failure = check_commute_and_membership(table([wrong]), F_SQRT2)
     assert failure is not None and failure.reason == "nonmember"
     a = RatMatrix.from_rows([[1, 1], [0, 1]])
     b = RatMatrix.from_rows([[1, 0], [1, 1]])
     two_var = PolySystem(["x", "y"], [])
-    failure = check_commute_and_membership([a, b], two_var)
+    failure = check_commute_and_membership(table([a, b], MonomialBasis([(0, 0), (1, 0)])), two_var)
+    assert failure is not None and failure.reason == "noncommuting"
+
+
+def test_noncommuting_only_in_a_border_column():
+    # basis {1, x, y}: the columns x*1 = x and y*1 = y are unit vectors, the
+    # other four are border columns.  The normal forms of the points (0,0),
+    # (1,0), (0,1) (x^2 = x, x*y = 0, y^2 = y) commute; x^2 = x + y does not,
+    # yet both products agree on columns 0 and 2 and differ only on
+    # column 1, which is a border column of M_x and of M_y.
+    basis = MonomialBasis([(0, 0), (1, 0), (0, 1)])
+    two_var = PolySystem(["x", "y"], [])
+    m_y = RatMatrix.from_rows([[0, 0, 0], [0, 0, 0], [1, 0, 1]])
+    m_x = RatMatrix.from_rows([[0, 0, 0], [1, 1, 0], [0, 0, 0]])
+    assert check_identity_rows([m_x, m_y], basis) is None
+    assert check_commute_and_membership(table([m_x, m_y], basis), two_var) is None
+    bent = RatMatrix.from_rows([[0, 0, 0], [1, 1, 0], [0, 1, 0]])
+    assert check_identity_rows([bent, m_y], basis) is None
+    left, right = bent @ m_y, m_y @ bent
+    differing = [t for t in range(3) if any(left.entry(r, t) != right.entry(r, t) for r in range(3))]
+    assert differing == [1]
+    failure = check_commute_and_membership(table([bent, m_y], basis), two_var)
     assert failure is not None and failure.reason == "noncommuting"
 
 
 def test_traces_match_and_detect_perturbation():
     hp = sqrt2_hermite()
-    ms = [RatMatrix.from_rows([[0, 2], [1, 0]])]
-    assert check_traces(hp, ms) is None
+    nf = table([RatMatrix.from_rows([[0, 2], [1, 0]])])
+    assert check_traces(hp, nf) is None
     rows = hp.matrix.to_rows()
     rows[2][2] += 1
     bad = HermitePlus(RatMatrix.from_rows(rows), hp.labels, hp.provenance)
-    failure = check_traces(bad, ms)
+    failure = check_traces(bad, nf)
     assert failure is not None and failure.step == 6
 
 
 def test_traces_single_point():
     hp = exact_hermite_plus([(QC(3),)], MonomialBasis([(0,)]))
-    assert check_traces(hp, [RatMatrix.from_rows([[3]])]) is None
+    assert check_traces(hp, table([RatMatrix.from_rows([[3]])], MonomialBasis([(0,)]))) is None
 
 
 def per_product_trace_grid(ms, monomials):
@@ -255,7 +281,7 @@ def test_trace_grid_matches_per_product_reference(case):
     assert out.certified, (out.reason, out.detail)
     ms, ext = out.mult_matrices, hp.labels.extension
     assert len(ext) > hp.base_size()
-    got = certify_module._trace_grid(ms, hp.labels.base.monomials, ext)
+    got = certify_module._trace_grid(table(ms, hp.labels.base), ext)
     assert got == per_product_trace_grid(ms, ext) == hp.matrix.to_rows()
 
 
@@ -267,16 +293,73 @@ def test_trace_grid_matches_per_product_reference_on_reduced_basis():
     out = certify_nonradical(f, G_X, hp)
     assert out.certified
     basis = hp.labels.base.monomials
-    got = certify_module._trace_grid(out.mult_matrices, basis, basis)
+    got = certify_module._trace_grid(NormalForms(out.mult_matrices, basis), basis)
     assert got == per_product_trace_grid(out.mult_matrices, basis) == out.h1.to_rows()
+
+
+def dense_mult_matrices(hp):
+    """Reference: M_s = H1^-1 H1^(x_s) by the dense inverse and products."""
+    h1, shifted = extract_blocks(hp)
+    return [inverse(h1) @ hs for hs in shifted]
+
+
+def dense_hermite_for_g(h1, ms, g):
+    """Reference: H_g = H1 g(M) by dense products of matrix powers."""
+    return h1 @ g.eval_at_matrices(list(ms))
+
+
+def grid_gs(variables):
+    ball = BallQuery((Fraction(1, 4), Fraction(-3, 4)), Fraction(5, 16))
+    return [parse_poly("x*y-1/2", variables), ball_polynomial(variables, ball)]
+
+
+def lagrange_gs(variables):
+    g = parse_poly("6*x+6*y-5", variables)
+    return [g, g * g]
+
+
+def univariate_gs(variables):
+    return [parse_poly("x^3-3*x+1/2", variables)]
+
+
+@pytest.mark.parametrize(
+    "case, make_gs", [(grid_case, grid_gs), (lagrange_case, lagrange_gs), (univariate_case, univariate_gs)]
+)
+def test_normal_forms_match_dense_reference(case, make_gs):
+    system, hp = case()
+    gs = make_gs(list(system.variables))
+    out = certify_pipeline(system, gs[0], hp)
+    assert out.certified, (out.reason, out.detail)
+    ms = out.mult_matrices
+    assert ms == dense_mult_matrices(hp)
+    assert out.hg == dense_hermite_for_g(out.h1, ms, gs[0])
+    for g in gs:
+        assert table(ms, hp.labels.base).poly_matrix(g) == g.eval_at_matrices(ms)
+        hg, sigma = derive_hg(out, g)
+        assert hg == dense_hermite_for_g(out.h1, ms, g)
+        assert sigma == signature(hg)
+
+
+def test_normal_forms_match_dense_reference_on_reduced_basis():
+    f = PolySystem(["x"], [parse_poly("x^3-3*x+2", ["x"])])
+    pts = ApproxRootSet(points=((1 + 0j,), (1 + 0j,), (-2 + 0j,)), accuracy="1e-8", coord_bound=3)
+    hp = build_nonradical(build_extended_hermite(pts, MonomialBasis([(0,), (1,), (2,)])))
+    g = parse_poly("x^2-x+1/3", ["x"])
+    out = certify_nonradical(f, g, hp)
+    assert out.certified
+    ms = out.mult_matrices
+    assert ms == dense_mult_matrices(hp)
+    assert out.hg == dense_hermite_for_g(out.h1, ms, g)
+    assert out.weighted_hg == dense_hermite_for_g(out.weighted_h1, ms, g)
 
 
 def test_hermite_for_g_examples():
     h1 = RatMatrix.from_rows([[2, 0], [0, 4]])
     m = [RatMatrix.from_rows([[0, 2], [1, 0]])]
-    assert hermite_for_g(h1, m, G_X) == RatMatrix.from_rows([[0, 4], [4, 0]])
-    assert hermite_for_g(h1, m, parse_poly("1", ["x"])) == h1
-    assert hermite_for_g(h1, m, parse_poly("x^2", ["x"])) == h1.scale(2)
+    nf = table(m)
+    assert hermite_for_g(h1, nf, G_X) == RatMatrix.from_rows([[0, 4], [4, 0]])
+    assert hermite_for_g(h1, nf, parse_poly("1", ["x"])) == h1
+    assert hermite_for_g(h1, nf, parse_poly("x^2", ["x"])) == h1.scale(2)
 
 
 def test_pipeline_certifies_sqrt2_end_to_end():
@@ -324,14 +407,16 @@ def test_derive_hg_reuses_own_g_and_derives_others():
     steps = list(out.diagnostics)
     x2 = parse_poly("x^2", ["x"])
     hg2, sigma = derive_hg(out, x2)
-    assert hg2 == hermite_for_g(out.h1, out.mult_matrices, x2)
+    assert hg2 == hermite_for_g(out.h1, table(out.mult_matrices), x2)
+    assert hg2 == dense_hermite_for_g(out.h1, out.mult_matrices, x2)
     assert sigma == signature(hg2) == 2
     assert out.diagnostics == steps
 
 
 def test_derive_hg_reports_step_7_failure():
     out = certify_pipeline(F_SQRT2, G_X, sqrt2_hermite())
-    out.mult_matrices = [RatMatrix.from_rows([[0, 1], [0, 0]])]
+    # a wrong (still symmetric) H1: H1 * g(M) = [[3, 6], [4, 4]] for g = x + 1
+    out.h1 = RatMatrix.from_rows([[3, 0], [0, 4]])
     failure = derive_hg(out, parse_poly("x+1", ["x"]))
     assert isinstance(failure, StepFailure) and failure.step == 7
     assert [entry["step"] for entry in out.diagnostics] == [1, 2, 3, 4, 5, 6, 7]
@@ -366,7 +451,7 @@ def test_nonradical_literal_trace_comparison_would_fail():
     assert out.h1.entry(0, 0) == 1
     assert out.weighted_h1.entry(0, 0) == 2
     assert out.h1.entry(0, 0) != out.weighted_h1.entry(0, 0)
-    assert check_traces(hp, out.mult_matrices) is not None
+    assert check_traces(hp, table(out.mult_matrices, hp.labels.base)) is not None
     assert signature(out.h1) == 1
 
 

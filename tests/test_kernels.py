@@ -156,7 +156,8 @@ def test_inverse_times_matrix_is_identity():
     while done < 25:
         k = rng.randint(1, 6)
         nums, dens = rand_pairs(rng, k * k)
-        inv = kernels.mat_inverse(k, nums, dens)
+        identity = [1 if i == j else 0 for i in range(k) for j in range(k)]
+        inv = kernels.mat_solve(k, k, nums, dens, identity, [1] * (k * k))
         if inv is None:
             continue
         prod_n, prod_d = kernels.mat_mul(k, k, k, nums, dens, inv[0], inv[1])
@@ -164,4 +165,18 @@ def test_inverse_times_matrix_is_identity():
             for j in range(k):
                 expect = 1 if i == j else 0
                 assert prod_n[i * k + j] == expect and prod_d[i * k + j] == 1
+        done += 1
+
+
+def test_solve_satisfies_residual_on_random_shapes():
+    rng = random.Random(23)
+    done = 0
+    while done < 40:
+        k, m = rng.randint(1, 6), rng.randint(0, 5)
+        an, ad = rand_pairs(rng, k * k)
+        bn, bd = rand_pairs(rng, k * m)
+        x = kernels.mat_solve(k, m, an, ad, bn, bd)
+        if x is None:
+            continue
+        assert kernels.mat_mul(k, k, m, an, ad, x[0], x[1]) == (bn, bd)
         done += 1

@@ -23,6 +23,7 @@ from hermicert.linalg import (
     max_nonsingular_connected_submatrix,
     rank,
     signature_descartes,
+    solve,
 )
 from hermicert.polynomials import MultiPoly
 
@@ -80,6 +81,13 @@ def test_inverse_examples():
         inverse(RatMatrix.from_rows([[1, 1], [1, 1]]))
 
 
+def run_optimized(script: str) -> subprocess.CompletedProcess:
+    """Run script under python -O with this checkout's sources first."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True)
+
+
 def test_inverse_check_survives_optimize_flag():
     # a wrong kernel inverse must be caught even when asserts are stripped
     script = """
@@ -87,19 +95,66 @@ import hermicert._kernels as kernels
 from hermicert.linalg import InverseCheckError, RatMatrix, inverse
 if __debug__:
     raise SystemExit(2)
-kernels.mat_inverse = lambda k, nums, dens: ([2, 0, 0, 1], [1, 1, 1, 1])
+kernels.mat_solve = lambda k, m, an, ad, bn, bd: ([2, 0, 0, 1], [1, 1, 1, 1])
 try:
     inverse(RatMatrix.identity(2))
 except InverseCheckError:
     raise SystemExit(0)
 raise SystemExit(1)
 """
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
-    )
+    proc = run_optimized(script)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_solve_check_survives_optimize_flag_through_step_2():
+    # a wrong solve kernel must stop linalg.solve and, through it, step 2 of
+    # the certification, even when asserts are stripped
+    script = """
+import hermicert._kernels as kernels
+from hermicert.certify import certify_pipeline
+from hermicert.hermite import build_extended_hermite
+from hermicert.linalg import InverseCheckError, RatMatrix, solve
+from hermicert.numroots import ApproxRootSet
+from hermicert.polynomials import MonomialBasis, PolySystem, parse_poly
+if __debug__:
+    raise SystemExit(2)
+f = PolySystem(["x"], [parse_poly("x^2-2", ["x"])])
+pts = ApproxRootSet(points=((2 ** 0.5 + 0j,), (-(2 ** 0.5) + 0j,)), accuracy="1e-10", coord_bound=2)
+hplus = build_extended_hermite(pts, MonomialBasis([(0,), (1,)]))
+right = kernels.mat_solve
+
+def wrong(k, m, an, ad, bn, bd):
+    xn, xd = right(k, m, an, ad, bn, bd)
+    return [xn[0] + xd[0]] + xn[1:], xd  # adds 1 to the first entry
+
+kernels.mat_solve = wrong
+try:
+    solve(RatMatrix.from_rows([[2, 0], [0, 4]]), RatMatrix.from_rows([[0], [4]]))
+except InverseCheckError:
+    pass
+else:
+    raise SystemExit(1)
+try:
+    certify_pipeline(f, parse_poly("x", ["x"]), hplus)
+except InverseCheckError:
+    raise SystemExit(0)
+raise SystemExit(3)
+"""
+    proc = run_optimized(script)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_solve_examples():
+    a = RatMatrix.from_rows([[2, 1], [1, 3]])
+    b = RatMatrix.from_rows([[1, 0, 5], [0, 1, Fraction(1, 2)]])
+    x = solve(a, b)
+    assert x.rows == 2 and x.cols == 3
+    assert a @ x == b
+    assert solve(a, RatMatrix.identity(2)) == inverse(a)
+    with pytest.raises(SingularMatrixError):
+        solve(RatMatrix.from_rows([[1, 2], [2, 4]]), RatMatrix.from_rows([[1], [0]]))
+    with pytest.raises(ValueError):
+        solve(a, RatMatrix.identity(3))
 
 
 def test_inertia_examples():
