@@ -10,13 +10,19 @@ Mourrain's border-basis criterion) that the candidate is the true Hermite
 matrix of the input ideal; every failure is reported with the step that
 caught it.
 
-No dense k x k product of multiplication matrices is formed.  Column i of
-M_s is a unit vector whenever x_s * b_i lies in the basis, so step 2 solves
-only the border columns (x_s * b_i outside the basis), all of them in one
-elimination of H1.  After step 3 one NormalForms table of the vectors
-v_gamma = M^gamma e_1 serves the remaining steps: step 5 checks commutation
-column by column and membership as f(M) e_1 = 0, step 6 reads the trace
-grid off it, and step 7 builds g(M) from it for the one product H1 * g(M).
+The label structure comes from the ExtendedBasis: its shifts table gives
+the position of every x_s * b_i, and its products table the distinct
+products b_i * b_j that the entries depend on.  No dense k x k product of
+multiplication matrices is formed.  Column i of M_s is a unit vector
+whenever x_s * b_i lies in the basis, so step 2 solves only the border
+columns (x_s * b_i outside the basis), all of them in one elimination of
+H1, and checks the exact residual H1 X = border.  On the non-radical route
+that residual is the weighted identity H1bar M_s = H1bar^{x_s}.  After
+step 3 one NormalForms table of the vectors v_gamma = M^gamma e_1 serves
+the remaining steps: step 5 checks commutation column by column and
+membership as f(M) e_1 = 0, step 6 reads one trace per distinct label
+product off it, and step 7 builds g(M) from it for the one product
+H1 * g(M).
 
 Orientation convention, pinned by unit tests on companion matrices: the
 matrices M_s = H1^{-1} H1^{x_s} hold the expansion of x_s * b_t in their
@@ -43,6 +49,7 @@ from .linalg import (
     solve,
 )
 from .polynomials import (
+    ExtendedBasis,
     Monomial,
     MonomialBasis,
     MultiPoly,
@@ -54,10 +61,6 @@ from .polynomials import (
 
 DEFAULT_SEED = 1729
 DEFAULT_RETRIES = 3
-
-
-class MissingLabelError(KeyError):
-    """The extended labels do not cover some x_s * b column."""
 
 
 class SignatureMethodMismatchError(AssertionError):
@@ -113,72 +116,35 @@ def signature(a: RatMatrix) -> int:
     return s_ldl
 
 
-def extract_blocks(hplus: HermitePlus) -> tuple[RatMatrix, list[RatMatrix]]:
-    """H1 (rows/cols B) and the n blocks with columns x_s * B."""
-    base = hplus.labels.base
-    k = len(base)
-    h = hplus.matrix
-    base_idx = list(range(k))
-    blocks = []
-    for s in range(base.arity):
-        unit = tuple(1 if i == s else 0 for i in range(base.arity))
-        try:
-            cols = [hplus.labels.index_of(monomial_mul(m, unit)) for m in base.monomials]
-        except KeyError as exc:
-            raise MissingLabelError(str(exc)) from None
-        blocks.append(h.submatrix(base_idx, cols))
-    return h.submatrix(base_idx, base_idx), blocks
+def extract_blocks(hplus: HermitePlus) -> tuple[RatMatrix, RatMatrix]:
+    """H1 (rows and columns B) and the k x m border block: the columns of H+
+    labelled x_s * b_i outside B, ordered by s, then i."""
+    k = hplus.base_size()
+    base_idx = range(k)
+    border = [j for row in hplus.labels.shifts for j in row if j >= k]
+    return hplus.matrix.submatrix(base_idx, base_idx), hplus.matrix.submatrix(base_idx, border)
 
 
-def _shift_targets(basis: MonomialBasis) -> list[list[int | None]]:
-    """targets[s][i] = j when x_s * b_i = b_j lies in the basis, and None
-    when x_s * b_i is outside it: column i of M_s is then a border column."""
-    index = {m: i for i, m in enumerate(basis.monomials)}
-    targets = []
-    for s in range(basis.arity):
-        unit = tuple(1 if t == s else 0 for t in range(basis.arity))
-        targets.append([index.get(monomial_mul(mono, unit)) for mono in basis.monomials])
-    return targets
-
-
-def _border_columns(mats: Sequence[RatMatrix], targets: Sequence[Sequence[int | None]]) -> RatMatrix:
-    """The k x m matrix of column i of mats[s] for every border pair (s, i),
-    ordered by s, then i."""
-    k = mats[0].rows
-    picks = []
-    for mat, row in zip(mats, targets):
-        nums, dens = mat.row_pairs()
-        picks += [(nums, dens, i) for i, j in enumerate(row) if j is None]
-    return RatMatrix(
-        k,
-        len(picks),
-        [nums[r * k + i] for r in range(k) for nums, _, i in picks],
-        [dens[r * k + i] for r in range(k) for _, dens, i in picks],
-    )
-
-
-def mult_matrices(
-    h1: RatMatrix, h_shifted: Sequence[RatMatrix], hplus_matrix: RatMatrix, basis: MonomialBasis
-) -> list[RatMatrix] | StepFailure:
+def mult_matrices(h1: RatMatrix, border: RatMatrix, hplus: HermitePlus) -> list[RatMatrix] | StepFailure:
     """M_s = H1^{-1} H1^{x_s}, guarded by rank H1 = rank H+ = k.
 
     Column i of H1^{x_s} is the column of H+ labelled x_s * b_i.  When that
-    label is a basis element b_j, extract_blocks read H1's own column j (the
-    labels are unique and the base comes first), so column i of M_s is e_j
-    by construction.  Only the border columns are solved: all of them, for
-    every s, in one elimination of H1 by linalg.solve, which checks the
-    exact residual H1 X = H1^{x_s} on them.  The rank of H+ is computed
-    first; on the non-radical route it is the only check that sees the
-    entries of H+ outside H1 and the blocks.  H1's own rank is computed
-    only on a failure, to word the message.
+    label is a basis element b_j (shifts[s][i] = j < k), it is H1's own
+    column j, so column i of M_s is e_j by construction.  Only the border
+    columns are solved: all of them, for every s, in one elimination of H1
+    by linalg.solve, which checks the exact residual H1 X = border.  On the
+    non-radical route that residual is the weighted identity
+    H1bar M_s = H1bar^{x_s} on the border columns.  The rank of H+ is
+    computed first; on the non-radical route it is the only check that sees
+    the entries of H+ outside H1 and the border block.  H1's own rank is
+    computed only on a failure, to word the message.
     """
     k = h1.rows
-    targets = _shift_targets(basis)
-    rank_hplus = rank(hplus_matrix)
+    rank_hplus = rank(hplus.matrix)
     x = None
     if rank_hplus == k:
         try:
-            x = solve(h1, _border_columns(h_shifted, targets))
+            x = solve(h1, border)
         except SingularMatrixError:
             pass
     if x is None:
@@ -189,10 +155,10 @@ def mult_matrices(
     m = x.cols
     c = 0  # column of x holding the next border column
     ms = []
-    for row in targets:
+    for row in hplus.labels.shifts:
         nums, dens = [0] * (k * k), [1] * (k * k)
         for i, j in enumerate(row):
-            if j is not None:
+            if j < k:
                 nums[j * k + i] = 1
                 continue
             for r in range(k):
@@ -203,13 +169,13 @@ def mult_matrices(
     return ms
 
 
-def check_identity_rows(ms: Sequence[RatMatrix], basis: MonomialBasis) -> StepFailure | None:
+def check_identity_rows(ms: Sequence[RatMatrix], labels: ExtendedBasis) -> StepFailure | None:
     """Whenever x_s * b_i lands in the basis at position j, column i of M_s
     must be the j-th unit vector."""
-    k = len(basis)
-    for s, (m, row) in enumerate(zip(ms, _shift_targets(basis))):
+    k = len(labels.base)
+    for s, (m, row) in enumerate(zip(ms, labels.shifts)):
         for i, j in enumerate(row):
-            if j is None:
+            if j >= k:
                 continue
             for r in range(k):
                 expected = Fraction(1 if r == j else 0)
@@ -376,8 +342,8 @@ def check_commute_and_membership(nf: NormalForms, system: PolySystem) -> StepFai
     return None
 
 
-def _trace_grid(nf: NormalForms, monomials: Sequence[Monomial]) -> list[list[Fraction]]:
-    """Tr((b_i * b_j)(M)) for all label pairs b_i, b_j in monomials.
+def _trace_grid(nf: NormalForms, monomials: Sequence[Monomial]) -> list[Fraction]:
+    """Tr(alpha(M)) for each monomial alpha, in order.
 
     No matrix product is formed: Tr(M^alpha) = sum_i (v_(alpha + beta_i))_i
     over the basis exponents beta_i, read off the normal-form table.  With
@@ -385,43 +351,53 @@ def _trace_grid(nf: NormalForms, monomials: Sequence[Monomial]) -> list[list[Fra
     sum_i e_i^T M^alpha M^(beta_i) e_1, the same exact rational as the
     trace of the matrix product.
     """
-    traces: dict[Monomial, Fraction] = {}
-
-    def trace_of(alpha: Monomial) -> Fraction:
-        if alpha not in traces:
-            num, den = 0, 1
-            for i, beta in enumerate(nf.basis):
-                w, d = nf.vector(monomial_mul(alpha, beta))
-                x = w[i]
-                if x:
-                    if d == den:
-                        num += x
-                    else:
-                        g = gcd(d, den)
-                        num = num * (d // g) + x * (den // g)
-                        den = den // g * d
-            traces[alpha] = Fraction(num, den)
-        return traces[alpha]
-
-    return [[trace_of(monomial_mul(a, b)) for b in monomials] for a in monomials]
+    traces = []
+    for alpha in monomials:
+        num, den = 0, 1
+        for i, beta in enumerate(nf.basis):
+            w, d = nf.vector(monomial_mul(alpha, beta))
+            x = w[i]
+            if x:
+                if d == den:
+                    num += x
+                else:
+                    g = gcd(d, den)
+                    num = num * (d // g) + x * (den // g)
+                    den = den // g * d
+        traces.append(Fraction(num, den))
+    return traces
 
 
 def check_traces(hplus: HermitePlus, nf: NormalForms) -> StepFailure | None:
     """Every entry of the full extended matrix must equal the trace of the
     corresponding product of multiplication matrices.
 
-    The table's matrices must have passed steps 3 and 5 (see NormalForms)."""
-    ext = hplus.labels.extension
-    grid = _trace_grid(nf, ext)
-    for i in range(len(ext)):
-        for j in range(len(ext)):
-            if hplus.matrix.entry(i, j) != grid[i][j]:
-                return StepFailure(
-                    6,
-                    "trace_mismatch",
-                    f"entry ({i}, {j}): H+ = {hplus.matrix.entry(i, j)}, trace = {grid[i][j]}",
-                )
+    One trace is computed per distinct label product; the entries are
+    compared in row-major order.  The table's matrices must have passed
+    steps 3 and 5 (see NormalForms)."""
+    labels = hplus.labels
+    traces = _trace_grid(nf, labels.products)
+    nums, dens = hplus.matrix.row_pairs()
+    for pos, p in enumerate(labels.product_index):
+        t = traces[p]
+        if nums[pos] * t.denominator != t.numerator * dens[pos]:
+            i, j = divmod(pos, len(labels))
+            return StepFailure(
+                6,
+                "trace_mismatch",
+                f"entry ({i}, {j}): H+ = {hplus.matrix.entry(i, j)}, trace = {t}",
+            )
     return None
+
+
+def _base_trace_matrix(labels: ExtendedBasis, nf: NormalForms) -> RatMatrix:
+    """H1[i, j] = Tr((b_i * b_j)(M)) over the base labels, one trace per
+    distinct product of the base block."""
+    k, l = len(labels.base), len(labels)
+    cells = [labels.product_index[i * l + j] for i in range(k) for j in range(k)]
+    wanted = sorted(set(cells))
+    traces = dict(zip(wanted, _trace_grid(nf, [labels.products[p] for p in wanted])))
+    return RatMatrix(k, k, [traces[p].numerator for p in cells], [traces[p].denominator for p in cells])
 
 
 def hermite_for_g(h1: RatMatrix, nf: NormalForms, g: MultiPoly) -> RatMatrix | StepFailure:
@@ -463,25 +439,20 @@ def _run_steps_1_to_5(
     seed: int,
     retries: int,
     diag: list[dict],
-) -> tuple[RatMatrix, list[RatMatrix], list[RatMatrix], NormalForms] | StepFailure:
+) -> tuple[RatMatrix, list[RatMatrix], NormalForms] | StepFailure:
     basis = hplus.labels.base
     if basis.arity != system.arity():
         raise ValueError("system arity does not match the basis")
-    try:
-        h1, shifted = extract_blocks(hplus)
-    except MissingLabelError as exc:
-        failure = StepFailure(1, "missing_label", str(exc))
-        _log(diag, 1, "extract_blocks", failure)
-        return failure
+    h1, border = extract_blocks(hplus)
     _log(diag, 1, "extract_blocks", None)
 
-    ms = mult_matrices(h1, shifted, hplus.matrix, basis)
+    ms = mult_matrices(h1, border, hplus)
     if isinstance(ms, StepFailure):
         _log(diag, 2, "mult_matrices", ms)
         return ms
     _log(diag, 2, "mult_matrices", None)
 
-    failure = check_identity_rows(ms, basis)
+    failure = check_identity_rows(ms, hplus.labels)
     _log(diag, 3, "identity_columns", failure)
     if failure:
         return failure
@@ -496,7 +467,7 @@ def _run_steps_1_to_5(
     _log(diag, 5, "commute_and_membership", failure)
     if failure:
         return failure
-    return h1, shifted, ms, nf
+    return h1, ms, nf
 
 
 def certify_pipeline(
@@ -522,7 +493,7 @@ def certify_pipeline(
     res = _run_steps_1_to_5(system, hplus, seed, retries, diag)
     if isinstance(res, StepFailure):
         return _fail(basis, diag, res)
-    h1, _, ms, nf = res
+    h1, ms, nf = res
 
     failure = check_traces(hplus, nf)
     _log(diag, 6, "trace_grid", failure)
@@ -587,17 +558,18 @@ def certify_nonradical(
     hold against multiplicity-weighted entries, so the Hermite matrices of
     the radical are instead built directly from traces, H1[i,j] =
     Tr((b_i b_j)(M)) and H_g = H1 * g(M), while the weighted input matrix is
-    validated by exact consistency checks: H1bar * M_s = H1bar^{x_s}, the
-    (1,1) entry equals the provenance point count, and the signatures of the
-    weighted and trace-based g-matrices agree (positive weights preserve
-    sign counts).  Any disagreement is a failure, never silently resolved.
+    validated by exact consistency checks: H1bar * M_s = H1bar^{x_s} is
+    step 2's residual (H1bar is step 2's H1), the (1,1) entry equals the
+    provenance point count, and the signatures of the weighted and
+    trace-based g-matrices agree (positive weights preserve sign counts).
+    Any disagreement is a failure, never silently resolved.
     """
     basis = hplus.labels.base
     diag: list[dict] = []
     res = _run_steps_1_to_5(system, hplus, seed, retries, diag)
     if isinstance(res, StepFailure):
         return _fail(basis, diag, res)
-    h1_weighted, shifted, ms, nf = res
+    h1_weighted, ms, nf = res
 
     failure = None
     points = hplus.provenance.point_count
@@ -607,17 +579,11 @@ def certify_nonradical(
             "weighted_inconsistent",
             f"H1[1,1] = {h1_weighted.entry(0, 0)} but {points} points were used",
         )
-    if failure is None:
-        # the unit columns of M_s hold by construction (see mult_matrices)
-        for s, row in enumerate(_shift_targets(basis)):
-            if h1_weighted @ _border_columns([ms[s]], [row]) != _border_columns([shifted[s]], [row]):
-                failure = StepFailure(6, "weighted_inconsistent", f"H1 * M_{s} != H1^(x_{s})")
-                break
     _log(diag, 6, "weighted_consistency", failure)
     if failure:
         return _fail(basis, diag, failure)
 
-    h1_trace = RatMatrix.from_rows(_trace_grid(nf, basis.monomials))
+    h1_trace = _base_trace_matrix(hplus.labels, nf)
     hg_trace = hermite_for_g(h1_trace, nf, g)
     if isinstance(hg_trace, StepFailure):
         _log(diag, 7, "hermite_for_g", hg_trace)

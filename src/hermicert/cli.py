@@ -254,8 +254,18 @@ def cmd_pipeline(args) -> tuple[int, dict]:
     return EXIT_OK, payload
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on a usage error, the code of a construction
+    failure here; this parser exits EXIT_USAGE.  Sub-command parsers take
+    the class of their parent."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hermicert",
         description="Exact Hermite matrices from approximate roots, certified.",
     )
@@ -271,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", required=True)
     p.add_argument("--roots", required=True)
     p.add_argument("--basis", help="basis JSON; selected automatically when omitted")
-    common(p)
+    common(p, seeded=False)
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("certify", help="symbolically certify a Hermite matrix")

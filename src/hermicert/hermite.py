@@ -1,10 +1,11 @@
 """Construction of exact rational extended Hermite matrices from points.
 
-The approximate matrix is assembled in complex doubles from the point power
-sums; each distinct power-sum monomial is then reconstructed once with a
-degree-dependent denominator bound and written into every matching entry,
-so symmetry and Hankel coherence hold by construction.  Success here is
-heuristic; soundness comes entirely from the certify module.
+One power sum is computed in complex doubles for each distinct label
+product of the extended basis; each is then reconstructed once with a
+degree-dependent denominator bound and written into every entry that holds
+it, through the basis's product_index, so symmetry and Hankel coherence
+hold by construction.  Success here is heuristic; soundness comes entirely
+from the certify module.
 """
 
 from __future__ import annotations
@@ -15,12 +16,7 @@ from typing import Sequence
 
 from .linalg import RatMatrix, rank, max_nonsingular_connected_submatrix
 from .numroots import ApproxRootSet
-from .polynomials import (
-    ExtendedBasis,
-    Monomial,
-    MonomialBasis,
-    monomial_mul,
-)
+from .polynomials import ExtendedBasis, Monomial, MonomialBasis
 from .ratrecon import RationalLike, denominator_bound, exact_fraction, rational_reconstruct
 
 
@@ -76,23 +72,20 @@ class HermitePlus:
 def approx_extended_hermite(
     points: ApproxRootSet | Sequence[Sequence[complex]],
     basis: ExtendedBasis,
-) -> list[list[complex]]:
-    """Approximate extended Hermite matrix; entry (i,j) is the power sum
-    sum_t z_t^(alpha_i + alpha_j) in complex doubles.
+) -> list[complex]:
+    """One power sum sum_t z_t^alpha in complex doubles per distinct label
+    product alpha, in the order of basis.products.
 
-    Weighted matrices H_g are never approximated: the certify module
-    derives them exactly from the certified multiplication matrices.
+    Entry (i, j) of the extended Hermite matrix is the power sum of
+    b_i * b_j.  Weighted matrices H_g are never approximated: the certify
+    module derives them exactly from the certified multiplication matrices.
     """
     pts = points.points if isinstance(points, ApproxRootSet) else [tuple(p) for p in points]
     arity = basis.base.arity
     for p in pts:
         if len(p) != arity:
             raise ValueError("point arity does not match the basis")
-    ext = basis.extension
-    max_exp = [0] * arity
-    for mono in ext:
-        for i, e in enumerate(mono):
-            max_exp[i] = max(max_exp[i], 2 * e)
+    max_exp = [max(e) for e in zip(*basis.products)]
     coord_powers = []
     for p in pts:
         powers = []
@@ -113,88 +106,81 @@ def approx_extended_hermite(
             total += v
         return total
 
-    sums: dict[Monomial, complex] = {}
-    l = len(ext)
-    out = [[0j] * l for _ in range(l)]
-    for i in range(l):
-        for j in range(l):
-            key = monomial_mul(ext[i], ext[j])
-            if key not in sums:
-                sums[key] = power_sum(key)
-            out[i][j] = sums[key]
-    return out
+    return [power_sum(alpha) for alpha in basis.products]
 
 
 def reconstruct_hermite(
-    approx: Sequence[Sequence[complex]],
+    sums: Sequence[complex],
     basis: ExtendedBasis,
     accuracy: RationalLike,
     point_count: int,
     arity: int,
     coord_bound: RationalLike,
 ) -> HermitePlus:
-    """Rationalize an approximate extended Hermite matrix.
+    """Rationalize the approximate power sums of an extended Hermite matrix.
 
-    Each distinct power-sum monomial alpha (degree d = |alpha|) is
-    reconstructed once with denominator bound ceil((2*E*k*n*d*M^(d-1))^(-1/2));
-    its imaginary part must stay within the same perturbation bound
-    E*k*n*d*M^(d-1) because the exact entry is real.  For d = 0 the bound
+    sums holds one power sum per distinct label product alpha, in the order
+    of basis.products.  Each alpha (degree d = |alpha|) is reconstructed
+    once with denominator bound ceil((2*E*k*n*d*M^(d-1))^(-1/2)); its
+    imaginary part must stay within the same perturbation bound
+    E*k*n*d*M^(d-1) because the exact entry is real.  Both depend on d
+    alone and are computed once per degree.  For d = 0 the bound
     degenerates to zero error, and the entry is taken as the exact dyadic
     value of the float.  The reconstructed value is re-checked against the
-    perturbation bound in exact arithmetic before acceptance.
+    perturbation bound in exact arithmetic before acceptance.  A failure
+    names the first entry (i, j), in row-major order, that holds the
+    failing product.
     """
     E = exact_fraction(accuracy)
     M = exact_fraction(coord_bound)
     if arity != basis.base.arity:
         raise ValueError("arity does not match the basis")
-    ext = basis.extension
-    l = len(ext)
-    if len(approx) != l or any(len(row) != l for row in approx):
-        raise ValueError("approximate matrix size does not match the basis")
+    products = basis.products
+    if len(sums) != len(products):
+        raise ValueError("power-sum count does not match the basis")
+    l = len(basis)
+    degrees = {sum(alpha) for alpha in products} - {0}
+    errs = {d: E * point_count * arity * d * M ** (d - 1) for d in degrees}
+    dbounds = {d: denominator_bound(E, point_count, arity, d, M) for d in degrees}
 
-    first_pos: dict[Monomial, tuple[int, int]] = {}
-    for i in range(l):
-        for j in range(l):
-            first_pos.setdefault(monomial_mul(ext[i], ext[j]), (i, j))
+    def fail(pos: int, reason: str, detail: str):
+        entry = divmod(basis.product_index.index(pos), l)
+        return ReconstructionFailedError(entry, reason, detail)
 
-    values: dict[Monomial, Fraction] = {}
+    nums, dens = [], []
     bounds: dict[Monomial, int] = {}
-    for alpha, (i, j) in sorted(first_pos.items()):
-        z = complex(approx[i][j])
+    for pos, (alpha, z) in enumerate(zip(products, sums)):
+        z = complex(z)
         re = exact_fraction(z.real)
         im = exact_fraction(z.imag)
         d = sum(alpha)
         if d == 0:
             if im != 0:
-                raise ReconstructionFailedError((i, j), "imaginary_too_large", "degree-0 entry")
-            values[alpha] = re
+                raise fail(pos, "imaginary_too_large", "degree-0 entry")
+            found = re
             bounds[alpha] = 0
-            continue
-        err = E * point_count * arity * d * M ** (d - 1)
-        if abs(im) > err:
-            raise ReconstructionFailedError(
-                (i, j), "imaginary_too_large", f"|Im| = {float(abs(im)):.3e} > bound {float(err):.3e}"
-            )
-        b = denominator_bound(E, point_count, arity, d, M)
-        if b is None:
-            raise ReconstructionFailedError(
-                (i, j), "not_usable", "2*E*k*n*d*M^(d-1) >= 1: accuracy too poor"
-            )
-        found = rational_reconstruct(re, b)
-        if found is None:
-            raise ReconstructionFailedError(
-                (i, j), "not_found", f"no rational with denominator <= {b} near {float(re):.12g}"
-            )
-        if abs(re - found) > err:
-            raise ReconstructionFailedError(
-                (i, j), "not_found", "reconstructed value violates the perturbation bound"
-            )
-        values[alpha] = found
-        bounds[alpha] = b
+        else:
+            err = errs[d]
+            if abs(im) > err:
+                raise fail(
+                    pos, "imaginary_too_large", f"|Im| = {float(abs(im)):.3e} > bound {float(err):.3e}"
+                )
+            b = dbounds[d]
+            if b is None:
+                raise fail(pos, "not_usable", "2*E*k*n*d*M^(d-1) >= 1: accuracy too poor")
+            found = rational_reconstruct(re, b)
+            if found is None:
+                raise fail(pos, "not_found", f"no rational with denominator <= {b} near {float(re):.12g}")
+            if abs(re - found) > err:
+                raise fail(pos, "not_found", "reconstructed value violates the perturbation bound")
+            bounds[alpha] = b
+        nums.append(found.numerator)
+        dens.append(found.denominator)
 
-    rows = [[values[monomial_mul(ext[i], ext[j])] for j in range(l)] for i in range(l)]
     return HermitePlus(
-        matrix=RatMatrix.from_rows(rows),
+        matrix=RatMatrix(
+            l, l, [nums[p] for p in basis.product_index], [dens[p] for p in basis.product_index]
+        ),
         labels=basis,
         provenance=HermiteProvenance(E, M, point_count, bounds),
     )
@@ -205,9 +191,9 @@ def build_extended_hermite(
 ) -> HermitePlus:
     """Approximate then reconstruct the extended Hermite matrix for g = 1."""
     ext = ExtendedBasis(basis)
-    approx = approx_extended_hermite(points, ext)
+    sums = approx_extended_hermite(points, ext)
     return reconstruct_hermite(
-        approx, ext, points.accuracy, len(points), basis.arity, points.coord_bound
+        sums, ext, points.accuracy, len(points), basis.arity, points.coord_bound
     )
 
 
@@ -235,7 +221,7 @@ def build_nonradical(full: HermitePlus) -> HermitePlus:
     reduced_ext = ExtendedBasis(MonomialBasis(selection.monomials))
     idx = [full.labels.index_of(m) for m in reduced_ext.extension]
     sub = full.matrix.submatrix(idx, idx)
-    products = {monomial_mul(a, c) for a in reduced_ext.extension for c in reduced_ext.extension}
+    products = set(reduced_ext.products)
     bounds = {alpha: b for alpha, b in full.provenance.bounds.items() if alpha in products}
     prov = HermiteProvenance(
         full.provenance.accuracy, full.provenance.coord_bound, full.provenance.point_count, bounds

@@ -459,27 +459,50 @@ class ExtendedBasis:
     """A basis B together with its extension B+ = B u (x_i * B), base first.
 
     The extension list keeps the base as a prefix; appended products are
-    deduplicated and ordered by the graded-lex scan order.
+    deduplicated and ordered by the graded-lex scan order.  The label
+    structure of the extended Hermite matrix is computed here once:
+
+    - products: the distinct label products b_i * b_j, in ascending order;
+      entry (i, j) of the matrix is a function of b_i * b_j alone;
+    - product_index[i * l + j]: the position of b_i * b_j in products;
+    - shifts[s][i]: the position of x_s * b_i in the extension, below the
+      base size exactly when x_s * b_i lies in the basis.
     """
 
-    __slots__ = ("base", "extension")
+    __slots__ = ("base", "extension", "products", "product_index", "shifts")
 
     def __init__(self, base: MonomialBasis):
         object.__setattr__(self, "base", base)
-        seen = set(base.monomials)
-        added = []
-        unit = [0] * base.arity
-        for i in range(base.arity):
-            unit[i] = 1
-            shift = tuple(unit)
-            for mono in base.monomials:
-                prod = monomial_mul(mono, shift)
-                if prod not in seen:
-                    seen.add(prod)
-                    added.append(prod)
-            unit[i] = 0
-        added.sort(key=grlex_key)
-        object.__setattr__(self, "extension", base.monomials + tuple(added))
+        units = [tuple(int(t == s) for t in range(base.arity)) for s in range(base.arity)]
+        shifted = [[monomial_mul(mono, unit) for mono in base.monomials] for unit in units]
+        added = set(m for row in shifted for m in row) - set(base.monomials)
+        ext = base.monomials + tuple(sorted(added, key=grlex_key))
+        position = {m: i for i, m in enumerate(ext)}
+        # Each monomial as one integer in base `radix`, first variable most
+        # significant: no exponent of a product reaches the radix, so a
+        # product of monomials is the sum of their codes, and the order of
+        # the codes is the ascending order of the exponent tuples.
+        radix = 2 * max(max(m, default=0) for m in ext) + 1
+        codes = []
+        for mono in ext:
+            code = 0
+            for e in mono:
+                code = code * radix + e
+            codes.append(code)
+        pairs = [a + b for a in codes for b in codes]
+        distinct = sorted(set(pairs))
+        products = []
+        for code in distinct:
+            digits = []
+            for _ in range(base.arity):
+                code, e = divmod(code, radix)
+                digits.append(e)
+            products.append(tuple(reversed(digits)))
+        index = {code: p for p, code in enumerate(distinct)}
+        object.__setattr__(self, "extension", ext)
+        object.__setattr__(self, "products", tuple(products))
+        object.__setattr__(self, "product_index", tuple(map(index.__getitem__, pairs)))
+        object.__setattr__(self, "shifts", tuple(tuple(position[m] for m in row) for row in shifted))
 
     def __setattr__(self, *_):
         raise AttributeError("ExtendedBasis is immutable")

@@ -25,7 +25,7 @@ from hermicert.certificates import BallQuery, ball_polynomial, lagrange_system
 from hermicert.hermite import HermitePlus, build_extended_hermite, build_nonradical
 from hermicert.linalg import RatMatrix, inverse, rank
 from hermicert.numroots import ApproxRootSet
-from hermicert.polynomials import MonomialBasis, PolySystem, monomial_mul, parse_poly
+from hermicert.polynomials import ExtendedBasis, MonomialBasis, PolySystem, monomial_mul, parse_poly
 
 from conftest import QC, exact_hermite_plus, matrix_trace, roots_as_qc, univariate_from_roots
 
@@ -42,38 +42,48 @@ def sqrt2_hermite():
     return build_extended_hermite(pts, B1X)
 
 
+def shifted_blocks(hp):
+    """The dense k x k blocks H1^(x_s): the columns of H+ labelled x_s * B."""
+    k = hp.base_size()
+    return [hp.matrix.submatrix(range(k), row) for row in hp.labels.shifts]
+
+
 def test_extract_blocks_univariate():
-    h1, shifted = extract_blocks(sqrt2_hermite())
+    hp = sqrt2_hermite()
+    h1, border = extract_blocks(hp)
     assert h1 == RatMatrix.from_rows([[2, 0], [0, 4]])
-    assert shifted == [RatMatrix.from_rows([[0, 4], [4, 0]])]
+    assert shifted_blocks(hp) == [RatMatrix.from_rows([[0, 4], [4, 0]])]
+    # x * 1 = x is in the basis; only x * x = x^2 is a border column
+    assert border == RatMatrix.from_rows([[4], [0]])
 
 
 def test_extract_blocks_single_point():
     hp = exact_hermite_plus([(QC(3),)], MonomialBasis([(0,)]))
-    h1, shifted = extract_blocks(hp)
+    h1, border = extract_blocks(hp)
     assert h1 == RatMatrix.from_rows([[1]])
-    assert shifted == [RatMatrix.from_rows([[3]])]
+    assert shifted_blocks(hp) == [RatMatrix.from_rows([[3]])]
+    assert border == RatMatrix.from_rows([[3]])
 
 
 def test_mult_matrices_from_blocks():
     hp = sqrt2_hermite()
-    h1, shifted = extract_blocks(hp)
-    ms = mult_matrices(h1, shifted, hp.matrix, B1X)
+    h1, border = extract_blocks(hp)
+    ms = mult_matrices(h1, border, hp)
     assert ms[0] == RatMatrix.from_rows([[0, 2], [1, 0]])
 
 
 def test_mult_matrices_of_two_distinct_roots():
     # roots {1, -2}: H1 = [[2,-1],[-1,5]], H1^x = [[-1,5],[5,-7]]
     hp = exact_hermite_plus(roots_as_qc([Fraction(1), Fraction(-2)], []), B1X)
-    h1, shifted = extract_blocks(hp)
-    ms = mult_matrices(h1, shifted, hp.matrix, B1X)
+    h1, border = extract_blocks(hp)
+    ms = mult_matrices(h1, border, hp)
     assert ms[0] == RatMatrix.from_rows([[0, 2], [1, -1]])
 
 
 def test_mult_matrices_rank_deficient_fails():
     hp = exact_hermite_plus(roots_as_qc([Fraction(1), Fraction(1)], []), B1X)
-    h1, shifted = extract_blocks(hp)
-    out = mult_matrices(h1, shifted, hp.matrix, B1X)
+    h1, border = extract_blocks(hp)
+    out = mult_matrices(h1, border, hp)
     assert isinstance(out, StepFailure) and out.step == 2 and out.reason == "rank_deficient"
 
 
@@ -86,7 +96,7 @@ def test_mult_matrices_rank_deficient_fails():
 )
 def test_mult_matrices_computes_each_rank_once(roots, detail, monkeypatch):
     hp = exact_hermite_plus(roots_as_qc([Fraction(r) for r in roots], []), B1X)
-    h1, shifted = extract_blocks(hp)
+    h1, border = extract_blocks(hp)
     calls = []
 
     def counting(a):
@@ -94,14 +104,14 @@ def test_mult_matrices_computes_each_rank_once(roots, detail, monkeypatch):
         return rank(a)
 
     monkeypatch.setattr(certify_module, "rank", counting)
-    out = mult_matrices(h1, shifted, hp.matrix, B1X)
+    out = mult_matrices(h1, border, hp)
     assert isinstance(out, StepFailure) and out.detail == detail
     assert sorted(calls) == [2, 3]
 
 
 def test_mult_matrices_makes_one_rank_call_when_it_succeeds(monkeypatch):
     hp = sqrt2_hermite()
-    h1, shifted = extract_blocks(hp)
+    h1, border = extract_blocks(hp)
     calls = []
 
     def counting(a):
@@ -109,23 +119,24 @@ def test_mult_matrices_makes_one_rank_call_when_it_succeeds(monkeypatch):
         return rank(a)
 
     monkeypatch.setattr(certify_module, "rank", counting)
-    ms = mult_matrices(h1, shifted, hp.matrix, B1X)
+    ms = mult_matrices(h1, border, hp)
     assert ms == [RatMatrix.from_rows([[0, 2], [1, 0]])]
     assert calls == [3]  # rank H+ only; the solve proves H1 nonsingular
 
 
 def test_identity_columns_companion_passes():
     m = RatMatrix.from_rows([[0, 2], [1, 0]])
-    assert check_identity_rows([m], B1X) is None
+    assert check_identity_rows([m], ExtendedBasis(B1X)) is None
 
 
 def test_identity_columns_identity_matrix_fails():
-    failure = check_identity_rows([RatMatrix.identity(2)], B1X)
+    failure = check_identity_rows([RatMatrix.identity(2)], ExtendedBasis(B1X))
     assert failure is not None and failure.step == 3
 
 
 def test_identity_columns_vacuous_for_singleton_basis():
-    assert check_identity_rows([RatMatrix.from_rows([[5]])], MonomialBasis([(0,)])) is None
+    singleton = ExtendedBasis(MonomialBasis([(0,)]))
+    assert check_identity_rows([RatMatrix.from_rows([[5]])], singleton) is None
 
 
 def test_squarefree_pass_and_fail():
@@ -181,10 +192,10 @@ def test_noncommuting_only_in_a_border_column():
     two_var = PolySystem(["x", "y"], [])
     m_y = RatMatrix.from_rows([[0, 0, 0], [0, 0, 0], [1, 0, 1]])
     m_x = RatMatrix.from_rows([[0, 0, 0], [1, 1, 0], [0, 0, 0]])
-    assert check_identity_rows([m_x, m_y], basis) is None
+    assert check_identity_rows([m_x, m_y], ExtendedBasis(basis)) is None
     assert check_commute_and_membership(table([m_x, m_y], basis), two_var) is None
     bent = RatMatrix.from_rows([[0, 0, 0], [1, 1, 0], [0, 1, 0]])
-    assert check_identity_rows([bent, m_y], basis) is None
+    assert check_identity_rows([bent, m_y], ExtendedBasis(basis)) is None
     left, right = bent @ m_y, m_y @ bent
     differing = [t for t in range(3) if any(left.entry(r, t) != right.entry(r, t) for r in range(3))]
     assert differing == [1]
@@ -279,9 +290,11 @@ def test_trace_grid_matches_per_product_reference(case):
     system, hp = case()
     out = certify_pipeline(system, parse_poly("1", list(system.variables)), hp)
     assert out.certified, (out.reason, out.detail)
-    ms, ext = out.mult_matrices, hp.labels.extension
-    assert len(ext) > hp.base_size()
-    got = certify_module._trace_grid(table(ms, hp.labels.base), ext)
+    ms, labels = out.mult_matrices, hp.labels
+    ext, l = labels.extension, len(labels)
+    assert l > hp.base_size()
+    traces = certify_module._trace_grid(table(ms, labels.base), labels.products)
+    got = [[traces[labels.product_index[i * l + j]] for j in range(l)] for i in range(l)]
     assert got == per_product_trace_grid(ms, ext) == hp.matrix.to_rows()
 
 
@@ -293,14 +306,15 @@ def test_trace_grid_matches_per_product_reference_on_reduced_basis():
     out = certify_nonradical(f, G_X, hp)
     assert out.certified
     basis = hp.labels.base.monomials
-    got = certify_module._trace_grid(NormalForms(out.mult_matrices, basis), basis)
+    nf = NormalForms(out.mult_matrices, basis)
+    got = [certify_module._trace_grid(nf, [monomial_mul(a, b) for b in basis]) for a in basis]
     assert got == per_product_trace_grid(out.mult_matrices, basis) == out.h1.to_rows()
 
 
 def dense_mult_matrices(hp):
     """Reference: M_s = H1^-1 H1^(x_s) by the dense inverse and products."""
-    h1, shifted = extract_blocks(hp)
-    return [inverse(h1) @ hs for hs in shifted]
+    h1, _ = extract_blocks(hp)
+    return [inverse(h1) @ hs for hs in shifted_blocks(hp)]
 
 
 def dense_hermite_for_g(h1, ms, g):

@@ -237,6 +237,43 @@ def test_missing_file_is_usage_error(files, capsys):
     assert code == 1 and "error" in v
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pipeline", "--bogus"],
+        ["pipeline", "--system", "sys.json"],  # --roots is required
+        ["no-such-command"],
+        [],
+    ],
+)
+def test_argument_errors_exit_with_usage_code(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    for argv in (["--help"], ["pipeline", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
+
+
+def test_seed_is_an_option_of_the_certifying_commands_only(files, capsys):
+    # build certifies nothing, so --seed and --retries would be no-ops there
+    with pytest.raises(SystemExit) as exc:
+        main(["build", "--system", files["sys"], "--roots", files["roots"], "--seed", "3"])
+    assert exc.value.code == 1
+    capsys.readouterr()
+    herm = str(files["tmp"] / "herm.json")
+    assert main(["build", "--system", files["sys"], "--roots", files["roots"], "--out", herm]) == 0
+    code, report = run(capsys, "certify", "--system", files["sys"], "--hermite", herm,
+                       "--seed", "3", "--retries", "1")
+    assert code == 0 and report["status"] == "certified"
+
+
 def test_construction_failure_exit_code(tmp_path, capsys):
     sys_path = write(tmp_path / "s.json", {"variables": ["x"], "polynomials": ["x^2-2"]})
     # duplicated points cannot yield a well-conditioned basis

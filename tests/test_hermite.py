@@ -33,8 +33,17 @@ def sqrt2_roots(accuracy=Fraction(1, 10**10)):
     )
 
 
+def approx_grid(sums, ext):
+    """The l x l approximate matrix: entry (i, j) is the power sum of b_i * b_j."""
+    l = len(ext)
+    return [[sums[ext.product_index[i * l + j]] for j in range(l)] for i in range(l)]
+
+
 def test_approx_matrix_power_sums_of_sqrt2():
-    approx = approx_extended_hermite(sqrt2_roots(), ExtendedBasis(B1X))
+    ext = ExtendedBasis(B1X)
+    sums = approx_extended_hermite(sqrt2_roots(), ext)
+    assert len(sums) == len(ext.products) == 5  # 1, x, ..., x^4
+    approx = approx_grid(sums, ext)
     expected = [[2, 0, 4], [0, 4, 0], [4, 0, 8]]
     for i in range(3):
         for j in range(3):
@@ -43,7 +52,8 @@ def test_approx_matrix_power_sums_of_sqrt2():
 
 def test_approx_matrix_single_point_at_origin():
     pts = ApproxRootSet(points=((0j,),), accuracy="1e-9", coord_bound=1)
-    approx = approx_extended_hermite(pts, ExtendedBasis(MonomialBasis([(0,)])))
+    ext = ExtendedBasis(MonomialBasis([(0,)]))
+    approx = approx_grid(approx_extended_hermite(pts, ext), ext)
     assert approx[0][0] == 1
     assert approx[0][1] == approx[1][0] == approx[1][1] == 0
 
@@ -81,11 +91,13 @@ def test_reconstruct_rejects_poor_accuracy():
 
 
 def test_reconstruct_rejects_large_imaginary_part():
-    approx = [list(r) for r in approx_extended_hermite(sqrt2_roots(), ExtendedBasis(B1X))]
-    approx[0][1] += 0.1j
+    ext = ExtendedBasis(B1X)
+    sums = approx_extended_hermite(sqrt2_roots(), ext)
+    sums[ext.product_index[1]] += 0.1j  # the power sum of x, at (0, 1) and (1, 0)
     with pytest.raises(ReconstructionFailedError) as err:
-        reconstruct_hermite(approx, ExtendedBasis(B1X), Fraction(1, 10**10), 2, 1, 2)
+        reconstruct_hermite(sums, ext, Fraction(1, 10**10), 2, 1, 2)
     assert err.value.reason == "imaginary_too_large"
+    assert err.value.entry == (0, 1)  # the first entry, row-major, holding the product
 
 
 def test_reconstruct_not_found_when_denominator_exceeds_bound():
@@ -134,7 +146,7 @@ def test_hankel_coherence_holds_by_construction():
 
 def test_prop_bound_holds_on_reconstructed_entries():
     hp = build_extended_hermite(sqrt2_roots(), B1X)
-    approx = approx_extended_hermite(sqrt2_roots(), ExtendedBasis(B1X))
+    approx = approx_grid(approx_extended_hermite(sqrt2_roots(), hp.labels), hp.labels)
     e, k, n, m = Fraction(1, 10**10), 2, 1, Fraction(2)
     ext = hp.labels.extension
     for i in range(len(ext)):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from hermicert.polynomials import (
     PolySystem,
     is_connected_to_1,
     iter_monomials,
+    monomial_mul,
     monomial_str,
     parse_monomial,
     parse_poly,
@@ -217,6 +219,9 @@ def test_extended_basis_univariate():
     ext = ExtendedBasis(MonomialBasis([(0,), (1,)]))
     assert ext.extension == ((0,), (1,), (2,))
     assert ext.index_of((2,)) == 2
+    assert ext.products == ((0,), (1,), (2,), (3,), (4,))
+    assert ext.product_index == (0, 1, 2, 1, 2, 3, 2, 3, 4)  # x^i * x^j = x^(i+j)
+    assert ext.shifts == ((1, 2),)  # x * 1 = x is in the basis, x * x = x^2 is not
 
 
 def test_extended_basis_multivariate_order_and_prefix():
@@ -231,6 +236,45 @@ def test_extended_basis_multivariate_order_and_prefix():
         (1, 1, 0),
         (1, 0, 1),
     )
+    assert len(ext.products) == 22
+    assert ext.products[:4] == ((0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 1, 0))
+    assert ext.products[-1] == (4, 0, 0)
+    l = len(ext)
+    assert ext.products[ext.product_index[5 * l + 6]] == (2, 1, 1)  # x*y * x*z
+    assert ext.product_index[5 * l + 6] == ext.product_index[6 * l + 5]
+    assert ext.shifts == ((1, 4), (2, 5), (3, 6))  # only x * 1 = x stays in the basis
+
+
+def random_order_ideal(rng, arity):
+    """A random order ideal (closed under division), 1 first, the rest shuffled."""
+    ideal = {(0,) * arity}
+    for _ in range(rng.randint(0, 4)):
+        top = tuple(rng.randint(0, 3) for _ in range(arity))
+        ideal |= set(itertools.product(*(range(e + 1) for e in top)))
+    rest = sorted(ideal - {(0,) * arity})
+    rng.shuffle(rest)
+    return MonomialBasis([(0,) * arity] + rest)
+
+
+def test_extended_basis_tables_match_brute_force_on_order_ideals():
+    rng = random.Random(9)
+    for trial in range(40):
+        basis = random_order_ideal(rng, 1 + trial % 4)
+        ext = ExtendedBasis(basis)
+        labels, k, l = ext.extension, len(basis), len(ext)
+        assert labels[:k] == basis.monomials and len(set(labels)) == l
+        pairs = [monomial_mul(a, b) for a in labels for b in labels]
+        assert ext.products == tuple(sorted(set(pairs)))
+        assert [ext.products[p] for p in ext.product_index] == pairs
+        for s in range(basis.arity):
+            unit = tuple(int(t == s) for t in range(basis.arity))
+            for i, mono in enumerate(basis.monomials):
+                target = monomial_mul(mono, unit)
+                assert labels[ext.shifts[s][i]] == target
+                assert (ext.shifts[s][i] < k) == (target in basis.monomials)
+        assert set(labels) == set(basis.monomials) | {
+            labels[j] for row in ext.shifts for j in row
+        }
 
 
 def test_iter_monomials_scan_order():
