@@ -3,8 +3,10 @@
 A matrix is a flat row-major pair of lists (nums, dens) of Python ints with
 every entry stored reduced and dens[i] > 0.  These functions are the inner
 loops of the whole package; ``hermicert.linalg`` wraps them for RatMatrix.
-The characteristic polynomial is the exception to rational entries: it
-scales the matrix to integers once and runs division-free on plain ints.
+Rank, inertia and the characteristic polynomial scale the matrix to integers
+once and run on plain ints: rank and inertia by fraction-free (Bareiss)
+elimination, the characteristic polynomial division-free (Berkowitz).  Only
+the product and the solve carry reduced rational pairs.
 """
 
 from math import gcd
@@ -161,34 +163,53 @@ def mat_solve(k, m, an, ad, bn, bd):
     return b_n, b_d
 
 
+def integer_rows(k, nums, dens):
+    """(L, B): L the lcm of the denominators and B = L * A as k rows of ints.
+
+    L > 0, so B has the inertia and the sign pattern of A, and
+    c_i(A) = c_i(B) / L^i for the characteristic polynomial."""
+    l = 1
+    for d in dens:
+        l = l * d // gcd(l, d)
+    return l, [[nums[i * k + j] * (l // dens[i * k + j]) for j in range(k)] for i in range(k)]
+
+
 def charpoly(k, nums, dens):
     """Monic characteristic polynomial by Berkowitz's division-free algorithm.
 
     Returns descending coefficient pair lists ([1, c1, ..., ck] for
-    lambda^k + c1 lambda^(k-1) + ... + ck).  The matrix is scaled to the
-    integer matrix B = L * A, L the lcm of the denominators; Berkowitz's
-    recurrence runs on plain ints (no gcd, no division), and
-    c_i(A) = c_i(B) / L^i is reduced once per coefficient at the end.
+    lambda^k + c1 lambda^(k-1) + ... + ck).  The recurrence runs on plain
+    ints (no gcd, no division) over the integer matrix B = L * A, and
+    c_i(A) = c_i(B) / L^i is reduced once per coefficient at the end.  For a
+    symmetric B the row R of each step is S^T, so
+    R A^j S = (A^floor(j/2) S) . (A^ceil(j/2) S) needs only half of the
+    matrix-vector products.
     """
     if k == 0:
         return [1], [1]
-    l = 1
-    for d in dens:
-        l = l * d // gcd(l, d)
-    a = [[nums[i * k + j] * (l // dens[i * k + j]) for j in range(k)] for i in range(k)]
+    l, a = integer_rows(k, nums, dens)
+    sym = all(a[i][j] == a[j][i] for i in range(k) for j in range(i))
     # grow the trailing principal submatrix A_r = a[r:, r:] one row and
     # column at a time: with A_r = [[a_rr, R], [S, A_(r+1)]],
     # p_r = T p_(r+1) where T is lower-triangular Toeplitz with first column
     # (1, -a_rr, -R S, -R A_(r+1) S, ..., -R A_(r+1)^(k-r-2) S)
+    # R A^j S = left[h] . w[j - h] with w[m] = A_(r+1)^m S memoised; when B
+    # (hence A_r) is symmetric, left[h] = w[h] = (R A^h)^T and h = floor(j/2),
+    # otherwise left = [R] and h = 0.  j - h grows by at most one per step,
+    # so each step adds at most one w[m].
+    splits = [(j // 2, j - j // 2) if sym else (0, j) for j in range(k)]
     p = [1, -a[k - 1][k - 1]]
     for r in range(k - 2, -1, -1):
         rows = [row[r + 1 :] for row in a[r + 1 :]]
-        top = a[r][r + 1 :]
         v = [row[r] for row in a[r + 1 :]]
-        t = [1, -a[r][r], -sum(map(mul, top, v))]
-        for _ in range(k - 2 - r):
-            v = [sum(map(mul, row, v)) for row in rows]
-            t.append(-sum(map(mul, top, v)))
+        w = [v]
+        left = w if sym else [a[r][r + 1 :]]
+        t = [1, -a[r][r]]
+        for h, m in splits[: k - 1 - r]:
+            if m == len(w):
+                v = [sum(map(mul, row, v)) for row in rows]
+                w.append(v)
+            t.append(-sum(map(mul, left[h], w[m])))
         p = [sum(map(mul, t[i::-1], p)) for i in range(len(t))]
     cn, cd = [], []
     li = 1
@@ -201,94 +222,71 @@ def charpoly(k, nums, dens):
 
 
 def inertia(k, nums, dens):
-    """Inertia (pos, neg, zero) of a symmetric matrix by congruence.
+    """Inertia (pos, neg, zero) of a symmetric matrix by fraction-free
+    symmetric elimination with diagonal pivoting (Bareiss 1968).
 
-    Diagonal pivots are eliminated one at a time; if the remaining diagonal
-    is entirely zero but an off-diagonal entry b survives, the antidiagonal
-    2x2 block [[0,b],[b,0]] contributes (+1,-1) and its exact Schur
-    complement is taken.  Exact arithmetic permits no perturbation, so this
-    block step is required for correctness, not merely stability.
+    It runs on the integer matrix B = L * A.  After a block P of pivots is
+    eliminated, each remaining entry is the minor of B on P bordered by its
+    row and column, and d = det P; the Schur complement of P is that
+    remainder divided by d, so Sylvester's identity makes every division
+    below exact.
+    - A non-zero diagonal entry b_vv is a 1x1 pivot of sign
+      sign(b_vv) * sign(d); b_ij <- (b_vv b_ij - b_iv b_vj) / d, then
+      d <- b_vv.
+    - A zero remaining diagonal with an off-diagonal b = b_pq != 0 is a 2x2
+      pivot [[0, b], [b, 0]], contributing (+1, -1);
+      b_ij <- b (b_ip b_qj + b_iq b_pj - b b_ij) / d^2, then d <- -b^2 / d.
+      Exact arithmetic permits no perturbation, so this block step is
+      required for correctness, not merely stability.
+    - An all-zero remainder counts as zero eigenvalues.
     """
-    s_n = list(nums)
-    s_d = list(dens)
-    pos = neg = zero = 0
-    i = 0
-
-    def swap(p, q):
-        for j in range(k):
-            s_n[p * k + j], s_n[q * k + j] = s_n[q * k + j], s_n[p * k + j]
-            s_d[p * k + j], s_d[q * k + j] = s_d[q * k + j], s_d[p * k + j]
-        for j in range(k):
-            s_n[j * k + p], s_n[j * k + q] = s_n[j * k + q], s_n[j * k + p]
-            s_d[j * k + p], s_d[j * k + q] = s_d[j * k + q], s_d[j * k + p]
-
-    while i < k:
-        piv = -1
-        for j in range(i, k):
-            if s_n[j * k + j]:
-                piv = j
-                break
-        if piv >= 0:
-            if piv != i:
-                swap(i, piv)
-            dn, dd = s_n[i * k + i], s_d[i * k + i]
-            if dn > 0:
+    _, a = integer_rows(k, nums, dens)
+    pos = neg = 0
+    d = 1
+    while a:
+        n = len(a)
+        v = next((i for i in range(n) if a[i][i]), -1)
+        if v >= 0:
+            pv = a[v][v]
+            if (pv > 0) == (d > 0):
                 pos += 1
             else:
                 neg += 1
-            col_n = [s_n[r * k + i] for r in range(i + 1, k)]
-            col_d = [s_d[r * k + i] for r in range(i + 1, k)]
-            for r in range(i + 1, k):
-                un, ud = col_n[r - i - 1], col_d[r - i - 1]
-                if un == 0:
-                    continue
-                fn, fd = q_div(un, ud, dn, dd)
-                for c in range(i + 1, k):
-                    vn = col_n[c - i - 1]
-                    if vn == 0:
-                        continue
-                    tn, td = q_mul(fn, fd, vn, col_d[c - i - 1])
-                    p = r * k + c
-                    s_n[p], s_d[p] = q_sub(s_n[p], s_d[p], tn, td)
-            i += 1
+            row_v = a.pop(v)
+            del row_v[v]
+            rest = []
+            for i, row in enumerate(a):
+                f = row.pop(v)
+                if f:
+                    upper = [(pv * x - f * y) // d for x, y in zip(row[i:], row_v[i:])]
+                else:  # b_iv = 0: the row is only rescaled
+                    upper = [pv * x // d for x in row[i:]]
+                # the remainder stays symmetric: its lower triangle is copied
+                # from the rows already built
+                rest.append([r[i] for r in rest] + upper)
+            a = rest
+            d = pv
             continue
-        off = None
-        for r in range(i, k):
-            for c in range(r + 1, k):
-                if s_n[r * k + c]:
-                    off = (r, c)
-                    break
-            if off:
-                break
+        off = next(((i, j) for i in range(n) for j in range(i + 1, n) if a[i][j]), None)
         if off is None:
-            zero += k - i
-            break
-        r0, c0 = off
-        # c0 > r0 >= i, so the two swaps below cannot collide
-        if r0 != i:
-            swap(i, r0)
-        if c0 != i + 1:
-            swap(i + 1, c0)
-        bn, bd = s_n[i * k + i + 1], s_d[i * k + i + 1]
+            return pos, neg, n
         pos += 1
         neg += 1
-        u_n = [s_n[r * k + i] for r in range(i + 2, k)]
-        u_d = [s_d[r * k + i] for r in range(i + 2, k)]
-        v_n = [s_n[r * k + i + 1] for r in range(i + 2, k)]
-        v_d = [s_d[r * k + i + 1] for r in range(i + 2, k)]
-        for r in range(i + 2, k):
-            ur_n, ur_d = u_n[r - i - 2], u_d[r - i - 2]
-            vr_n, vr_d = v_n[r - i - 2], v_d[r - i - 2]
-            for c in range(i + 2, k):
-                uc_n, uc_d = u_n[c - i - 2], u_d[c - i - 2]
-                vc_n, vc_d = v_n[c - i - 2], v_d[c - i - 2]
-                t1n, t1d = q_mul(ur_n, ur_d, vc_n, vc_d)
-                t2n, t2d = q_mul(vr_n, vr_d, uc_n, uc_d)
-                tn, td = q_add(t1n, t1d, t2n, t2d)
-                if tn == 0:
-                    continue
-                tn, td = q_div(tn, td, bn, bd)
-                p = r * k + c
-                s_n[p], s_d[p] = q_sub(s_n[p], s_d[p], tn, td)
-        i += 2
-    return pos, neg, zero
+        p, q = off
+        b = a[p][q]
+        row_q = a.pop(q)
+        row_p = a.pop(p)
+        for row in (row_p, row_q):
+            del row[q]
+            del row[p]
+        dd = d * d
+        rest = []
+        for row in a:
+            fq = row.pop(q)
+            fp = row.pop(p)
+            rest.append(
+                [b * (fp * y + fq * x - b * z) // dd for x, y, z in zip(row_p, row_q, row)]
+            )
+        a = rest
+        d = -b * b // d
+    return pos, neg, 0

@@ -8,7 +8,6 @@ exact; there is no floating point anywhere in this module.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import Iterable, NamedTuple, Sequence
 
 from . import _kernels as kernels
@@ -209,7 +208,8 @@ def char_poly(a: RatMatrix) -> list[Fraction]:
 
     Berkowitz's algorithm on the integer matrix L * A, L the lcm of the
     denominators: division-free, O(k^4) integer operations and no gcd in
-    the loop; the i-th coefficient is divided by L^i once at the end.
+    the loop; the i-th coefficient is divided by L^i once at the end.  A
+    symmetric matrix needs half the matrix-vector products of a general one.
     """
     if a.rows != a.cols:
         raise ValueError("characteristic polynomial of a non-square matrix")
@@ -220,8 +220,12 @@ def char_poly(a: RatMatrix) -> list[Fraction]:
 def inertia_ldl(a: RatMatrix) -> Inertia:
     """Inertia by exact symmetric elimination with diagonal pivoting.
 
-    A vanishing remaining diagonal with a surviving off-diagonal entry is
-    handled by an antidiagonal 2x2 congruence block contributing (+1, -1).
+    Fraction-free (Bareiss) on the integer matrix L * A, L the lcm of the
+    denominators, which has the same inertia: plain ints, exact divisions
+    and no gcd in the loop.  A vanishing remaining diagonal with a
+    surviving off-diagonal entry is handled by an antidiagonal 2x2
+    congruence block contributing (+1, -1).  Independent of char_poly, so
+    certify.signature can cross-check the two.
     """
     if not a.is_symmetric():
         raise NotSymmetricError("inertia requires a symmetric matrix")
@@ -286,10 +290,7 @@ def max_nonsingular_connected_submatrix(
     k = h.rows
     if len(monomials) != k:
         raise ValueError("label count does not match matrix size")
-    scale = 1
-    for d in h._d:
-        scale = scale * d // gcd(scale, d)
-    a = [[h._n[i * k + j] * (scale // h._d[i * k + j]) for j in range(k)] for i in range(k)]
+    _, a = kernels.integer_rows(k, h._n, h._d)
     open_idx = list(range(k))
     chosen_idx: list[int] = []
     chosen_set: set = set()

@@ -133,3 +133,24 @@ def roots_as_qc(
         pts.append((QC(c, d),))
         pts.append((QC(c, -d),))
     return pts
+
+
+def wrong_signature_kernel(kernels, name: str):
+    """A faulty stand-in for kernels.inertia or kernels.charpoly whose
+    signature is minus the true one, so it is wrong whenever the true
+    signature is non-zero: the inertia with its counts swapped, or the
+    characteristic polynomial of -A."""
+    right = getattr(kernels, name)
+    if name == "inertia":
+
+        def wrong(k, nums, dens):
+            pos, neg, zero = right(k, nums, dens)
+            return neg, pos, zero
+
+    else:
+
+        def wrong(k, nums, dens):
+            cn, cd = right(k, nums, dens)
+            return [-c if i % 2 else c for i, c in enumerate(cn)], cd
+
+    return wrong

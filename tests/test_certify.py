@@ -1,13 +1,19 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import hermicert._kernels as kernels
 import hermicert.certify as certify_module
 from hermicert.certify import (
     NormalForms,
+    SignatureMethodMismatchError,
     StepFailure,
     certify_nonradical,
     certify_pipeline,
@@ -27,7 +33,14 @@ from hermicert.linalg import RatMatrix, inverse, rank
 from hermicert.numroots import ApproxRootSet
 from hermicert.polynomials import ExtendedBasis, MonomialBasis, PolySystem, monomial_mul, parse_poly
 
-from conftest import QC, exact_hermite_plus, matrix_trace, roots_as_qc, univariate_from_roots
+from conftest import (
+    QC,
+    exact_hermite_plus,
+    matrix_trace,
+    roots_as_qc,
+    univariate_from_roots,
+    wrong_signature_kernel,
+)
 
 SQRT2 = math.sqrt(2)
 B1X = MonomialBasis([(0,), (1,)])
@@ -515,3 +528,45 @@ def test_planted_corruptions_always_fail():
         bad = HermitePlus(RatMatrix.from_rows(rows), hp.labels, hp.provenance)
         out = certify_pipeline(F_SQRT2, G_X, bad)
         assert out.status == "fail"
+
+
+@pytest.mark.parametrize("kernel", ["inertia", "charpoly"])
+def test_wrong_signature_kernel_is_caught_by_the_cross_check(kernel, monkeypatch):
+    # sigma(H1) = 2 for x^2 - 2, so either faulty kernel reports -2
+    monkeypatch.setattr(kernels, kernel, wrong_signature_kernel(kernels, kernel))
+    with pytest.raises(SignatureMethodMismatchError):
+        certify_pipeline(F_SQRT2, G_X, sqrt2_hermite())
+
+
+@pytest.mark.parametrize("kernel", ["inertia", "charpoly"])
+def test_wrong_signature_kernel_is_caught_under_optimize_flag(kernel):
+    script = f"""
+import math
+from fractions import Fraction
+import hermicert._kernels as kernels
+from conftest import wrong_signature_kernel
+from hermicert.certify import SignatureMethodMismatchError, certify_pipeline
+from hermicert.hermite import build_extended_hermite
+from hermicert.numroots import ApproxRootSet
+from hermicert.polynomials import MonomialBasis, PolySystem, parse_poly
+if __debug__:
+    raise SystemExit(2)
+f = PolySystem(["x"], [parse_poly("x^2-2", ["x"])])
+pts = ApproxRootSet(
+    points=((math.sqrt(2) + 0j,), (-math.sqrt(2) + 0j,)), accuracy=Fraction(1, 10**10), coord_bound=2
+)
+hplus = build_extended_hermite(pts, MonomialBasis([(0,), (1,)]))
+kernels.{kernel} = wrong_signature_kernel(kernels, "{kernel}")
+try:
+    certify_pipeline(f, parse_poly("x", ["x"]), hplus)
+except SignatureMethodMismatchError:
+    raise SystemExit(0)
+raise SystemExit(1)
+"""
+    here = Path(__file__).resolve().parent
+    path = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr

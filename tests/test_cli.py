@@ -8,8 +8,12 @@ from pathlib import Path
 
 import pytest
 
+import hermicert._kernels as kernels
 import hermicert.certify
+from hermicert.certify import SignatureMethodMismatchError
 from hermicert.cli import main
+
+from conftest import wrong_signature_kernel
 
 SQRT2 = math.sqrt(2)
 
@@ -478,3 +482,19 @@ def test_each_signature_is_computed_once(name, calls, tmp_path, monkeypatch):
     make_argv, exit_code, _ = PINNED_OUTPUTS[name]
     assert main(make_argv(tmp_path) + ["--out", str(tmp_path / "out.json")]) == exit_code
     assert len(seen) == calls
+
+
+@pytest.mark.parametrize("kernel", ["inertia", "charpoly"])
+@pytest.mark.parametrize("command", ["certify", "pipeline"])
+def test_signature_mismatch_propagates_out_of_main(
+    files, capsys, tmp_path, monkeypatch, kernel, command
+):
+    # an internal fault is not bad input: main must not report it as EXIT_USAGE
+    herm = str(tmp_path / "herm.json")
+    assert main(["build", "--system", files["sys"], "--roots", files["roots"], "--out", herm]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(kernels, kernel, wrong_signature_kernel(kernels, kernel))
+    source = ["--hermite", herm] if command == "certify" else ["--roots", files["roots"]]
+    with pytest.raises(SignatureMethodMismatchError):
+        main([command, "--system", files["sys"], *source])
+    assert capsys.readouterr().out == ""

@@ -2,6 +2,8 @@
 
 import random
 from fractions import Fraction
+from math import gcd
+from operator import mul
 
 from hermicert import _kernels as kernels
 from hermicert.linalg import RatMatrix, signature_descartes
@@ -180,3 +182,185 @@ def test_solve_satisfies_residual_on_random_shapes():
             continue
         assert kernels.mat_mul(k, k, m, an, ad, x[0], x[1]) == (bn, bd)
         done += 1
+
+
+def ldl_inertia_oracle(k, nums, dens, steps=None):
+    """Rational symmetric LDL over Fraction, with diagonal pivoting and
+    antidiagonal 2x2 blocks: the inertia kernel before it went fraction-free.
+    When given, `steps` collects the pivots taken: -1 or +1 for a 1x1 pivot
+    of that sign, 2 for a 2x2 block."""
+    s = [[Fraction(nums[i * k + j], dens[i * k + j]) for j in range(k)] for i in range(k)]
+    steps = [] if steps is None else steps
+
+    def swap(p, q):
+        s[p], s[q] = s[q], s[p]
+        for row in s:
+            row[p], row[q] = row[q], row[p]
+
+    i = 0
+    while i < k:
+        piv = next((j for j in range(i, k) if s[j][j]), None)
+        if piv is not None:
+            swap(i, piv)
+            d = s[i][i]
+            steps.append(1 if d > 0 else -1)
+            for r in range(i + 1, k):
+                f = s[r][i] / d
+                for c in range(i + 1, k):
+                    s[r][c] -= f * s[i][c]
+            i += 1
+            continue
+        off = next(((r, c) for r in range(i, k) for c in range(r + 1, k) if s[r][c]), None)
+        if off is None:
+            break
+        swap(i, off[0])
+        swap(i + 1, off[1])
+        b = s[i][i + 1]
+        steps.append(2)
+        u = [row[i] for row in s]
+        v = [row[i + 1] for row in s]
+        for r in range(i + 2, k):
+            for c in range(i + 2, k):
+                s[r][c] -= (u[r] * v[c] + v[r] * u[c]) / b
+        i += 2
+    pos = steps.count(1) + steps.count(2)
+    neg = steps.count(-1) + steps.count(2)
+    return pos, neg, k - pos - neg
+
+
+def berkowitz_oracle(k, nums, dens):
+    """Berkowitz's algorithm with every R A^j S formed as R (A^j S): the
+    characteristic-polynomial kernel before it split the symmetric case."""
+    if k == 0:
+        return [1], [1]
+    l = 1
+    for d in dens:
+        l = l * d // gcd(l, d)
+    a = [[nums[i * k + j] * (l // dens[i * k + j]) for j in range(k)] for i in range(k)]
+    p = [1, -a[k - 1][k - 1]]
+    for r in range(k - 2, -1, -1):
+        rows = [row[r + 1 :] for row in a[r + 1 :]]
+        top = a[r][r + 1 :]
+        v = [row[r] for row in a[r + 1 :]]
+        t = [1, -a[r][r], -sum(map(mul, top, v))]
+        for _ in range(k - 2 - r):
+            v = [sum(map(mul, row, v)) for row in rows]
+            t.append(-sum(map(mul, top, v)))
+        p = [sum(map(mul, t[i::-1], p)) for i in range(len(t))]
+    coeffs = [Fraction(c, l**i) for i, c in enumerate(p)]
+    return [c.numerator for c in coeffs], [c.denominator for c in coeffs]
+
+
+def rand_int(rng, bits=10):
+    return rng.choice([-1, 1]) * rng.randint(1, 2**bits)
+
+
+def symmetric_case(rng, k, kind):
+    """A seeded k x k symmetric integer matrix of the given kind, as rows.
+
+    - "dense", "low-rank", "diagonal": as named;
+    - "zero-diagonal": the first pivot is a 2x2 block, usually followed by
+      1x1 pivots taken with d < 0;
+    - "chained-blocks": the remainder after each of the first k // 2 - 1
+      blocks has a zero diagonal again, so 2x2 blocks follow each other;
+    - "negative-then-block": a negative 1x1 pivot leaves a zero diagonal,
+      so a 2x2 block is taken with d < 0 and |d| > 1."""
+    a = [[0] * k for _ in range(k)]
+    if kind == "low-rank":
+        r = rng.randint(0, k)
+        c = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(r)]
+        w = [rand_int(rng, 3) for _ in range(r)]
+        return [
+            [sum(w[t] * c[t][i] * c[t][j] for t in range(r)) for j in range(k)] for i in range(k)
+        ]
+    for i in range(k):
+        for j in range(i, k):
+            if kind != "diagonal" or i == j:
+                a[i][j] = a[j][i] = rand_int(rng)
+    if kind in ("zero-diagonal", "chained-blocks"):
+        for i in range(k):
+            a[i][i] = 0
+    if kind == "chained-blocks":
+        # after the block on (2m, 2m + 1) the remainder is -b^2 / d^2 times
+        # the rows and columns beyond it when column 2m + 1 is zero there
+        for m in range(k // 2 - 1):
+            for i in range(2 * m + 2, k):
+                a[i][2 * m + 1] = a[2 * m + 1][i] = 0
+    if kind == "negative-then-block" and k:
+        m = rng.randint(2, 2**6)
+        a[0][0] = -m
+        for i in range(1, k):
+            u = rand_int(rng, 4)
+            a[i][0] = a[0][i] = m * u
+            a[i][i] = -m * u * u
+    return a
+
+
+def as_pairs(k, rows, scale):
+    """Entries a_ij / (scale_i * scale_j): a diagonal congruence, so the
+    inertia and every zero pattern met by the elimination are unchanged."""
+    entries = [Fraction(rows[i][j], scale[i] * scale[j]) for i in range(k) for j in range(k)]
+    return [f.numerator for f in entries], [f.denominator for f in entries]
+
+
+SYMMETRIC_KINDS = (
+    "dense", "low-rank", "diagonal", "zero-diagonal", "chained-blocks", "negative-then-block"
+)
+
+
+def test_inertia_matches_rational_ldl_oracle():
+    rng = random.Random(2026)
+    seen = set()
+    for trial in range(13 * len(SYMMETRIC_KINDS) * 3):
+        k = trial % 13
+        kind = SYMMETRIC_KINDS[trial // 13 % len(SYMMETRIC_KINDS)]
+        scale = [rng.randint(1, 2**10) for _ in range(k)]  # denominators up to 2^20
+        nums, dens = as_pairs(k, symmetric_case(rng, k, kind), scale)
+        steps = []
+        expected = ldl_inertia_oracle(k, nums, dens, steps)
+        assert kernels.inertia(k, nums, dens) == expected, (k, kind)
+        if kind == "chained-blocks" and k >= 6:
+            assert steps[: k // 2] == [2] * (k // 2), steps
+            seen.add(kind)
+        if kind == "negative-then-block" and k >= 4:
+            assert steps[:2] == [-1, 2] and len(steps) > 2, steps
+            seen.add(kind)
+        if kind == "zero-diagonal" and len(steps) > 1 and steps[1] != 2:
+            assert steps[0] == 2, steps  # so the 1x1 pivot after it has d = -b^2 < 0
+            seen.add(kind)
+    assert seen == {"chained-blocks", "negative-then-block", "zero-diagonal"}
+
+
+def nonsymmetric_case(rng, k, kind):
+    a = [[rand_int(rng) for _ in range(k)] for _ in range(k)]
+    if kind == "low-rank":
+        r = rng.randint(0, k)
+        u = [[rng.randint(-9, 9) for _ in range(r)] for _ in range(k)]
+        v = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(r)]
+        a = [[sum(u[i][t] * v[t][j] for t in range(r)) for j in range(k)] for i in range(k)]
+    elif kind == "upper-triangular":
+        a = [[x if j >= i else 0 for j, x in enumerate(row)] for i, row in enumerate(a)]
+    elif kind == "symmetric-but-one" and k >= 2:
+        # symmetric except for a single entry: the symmetric split must not
+        # be taken for it
+        a = [[a[min(i, j)][max(i, j)] for j in range(k)] for i in range(k)]
+        i = rng.randrange(1, k)
+        a[i][rng.randrange(i)] += rand_int(rng, 3)
+    return a
+
+
+CHARPOLY_CASES = [(symmetric_case, kind) for kind in SYMMETRIC_KINDS] + [
+    (nonsymmetric_case, kind)
+    for kind in ("dense", "low-rank", "upper-triangular", "symmetric-but-one")
+]
+
+
+def test_charpoly_matches_unsplit_berkowitz_oracle():
+    rng = random.Random(2027)
+    for trial in range(13 * len(CHARPOLY_CASES) * 2):
+        k = trial % 13
+        make, kind = CHARPOLY_CASES[trial // 13 % len(CHARPOLY_CASES)]
+        scale = [rng.randint(1, 2**10) for _ in range(k)]
+        nums, dens = as_pairs(k, make(rng, k, kind), scale)
+        got = kernels.charpoly(k, nums, dens)
+        assert got == berkowitz_oracle(k, nums, dens), (k, make.__name__, kind)
