@@ -7,10 +7,9 @@ where interpreter overhead dominates; the larger power-sum entries typical
 of extended Hermite matrices, where arbitrary-precision integer arithmetic
 dominates; the weighted matrices of a ball query on the 5x5 (k=25) and 7x7
 (k=49) grids, whose rational entries are where the signatures' cost lies;
-the H1 of the 5x5 grid with its border columns, the one solve of
-certification step 2; and a combination c1 M_x + c2 M_y of that grid's
-multiplication matrices, the non-symmetric characteristic polynomial of
-certification step 4.
+and the H1 of the 5x5 grid with its border columns, the one solve of
+certification step 2.  The characteristic polynomial takes symmetric
+matrices only.
 
 Usage: python benchmarks/bench_kernels.py [--repeat N]
 """
@@ -80,29 +79,6 @@ def grid_border_entries():
     return (h1, [1] * len(h1)), (rhs, [1] * len(rhs))
 
 
-def step4_combination_entries(rng):
-    """c1 M_x + c2 M_y on the 5x5 grid, c drawn from [-k^2, k^2] as
-    certification step 4 draws it.  The grid is the zero set of
-    x^5 - 5x^3 + 4x and y^5 - 5y^3 + 4y, so on the basis x^a y^b (a, b <= 4)
-    M_x = C (x) I and M_y = I (x) C, C the companion matrix of
-    x^5 - 5x^3 + 4x: an integer matrix that is not symmetric."""
-    n = 5
-    comp = [[0] * n for _ in range(n)]
-    for i in range(1, n):
-        comp[i][i - 1] = 1  # x * x^(i-1) = x^i
-    for i, c in enumerate([0, -4, 0, 5, 0]):
-        comp[i][n - 1] = c  # x * x^4 = 5x^3 - 4x
-    c1, c2 = (rng.randint(-(n**4), n**4) for _ in range(2))
-    nums = [
-        c1 * comp[a][a2] * (b == b2) + c2 * (a == a2) * comp[b][b2]
-        for a in range(n)
-        for b in range(n)
-        for a2 in range(n)
-        for b2 in range(n)
-    ]
-    return nums, [1] * len(nums)
-
-
 def symmetrize(k, nums, dens):
     for i in range(k):
         for j in range(i + 1, k):
@@ -128,18 +104,16 @@ def workloads(rng):
     big = power_sum_entries(rng, 10)
     ball = ball_hg_entries(rng)
     h1, border = grid_border_entries()
-    combo = step4_combination_entries(rng)
     ball49 = ball_hg_entries(rng, 7)
     return [
         ("mat_mul 8x8 small", "mat_mul", (k, k, k, *a, *b)),
-        ("charpoly 8x8 small", "charpoly", (k, *a)),
+        ("charpoly 8x8 small", "charpoly", (k, *sym)),
         ("inertia 8x8 small", "inertia", (k, *sym)),
         ("mat_rank 8x8 small", "mat_rank", (k, k, *a)),
         ("charpoly 10x10 power-sums", "charpoly", (10, *big)),
         ("inertia 10x10 power-sums", "inertia", (10, *big)),
         ("charpoly 25x25 ball H_g", "charpoly", (25, *ball)),
         ("inertia 25x25 ball H_g", "inertia", (25, *ball)),
-        ("charpoly 25x25 step-4 combination", "charpoly", (25, *combo)),
         ("mat_solve 25x10 grid H1 border", "mat_solve", (25, 10, *h1, *border)),
         ("charpoly 49x49 ball H_g", "charpoly", (49, *ball49)),
         ("inertia 49x49 ball H_g", "inertia", (49, *ball49)),

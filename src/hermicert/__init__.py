@@ -57,7 +57,6 @@ from .polynomials import (
     MultiPoly,
     PolySystem,
     parse_poly,
-    univ_gcd,
 )
 from .ratrecon import convergents, denominator_bound, rational_reconstruct
 
@@ -110,7 +109,6 @@ __all__ = [
     "signature_descartes",
     "smallest_singular_value",
     "solve",
-    "univ_gcd",
     "vandermonde",
     "__version__",
 ]

@@ -5,8 +5,9 @@ every entry stored reduced and dens[i] > 0.  These functions are the inner
 loops of the whole package; ``hermicert.linalg`` wraps them for RatMatrix.
 Rank, inertia and the characteristic polynomial scale the matrix to integers
 once and run on plain ints: rank and inertia by fraction-free (Bareiss)
-elimination, the characteristic polynomial division-free (Berkowitz).  Only
-the product and the solve carry reduced rational pairs.
+elimination, the characteristic polynomial of a symmetric matrix
+division-free (Berkowitz).  Only the product and the solve carry reduced
+rational pairs.
 """
 
 from math import gcd
@@ -175,41 +176,40 @@ def integer_rows(k, nums, dens):
 
 
 def charpoly(k, nums, dens):
-    """Monic characteristic polynomial by Berkowitz's division-free algorithm.
+    """Monic characteristic polynomial of a symmetric matrix by Berkowitz's
+    division-free algorithm.
 
     Returns descending coefficient pair lists ([1, c1, ..., ck] for
     lambda^k + c1 lambda^(k-1) + ... + ck).  The recurrence runs on plain
     ints (no gcd, no division) over the integer matrix B = L * A, and
-    c_i(A) = c_i(B) / L^i is reduced once per coefficient at the end.  For a
-    symmetric B the row R of each step is S^T, so
+    c_i(A) = c_i(B) / L^i is reduced once per coefficient at the end.  B is
+    symmetric, so the row R of each step is S^T and
     R A^j S = (A^floor(j/2) S) . (A^ceil(j/2) S) needs only half of the
-    matrix-vector products.
+    matrix-vector products.  The caller checks the symmetry
+    (linalg.char_poly); the result for any other matrix is wrong.
     """
     if k == 0:
         return [1], [1]
     l, a = integer_rows(k, nums, dens)
-    sym = all(a[i][j] == a[j][i] for i in range(k) for j in range(i))
     # grow the trailing principal submatrix A_r = a[r:, r:] one row and
-    # column at a time: with A_r = [[a_rr, R], [S, A_(r+1)]],
+    # column at a time: with A_r = [[a_rr, S^T], [S, A_(r+1)]],
     # p_r = T p_(r+1) where T is lower-triangular Toeplitz with first column
-    # (1, -a_rr, -R S, -R A_(r+1) S, ..., -R A_(r+1)^(k-r-2) S)
-    # R A^j S = left[h] . w[j - h] with w[m] = A_(r+1)^m S memoised; when B
-    # (hence A_r) is symmetric, left[h] = w[h] = (R A^h)^T and h = floor(j/2),
-    # otherwise left = [R] and h = 0.  j - h grows by at most one per step,
-    # so each step adds at most one w[m].
-    splits = [(j // 2, j - j // 2) if sym else (0, j) for j in range(k)]
+    # (1, -a_rr, -S^T S, -S^T A_(r+1) S, ..., -S^T A_(r+1)^(k-r-2) S)
+    # S^T A^j S = w[h] . w[j - h] with w[m] = A_(r+1)^m S memoised and
+    # h = floor(j/2).  j - h grows by at most one per step, so each step
+    # adds at most one w[m].
     p = [1, -a[k - 1][k - 1]]
     for r in range(k - 2, -1, -1):
         rows = [row[r + 1 :] for row in a[r + 1 :]]
         v = [row[r] for row in a[r + 1 :]]
         w = [v]
-        left = w if sym else [a[r][r + 1 :]]
         t = [1, -a[r][r]]
-        for h, m in splits[: k - 1 - r]:
-            if m == len(w):
+        for j in range(k - 1 - r):
+            h = j // 2
+            if j - h == len(w):
                 v = [sum(map(mul, row, v)) for row in rows]
                 w.append(v)
-            t.append(-sum(map(mul, left[h], w[m])))
+            t.append(-sum(map(mul, w[h], w[j - h])))
         p = [sum(map(mul, t[i::-1], p)) for i in range(len(t))]
     cn, cd = [], []
     li = 1

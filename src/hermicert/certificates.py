@@ -13,8 +13,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .certify import (
-    DEFAULT_RETRIES,
-    DEFAULT_SEED,
     CertificationOutcome,
     StepFailure,
     certify_pipeline,
@@ -130,13 +128,7 @@ class BallCertificate:
     query: BallQuery
 
 
-def certify_ball(
-    system: PolySystem,
-    query: BallQuery,
-    hplus: HermitePlus,
-    seed: int = DEFAULT_SEED,
-    retries: int = DEFAULT_RETRIES,
-) -> BallCertificate:
+def certify_ball(system: PolySystem, query: BallQuery, hplus: HermitePlus) -> BallCertificate:
     """Is there a real root within the closed ball?
 
     After certifying H1 and H_g for g = ||x - center||^2 - radius^2, equal
@@ -144,7 +136,7 @@ def certify_ball(
     signatures prove it contains one ("true").
     """
     g = ball_polynomial(system.variables, query)
-    outcome = certify_pipeline(system, g, hplus, seed=seed, retries=retries)
+    outcome = certify_pipeline(system, g, hplus)
     return ball_from_outcome(outcome, system.variables, query)
 
 
@@ -179,8 +171,6 @@ class NonnegCertificate:
 def certify_nonneg(
     query: NonnegQuery,
     roots: ApproxRootSet,
-    seed: int = DEFAULT_SEED,
-    retries: int = DEFAULT_RETRIES,
     basis: MonomialBasis | None = None,
 ) -> NonnegCertificate:
     """Non-negativity of g over the real points of V(f).
@@ -232,7 +222,7 @@ def certify_nonneg(
         return MultiPoly(lag.variables, {m + (0,) * s: c for m, c in p.terms.items()})
 
     g_ext = embed(query.g)
-    outcome = certify_pipeline(lag, g_ext, hplus, seed=seed, retries=retries)
+    outcome = certify_pipeline(lag, g_ext, hplus)
     if not outcome.certified:
         return failed(outcome.reason or "certification_failed", outcome, basis)
     derived = derive_hg(outcome, g_ext * g_ext)

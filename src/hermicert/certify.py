@@ -1,14 +1,30 @@
 """Purely symbolic certification of candidate Hermite matrices.
 
 A candidate extended matrix H+ labelled by a basis connected to 1 is pushed
-through seven exact checks: block extraction, multiplication-matrix
-construction with rank conditions, identity-column structure, squarefree
-characteristic polynomial of a generic combination, pairwise commutation
-plus ideal membership, the full trace grid, and the derivation of the
-weighted matrix for an arbitrary polynomial g.  Passing them proves (by
-Mourrain's border-basis criterion) that the candidate is the true Hermite
-matrix of the input ideal; every failure is reported with the step that
-caught it.
+through seven exact checks:
+
+1. block extraction;
+2. multiplication-matrix construction with rank conditions;
+3. identity-column structure;
+4. the quotient algebra is reduced (its trace form is nonsingular);
+5. pairwise commutation plus ideal membership;
+6. the full trace grid;
+7. the derivation of the weighted matrix for an arbitrary polynomial g.
+
+Passing them proves (by Mourrain's border-basis criterion) that the
+candidate is the true Hermite matrix of the input ideal; every failure is
+reported with the step that caught it.
+
+Step 4 rests on Hermite's theorem: the rank of the trace form of
+A = Q[x]/J counts the distinct roots, so in characteristic 0 a
+k-dimensional A is reduced exactly when its trace form is nonsingular
+(Pedersen-Roy-Szpirglas 1993; Cox-Little-O'Shea, Using Algebraic Geometry,
+ch. 2 par. 5).  Steps 3 and 5 make A, with J = {p : p(M) e_1 = 0}, a
+k-dimensional algebra on which x_s acts by M_s.  On the radical route step
+2 proves H1 nonsingular and step 6 proves H1 the trace form of A, so step 4
+computes nothing and records step 2's result.  On the non-radical route
+H1bar is a weighted form, which can be nonsingular on an algebra that is
+not reduced, so step 4 checks the rank of the trace matrix itself.
 
 The label structure comes from the ExtendedBasis: its shifts table gives
 the position of every x_s * b_i, and its products table the distinct
@@ -19,10 +35,10 @@ columns (x_s * b_i outside the basis), all of them in one elimination of
 H1, and checks the exact residual H1 X = border.  On the non-radical route
 that residual is the weighted identity H1bar M_s = H1bar^{x_s}.  After
 step 3 one NormalForms table of the vectors v_gamma = M^gamma e_1 serves
-the remaining steps: step 5 checks commutation column by column and
-membership as f(M) e_1 = 0, step 6 reads one trace per distinct label
-product off it, and step 7 builds g(M) from it for the one product
-H1 * g(M).
+the remaining steps: step 4 on the non-radical route and step 6 read one
+trace per distinct label product off it, step 5 checks commutation column
+by column and membership as f(M) e_1 = 0, and step 7 builds g(M) from it
+for the one product H1 * g(M).
 
 Orientation convention, pinned by unit tests on companion matrices: the
 matrices M_s = H1^{-1} H1^{x_s} hold the expansion of x_s * b_t in their
@@ -32,7 +48,6 @@ multiplication matrices.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -42,7 +57,6 @@ from .hermite import HermitePlus
 from .linalg import (
     RatMatrix,
     SingularMatrixError,
-    char_poly,
     inertia_ldl,
     rank,
     signature_descartes,
@@ -55,12 +69,7 @@ from .polynomials import (
     MultiPoly,
     PolySystem,
     monomial_mul,
-    univ_derivative,
-    univ_gcd,
 )
-
-DEFAULT_SEED = 1729
-DEFAULT_RETRIES = 3
 
 
 class SignatureMethodMismatchError(AssertionError):
@@ -188,27 +197,19 @@ def check_identity_rows(ms: Sequence[RatMatrix], labels: ExtendedBasis) -> StepF
     return None
 
 
-def check_squarefree(
-    ms: Sequence[RatMatrix], seed: int = DEFAULT_SEED, retries: int = DEFAULT_RETRIES
-) -> StepFailure | None:
-    """gcd(p, p') = 1 for the characteristic polynomial of a generic
-    combination sum c_s M_s; up to `retries` deterministic draws of c."""
-    k = ms[0].rows
-    rng = random.Random(seed)
-    span = max(1, k * k)
-    last = None
-    for _ in range(max(1, retries)):
-        cs = [rng.randint(-span, span) for _ in ms]
-        combo = RatMatrix.zeros(k, k)
-        for c, m in zip(cs, ms):
-            if c:
-                combo = combo + m.scale(c)
-        p = char_poly(combo)
-        g = univ_gcd(p, univ_derivative(p))
-        if len(g) == 1:
-            return None
-        last = f"c = {cs}: gcd degree {len(g) - 1}"
-    return StepFailure(4, "not_squarefree", last or "")
+def check_squarefree(trace_h1: RatMatrix) -> StepFailure | None:
+    """Step 4 on the non-radical route: the trace matrix
+    H1[i, j] = Tr((b_i * b_j)(M)) is nonsingular.
+
+    By Hermite's theorem its rank is the number of distinct roots of A, so
+    rank k proves A reduced: J is radical, and a generic combination of the
+    M_s has a squarefree characteristic polynomial.
+    """
+    k = trace_h1.rows
+    r = rank(trace_h1)
+    if r < k:
+        return StepFailure(4, "not_squarefree", f"rank of the trace form = {r}, expected {k}")
+    return None
 
 
 class NormalForms:
@@ -219,7 +220,7 @@ class NormalForms:
     with one denominator, D^gamma.  v_gamma is memoised, each from
     v_(gamma - e_s) by one product with D_s M_s that visits only the
     non-zero entries of its columns.  The table is built once per
-    certification, after step 3, and shared by steps 5, 6 and 7.  Its
+    certification, after step 3, and shared by steps 4, 5, 6 and 7.  Its
     vectors mean what they say under the precondition that steps 3 and 5
     establish on both routes:
 
@@ -230,6 +231,9 @@ class NormalForms:
       every path to gamma gives the same v_gamma.
 
     Step 5 itself uses only the columns until commutation is proved.
+    Step 4 on the non-radical route reads vectors before that: if step 5
+    then fails, the certification fails whatever step 4 read; if it
+    passes, every path gives the vectors step 4 memoised.
     """
 
     def __init__(self, ms: Sequence[RatMatrix], basis: Sequence[Monomial]):
@@ -434,12 +438,14 @@ def _fail(outcome_basis: MonomialBasis, diag: list[dict], failure: StepFailure) 
 
 
 def _run_steps_1_to_5(
-    system: PolySystem,
-    hplus: HermitePlus,
-    seed: int,
-    retries: int,
-    diag: list[dict],
-) -> tuple[RatMatrix, list[RatMatrix], NormalForms] | StepFailure:
+    system: PolySystem, hplus: HermitePlus, diag: list[dict], *, radical: bool
+) -> tuple[RatMatrix, list[RatMatrix], NormalForms, RatMatrix | None] | StepFailure:
+    """Steps 1-5: (H1, the M_s, their table, the trace matrix).
+
+    The trace matrix is computed for step 4 on the non-radical route only;
+    on the radical route it is None, and step 4 records that step 2 proved
+    H1 nonsingular, which with step 6 proves A reduced (module docstring).
+    """
     basis = hplus.labels.base
     if basis.arity != system.arity():
         raise ValueError("system arity does not match the basis")
@@ -458,7 +464,10 @@ def _run_steps_1_to_5(
         return failure
     nf = NormalForms(ms, basis.monomials)
 
-    failure = check_squarefree(ms, seed=seed, retries=retries)
+    trace_h1 = None
+    if not radical:
+        trace_h1 = _base_trace_matrix(hplus.labels, nf)
+        failure = check_squarefree(trace_h1)
     _log(diag, 4, "squarefree", failure)
     if failure:
         return failure
@@ -467,15 +476,11 @@ def _run_steps_1_to_5(
     _log(diag, 5, "commute_and_membership", failure)
     if failure:
         return failure
-    return h1, ms, nf
+    return h1, ms, nf, trace_h1
 
 
 def certify_pipeline(
-    system: PolySystem,
-    g: MultiPoly,
-    hplus: HermitePlus,
-    seed: int = DEFAULT_SEED,
-    retries: int = DEFAULT_RETRIES,
+    system: PolySystem, g: MultiPoly, hplus: HermitePlus
 ) -> CertificationOutcome:
     """Steps 1-7 for a radical zero-dimensional ideal candidate.
 
@@ -488,12 +493,12 @@ def certify_pipeline(
     """
     basis = hplus.labels.base
     if hplus.provenance.point_count > len(basis):
-        return certify_nonradical(system, g, hplus, seed=seed, retries=retries)
+        return certify_nonradical(system, g, hplus)
     diag: list[dict] = []
-    res = _run_steps_1_to_5(system, hplus, seed, retries, diag)
+    res = _run_steps_1_to_5(system, hplus, diag, radical=True)
     if isinstance(res, StepFailure):
         return _fail(basis, diag, res)
-    h1, ms, nf = res
+    h1, ms, nf, _ = res
 
     failure = check_traces(hplus, nf)
     _log(diag, 6, "trace_grid", failure)
@@ -543,33 +548,31 @@ def derive_hg(outcome: CertificationOutcome, g: MultiPoly) -> tuple[RatMatrix, i
 
 
 def certify_nonradical(
-    system: PolySystem,
-    g: MultiPoly,
-    hplus: HermitePlus,
-    seed: int = DEFAULT_SEED,
-    retries: int = DEFAULT_RETRIES,
+    system: PolySystem, g: MultiPoly, hplus: HermitePlus
 ) -> CertificationOutcome:
     """Certification through the radical of a non-radical ideal.
 
     hplus is the reduced extended matrix from build_nonradical: its base
     labels span the quotient by the radical, and its provenance keeps the
     total point count.  Steps 1-5 on it certify the multiplication
-    matrices of the radical.  The literal trace comparison of step 6 cannot
-    hold against multiplicity-weighted entries, so the Hermite matrices of
-    the radical are instead built directly from traces, H1[i,j] =
-    Tr((b_i b_j)(M)) and H_g = H1 * g(M), while the weighted input matrix is
-    validated by exact consistency checks: H1bar * M_s = H1bar^{x_s} is
-    step 2's residual (H1bar is step 2's H1), the (1,1) entry equals the
-    provenance point count, and the signatures of the weighted and
-    trace-based g-matrices agree (positive weights preserve sign counts).
+    matrices of the radical; step 4 proves with the nonsingular trace
+    matrix H1[i,j] = Tr((b_i b_j)(M)) that they act on a reduced algebra.
+    The literal trace comparison of step 6 cannot hold against
+    multiplicity-weighted entries, so the Hermite matrices of the radical
+    are that trace matrix and H_g = H1 * g(M), while the weighted input
+    matrix is validated by exact consistency checks: H1bar * M_s =
+    H1bar^{x_s} is step 2's residual (H1bar is step 2's H1), the (1,1)
+    entry equals the provenance point count, and the signatures of the
+    weighted and trace-based g-matrices agree (positive weights preserve
+    sign counts).
     Any disagreement is a failure, never silently resolved.
     """
     basis = hplus.labels.base
     diag: list[dict] = []
-    res = _run_steps_1_to_5(system, hplus, seed, retries, diag)
+    res = _run_steps_1_to_5(system, hplus, diag, radical=False)
     if isinstance(res, StepFailure):
         return _fail(basis, diag, res)
-    h1_weighted, ms, nf = res
+    h1_weighted, ms, nf, h1_trace = res
 
     failure = None
     points = hplus.provenance.point_count
@@ -583,7 +586,6 @@ def certify_nonradical(
     if failure:
         return _fail(basis, diag, failure)
 
-    h1_trace = _base_trace_matrix(hplus.labels, nf)
     hg_trace = hermite_for_g(h1_trace, nf, g)
     if isinstance(hg_trace, StepFailure):
         _log(diag, 7, "hermite_for_g", hg_trace)

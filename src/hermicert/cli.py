@@ -1,9 +1,9 @@
 """Command-line surface tying the pipeline together.
 
 Every command reads and writes the JSON formats from hermicert.jsonio and
-is deterministic for a fixed seed: repeated runs produce byte-identical
-output.  Exit codes: 0 success or verdict True, 1 usage or parse error,
-2 construction failure, 3 certification Fail, 4 verdict False.
+is deterministic: repeated runs produce byte-identical output.  Exit codes:
+0 success or verdict True, 1 usage or parse error, 2 construction failure,
+3 certification Fail, 4 verdict False.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .certificates import (
     certify_ball,
     certify_nonneg,
 )
-from .certify import DEFAULT_RETRIES, DEFAULT_SEED, certify_pipeline
+from .certify import certify_pipeline
 from .hermite import (
     NonRadicalRankError,
     ReconstructionFailedError,
@@ -113,7 +113,7 @@ def cmd_certify(args) -> tuple[int, dict]:
     system = _load_system(args.system)
     hplus = jsonio.hermite_from_json(_load_json(args.hermite), system.variables)
     g = parse_poly(args.g, system.variables)
-    outcome = certify_pipeline(system, g, hplus, seed=args.seed, retries=args.retries)
+    outcome = certify_pipeline(system, g, hplus)
     report = jsonio.report_to_json(outcome, system.variables)
     return (EXIT_OK if outcome.certified else EXIT_CERTIFY_FAIL), report
 
@@ -122,7 +122,7 @@ def cmd_ball(args) -> tuple[int, dict]:
     system = _load_system(args.system)
     hplus = jsonio.hermite_from_json(_load_json(args.hermite), system.variables)
     query = BallQuery(center=_parse_center(args.center), radius_squared=Fraction(args.eps2))
-    cert = certify_ball(system, query, hplus, seed=args.seed, retries=args.retries)
+    cert = certify_ball(system, query, hplus)
     payload = {
         "verdict": cert.verdict,
         "sigma_H1": cert.sigma_h1,
@@ -143,7 +143,7 @@ def cmd_nonneg(args) -> tuple[int, dict]:
     if args.basis:
         lag_vars = [f"l{j + 1}" for j in range(len(system.polys))]
         basis = _load_basis(args.basis, list(system.variables) + lag_vars)
-    cert = certify_nonneg(query, roots, seed=args.seed, retries=args.retries, basis=basis)
+    cert = certify_nonneg(query, roots, basis=basis)
     payload = {
         "verdict": cert.verdict,
         "sigma_Hg": cert.sigma_hg,
@@ -166,7 +166,7 @@ def cmd_count_real(args) -> tuple[int, dict]:
     system = _load_system(args.system)
     hplus = jsonio.hermite_from_json(_load_json(args.hermite), system.variables)
     one = parse_poly("1", system.variables)
-    outcome = certify_pipeline(system, one, hplus, seed=args.seed, retries=args.retries)
+    outcome = certify_pipeline(system, one, hplus)
     report = jsonio.report_to_json(outcome, system.variables)
     if not outcome.certified:
         return EXIT_CERTIFY_FAIL, {"real_root_count": None, "certificate": report}
@@ -234,7 +234,7 @@ def cmd_pipeline(args) -> tuple[int, dict]:
     hplus = _build_hermite(args, system, roots)
     payload: dict = {"hermite": jsonio.hermite_to_json(hplus, system.variables)}
     g = parse_poly(args.g, system.variables)
-    outcome = certify_pipeline(system, g, hplus, seed=args.seed, retries=args.retries)
+    outcome = certify_pipeline(system, g, hplus)
     payload["certificate"] = jsonio.report_to_json(outcome, system.variables)
     if not outcome.certified:
         payload["verdict"] = "fail"
@@ -271,17 +271,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, seeded=True):
+    def common(p):
         p.add_argument("--out", help="write the JSON result to this path instead of stdout")
-        if seeded:
-            p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-            p.add_argument("--retries", type=int, default=DEFAULT_RETRIES)
 
     p = sub.add_parser("build", help="reconstruct the extended Hermite matrix from roots")
     p.add_argument("--system", required=True)
     p.add_argument("--roots", required=True)
     p.add_argument("--basis", help="basis JSON; selected automatically when omitted")
-    common(p, seeded=False)
+    common(p)
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("certify", help="symbolically certify a Hermite matrix")
@@ -318,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", required=True)
     p.add_argument("--roots", required=True)
     p.add_argument("--iters", type=int, default=3)
-    common(p, seeded=False)
+    common(p)
     p.set_defaults(func=cmd_refine)
 
     p = sub.add_parser(
@@ -327,13 +324,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", action="append", required=True, help="give twice: A then B")
     p.add_argument("--roots", action="append", required=True, help="give twice: A then B")
     p.add_argument("--max-rounds", type=int, default=6)
-    common(p, seeded=False)
+    common(p)
     p.set_defaults(func=cmd_filter_roots)
 
     p = sub.add_parser("reconstruct-rational", help="rational number reconstruction")
     p.add_argument("value", help="decimal or rational string")
     p.add_argument("bound", type=int, help="denominator bound")
-    common(p, seeded=False)
+    common(p)
     p.set_defaults(func=cmd_reconstruct_rational)
 
     p = sub.add_parser("pipeline", help="build, certify, and report in one run")

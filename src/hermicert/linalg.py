@@ -204,15 +204,17 @@ def inverse(a: RatMatrix) -> RatMatrix:
 
 
 def char_poly(a: RatMatrix) -> list[Fraction]:
-    """Monic characteristic polynomial, descending coefficients.
+    """Monic characteristic polynomial of a symmetric matrix, descending
+    coefficients; raises NotSymmetricError for any other matrix.
 
     Berkowitz's algorithm on the integer matrix L * A, L the lcm of the
     denominators: division-free, O(k^4) integer operations and no gcd in
-    the loop; the i-th coefficient is divided by L^i once at the end.  A
-    symmetric matrix needs half the matrix-vector products of a general one.
+    the loop; the i-th coefficient is divided by L^i once at the end.  The
+    symmetry halves the matrix-vector products.  The package needs it
+    only for signatures (signature_descartes).
     """
-    if a.rows != a.cols:
-        raise ValueError("characteristic polynomial of a non-square matrix")
+    if not a.is_symmetric():
+        raise NotSymmetricError("characteristic polynomial requires a symmetric matrix")
     cn, cd = kernels.charpoly(a.rows, a._n, a._d)
     return [Fraction(n, d) for n, d in zip(cn, cd)]
 
@@ -243,10 +245,9 @@ def signature_descartes(a: RatMatrix) -> int:
     """Signature from Descartes' rule applied to the characteristic polynomial.
 
     All eigenvalues of a symmetric matrix are real, so the rule is exact:
-    the signature is var(p(x)) - var(p(-x)).
+    the signature is var(p(x)) - var(p(-x)).  char_poly raises
+    NotSymmetricError for any other matrix.
     """
-    if not a.is_symmetric():
-        raise NotSymmetricError("signature requires a symmetric matrix")
     p = char_poly(a)
     k = len(p) - 1
     flipped = [c if (k - i) % 2 == 0 else -c for i, c in enumerate(p)]

@@ -1,4 +1,4 @@
-"""Multivariate polynomials over the rationals, plus univariate helpers.
+"""Multivariate polynomials over the rationals.
 
 Monomials are exponent tuples; polynomials map monomials to nonzero
 Fraction coefficients.  The canonical term order is graded lexicographic
@@ -529,47 +529,4 @@ class ExtendedBasis:
 
     def __repr__(self) -> str:
         return f"ExtendedBasis(base={self.base.monomials}, extension={self.extension})"
-
-
-# -- univariate utilities (dense descending coefficient lists) ----------
-
-
-def univ_normalize(coeffs: Sequence) -> list[Fraction]:
-    out = [Fraction(c) for c in coeffs]
-    i = 0
-    while i < len(out) and out[i] == 0:
-        i += 1
-    return out[i:]
-
-
-def univ_derivative(coeffs: Sequence) -> list[Fraction]:
-    cs = univ_normalize(coeffs)
-    n = len(cs) - 1
-    return [c * (n - i) for i, c in enumerate(cs[:-1])]
-
-
-def univ_gcd(p: Sequence, q: Sequence) -> list[Fraction]:
-    """Monic gcd by the Euclidean remainder sequence over the rationals."""
-    a = univ_normalize(p)
-    b = univ_normalize(q)
-    if not a and not b:
-        raise ValueError("gcd(0, 0) is undefined")
-    while b:
-        a, b = b, _univ_mod(a, b)
-    lead = a[0]
-    return [c / lead for c in a]
-
-
-def _univ_mod(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    r = list(a)
-    db = len(b) - 1
-    while len(r) - 1 >= db and r:
-        if r[0] == 0:
-            r.pop(0)
-            continue
-        factor = r[0] / b[0]
-        for i in range(len(b)):
-            r[i] -= factor * b[i]
-        r.pop(0)
-    return univ_normalize(r)
 

@@ -28,7 +28,7 @@ from hermicert.certify import (
     signature,
 )
 from hermicert.certificates import BallQuery, ball_polynomial, lagrange_system
-from hermicert.hermite import HermitePlus, build_extended_hermite, build_nonradical
+from hermicert.hermite import HermitePlus, HermiteProvenance, build_extended_hermite, build_nonradical
 from hermicert.linalg import RatMatrix, inverse, rank
 from hermicert.numroots import ApproxRootSet
 from hermicert.polynomials import ExtendedBasis, MonomialBasis, PolySystem, monomial_mul, parse_poly
@@ -153,29 +153,11 @@ def test_identity_columns_vacuous_for_singleton_basis():
 
 
 def test_squarefree_pass_and_fail():
-    m = RatMatrix.from_rows([[0, 2], [1, 0]])
-    assert check_squarefree([m]) is None
-    repeated = RatMatrix.from_rows([[1, 1], [0, 1]])  # (x-1)^2
-    failure = check_squarefree([repeated])
-    assert failure is not None and failure.reason == "not_squarefree"
-
-
-def _seed_with_degenerate_first_draw(n_mats: int, span: int) -> int:
-    for seed in range(10000):
-        rng = random.Random(seed)
-        first = [rng.randint(-span, span) for _ in range(n_mats)]
-        second = [rng.randint(-span, span) for _ in range(n_mats)]
-        if all(c == 0 for c in first) and any(c != 0 for c in second):
-            return seed
-    raise AssertionError("no degenerate seed found")
-
-
-def test_squarefree_retry_recovers_from_degenerate_combination():
-    m = RatMatrix.from_rows([[0, 2], [1, 0]])
-    seed = _seed_with_degenerate_first_draw(1, 4)
-    assert check_squarefree([m], seed=seed, retries=3) is None
-    failure = check_squarefree([m], seed=seed, retries=1)
-    assert failure is not None and failure.step == 4
+    # the trace forms of Q[x]/(x^2 - 2) and of the non-reduced Q[x]/(x^3)
+    assert check_squarefree(RatMatrix.from_rows([[2, 0], [0, 4]])) is None
+    failure = check_squarefree(RatMatrix.from_rows([[3, 0, 0], [0, 0, 0], [0, 0, 0]]))
+    assert failure is not None and (failure.step, failure.reason) == (4, "not_squarefree")
+    assert failure.detail == "rank of the trace form = 1, expected 3"
 
 
 def table(ms, basis=B1X):
@@ -528,6 +510,142 @@ def test_planted_corruptions_always_fail():
         bad = HermitePlus(RatMatrix.from_rows(rows), hp.labels, hp.provenance)
         out = certify_pipeline(F_SQRT2, G_X, bad)
         assert out.status == "fail"
+
+
+# -- adversarial corpus ------------------------------------------------------
+#
+# Candidates built to pass every check but one.  Each test names the check
+# that must reject it; none relies on an assert statement of the library, so
+# the corpus means the same under python -O.
+
+
+def functional_candidate(basis, point_count, moments):
+    """H+[a, b] = lambda(a * b) over the extended labels, for the functional
+    lambda given by its moments (monomial -> value, 0 when absent)."""
+    labels = ExtendedBasis(MonomialBasis(basis))
+    rows = [[moments.get(monomial_mul(a, b), 0) for b in labels.extension] for a in labels.extension]
+    return HermitePlus(RatMatrix.from_rows(rows), labels, corpus_provenance(point_count))
+
+
+def congruent_candidate(basis, point_count, h1_rows, ms_rows):
+    """H+ = C^T H1 C, column a of C holding the coordinates of label a when
+    x_s acts by M_s: e_j for the basis element b_j, M_s e_i for x_s * b_i.
+    Step 2 then recovers exactly these M_s, whatever H1 is."""
+    labels = ExtendedBasis(MonomialBasis(basis))
+    ms = [RatMatrix.from_rows(m) for m in ms_rows]
+    k = len(basis)
+    coords = {j: [int(r == j) for r in range(k)] for j in range(k)}
+    for s, row in enumerate(labels.shifts):
+        for i, j in enumerate(row):
+            coords.setdefault(j, [ms[s].entry(r, i) for r in range(k)])
+    c = RatMatrix.from_rows([[coords[a][r] for a in range(len(labels))] for r in range(k)])
+    ct = RatMatrix.from_rows(list(zip(*c.to_rows())))
+    return HermitePlus(ct @ RatMatrix.from_rows(h1_rows) @ c, labels, corpus_provenance(point_count))
+
+
+def corpus_provenance(point_count):
+    return HermiteProvenance(Fraction(1, 10**9), Fraction(4), point_count, {})
+
+
+ONE_X = parse_poly("1", ["x"])
+
+
+def test_corpus_non_reduced_algebra_fails_step_4_on_the_nonradical_route():
+    # A = Q[x]/(x^3) with lambda(1) = 4, lambda(x^2) = 1: H1bar is
+    # nonsingular, M_x is nilpotent and x^4 vanishes at it, the (1,1) entry
+    # is the point count, and the weighted and trace signatures agree.  The
+    # trace form diag(3, 0, 0) is singular, and only step 4 sees that.
+    x4 = PolySystem(["x"], [parse_poly("x^4", ["x"])])
+    hp = functional_candidate([(0,), (1,), (2,)], 4, {(0,): 4, (2,): 1})
+    for out in (certify_pipeline(x4, ONE_X, hp), certify_nonradical(x4, ONE_X, hp)):
+        assert (out.status, out.failed_step, out.reason) == ("fail", 4, "not_squarefree")
+
+
+def test_corpus_nilpotent_functional_fails_on_the_radical_route():
+    # A = Q[x]/(x^2) with lambda(x) = 1: H1 = [[0, 1], [1, 0]] is
+    # nonsingular but is no trace form, since Tr(1) = 2.  Step 6 rejects it
+    # on its own; the pipeline may stop at step 4 first.
+    x2 = PolySystem(["x"], [parse_poly("x^2", ["x"])])
+    hp = functional_candidate([(0,), (1,)], 2, {(1,): 1})
+    out = certify_pipeline(x2, ONE_X, hp)
+    assert out.status == "fail" and out.failed_step in (4, 6)
+    nilpotent = table([RatMatrix.from_rows([[0, 0], [1, 0]])])
+    failure = check_traces(hp, nilpotent)
+    assert failure is not None and failure.reason == "trace_mismatch"
+
+
+def test_corpus_singular_h1_with_full_rank_extension_fails_step_2():
+    # the Hermite matrix of (0, 0) and (1, 0) on the basis {1, y}: rank H+ = 2
+    # passes the guard, but y vanishes at both points, so H1 = diag(2, 0) and
+    # no multiplication matrices exist
+    xy = ["x", "y"]
+    hp = exact_hermite_plus([(QC(0), QC(0)), (QC(1), QC(0))], MonomialBasis([(0, 0), (0, 1)]))
+    system = PolySystem(xy, [parse_poly("x^2-x", xy), parse_poly("y", xy)])
+    out = certify_pipeline(system, parse_poly("1", xy), hp)
+    assert (out.failed_step, out.reason) == (2, "rank_deficient")
+    assert out.detail == "rank H1 = 1, rank H+ = 2, expected 2"
+
+
+def test_corpus_corner_entry_is_seen_only_by_the_rank_guard_on_the_nonradical_route():
+    # no step of the non-radical route reads the (x^2, x^2) entry of H+
+    # except rank H+ = k
+    f = PolySystem(["x"], [parse_poly("x^3-3*x+2", ["x"])])
+    pts = ApproxRootSet(points=((1 + 0j,), (1 + 0j,), (-2 + 0j,)), accuracy="1e-8", coord_bound=3)
+    hp = build_nonradical(build_extended_hermite(pts, MonomialBasis([(0,), (1,), (2,)])))
+    rows = hp.matrix.to_rows()
+    rows[2][2] += 1
+    out = certify_nonradical(f, G_X, HermitePlus(RatMatrix.from_rows(rows), hp.labels, hp.provenance))
+    assert (out.failed_step, out.reason) == (2, "rank_deficient")
+    assert out.detail == "rank H1 = 2, rank H+ = 3, expected 2"
+
+
+def test_corpus_noncommuting_matrices_fail_step_5_on_the_nonradical_route():
+    # x^2 = x + y, xy = 0, y^2 = y on the basis {1, x, y}: M_x and M_y differ
+    # in one border column (see test_noncommuting_only_in_a_border_column).
+    # H+ = C^T diag(4, 1, 1) C has rank 3, its (1,1) entry is the point
+    # count, each input polynomial vanishes along the table's path, and the
+    # trace matrix is nonsingular with the weighted signature 3.  The ideal
+    # (x^2 - x - y, xy, y^2 - y) has only the 2 roots (0, 0) and (1, 0).
+    xy = ["x", "y"]
+    bent = [[0, 0, 0], [1, 1, 0], [0, 1, 0]]
+    m_y = [[0, 0, 0], [0, 0, 0], [1, 0, 1]]
+    hp = congruent_candidate([(0, 0), (1, 0), (0, 1)], 4, [[4, 0, 0], [0, 1, 0], [0, 0, 1]], [bent, m_y])
+    system = PolySystem(xy, [parse_poly(p, xy) for p in ("x^2-x-y", "x*y", "y^2-y")])
+    out = certify_nonradical(system, parse_poly("1", xy), hp)
+    assert (out.failed_step, out.reason) == (5, "noncommuting")
+
+
+def test_corpus_wrong_form_with_true_matrices_fails_step_6():
+    # H1 = diag(1, -1) with the true M_x of x^2 - 2: steps 2-5 pass, H_g = H1
+    # for g = 1 passes step 7, and the signature would claim no real root
+    hp = congruent_candidate([(0,), (1,)], 2, [[1, 0], [0, -1]], [[[0, 2], [1, 0]]])
+    out = certify_pipeline(F_SQRT2, ONE_X, hp)
+    assert (out.failed_step, out.reason) == (6, "trace_mismatch")
+
+
+def test_corpus_signed_weights_fail_the_h1_signature_agreement():
+    # lambda(p) = 4 p(1) - p(-2) on the roots of x^3 - 3x + 2: a moment matrix
+    # of total weight 3 = the point count, with the true M_x, but a negative
+    # weight: sigma(H1bar) = 0 against sigma(trace H1) = 2.  With g = 1 the
+    # H_g comparison repeats the H1 one.
+    f = PolySystem(["x"], [parse_poly("x^3-3*x+2", ["x"])])
+    moments = {(j,): 4 - (-2) ** j for j in range(5)}
+    out = certify_nonradical(f, ONE_X, functional_candidate([(0,), (1,)], 3, moments))
+    assert (out.failed_step, out.reason) == (7, "weighted_signature_mismatch")
+    assert out.detail.endswith("for g = 1")
+
+
+def test_corpus_weighted_form_off_the_moments_fails_the_hg_signature_agreement():
+    # the true M_x of (x - 1)(x^2 + 1) and an H1bar with the trace form's
+    # signature 1 that is no moment matrix: H1bar * M_x is not symmetric,
+    # H1bar * M_x^2 is, and sigma(H1bar * M_x^2) differs from sigma(H_g) for
+    # g = x^2
+    f = PolySystem(["x"], [parse_poly("x^3-x^2+x-1", ["x"])])
+    h1bar = [[3, -2, -4], [-2, 4, 1], [-4, 1, 3]]
+    hp = congruent_candidate([(0,), (1,), (2,)], 3, h1bar, [[[0, 0, 1], [1, 0, -1], [0, 1, 1]]])
+    out = certify_nonradical(f, parse_poly("x^2", ["x"]), hp)
+    assert (out.failed_step, out.reason) == (7, "weighted_signature_mismatch")
+    assert out.detail.endswith("for g = g")
 
 
 @pytest.mark.parametrize("kernel", ["inertia", "charpoly"])

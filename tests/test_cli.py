@@ -265,17 +265,28 @@ def test_help_exits_zero(capsys):
     assert "usage:" in capsys.readouterr().out
 
 
-def test_seed_is_an_option_of_the_certifying_commands_only(files, capsys):
-    # build certifies nothing, so --seed and --retries would be no-ops there
-    with pytest.raises(SystemExit) as exc:
-        main(["build", "--system", files["sys"], "--roots", files["roots"], "--seed", "3"])
-    assert exc.value.code == 1
-    capsys.readouterr()
+@pytest.mark.parametrize("option", ["--seed", "--retries"])
+def test_no_command_takes_a_seed_or_retries(option, files, capsys):
+    # certification draws nothing at random, so there is nothing to seed
     herm = str(files["tmp"] / "herm.json")
     assert main(["build", "--system", files["sys"], "--roots", files["roots"], "--out", herm]) == 0
-    code, report = run(capsys, "certify", "--system", files["sys"], "--hermite", herm,
-                       "--seed", "3", "--retries", "1")
-    assert code == 0 and report["status"] == "certified"
+    hermite = ["--system", files["sys"], "--hermite", herm]
+    roots = ["--system", files["sys"], "--roots", files["roots"]]
+    for argv in (
+        ["build", *roots],
+        ["certify", *hermite],
+        ["ball", *hermite, "--center", "1", "--eps2", "1"],
+        ["count-real", *hermite],
+        ["nonneg", *roots, "--g", "x"],
+        ["pipeline", *roots],
+        ["refine", *roots],
+        ["filter-roots", *roots, *roots],
+        ["reconstruct-rational", "1/3", "10"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [option, "3"])
+        assert exc.value.code == 1, argv
+    assert f"unrecognized arguments: {option} 3" in capsys.readouterr().err
 
 
 def test_construction_failure_exit_code(tmp_path, capsys):
@@ -412,6 +423,25 @@ def _pinned_count_real(tmp_path):
     return ["count-real", "--system", sys_path, "--hermite", herm]
 
 
+GRID7 = {
+    "variables": ["x", "y"],
+    "polynomials": ["x^7-14*x^5+49*x^3-36*x", "y^7-14*y^5+49*y^3-36*y"],
+}
+GRID7_EXACT_ROOTS = {
+    "accuracy_E": "1e-40",
+    "bound_M": "4",
+    "points": [[[str(a), "0"], [str(b), "0"]] for a in range(-3, 4) for b in range(-3, 4)],
+}
+
+
+def _pinned_grid7_ball(tmp_path):
+    # k = 49; no grid point lies in the ball, so the verdict is false (exit 4)
+    sys_path = write(tmp_path / "grid7.json", GRID7)
+    roots = write(tmp_path / "grid7_roots.json", GRID7_EXACT_ROOTS)
+    return ["pipeline", "--system", sys_path, "--roots", roots,
+            "--g", "x", "--center=1/4,1/4", "--eps2=1/16"]
+
+
 def _pinned_nonradical(tmp_path):
     sys_path = write(tmp_path / "s3.json", DOUBLE_ROOT)
     roots = write(tmp_path / "r3.json", DOUBLE_ROOT_ROOTS)
@@ -447,6 +477,11 @@ PINNED_OUTPUTS = {
         _pinned_nonradical,
         0,
         "2c560cf6bf652114e4677d8c1ff8412c04b29c415cc779215e726660ae31219d",
+    ),
+    "pipeline-grid7-ball": (
+        _pinned_grid7_ball,
+        4,
+        "3f80b09dab463f88c3de180247b7d3a15e2a98063e710765484355a16fc5f4cd",
     ),
     "nonneg": (
         _pinned_nonneg,

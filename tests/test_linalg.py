@@ -184,9 +184,17 @@ def test_signature_descartes_examples():
 
 
 def test_char_poly_examples():
-    assert char_poly(RatMatrix.from_rows([[0, 2], [1, 0]])) == [1, 0, -2]
+    assert char_poly(RatMatrix.from_rows([[2, 1], [1, 2]])) == [1, -4, 3]
     assert char_poly(RatMatrix.identity(3)) == [1, -3, 3, -1]
     assert char_poly(RatMatrix.from_rows([[2, 0], [0, 4]])) == [1, -6, 8]
+
+
+def test_char_poly_rejects_non_symmetric_matrices():
+    companion = RatMatrix.from_rows([[0, 2], [1, 0]])  # x^2 - 2
+    one_entry_off = RatMatrix.from_rows([[1, 2, 3], [2, 4, 5], [3, 6, 6]])
+    for m in (companion, one_entry_off):
+        with pytest.raises(NotSymmetricError):
+            char_poly(m)
 
 
 def faddeev_leverrier(rows):
@@ -203,37 +211,45 @@ def faddeev_leverrier(rows):
     return coeffs
 
 
+def householder(rng, k):
+    """The rational reflection I - 2 v v^T / (v^T v): symmetric and
+    orthogonal, so conjugating by it keeps the eigenvalues."""
+    v = [Fraction(rng.randint(-3, 3)) for _ in range(k)]
+    v[0] += 1 if not any(v) else 0
+    n = sum(x * x for x in v)
+    return [[int(i == j) - 2 * v[i] * v[j] / n for j in range(k)] for i in range(k)]
+
+
 def oracle_matrix(rng, k, kind):
+    """A symmetric k x k matrix of the given kind, and its eigenvalues when
+    the kind fixes them (else None)."""
     den_bits = rng.randint(0, 20)
 
     def entry():
         return Fraction(rng.randint(-(2**10), 2**10), rng.randint(1, 2**den_bits))
 
-    rows = [[entry() for _ in range(k)] for _ in range(k)]
-    if kind == "symmetric":
-        rows = [[rows[min(i, j)][max(i, j)] for j in range(k)] for i in range(k)]
-    elif kind == "singular" and k >= 2:
-        rows[-1] = [2 * x - y for x, y in zip(rows[0], rows[1])]
-    elif kind == "nilpotent":
-        # strictly upper triangular, conjugated by a unit lower triangular mix
-        upper = [[x if j > i else 0 for j, x in enumerate(row)] for i, row in enumerate(rows)]
-        mix = RatMatrix.from_rows(
-            [[int(i == j) or (rng.randint(-3, 3) if j < i else 0) for j in range(k)]
-             for i in range(k)]
-        )
-        rows = (mix @ RatMatrix.from_rows(upper) @ inverse(mix)).to_rows()
+    upper = [[entry() for _ in range(k)] for _ in range(k)]
+    rows = [[upper[min(i, j)][max(i, j)] for j in range(k)] for i in range(k)]
+    if kind == "low-rank":
+        vs = [[entry() for _ in range(k)] for _ in range(rng.randint(0, k - 1) if k else 0)]
+        rows = [[sum(v[i] * v[j] for v in vs) for j in range(k)] for i in range(k)]
+    elif kind == "reflected-diagonal" and k:
+        # repeated eigenvalues, hidden by a reflection
+        eigen = [rng.choice((Fraction(0), Fraction(-3, 2), Fraction(5))) for _ in range(k)]
+        h = RatMatrix.from_rows(householder(rng, k))
+        d = RatMatrix.from_rows([[eigen[i] if i == j else 0 for j in range(k)] for i in range(k)])
+        return (h @ d @ h).to_rows(), eigen
     elif kind == "diagonal":
         rows = [[x if i == j else 0 for j, x in enumerate(row)] for i, row in enumerate(rows)]
     elif kind == "zero-leading" and k:
         rows[0][0] = Fraction(0)
     elif kind == "zero-first-row" and k:
-        rows[0] = [Fraction(0)] * k
-    return rows
+        for i in range(k):
+            rows[0][i] = rows[i][0] = Fraction(0)
+    return rows, None
 
 
-KINDS = (
-    "dense", "symmetric", "singular", "nilpotent", "diagonal", "zero-leading", "zero-first-row"
-)
+KINDS = ("dense", "low-rank", "reflected-diagonal", "diagonal", "zero-leading", "zero-first-row")
 
 
 def test_char_poly_matches_faddeev_leverrier_oracle():
@@ -241,11 +257,15 @@ def test_char_poly_matches_faddeev_leverrier_oracle():
     for trial in range(210):
         k = trial % 10
         kind = KINDS[trial % len(KINDS)]
-        rows = oracle_matrix(rng, k, kind)
+        rows, eigen = oracle_matrix(rng, k, kind)
         got = char_poly(RatMatrix.from_rows(rows))
         assert got == faddeev_leverrier(rows), (k, kind)
-        if kind == "nilpotent":
-            assert got == [1] + [0] * k
+        if eigen is not None:
+            t = MultiPoly.variable(["t"], 0)
+            expected = MultiPoly.constant(["t"], 1)
+            for e in eigen:
+                expected = expected * (t - MultiPoly.constant(["t"], e))
+            assert got == [expected.terms.get((k - i,), 0) for i in range(k + 1)], (k, eigen)
 
 
 @settings(max_examples=30, deadline=None)
@@ -280,7 +300,7 @@ def test_cayley_hamilton():
     rng = random.Random(55)
     for _ in range(12):
         k = rng.randint(1, 5)
-        m = rand_matrix(rng, k, span=3)
+        m = rand_symmetric(rng, k, span=3)
         coeffs = char_poly(m)
         poly = MultiPoly(["t"], {(len(coeffs) - 1 - i,): c for i, c in enumerate(coeffs)})
         assert poly.eval_at_matrices([m]).is_zero()
