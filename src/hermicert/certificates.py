@@ -19,13 +19,9 @@ from .certify import (
     derive_hg,
     signature,
 )
-from .hermite import (
-    HermitePlus,
-    ReconstructionFailedError,
-    build_extended_hermite,
-)
+from .hermite import HermitePlus, build_extended_hermite
 from .linalg import RatMatrix
-from .numroots import ApproxRootSet, NoWellConditionedBasisError, select_basis
+from .numroots import ApproxRootSet, select_basis
 from .polynomials import MonomialBasis, MultiPoly, PolySystem
 from .ratrecon import exact_fraction
 
@@ -71,32 +67,40 @@ class NonnegQuery:
             raise ValueError("g must live in the system's ring")
 
 
+def lagrange_variables(system: PolySystem) -> tuple[str, ...]:
+    """The ring of the Lagrange system: the system's variables followed by
+    one multiplier l1..ls per constraint."""
+    multipliers = tuple(f"l{j + 1}" for j in range(len(system.polys)))
+    clash = set(multipliers) & set(system.variables)
+    if clash:
+        raise ValueError(f"variable names {sorted(clash)} collide with multiplier names")
+    return tuple(system.variables) + multipliers
+
+
+def _embed(p: MultiPoly, variables: tuple[str, ...]) -> MultiPoly:
+    """p in a ring that appends variables to p's own, as a polynomial free
+    of the appended ones."""
+    pad = (0,) * (len(variables) - len(p.variables))
+    return MultiPoly(variables, {m + pad: c for m, c in p.terms.items()})
+
+
 def lagrange_system(system: PolySystem, g: MultiPoly) -> PolySystem:
     """Critical-point system of g on V(f): the constraints plus
     dg/dx_i + sum_j l_j * df_j/dx_i for every variable x_i.
 
-    Multiplier variables are named l1..ls and appended to the ring; the
-    result is square (n+s polynomials in n+s variables).
+    The ring is lagrange_variables(system); the result is square (n+s
+    polynomials in n+s variables).
     """
     if g.variables != system.variables:
         raise ValueError("g must live in the system's ring")
     n = system.arity()
-    s = len(system.polys)
-    multipliers = [f"l{j + 1}" for j in range(s)]
-    clash = set(multipliers) & set(system.variables)
-    if clash:
-        raise ValueError(f"variable names {sorted(clash)} collide with multiplier names")
-    ext_vars = tuple(system.variables) + tuple(multipliers)
-
-    def embed(p: MultiPoly) -> MultiPoly:
-        return MultiPoly(ext_vars, {m + (0,) * s: c for m, c in p.terms.items()})
-
-    polys = [embed(p) for p in system.polys]
+    ext_vars = lagrange_variables(system)
+    polys = [_embed(p, ext_vars) for p in system.polys]
     for i in range(n):
-        acc = embed(g.partial_derivative(i))
+        acc = _embed(g.partial_derivative(i), ext_vars)
         for j, fj in enumerate(system.polys):
             lam = MultiPoly.variable(ext_vars, n + j)
-            acc = acc + lam * embed(fj.partial_derivative(i))
+            acc = acc + lam * _embed(fj.partial_derivative(i), ext_vars)
         polys.append(acc)
     return PolySystem(ext_vars, polys)
 
@@ -180,7 +184,9 @@ def certify_nonneg(
     basis is selected from the points unless one is given, the extended
     Hermite matrix is reconstructed and certified once, and both H_g and
     H_(g^2) are derived from the certified data.  Equal signatures prove
-    g >= 0 on V(f) n R^n.
+    g >= 0 on V(f) n R^n.  Basis selection and reconstruction raise their
+    construction errors; duplicate points and a failed certification give
+    a "fail" verdict.
     """
     lag = lagrange_system(query.system, query.g)
     n_ext = lag.arity()
@@ -209,19 +215,9 @@ def certify_nonneg(
                 return failed("duplicate_points")
 
     if basis is None:
-        try:
-            basis = select_basis(roots, lag.variables)
-        except NoWellConditionedBasisError as exc:
-            return failed(f"no_well_conditioned_basis: {exc}")
-    try:
-        hplus = build_extended_hermite(roots, basis)
-    except ReconstructionFailedError as exc:
-        return failed(f"reconstruction_failed: {exc}", basis_=basis)
-
-    def embed(p: MultiPoly) -> MultiPoly:
-        return MultiPoly(lag.variables, {m + (0,) * s: c for m, c in p.terms.items()})
-
-    g_ext = embed(query.g)
+        basis = select_basis(roots, lag.variables)
+    hplus = build_extended_hermite(roots, basis)
+    g_ext = _embed(query.g, lag.variables)
     outcome = certify_pipeline(lag, g_ext, hplus)
     if not outcome.certified:
         return failed(outcome.reason or "certification_failed", outcome, basis)

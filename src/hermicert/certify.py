@@ -5,7 +5,7 @@ through seven exact checks:
 
 1. block extraction;
 2. multiplication-matrix construction with rank conditions;
-3. identity-column structure;
+3. identity-column structure, written by step 2;
 4. the quotient algebra is reduced (its trace form is nonsingular);
 5. pairwise commutation plus ideal membership;
 6. the full trace grid;
@@ -19,26 +19,31 @@ Step 4 rests on Hermite's theorem: the rank of the trace form of
 A = Q[x]/J counts the distinct roots, so in characteristic 0 a
 k-dimensional A is reduced exactly when its trace form is nonsingular
 (Pedersen-Roy-Szpirglas 1993; Cox-Little-O'Shea, Using Algebraic Geometry,
-ch. 2 par. 5).  Steps 3 and 5 make A, with J = {p : p(M) e_1 = 0}, a
-k-dimensional algebra on which x_s acts by M_s.  On the radical route step
-2 proves H1 nonsingular and step 6 proves H1 the trace form of A, so step 4
-computes nothing and records step 2's result.  On the non-radical route
-H1bar is a weighted form, which can be nonsingular on an algebra that is
-not reduced, so step 4 checks the rank of the trace matrix itself.
+ch. 2 par. 5).  Step 2's unit columns and step 5 make A, with
+J = {p : p(M) e_1 = 0}, a k-dimensional algebra on which x_s acts by M_s.
+On the radical route step 2 proves H1 nonsingular and step 6 proves H1 the
+trace form of A, so step 4 computes nothing and records step 2's result.
+On the non-radical route H1bar is a weighted form, which can be nonsingular
+on an algebra that is not reduced, so step 4 checks the rank of the trace
+matrix itself.
 
 The label structure comes from the ExtendedBasis: its shifts table gives
 the position of every x_s * b_i, and its products table the distinct
 products b_i * b_j that the entries depend on.  No dense k x k product of
-multiplication matrices is formed.  Column i of M_s is a unit vector
-whenever x_s * b_i lies in the basis, so step 2 solves only the border
-columns (x_s * b_i outside the basis), all of them in one elimination of
-H1, and checks the exact residual H1 X = border.  On the non-radical route
-that residual is the weighted identity H1bar M_s = H1bar^{x_s}.  After
-step 3 one NormalForms table of the vectors v_gamma = M^gamma e_1 serves
-the remaining steps: step 4 on the non-radical route and step 6 read one
-trace per distinct label product off it, step 5 checks commutation column
-by column and membership as f(M) e_1 = 0, and step 7 builds g(M) from it
-for the one product H1 * g(M).
+multiplication matrices is formed.  Column i of M_s is the unit vector e_j
+whenever x_s * b_i is the basis element b_j, so step 2 writes those
+columns itself and solves only the border columns (x_s * b_i outside the
+basis), all of them in one elimination of H1, checking the exact residual
+H1 X = border.  On the non-radical route that residual is the weighted
+identity H1bar M_s = H1bar^{x_s}.  Step 3 therefore checks nothing: its
+entry records that step 2 wrote the unit columns, as step 4 on the
+radical route records step 2's result.  Step 2's matrices go into one
+NormalForms table of the vectors v_gamma = M^gamma e_1, the only copy of
+them that the certification keeps: step 4 on the non-radical route and
+step 6 read one trace per distinct label product off it, step 5 checks
+commutation column by column and membership as f(M) e_1 = 0, step 7
+builds g(M) from it for the one product H1 * g(M), and the certified
+outcome carries it so that derive_hg reads every later g(M) off it too.
 
 Orientation convention, pinned by unit tests on companion matrices: the
 matrices M_s = H1^{-1} H1^{x_s} hold the expansion of x_s * b_t in their
@@ -87,11 +92,13 @@ class StepFailure:
 class CertificationOutcome:
     """Certified matrices or the first failing step.
 
-    status is "certified" or "fail"; when certified, g, h1, hg,
-    mult_matrices and the signatures sigma_h1, sigma_hg are all present, and
-    every other H_g and its signature is derived from them by derive_hg.
-    For the non-radical route h1/hg are the trace-based matrices of the
-    radical and the multiplicity-weighted pair is exposed separately.
+    status is "certified" or "fail"; when certified, g, h1, hg, the
+    normal-form table and the signatures sigma_h1, sigma_hg are all present,
+    and every other H_g and its signature is derived from them by derive_hg.
+    mult_matrices reads the M_s the table was built from, so the two cannot
+    disagree; the table is neither compared nor serialized.  For the
+    non-radical route h1/hg are the trace-based matrices of the radical and
+    the multiplicity-weighted pair is exposed separately.
     """
 
     status: str
@@ -101,7 +108,7 @@ class CertificationOutcome:
     detail: str = ""
     h1: RatMatrix | None = None
     hg: RatMatrix | None = None
-    mult_matrices: list[RatMatrix] | None = None
+    normal_forms: NormalForms | None = field(default=None, repr=False, compare=False)
     g: MultiPoly | None = None
     sigma_h1: int | None = None
     sigma_hg: int | None = None
@@ -112,6 +119,10 @@ class CertificationOutcome:
     @property
     def certified(self) -> bool:
         return self.status == "certified"
+
+    @property
+    def mult_matrices(self) -> list[RatMatrix] | None:
+        return None if self.normal_forms is None else self.normal_forms.matrices
 
 
 def signature(a: RatMatrix) -> int:
@@ -178,25 +189,6 @@ def mult_matrices(h1: RatMatrix, border: RatMatrix, hplus: HermitePlus) -> list[
     return ms
 
 
-def check_identity_rows(ms: Sequence[RatMatrix], labels: ExtendedBasis) -> StepFailure | None:
-    """Whenever x_s * b_i lands in the basis at position j, column i of M_s
-    must be the j-th unit vector."""
-    k = len(labels.base)
-    for s, (m, row) in enumerate(zip(ms, labels.shifts)):
-        for i, j in enumerate(row):
-            if j >= k:
-                continue
-            for r in range(k):
-                expected = Fraction(1 if r == j else 0)
-                if m.entry(r, i) != expected:
-                    return StepFailure(
-                        3,
-                        "identity_column",
-                        f"variable {s}, basis element {i}: column is not e_{j}",
-                    )
-    return None
-
-
 def check_squarefree(trace_h1: RatMatrix) -> StepFailure | None:
     """Step 4 on the non-radical route: the trace matrix
     H1[i, j] = Tr((b_i * b_j)(M)) is nonsingular.
@@ -215,18 +207,19 @@ def check_squarefree(trace_h1: RatMatrix) -> StepFailure | None:
 class NormalForms:
     """The normal-form table of one certification: v_gamma = M^gamma e_1.
 
-    Each M_s is scaled to integers by the lcm D_s of its denominators and
-    kept as its columns' non-zero entries, so a vector is an integer list
-    with one denominator, D^gamma.  v_gamma is memoised, each from
-    v_(gamma - e_s) by one product with D_s M_s that visits only the
-    non-zero entries of its columns.  The table is built once per
-    certification, after step 3, and shared by steps 4, 5, 6 and 7.  Its
-    vectors mean what they say under the precondition that steps 3 and 5
-    establish on both routes:
+    matrices holds the M_s the table was built from.  Each M_s is scaled to
+    integers by the lcm D_s of its denominators and kept as its columns'
+    non-zero entries, so a vector is an integer list with one denominator,
+    D^gamma.  v_gamma is memoised, each from v_(gamma - e_s) by one product
+    with D_s M_s that visits only the non-zero entries of its columns.  The
+    table is built once per certification, right after step 2, shared by
+    steps 4, 5, 6 and 7, and kept on the certified outcome for derive_hg.
+    Its vectors mean what they say under the precondition that steps 2 and
+    5 establish on both routes:
 
-    - the basis starts with 1 and is connected to 1, and step 3 proved the
-      identity columns, so v_(beta_i) = M^(beta_i) e_1 = e_i by induction on
-      deg beta_i;
+    - the basis starts with 1 and is connected to 1, and step 2 wrote e_j
+      into column i of M_s whenever x_s * b_i = b_j, so
+      v_(beta_i) = M^(beta_i) e_1 = e_i by induction on deg beta_i;
     - step 5 proved that the M_s commute, so M^gamma is well defined and
       every path to gamma gives the same v_gamma.
 
@@ -239,6 +232,7 @@ class NormalForms:
     def __init__(self, ms: Sequence[RatMatrix], basis: Sequence[Monomial]):
         k = ms[0].rows
         self.k = k
+        self.matrices = list(ms)
         self.basis = tuple(basis)
         self.scales: list[int] = []
         # columns[s][t]: non-zero (row, integer entry) of D_s * M_s e_t
@@ -329,9 +323,9 @@ def check_commute_and_membership(nf: NormalForms, system: PolySystem) -> StepFai
 
     Commutation is checked column by column in the integer-scaled form:
     D_a D_b M_a (M_b e_t) against D_b D_a M_b (M_a e_t).  Membership then
-    needs one vector per polynomial: the M_s commute and step 3 gave
-    M^(beta_j) e_1 = e_j, so f(M) e_j = M^(beta_j) f(M) e_1, and f(M) = 0
-    exactly when f(M) e_1 = sum_alpha f_alpha v_alpha = 0.
+    needs one vector per polynomial: the M_s commute and step 2's unit
+    columns give M^(beta_j) e_1 = e_j, so f(M) e_j = M^(beta_j) f(M) e_1,
+    and f(M) = 0 exactly when f(M) e_1 = sum_alpha f_alpha v_alpha = 0.
     """
     n = len(nf.columns)
     for a in range(n):
@@ -351,7 +345,7 @@ def _trace_grid(nf: NormalForms, monomials: Sequence[Monomial]) -> list[Fraction
 
     No matrix product is formed: Tr(M^alpha) = sum_i (v_(alpha + beta_i))_i
     over the basis exponents beta_i, read off the normal-form table.  With
-    the table's precondition (steps 3 and 5), Tr(M^alpha) =
+    the table's precondition (steps 2 and 5), Tr(M^alpha) =
     sum_i e_i^T M^alpha M^(beta_i) e_1, the same exact rational as the
     trace of the matrix product.
     """
@@ -378,7 +372,7 @@ def check_traces(hplus: HermitePlus, nf: NormalForms) -> StepFailure | None:
 
     One trace is computed per distinct label product; the entries are
     compared in row-major order.  The table's matrices must have passed
-    steps 3 and 5 (see NormalForms)."""
+    steps 2 and 5 (see NormalForms)."""
     labels = hplus.labels
     traces = _trace_grid(nf, labels.products)
     nums, dens = hplus.matrix.row_pairs()
@@ -439,8 +433,8 @@ def _fail(outcome_basis: MonomialBasis, diag: list[dict], failure: StepFailure) 
 
 def _run_steps_1_to_5(
     system: PolySystem, hplus: HermitePlus, diag: list[dict], *, radical: bool
-) -> tuple[RatMatrix, list[RatMatrix], NormalForms, RatMatrix | None] | StepFailure:
-    """Steps 1-5: (H1, the M_s, their table, the trace matrix).
+) -> tuple[RatMatrix, NormalForms, RatMatrix | None] | StepFailure:
+    """Steps 1-5: (H1, the table of the M_s, the trace matrix).
 
     The trace matrix is computed for step 4 on the non-radical route only;
     on the radical route it is None, and step 4 records that step 2 proved
@@ -457,14 +451,10 @@ def _run_steps_1_to_5(
         _log(diag, 2, "mult_matrices", ms)
         return ms
     _log(diag, 2, "mult_matrices", None)
-
-    failure = check_identity_rows(ms, hplus.labels)
-    _log(diag, 3, "identity_columns", failure)
-    if failure:
-        return failure
+    _log(diag, 3, "identity_columns", None)
     nf = NormalForms(ms, basis.monomials)
 
-    trace_h1 = None
+    failure = trace_h1 = None
     if not radical:
         trace_h1 = _base_trace_matrix(hplus.labels, nf)
         failure = check_squarefree(trace_h1)
@@ -476,7 +466,7 @@ def _run_steps_1_to_5(
     _log(diag, 5, "commute_and_membership", failure)
     if failure:
         return failure
-    return h1, ms, nf, trace_h1
+    return h1, nf, trace_h1
 
 
 def certify_pipeline(
@@ -498,7 +488,7 @@ def certify_pipeline(
     res = _run_steps_1_to_5(system, hplus, diag, radical=True)
     if isinstance(res, StepFailure):
         return _fail(basis, diag, res)
-    h1, ms, nf, _ = res
+    h1, nf, _ = res
 
     failure = check_traces(hplus, nf)
     _log(diag, 6, "trace_grid", failure)
@@ -517,7 +507,7 @@ def certify_pipeline(
         basis=basis,
         h1=h1,
         hg=hg,
-        mult_matrices=list(ms),
+        normal_forms=nf,
         g=g,
         sigma_h1=sigma_h1,
         sigma_hg=_signature_of_hg(hg, h1, sigma_h1),
@@ -533,15 +523,17 @@ def _signature_of_hg(hg: RatMatrix, h1: RatMatrix, sigma_h1: int) -> int:
 def derive_hg(outcome: CertificationOutcome, g: MultiPoly) -> tuple[RatMatrix, int] | StepFailure:
     """Step 7 for another g on a certified outcome: (H1 * g(M), its signature).
 
-    The outcome's own g gives the stored pair.  Any other g gets a fresh
-    normal-form table of the outcome's multiplication matrices, so the
-    outcome carries no cache that could go stale.  Nothing is logged: the
-    outcome's diagnostics describe its certification, not later derivations.
+    The outcome's own g gives the stored pair.  Any other g reads g(M) off
+    the outcome's normal-form table, the one its certification built, whose
+    vectors are exact wherever they were first memoised.  Nothing is
+    logged: the outcome's diagnostics describe its certification, not later
+    derivations.  An outcome that is not certified raises ValueError.
     """
+    if not outcome.certified:
+        raise ValueError("outcome is not certified")
     if g == outcome.g:
         return outcome.hg, outcome.sigma_hg
-    nf = NormalForms(outcome.mult_matrices, outcome.basis.monomials)
-    hg = hermite_for_g(outcome.h1, nf, g)
+    hg = hermite_for_g(outcome.h1, outcome.normal_forms, g)
     if isinstance(hg, StepFailure):
         return hg
     return hg, signature(hg)
@@ -572,7 +564,7 @@ def certify_nonradical(
     res = _run_steps_1_to_5(system, hplus, diag, radical=False)
     if isinstance(res, StepFailure):
         return _fail(basis, diag, res)
-    h1_weighted, ms, nf, h1_trace = res
+    h1_weighted, nf, h1_trace = res
 
     failure = None
     points = hplus.provenance.point_count
@@ -617,7 +609,7 @@ def certify_nonradical(
         basis=basis,
         h1=h1_trace,
         hg=hg_trace,
-        mult_matrices=list(ms),
+        normal_forms=nf,
         g=g,
         sigma_h1=sigma_h1,
         sigma_hg=sigma_hg,

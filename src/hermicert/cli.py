@@ -22,6 +22,7 @@ from .certificates import (
     bezout_bound,
     certify_ball,
     certify_nonneg,
+    lagrange_variables,
 )
 from .certify import certify_pipeline
 from .hermite import (
@@ -141,8 +142,7 @@ def cmd_nonneg(args) -> tuple[int, dict]:
     query = NonnegQuery(system, g, assume_smooth_bounded=args.assume_smooth_bounded)
     basis = None
     if args.basis:
-        lag_vars = [f"l{j + 1}" for j in range(len(system.polys))]
-        basis = _load_basis(args.basis, list(system.variables) + lag_vars)
+        basis = _load_basis(args.basis, lagrange_variables(system))
     cert = certify_nonneg(query, roots, basis=basis)
     payload = {
         "verdict": cert.verdict,

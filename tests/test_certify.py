@@ -18,7 +18,6 @@ from hermicert.certify import (
     certify_nonradical,
     certify_pipeline,
     check_commute_and_membership,
-    check_identity_rows,
     check_squarefree,
     check_traces,
     derive_hg,
@@ -137,21 +136,6 @@ def test_mult_matrices_makes_one_rank_call_when_it_succeeds(monkeypatch):
     assert calls == [3]  # rank H+ only; the solve proves H1 nonsingular
 
 
-def test_identity_columns_companion_passes():
-    m = RatMatrix.from_rows([[0, 2], [1, 0]])
-    assert check_identity_rows([m], ExtendedBasis(B1X)) is None
-
-
-def test_identity_columns_identity_matrix_fails():
-    failure = check_identity_rows([RatMatrix.identity(2)], ExtendedBasis(B1X))
-    assert failure is not None and failure.step == 3
-
-
-def test_identity_columns_vacuous_for_singleton_basis():
-    singleton = ExtendedBasis(MonomialBasis([(0,)]))
-    assert check_identity_rows([RatMatrix.from_rows([[5]])], singleton) is None
-
-
 def test_squarefree_pass_and_fail():
     # the trace forms of Q[x]/(x^2 - 2) and of the non-reduced Q[x]/(x^3)
     assert check_squarefree(RatMatrix.from_rows([[2, 0], [0, 4]])) is None
@@ -187,10 +171,8 @@ def test_noncommuting_only_in_a_border_column():
     two_var = PolySystem(["x", "y"], [])
     m_y = RatMatrix.from_rows([[0, 0, 0], [0, 0, 0], [1, 0, 1]])
     m_x = RatMatrix.from_rows([[0, 0, 0], [1, 1, 0], [0, 0, 0]])
-    assert check_identity_rows([m_x, m_y], ExtendedBasis(basis)) is None
     assert check_commute_and_membership(table([m_x, m_y], basis), two_var) is None
     bent = RatMatrix.from_rows([[0, 0, 0], [1, 1, 0], [0, 1, 0]])
-    assert check_identity_rows([bent, m_y], ExtendedBasis(basis)) is None
     left, right = bent @ m_y, m_y @ bent
     differing = [t for t in range(3) if any(left.entry(r, t) != right.entry(r, t) for r in range(3))]
     assert differing == [1]
@@ -429,6 +411,23 @@ def test_derive_hg_reports_step_7_failure():
     failure = derive_hg(out, parse_poly("x+1", ["x"]))
     assert isinstance(failure, StepFailure) and failure.step == 7
     assert [entry["step"] for entry in out.diagnostics] == [1, 2, 3, 4, 5, 6, 7]
+
+
+def test_derive_hg_refuses_an_uncertified_outcome():
+    hp = exact_hermite_plus(roots_as_qc([Fraction(1), Fraction(1)], []), B1X)
+    out = certify_pipeline(PolySystem(["x"], [parse_poly("x^2-2*x+1", ["x"])]), G_X, hp)
+    assert not out.certified and out.mult_matrices is None
+    with pytest.raises(ValueError, match="outcome is not certified"):
+        derive_hg(out, parse_poly("x^2", ["x"]))
+
+
+def test_outcome_keeps_the_table_its_matrices_come_from():
+    out = certify_pipeline(F_SQRT2, G_X, sqrt2_hermite())
+    assert out.mult_matrices is out.normal_forms.matrices
+    # the table is not part of the outcome's value
+    other = certify_pipeline(F_SQRT2, G_X, sqrt2_hermite())
+    assert other.normal_forms is not out.normal_forms and other == out
+    assert "normal_forms" not in repr(out)
 
 
 # -- non-radical certification -------------------------------------------------

@@ -519,6 +519,46 @@ def test_each_signature_is_computed_once(name, calls, tmp_path, monkeypatch):
     assert len(seen) == calls
 
 
+@pytest.mark.parametrize("name", sorted(PINNED_OUTPUTS))
+def test_each_run_builds_one_normal_form_table(name, tmp_path, monkeypatch):
+    # certify once, derive every H_g from the same table
+    original = hermicert.certify.NormalForms.__init__
+    built = []
+
+    def counting(self, *args):
+        built.append(self)
+        original(self, *args)
+
+    make_argv, exit_code, _ = PINNED_OUTPUTS[name]
+    argv = make_argv(tmp_path) + ["--out", str(tmp_path / "out.json")]
+    monkeypatch.setattr(hermicert.certify.NormalForms, "__init__", counting)
+    assert main(argv) == exit_code
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize(
+    "accuracy, points, error",
+    [
+        # accuracy too poor for the denominator bounds
+        ("0.01", [["1", "-0.5"], ["-1", "0.5"]], "ReconstructionFailedError"),
+        # two nearly coincident critical points leave no well-conditioned basis
+        ("1e-8", [["1", "-0.5"], ["1.000000000001", "-0.5"]], "NoWellConditionedBasisError"),
+    ],
+)
+def test_nonneg_construction_failure_exits_2(accuracy, points, error, tmp_path, capsys):
+    circle = write(tmp_path / "circle.json", CIRCLE)
+    lroots = write(
+        tmp_path / "lroots.json",
+        {
+            "accuracy_E": accuracy,
+            "bound_M": "2",
+            "points": [[[x, "0"], ["0", "0"], [l1, "0"]] for x, l1 in points],
+        },
+    )
+    code, v = run(capsys, "nonneg", "--system", circle, "--g", "x+2", "--roots", lroots)
+    assert code == 2 and v["error"]["type"] == error
+
+
 @pytest.mark.parametrize("kernel", ["inertia", "charpoly"])
 @pytest.mark.parametrize("command", ["certify", "pipeline"])
 def test_signature_mismatch_propagates_out_of_main(
