@@ -8,8 +8,9 @@ of extended Hermite matrices, where arbitrary-precision integer arithmetic
 dominates; the weighted matrices of a ball query on the 5x5 (k=25) and 7x7
 (k=49) grids, whose rational entries are where the signatures' cost lies;
 and the H1 of the 5x5 grid with its border columns, the one solve of
-certification step 2.  The characteristic polynomial takes symmetric
-matrices only.
+certification step 2, and the product of that step's Schur-complement
+check, the border rows times the solution.  The characteristic polynomial
+takes symmetric matrices only.
 
 Usage: python benchmarks/bench_kernels.py [--repeat N]
 """
@@ -104,6 +105,9 @@ def workloads(rng):
     big = power_sum_entries(rng, 10)
     ball = ball_hg_entries(rng)
     h1, border = grid_border_entries()
+    # H+[ext, B] is the transpose of the border block, and Y = H1^-1 H+[B, ext]
+    border_rows = [[x[i * 10 + j] for j in range(10) for i in range(25)] for x in border]
+    y = kernels.mat_solve(25, 10, *h1, *border)
     ball49 = ball_hg_entries(rng, 7)
     return [
         ("mat_mul 8x8 small", "mat_mul", (k, k, k, *a, *b)),
@@ -115,6 +119,7 @@ def workloads(rng):
         ("charpoly 25x25 ball H_g", "charpoly", (25, *ball)),
         ("inertia 25x25 ball H_g", "inertia", (25, *ball)),
         ("mat_solve 25x10 grid H1 border", "mat_solve", (25, 10, *h1, *border)),
+        ("mat_mul 10x25x10 grid Schur complement", "mat_mul", (10, 25, 10, *border_rows, *y)),
         ("charpoly 49x49 ball H_g", "charpoly", (49, *ball49)),
         ("inertia 49x49 ball H_g", "inertia", (49, *ball49)),
     ]
@@ -126,12 +131,12 @@ def main():
     args = parser.parse_args()
 
     rng = random.Random(2024)
-    header = f"{'workload':<36} {'best':>10}"
+    header = f"{'workload':<40} {'best':>10}"
     print(header)
     print("-" * len(header))
     for label, name, call_args in workloads(rng):
         best = bench(getattr(kernels, name), *call_args, repeat=args.repeat)
-        print(f"{label:<36} {best * 1e3:>8.3f}ms")
+        print(f"{label:<40} {best * 1e3:>8.3f}ms")
 
 
 if __name__ == "__main__":

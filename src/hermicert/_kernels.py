@@ -3,165 +3,141 @@
 A matrix is a flat row-major pair of lists (nums, dens) of Python ints with
 every entry stored reduced and dens[i] > 0.  These functions are the inner
 loops of the whole package; ``hermicert.linalg`` wraps them for RatMatrix.
-Rank, inertia and the characteristic polynomial scale the matrix to integers
-once and run on plain ints: rank and inertia by fraction-free (Bareiss)
-elimination, the characteristic polynomial of a symmetric matrix
-division-free (Berkowitz).  Only the product and the solve carry reduced
-rational pairs.
+Every kernel first scales its input to integers with _scaled, one lcm for
+the whole matrix (inertia, charpoly) or one per row or column (rank, solve,
+product), and then runs on plain ints: rank, solve and inertia by
+fraction-free (Bareiss) elimination, the characteristic polynomial of a
+symmetric matrix division-free (Berkowitz), the product as integer dot
+products.  A rational result is reduced once per entry at the end.
 """
 
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 
-def q_add(an, ad, bn, bd):
-    """Reduced sum of an/ad + bn/bd (Henrici's gcd-saving scheme)."""
-    g = gcd(ad, bd)
-    if g == 1:
-        return an * bd + bn * ad, ad * bd
-    s = ad // g
-    n = an * (bd // g) + bn * s
-    g2 = gcd(n, g)
-    if g2 == 1:
-        return n, s * bd
-    return n // g2, s * (bd // g2)
-
-
-def q_sub(an, ad, bn, bd):
-    return q_add(an, ad, -bn, bd)
-
-
-def q_mul(an, ad, bn, bd):
-    g1 = gcd(an, bd)
-    if g1 > 1:
-        an //= g1
-        bd //= g1
-    g2 = gcd(bn, ad)
-    if g2 > 1:
-        bn //= g2
-        ad //= g2
-    return an * bn, ad * bd
-
-
-def q_div(an, ad, bn, bd):
-    if bn == 0:
-        raise ZeroDivisionError("rational division by zero")
-    n, d = q_mul(an, ad, bd, bn)
-    if d < 0:
-        return -n, -d
-    return n, d
+def _scaled(nums, dens):
+    """(L, [L * n / d for each entry]): L the lcm of the denominators."""
+    l = lcm(*dens)
+    return l, [n * (l // d) for n, d in zip(nums, dens)]
 
 
 def mat_mul(ar, ac, bc, an, ad, bn, bd):
-    """(ar x ac) @ (ac x bc) on flat pair lists."""
-    cn = [0] * (ar * bc)
-    cd = [1] * (ar * bc)
-    for i in range(ar):
-        ra = i * ac
-        rc = i * bc
-        for j in range(bc):
-            sn, sd = 0, 1
-            for t in range(ac):
-                x = an[ra + t]
-                if x == 0:
-                    continue
-                y = bn[t * bc + j]
-                if y == 0:
-                    continue
-                pn, pd = q_mul(x, ad[ra + t], y, bd[t * bc + j])
-                sn, sd = q_add(sn, sd, pn, pd)
-            cn[rc + j] = sn
-            cd[rc + j] = sd
+    """(ar x ac) @ (ac x bc) on flat pair lists.
+
+    Row i of A is scaled to integers by its lcm r_i and column j of B by its
+    lcm c_j; entry (i, j) is their integer dot product over r_i * c_j,
+    reduced once."""
+    rows = [_scaled(an[i * ac : (i + 1) * ac], ad[i * ac : (i + 1) * ac]) for i in range(ar)]
+    cols = [_scaled(bn[j::bc], bd[j::bc]) for j in range(bc)]
+    cn, cd = [], []
+    for r, row in rows:
+        for c, col in cols:
+            s = sum(map(mul, row, col))
+            d = r * c
+            g = gcd(s, d)
+            cn.append(s // g)
+            cd.append(d // g)
     return cn, cd
+
+
+def _eliminate(m, pivot_cols):
+    """Fraction-free (Bareiss) forward elimination of the integer rows m, in
+    place; returns the number of pivots.
+
+    Pivots are sought in the first pivot_cols columns, in order, and a
+    column without one is skipped.  After p pivots every remaining entry is
+    the minor of the rows and columns pivoted so far bordered by its own row
+    and column, so each division by the previous pivot is exact, and the
+    p-th pivot is that p x p minor.  A row whose entry in the pivot column
+    is zero would only be rescaled by pivot / previous pivot; it is left as
+    it is, and lev[i] records the pivot it was last brought up to, so that
+    its true entries are row * prev / lev[i].  The rows that become pivot
+    rows end up as the true rows of the triangular form; the others do not.
+    """
+    r = len(m)
+    lev = [1] * r
+    prev = 1
+    pr = 0
+    for pc in range(pivot_cols):
+        if pr >= r:
+            break
+        for piv in range(pr, r):
+            if m[piv][pc]:
+                break
+        else:
+            continue
+        m[pr], m[piv] = m[piv], m[pr]
+        lev[pr], lev[piv] = lev[piv], lev[pr]
+        row_p = m[pr]
+        d = lev[pr]
+        if d != prev:
+            row_p[:] = [x * prev // d for x in row_p]
+        pv = row_p[pc]
+        for i in range(pr + 1, r):
+            row = m[i]
+            f = row[pc]
+            if not f:
+                continue
+            d = lev[i]
+            if d != prev:
+                row[:] = [x * prev // d for x in row]
+                f = row[pc]
+            row[pc] = 0
+            for j in range(pc + 1, len(row)):
+                row[j] = (pv * row[j] - f * row_p[j]) // prev
+            lev[i] = pv
+        prev = pv
+        pr += 1
+    return pr
 
 
 def mat_rank(r, c, nums, dens):
     """Exact rank by fraction-free (Bareiss) elimination.
 
-    Rows are first scaled to integers by their denominator lcm, which
+    Each row is first scaled to integers by its own denominator lcm, which
     preserves rank.
     """
-    m = []
-    for i in range(r):
-        base = i * c
-        l = 1
-        for j in range(c):
-            d = dens[base + j]
-            l = l * d // gcd(l, d)
-        m.append([nums[base + j] * (l // dens[base + j]) for j in range(c)])
-    rank = 0
-    prev = 1
-    pr = 0
-    for pc in range(c):
-        if pr >= r:
-            break
-        piv = -1
-        for i in range(pr, r):
-            if m[i][pc]:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        if piv != pr:
-            m[pr], m[piv] = m[piv], m[pr]
-        pv = m[pr][pc]
-        row_p = m[pr]
-        for i in range(pr + 1, r):
-            row = m[i]
-            f = row[pc]
-            for j in range(pc + 1, c):
-                row[j] = (pv * row[j] - f * row_p[j]) // prev
-            row[pc] = 0
-        prev = pv
-        pr += 1
-        rank += 1
-    return rank
+    m = [_scaled(nums[i * c : (i + 1) * c], dens[i * c : (i + 1) * c])[1] for i in range(r)]
+    return _eliminate(m, c)
 
 
 def mat_solve(k, m, an, ad, bn, bd):
-    """Gauss-Jordan solution X of A X = B for A (k x k) and B (k x m);
-    returns None when A is singular.  B = I gives the inverse."""
-    a_n = list(an)
-    a_d = list(ad)
-    b_n = list(bn)
-    b_d = list(bd)
-    for col in range(k):
-        piv = -1
-        for i in range(col, k):
-            if a_n[i * k + col]:
-                piv = i
-                break
-        if piv < 0:
-            return None
-        if piv != col:
-            pa, ca = piv * k, col * k
-            a_n[pa : pa + k], a_n[ca : ca + k] = a_n[ca : ca + k], a_n[pa : pa + k]
-            a_d[pa : pa + k], a_d[ca : ca + k] = a_d[ca : ca + k], a_d[pa : pa + k]
-            pb, cb = piv * m, col * m
-            b_n[pb : pb + m], b_n[cb : cb + m] = b_n[cb : cb + m], b_n[pb : pb + m]
-            b_d[pb : pb + m], b_d[cb : cb + m] = b_d[cb : cb + m], b_d[pb : pb + m]
-        base_a, base_b = col * k, col * m
-        pn, pd = a_n[base_a + col], a_d[base_a + col]
-        for j in range(base_a, base_a + k):
-            a_n[j], a_d[j] = q_div(a_n[j], a_d[j], pn, pd)
-        for j in range(base_b, base_b + m):
-            b_n[j], b_d[j] = q_div(b_n[j], b_d[j], pn, pd)
-        for i in range(k):
-            if i == col:
-                continue
-            ri, rb = i * k, i * m
-            fn, fd = a_n[ri + col], a_d[ri + col]
-            if fn == 0:
-                continue
-            for j in range(k):
-                if a_n[base_a + j]:
-                    tn, td = q_mul(fn, fd, a_n[base_a + j], a_d[base_a + j])
-                    a_n[ri + j], a_d[ri + j] = q_sub(a_n[ri + j], a_d[ri + j], tn, td)
-            for j in range(m):
-                if b_n[base_b + j]:
-                    tn, td = q_mul(fn, fd, b_n[base_b + j], b_d[base_b + j])
-                    b_n[rb + j], b_d[rb + j] = q_sub(b_n[rb + j], b_d[rb + j], tn, td)
-    return b_n, b_d
+    """X with A X = B for A (k x k) and B (k x m), as reduced pairs; None
+    when A is singular.  B = I gives the inverse.
+
+    Row i of [A | B] is scaled to integers by its own lcm, which keeps X.
+    Fraction-free forward elimination of the integer rows makes [A | B]
+    upper triangular [U | C] with U's last pivot d = +-det of the scaled A,
+    so d X is an integer matrix (Cramer's rule); it is found by exact
+    integer back-substitution, d X_i = (d C_i - sum_(t > i) U_it d X_t) / U_ii,
+    and each entry of X is reduced once."""
+    rows = []
+    for i in range(k):
+        a, b = slice(i * k, (i + 1) * k), slice(i * m, (i + 1) * m)
+        rows.append(_scaled(an[a] + bn[b], ad[a] + bd[b])[1])
+    if _eliminate(rows, k) < k:
+        return None
+    if k == 0:
+        return [], []
+    det = rows[k - 1][k - 1]
+    x = [None] * k  # x[i]: row i of d X
+    for i in range(k - 1, -1, -1):
+        row = rows[i]
+        acc = [det * c for c in row[k:]]
+        for t in range(i + 1, k):
+            f = row[t]
+            if f:
+                acc = [a - f * v for a, v in zip(acc, x[t])]
+        p = row[i]
+        x[i] = [a // p for a in acc]
+    sign = -1 if det < 0 else 1
+    xn, xd = [], []
+    for row in x:
+        for v in row:
+            g = gcd(v, det) * sign
+            xn.append(v // g)
+            xd.append(det // g)
+    return xn, xd
 
 
 def integer_rows(k, nums, dens):
@@ -169,10 +145,8 @@ def integer_rows(k, nums, dens):
 
     L > 0, so B has the inertia and the sign pattern of A, and
     c_i(A) = c_i(B) / L^i for the characteristic polynomial."""
-    l = 1
-    for d in dens:
-        l = l * d // gcd(l, d)
-    return l, [[nums[i * k + j] * (l // dens[i * k + j]) for j in range(k)] for i in range(k)]
+    l, flat = _scaled(nums, dens)
+    return l, [flat[i * k : (i + 1) * k] for i in range(k)]
 
 
 def charpoly(k, nums, dens):

@@ -32,10 +32,15 @@ the position of every x_s * b_i, and its products table the distinct
 products b_i * b_j that the entries depend on.  No dense k x k product of
 multiplication matrices is formed.  Column i of M_s is the unit vector e_j
 whenever x_s * b_i is the basis element b_j, so step 2 writes those
-columns itself and solves only the border columns (x_s * b_i outside the
-basis), all of them in one elimination of H1, checking the exact residual
-H1 X = border.  On the non-radical route that residual is the weighted
-identity H1bar M_s = H1bar^{x_s}.  Step 3 therefore checks nothing: its
+columns itself.  Every other column is read off Y = H1^{-1} H+[B, ext],
+ext the extension labels outside the basis, each once: one fraction-free
+elimination of H1 on integers, checking the exact residual
+H1 Y = H+[B, ext].  On the non-radical route that residual is the
+weighted identity H1bar M_s = H1bar^{x_s}.  With H1 nonsingular, the rank
+condition rank H+ = k is the vanishing of the Schur complement,
+H+[ext, ext] = H+[ext, B] Y (Guttman's rank identity), so one product
+replaces a second elimination; the ranks themselves are computed only to
+word a failure.  Step 3 therefore checks nothing: its
 entry records that step 2 wrote the unit columns, as step 4 on the
 radical route records step 2's result.  Step 2's matrices go into one
 NormalForms table of the vectors v_gamma = M^gamma e_1, the only copy of
@@ -55,7 +60,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 from .hermite import HermitePlus
@@ -137,12 +142,11 @@ def signature(a: RatMatrix) -> int:
 
 
 def extract_blocks(hplus: HermitePlus) -> tuple[RatMatrix, RatMatrix]:
-    """H1 (rows and columns B) and the k x m border block: the columns of H+
-    labelled x_s * b_i outside B, ordered by s, then i."""
-    k = hplus.base_size()
-    base_idx = range(k)
-    border = [j for row in hplus.labels.shifts for j in row if j >= k]
-    return hplus.matrix.submatrix(base_idx, base_idx), hplus.matrix.submatrix(base_idx, border)
+    """H1 (rows and columns B) and the k x (l - k) border block H+[B, ext]:
+    the columns of the extension labels outside B, each once, in label
+    order."""
+    k, l = hplus.base_size(), len(hplus.labels)
+    return hplus.matrix.submatrix(range(k), range(k)), hplus.matrix.submatrix(range(k), range(k, l))
 
 
 def mult_matrices(h1: RatMatrix, border: RatMatrix, hplus: HermitePlus) -> list[RatMatrix] | StepFailure:
@@ -150,41 +154,40 @@ def mult_matrices(h1: RatMatrix, border: RatMatrix, hplus: HermitePlus) -> list[
 
     Column i of H1^{x_s} is the column of H+ labelled x_s * b_i.  When that
     label is a basis element b_j (shifts[s][i] = j < k), it is H1's own
-    column j, so column i of M_s is e_j by construction.  Only the border
-    columns are solved: all of them, for every s, in one elimination of H1
-    by linalg.solve, which checks the exact residual H1 X = border.  On the
-    non-radical route that residual is the weighted identity
-    H1bar M_s = H1bar^{x_s} on the border columns.  The rank of H+ is
-    computed first; on the non-radical route it is the only check that sees
-    the entries of H+ outside H1 and the border block.  H1's own rank is
-    computed only on a failure, to word the message.
+    column j, so column i of M_s is e_j by construction.  Otherwise it is a
+    border column, and column i of M_s is the matching column of
+    Y = H1^{-1} H+[B, ext]: one elimination of H1 by linalg.solve, which
+    proves H1 nonsingular and checks the exact residual H1 Y = H+[B, ext].
+    On the non-radical route that residual is the weighted identity
+    H1bar M_s = H1bar^{x_s} on the border columns.  With H1 nonsingular,
+    rank H+ = k + rank(H+[ext, ext] - H+[ext, B] Y) (Guttman's rank identity
+    for the Schur complement), so rank H+ = k exactly when
+    H+[ext, ext] = H+[ext, B] Y; this product is the check that sees the
+    entries of H+ outside its first k rows.  Both ranks are computed only
+    on a failure, to word the message.
     """
-    k = h1.rows
-    rank_hplus = rank(hplus.matrix)
-    x = None
-    if rank_hplus == k:
-        try:
-            x = solve(h1, border)
-        except SingularMatrixError:
-            pass
-    if x is None:
+    k, l = h1.rows, len(hplus.labels)
+    ext = range(k, l)
+    try:
+        y = solve(h1, border)
+    except SingularMatrixError:
+        y = None
+    hp = hplus.matrix
+    if y is None or hp.submatrix(ext, ext) != hp.submatrix(ext, range(k)) @ y:
         return StepFailure(
-            2, "rank_deficient", f"rank H1 = {rank(h1)}, rank H+ = {rank_hplus}, expected {k}"
+            2, "rank_deficient", f"rank H1 = {rank(h1)}, rank H+ = {rank(hp)}, expected {k}"
         )
-    xn, xd = x.row_pairs()
-    m = x.cols
-    c = 0  # column of x holding the next border column
+    yn, yd = y.row_pairs()
+    m = l - k
     ms = []
     for row in hplus.labels.shifts:
         nums, dens = [0] * (k * k), [1] * (k * k)
         for i, j in enumerate(row):
             if j < k:
                 nums[j * k + i] = 1
-                continue
-            for r in range(k):
-                nums[r * k + i] = xn[r * m + c]
-                dens[r * k + i] = xd[r * m + c]
-            c += 1
+            else:  # column i of M_s is column j - k of Y
+                nums[i::k] = yn[j - k :: m]
+                dens[i::k] = yd[j - k :: m]
         ms.append(RatMatrix(k, k, nums, dens))
     return ms
 
@@ -239,9 +242,7 @@ class NormalForms:
         self.columns: list[list[list[tuple[int, int]]]] = []
         for m in ms:
             nums, dens = m.row_pairs()
-            d = 1
-            for x in dens:
-                d = d * x // gcd(d, x)
+            d = lcm(*dens)
             self.scales.append(d)
             self.columns.append(
                 [
@@ -295,7 +296,7 @@ class NormalForms:
             w, d = self.vector(monomial_mul(alpha, beta))
             q = coeff.denominator * d
             terms.append((coeff.numerator, q, w))
-            den = den * q // gcd(den, q)
+            den = lcm(den, q)
         out = [0] * self.k
         for p, q, w in terms:
             f = p * (den // q)

@@ -229,6 +229,11 @@ def cmd_reconstruct_rational(args) -> tuple[int, dict]:
 
 
 def cmd_pipeline(args) -> tuple[int, dict]:
+    query = None
+    if args.center is not None or args.eps2 is not None:
+        if args.center is None or args.eps2 is None:
+            raise ValueError("--center and --eps2 must be given together")
+        query = BallQuery(center=_parse_center(args.center), radius_squared=Fraction(args.eps2))
     system = _load_system(args.system)
     roots = _load_roots(args.roots)
     hplus = _build_hermite(args, system, roots)
@@ -240,10 +245,7 @@ def cmd_pipeline(args) -> tuple[int, dict]:
         payload["verdict"] = "fail"
         return EXIT_CERTIFY_FAIL, payload
     payload["real_root_count"] = outcome.sigma_h1
-    if args.center is not None or args.eps2 is not None:
-        if args.center is None or args.eps2 is None:
-            raise ValueError("--center and --eps2 must be given together")
-        query = BallQuery(center=_parse_center(args.center), radius_squared=Fraction(args.eps2))
+    if query is not None:
         cert = ball_from_outcome(outcome, system.variables, query)
         payload["ball"] = {
             "verdict": cert.verdict,

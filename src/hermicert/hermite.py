@@ -69,10 +69,7 @@ class HermitePlus:
         return len(self.labels.base)
 
 
-def approx_extended_hermite(
-    points: ApproxRootSet | Sequence[Sequence[complex]],
-    basis: ExtendedBasis,
-) -> list[complex]:
+def approx_extended_hermite(points: ApproxRootSet, basis: ExtendedBasis) -> list[complex]:
     """One power sum sum_t z_t^alpha in complex doubles per distinct label
     product alpha, in the order of basis.products.
 
@@ -80,14 +77,13 @@ def approx_extended_hermite(
     b_i * b_j.  Weighted matrices H_g are never approximated: the certify
     module derives them exactly from the certified multiplication matrices.
     """
-    pts = points.points if isinstance(points, ApproxRootSet) else [tuple(p) for p in points]
     arity = basis.base.arity
-    for p in pts:
+    for p in points.points:
         if len(p) != arity:
             raise ValueError("point arity does not match the basis")
     max_exp = [max(e) for e in zip(*basis.products)]
     coord_powers = []
-    for p in pts:
+    for p in points.points:
         powers = []
         for i, z in enumerate(p):
             col = [1 + 0j]
@@ -114,7 +110,6 @@ def reconstruct_hermite(
     basis: ExtendedBasis,
     accuracy: RationalLike,
     point_count: int,
-    arity: int,
     coord_bound: RationalLike,
 ) -> HermitePlus:
     """Rationalize the approximate power sums of an extended Hermite matrix.
@@ -133,8 +128,7 @@ def reconstruct_hermite(
     """
     E = exact_fraction(accuracy)
     M = exact_fraction(coord_bound)
-    if arity != basis.base.arity:
-        raise ValueError("arity does not match the basis")
+    arity = basis.base.arity
     products = basis.products
     if len(sums) != len(products):
         raise ValueError("power-sum count does not match the basis")
@@ -192,9 +186,7 @@ def build_extended_hermite(
     """Approximate then reconstruct the extended Hermite matrix for g = 1."""
     ext = ExtendedBasis(basis)
     sums = approx_extended_hermite(points, ext)
-    return reconstruct_hermite(
-        sums, ext, points.accuracy, len(points), basis.arity, points.coord_bound
-    )
+    return reconstruct_hermite(sums, ext, points.accuracy, len(points), points.coord_bound)
 
 
 def build_nonradical(full: HermitePlus) -> HermitePlus:

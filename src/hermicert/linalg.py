@@ -8,6 +8,8 @@ exact; there is no floating point anywhere in this module.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from . import _kernels as kernels
@@ -100,26 +102,16 @@ class RatMatrix:
         )
         return f"RatMatrix({self.rows}x{self.cols}: {body})"
 
+    @classmethod
+    def _reduced(cls, rows: int, cols: int, nums: list[int], dens: list[int]) -> "RatMatrix":
+        """The matrix of the entries nums[i] / dens[i], dens[i] > 0, reduced."""
+        gs = list(map(gcd, nums, dens))
+        return cls(rows, cols, [n // g for n, g in zip(nums, gs)], [d // g for d, g in zip(dens, gs)])
+
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
         self._check_same_shape(other)
-        n, d = [], []
-        for i in range(len(self._n)):
-            rn, rd = kernels.q_add(self._n[i], self._d[i], other._n[i], other._d[i])
-            n.append(rn)
-            d.append(rd)
-        return RatMatrix(self.rows, self.cols, n, d)
-
-    def __sub__(self, other: "RatMatrix") -> "RatMatrix":
-        self._check_same_shape(other)
-        n, d = [], []
-        for i in range(len(self._n)):
-            rn, rd = kernels.q_sub(self._n[i], self._d[i], other._n[i], other._d[i])
-            n.append(rn)
-            d.append(rd)
-        return RatMatrix(self.rows, self.cols, n, d)
-
-    def __neg__(self) -> "RatMatrix":
-        return RatMatrix(self.rows, self.cols, [-x for x in self._n], list(self._d))
+        nums = [an * bd + bn * ad for an, ad, bn, bd in zip(self._n, self._d, other._n, other._d)]
+        return RatMatrix._reduced(self.rows, self.cols, nums, list(map(mul, self._d, other._d)))
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
@@ -131,12 +123,8 @@ class RatMatrix:
 
     def scale(self, factor) -> "RatMatrix":
         f = Fraction(factor)
-        n, d = [], []
-        for i in range(len(self._n)):
-            rn, rd = kernels.q_mul(self._n[i], self._d[i], f.numerator, f.denominator)
-            n.append(rn)
-            d.append(rd)
-        return RatMatrix(self.rows, self.cols, n, d)
+        nums = [n * f.numerator for n in self._n]
+        return RatMatrix._reduced(self.rows, self.cols, nums, [d * f.denominator for d in self._d])
 
     def is_symmetric(self) -> bool:
         if self.rows != self.cols:
@@ -179,8 +167,9 @@ def rank(a: RatMatrix) -> int:
 def solve(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     """Exact X with A * X = B; raises SingularMatrixError when det A = 0.
 
-    One Gauss-Jordan elimination of A carries every column of B; the exact
-    residual A * X = B is then checked, as an exception that survives -O.
+    One fraction-free elimination of A on plain ints carries every column of
+    B (_kernels.mat_solve); the exact residual A * X = B is then checked, as
+    an exception that survives -O.
     """
     if a.rows != a.cols:
         raise ValueError("solve with a non-square matrix")

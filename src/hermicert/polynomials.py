@@ -90,10 +90,6 @@ class MultiPoly:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls, variables: Sequence[str]) -> "MultiPoly":
-        return cls(variables, {})
-
-    @classmethod
     def constant(cls, variables: Sequence[str], value) -> "MultiPoly":
         return cls(variables, {(0,) * len(tuple(variables)): Fraction(value)})
 

@@ -92,6 +92,19 @@ def test_mult_matrices_of_two_distinct_roots():
     assert ms[0] == RatMatrix.from_rows([[0, 2], [1, -1]])
 
 
+def test_shared_border_label_is_one_column():
+    # on {1, x, y}, x * y = y * x lies outside the basis: the border block
+    # holds each of x^2, xy, y^2 once, and both M_x and M_y read the xy column
+    xy_basis = MonomialBasis([(0, 0), (1, 0), (0, 1)])
+    hp = exact_hermite_plus([(QC(0), QC(0)), (QC(1), QC(0)), (QC(0), QC(1))], xy_basis)
+    assert hp.labels.shifts[0][2] == hp.labels.shifts[1][1] >= hp.base_size()
+    h1, border = extract_blocks(hp)
+    assert border.cols == len(hp.labels) - hp.base_size() == 3
+    assert border == hp.matrix.submatrix(range(3), range(3, 6))
+    ms = mult_matrices(h1, border, hp)
+    assert ms == dense_mult_matrices(hp)
+
+
 def test_mult_matrices_rank_deficient_fails():
     hp = exact_hermite_plus(roots_as_qc([Fraction(1), Fraction(1)], []), B1X)
     h1, border = extract_blocks(hp)
@@ -121,7 +134,7 @@ def test_mult_matrices_computes_each_rank_once(roots, detail, monkeypatch):
     assert sorted(calls) == [2, 3]
 
 
-def test_mult_matrices_makes_one_rank_call_when_it_succeeds(monkeypatch):
+def test_mult_matrices_makes_no_rank_call_when_it_succeeds(monkeypatch):
     hp = sqrt2_hermite()
     h1, border = extract_blocks(hp)
     calls = []
@@ -130,10 +143,18 @@ def test_mult_matrices_makes_one_rank_call_when_it_succeeds(monkeypatch):
         calls.append(a.rows)
         return rank(a)
 
+    def counting_kernel(r, c, nums, dens):
+        calls.append(r)
+        return kernel_rank(r, c, nums, dens)
+
+    kernel_rank = kernels.mat_rank
     monkeypatch.setattr(certify_module, "rank", counting)
+    monkeypatch.setattr(kernels, "mat_rank", counting_kernel)
     ms = mult_matrices(h1, border, hp)
     assert ms == [RatMatrix.from_rows([[0, 2], [1, 0]])]
-    assert calls == [3]  # rank H+ only; the solve proves H1 nonsingular
+    # the solve proves H1 nonsingular and the Schur complement check proves
+    # rank H+ = k: no rank is computed
+    assert calls == []
 
 
 def test_squarefree_pass_and_fail():
@@ -587,7 +608,8 @@ def test_corpus_singular_h1_with_full_rank_extension_fails_step_2():
 
 def test_corpus_corner_entry_is_seen_only_by_the_rank_guard_on_the_nonradical_route():
     # no step of the non-radical route reads the (x^2, x^2) entry of H+
-    # except rank H+ = k
+    # except rank H+ = k, which step 2 checks as a zero Schur complement
+    # H+[ext, ext] = H+[ext, B] H1^-1 H+[B, ext]
     f = PolySystem(["x"], [parse_poly("x^3-3*x+2", ["x"])])
     pts = ApproxRootSet(points=((1 + 0j,), (1 + 0j,), (-2 + 0j,)), accuracy="1e-8", coord_bound=3)
     hp = build_nonradical(build_extended_hermite(pts, MonomialBasis([(0,), (1,), (2,)])))

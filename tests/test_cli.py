@@ -10,6 +10,7 @@ import pytest
 
 import hermicert._kernels as kernels
 import hermicert.certify
+import hermicert.cli
 from hermicert.certify import SignatureMethodMismatchError
 from hermicert.cli import main
 
@@ -287,6 +288,24 @@ def test_no_command_takes_a_seed_or_retries(option, files, capsys):
             main(argv + [option, "3"])
         assert exc.value.code == 1, argv
     assert f"unrecognized arguments: {option} 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lone", [["--center", "7/5"], ["--eps2", "1/100"]])
+def test_pipeline_rejects_a_lone_ball_option_before_any_work(lone, files, capsys, monkeypatch):
+    called = []
+
+    def refuse(name):
+        def stub(*args):
+            called.append(name)
+            raise AssertionError(f"{name} ran before the options were checked")
+
+        return stub
+
+    monkeypatch.setattr(hermicert.cli, "build_extended_hermite", refuse("build"))
+    monkeypatch.setattr(hermicert.cli, "certify_pipeline", refuse("certify"))
+    code, payload = run(capsys, "pipeline", "--system", files["sys"], "--roots", files["roots"], *lone)
+    assert code == 1 and called == []
+    assert payload["error"]["message"] == "--center and --eps2 must be given together"
 
 
 def test_construction_failure_exit_code(tmp_path, capsys):

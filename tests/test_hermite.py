@@ -86,7 +86,7 @@ def test_reconstruct_recovers_newton_girard_oracle():
 def test_reconstruct_rejects_poor_accuracy():
     approx = approx_extended_hermite(sqrt2_roots(), ExtendedBasis(B1X))
     with pytest.raises(ReconstructionFailedError) as err:
-        reconstruct_hermite(approx, ExtendedBasis(B1X), 1, 2, 1, 2)
+        reconstruct_hermite(approx, ExtendedBasis(B1X), 1, 2, 2)
     assert err.value.reason == "not_usable"
 
 
@@ -95,7 +95,7 @@ def test_reconstruct_rejects_large_imaginary_part():
     sums = approx_extended_hermite(sqrt2_roots(), ext)
     sums[ext.product_index[1]] += 0.1j  # the power sum of x, at (0, 1) and (1, 0)
     with pytest.raises(ReconstructionFailedError) as err:
-        reconstruct_hermite(sums, ext, Fraction(1, 10**10), 2, 1, 2)
+        reconstruct_hermite(sums, ext, Fraction(1, 10**10), 2, 2)
     assert err.value.reason == "imaginary_too_large"
     assert err.value.entry == (0, 1)  # the first entry, row-major, holding the product
 

@@ -67,19 +67,26 @@ def mat_mul_oracle(ar, ac, bc, an, ad, bn, bd):
     return [f.numerator for f in c], [f.denominator for f in c]
 
 
+def assert_reduced(nums, dens):
+    assert all(d > 0 and gcd(n, d) == 1 for n, d in zip(nums, dens)), (nums, dens)
+
+
 def test_mat_mul_matches_fraction_triple_loop():
     rng = random.Random(99)
-    for _ in range(40):
-        ar, ac, bc = (rng.randint(1, 6) for _ in range(3))
+    shapes = [(rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)) for _ in range(40)]
+    shapes += [(0, 3, 2), (2, 0, 3), (3, 2, 0), (0, 0, 0)]
+    for ar, ac, bc in shapes:
         an, ad = rand_pairs(rng, ar * ac)
         bn, bd = rand_pairs(rng, ac * bc)
-        expected = mat_mul_oracle(ar, ac, bc, an, ad, bn, bd)
-        assert kernels.mat_mul(ar, ac, bc, an, ad, bn, bd) == expected
+        got = kernels.mat_mul(ar, ac, bc, an, ad, bn, bd)
+        assert got == mat_mul_oracle(ar, ac, bc, an, ad, bn, bd)
+        assert_reduced(*got)
     for k in list(range(1, 9)) * 2:
         an, ad = rand_pairs(rng, k * k, 2**12, 2**20)
         bn, bd = rand_pairs(rng, k * k, 2**12, 2**20)
-        expected = mat_mul_oracle(k, k, k, an, ad, bn, bd)
-        assert kernels.mat_mul(k, k, k, an, ad, bn, bd) == expected
+        got = kernels.mat_mul(k, k, k, an, ad, bn, bd)
+        assert got == mat_mul_oracle(k, k, k, an, ad, bn, bd)
+        assert_reduced(*got)
 
 
 def low_rank_symmetric_pairs(rng, k, r):
@@ -132,24 +139,32 @@ def test_rank_matches_gauss_oracle():
         assert kernels.mat_rank(r, c, nums, dens) == gauss_rank_oracle(r, c, nums, dens)
 
 
-def test_q_arithmetic_matches_fraction():
-    rng = random.Random(11)
-    for _ in range(300):
-        a = rand_fraction(rng, 50, 50)
-        b = rand_fraction(rng, 50, 50)
-        assert kernels.q_add(a.numerator, a.denominator, b.numerator, b.denominator) == (
-            (a + b).numerator,
-            (a + b).denominator,
-        )
-        assert kernels.q_mul(a.numerator, a.denominator, b.numerator, b.denominator) == (
-            (a * b).numerator,
-            (a * b).denominator,
-        )
-        if b != 0:
-            assert kernels.q_div(a.numerator, a.denominator, b.numerator, b.denominator) == (
-                (a / b).numerator,
-                (a / b).denominator,
-            )
+def solve_oracle(k, m, an, ad, bn, bd):
+    """Plain Fraction Gauss-Jordan elimination of [A | B], independent of the
+    kernel's fraction-free one; None when A is singular."""
+    rows = [
+        [Fraction(an[i * k + j], ad[i * k + j]) for j in range(k)]
+        + [Fraction(bn[i * m + j], bd[i * m + j]) for j in range(m)]
+        for i in range(k)
+    ]
+    for col in range(k):
+        piv = next((r for r in range(col, k) if rows[r][col] != 0), None)
+        if piv is None:
+            return None
+        rows[col], rows[piv] = rows[piv], rows[col]
+        p = rows[col][col]
+        rows[col] = [x / p for x in rows[col]]
+        for r in range(k):
+            if r != col and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    x = [v for row in rows for v in row[k:]]
+    return [f.numerator for f in x], [f.denominator for f in x]
+
+
+def flat_pairs(rows):
+    entries = [Fraction(x) for row in rows for x in row]
+    return [f.numerator for f in entries], [f.denominator for f in entries]
 
 
 def test_inverse_times_matrix_is_identity():
@@ -162,11 +177,7 @@ def test_inverse_times_matrix_is_identity():
         inv = kernels.mat_solve(k, k, nums, dens, identity, [1] * (k * k))
         if inv is None:
             continue
-        prod_n, prod_d = kernels.mat_mul(k, k, k, nums, dens, inv[0], inv[1])
-        for i in range(k):
-            for j in range(k):
-                expect = 1 if i == j else 0
-                assert prod_n[i * k + j] == expect and prod_d[i * k + j] == 1
+        assert mat_mul_oracle(k, k, k, nums, dens, *inv) == (identity, [1] * (k * k))
         done += 1
 
 
@@ -180,8 +191,57 @@ def test_solve_satisfies_residual_on_random_shapes():
         x = kernels.mat_solve(k, m, an, ad, bn, bd)
         if x is None:
             continue
-        assert kernels.mat_mul(k, k, m, an, ad, x[0], x[1]) == (bn, bd)
+        assert mat_mul_oracle(k, k, m, an, ad, *x) == (bn, bd)
         done += 1
+
+
+SOLVE_CASES = [
+    # (A rows, k, m): negative determinants, with and without a row swap
+    ([[1, 2], [3, 4]], 2, 3),
+    ([[0, 1], [1, 0]], 2, 2),
+    ([[Fraction(-3, 7)]], 1, 2),
+    # a zero first pivot, and a zero pivot that appears mid-elimination
+    ([[0, 2, 1], [1, 1, 0], [2, 0, 3]], 3, 2),
+    ([[1, 2, 3], [2, 4, 5], [1, 3, 1]], 3, 4),
+    ([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1 + Fraction(1, 9)]], 2, 1),
+    # a row left unscaled at one pivot (its entry there is 0) trades places
+    # with an updated row at the next: their scales must trade places too
+    ([[3, 0, -1, 0], [1, 0, -1, 3], [0, -1, 0, 2], [1, 3, 0, 2]], 4, 2),
+    # singular
+    ([[1, 2], [2, 4]], 2, 2),
+    ([[0, 0], [0, 0]], 2, 1),
+    ([[1, 2, 3], [4, 5, 6], [7, 8, 9]], 3, 2),
+    # m = 0, nonsingular and singular
+    ([[2, 1], [1, 1]], 2, 0),
+    ([[1, 1], [1, 1]], 2, 0),
+    # k = 0
+    ([], 0, 3),
+    ([], 0, 0),
+]
+
+
+def test_solve_matches_fraction_oracle():
+    rng = random.Random(31)
+    cases = []
+    for rows, k, m in SOLVE_CASES:
+        cases.append((k, m, *flat_pairs(rows), *rand_pairs(rng, k * m)))
+    for _ in range(60):
+        k, m = rng.randint(1, 7), rng.randint(0, 6)
+        big = rng.random() < 0.5
+        span, dens_max = (2**40, 2**30) if big else (9, 9)
+        an, ad = rand_pairs(rng, k * k, span, dens_max)
+        if rng.random() < 0.3 and k >= 2:  # a repeated row makes A singular
+            an[(k - 1) * k :], ad[(k - 1) * k :] = an[:k], ad[:k]
+        cases.append((k, m, an, ad, *rand_pairs(rng, k * m, span, dens_max)))
+    singular = 0
+    for k, m, an, ad, bn, bd in cases:
+        got = kernels.mat_solve(k, m, an, ad, bn, bd)
+        assert got == solve_oracle(k, m, an, ad, bn, bd), (k, m, an, ad)
+        if got is None:
+            singular += 1
+        else:
+            assert_reduced(*got)
+    assert singular >= 5
 
 
 def ldl_inertia_oracle(k, nums, dens, steps=None):
