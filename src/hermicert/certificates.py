@@ -12,13 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .certify import (
-    CertificationOutcome,
-    StepFailure,
-    certify_pipeline,
-    derive_hg,
-    signature,
-)
+from .certify import CertificationOutcome, certify_pipeline, derive_hg, signature
 from .hermite import HermitePlus, build_extended_hermite
 from .linalg import RatMatrix
 from .numroots import ApproxRootSet, select_basis
@@ -148,13 +142,11 @@ def ball_from_outcome(
     outcome: CertificationOutcome, variables: Sequence[str], query: BallQuery
 ) -> BallCertificate:
     """Ball verdict from an outcome certified for any g: H_g for the ball
-    polynomial is derived from it, and sigma(H1) is read off it."""
+    polynomial is derived from it, and sigma(H1) is read off it.  Only an
+    outcome that is not certified gives "fail"; derive_hg cannot fail."""
     if not outcome.certified:
         return BallCertificate("fail", None, None, outcome, query)
-    derived = derive_hg(outcome, ball_polynomial(variables, query))
-    if isinstance(derived, StepFailure):
-        return BallCertificate("fail", None, None, outcome, query)
-    s1, sg = outcome.sigma_h1, derived[1]
+    s1, sg = outcome.sigma_h1, derive_hg(outcome, ball_polynomial(variables, query))[1]
     verdict = "false" if s1 == sg else "true"
     return BallCertificate(verdict, s1, sg, outcome, query)
 
@@ -183,10 +175,10 @@ def certify_nonneg(
     i.e. the solutions of the Lagrange system; duplicates are rejected.  A
     basis is selected from the points unless one is given, the extended
     Hermite matrix is reconstructed and certified once, and both H_g and
-    H_(g^2) are derived from the certified data.  Equal signatures prove
-    g >= 0 on V(f) n R^n.  Basis selection and reconstruction raise their
-    construction errors; duplicate points and a failed certification give
-    a "fail" verdict.
+    H_(g^2) are derived from the certified data; the derivation cannot fail
+    (derive_hg).  Equal signatures prove g >= 0 on V(f) n R^n.  Basis
+    selection and reconstruction raise their construction errors; duplicate
+    points and a failed certification give a "fail" verdict.
     """
     lag = lagrange_system(query.system, query.g)
     n_ext = lag.arity()
@@ -221,10 +213,7 @@ def certify_nonneg(
     outcome = certify_pipeline(lag, g_ext, hplus)
     if not outcome.certified:
         return failed(outcome.reason or "certification_failed", outcome, basis)
-    derived = derive_hg(outcome, g_ext * g_ext)
-    if isinstance(derived, StepFailure):
-        return failed("hg2_not_symmetric", outcome, basis)
-    hg2, s_g2 = derived
+    hg2, s_g2 = derive_hg(outcome, g_ext * g_ext)
     return NonnegCertificate(
         "true" if outcome.sigma_hg == s_g2 else "false",
         outcome.sigma_hg,

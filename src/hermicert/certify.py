@@ -13,7 +13,10 @@ through seven exact checks:
 
 Passing them proves (by Mourrain's border-basis criterion) that the
 candidate is the true Hermite matrix of the input ideal; every failure is
-reported with the step that caught it.
+reported with the step that caught it: a failing check raises
+StepFailure, one runner, _step, writes every step's diagnostics entry ("ok",
+or "fail" with the reason and detail), and each route catches the first
+failure once.
 
 Step 4 rests on Hermite's theorem: the rank of the trace form of
 A = Q[x]/J counts the distinct roots, so in characteristic 0 a
@@ -25,7 +28,11 @@ On the radical route step 2 proves H1 nonsingular and step 6 proves H1 the
 trace form of A, so step 4 computes nothing and records step 2's result.
 On the non-radical route H1bar is a weighted form, which can be nonsingular
 on an algebra that is not reduced, so step 4 checks the rank of the trace
-matrix itself.
+matrix itself.  Step 7 needs no check on the trace form H1 of A: column j
+of g(M) holds the coordinates of g * b_j, so (H1 g(M))[i, j] =
+Tr(b_i * g * b_j) and H_g is symmetric by construction; derive_hg cannot
+fail.  Only the non-radical route's weighted H1bar and H1bar g(M), no trace
+forms, are checked there.
 
 The label structure comes from the ExtendedBasis: its shifts table gives
 the position of every x_s * b_i, and its products table the distinct
@@ -86,11 +93,13 @@ class SignatureMethodMismatchError(AssertionError):
     """The two exact signature methods disagreed; this indicates a bug."""
 
 
-@dataclass(frozen=True)
-class StepFailure:
-    step: int
-    reason: str
-    detail: str = ""
+class StepFailure(Exception):
+    """A failed check: its step, reason code and detail, and the name of its
+    diagnostics entry when that is not the step's own."""
+
+    def __init__(self, step: int, reason: str, detail: str = "", check: str | None = None):
+        super().__init__(step, reason, detail)
+        self.step, self.reason, self.detail, self.check = step, reason, detail, check
 
 
 @dataclass
@@ -149,7 +158,7 @@ def extract_blocks(hplus: HermitePlus) -> tuple[RatMatrix, RatMatrix]:
     return hplus.matrix.submatrix(range(k), range(k)), hplus.matrix.submatrix(range(k), range(k, l))
 
 
-def mult_matrices(h1: RatMatrix, border: RatMatrix, hplus: HermitePlus) -> list[RatMatrix] | StepFailure:
+def mult_matrices(h1: RatMatrix, border: RatMatrix, hplus: HermitePlus) -> list[RatMatrix]:
     """M_s = H1^{-1} H1^{x_s}, guarded by rank H1 = rank H+ = k.
 
     Column i of H1^{x_s} is the column of H+ labelled x_s * b_i.  When that
@@ -174,7 +183,7 @@ def mult_matrices(h1: RatMatrix, border: RatMatrix, hplus: HermitePlus) -> list[
         y = None
     hp = hplus.matrix
     if y is None or hp.submatrix(ext, ext) != hp.submatrix(ext, range(k)) @ y:
-        return StepFailure(
+        raise StepFailure(
             2, "rank_deficient", f"rank H1 = {rank(h1)}, rank H+ = {rank(hp)}, expected {k}"
         )
     yn, yd = y.row_pairs()
@@ -192,7 +201,7 @@ def mult_matrices(h1: RatMatrix, border: RatMatrix, hplus: HermitePlus) -> list[
     return ms
 
 
-def check_squarefree(trace_h1: RatMatrix) -> StepFailure | None:
+def check_squarefree(trace_h1: RatMatrix) -> None:
     """Step 4 on the non-radical route: the trace matrix
     H1[i, j] = Tr((b_i * b_j)(M)) is nonsingular.
 
@@ -203,8 +212,7 @@ def check_squarefree(trace_h1: RatMatrix) -> StepFailure | None:
     k = trace_h1.rows
     r = rank(trace_h1)
     if r < k:
-        return StepFailure(4, "not_squarefree", f"rank of the trace form = {r}, expected {k}")
-    return None
+        raise StepFailure(4, "not_squarefree", f"rank of the trace form = {r}, expected {k}")
 
 
 class NormalForms:
@@ -318,7 +326,7 @@ class NormalForms:
         return RatMatrix(k, k, nums, dens)
 
 
-def check_commute_and_membership(nf: NormalForms, system: PolySystem) -> StepFailure | None:
+def check_commute_and_membership(nf: NormalForms, system: PolySystem) -> None:
     """Step 5: the M_s commute pairwise and every input polynomial vanishes
     at them.
 
@@ -333,12 +341,11 @@ def check_commute_and_membership(nf: NormalForms, system: PolySystem) -> StepFai
         for b in range(a + 1, n):
             for t in range(nf.k):
                 if nf.apply(a, nf.column(b, t)) != nf.apply(b, nf.column(a, t)):
-                    return StepFailure(5, "noncommuting", f"M_{a} and M_{b}")
+                    raise StepFailure(5, "noncommuting", f"M_{a} and M_{b}")
     origin = (0,) * n
     for idx, poly in enumerate(system.polys):
         if any(nf.image(poly, origin)[0]):
-            return StepFailure(5, "nonmember", f"input polynomial {idx} does not vanish")
-    return None
+            raise StepFailure(5, "nonmember", f"input polynomial {idx} does not vanish")
 
 
 def _trace_grid(nf: NormalForms, monomials: Sequence[Monomial]) -> list[Fraction]:
@@ -367,7 +374,7 @@ def _trace_grid(nf: NormalForms, monomials: Sequence[Monomial]) -> list[Fraction
     return traces
 
 
-def check_traces(hplus: HermitePlus, nf: NormalForms) -> StepFailure | None:
+def check_traces(hplus: HermitePlus, nf: NormalForms) -> None:
     """Every entry of the full extended matrix must equal the trace of the
     corresponding product of multiplication matrices.
 
@@ -381,12 +388,11 @@ def check_traces(hplus: HermitePlus, nf: NormalForms) -> StepFailure | None:
         t = traces[p]
         if nums[pos] * t.denominator != t.numerator * dens[pos]:
             i, j = divmod(pos, len(labels))
-            return StepFailure(
+            raise StepFailure(
                 6,
                 "trace_mismatch",
                 f"entry ({i}, {j}): H+ = {hplus.matrix.entry(i, j)}, trace = {t}",
             )
-    return None
 
 
 def _base_trace_matrix(labels: ExtendedBasis, nf: NormalForms) -> RatMatrix:
@@ -399,26 +405,37 @@ def _base_trace_matrix(labels: ExtendedBasis, nf: NormalForms) -> RatMatrix:
     return RatMatrix(k, k, [traces[p].numerator for p in cells], [traces[p].denominator for p in cells])
 
 
-def hermite_for_g(h1: RatMatrix, nf: NormalForms, g: MultiPoly) -> RatMatrix | StepFailure:
-    """H_g = H1 * g(M_1, ..., M_n); must come out symmetric.
+def hermite_for_g(h1: RatMatrix, nf: NormalForms, g: MultiPoly) -> RatMatrix:
+    """H_g = H1 * g(M_1, ..., M_n), g(M) read off the normal-form table, so
+    the one product formed is H1 * g(M).
 
-    g(M) is read off the normal-form table, so the one product formed is
-    H1 * g(M)."""
-    hg = h1 @ nf.poly_matrix(g)
-    if not hg.is_symmetric():
-        return StepFailure(7, "not_symmetric", "H1 * g(M) is not symmetric")
-    return hg
+    Nothing is checked.  Every H1 passed here is a certified trace form:
+    step 6 proves it on the radical route, and _base_trace_matrix builds it
+    under steps 2 and 5 on the non-radical route.  Column j of g(M) holds
+    the coordinates of g * b_j, so (H1 g(M))[i, j] = Tr(b_i * g * b_j) is
+    symmetric in i and j.  The weighted H1bar * g(M) is no trace form:
+    _weighted_step_7 checks it.
+    """
+    return h1 @ nf.poly_matrix(g)
 
 
-def _log(diag: list[dict], step: int, name: str, failure: StepFailure | None):
-    diag.append(
-        {
-            "step": step,
-            "check": name,
-            "status": "fail" if failure else "ok",
-            **({"reason": failure.reason, "detail": failure.detail} if failure else {}),
-        }
-    )
+def _step(diag: list[dict], step: int, name: str, check, *args):
+    """check(*args), with its diagnostics entry: "ok", or "fail" with the
+    failure's reason and detail, the failure being re-raised.  Every step of
+    both routes passes through here."""
+    try:
+        result = check(*args)
+    except StepFailure as failure:
+        entry = {"status": "fail", "reason": failure.reason, "detail": failure.detail}
+        diag.append({"step": step, "check": failure.check or name, **entry})
+        raise
+    diag.append({"step": step, "check": name, "status": "ok"})
+    return result
+
+
+def _recorded(*_) -> None:
+    """A step that checks nothing: its entry records what an earlier step
+    proved (module docstring)."""
 
 
 def _fail(outcome_basis: MonomialBasis, diag: list[dict], failure: StepFailure) -> CertificationOutcome:
@@ -434,7 +451,7 @@ def _fail(outcome_basis: MonomialBasis, diag: list[dict], failure: StepFailure) 
 
 def _run_steps_1_to_5(
     system: PolySystem, hplus: HermitePlus, diag: list[dict], *, radical: bool
-) -> tuple[RatMatrix, NormalForms, RatMatrix | None] | StepFailure:
+) -> tuple[RatMatrix, NormalForms, RatMatrix | None]:
     """Steps 1-5: (H1, the table of the M_s, the trace matrix).
 
     The trace matrix is computed for step 4 on the non-radical route only;
@@ -444,29 +461,13 @@ def _run_steps_1_to_5(
     basis = hplus.labels.base
     if basis.arity != system.arity():
         raise ValueError("system arity does not match the basis")
-    h1, border = extract_blocks(hplus)
-    _log(diag, 1, "extract_blocks", None)
-
-    ms = mult_matrices(h1, border, hplus)
-    if isinstance(ms, StepFailure):
-        _log(diag, 2, "mult_matrices", ms)
-        return ms
-    _log(diag, 2, "mult_matrices", None)
-    _log(diag, 3, "identity_columns", None)
+    h1, border = _step(diag, 1, "extract_blocks", extract_blocks, hplus)
+    ms = _step(diag, 2, "mult_matrices", mult_matrices, h1, border, hplus)
+    _step(diag, 3, "identity_columns", _recorded)
     nf = NormalForms(ms, basis.monomials)
-
-    failure = trace_h1 = None
-    if not radical:
-        trace_h1 = _base_trace_matrix(hplus.labels, nf)
-        failure = check_squarefree(trace_h1)
-    _log(diag, 4, "squarefree", failure)
-    if failure:
-        return failure
-
-    failure = check_commute_and_membership(nf, system)
-    _log(diag, 5, "commute_and_membership", failure)
-    if failure:
-        return failure
+    trace_h1 = None if radical else _base_trace_matrix(hplus.labels, nf)
+    _step(diag, 4, "squarefree", _recorded if radical else check_squarefree, trace_h1)
+    _step(diag, 5, "commute_and_membership", check_commute_and_membership, nf, system)
     return h1, nf, trace_h1
 
 
@@ -486,21 +487,12 @@ def certify_pipeline(
     if hplus.provenance.point_count > len(basis):
         return certify_nonradical(system, g, hplus)
     diag: list[dict] = []
-    res = _run_steps_1_to_5(system, hplus, diag, radical=True)
-    if isinstance(res, StepFailure):
-        return _fail(basis, diag, res)
-    h1, nf, _ = res
-
-    failure = check_traces(hplus, nf)
-    _log(diag, 6, "trace_grid", failure)
-    if failure:
+    try:
+        h1, nf, _ = _run_steps_1_to_5(system, hplus, diag, radical=True)
+        _step(diag, 6, "trace_grid", check_traces, hplus, nf)
+        hg = _step(diag, 7, "hermite_for_g", hermite_for_g, h1, nf, g)
+    except StepFailure as failure:
         return _fail(basis, diag, failure)
-
-    hg = hermite_for_g(h1, nf, g)
-    if isinstance(hg, StepFailure):
-        _log(diag, 7, "hermite_for_g", hg)
-        return _fail(basis, diag, hg)
-    _log(diag, 7, "hermite_for_g", None)
 
     sigma_h1 = signature(h1)
     return CertificationOutcome(
@@ -521,23 +513,68 @@ def _signature_of_hg(hg: RatMatrix, h1: RatMatrix, sigma_h1: int) -> int:
     return sigma_h1 if hg == h1 else signature(hg)
 
 
-def derive_hg(outcome: CertificationOutcome, g: MultiPoly) -> tuple[RatMatrix, int] | StepFailure:
+def derive_hg(outcome: CertificationOutcome, g: MultiPoly) -> tuple[RatMatrix, int]:
     """Step 7 for another g on a certified outcome: (H1 * g(M), its signature).
 
     The outcome's own g gives the stored pair.  Any other g reads g(M) off
     the outcome's normal-form table, the one its certification built, whose
-    vectors are exact wherever they were first memoised.  Nothing is
-    logged: the outcome's diagnostics describe its certification, not later
-    derivations.  An outcome that is not certified raises ValueError.
+    vectors are exact wherever they were first memoised.  It cannot fail:
+    the outcome's H1 is a certified trace form, so H1 * g(M) is symmetric
+    (hermite_for_g).  Nothing is logged: the outcome's diagnostics describe
+    its certification, not later derivations.  An outcome that is not
+    certified raises ValueError.
     """
     if not outcome.certified:
         raise ValueError("outcome is not certified")
     if g == outcome.g:
         return outcome.hg, outcome.sigma_hg
     hg = hermite_for_g(outcome.h1, outcome.normal_forms, g)
-    if isinstance(hg, StepFailure):
-        return hg
     return hg, signature(hg)
+
+
+def _check_point_count(h1_weighted: RatMatrix, points: int) -> None:
+    """Step 6 on the non-radical route: H1bar[1, 1], the total multiplicity,
+    is the provenance point count."""
+    if h1_weighted.entry(0, 0) != points:
+        raise StepFailure(
+            6,
+            "weighted_inconsistent",
+            f"H1[1,1] = {h1_weighted.entry(0, 0)} but {points} points were used",
+        )
+
+
+def _weighted_step_7(
+    h1_trace: RatMatrix, h1_weighted: RatMatrix, nf: NormalForms, g: MultiPoly
+) -> tuple[RatMatrix, RatMatrix, int, int]:
+    """Step 7 on the non-radical route: (H_g, H1bar * g(M), sigma(H1),
+    sigma(H_g)).
+
+    H_g = H1 * g(M) needs no check (hermite_for_g).  The weighted pair does:
+    H1bar * g(M), then H1bar, must be symmetric, and the weighted and
+    trace-based signatures must agree for 1 and for g, positive weights
+    preserving sign counts.
+    """
+    hg_trace = hermite_for_g(h1_trace, nf, g)
+    hg_weighted = hermite_for_g(h1_weighted, nf, g)
+    for m, name in ((hg_weighted, "H1 * g(M)"), (h1_weighted, "H1")):
+        if not m.is_symmetric():
+            raise StepFailure(7, "not_symmetric", f"{name} is not symmetric", "weighted_hermite_for_g")
+    sigma_h1 = signature(h1_trace)
+    mismatch = None
+    if signature(h1_weighted) != sigma_h1:
+        mismatch = "1"
+    else:  # both H1 agree, so sigma_h1 stands in for either H_g equal to its H1
+        sigma_hg = _signature_of_hg(hg_trace, h1_trace, sigma_h1)
+        if _signature_of_hg(hg_weighted, h1_weighted, sigma_h1) != sigma_hg:
+            mismatch = "g"
+    if mismatch:
+        raise StepFailure(
+            7,
+            "weighted_signature_mismatch",
+            f"trace-based and weighted signatures differ for g = {mismatch}",
+            "signature_agreement",
+        )
+    return hg_trace, hg_weighted, sigma_h1, sigma_hg
 
 
 def certify_nonradical(
@@ -555,55 +592,22 @@ def certify_nonradical(
     are that trace matrix and H_g = H1 * g(M), while the weighted input
     matrix is validated by exact consistency checks: H1bar * M_s =
     H1bar^{x_s} is step 2's residual (H1bar is step 2's H1), the (1,1)
-    entry equals the provenance point count, and the signatures of the
-    weighted and trace-based g-matrices agree (positive weights preserve
-    sign counts).
+    entry equals the provenance point count (step 6), and in step 7
+    H1bar * g(M) and H1bar are symmetric and the signatures of the weighted
+    and trace-based matrices agree (positive weights preserve sign counts).
     Any disagreement is a failure, never silently resolved.
     """
     basis = hplus.labels.base
     diag: list[dict] = []
-    res = _run_steps_1_to_5(system, hplus, diag, radical=False)
-    if isinstance(res, StepFailure):
-        return _fail(basis, diag, res)
-    h1_weighted, nf, h1_trace = res
-
-    failure = None
-    points = hplus.provenance.point_count
-    if h1_weighted.entry(0, 0) != points:
-        failure = StepFailure(
-            6,
-            "weighted_inconsistent",
-            f"H1[1,1] = {h1_weighted.entry(0, 0)} but {points} points were used",
+    try:
+        h1_weighted, nf, h1_trace = _run_steps_1_to_5(system, hplus, diag, radical=False)
+        points = hplus.provenance.point_count
+        _step(diag, 6, "weighted_consistency", _check_point_count, h1_weighted, points)
+        hg_trace, hg_weighted, sigma_h1, sigma_hg = _step(
+            diag, 7, "hermite_for_g", _weighted_step_7, h1_trace, h1_weighted, nf, g
         )
-    _log(diag, 6, "weighted_consistency", failure)
-    if failure:
+    except StepFailure as failure:
         return _fail(basis, diag, failure)
-
-    hg_trace = hermite_for_g(h1_trace, nf, g)
-    if isinstance(hg_trace, StepFailure):
-        _log(diag, 7, "hermite_for_g", hg_trace)
-        return _fail(basis, diag, hg_trace)
-    hg_weighted = hermite_for_g(h1_weighted, nf, g)
-    if isinstance(hg_weighted, StepFailure):
-        _log(diag, 7, "weighted_hermite_for_g", hg_weighted)
-        return _fail(basis, diag, hg_weighted)
-    sigma_h1 = signature(h1_trace)
-    mismatch = None
-    if signature(h1_weighted) != sigma_h1:
-        mismatch = "1"
-    else:  # both H1 agree, so sigma_h1 stands in for either H_g equal to its H1
-        sigma_hg = _signature_of_hg(hg_trace, h1_trace, sigma_h1)
-        if _signature_of_hg(hg_weighted, h1_weighted, sigma_h1) != sigma_hg:
-            mismatch = "g"
-    if mismatch:
-        failure = StepFailure(
-            7,
-            "weighted_signature_mismatch",
-            f"trace-based and weighted signatures differ for g = {mismatch}",
-        )
-        _log(diag, 7, "signature_agreement", failure)
-        return _fail(basis, diag, failure)
-    _log(diag, 7, "hermite_for_g", None)
 
     return CertificationOutcome(
         status="certified",

@@ -107,10 +107,13 @@ def roots_from_json(data: dict) -> ApproxRootSet:
 
 
 def matrix_to_json(m: RatMatrix, labels: Sequence[str] | None = None) -> dict:
+    """Entries are written from the stored pairs, reduced with positive
+    denominators, exactly as frac_str writes them."""
+    cells = [str(n) if d == 1 else f"{n}/{d}" for n, d in zip(*m.row_pairs())]
     out = {
         "rows": m.rows,
         "cols": m.cols,
-        "entries": [[frac_str(m.entry(i, j)) for j in range(m.cols)] for i in range(m.rows)],
+        "entries": [cells[i * m.cols : (i + 1) * m.cols] for i in range(m.rows)],
     }
     if labels is not None:
         out["labels"] = list(labels)

@@ -11,7 +11,16 @@ import time
 from fractions import Fraction
 from math import gcd
 
-from hermicert.certify import certify_nonradical, certify_pipeline, signature
+import pytest
+
+from hermicert.certify import (
+    NormalForms,
+    StepFailure,
+    certify_nonradical,
+    certify_pipeline,
+    check_traces,
+    signature,
+)
 from hermicert.certificates import BallQuery, NonnegQuery, certify_ball, certify_nonneg
 from hermicert.cli import main
 from hermicert.hermite import HermitePlus, build_extended_hermite, build_nonradical
@@ -273,10 +282,9 @@ def test_criterion_6_nonradical_pipeline():
     assert out2.certified
     assert out2.h1.entry(0, 0) == 1
     assert out2.weighted_h1.entry(0, 0) == 2
-    from hermicert.certify import NormalForms, check_traces
-
     nf2 = NormalForms(out2.mult_matrices, hp2.labels.base.monomials)
-    assert check_traces(hp2, nf2) is not None
+    with pytest.raises(StepFailure, match="trace_mismatch"):
+        check_traces(hp2, nf2)
     _report(6, "non-radical pipeline", time.perf_counter() - start, 1.0)
 
 

@@ -16,7 +16,7 @@ from hermicert.certificates import (
 )
 from hermicert.certify import certify_pipeline
 from hermicert.hermite import build_extended_hermite
-from hermicert.linalg import RatMatrix
+from hermicert.linalg import NotSymmetricError, RatMatrix
 from hermicert.numroots import ApproxRootSet
 from hermicert.polynomials import MonomialBasis, PolySystem, parse_poly
 
@@ -184,15 +184,16 @@ def test_ball_from_outcome_matches_certify_ball():
     assert outcome.diagnostics == steps
 
 
-def test_ball_fails_when_derived_hg_is_not_symmetric():
+def test_ball_on_a_tampered_h1_raises_and_gives_no_verdict():
     outcome = certify_pipeline(F_SQRT2, parse_poly("x", ["x"]), sqrt2_hermite())
-    # a wrong (still symmetric) H1: for g = (x - 1)^2 - 1/4, g(M) is
-    # [[11/4, -4], [-2, 11/4]] and H1 * g(M) = [[33/4, -12], [-8, 11]]
+    # a wrong (still symmetric) H1 is no trace form: for g = (x - 1)^2 - 1/4,
+    # g(M) is [[11/4, -4], [-2, 11/4]] and H1 * g(M) = [[33/4, -12], [-8, 11]]
     outcome.h1 = RatMatrix.from_rows([[3, 0], [0, 4]])
     query = BallQuery(center=(Fraction(1),), radius_squared=Fraction(1, 4))
-    cert = ball_from_outcome(outcome, ["x"], query)
-    assert cert.verdict == "fail"
-    assert cert.sigma_h1 is None and cert.sigma_hg is None
+    cert = None
+    with pytest.raises(NotSymmetricError):
+        cert = ball_from_outcome(outcome, ["x"], query)
+    assert cert is None
 
 
 # -- non-negativity ------------------------------------------------------------------

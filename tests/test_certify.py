@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import random
@@ -5,9 +6,12 @@ import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hermicert._kernels as kernels
 import hermicert.certify as certify_module
@@ -28,9 +32,16 @@ from hermicert.certify import (
 )
 from hermicert.certificates import BallQuery, ball_polynomial, lagrange_system
 from hermicert.hermite import HermitePlus, HermiteProvenance, build_extended_hermite, build_nonradical
-from hermicert.linalg import RatMatrix, inverse, rank
+from hermicert.linalg import NotSymmetricError, RatMatrix, inverse, rank
 from hermicert.numroots import ApproxRootSet
-from hermicert.polynomials import ExtendedBasis, MonomialBasis, PolySystem, monomial_mul, parse_poly
+from hermicert.polynomials import (
+    ExtendedBasis,
+    MonomialBasis,
+    MultiPoly,
+    PolySystem,
+    monomial_mul,
+    parse_poly,
+)
 
 from conftest import (
     QC,
@@ -108,8 +119,9 @@ def test_shared_border_label_is_one_column():
 def test_mult_matrices_rank_deficient_fails():
     hp = exact_hermite_plus(roots_as_qc([Fraction(1), Fraction(1)], []), B1X)
     h1, border = extract_blocks(hp)
-    out = mult_matrices(h1, border, hp)
-    assert isinstance(out, StepFailure) and out.step == 2 and out.reason == "rank_deficient"
+    with pytest.raises(StepFailure) as failure:
+        mult_matrices(h1, border, hp)
+    assert (failure.value.step, failure.value.reason) == (2, "rank_deficient")
 
 
 @pytest.mark.parametrize(
@@ -129,8 +141,9 @@ def test_mult_matrices_computes_each_rank_once(roots, detail, monkeypatch):
         return rank(a)
 
     monkeypatch.setattr(certify_module, "rank", counting)
-    out = mult_matrices(h1, border, hp)
-    assert isinstance(out, StepFailure) and out.detail == detail
+    with pytest.raises(StepFailure) as failure:
+        mult_matrices(h1, border, hp)
+    assert failure.value.detail == detail
     assert sorted(calls) == [2, 3]
 
 
@@ -160,9 +173,10 @@ def test_mult_matrices_makes_no_rank_call_when_it_succeeds(monkeypatch):
 def test_squarefree_pass_and_fail():
     # the trace forms of Q[x]/(x^2 - 2) and of the non-reduced Q[x]/(x^3)
     assert check_squarefree(RatMatrix.from_rows([[2, 0], [0, 4]])) is None
-    failure = check_squarefree(RatMatrix.from_rows([[3, 0, 0], [0, 0, 0], [0, 0, 0]]))
-    assert failure is not None and (failure.step, failure.reason) == (4, "not_squarefree")
-    assert failure.detail == "rank of the trace form = 1, expected 3"
+    with pytest.raises(StepFailure) as failure:
+        check_squarefree(RatMatrix.from_rows([[3, 0, 0], [0, 0, 0], [0, 0, 0]]))
+    assert (failure.value.step, failure.value.reason) == (4, "not_squarefree")
+    assert failure.value.detail == "rank of the trace form = 1, expected 3"
 
 
 def table(ms, basis=B1X):
@@ -173,13 +187,13 @@ def test_commute_and_membership():
     m = RatMatrix.from_rows([[0, 2], [1, 0]])
     assert check_commute_and_membership(table([m]), F_SQRT2) is None
     wrong = RatMatrix.from_rows([[0, 3], [1, 0]])
-    failure = check_commute_and_membership(table([wrong]), F_SQRT2)
-    assert failure is not None and failure.reason == "nonmember"
+    with pytest.raises(StepFailure, match="nonmember"):
+        check_commute_and_membership(table([wrong]), F_SQRT2)
     a = RatMatrix.from_rows([[1, 1], [0, 1]])
     b = RatMatrix.from_rows([[1, 0], [1, 1]])
     two_var = PolySystem(["x", "y"], [])
-    failure = check_commute_and_membership(table([a, b], MonomialBasis([(0, 0), (1, 0)])), two_var)
-    assert failure is not None and failure.reason == "noncommuting"
+    with pytest.raises(StepFailure, match="noncommuting"):
+        check_commute_and_membership(table([a, b], MonomialBasis([(0, 0), (1, 0)])), two_var)
 
 
 def test_noncommuting_only_in_a_border_column():
@@ -197,8 +211,8 @@ def test_noncommuting_only_in_a_border_column():
     left, right = bent @ m_y, m_y @ bent
     differing = [t for t in range(3) if any(left.entry(r, t) != right.entry(r, t) for r in range(3))]
     assert differing == [1]
-    failure = check_commute_and_membership(table([bent, m_y], basis), two_var)
-    assert failure is not None and failure.reason == "noncommuting"
+    with pytest.raises(StepFailure, match="noncommuting"):
+        check_commute_and_membership(table([bent, m_y], basis), two_var)
 
 
 def test_traces_match_and_detect_perturbation():
@@ -208,8 +222,9 @@ def test_traces_match_and_detect_perturbation():
     rows = hp.matrix.to_rows()
     rows[2][2] += 1
     bad = HermitePlus(RatMatrix.from_rows(rows), hp.labels, hp.provenance)
-    failure = check_traces(bad, nf)
-    assert failure is not None and failure.step == 6
+    with pytest.raises(StepFailure) as failure:
+        check_traces(bad, nf)
+    assert failure.value.step == 6
 
 
 def test_traces_single_point():
@@ -425,13 +440,77 @@ def test_derive_hg_reuses_own_g_and_derives_others():
     assert out.diagnostics == steps
 
 
-def test_derive_hg_reports_step_7_failure():
+def test_derive_hg_on_a_tampered_h1_raises_not_symmetric():
     out = certify_pipeline(F_SQRT2, G_X, sqrt2_hermite())
-    # a wrong (still symmetric) H1: H1 * g(M) = [[3, 6], [4, 4]] for g = x + 1
+    # a wrong (still symmetric) H1 is no trace form: H1 * g(M) = [[3, 6], [4, 4]]
+    # for g = x + 1, and the signature refuses it instead of reporting a value
     out.h1 = RatMatrix.from_rows([[3, 0], [0, 4]])
-    failure = derive_hg(out, parse_poly("x+1", ["x"]))
-    assert isinstance(failure, StepFailure) and failure.step == 7
+    with pytest.raises(NotSymmetricError):
+        derive_hg(out, parse_poly("x+1", ["x"]))
     assert [entry["step"] for entry in out.diagnostics] == [1, 2, 3, 4, 5, 6, 7]
+
+
+def radical_univariate_outcome():
+    system, hp = univariate_case()
+    return certify_pipeline(system, parse_poly("1", ["x"]), hp)
+
+
+def radical_square_outcome():
+    # the unit square's corners on {1, x, y, xy}
+    xy = ["x", "y"]
+    points = [(QC(a), QC(b)) for a in (0, 1) for b in (0, 1)]
+    hp = exact_hermite_plus(points, MonomialBasis([(0, 0), (1, 0), (0, 1), (1, 1)]))
+    system = PolySystem(xy, [parse_poly("x^2-x", xy), parse_poly("y^2-y", xy)])
+    return certify_pipeline(system, parse_poly("1", xy), hp)
+
+
+def nonradical_univariate_outcome():
+    f = PolySystem(["x"], [parse_poly("x^3-3*x+2", ["x"])])
+    pts = ApproxRootSet(points=((1 + 0j,), (1 + 0j,), (-2 + 0j,)), accuracy="1e-8", coord_bound=3)
+    hp = build_nonradical(build_extended_hermite(pts, MonomialBasis([(0,), (1,), (2,)])))
+    return certify_nonradical(f, G_X, hp)
+
+
+def nonradical_corner_outcome():
+    # (0, 0) twice, (1, 0) and (0, 1): the reduced basis is {1, x, y}
+    xy = ["x", "y"]
+    pts = ApproxRootSet(points=((0j, 0j), (0j, 0j), (1 + 0j, 0j), (0j, 1 + 0j)), accuracy="1e-8", coord_bound=2)
+    hp = build_nonradical(build_extended_hermite(pts, MonomialBasis([(0, 0), (1, 0), (0, 1), (2, 0)])))
+    system = PolySystem(xy, [parse_poly(p, xy) for p in ("x^2-x", "y^2-y", "x*y")])
+    return certify_nonradical(system, parse_poly("1", xy), hp)
+
+
+OUTCOMES = {
+    make.__name__: functools.cache(make)
+    for make in (
+        radical_univariate_outcome,
+        radical_square_outcome,
+        nonradical_univariate_outcome,
+        nonradical_corner_outcome,
+    )
+}
+
+
+def small_polys(arity):
+    """Polynomials of total degree <= 3 with integer coefficients in [-3, 3]."""
+    monomials = [m for m in product(range(4), repeat=arity) if sum(m) <= 3]
+    return st.dictionaries(st.sampled_from(monomials), st.integers(-3, 3), max_size=6)
+
+
+@pytest.mark.parametrize("name", sorted(OUTCOMES))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_derived_hg_is_symmetric_and_matches_dense_reference(name, data):
+    # hermite_for_g checks nothing because H1 is a trace form:
+    # (H1 g(M))[i, j] = Tr(b_i * g * b_j) is symmetric for every g
+    out = OUTCOMES[name]()
+    assert out.certified, (out.reason, out.detail)
+    variables = out.g.variables
+    g = MultiPoly(variables, data.draw(small_polys(len(variables))))
+    hg, sigma = derive_hg(out, g)
+    assert hg.is_symmetric()
+    assert hg == dense_hermite_for_g(out.h1, out.mult_matrices, g)
+    assert sigma == signature(hg)
 
 
 def test_derive_hg_refuses_an_uncertified_outcome():
@@ -480,7 +559,8 @@ def test_nonradical_literal_trace_comparison_would_fail():
     assert out.h1.entry(0, 0) == 1
     assert out.weighted_h1.entry(0, 0) == 2
     assert out.h1.entry(0, 0) != out.weighted_h1.entry(0, 0)
-    assert check_traces(hp, table(out.mult_matrices, hp.labels.base)) is not None
+    with pytest.raises(StepFailure, match="trace_mismatch"):
+        check_traces(hp, table(out.mult_matrices, hp.labels.base))
     assert signature(out.h1) == 1
 
 
@@ -590,8 +670,8 @@ def test_corpus_nilpotent_functional_fails_on_the_radical_route():
     out = certify_pipeline(x2, ONE_X, hp)
     assert out.status == "fail" and out.failed_step in (4, 6)
     nilpotent = table([RatMatrix.from_rows([[0, 0], [1, 0]])])
-    failure = check_traces(hp, nilpotent)
-    assert failure is not None and failure.reason == "trace_mismatch"
+    with pytest.raises(StepFailure, match="trace_mismatch"):
+        check_traces(hp, nilpotent)
 
 
 def test_corpus_singular_h1_with_full_rank_extension_fails_step_2():

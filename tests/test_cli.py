@@ -219,6 +219,32 @@ def test_nonradical_build_and_certify(tmp_path, capsys):
     assert report["mult_matrices"][0]["entries"] == [["0", "2"], ["1", "-1"]]
 
 
+@pytest.mark.parametrize(
+    "g, detail", [("1", "H1 * g(M) is not symmetric"), ("x", "H1 is not symmetric")]
+)
+def test_asymmetric_weighted_block_fails_step_7(g, detail, tmp_path, capsys):
+    # x^2 - x on {1, x} claiming 3 points: steps 1-6 pass with M_x = [[0, 0],
+    # [1, 1]], and H1bar * M_x = [[1, 1], [1, 1]] is symmetric although
+    # H1bar = [[3, 1], [0, 1]] is not
+    system = write(tmp_path / "s.json", {"variables": ["x"], "polynomials": ["x^2-x"]})
+    hermite = write(
+        tmp_path / "h.json",
+        {
+            "rows": 3,
+            "cols": 3,
+            "labels": ["1", "x", "x^2"],
+            "basis": ["1", "x"],
+            "variables": ["x"],
+            "provenance": {"k": 3},
+            "entries": [["3", "1", "1"], ["0", "1", "1"], ["1", "1", "1"]],
+        },
+    )
+    code, report = run(capsys, "certify", "--system", system, "--hermite", hermite, "--g", g)
+    assert code == 3
+    assert (report["failed_step"], report["reason"], report["detail"]) == (7, "not_symmetric", detail)
+    assert report["diagnostics"][-1]["check"] == "weighted_hermite_for_g"
+
+
 def test_pipeline_with_ball(files, capsys):
     code, v = run(
         capsys, "pipeline", "--system", files["sys"], "--roots", files["roots"],
