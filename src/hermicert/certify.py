@@ -56,6 +56,13 @@ step 6 read one trace per distinct label product off it, step 5 checks
 commutation column by column and membership as f(M) e_1 = 0, step 7
 builds g(M) from it for the one product H1 * g(M), and the certified
 outcome carries it so that derive_hg reads every later g(M) off it too.
+Each trace of steps 4 and 6 is a dot product, Tr(M^alpha) = tau . v_alpha:
+in A, M^alpha = sum_j (v_alpha)_j M^(beta_j), so the trace functional
+tau_j = Tr(M^(beta_j)), computed once per certification from the base
+products v_(beta_i + beta_j) of the table, gives every trace from one
+vector.  tau comes from the M_s, never from row 0 of H+: step 6 checks H+
+against it, and a functional read off H+ would accept the moment matrix
+of any functional.
 
 Orientation convention, pinned by unit tests on companion matrices: the
 matrices M_s = H1^{-1} H1^{x_s} hold the expansion of x_s * b_t in their
@@ -225,6 +232,9 @@ class NormalForms:
     with D_s M_s that visits only the non-zero entries of its columns.  The
     table is built once per certification, right after step 2, shared by
     steps 4, 5, 6 and 7, and kept on the certified outcome for derive_hg.
+    The traces of steps 4 and 6 read v_alpha once per monomial alpha and
+    the base products v_(beta_i + beta_j) once for the trace functional
+    tau (_trace_grid): Tr(M^alpha) = tau . v_alpha.
     Its vectors mean what they say under the precondition that steps 2 and
     5 establish on both routes:
 
@@ -348,20 +358,20 @@ def check_commute_and_membership(nf: NormalForms, system: PolySystem) -> None:
             raise StepFailure(5, "nonmember", f"input polynomial {idx} does not vanish")
 
 
-def _trace_grid(nf: NormalForms, monomials: Sequence[Monomial]) -> list[Fraction]:
-    """Tr(alpha(M)) for each monomial alpha, in order.
+def _trace_functional(nf: NormalForms) -> tuple[list[int], int]:
+    """(T * tau, T): tau_j = Tr(M^(beta_j)) over one common denominator T.
 
-    No matrix product is formed: Tr(M^alpha) = sum_i (v_(alpha + beta_i))_i
-    over the basis exponents beta_i, read off the normal-form table.  With
-    the table's precondition (steps 2 and 5), Tr(M^alpha) =
-    sum_i e_i^T M^alpha M^(beta_i) e_1, the same exact rational as the
-    trace of the matrix product.
+    Tr(M^(beta_j)) = sum_i e_i^T M^(beta_j) M^(beta_i) e_1
+    = sum_i (v_(beta_j + beta_i))_i, so tau reads only the base products
+    beta_i + beta_j off the table: it comes from the M_s, never from the
+    candidate matrix that step 6 checks.
     """
-    traces = []
-    for alpha in monomials:
+    basis = nf.basis
+    sums = []
+    for beta in basis:
         num, den = 0, 1
-        for i, beta in enumerate(nf.basis):
-            w, d = nf.vector(monomial_mul(alpha, beta))
+        for i, other in enumerate(basis):
+            w, d = nf.vector(monomial_mul(beta, other))
             x = w[i]
             if x:
                 if d == den:
@@ -370,7 +380,28 @@ def _trace_grid(nf: NormalForms, monomials: Sequence[Monomial]) -> list[Fraction
                     g = gcd(d, den)
                     num = num * (d // g) + x * (den // g)
                     den = den // g * d
-        traces.append(Fraction(num, den))
+        sums.append((num, den))
+    common = lcm(*(den for _, den in sums))
+    return [num * (common // den) for num, den in sums], common
+
+
+def _trace_grid(nf: NormalForms, monomials: Sequence[Monomial]) -> list[Fraction]:
+    """Tr(alpha(M)) for each monomial alpha, in order: tau . v_alpha.
+
+    No matrix product is formed, and each trace reads one vector of the
+    normal-form table.  With c = v_alpha, M^alpha = sum_j c_j M^(beta_j):
+    both sides commute with every M_s (step 5) and map e_1 to c, and
+    e_i = M^(beta_i) e_1 (step 2), so both map e_i to M^(beta_i) c.  Hence
+    Tr(M^alpha) = sum_j c_j Tr(M^(beta_j)) = tau . c, with the trace
+    functional tau computed once per call (_trace_functional): the same
+    exact rational as the trace of the matrix product, under the table's
+    precondition (NormalForms).
+    """
+    tau, common = _trace_functional(nf)
+    traces = []
+    for alpha in monomials:
+        w, d = nf.vector(alpha)
+        traces.append(Fraction(sum(t * x for t, x in zip(tau, w) if x), common * d))
     return traces
 
 
@@ -378,9 +409,11 @@ def check_traces(hplus: HermitePlus, nf: NormalForms) -> None:
     """Every entry of the full extended matrix must equal the trace of the
     corresponding product of multiplication matrices.
 
-    One trace is computed per distinct label product; the entries are
-    compared in row-major order.  The table's matrices must have passed
-    steps 2 and 5 (see NormalForms)."""
+    One trace is computed per distinct label product, as tau . v_alpha with
+    the trace functional tau of the table's M_s (_trace_grid); the entries
+    are compared in row-major order.  tau is never read off H+, the matrix
+    checked here.  The table's matrices must have passed steps 2 and 5 (see
+    NormalForms)."""
     labels = hplus.labels
     traces = _trace_grid(nf, labels.products)
     nums, dens = hplus.matrix.row_pairs()
@@ -397,7 +430,9 @@ def check_traces(hplus: HermitePlus, nf: NormalForms) -> None:
 
 def _base_trace_matrix(labels: ExtendedBasis, nf: NormalForms) -> RatMatrix:
     """H1[i, j] = Tr((b_i * b_j)(M)) over the base labels, one trace per
-    distinct product of the base block."""
+    distinct product of the base block, each tau . v_alpha (_trace_grid);
+    the trace functional tau reads the same base products off the table, so
+    no other vector is built."""
     k, l = len(labels.base), len(labels)
     cells = [labels.product_index[i * l + j] for i in range(k) for j in range(k)]
     wanted = sorted(set(cells))

@@ -4,6 +4,12 @@ Every command reads and writes the JSON formats from hermicert.jsonio and
 is deterministic: repeated runs produce byte-identical output.  Exit codes:
 0 success or verdict True, 1 usage or parse error, 2 construction failure,
 3 certification Fail, 4 verdict False.
+
+Exit 1 is kept for errors raised at the input boundary: each command first
+loads, parses and checks its inputs inside an _input_boundary block, and
+only a ValueError, KeyError or OSError raised there exits 1.  Construction,
+certification and derivation run after it; a ValueError raised there is a
+fault, not bad input, and propagates out of main.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ from .numroots import (
     newton_refine,
     select_basis,
 )
-from .polynomials import MonomialBasis, ParseError, parse_monomial, parse_poly
+from .polynomials import MonomialBasis, parse_monomial, parse_poly
 from .ratrecon import rational_reconstruct
 
 EXIT_OK = 0
@@ -59,6 +65,25 @@ _CONSTRUCTION_ERRORS = (
 )
 
 
+class _BadInput(Exception):
+    """A parse or validation error raised at the input boundary; main
+    reports the error it was raised from and exits EXIT_USAGE."""
+
+
+class _input_boundary:
+    """with _input_boundary(): the block that loads, parses and checks a
+    command's inputs.  A ValueError, KeyError or OSError raised in it (parse
+    errors included) becomes _BadInput."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        if isinstance(exc, (ValueError, KeyError, OSError)):
+            raise _BadInput from exc
+        return False
+
+
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
@@ -68,61 +93,85 @@ def _load_system(path: str):
     return jsonio.system_from_json(_load_json(path))
 
 
-def _load_roots(path: str):
-    return jsonio.roots_from_json(_load_json(path))
+def _load_roots(path: str, variables):
+    """The roots file, checked to hold points of the ring of variables."""
+    roots = jsonio.roots_from_json(_load_json(path))
+    if any(len(point) != len(variables) for point in roots.points):
+        raise ValueError("point arity does not match the variable list")
+    return roots
 
 
-def _load_basis(path: str, variables) -> MonomialBasis:
+def _load_basis(path: str | None, variables) -> MonomialBasis | None:
+    """The basis file, or None when none is given (the basis is then
+    selected from the points)."""
+    if not path:
+        return None
     data = _load_json(path)
     return MonomialBasis([parse_monomial(s, variables) for s in data["monomials"]])
+
+
+def _check_points(roots, basis: MonomialBasis | None = None) -> None:
+    """A Hermite matrix is built from one point at least, and a basis given
+    to build or pipeline has one element per point (nonneg certifies the
+    basis it is given, and one of the wrong size fails certification)."""
+    if not len(roots):
+        raise ValueError("need at least one point")
+    if basis is not None and len(basis) != len(roots):
+        raise ValueError(f"basis size {len(basis)} must equal the number of points {len(roots)}")
 
 
 def _verdict_exit(verdict: str) -> int:
     return {"true": EXIT_OK, "false": EXIT_VERDICT_FALSE}.get(verdict, EXIT_CERTIFY_FAIL)
 
 
-def _parse_center(text: str) -> tuple[Fraction, ...]:
-    return tuple(Fraction(part.strip()) for part in text.split(","))
+def _ball_query(center: str, eps2: str, variables) -> BallQuery:
+    point = tuple(Fraction(part.strip()) for part in center.split(","))
+    if len(point) != len(variables):
+        raise ValueError("center arity does not match the ring")
+    return BallQuery(center=point, radius_squared=Fraction(eps2))
 
 
-def _build_hermite(args, system, roots):
+def _build_hermite(system, roots, basis):
     """Shared by build and pipeline: full matrix, or the non-radical route
     when the basis block is singular.  The test is rank(H1) itself: with
     complex roots a nonsingular H1 can have a singular connected minor."""
-    if args.basis:
-        basis = _load_basis(args.basis, system.variables)
-    else:
+    if basis is None:
         basis = select_basis(roots, system.variables)
-    if len(basis) != len(roots):
-        raise ValueError(
-            f"basis size {len(basis)} must equal the number of points {len(roots)}"
-        )
     hplus = build_extended_hermite(roots, basis)
     k = len(basis)
     h1 = hplus.matrix.submatrix(range(k), range(k))
     return hplus if rank(h1) == k else build_nonradical(hplus)
 
 
-def cmd_build(args) -> tuple[int, dict]:
+def _load_hermite(args):
+    """(system, H+) from --system and --hermite."""
     system = _load_system(args.system)
-    roots = _load_roots(args.roots)
-    hplus = _build_hermite(args, system, roots)
+    return system, jsonio.hermite_from_json(_load_json(args.hermite), system.variables)
+
+
+def cmd_build(args) -> tuple[int, dict]:
+    with _input_boundary():
+        system = _load_system(args.system)
+        roots = _load_roots(args.roots, system.variables)
+        basis = _load_basis(args.basis, system.variables)
+        _check_points(roots, basis)
+    hplus = _build_hermite(system, roots, basis)
     return EXIT_OK, jsonio.hermite_to_json(hplus, system.variables)
 
 
 def cmd_certify(args) -> tuple[int, dict]:
-    system = _load_system(args.system)
-    hplus = jsonio.hermite_from_json(_load_json(args.hermite), system.variables)
-    g = parse_poly(args.g, system.variables)
+    with _input_boundary():
+        system, hplus = _load_hermite(args)
+        g = parse_poly(args.g, system.variables)
     outcome = certify_pipeline(system, g, hplus)
     report = jsonio.report_to_json(outcome, system.variables)
     return (EXIT_OK if outcome.certified else EXIT_CERTIFY_FAIL), report
 
 
 def cmd_ball(args) -> tuple[int, dict]:
-    system = _load_system(args.system)
-    hplus = jsonio.hermite_from_json(_load_json(args.hermite), system.variables)
-    query = BallQuery(center=_parse_center(args.center), radius_squared=Fraction(args.eps2))
+    with _input_boundary():
+        system, hplus = _load_hermite(args)
+        query = _ball_query(args.center, args.eps2, system.variables)
     cert = certify_ball(system, query, hplus)
     payload = {
         "verdict": cert.verdict,
@@ -136,13 +185,14 @@ def cmd_ball(args) -> tuple[int, dict]:
 
 
 def cmd_nonneg(args) -> tuple[int, dict]:
-    system = _load_system(args.system)
-    g = parse_poly(args.g, system.variables)
-    roots = _load_roots(args.roots)
-    query = NonnegQuery(system, g, assume_smooth_bounded=args.assume_smooth_bounded)
-    basis = None
-    if args.basis:
-        basis = _load_basis(args.basis, lagrange_variables(system))
+    with _input_boundary():
+        system = _load_system(args.system)
+        g = parse_poly(args.g, system.variables)
+        query = NonnegQuery(system, g, assume_smooth_bounded=args.assume_smooth_bounded)
+        variables = lagrange_variables(system)
+        roots = _load_roots(args.roots, variables)
+        _check_points(roots)
+        basis = _load_basis(args.basis, variables)
     cert = certify_nonneg(query, roots, basis=basis)
     payload = {
         "verdict": cert.verdict,
@@ -163,8 +213,8 @@ def cmd_nonneg(args) -> tuple[int, dict]:
 
 
 def cmd_count_real(args) -> tuple[int, dict]:
-    system = _load_system(args.system)
-    hplus = jsonio.hermite_from_json(_load_json(args.hermite), system.variables)
+    with _input_boundary():
+        system, hplus = _load_hermite(args)
     one = parse_poly("1", system.variables)
     outcome = certify_pipeline(system, one, hplus)
     report = jsonio.report_to_json(outcome, system.variables)
@@ -174,8 +224,11 @@ def cmd_count_real(args) -> tuple[int, dict]:
 
 
 def cmd_refine(args) -> tuple[int, dict]:
-    system = _load_system(args.system)
-    roots = _load_roots(args.roots)
+    with _input_boundary():
+        system = _load_system(args.system)
+        if len(system.polys) != system.arity():
+            raise ValueError("refine requires a square system")
+        roots = _load_roots(args.roots, system.variables)
     refined = []
     residuals = []
     for idx, point in enumerate(roots.points):
@@ -197,12 +250,15 @@ def cmd_refine(args) -> tuple[int, dict]:
 
 
 def cmd_filter_roots(args) -> tuple[int, dict]:
-    if len(args.system) != 2 or len(args.roots) != 2:
-        raise ValueError("filter-roots needs --system and --roots twice (list A, list B)")
-    system_a = _load_system(args.system[0])
-    system_b = _load_system(args.system[1])
-    roots_a = _load_roots(args.roots[0])
-    roots_b = _load_roots(args.roots[1])
+    with _input_boundary():
+        if len(args.system) != 2 or len(args.roots) != 2:
+            raise ValueError("filter-roots needs --system and --roots twice (list A, list B)")
+        system_a = _load_system(args.system[0])
+        system_b = _load_system(args.system[1])
+        roots_a = _load_roots(args.roots[0], system_a.variables)
+        roots_b = _load_roots(args.roots[1], system_b.variables)
+        if roots_a.radii is None or roots_b.radii is None:
+            raise ValueError("filter-roots requires per-point radii on both lists")
     result = match_and_filter(roots_a, roots_b, system_a, system_b, max_rounds=args.max_rounds)
     kept_points = tuple(p for p, _ in result.kept)
     kept_radii = tuple(r for _, r in result.kept)
@@ -218,7 +274,10 @@ def cmd_filter_roots(args) -> tuple[int, dict]:
 
 
 def cmd_reconstruct_rational(args) -> tuple[int, dict]:
-    value = Fraction(args.value)
+    with _input_boundary():
+        value = Fraction(args.value)
+        if args.bound < 1:
+            raise ValueError("bound must be a positive integer")
     result = rational_reconstruct(value, args.bound)
     payload = {
         "value": args.value,
@@ -229,16 +288,17 @@ def cmd_reconstruct_rational(args) -> tuple[int, dict]:
 
 
 def cmd_pipeline(args) -> tuple[int, dict]:
-    query = None
-    if args.center is not None or args.eps2 is not None:
-        if args.center is None or args.eps2 is None:
+    with _input_boundary():
+        if (args.center is None) != (args.eps2 is None):
             raise ValueError("--center and --eps2 must be given together")
-        query = BallQuery(center=_parse_center(args.center), radius_squared=Fraction(args.eps2))
-    system = _load_system(args.system)
-    roots = _load_roots(args.roots)
-    hplus = _build_hermite(args, system, roots)
+        system = _load_system(args.system)
+        query = None if args.center is None else _ball_query(args.center, args.eps2, system.variables)
+        roots = _load_roots(args.roots, system.variables)
+        basis = _load_basis(args.basis, system.variables)
+        _check_points(roots, basis)
+        g = parse_poly(args.g, system.variables)
+    hplus = _build_hermite(system, roots, basis)
     payload: dict = {"hermite": jsonio.hermite_to_json(hplus, system.variables)}
-    g = parse_poly(args.g, system.variables)
     outcome = certify_pipeline(system, g, hplus)
     payload["certificate"] = jsonio.report_to_json(outcome, system.variables)
     if not outcome.certified:
@@ -364,7 +424,8 @@ def main(argv=None) -> int:
     except _CONSTRUCTION_ERRORS as exc:
         payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         code = EXIT_CONSTRUCTION
-    except (ParseError, json.JSONDecodeError, ValueError, KeyError, OSError) as exc:
+    except _BadInput as bad:
+        exc = bad.__cause__
         payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         code = EXIT_USAGE
     _emit(payload, args.out)

@@ -324,6 +324,78 @@ def test_trace_grid_matches_per_product_reference_on_reduced_basis():
     assert got == per_product_trace_grid(out.mult_matrices, basis) == out.h1.to_rows()
 
 
+def per_basis_trace_grid_oracle(nf, monomials):
+    """Reference: Tr(M^alpha) = sum_i (v_(alpha + beta_i))_i, one table vector
+    per basis index i."""
+    traces = []
+    for alpha in monomials:
+        total = Fraction(0)
+        for i, beta in enumerate(nf.basis):
+            w, d = nf.vector(monomial_mul(alpha, beta))
+            total += Fraction(w[i], d)
+        traces.append(total)
+    return traces
+
+
+def assert_trace_grid_matches_oracle(ms, labels):
+    got = certify_module._trace_grid(table(ms, labels.base), labels.products)
+    want = per_basis_trace_grid_oracle(table(ms, labels.base), labels.products)
+    assert len(got) == len(want) == len(labels.products)
+    for alpha, g, w in zip(labels.products, got, want):
+        assert g == w, alpha
+
+
+@pytest.mark.parametrize("case", [grid_case, lagrange_case])
+def test_trace_grid_matches_per_basis_oracle(case):
+    system, hp = case()
+    out = certify_pipeline(system, parse_poly("1", list(system.variables)), hp)
+    assert out.certified, (out.reason, out.detail)
+    assert_trace_grid_matches_oracle(out.mult_matrices, hp.labels)
+
+
+@pytest.mark.parametrize("name", ["nonradical_univariate_outcome", "nonradical_corner_outcome"])
+def test_base_trace_matrix_matches_per_basis_oracle(name):
+    out = OUTCOMES[name]()
+    assert out.certified
+    basis = out.basis
+    labels = ExtendedBasis(basis)
+    k = len(basis)
+    got = certify_module._base_trace_matrix(labels, table(out.mult_matrices, basis))
+    cells = [monomial_mul(a, b) for a in basis.monomials for b in basis.monomials]
+    want = per_basis_trace_grid_oracle(table(out.mult_matrices, basis), cells)
+    assert [got.entry(i, j) for i in range(k) for j in range(k)] == want
+    assert got == out.h1
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.dictionaries(st.integers(-3, 3), st.integers(1, 3), min_size=1, max_size=3).filter(
+        lambda mult: 2 <= sum(mult.values()) <= 6 and max(mult.values()) > 1
+    )
+)
+def test_trace_grid_matches_per_basis_oracle_on_reduced_basis(mult):
+    # roots with multiplicities on {1, x, ..., x^(N-1)}: build_nonradical
+    # reduces the basis to one element per distinct root
+    roots = [r for r, m in sorted(mult.items()) for _ in range(m)]
+    system = PolySystem(["x"], [univariate_from_roots([Fraction(r) for r in roots], [])])
+    full = MonomialBasis([(d,) for d in range(len(roots))])
+    pts = ApproxRootSet(points=tuple((complex(r),) for r in roots), accuracy="1e-20", coord_bound=4)
+    hp = build_nonradical(build_extended_hermite(pts, full))
+    assert len(hp.labels.base) == len(mult)
+    out = certify_nonradical(system, ONE_X, hp)
+    assert out.certified, (out.reason, out.detail)
+    assert_trace_grid_matches_oracle(out.mult_matrices, hp.labels)
+
+
+def test_trace_grid_reads_one_vector_per_label_product():
+    # tau . v_alpha reads v_alpha and the base products only, all of them
+    # label products; the per-basis loop read v_(alpha + beta_i) for every i
+    system, hp = lagrange_case()
+    out = certify_pipeline(system, parse_poly("1", list(system.variables)), hp)
+    assert out.certified
+    assert len(out.normal_forms._vectors) <= len(hp.labels.products)
+
+
 def dense_mult_matrices(hp):
     """Reference: M_s = H1^-1 H1^(x_s) by the dense inverse and products."""
     h1, _ = extract_blocks(hp)

@@ -618,3 +618,74 @@ def test_signature_mismatch_propagates_out_of_main(
     with pytest.raises(SignatureMethodMismatchError):
         main([command, "--system", files["sys"], *source])
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command", ["certify", "count-real", "ball", "pipeline"])
+def test_value_error_inside_certification_propagates_out_of_main(
+    files, capsys, tmp_path, monkeypatch, command
+):
+    # a ValueError past the input boundary is a fault, not bad input
+    herm = str(tmp_path / "herm.json")
+    assert main(["build", "--system", files["sys"], "--roots", files["roots"], "--out", herm]) == 0
+    capsys.readouterr()
+
+    def broken(self, g):
+        raise ValueError("fault inside certification")
+
+    monkeypatch.setattr(hermicert.certify.NormalForms, "poly_matrix", broken)
+    source = ["--roots", files["roots"]] if command == "pipeline" else ["--hermite", herm]
+    ball = ["--center", "7/5", "--eps2", "1/100"] if command == "ball" else []
+    with pytest.raises(ValueError, match="fault inside certification"):
+        main([command, "--system", files["sys"], *source, *ball])
+    assert capsys.readouterr().out == ""
+
+
+def test_value_error_inside_construction_propagates_out_of_main(files, capsys, monkeypatch):
+    def broken(*args):
+        raise ValueError("fault inside construction")
+
+    monkeypatch.setattr(hermicert.cli, "build_extended_hermite", broken)
+    with pytest.raises(ValueError, match="fault inside construction"):
+        main(["build", "--system", files["sys"], "--roots", files["roots"]])
+
+
+def bad_input_files(files):
+    tmp = files["tmp"]
+    herm = str(tmp / "herm.json")
+    assert main(["build", "--system", files["sys"], "--roots", files["roots"], "--out", herm]) == 0
+    return {
+        **files,
+        "herm": herm,
+        "sys_xy": write(tmp / "sys_xy.json", {"variables": ["x", "y"], "polynomials": ["x^2-2", "y"]}),
+        "under": write(tmp / "under.json", {"variables": ["x", "y"], "polynomials": ["x^2-2"]}),
+        "sys_l1": write(tmp / "sys_l1.json", {"variables": ["l1"], "polynomials": ["l1^2-2"]}),
+        "basis3": write(tmp / "basis3.json", {"monomials": ["1", "x", "x^2"]}),
+        "empty": write(tmp / "empty.json", {"accuracy_E": "1e-10", "bound_M": "2", "points": []}),
+    }
+
+
+# bad inputs caught at the input boundary, each exiting 1 as before the boundary
+BAD_INPUTS = {
+    "roots of the wrong arity": "build --system {sys_xy} --roots {roots}",
+    "nonneg roots of the wrong arity": "nonneg --system {sys} --g x --roots {roots}",
+    "no points": "build --system {sys} --roots {empty}",
+    "nonneg without points": "nonneg --system {sys} --g x --roots {empty}",
+    "basis of the wrong size": "pipeline --system {sys} --roots {roots} --basis {basis3}",
+    "center of the wrong arity": "ball --system {sys} --hermite {herm} --center 1,2 --eps2 1",
+    "pipeline center of the wrong arity": "pipeline --system {sys} --roots {roots} --center 1,2 --eps2 1",
+    "non-positive radius": "ball --system {sys} --hermite {herm} --center 1 --eps2 0",
+    "unknown variable in g": "certify --system {sys} --hermite {herm} --g z",
+    "non-square system": "refine --system {under} --roots {roots}",
+    "no radii": "filter-roots --system {sys} --roots {roots} --system {sys} --roots {roots}",
+    "zero bound": "reconstruct-rational 1/3 0",
+    "multiplier name clash": "nonneg --system {sys_l1} --g l1 --roots {roots}",
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_with_usage_code(case, files, capsys):
+    paths = bad_input_files(files)
+    argv = [word.format(**paths) for word in BAD_INPUTS[case].split()]
+    capsys.readouterr()
+    code, payload = run(capsys, *argv)
+    assert code == 1 and payload["error"]["type"] in ("ValueError", "ParseError"), payload
