@@ -2,15 +2,18 @@
 """Benchmark the exact-arithmetic kernels of hermicert._kernels.
 
 Times the hot exact-arithmetic loops (matrix product, characteristic
-polynomial, inertia, rank, solve) on these entry regimes: small rationals,
-where interpreter overhead dominates; the larger power-sum entries typical
-of extended Hermite matrices, where arbitrary-precision integer arithmetic
+polynomial, and the one symmetric elimination, which gives inertia and
+rank and solves) on these entry regimes: small rationals, where
+interpreter overhead dominates; the larger power-sum entries typical of
+extended Hermite matrices, where arbitrary-precision integer arithmetic
 dominates; the weighted matrices of a ball query on the 5x5 (k=25) and 7x7
 (k=49) grids, whose rational entries are where the signatures' cost lies;
-and the H1 of the 5x5 grid with its border columns, the one solve of
-certification step 2, and the product of that step's Schur-complement
-check, the border rows times the solution.  The characteristic polynomial
-takes symmetric matrices only.
+the H1 of the 5x5 grid alone (its inertia) and with its border columns, the
+one solve of certification step 2, which yields that inertia too; the
+product of that step's Schur-complement check, the border rows times the
+solution; and a zero-diagonal matrix, every pivot of which is a 2x2 block.
+Every matrix these kernels eliminate, and every characteristic polynomial,
+is symmetric.
 
 Usage: python benchmarks/bench_kernels.py [--repeat N]
 """
@@ -80,12 +83,28 @@ def grid_border_entries():
     return (h1, [1] * len(h1)), (rhs, [1] * len(rhs))
 
 
+def zero_diagonal_entries(rng, k):
+    """A symmetric k x k matrix with a zero diagonal whose remainder keeps a
+    zero diagonal: antidiagonal blocks [[0, b], [b, 0]] on (2i, 2i + 1),
+    coupled only through the odd columns, so each pivot is a 2x2 block."""
+    nums = [0] * (k * k)
+    for i in range(0, k - 1, 2):
+        nums[i * k + i + 1] = nums[(i + 1) * k + i] = rng.randint(1, 9)
+        for j in range(i + 3, k, 2):
+            nums[i * k + j] = nums[j * k + i] = rng.randint(-9, 9)
+    return nums, [1] * (k * k)
+
+
 def symmetrize(k, nums, dens):
     for i in range(k):
         for j in range(i + 1, k):
             nums[j * k + i] = nums[i * k + j]
             dens[j * k + i] = dens[i * k + j]
     return nums, dens
+
+
+def b_identity(k):
+    return [int(i == j) for i in range(k) for j in range(k)], [1] * (k * k)
 
 
 def bench(func, *args, repeat):
@@ -107,21 +126,23 @@ def workloads(rng):
     h1, border = grid_border_entries()
     # H+[ext, B] is the transpose of the border block, and Y = H1^-1 H+[B, ext]
     border_rows = [[x[i * 10 + j] for j in range(10) for i in range(25)] for x in border]
-    y = kernels.mat_solve(25, 10, *h1, *border)
+    y = kernels.eliminate(25, *h1, (10, *border))[4]
     ball49 = ball_hg_entries(rng, 7)
+    blocks = zero_diagonal_entries(rng, 12)
     return [
         ("mat_mul 8x8 small", "mat_mul", (k, k, k, *a, *b)),
         ("charpoly 8x8 small", "charpoly", (k, *sym)),
-        ("inertia 8x8 small", "inertia", (k, *sym)),
-        ("mat_rank 8x8 small", "mat_rank", (k, k, *a)),
+        ("eliminate 8x8 small (inertia, rank)", "eliminate", (k, *sym)),
         ("charpoly 10x10 power-sums", "charpoly", (10, *big)),
-        ("inertia 10x10 power-sums", "inertia", (10, *big)),
+        ("eliminate 10x10 power-sums", "eliminate", (10, *big)),
         ("charpoly 25x25 ball H_g", "charpoly", (25, *ball)),
-        ("inertia 25x25 ball H_g", "inertia", (25, *ball)),
-        ("mat_solve 25x10 grid H1 border", "mat_solve", (25, 10, *h1, *border)),
+        ("eliminate 25x25 ball H_g", "eliminate", (25, *ball)),
+        ("eliminate 25x25 grid H1 (inertia)", "eliminate", (25, *h1)),
+        ("eliminate 25x25 grid H1 + 10 border", "eliminate", (25, *h1, (10, *border))),
         ("mat_mul 10x25x10 grid Schur complement", "mat_mul", (10, 25, 10, *border_rows, *y)),
+        ("eliminate 12x12 2x2 pivots + 12 rhs", "eliminate", (12, *blocks, (12, *b_identity(12)))),
         ("charpoly 49x49 ball H_g", "charpoly", (49, *ball49)),
-        ("inertia 49x49 ball H_g", "inertia", (49, *ball49)),
+        ("eliminate 49x49 ball H_g", "eliminate", (49, *ball49)),
     ]
 
 
@@ -131,12 +152,12 @@ def main():
     args = parser.parse_args()
 
     rng = random.Random(2024)
-    header = f"{'workload':<40} {'best':>10}"
+    header = f"{'workload':<42} {'best':>10}"
     print(header)
     print("-" * len(header))
     for label, name, call_args in workloads(rng):
         best = bench(getattr(kernels, name), *call_args, repeat=args.repeat)
-        print(f"{label:<40} {best * 1e3:>8.3f}ms")
+        print(f"{label:<42} {best * 1e3:>8.3f}ms")
 
 
 if __name__ == "__main__":

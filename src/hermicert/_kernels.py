@@ -3,12 +3,12 @@
 A matrix is a flat row-major pair of lists (nums, dens) of Python ints with
 every entry stored reduced and dens[i] > 0.  These functions are the inner
 loops of the whole package; ``hermicert.linalg`` wraps them for RatMatrix.
-Every kernel first scales its input to integers with _scaled, one lcm for
-the whole matrix (inertia, charpoly) or one per row or column (rank, solve,
-product), and then runs on plain ints: rank, solve and inertia by
-fraction-free (Bareiss) elimination, the characteristic polynomial of a
-symmetric matrix division-free (Berkowitz), the product as integer dot
-products.  A rational result is reduced once per entry at the end.
+Every kernel first scales its input to integers with _scaled (one lcm per
+matrix, or per row or column for the product) and then runs on plain ints:
+one fraction-free symmetric elimination, which gives every inertia and
+rank, solves and runs the connected scan; the characteristic polynomial
+of a symmetric matrix, division-free (Berkowitz); and the product as
+integer dot products.  A rational result is reduced once per entry.
 """
 
 from math import gcd, lcm
@@ -38,106 +38,6 @@ def mat_mul(ar, ac, bc, an, ad, bn, bd):
             cn.append(s // g)
             cd.append(d // g)
     return cn, cd
-
-
-def _eliminate(m, pivot_cols):
-    """Fraction-free (Bareiss) forward elimination of the integer rows m, in
-    place; returns the number of pivots.
-
-    Pivots are sought in the first pivot_cols columns, in order, and a
-    column without one is skipped.  After p pivots every remaining entry is
-    the minor of the rows and columns pivoted so far bordered by its own row
-    and column, so each division by the previous pivot is exact, and the
-    p-th pivot is that p x p minor.  A row whose entry in the pivot column
-    is zero would only be rescaled by pivot / previous pivot; it is left as
-    it is, and lev[i] records the pivot it was last brought up to, so that
-    its true entries are row * prev / lev[i].  The rows that become pivot
-    rows end up as the true rows of the triangular form; the others do not.
-    """
-    r = len(m)
-    lev = [1] * r
-    prev = 1
-    pr = 0
-    for pc in range(pivot_cols):
-        if pr >= r:
-            break
-        for piv in range(pr, r):
-            if m[piv][pc]:
-                break
-        else:
-            continue
-        m[pr], m[piv] = m[piv], m[pr]
-        lev[pr], lev[piv] = lev[piv], lev[pr]
-        row_p = m[pr]
-        d = lev[pr]
-        if d != prev:
-            row_p[:] = [x * prev // d for x in row_p]
-        pv = row_p[pc]
-        for i in range(pr + 1, r):
-            row = m[i]
-            f = row[pc]
-            if not f:
-                continue
-            d = lev[i]
-            if d != prev:
-                row[:] = [x * prev // d for x in row]
-                f = row[pc]
-            row[pc] = 0
-            for j in range(pc + 1, len(row)):
-                row[j] = (pv * row[j] - f * row_p[j]) // prev
-            lev[i] = pv
-        prev = pv
-        pr += 1
-    return pr
-
-
-def mat_rank(r, c, nums, dens):
-    """Exact rank by fraction-free (Bareiss) elimination.
-
-    Each row is first scaled to integers by its own denominator lcm, which
-    preserves rank.
-    """
-    m = [_scaled(nums[i * c : (i + 1) * c], dens[i * c : (i + 1) * c])[1] for i in range(r)]
-    return _eliminate(m, c)
-
-
-def mat_solve(k, m, an, ad, bn, bd):
-    """X with A X = B for A (k x k) and B (k x m), as reduced pairs; None
-    when A is singular.  B = I gives the inverse.
-
-    Row i of [A | B] is scaled to integers by its own lcm, which keeps X.
-    Fraction-free forward elimination of the integer rows makes [A | B]
-    upper triangular [U | C] with U's last pivot d = +-det of the scaled A,
-    so d X is an integer matrix (Cramer's rule); it is found by exact
-    integer back-substitution, d X_i = (d C_i - sum_(t > i) U_it d X_t) / U_ii,
-    and each entry of X is reduced once."""
-    rows = []
-    for i in range(k):
-        a, b = slice(i * k, (i + 1) * k), slice(i * m, (i + 1) * m)
-        rows.append(_scaled(an[a] + bn[b], ad[a] + bd[b])[1])
-    if _eliminate(rows, k) < k:
-        return None
-    if k == 0:
-        return [], []
-    det = rows[k - 1][k - 1]
-    x = [None] * k  # x[i]: row i of d X
-    for i in range(k - 1, -1, -1):
-        row = rows[i]
-        acc = [det * c for c in row[k:]]
-        for t in range(i + 1, k):
-            f = row[t]
-            if f:
-                acc = [a - f * v for a, v in zip(acc, x[t])]
-        p = row[i]
-        x[i] = [a // p for a in acc]
-    sign = -1 if det < 0 else 1
-    xn, xd = [], []
-    for row in x:
-        for v in row:
-            g = gcd(v, det) * sign
-            xn.append(v // g)
-            xd.append(det // g)
-    return xn, xd
 
 
 def integer_rows(k, nums, dens):
@@ -195,72 +95,151 @@ def charpoly(k, nums, dens):
     return cn, cd
 
 
-def inertia(k, nums, dens):
-    """Inertia (pos, neg, zero) of a symmetric matrix by fraction-free
-    symmetric elimination with diagonal pivoting (Bareiss 1968).
+def _catch_up(u, lev, s, d):
+    """Bring the rows from position s on to the current level d."""
+    for i in range(s, len(lev)):
+        li = lev[i]
+        if li != d:
+            u[i] = [x * d // li for x in u[i]]
+            lev[i] = d
 
-    It runs on the integer matrix B = L * A.  After a block P of pivots is
-    eliminated, each remaining entry is the minor of B on P bordered by its
-    row and column, and d = det P; the Schur complement of P is that
-    remainder divided by d, so Sylvester's identity makes every division
-    below exact.
-    - A non-zero diagonal entry b_vv is a 1x1 pivot of sign
-      sign(b_vv) * sign(d); b_ij <- (b_vv b_ij - b_iv b_vj) / d, then
-      d <- b_vv.
-    - A zero remaining diagonal with an off-diagonal b = b_pq != 0 is a 2x2
-      pivot [[0, b], [b, 0]], contributing (+1, -1);
-      b_ij <- b (b_ip b_qj + b_iq b_pj - b b_ij) / d^2, then d <- -b^2 / d.
-      Exact arithmetic permits no perturbation, so this block step is
-      required for correctness, not merely stability.
-    - An all-zero remainder counts as zero eigenvalues.
+
+def _swap(u, label, p, q):
+    """Exchange positions p <= q of the remainder, whose rows u[i] hold the
+    entries (i, j), j >= i, and then the right-hand side, every row from p
+    on being current; the rows above p exchange their columns p and q."""
+    if p == q:
+        return
+    up, uq = u[p], u[q]
+    up[0], uq[0] = uq[0], up[0]
+    for j in range(p + 1, q):  # (p, j) and (j, q)
+        uj = u[j]
+        up[j - p], uj[q - j] = uj[q - j], up[j - p]
+    up[q + 1 - p :], uq[1:] = uq[1:], up[q + 1 - p :]
+    for i in range(p):
+        ui = u[i]
+        ui[p - i], ui[q - i] = ui[q - i], ui[p - i]
+    label[p], label[q] = label[q], label[p]
+
+
+def eliminate(k, nums, dens, rhs=None, linked=None):
+    """Fraction-free symmetric elimination of a symmetric k x k matrix A
+    (Bareiss 1968; Bunch-Kaufman 1977): the one elimination of the package.
+
+    Returns (pos, neg, zero, picked, x): the inertia of A; the labels the
+    linked rule took, in order; and, when rhs = (m, bn, bd) holds a k x m
+    matrix C, X with A X = C as reduced pairs (None when A is singular or
+    no rhs is given).
+
+    It runs on B = L * A and C' = L_C * C, L and L_C the lcms of the
+    denominators, keeping the upper triangle of the remainder and C'.
+    After a block P of pivots, each remaining entry is the minor of
+    [B | C'] on P bordered by its row and column and d = det B[P, P], so
+    every division below is exact (Sylvester's identity):
+    - a non-zero diagonal b_vv is a 1x1 pivot of sign sign(b_vv) sign(d):
+      b_ij <- (b_vv b_ij - b_iv b_vj) / d, then d <- b_vv;
+    - on a zero diagonal, b = b_pq != 0 is a 2x2 pivot [[0, b], [b, 0]] of
+      inertia (1, 1, 0): b_ij <- b (b_ip b_qj + b_iq b_pj - b b_ij) / d^2,
+      then d <- -b^2 / d (exact arithmetic permits no perturbation);
+    - an all-zero remainder counts as zero eigenvalues.
+    A row that a pivot would only rescale by the new d over the old is left
+    as it is, lev recording the d it was last brought up to.  Pivots are
+    moved to the front of the remainder by symmetric exchanges (_swap).
+    With linked(t, picked), each label t is first offered once, in order,
+    and taken as a 1x1 pivot when its entry is non-zero and it is linked to
+    the labels picked so far (linalg's connected scan); the remainder is
+    then eliminated as above, so the inertia is always all of A's.
+
+    Each pivot row, as taken, is an equation of the reduced system in the
+    positions after it.  With A nonsingular the final d is det B, so
+    Y = d B^(-1) C' is an integer matrix (Cramer's rule), found by exact
+    back-substitution: a 1x1 row gives b_vv Y_v, and rows p and q of a
+    block give b Y_q and b Y_p.  X_ij = L Y_ij / (L_C d), reduced once.
     """
-    _, a = integer_rows(k, nums, dens)
-    pos = neg = 0
+    l, flat = _scaled(nums, dens)
+    # u[i]: the entries (i, j), j >= i, of row i, then its right-hand side
+    u = [flat[i * k + i : (i + 1) * k] for i in range(k)]
+    if rhs is not None:
+        m, bn, bd = rhs
+        lc, flat = _scaled(bn, bd)
+        for i, row in enumerate(u):
+            row += flat[i * m : (i + 1) * m]
+    label = list(range(k))  # the label at each position
+    lev = [1] * k  # the true entries of u[i] are u[i] * d / lev[i]
+    steps = []  # (position solved for, pivot row, first later column, divisor)
+    picked = []
+    offered = iter(range(k) if linked else ())
+    neg = 0
     d = 1
-    while a:
-        n = len(a)
-        v = next((i for i in range(n) if a[i][i]), -1)
+    s = 0  # positions s.. are the remainder
+    while s < k:
+        for t in offered:
+            v = label.index(t)
+            if u[v][0] and linked(t, picked):
+                picked.append(t)
+                break
+        else:
+            v = next((p for p in range(s, k) if u[p][0]), -1)
         if v >= 0:
-            pv = a[v][v]
-            if (pv > 0) == (d > 0):
-                pos += 1
-            else:
-                neg += 1
-            row_v = a.pop(v)
-            del row_v[v]
-            rest = []
-            for i, row in enumerate(a):
-                f = row.pop(v)
-                if f:
-                    upper = [(pv * x - f * y) // d for x, y in zip(row[i:], row_v[i:])]
-                else:  # b_iv = 0: the row is only rescaled
-                    upper = [pv * x // d for x in row[i:]]
-                # the remainder stays symmetric: its lower triangle is copied
-                # from the rows already built
-                rest.append([r[i] for r in rest] + upper)
-            a = rest
+            if v != s:
+                _catch_up(u, lev, s, d)
+                _swap(u, label, s, v)
+            row_s = u[s]
+            if lev[s] != d:
+                ls = lev[s]
+                row_s = u[s] = [x * d // ls for x in row_s]
+            pv = row_s[0]
+            neg += (pv > 0) != (d > 0)
+            for i, f in enumerate(row_s[1 : k - s], s + 1):
+                if f:  # a row with b_is = 0 only changes level
+                    li = lev[i]
+                    xs = u[i] if li == d else [x * d // li for x in u[i]]
+                    u[i] = [(pv * x - f * y) // d for x, y in zip(xs, row_s[i - s :])]
+                    lev[i] = pv
+            steps.append((s, s, 1, pv))
             d = pv
+            s += 1
             continue
-        off = next(((i, j) for i in range(n) for j in range(i + 1, n) if a[i][j]), None)
+        off = next(((p, q) for p in range(s, k) for q in range(p + 1, k) if u[p][q - p]), None)
         if off is None:
-            return pos, neg, n
-        pos += 1
+            break
+        _catch_up(u, lev, s, d)
+        _swap(u, label, s, off[0])
+        _swap(u, label, s + 1, off[1])
         neg += 1
-        p, q = off
-        b = a[p][q]
-        row_q = a.pop(q)
-        row_p = a.pop(p)
-        for row in (row_p, row_q):
-            del row[q]
-            del row[p]
+        row_p, row_q = u[s], u[s + 1]
+        b = row_p[1]
         dd = d * d
-        rest = []
-        for row in a:
-            fq = row.pop(q)
-            fp = row.pop(p)
-            rest.append(
-                [b * (fp * y + fq * x - b * z) // dd for x, y, z in zip(row_p, row_q, row)]
-            )
-        a = rest
-        d = -b * b // d
-    return pos, neg, 0
+        new_d = -b * b // d
+        for i in range(s + 2, k):
+            fp, fq = row_p[i - s], row_q[i - s - 1]
+            if fp or fq:
+                li = lev[i]
+                zs = u[i] if li == d else [z * d // li for z in u[i]]
+                u[i] = [
+                    b * (fp * y + fq * x - b * z) // dd
+                    for x, y, z in zip(row_p[i - s :], row_q[i - s - 1 :], zs)
+                ]
+                lev[i] = new_d
+        steps += [(s + 1, s, 2, b), (s, s + 1, 1, b)]
+        d = new_d
+        s += 2
+    pos, zero = s - neg, k - s
+    if rhs is None or zero:
+        return pos, neg, zero, picked, None
+    y = [None] * k  # y[p]: row p of Y = d B^(-1) C, by position
+    for target, r, skip, div in reversed(steps):
+        row = u[r]
+        n = k - r
+        acc = [d * c for c in row[n:]]
+        for f, w in zip(row[skip:n], y[r + skip :]):
+            if f:
+                acc = [x - f * z for x, z in zip(acc, w)]
+        y[target] = [x // div for x in acc]
+    den = lc * d
+    sign = -1 if den < 0 else 1
+    xs = [x for p in sorted(range(k), key=label.__getitem__) for x in y[p]]
+    if l != 1:
+        xs = [l * x for x in xs]
+    gs = [gcd(x, den) * sign for x in xs]
+    return pos, neg, zero, picked, ([x // g for x, g in zip(xs, gs)], [den // g for g in gs])

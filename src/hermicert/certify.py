@@ -3,8 +3,9 @@
 A candidate extended matrix H+ labelled by a basis connected to 1 is pushed
 through seven exact checks:
 
-1. block extraction;
-2. multiplication-matrix construction with rank conditions;
+1. block extraction from a symmetric H+;
+2. multiplication-matrix construction with rank conditions, which yields
+   H1's inertia;
 3. identity-column structure, written by step 2;
 4. the quotient algebra is reduced (its trace form is nonsingular);
 5. pairwise commutation plus ideal membership;
@@ -31,8 +32,14 @@ on an algebra that is not reduced, so step 4 checks the rank of the trace
 matrix itself.  Step 7 needs no check on the trace form H1 of A: column j
 of g(M) holds the coordinates of g * b_j, so (H1 g(M))[i, j] =
 Tr(b_i * g * b_j) and H_g is symmetric by construction; derive_hg cannot
-fail.  Only the non-radical route's weighted H1bar and H1bar g(M), no trace
-forms, are checked there.
+fail.  Only the non-radical route's weighted H1bar g(M), no trace form, is
+checked there.
+
+Step 1 rejects an H+ that is not symmetric, as no true H+ is, so every
+elimination here is linalg's one symmetric elimination, and each yields an
+inertia: step 2's of H1 (H1bar), step 4's of the trace matrix.  Their
+signatures reuse it and add only the characteristic polynomial, the
+independent method that signature cross-checks.
 
 The label structure comes from the ExtendedBasis: its shifts table gives
 the position of every x_s * b_i, and its products table the distinct
@@ -41,7 +48,7 @@ multiplication matrices is formed.  Column i of M_s is the unit vector e_j
 whenever x_s * b_i is the basis element b_j, so step 2 writes those
 columns itself.  Every other column is read off Y = H1^{-1} H+[B, ext],
 ext the extension labels outside the basis, each once: one fraction-free
-elimination of H1 on integers, checking the exact residual
+symmetric elimination of H1 on integers, checking the exact residual
 H1 Y = H+[B, ext].  On the non-radical route that residual is the
 weighted identity H1bar M_s = H1bar^{x_s}.  With H1 nonsingular, the rank
 condition rank H+ = k is the vanishing of the Schur complement,
@@ -79,6 +86,7 @@ from typing import Sequence
 
 from .hermite import HermitePlus
 from .linalg import (
+    Inertia,
     RatMatrix,
     SingularMatrixError,
     inertia_ldl,
@@ -94,6 +102,9 @@ from .polynomials import (
     PolySystem,
     monomial_mul,
 )
+
+
+_Eliminated = tuple[RatMatrix, Inertia]  # a matrix and its inertia
 
 
 class SignatureMethodMismatchError(AssertionError):
@@ -146,9 +157,10 @@ class CertificationOutcome:
         return None if self.normal_forms is None else self.normal_forms.matrices
 
 
-def signature(a: RatMatrix) -> int:
-    """Signature via symmetric elimination, cross-checked by Descartes."""
-    s_ldl = inertia_ldl(a).signature
+def signature(a: RatMatrix, inertia: Inertia | None = None) -> int:
+    """Signature via symmetric elimination, cross-checked by Descartes; the
+    inertia is given when a step already eliminated a, computed otherwise."""
+    s_ldl = (inertia_ldl(a) if inertia is None else inertia).signature
     s_desc = signature_descartes(a)
     if s_ldl != s_desc:
         raise SignatureMethodMismatchError(
@@ -158,22 +170,29 @@ def signature(a: RatMatrix) -> int:
 
 
 def extract_blocks(hplus: HermitePlus) -> tuple[RatMatrix, RatMatrix]:
-    """H1 (rows and columns B) and the k x (l - k) border block H+[B, ext]:
-    the columns of the extension labels outside B, each once, in label
-    order."""
+    """Step 1: H1 (rows and columns B) and the k x (l - k) border block
+    H+[B, ext], the columns of the extension labels outside B, each once, in
+    label order.  H+ must be symmetric, as every true H+ (the trace form
+    Tr(b_i b_j) or a positive-weighted sum of b_i(xi) b_j(xi)) is."""
+    if not hplus.matrix.is_symmetric():
+        raise StepFailure(1, "not_symmetric", "H+ is not symmetric")
     k, l = hplus.base_size(), len(hplus.labels)
     return hplus.matrix.submatrix(range(k), range(k)), hplus.matrix.submatrix(range(k), range(k, l))
 
 
-def mult_matrices(h1: RatMatrix, border: RatMatrix, hplus: HermitePlus) -> list[RatMatrix]:
-    """M_s = H1^{-1} H1^{x_s}, guarded by rank H1 = rank H+ = k.
+def mult_matrices(
+    h1: RatMatrix, border: RatMatrix, hplus: HermitePlus
+) -> tuple[list[RatMatrix], Inertia]:
+    """(the M_s = H1^{-1} H1^{x_s}, the inertia of H1), guarded by
+    rank H1 = rank H+ = k.
 
     Column i of H1^{x_s} is the column of H+ labelled x_s * b_i.  When that
     label is a basis element b_j (shifts[s][i] = j < k), it is H1's own
     column j, so column i of M_s is e_j by construction.  Otherwise it is a
     border column, and column i of M_s is the matching column of
-    Y = H1^{-1} H+[B, ext]: one elimination of H1 by linalg.solve, which
-    proves H1 nonsingular and checks the exact residual H1 Y = H+[B, ext].
+    Y = H1^{-1} H+[B, ext]: one symmetric elimination of H1 by linalg.solve,
+    which proves H1 nonsingular, checks the exact residual H1 Y = H+[B, ext]
+    and yields H1's inertia, the elimination half of sigma(H1).
     On the non-radical route that residual is the weighted identity
     H1bar M_s = H1bar^{x_s} on the border columns.  With H1 nonsingular,
     rank H+ = k + rank(H+[ext, ext] - H+[ext, B] Y) (Guttman's rank identity
@@ -185,7 +204,7 @@ def mult_matrices(h1: RatMatrix, border: RatMatrix, hplus: HermitePlus) -> list[
     k, l = h1.rows, len(hplus.labels)
     ext = range(k, l)
     try:
-        y = solve(h1, border)
+        y, inertia = solve(h1, border)
     except SingularMatrixError:
         y = None
     hp = hplus.matrix
@@ -205,21 +224,24 @@ def mult_matrices(h1: RatMatrix, border: RatMatrix, hplus: HermitePlus) -> list[
                 nums[i::k] = yn[j - k :: m]
                 dens[i::k] = yd[j - k :: m]
         ms.append(RatMatrix(k, k, nums, dens))
-    return ms
+    return ms, inertia
 
 
-def check_squarefree(trace_h1: RatMatrix) -> None:
+def check_squarefree(trace_h1: RatMatrix) -> Inertia:
     """Step 4 on the non-radical route: the trace matrix
-    H1[i, j] = Tr((b_i * b_j)(M)) is nonsingular.
+    H1[i, j] = Tr((b_i * b_j)(M)) is nonsingular; returns its inertia, the
+    elimination half of sigma(H1).
 
     By Hermite's theorem its rank is the number of distinct roots of A, so
     rank k proves A reduced: J is radical, and a generic combination of the
     M_s has a squarefree characteristic polynomial.
     """
     k = trace_h1.rows
-    r = rank(trace_h1)
-    if r < k:
+    inertia = inertia_ldl(trace_h1)
+    if inertia.zero:
+        r = k - inertia.zero
         raise StepFailure(4, "not_squarefree", f"rank of the trace form = {r}, expected {k}")
+    return inertia
 
 
 class NormalForms:
@@ -486,24 +508,24 @@ def _fail(outcome_basis: MonomialBasis, diag: list[dict], failure: StepFailure) 
 
 def _run_steps_1_to_5(
     system: PolySystem, hplus: HermitePlus, diag: list[dict], *, radical: bool
-) -> tuple[RatMatrix, NormalForms, RatMatrix | None]:
-    """Steps 1-5: (H1, the table of the M_s, the trace matrix).
-
-    The trace matrix is computed for step 4 on the non-radical route only;
-    on the radical route it is None, and step 4 records that step 2 proved
-    H1 nonsingular, which with step 6 proves A reduced (module docstring).
+) -> tuple[NormalForms, _Eliminated, _Eliminated]:
+    """Steps 1-5: (the table of the M_s, (H1, its inertia from step 2), (the
+    trace matrix, its inertia from step 4)).  The trace matrix is computed
+    for step 4 on the non-radical route only; on the radical route the pair
+    is None, and step 4 records that step 2 proved H1 nonsingular, which
+    with step 6 proves A reduced (module docstring).
     """
     basis = hplus.labels.base
     if basis.arity != system.arity():
         raise ValueError("system arity does not match the basis")
     h1, border = _step(diag, 1, "extract_blocks", extract_blocks, hplus)
-    ms = _step(diag, 2, "mult_matrices", mult_matrices, h1, border, hplus)
+    ms, h1_inertia = _step(diag, 2, "mult_matrices", mult_matrices, h1, border, hplus)
     _step(diag, 3, "identity_columns", _recorded)
     nf = NormalForms(ms, basis.monomials)
     trace_h1 = None if radical else _base_trace_matrix(hplus.labels, nf)
-    _step(diag, 4, "squarefree", _recorded if radical else check_squarefree, trace_h1)
+    trace_inertia = _step(diag, 4, "squarefree", _recorded if radical else check_squarefree, trace_h1)
     _step(diag, 5, "commute_and_membership", check_commute_and_membership, nf, system)
-    return h1, nf, trace_h1
+    return nf, (h1, h1_inertia), (trace_h1, trace_inertia)
 
 
 def certify_pipeline(
@@ -517,19 +539,25 @@ def certify_pipeline(
     at least the quotient dimension; superfluous points make some step fail.
     A matrix built from more points than its basis size (a reduced
     non-radical build) goes to certify_nonradical instead.
+
+    The points are assumed to cover V(I): steps 2-5 prove V(J) within V(I)
+    for the ideal J that the M_s define, not the converse, so a candidate
+    built from a subset of the roots can certify.  A real-root count is a
+    lower bound, and a ball "false" or a non-negativity "true" holds only
+    under that assumption.
     """
     basis = hplus.labels.base
     if hplus.provenance.point_count > len(basis):
         return certify_nonradical(system, g, hplus)
     diag: list[dict] = []
     try:
-        h1, nf, _ = _run_steps_1_to_5(system, hplus, diag, radical=True)
+        nf, (h1, h1_inertia), _ = _run_steps_1_to_5(system, hplus, diag, radical=True)
         _step(diag, 6, "trace_grid", check_traces, hplus, nf)
         hg = _step(diag, 7, "hermite_for_g", hermite_for_g, h1, nf, g)
     except StepFailure as failure:
         return _fail(basis, diag, failure)
 
-    sigma_h1 = signature(h1)
+    sigma_h1 = signature(h1, h1_inertia)
     return CertificationOutcome(
         status="certified",
         basis=basis,
@@ -579,28 +607,28 @@ def _check_point_count(h1_weighted: RatMatrix, points: int) -> None:
 
 
 def _weighted_step_7(
-    h1_trace: RatMatrix, h1_weighted: RatMatrix, nf: NormalForms, g: MultiPoly
+    trace: _Eliminated, weighted: _Eliminated, nf: NormalForms, g: MultiPoly
 ) -> tuple[RatMatrix, RatMatrix, int, int]:
-    """Step 7 on the non-radical route: (H_g, H1bar * g(M), sigma(H1),
+    """Step 7 on the non-radical route, given (H1, its inertia) and (H1bar,
+    its inertia) from steps 4 and 2: (H_g, H1bar * g(M), sigma(H1),
     sigma(H_g)).
 
     H_g = H1 * g(M) needs no check (hermite_for_g).  The weighted pair does:
-    H1bar * g(M), then H1bar, must be symmetric, and the weighted and
-    trace-based signatures must agree for 1 and for g, positive weights
-    preserving sign counts.
+    H1bar * g(M) must be symmetric (step 1 proved H1bar symmetric), and the
+    weighted and trace-based signatures must agree for 1 and for g,
+    positive weights preserving sign counts.
     """
-    hg_trace = hermite_for_g(h1_trace, nf, g)
-    hg_weighted = hermite_for_g(h1_weighted, nf, g)
-    for m, name in ((hg_weighted, "H1 * g(M)"), (h1_weighted, "H1")):
-        if not m.is_symmetric():
-            raise StepFailure(7, "not_symmetric", f"{name} is not symmetric", "weighted_hermite_for_g")
-    sigma_h1 = signature(h1_trace)
+    hg_trace = hermite_for_g(trace[0], nf, g)
+    hg_weighted = hermite_for_g(weighted[0], nf, g)
+    if not hg_weighted.is_symmetric():
+        raise StepFailure(7, "not_symmetric", "H1 * g(M) is not symmetric", "weighted_hermite_for_g")
+    sigma_h1 = signature(*trace)
     mismatch = None
-    if signature(h1_weighted) != sigma_h1:
+    if signature(*weighted) != sigma_h1:
         mismatch = "1"
     else:  # both H1 agree, so sigma_h1 stands in for either H_g equal to its H1
-        sigma_hg = _signature_of_hg(hg_trace, h1_trace, sigma_h1)
-        if _signature_of_hg(hg_weighted, h1_weighted, sigma_h1) != sigma_hg:
+        sigma_hg = _signature_of_hg(hg_trace, trace[0], sigma_h1)
+        if _signature_of_hg(hg_weighted, weighted[0], sigma_h1) != sigma_hg:
             mismatch = "g"
     if mismatch:
         raise StepFailure(
@@ -628,18 +656,18 @@ def certify_nonradical(
     matrix is validated by exact consistency checks: H1bar * M_s =
     H1bar^{x_s} is step 2's residual (H1bar is step 2's H1), the (1,1)
     entry equals the provenance point count (step 6), and in step 7
-    H1bar * g(M) and H1bar are symmetric and the signatures of the weighted
-    and trace-based matrices agree (positive weights preserve sign counts).
+    H1bar * g(M) is symmetric and the signatures of the weighted and
+    trace-based matrices agree (positive weights preserve sign counts).
     Any disagreement is a failure, never silently resolved.
     """
     basis = hplus.labels.base
     diag: list[dict] = []
     try:
-        h1_weighted, nf, h1_trace = _run_steps_1_to_5(system, hplus, diag, radical=False)
+        nf, weighted, trace = _run_steps_1_to_5(system, hplus, diag, radical=False)
         points = hplus.provenance.point_count
-        _step(diag, 6, "weighted_consistency", _check_point_count, h1_weighted, points)
+        _step(diag, 6, "weighted_consistency", _check_point_count, weighted[0], points)
         hg_trace, hg_weighted, sigma_h1, sigma_hg = _step(
-            diag, 7, "hermite_for_g", _weighted_step_7, h1_trace, h1_weighted, nf, g
+            diag, 7, "hermite_for_g", _weighted_step_7, trace, weighted, nf, g
         )
     except StepFailure as failure:
         return _fail(basis, diag, failure)
@@ -647,13 +675,13 @@ def certify_nonradical(
     return CertificationOutcome(
         status="certified",
         basis=basis,
-        h1=h1_trace,
+        h1=trace[0],
         hg=hg_trace,
         normal_forms=nf,
         g=g,
         sigma_h1=sigma_h1,
         sigma_hg=sigma_hg,
-        weighted_h1=h1_weighted,
+        weighted_h1=weighted[0],
         weighted_hg=hg_weighted,
         diagnostics=diag,
     )

@@ -37,7 +37,7 @@ from .hermite import (
     build_extended_hermite,
     build_nonradical,
 )
-from .linalg import NoConnectedSelectionError, rank
+from .linalg import NoConnectedSelectionError, _connected_scan
 from .numroots import (
     DivergedError,
     NoWellConditionedBasisError,
@@ -112,8 +112,7 @@ def _load_basis(path: str | None, variables) -> MonomialBasis | None:
 
 def _check_points(roots, basis: MonomialBasis | None = None) -> None:
     """A Hermite matrix is built from one point at least, and a basis given
-    to build or pipeline has one element per point (nonneg certifies the
-    basis it is given, and one of the wrong size fails certification)."""
+    to build, pipeline or nonneg has one element per point."""
     if not len(roots):
         raise ValueError("need at least one point")
     if basis is not None and len(basis) != len(roots):
@@ -132,15 +131,16 @@ def _ball_query(center: str, eps2: str, variables) -> BallQuery:
 
 
 def _build_hermite(system, roots, basis):
-    """Shared by build and pipeline: full matrix, or the non-radical route
-    when the basis block is singular.  The test is rank(H1) itself: with
-    complex roots a nonsingular H1 can have a singular connected minor."""
+    """Shared by build and pipeline.  One connected scan of H1 gives both
+    the route and the reduction: rank H1 = k keeps the full matrix (with
+    complex roots a nonsingular H1 can have a singular connected minor),
+    and a lower rank reduces it to the scan's selection (build_nonradical)."""
     if basis is None:
         basis = select_basis(roots, system.variables)
     hplus = build_extended_hermite(roots, basis)
     k = len(basis)
-    h1 = hplus.matrix.submatrix(range(k), range(k))
-    return hplus if rank(h1) == k else build_nonradical(hplus)
+    selection = _connected_scan(hplus.matrix.submatrix(range(k), range(k)), basis.monomials)
+    return hplus if selection.rank == k else build_nonradical(hplus, selection)
 
 
 def _load_hermite(args):
@@ -191,8 +191,8 @@ def cmd_nonneg(args) -> tuple[int, dict]:
         query = NonnegQuery(system, g, assume_smooth_bounded=args.assume_smooth_bounded)
         variables = lagrange_variables(system)
         roots = _load_roots(args.roots, variables)
-        _check_points(roots)
         basis = _load_basis(args.basis, variables)
+        _check_points(roots, basis)
     cert = certify_nonneg(query, roots, basis=basis)
     payload = {
         "verdict": cert.verdict,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import RatMatrix, rank, max_nonsingular_connected_submatrix
+from .linalg import ConnectedSelection, RatMatrix, _connected_scan, _reaching_rank, rank
 from .numroots import ApproxRootSet
 from .polynomials import ExtendedBasis, Monomial, MonomialBasis
 from .ratrecon import RationalLike, denominator_bound, exact_fraction, rational_reconstruct
@@ -189,23 +189,24 @@ def build_extended_hermite(
     return reconstruct_hermite(sums, ext, points.accuracy, len(points), points.coord_bound)
 
 
-def build_nonradical(full: HermitePlus) -> HermitePlus:
+def build_nonradical(full: HermitePlus, selection: ConnectedSelection | None = None) -> HermitePlus:
     """Hermite construction when the point multiset carries multiplicities.
 
     Takes the full extended matrix built from the points, restricts it to the
     largest connected nonsingular block of the base submatrix, and fails
-    unless rank(H+) matches that block size.  The returned matrix is indexed
-    by the reduced extended basis, whose base size is the number of distinct
-    roots (kbar); its provenance keeps the original point count (the total
-    multiplicity).
+    unless rank(H+) matches that block size.  The block is the connected
+    scan of H1 (given when the caller made it), which must reach rank H1.
+    The returned matrix is indexed by the reduced extended basis, whose base
+    size is the number of distinct roots (kbar); its provenance keeps the
+    original point count (the total multiplicity).
     """
     basis = full.labels.base
     k = len(basis)
     if full.provenance.point_count != k:
         raise ValueError("basis size must equal the number of points (with multiplicity)")
-    h1 = full.matrix.submatrix(range(k), range(k))
-    selection = max_nonsingular_connected_submatrix(h1, basis.monomials)
-    kbar = len(selection.monomials)
+    if selection is None:
+        selection = _connected_scan(full.matrix.submatrix(range(k), range(k)), basis.monomials)
+    kbar = len(_reaching_rank(selection).monomials)
     if rank(full.matrix) > kbar:
         raise NonRadicalRankError(
             f"rank of the extended matrix exceeds the connected block size {kbar}"

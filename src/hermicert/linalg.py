@@ -159,37 +159,47 @@ class RatMatrix:
             raise ValueError("shape mismatch")
 
 
+def _elimination(a: RatMatrix, name: str, rhs=None, linked=None):
+    """The one symmetric elimination of a (_kernels.eliminate); raises
+    NotSymmetricError, naming the operation, for any other matrix."""
+    if not a.is_symmetric():
+        raise NotSymmetricError(f"{name} requires a symmetric matrix")
+    return kernels.eliminate(a.rows, a._n, a._d, rhs, linked)
+
+
 def rank(a: RatMatrix) -> int:
-    """Exact rank (fraction-free Bareiss elimination)."""
-    return kernels.mat_rank(a.rows, a.cols, a._n, a._d)
+    """Exact rank of a symmetric matrix (every Hermite matrix is), pos + neg
+    of its inertia; raises NotSymmetricError for any other matrix."""
+    pos, neg, *_ = _elimination(a, "rank")
+    return pos + neg
 
 
-def solve(a: RatMatrix, b: RatMatrix) -> RatMatrix:
-    """Exact X with A * X = B; raises SingularMatrixError when det A = 0.
+def solve(a: RatMatrix, b: RatMatrix) -> tuple[RatMatrix, Inertia]:
+    """(X, inertia of A): exact X with A * X = B for a symmetric A; raises
+    NotSymmetricError for any other A and SingularMatrixError when det A = 0.
 
-    One fraction-free elimination of A on plain ints carries every column of
-    B (_kernels.mat_solve); the exact residual A * X = B is then checked, as
-    an exception that survives -O.
+    The columns of B are carried along the one symmetric elimination of A
+    (_kernels.eliminate), which gives the inertia too; the exact residual
+    A * X = B is then checked, as an exception that survives -O.
     """
-    if a.rows != a.cols:
-        raise ValueError("solve with a non-square matrix")
     if b.rows != a.rows:
         raise ValueError(f"dimension mismatch: {a.rows} vs {b.rows}")
-    res = kernels.mat_solve(a.rows, b.cols, a._n, a._d, b._n, b._d)
-    if res is None:
+    pos, neg, zero, _, x = _elimination(a, "solve", (b.cols, b._n, b._d))
+    if x is None:
         raise SingularMatrixError("matrix is singular")
-    x = RatMatrix(a.rows, b.cols, res[0], res[1])
-    if a @ x != b:
+    res = RatMatrix(a.rows, b.cols, *x)
+    if a @ res != b:
         raise InverseCheckError("A * X != B: the solve kernel is wrong")
-    return x
+    return res, Inertia(pos, neg, zero)
 
 
 def inverse(a: RatMatrix) -> RatMatrix:
-    """Exact inverse, solve(a, I); raises SingularMatrixError when det = 0.
+    """Exact inverse of a symmetric matrix, solve(a, I); raises
+    SingularMatrixError when det = 0.
 
     No command calls it: certification solves only the border columns
     (certify.mult_matrices).  perfbench/tracer.py still probes this name."""
-    return solve(a, RatMatrix.identity(a.rows))
+    return solve(a, RatMatrix.identity(a.rows))[0]
 
 
 def char_poly(a: RatMatrix) -> list[Fraction]:
@@ -209,18 +219,11 @@ def char_poly(a: RatMatrix) -> list[Fraction]:
 
 
 def inertia_ldl(a: RatMatrix) -> Inertia:
-    """Inertia by exact symmetric elimination with diagonal pivoting.
-
-    Fraction-free (Bareiss) on the integer matrix L * A, L the lcm of the
-    denominators, which has the same inertia: plain ints, exact divisions
-    and no gcd in the loop.  A vanishing remaining diagonal with a
-    surviving off-diagonal entry is handled by an antidiagonal 2x2
-    congruence block contributing (+1, -1).  Independent of char_poly, so
-    certify.signature can cross-check the two.
-    """
-    if not a.is_symmetric():
-        raise NotSymmetricError("inertia requires a symmetric matrix")
-    pos, neg, zero = kernels.inertia(a.rows, a._n, a._d)
+    """Inertia of a symmetric matrix by the one fraction-free symmetric
+    elimination (_kernels.eliminate); raises NotSymmetricError for any
+    other matrix.  Independent of char_poly, so certify.signature can
+    cross-check the two."""
+    pos, neg, zero, *_ = _elimination(a, "inertia")
     return Inertia(pos, neg, zero)
 
 
@@ -247,63 +250,49 @@ class ConnectedSelection(NamedTuple):
     monomials: tuple[tuple[int, ...], ...]
     matrix: RatMatrix
     indices: tuple[int, ...]
+    rank: int  # the rank of the scanned matrix
 
 
-def _has_divisor_link(mono: tuple[int, ...], chosen: set) -> bool:
-    # connected-to-1 link: some single-variable quotient already selected
-    if sum(mono) == 0:
-        return True
-    for i, e in enumerate(mono):
-        if e and (mono[:i] + (e - 1,) + mono[i + 1 :]) in chosen:
-            return True
-    return False
+def _connected_scan(h: RatMatrix, monomials: Sequence[tuple[int, ...]]) -> ConnectedSelection:
+    """The greedy connected selection of a symmetric h and the rank of h,
+    from one elimination, the selection possibly falling short of the rank.
+
+    The labels are scanned in their given (graded-lex) order, and a
+    monomial is kept when it is linked to the selection by a
+    single-variable quotient and the principal minor stays nonsingular:
+    the linked pivot rule of _kernels.eliminate, where a label's diagonal
+    entry is its Schur complement against the kept block (times that
+    block's determinant).  The elimination then finishes the rank.
+    """
+    if len(monomials) != h.rows:
+        raise ValueError("label count does not match matrix size")
+    labels = [tuple(m) for m in monomials]
+
+    def linked(t, picked):  # 1, or a single-variable quotient already picked
+        mono, chosen = labels[t], {labels[i] for i in picked}
+        return not any(mono) or any(
+            e and mono[:i] + (e - 1,) + mono[i + 1 :] in chosen for i, e in enumerate(mono)
+        )
+
+    pos, neg, _, picked, _ = _elimination(h, "submatrix selection", linked=linked)
+    return ConnectedSelection(
+        tuple(labels[i] for i in picked), h.submatrix(picked, picked), tuple(picked), pos + neg
+    )
 
 
 def max_nonsingular_connected_submatrix(
     h: RatMatrix, monomials: Sequence[tuple[int, ...]]
 ) -> ConnectedSelection:
-    """Largest nonsingular principal submatrix on a connected-to-1 label set.
+    """Largest nonsingular principal submatrix on a connected-to-1 label set:
+    the connected scan of h (_connected_scan), which must reach rank(h);
+    NoConnectedSelectionError is raised otherwise."""
+    return _reaching_rank(_connected_scan(h, monomials))
 
-    Scans the labels in their given (graded-lex) order and greedily keeps a
-    monomial when it is linked to the current selection by a single-variable
-    quotient and the principal minor stays nonsingular.  The scan is one
-    fraction-free (Bareiss) elimination of h, scaled to integers, with the
-    kept labels as diagonal pivots: the current diagonal entry of a label is
-    then its Schur complement against the kept block (times that block's
-    determinant), so it is non-zero exactly when keeping the label leaves
-    the minor nonsingular.  The block left over on the other labels is that
-    Schur complement too; it is zero exactly when the selection reaches
-    rank(h), and NoConnectedSelectionError is raised otherwise.
-    """
-    if not h.is_symmetric():
-        raise NotSymmetricError("submatrix selection requires a symmetric matrix")
-    k = h.rows
-    if len(monomials) != k:
-        raise ValueError("label count does not match matrix size")
-    _, a = kernels.integer_rows(k, h._n, h._d)
-    open_idx = list(range(k))
-    chosen_idx: list[int] = []
-    chosen_set: set = set()
-    prev = 1
-    for pos, mono in enumerate(monomials):
-        pv = a[pos][pos]
-        if not pv or not _has_divisor_link(tuple(mono), chosen_set):
-            continue
-        chosen_idx.append(pos)
-        chosen_set.add(tuple(mono))
-        open_idx.remove(pos)
-        row_p = a[pos]
-        for i in open_idx:
-            row = a[i]
-            f = row[pos]
-            for j in open_idx:
-                row[j] = (pv * row[j] - f * row_p[j]) // prev
-        prev = pv
-    if any(a[i][j] for i in open_idx for j in open_idx):
+
+def _reaching_rank(selection: ConnectedSelection) -> ConnectedSelection:
+    """selection, unless it falls short of the rank (NoConnectedSelectionError)."""
+    if len(selection.indices) < selection.rank:
         raise NoConnectedSelectionError(
-            f"no connected selection of size {rank(h)} found (got {len(chosen_idx)})"
+            f"no connected selection of size {selection.rank} found (got {len(selection.indices)})"
         )
-    sub = h.submatrix(chosen_idx, chosen_idx)
-    return ConnectedSelection(
-        tuple(tuple(monomials[i]) for i in chosen_idx), sub, tuple(chosen_idx)
-    )
+    return selection

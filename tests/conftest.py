@@ -136,21 +136,23 @@ def roots_as_qc(
 
 
 def wrong_signature_kernel(kernels, name: str):
-    """A faulty stand-in for kernels.inertia or kernels.charpoly whose
-    signature is minus the true one, so it is wrong whenever the true
-    signature is non-zero: the inertia with its counts swapped, or the
-    characteristic polynomial of -A."""
-    right = getattr(kernels, name)
+    """(kernel attribute, faulty stand-in) for the inertia half or the
+    characteristic-polynomial half of a signature, whose signature is minus
+    the true one, so it is wrong whenever the true signature is non-zero:
+    the one symmetric elimination with its inertia counts swapped, or the
+    characteristic polynomial of -A.  Install it with setattr(kernels, *...)."""
     if name == "inertia":
+        right = kernels.eliminate
 
-        def wrong(k, nums, dens):
-            pos, neg, zero = right(k, nums, dens)
-            return neg, pos, zero
+        def wrong(k, nums, dens, *args):
+            pos, neg, *rest = right(k, nums, dens, *args)
+            return (neg, pos, *rest)
 
-    else:
+        return "eliminate", wrong
+    right = kernels.charpoly
 
-        def wrong(k, nums, dens):
-            cn, cd = right(k, nums, dens)
-            return [-c if i % 2 else c for i, c in enumerate(cn)], cd
+    def wrong(k, nums, dens):
+        cn, cd = right(k, nums, dens)
+        return [-c if i % 2 else c for i, c in enumerate(cn)], cd
 
-    return wrong
+    return "charpoly", wrong

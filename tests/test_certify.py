@@ -32,7 +32,7 @@ from hermicert.certify import (
 )
 from hermicert.certificates import BallQuery, ball_polynomial, lagrange_system
 from hermicert.hermite import HermitePlus, HermiteProvenance, build_extended_hermite, build_nonradical
-from hermicert.linalg import NotSymmetricError, RatMatrix, inverse, rank
+from hermicert.linalg import Inertia, NotSymmetricError, RatMatrix, inverse, rank
 from hermicert.numroots import ApproxRootSet
 from hermicert.polynomials import (
     ExtendedBasis,
@@ -88,18 +88,31 @@ def test_extract_blocks_single_point():
     assert border == RatMatrix.from_rows([[3]])
 
 
+def test_extract_blocks_rejects_an_asymmetric_candidate():
+    # every true H+ is symmetric, and every later step eliminates symmetric
+    # matrices only: one entry off its mirror fails step 1
+    hp = sqrt2_hermite()
+    rows = hp.matrix.to_rows()
+    rows[0][1] += 1
+    with pytest.raises(StepFailure) as failure:
+        extract_blocks(replace(hp, matrix=RatMatrix.from_rows(rows)))
+    assert (failure.value.step, failure.value.reason) == (1, "not_symmetric")
+    assert failure.value.detail == "H+ is not symmetric"
+
+
 def test_mult_matrices_from_blocks():
     hp = sqrt2_hermite()
     h1, border = extract_blocks(hp)
-    ms = mult_matrices(h1, border, hp)
+    ms, inertia = mult_matrices(h1, border, hp)
     assert ms[0] == RatMatrix.from_rows([[0, 2], [1, 0]])
+    assert inertia == Inertia(2, 0, 0)  # H1 = diag(2, 4)
 
 
 def test_mult_matrices_of_two_distinct_roots():
     # roots {1, -2}: H1 = [[2,-1],[-1,5]], H1^x = [[-1,5],[5,-7]]
     hp = exact_hermite_plus(roots_as_qc([Fraction(1), Fraction(-2)], []), B1X)
     h1, border = extract_blocks(hp)
-    ms = mult_matrices(h1, border, hp)
+    ms, _ = mult_matrices(h1, border, hp)
     assert ms[0] == RatMatrix.from_rows([[0, 2], [1, -1]])
 
 
@@ -112,7 +125,7 @@ def test_shared_border_label_is_one_column():
     h1, border = extract_blocks(hp)
     assert border.cols == len(hp.labels) - hp.base_size() == 3
     assert border == hp.matrix.submatrix(range(3), range(3, 6))
-    ms = mult_matrices(h1, border, hp)
+    ms, _ = mult_matrices(h1, border, hp)
     assert ms == dense_mult_matrices(hp)
 
 
@@ -150,29 +163,32 @@ def test_mult_matrices_computes_each_rank_once(roots, detail, monkeypatch):
 def test_mult_matrices_makes_no_rank_call_when_it_succeeds(monkeypatch):
     hp = sqrt2_hermite()
     h1, border = extract_blocks(hp)
-    calls = []
+    ranks, eliminations = [], []
 
     def counting(a):
-        calls.append(a.rows)
+        ranks.append(a.rows)
         return rank(a)
 
-    def counting_kernel(r, c, nums, dens):
-        calls.append(r)
-        return kernel_rank(r, c, nums, dens)
+    def counting_kernel(k, nums, dens, rhs=None, linked=None):
+        eliminations.append((k, rhs is not None))
+        return kernel(k, nums, dens, rhs, linked)
 
-    kernel_rank = kernels.mat_rank
+    kernel = kernels.eliminate
     monkeypatch.setattr(certify_module, "rank", counting)
-    monkeypatch.setattr(kernels, "mat_rank", counting_kernel)
-    ms = mult_matrices(h1, border, hp)
+    monkeypatch.setattr(kernels, "eliminate", counting_kernel)
+    ms, inertia = mult_matrices(h1, border, hp)
     assert ms == [RatMatrix.from_rows([[0, 2], [1, 0]])]
-    # the solve proves H1 nonsingular and the Schur complement check proves
-    # rank H+ = k: no rank is computed
-    assert calls == []
+    # the solve proves H1 nonsingular and gives its inertia, and the Schur
+    # complement check proves rank H+ = k: H1 is eliminated once, with the
+    # border columns carried along, and no rank is computed
+    assert ranks == []
+    assert eliminations == [(2, True)]
+    assert inertia == Inertia(2, 0, 0)
 
 
 def test_squarefree_pass_and_fail():
     # the trace forms of Q[x]/(x^2 - 2) and of the non-reduced Q[x]/(x^3)
-    assert check_squarefree(RatMatrix.from_rows([[2, 0], [0, 4]])) is None
+    assert check_squarefree(RatMatrix.from_rows([[2, 0], [0, 4]])) == Inertia(2, 0, 0)
     with pytest.raises(StepFailure) as failure:
         check_squarefree(RatMatrix.from_rows([[3, 0, 0], [0, 0, 0], [0, 0, 0]]))
     assert (failure.value.step, failure.value.reason) == (4, "not_squarefree")
@@ -824,7 +840,7 @@ def test_corpus_weighted_form_off_the_moments_fails_the_hg_signature_agreement()
 @pytest.mark.parametrize("kernel", ["inertia", "charpoly"])
 def test_wrong_signature_kernel_is_caught_by_the_cross_check(kernel, monkeypatch):
     # sigma(H1) = 2 for x^2 - 2, so either faulty kernel reports -2
-    monkeypatch.setattr(kernels, kernel, wrong_signature_kernel(kernels, kernel))
+    monkeypatch.setattr(kernels, *wrong_signature_kernel(kernels, kernel))
     with pytest.raises(SignatureMethodMismatchError):
         certify_pipeline(F_SQRT2, G_X, sqrt2_hermite())
 
@@ -847,7 +863,7 @@ pts = ApproxRootSet(
     points=((math.sqrt(2) + 0j,), (-math.sqrt(2) + 0j,)), accuracy=Fraction(1, 10**10), coord_bound=2
 )
 hplus = build_extended_hermite(pts, MonomialBasis([(0,), (1,)]))
-kernels.{kernel} = wrong_signature_kernel(kernels, "{kernel}")
+setattr(kernels, *wrong_signature_kernel(kernels, "{kernel}"))
 try:
     certify_pipeline(f, parse_poly("x", ["x"]), hplus)
 except SignatureMethodMismatchError:

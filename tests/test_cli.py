@@ -219,13 +219,12 @@ def test_nonradical_build_and_certify(tmp_path, capsys):
     assert report["mult_matrices"][0]["entries"] == [["0", "2"], ["1", "-1"]]
 
 
-@pytest.mark.parametrize(
-    "g, detail", [("1", "H1 * g(M) is not symmetric"), ("x", "H1 is not symmetric")]
-)
-def test_asymmetric_weighted_block_fails_step_7(g, detail, tmp_path, capsys):
-    # x^2 - x on {1, x} claiming 3 points: steps 1-6 pass with M_x = [[0, 0],
-    # [1, 1]], and H1bar * M_x = [[1, 1], [1, 1]] is symmetric although
-    # H1bar = [[3, 1], [0, 1]] is not
+@pytest.mark.parametrize("g", ["1", "x"])
+def test_asymmetric_weighted_block_fails_step_1(g, tmp_path, capsys):
+    # x^2 - x on {1, x} claiming 3 points, with H1bar = [[3, 1], [0, 1]]:
+    # steps 2-6 would pass with M_x = [[0, 0], [1, 1]], and
+    # H1bar * M_x = [[1, 1], [1, 1]] is symmetric, but no true H+ is
+    # asymmetric, so step 1 rejects it whatever g is
     system = write(tmp_path / "s.json", {"variables": ["x"], "polynomials": ["x^2-x"]})
     hermite = write(
         tmp_path / "h.json",
@@ -241,8 +240,20 @@ def test_asymmetric_weighted_block_fails_step_7(g, detail, tmp_path, capsys):
     )
     code, report = run(capsys, "certify", "--system", system, "--hermite", hermite, "--g", g)
     assert code == 3
-    assert (report["failed_step"], report["reason"], report["detail"]) == (7, "not_symmetric", detail)
-    assert report["diagnostics"][-1]["check"] == "weighted_hermite_for_g"
+    assert (report["failed_step"], report["reason"], report["detail"]) == (
+        1,
+        "not_symmetric",
+        "H+ is not symmetric",
+    )
+    assert report["diagnostics"] == [
+        {
+            "step": 1,
+            "check": "extract_blocks",
+            "status": "fail",
+            "reason": "not_symmetric",
+            "detail": "H+ is not symmetric",
+        }
+    ]
 
 
 def test_pipeline_with_ball(files, capsys):
@@ -500,6 +511,25 @@ def _pinned_nonneg(tmp_path):
     return ["nonneg", "--system", circle, "--g", "x+2", "--roots", lroots]
 
 
+HALF_SQRT3 = repr(math.sqrt(3) / 2)
+CUBE_ROOTS_OF_UNITY = {
+    "accuracy_E": "1e-10",
+    "bound_M": "2",
+    "points": [[["1", "0"]], [["-0.5", HALF_SQRT3]], [["-0.5", "-" + HALF_SQRT3]]],
+}
+
+
+def _pinned_cube_roots(tmp_path):
+    # x^3 - 1 on {1, x, x^2}: H1 = [[3, 0, 0], [0, 0, 3], [0, 3, 0]] is
+    # nonsingular, but its connected minor on {1, x} is singular, so the
+    # route scan finds rank 3 past a selection of {1}, and step 2's solve
+    # pivots on a 2x2 block; sigma(H1) = 1
+    sys_path = write(tmp_path / "cube.json", {"variables": ["x"], "polynomials": ["x^3-1"]})
+    roots = write(tmp_path / "cube_roots.json", CUBE_ROOTS_OF_UNITY)
+    basis = write(tmp_path / "cube_basis.json", {"monomials": ["1", "x", "x^2"]})
+    return ["pipeline", "--system", sys_path, "--roots", roots, "--basis", basis, "--g", "x"]
+
+
 # sha256 of the --out bytes, recorded from the implementation that computed
 # every signature afresh; a refactor must reproduce them exactly.
 PINNED_OUTPUTS = {
@@ -533,6 +563,11 @@ PINNED_OUTPUTS = {
         0,
         "49aec61a586ab540e3b13097efdaca2eeab4aff4053734493cf82416e6820575",
     ),
+    "pipeline-cube-roots": (
+        _pinned_cube_roots,
+        0,
+        "065cc2d60e16beaaf37307505c939524cf82afb084b59dd537cae0db99a8aaaa",
+    ),
 }
 
 
@@ -552,9 +587,9 @@ def test_each_signature_is_computed_once(name, calls, tmp_path, monkeypatch):
     original = hermicert.certify.signature
     seen = []
 
-    def counting(a):
+    def counting(a, *inertia):
         seen.append(a)
-        return original(a)
+        return original(a, *inertia)
 
     for mod_name, mod in list(sys.modules.items()):
         if mod_name.startswith("hermicert") and getattr(mod, "signature", None) is original:
@@ -562,6 +597,55 @@ def test_each_signature_is_computed_once(name, calls, tmp_path, monkeypatch):
     make_argv, exit_code, _ = PINNED_OUTPUTS[name]
     assert main(make_argv(tmp_path) + ["--out", str(tmp_path / "out.json")]) == exit_code
     assert len(seen) == calls
+
+
+def test_cube_roots_of_unity_certify_through_a_2x2_pivot(tmp_path, capsys, monkeypatch):
+    h1 = [3, 0, 0, 0, 0, 3, 0, 3, 0]
+    calls = []
+    original = kernels.eliminate
+
+    def recording(k, nums, dens, rhs=None, linked=None):
+        result = original(k, nums, dens, rhs, linked)
+        if nums == h1:
+            calls.append(("scan" if linked else "solve" if rhs else "inertia", result[:3]))
+        return result
+
+    monkeypatch.setattr(kernels, "eliminate", recording)
+    code, v = run(capsys, *_pinned_cube_roots(tmp_path))
+    assert code == 0 and v["real_root_count"] == 1
+    assert "kbar" not in v["hermite"]  # rank H1 = 3: the radical route
+    assert v["hermite"]["entries"][:3] == [
+        ["3", "0", "0", "3"],
+        ["0", "0", "3", "0"],
+        ["0", "3", "0", "0"],
+    ]
+    # after the pivot on 1, the remainder on {x, x^2} is [[0, 3], [3, 0]],
+    # which only a 2x2 block can eliminate: the route scan and step 2's
+    # solve both take it, and H1 is eliminated by nothing else
+    assert calls == [("scan", (2, 1, 0)), ("solve", (2, 1, 0))]
+
+
+# eliminations per run of the grid-ball, nonradical and nonneg-lagrange
+# shapes (5, 9 and 4 before the route scan and step 2 gave their ranks and
+# inertias): pipeline's route scan of H1, step 2's solve of H1, step 4's
+# trace matrix and rank H+ on the non-radical route, and one inertia per
+# signature of a matrix not eliminated before
+@pytest.mark.parametrize(
+    "name, most", [("pipeline-ball", 4), ("pipeline-nonradical", 6), ("nonneg", 3)]
+)
+def test_eliminations_per_run(name, most, tmp_path, monkeypatch):
+    make_argv, exit_code, _ = PINNED_OUTPUTS[name]
+    argv = make_argv(tmp_path) + ["--out", str(tmp_path / "out.json")]
+    calls = []
+    original = kernels.eliminate
+
+    def counting(k, *args):
+        calls.append(k)
+        return original(k, *args)
+
+    monkeypatch.setattr(kernels, "eliminate", counting)
+    assert main(argv) == exit_code
+    assert len(calls) <= most, calls
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_OUTPUTS))
@@ -613,7 +697,7 @@ def test_signature_mismatch_propagates_out_of_main(
     herm = str(tmp_path / "herm.json")
     assert main(["build", "--system", files["sys"], "--roots", files["roots"], "--out", herm]) == 0
     capsys.readouterr()
-    monkeypatch.setattr(kernels, kernel, wrong_signature_kernel(kernels, kernel))
+    monkeypatch.setattr(kernels, *wrong_signature_kernel(kernels, kernel))
     source = ["--hermite", herm] if command == "certify" else ["--roots", files["roots"]]
     with pytest.raises(SignatureMethodMismatchError):
         main([command, "--system", files["sys"], *source])
@@ -689,3 +773,25 @@ def test_bad_input_exits_with_usage_code(case, files, capsys):
     capsys.readouterr()
     code, payload = run(capsys, *argv)
     assert code == 1 and payload["error"]["type"] in ("ValueError", "ParseError"), payload
+
+
+def test_nonneg_basis_of_the_wrong_size_is_bad_input(tmp_path, capsys):
+    # the two critical points (+-1, -+1/2) of g = x on x^2 - 1 and a basis of
+    # three elements: a usage error, as for build and pipeline, not a
+    # certification failure
+    system = write(tmp_path / "s.json", {"variables": ["x"], "polynomials": ["x^2-1"]})
+    roots = write(
+        tmp_path / "r.json",
+        {"accuracy_E": "1e-10", "bound_M": "2", "points": [[["1", "0"], ["-0.5", "0"]], [["-1", "0"], ["0.5", "0"]]]},
+    )
+    basis = write(tmp_path / "b.json", {"monomials": ["1", "x", "x^2"]})
+    code, payload = run(capsys, "nonneg", "--system", system, "--g", "x", "--roots", roots, "--basis", basis)
+    assert code == 1, payload
+    assert payload["error"] == {
+        "type": "ValueError",
+        "message": "basis size 3 must equal the number of points 2",
+    }
+    # the right size certifies: x takes both signs on V(x^2 - 1)
+    basis2 = write(tmp_path / "b2.json", {"monomials": ["1", "x"]})
+    code, payload = run(capsys, "nonneg", "--system", system, "--g", "x", "--roots", roots, "--basis", basis2)
+    assert (code, payload["verdict"], payload["certificate"]["status"]) == (4, "false", "certified")

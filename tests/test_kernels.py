@@ -22,12 +22,12 @@ def rand_pairs(rng, count, span=9, dens_max=9):
     return nums, dens
 
 
-def rand_symmetric_pairs(rng, k):
+def rand_symmetric_pairs(rng, k, span=5, dens_max=5):
     nums = [0] * (k * k)
     dens = [1] * (k * k)
     for i in range(k):
         for j in range(i, k):
-            f = rand_fraction(rng, 5, 5)
+            f = rand_fraction(rng, span, dens_max)
             nums[i * k + j] = nums[j * k + i] = f.numerator
             dens[i * k + j] = dens[j * k + i] = f.denominator
     return nums, dens
@@ -89,16 +89,29 @@ def test_mat_mul_matches_fraction_triple_loop():
         assert_reduced(*got)
 
 
-def low_rank_symmetric_pairs(rng, k, r):
+def low_rank_symmetric_pairs(rng, k, r, span=4, dens_max=3):
     """C^T D C with C r x k and D diagonal: symmetric of rank at most r."""
-    c = [[rand_fraction(rng, 4, 3) for _ in range(k)] for _ in range(r)]
+    c = [[rand_fraction(rng, span, dens_max) for _ in range(k)] for _ in range(r)]
     d = [Fraction(rng.choice([-2, -1, 1, 3])) for _ in range(r)]
     entries = [sum(d[t] * c[t][i] * c[t][j] for t in range(r)) for i in range(k) for j in range(k)]
     return [f.numerator for f in entries], [f.denominator for f in entries]
 
 
+def zero_diagonal_pairs(rng, k, span=5, dens_max=5):
+    """A random symmetric matrix with a zero diagonal: its first pivot is a
+    2x2 block."""
+    nums, dens = rand_symmetric_pairs(rng, k, span, dens_max)
+    for i in range(k):
+        nums[i * k + i], dens[i * k + i] = 0, 1
+    return nums, dens
+
+
+def inertia(k, nums, dens):
+    return kernels.eliminate(k, nums, dens)[:3]
+
+
 def test_inertia_matches_rank_and_descartes_signature():
-    # two independent routes: zero = k - rank (Bareiss) and
+    # two independent routes: zero = k - rank (Fraction Gauss) and
     # pos - neg = signature from the characteristic polynomial (Berkowitz)
     rng = random.Random(99)
     cases = []
@@ -110,15 +123,12 @@ def test_inertia_matches_rank_and_descartes_signature():
     # complement after it changes the inertia of only a few percent of them
     for _ in range(300):
         k = rng.randint(2, 7)
-        nums, dens = rand_symmetric_pairs(rng, k)
-        for i in range(k):
-            nums[i * k + i], dens[i * k + i] = 0, 1
-        cases.append((k, nums, dens))
+        cases.append((k, *zero_diagonal_pairs(rng, k)))
     seen_zero = seen_block = False
     for k, nums, dens in cases:
-        pos, neg, zero = kernels.inertia(k, nums, dens)
+        pos, neg, zero = inertia(k, nums, dens)
         assert pos + neg + zero == k
-        assert zero == k - kernels.mat_rank(k, k, nums, dens)
+        assert zero == k - gauss_rank_oracle(k, k, nums, dens)
         assert pos - neg == signature_descartes(RatMatrix(k, k, list(nums), list(dens)))
         seen_zero |= zero > 0
         seen_block |= k > 1 and not any(nums[i * k + i] for i in range(k)) and pos > 0
@@ -128,15 +138,16 @@ def test_inertia_matches_rank_and_descartes_signature():
 def test_rank_matches_gauss_oracle():
     rng = random.Random(4)
     for _ in range(60):
-        r = rng.randint(1, 6)
-        c = rng.randint(1, 6)
-        nums, dens = rand_pairs(rng, r * c)
-        if rng.random() < 0.4:  # force rank deficiency via a duplicated row
-            if r >= 2:
-                for j in range(c):
-                    nums[(r - 1) * c + j] = nums[j]
-                    dens[(r - 1) * c + j] = dens[j]
-        assert kernels.mat_rank(r, c, nums, dens) == gauss_rank_oracle(r, c, nums, dens)
+        k = rng.randint(1, 6)
+        kind = rng.choice(("random", "low-rank", "zero-diagonal"))
+        if kind == "random":
+            nums, dens = rand_symmetric_pairs(rng, k)
+        elif kind == "low-rank":
+            nums, dens = low_rank_symmetric_pairs(rng, k, rng.randint(0, k))
+        else:
+            nums, dens = zero_diagonal_pairs(rng, k)
+        pos, neg, _ = inertia(k, nums, dens)
+        assert pos + neg == gauss_rank_oracle(k, k, nums, dens), (k, kind)
 
 
 def solve_oracle(k, m, an, ad, bn, bd):
@@ -162,6 +173,11 @@ def solve_oracle(k, m, an, ad, bn, bd):
     return [f.numerator for f in x], [f.denominator for f in x]
 
 
+def solve(k, m, an, ad, bn, bd):
+    """The kernel's solution of A X = B, None when A is singular."""
+    return kernels.eliminate(k, an, ad, (m, bn, bd))[4]
+
+
 def flat_pairs(rows):
     entries = [Fraction(x) for row in rows for x in row]
     return [f.numerator for f in entries], [f.denominator for f in entries]
@@ -172,9 +188,9 @@ def test_inverse_times_matrix_is_identity():
     done = 0
     while done < 25:
         k = rng.randint(1, 6)
-        nums, dens = rand_pairs(rng, k * k)
+        nums, dens = rand_symmetric_pairs(rng, k)
         identity = [1 if i == j else 0 for i in range(k) for j in range(k)]
-        inv = kernels.mat_solve(k, k, nums, dens, identity, [1] * (k * k))
+        inv = solve(k, k, nums, dens, identity, [1] * (k * k))
         if inv is None:
             continue
         assert mat_mul_oracle(k, k, k, nums, dens, *inv) == (identity, [1] * (k * k))
@@ -186,9 +202,9 @@ def test_solve_satisfies_residual_on_random_shapes():
     done = 0
     while done < 40:
         k, m = rng.randint(1, 6), rng.randint(0, 5)
-        an, ad = rand_pairs(rng, k * k)
+        an, ad = rand_symmetric_pairs(rng, k) if done % 2 else zero_diagonal_pairs(rng, k)
         bn, bd = rand_pairs(rng, k * m)
-        x = kernels.mat_solve(k, m, an, ad, bn, bd)
+        x = solve(k, m, an, ad, bn, bd)
         if x is None:
             continue
         assert mat_mul_oracle(k, k, m, an, ad, *x) == (bn, bd)
@@ -196,21 +212,30 @@ def test_solve_satisfies_residual_on_random_shapes():
 
 
 SOLVE_CASES = [
-    # (A rows, k, m): negative determinants, with and without a row swap
-    ([[1, 2], [3, 4]], 2, 3),
+    # (A rows, k, m), each A symmetric: negative determinants, with and
+    # without a 1x1 pivot
+    ([[1, 2], [2, 3]], 2, 3),
     ([[0, 1], [1, 0]], 2, 2),
     ([[Fraction(-3, 7)]], 1, 2),
     # a zero first pivot, and a zero pivot that appears mid-elimination
-    ([[0, 2, 1], [1, 1, 0], [2, 0, 3]], 3, 2),
-    ([[1, 2, 3], [2, 4, 5], [1, 3, 1]], 3, 4),
-    ([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1 + Fraction(1, 9)]], 2, 1),
-    # a row left unscaled at one pivot (its entry there is 0) trades places
-    # with an updated row at the next: their scales must trade places too
-    ([[3, 0, -1, 0], [1, 0, -1, 3], [0, -1, 0, 2], [1, 3, 0, 2]], 4, 2),
+    ([[0, 2, 1], [2, 1, 0], [1, 0, 3]], 3, 2),
+    ([[1, 2, 3], [2, 4, 5], [3, 5, 1]], 3, 4),
+    ([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), 1 + Fraction(1, 9)]], 2, 1),
+    # a row left unscaled at one pivot (its entry there is 0) is updated at
+    # the next
+    ([[3, 0, -1, 0], [0, 0, -1, 3], [-1, -1, 0, 2], [0, 3, 2, 2]], 4, 2),
+    # 2x2 blocks inside a solve: after a 1x1 pivot on a later label, first
+    # on a zero diagonal, on the zero-diagonal remainder a 1x1 pivot leaves,
+    # and two blocks in a row
+    ([[0, 3, 0], [3, 0, 0], [0, 0, 5]], 3, 2),
+    ([[0, 2, 1], [2, 0, 4], [1, 4, 0]], 3, 3),
+    ([[-2, 4, 6], [4, -8, 1], [6, 1, -18]], 3, 2),
+    ([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 7], [0, 0, 7, 0]], 4, 2),
     # singular
     ([[1, 2], [2, 4]], 2, 2),
     ([[0, 0], [0, 0]], 2, 1),
-    ([[1, 2, 3], [4, 5, 6], [7, 8, 9]], 3, 2),
+    ([[1, 2, 3], [2, 4, 6], [3, 6, 9]], 3, 2),
+    ([[0, 1, 0], [1, 0, 0], [0, 0, 0]], 3, 1),
     # m = 0, nonsingular and singular
     ([[2, 1], [1, 1]], 2, 0),
     ([[1, 1], [1, 1]], 2, 0),
@@ -224,24 +249,42 @@ def test_solve_matches_fraction_oracle():
     rng = random.Random(31)
     cases = []
     for rows, k, m in SOLVE_CASES:
+        assert all(rows[i][j] == rows[j][i] for i in range(k) for j in range(k))
         cases.append((k, m, *flat_pairs(rows), *rand_pairs(rng, k * m)))
-    for _ in range(60):
+    for trial in range(120):
         k, m = rng.randint(1, 7), rng.randint(0, 6)
-        big = rng.random() < 0.5
+        big = trial % 2 == 1
         span, dens_max = (2**40, 2**30) if big else (9, 9)
-        an, ad = rand_pairs(rng, k * k, span, dens_max)
-        if rng.random() < 0.3 and k >= 2:  # a repeated row makes A singular
-            an[(k - 1) * k :], ad[(k - 1) * k :] = an[:k], ad[:k]
+        kind = trial // 2 % 3
+        if kind == 0:
+            an, ad = rand_symmetric_pairs(rng, k, span, dens_max)
+        elif kind == 1:  # low rank, so usually singular
+            an, ad = low_rank_symmetric_pairs(rng, k, rng.randint(0, k), span, dens_max)
+        else:  # a zero diagonal: 2x2 pivots inside the solve
+            an, ad = zero_diagonal_pairs(rng, k, span, dens_max)
         cases.append((k, m, an, ad, *rand_pairs(rng, k * m, span, dens_max)))
-    singular = 0
+    singular = blocks = 0
     for k, m, an, ad, bn, bd in cases:
-        got = kernels.mat_solve(k, m, an, ad, bn, bd)
+        got = solve(k, m, an, ad, bn, bd)
         assert got == solve_oracle(k, m, an, ad, bn, bd), (k, m, an, ad)
         if got is None:
             singular += 1
         else:
             assert_reduced(*got)
-    assert singular >= 5
+            blocks += k > 1 and not any(an[i * k + i] for i in range(k))
+    assert singular >= 10 and blocks >= 10
+
+
+def test_solve_carries_the_inertia_and_ignores_the_right_hand_side():
+    # one elimination gives both: the inertia with right-hand sides carried
+    # along is the inertia without them
+    rng = random.Random(37)
+    for trial in range(60):
+        k, m = rng.randint(1, 7), rng.randint(1, 4)
+        an, ad = rand_symmetric_pairs(rng, k) if trial % 2 else zero_diagonal_pairs(rng, k)
+        pos, neg, zero, picked, x = kernels.eliminate(k, an, ad, (m, *rand_pairs(rng, k * m)))
+        assert (pos, neg, zero) == ldl_inertia_oracle(k, an, ad)
+        assert picked == [] and (x is None) == (zero > 0)
 
 
 def ldl_inertia_oracle(k, nums, dens, steps=None):
@@ -378,7 +421,7 @@ def test_inertia_matches_rational_ldl_oracle():
         nums, dens = as_pairs(k, symmetric_case(rng, k, kind), scale)
         steps = []
         expected = ldl_inertia_oracle(k, nums, dens, steps)
-        assert kernels.inertia(k, nums, dens) == expected, (k, kind)
+        assert inertia(k, nums, dens) == expected, (k, kind)
         if kind == "chained-blocks" and k >= 6:
             assert steps[: k // 2] == [2] * (k // 2), steps
             seen.add(kind)

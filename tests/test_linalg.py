@@ -59,16 +59,20 @@ def test_rank_examples():
 
 
 def test_rank_equals_rank_of_transpose():
-    rng = random.Random(31)
-    for _ in range(20):
-        r, c = rng.randint(1, 5), rng.randint(1, 5)
-        m = RatMatrix.from_rows(
-            [
-                [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(c)]
-                for _ in range(r)
-            ]
-        )
-        assert rank(m) == rank(transpose(m))
+    # every matrix the package eliminates is a Hermite matrix: rank, solve,
+    # inverse, inertia and the connected scan take symmetric matrices only,
+    # so a non-square or non-symmetric one (whose rank is its transpose's)
+    # is refused, not ranked
+    for m in (RatMatrix.from_rows([[1, 2, 3], [2, 4, 5]]), RatMatrix.from_rows([[1, 2], [3, 4]])):
+        for op in (
+            rank,
+            inverse,
+            inertia_ldl,
+            lambda a: solve(a, RatMatrix.identity(a.rows)),
+            lambda a: max_nonsingular_connected_submatrix(a, [(d,) for d in range(a.rows)]),
+        ):
+            with pytest.raises(NotSymmetricError):
+                op(m)
 
 
 def test_inverse_examples():
@@ -95,7 +99,7 @@ import hermicert._kernels as kernels
 from hermicert.linalg import InverseCheckError, RatMatrix, inverse
 if __debug__:
     raise SystemExit(2)
-kernels.mat_solve = lambda k, m, an, ad, bn, bd: ([2, 0, 0, 1], [1, 1, 1, 1])
+kernels.eliminate = lambda k, nums, dens, rhs=None, linked=None: (2, 0, 0, [], ([2, 0, 0, 1], [1] * 4))
 try:
     inverse(RatMatrix.identity(2))
 except InverseCheckError:
@@ -121,13 +125,16 @@ if __debug__:
 f = PolySystem(["x"], [parse_poly("x^2-2", ["x"])])
 pts = ApproxRootSet(points=((2 ** 0.5 + 0j,), (-(2 ** 0.5) + 0j,)), accuracy="1e-10", coord_bound=2)
 hplus = build_extended_hermite(pts, MonomialBasis([(0,), (1,)]))
-right = kernels.mat_solve
+right = kernels.eliminate
 
-def wrong(k, m, an, ad, bn, bd):
-    xn, xd = right(k, m, an, ad, bn, bd)
-    return [xn[0] + xd[0]] + xn[1:], xd  # adds 1 to the first entry
+def wrong(k, nums, dens, rhs=None, linked=None):
+    *head, x = right(k, nums, dens, rhs, linked)
+    if x is None:
+        return (*head, x)
+    xn, xd = x
+    return (*head, ([xn[0] + xd[0]] + xn[1:], xd))  # adds 1 to the first entry
 
-kernels.mat_solve = wrong
+kernels.eliminate = wrong
 try:
     solve(RatMatrix.from_rows([[2, 0], [0, 4]]), RatMatrix.from_rows([[0], [4]]))
 except InverseCheckError:
@@ -147,10 +154,18 @@ raise SystemExit(3)
 def test_solve_examples():
     a = RatMatrix.from_rows([[2, 1], [1, 3]])
     b = RatMatrix.from_rows([[1, 0, 5], [0, 1, Fraction(1, 2)]])
-    x = solve(a, b)
+    x, inert = solve(a, b)
     assert x.rows == 2 and x.cols == 3
     assert a @ x == b
-    assert solve(a, RatMatrix.identity(2)) == inverse(a)
+    assert inert == Inertia(2, 0, 0)
+    assert solve(a, RatMatrix.identity(2)) == (inverse(a), inert)
+    # a zero diagonal: the solve pivots on a 2x2 block, and its inertia is
+    # that block's (+1, -1)
+    block = RatMatrix.from_rows([[0, 3], [3, 0]])
+    assert solve(block, RatMatrix.from_rows([[6], [9]])) == (
+        RatMatrix.from_rows([[3], [2]]),
+        Inertia(1, 1, 0),
+    )
     with pytest.raises(SingularMatrixError):
         solve(RatMatrix.from_rows([[1, 2], [2, 4]]), RatMatrix.from_rows([[1], [0]]))
     with pytest.raises(ValueError):
@@ -291,7 +306,7 @@ def test_sylvester_congruence_invariance():
         a = rand_symmetric(rng, k)
         while True:
             s = rand_matrix(rng, k, span=3)
-            if rank(s) == k:
+            if rank(transpose(s) @ s) == k:  # rank S^T S = rank S
                 break
         assert inertia_ldl(transpose(s) @ a @ s) == inertia_ldl(a)
 
