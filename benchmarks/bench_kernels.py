@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Benchmark the exact-arithmetic kernels of hermicert._kernels.
+"""Benchmark the exact-arithmetic kernels of hermicert._kernels, and construction.
 
 Times the hot exact-arithmetic loops (matrix product, characteristic
 polynomial, and the one symmetric elimination, which gives inertia and
@@ -13,7 +13,10 @@ one solve of certification step 2, which yields that inertia too; the
 product of that step's Schur-complement check, the border rows times the
 solution; and a zero-diagonal matrix, every pivot of which is a 2x2 block.
 Every matrix these kernels eliminate, and every characteristic polynomial,
-is symmetric.
+is symmetric.  Two construction rows time the exact power sums and their
+reconstruction (approx_extended_hermite + reconstruct_hermite) for the 5x5
+grid on the basis x^a y^b, a, b <= 4: from its exact integer points at
+E = 1e-40, and from points moved by up to 1e-14 per coordinate at E = 1e-13.
 
 Usage: python benchmarks/bench_kernels.py [--repeat N]
 """
@@ -24,6 +27,9 @@ import time
 from fractions import Fraction
 
 from hermicert import _kernels as kernels
+from hermicert.hermite import approx_extended_hermite, reconstruct_hermite
+from hermicert.numroots import ApproxRootSet
+from hermicert.polynomials import ExtendedBasis, MonomialBasis
 
 
 def small_entries(rng, count):
@@ -95,6 +101,19 @@ def zero_diagonal_entries(rng, k):
     return nums, [1] * (k * k)
 
 
+def grid_points(rng, noise, accuracy):
+    """The 5x5 integer grid, each coordinate moved by up to noise."""
+    grid = range(-2, 3)
+    points = [(complex(x + rng.uniform(-noise, noise)), complex(y + rng.uniform(-noise, noise)))
+              for x in grid for y in grid]
+    return ApproxRootSet(points, accuracy=accuracy, coord_bound=3)
+
+
+def construct(points, ext):
+    sums = approx_extended_hermite(points, ext)
+    return reconstruct_hermite(sums, ext, points.accuracy, len(points), points.coord_bound)
+
+
 def symmetrize(k, nums, dens):
     for i in range(k):
         for j in range(i + 1, k):
@@ -129,20 +148,25 @@ def workloads(rng):
     y = kernels.eliminate(25, *h1, (10, *border))[4]
     ball49 = ball_hg_entries(rng, 7)
     blocks = zero_diagonal_entries(rng, 12)
+    ext = ExtendedBasis(MonomialBasis([(a, b) for a in range(5) for b in range(5)]))
+    exact = grid_points(rng, 0.0, "1e-40")
+    noisy = grid_points(rng, 1e-14, "1e-13")
     return [
-        ("mat_mul 8x8 small", "mat_mul", (k, k, k, *a, *b)),
-        ("charpoly 8x8 small", "charpoly", (k, *sym)),
-        ("eliminate 8x8 small (inertia, rank)", "eliminate", (k, *sym)),
-        ("charpoly 10x10 power-sums", "charpoly", (10, *big)),
-        ("eliminate 10x10 power-sums", "eliminate", (10, *big)),
-        ("charpoly 25x25 ball H_g", "charpoly", (25, *ball)),
-        ("eliminate 25x25 ball H_g", "eliminate", (25, *ball)),
-        ("eliminate 25x25 grid H1 (inertia)", "eliminate", (25, *h1)),
-        ("eliminate 25x25 grid H1 + 10 border", "eliminate", (25, *h1, (10, *border))),
-        ("mat_mul 10x25x10 grid Schur complement", "mat_mul", (10, 25, 10, *border_rows, *y)),
-        ("eliminate 12x12 2x2 pivots + 12 rhs", "eliminate", (12, *blocks, (12, *b_identity(12)))),
-        ("charpoly 49x49 ball H_g", "charpoly", (49, *ball49)),
-        ("eliminate 49x49 ball H_g", "eliminate", (49, *ball49)),
+        ("mat_mul 8x8 small", kernels.mat_mul, (k, k, k, *a, *b)),
+        ("charpoly 8x8 small", kernels.charpoly, (k, *sym)),
+        ("eliminate 8x8 small (inertia, rank)", kernels.eliminate, (k, *sym)),
+        ("charpoly 10x10 power-sums", kernels.charpoly, (10, *big)),
+        ("eliminate 10x10 power-sums", kernels.eliminate, (10, *big)),
+        ("charpoly 25x25 ball H_g", kernels.charpoly, (25, *ball)),
+        ("eliminate 25x25 ball H_g", kernels.eliminate, (25, *ball)),
+        ("eliminate 25x25 grid H1 (inertia)", kernels.eliminate, (25, *h1)),
+        ("eliminate 25x25 grid H1 + 10 border", kernels.eliminate, (25, *h1, (10, *border))),
+        ("mat_mul 10x25x10 grid Schur complement", kernels.mat_mul, (10, 25, 10, *border_rows, *y)),
+        ("eliminate 12x12 2x2 pivots + 12 rhs", kernels.eliminate, (12, *blocks, (12, *b_identity(12)))),
+        ("charpoly 49x49 ball H_g", kernels.charpoly, (49, *ball49)),
+        ("eliminate 49x49 ball H_g", kernels.eliminate, (49, *ball49)),
+        ("construct 5x5 grid, exact points", construct, (exact, ext)),
+        ("construct 5x5 grid, noise 1e-14", construct, (noisy, ext)),
     ]
 
 
@@ -155,8 +179,8 @@ def main():
     header = f"{'workload':<42} {'best':>10}"
     print(header)
     print("-" * len(header))
-    for label, name, call_args in workloads(rng):
-        best = bench(getattr(kernels, name), *call_args, repeat=args.repeat)
+    for label, func, call_args in workloads(rng):
+        best = bench(func, *call_args, repeat=args.repeat)
         print(f"{label:<42} {best * 1e3:>8.3f}ms")
 
 

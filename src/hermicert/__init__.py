@@ -27,6 +27,7 @@ from .certify import (
 )
 from .hermite import (
     HermitePlus,
+    PowerSums,
     approx_extended_hermite,
     build_extended_hermite,
     build_nonradical,
@@ -78,6 +79,7 @@ __all__ = [
     "MultiPoly",
     "NonnegQuery",
     "PolySystem",
+    "PowerSums",
     "RatMatrix",
     "approx_extended_hermite",
     "ball_from_outcome",

@@ -1,23 +1,27 @@
 """Construction of exact rational extended Hermite matrices from points.
 
-One power sum is computed in complex doubles for each distinct label
-product of the extended basis; each is then reconstructed once with a
-degree-dependent denominator bound and written into every entry that holds
-it, through the basis's product_index, so symmetry and Hankel coherence
-hold by construction.  Success here is heuristic; soundness comes entirely
-from the certify module.
+One power sum is computed for each distinct label product of the extended
+basis, exactly, from the doubles as given: the coordinates are scaled to
+Gaussian integers over one power of two per variable, and each sum is an
+integer dot product over the points.  Each sum is then reconstructed once,
+on integers, with a degree-dependent denominator bound, and written into
+every entry that holds it, through the basis's product_index, so symmetry
+and Hankel coherence hold by construction.  Because the sums are exact, the
+accepted perturbation bound E*k*n*d*M^(d-1) is rigorous for the given
+points.  Success here is still heuristic; soundness comes entirely from the
+certify module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from operator import mul
 
 from .linalg import ConnectedSelection, RatMatrix, _connected_scan, _reaching_rank, rank
 from .numroots import ApproxRootSet
 from .polynomials import ExtendedBasis, Monomial, MonomialBasis
-from .ratrecon import RationalLike, denominator_bound, exact_fraction, rational_reconstruct
+from .ratrecon import RationalLike, denominator_bound, exact_fraction, reconstruct_ints
 
 
 class ReconstructionFailedError(RuntimeError):
@@ -48,6 +52,18 @@ class HermiteProvenance:
 
 
 @dataclass(frozen=True)
+class PowerSums:
+    """Exact power sums, one per distinct label product of an extended basis.
+
+    The sum for products[pos] is (re[pos] + i*im[pos]) / 2^exponents[pos].
+    """
+
+    re: list[int]
+    im: list[int]
+    exponents: list[int]
+
+
+@dataclass(frozen=True)
 class HermitePlus:
     """Extended Hermite matrix with its labelling basis and provenance.
 
@@ -69,73 +85,128 @@ class HermitePlus:
         return len(self.labels.base)
 
 
-def approx_extended_hermite(points: ApproxRootSet, basis: ExtendedBasis) -> list[complex]:
-    """One power sum sum_t z_t^alpha in complex doubles per distinct label
-    product alpha, in the order of basis.products.
+def approx_extended_hermite(points: ApproxRootSet, basis: ExtendedBasis) -> PowerSums:
+    """The exact power sum sum_t z_t^alpha of the points as given, one per
+    distinct label product alpha, in the order of basis.products.
 
-    Entry (i, j) of the extended Hermite matrix is the power sum of
-    b_i * b_j.  Weighted matrices H_g are never approximated: the certify
-    module derives them exactly from the certified multiplication matrices.
+    Every double is a dyadic rational m / 2^q.  One power of two per
+    variable, 2^s with s the largest q among that variable's real and
+    imaginary parts, scales every coordinate to a Gaussian integer.  Each
+    point's value at every extension label is computed once, and the sum of
+    a label product b_i * b_j is one integer dot product of two such value
+    vectors over the points (four when some coordinate is not real), over
+    the denominator 2^(sum_s alpha_s * s_s).  Entry (i, j) of the extended
+    Hermite matrix is the power sum of b_i * b_j.  Weighted matrices H_g are
+    never approximated: the certify module derives them exactly from the
+    certified multiplication matrices.
     """
     arity = basis.base.arity
     for p in points.points:
         if len(p) != arity:
             raise ValueError("point arity does not match the basis")
-    max_exp = [max(e) for e in zip(*basis.products)]
-    coord_powers = []
-    for p in points.points:
-        powers = []
-        for i, z in enumerate(p):
-            col = [1 + 0j]
-            for _ in range(max_exp[i]):
-                col.append(col[-1] * z)
-            powers.append(col)
-        coord_powers.append(powers)
+    k = len(points)
+    scales, re_cols, im_cols = [], [], []
+    for s in range(arity):
+        col = [p[s] for p in points.points]
+        re_parts = [z.real.as_integer_ratio() for z in col]
+        im_parts = [z.imag.as_integer_ratio() for z in col]
+        scale = max((q for _, q in re_parts + im_parts), default=1)
+        scales.append(scale.bit_length() - 1)
+        re_cols.append([m * (scale // q) for m, q in re_parts])
+        im_cols.append([m * (scale // q) for m, q in im_parts])
+    real = not any(map(any, im_cols))
 
-    def power_sum(alpha: Monomial) -> complex:
-        total = 0j
-        for pw in coord_powers:
-            v = 1 + 0j
-            for i, e in enumerate(alpha):
-                if e:
-                    v *= pw[i][e]
-            total += v
-        return total
+    # powers[s][e]: the e-th powers of variable s, as (re, im) value vectors
+    ones = ([1] * k, [0] * k)
+    powers = []
+    for s, e_max in enumerate(max(e) for e in zip(*basis.extension)):
+        table = [ones]
+        col = (re_cols[s], im_cols[s])
+        for _ in range(e_max):
+            table.append(_times(table[-1], col, real))
+        powers.append(table)
+    values = []
+    for beta in basis.extension:
+        v = ones
+        for s, e in enumerate(beta):
+            if e:
+                v = powers[s][e] if v is ones else _times(v, powers[s][e], real)
+        values.append(v)
 
-    return [power_sum(alpha) for alpha in basis.products]
+    # one pair (i, j) with b_i * b_j = alpha per alpha, the first in
+    # row-major order; the sums are exact, so every such pair gives the same
+    l = len(basis)
+    first = dict(zip(reversed(basis.product_index), range(l * l - 1, -1, -1)))
+    pairs = [divmod(first[pos], l) for pos in range(len(basis.products))]
+    if real:
+        re = [sum(map(mul, values[i][0], values[j][0])) for i, j in pairs]
+        im = [0] * len(pairs)
+    else:
+        re, im = [], []
+        for i, j in pairs:
+            (a, b), (c, d) = values[i], values[j]
+            re.append(sum(map(mul, a, c)) - sum(map(mul, b, d)))
+            im.append(sum(map(mul, a, d)) + sum(map(mul, b, c)))
+    exponents = [sum(map(mul, alpha, scales)) for alpha in basis.products]
+    return PowerSums(re, im, exponents)
+
+
+def _times(x: tuple[list[int], list[int]], y: tuple[list[int], list[int]], real: bool):
+    """Pointwise product of two Gaussian-integer vectors (re, im); when real,
+    the imaginary parts are all zero and are passed through."""
+    (a, b), (c, d) = x, y
+    if real:
+        return list(map(mul, a, c)), b
+    return (
+        [p * r - q * t for p, q, r, t in zip(a, b, c, d)],
+        [p * t + q * r for p, q, r, t in zip(a, b, c, d)],
+    )
 
 
 def reconstruct_hermite(
-    sums: Sequence[complex],
+    sums: PowerSums,
     basis: ExtendedBasis,
     accuracy: RationalLike,
     point_count: int,
     coord_bound: RationalLike,
 ) -> HermitePlus:
-    """Rationalize the approximate power sums of an extended Hermite matrix.
+    """Rationalize the exact power sums of an extended Hermite matrix.
 
     sums holds one power sum per distinct label product alpha, in the order
-    of basis.products.  Each alpha (degree d = |alpha|) is reconstructed
-    once with denominator bound ceil((2*E*k*n*d*M^(d-1))^(-1/2)); its
-    imaginary part must stay within the same perturbation bound
-    E*k*n*d*M^(d-1) because the exact entry is real.  Both depend on d
-    alone and are computed once per degree.  For d = 0 the bound
-    degenerates to zero error, and the entry is taken as the exact dyadic
-    value of the float.  The reconstructed value is re-checked against the
-    perturbation bound in exact arithmetic before acceptance.  A failure
-    names the first entry (i, j), in row-major order, that holds the
-    failing product.
+    of basis.products, as integers over a power of two.  Each alpha (degree
+    d = |alpha|) is reconstructed once with denominator bound
+    ceil((2*E*k*n*d*M^(d-1))^(-1/2)); its imaginary part must stay within
+    the same perturbation bound E*k*n*d*M^(d-1) because the exact entry is
+    real.  Both depend on d alone and are computed once per degree.  For
+    d = 0 the bound degenerates to zero error, and the entry is taken as the
+    sum itself, whose imaginary part must vanish.  The reconstructed value
+    is re-checked against the perturbation bound before acceptance.  Since
+    the sums are exact, the bound is rigorous: every accepted entry lies
+    within E*k*n*d*M^(d-1) of the power sum of the points as given.  Every
+    comparison is an integer cross-multiplication, and the continued
+    fraction runs on integers (ratrecon.reconstruct_ints).  A failure names
+    the first entry (i, j), in row-major order, that holds the failing
+    product.
     """
     E = exact_fraction(accuracy)
     M = exact_fraction(coord_bound)
     arity = basis.base.arity
     products = basis.products
-    if len(sums) != len(products):
+    if not len(sums.re) == len(sums.im) == len(sums.exponents) == len(products):
         raise ValueError("power-sum count does not match the basis")
     l = len(basis)
     degrees = {sum(alpha) for alpha in products} - {0}
-    errs = {d: E * point_count * arity * d * M ** (d - 1) for d in degrees}
-    dbounds = {d: denominator_bound(E, point_count, arity, d, M) for d in degrees}
+    # per degree: err = E*k*n*d*M^(d-1) as err_num / err_den, and the
+    # denominator bound
+    scale = E.numerator * point_count * arity
+    checks = {
+        d: (
+            scale * d * M.numerator ** (d - 1),
+            E.denominator * M.denominator ** (d - 1),
+            denominator_bound(E, point_count, arity, d, M),
+        )
+        for d in degrees
+    }
 
     def fail(pos: int, reason: str, detail: str):
         entry = divmod(basis.product_index.index(pos), l)
@@ -143,33 +214,34 @@ def reconstruct_hermite(
 
     nums, dens = [], []
     bounds: dict[Monomial, int] = {}
-    for pos, (alpha, z) in enumerate(zip(products, sums)):
-        z = complex(z)
-        re = exact_fraction(z.real)
-        im = exact_fraction(z.imag)
+    for pos, (alpha, re, im, e) in enumerate(zip(products, sums.re, sums.im, sums.exponents)):
+        den = 1 << e
         d = sum(alpha)
         if d == 0:
-            if im != 0:
+            if im:
                 raise fail(pos, "imaginary_too_large", "degree-0 entry")
-            found = re
+            found = Fraction(re, den)
+            p, q = found.numerator, found.denominator
             bounds[alpha] = 0
         else:
-            err = errs[d]
-            if abs(im) > err:
+            err_num, err_den, b = checks[d]
+            # |y| / 2^e <= err_num / err_den  <=>  |y| * err_den <= err_num * 2^e
+            limit = err_num << e
+            if abs(im) * err_den > limit:
                 raise fail(
-                    pos, "imaginary_too_large", f"|Im| = {float(abs(im)):.3e} > bound {float(err):.3e}"
+                    pos, "imaginary_too_large", f"|Im| = {abs(im) / den:.3e} > bound {err_num / err_den:.3e}"
                 )
-            b = dbounds[d]
             if b is None:
                 raise fail(pos, "not_usable", "2*E*k*n*d*M^(d-1) >= 1: accuracy too poor")
-            found = rational_reconstruct(re, b)
+            found = reconstruct_ints(re, den, b)
             if found is None:
-                raise fail(pos, "not_found", f"no rational with denominator <= {b} near {float(re):.12g}")
-            if abs(re - found) > err:
+                raise fail(pos, "not_found", f"no rational with denominator <= {b} near {re / den:.12g}")
+            p, q = found
+            if abs(re * q - p * den) * err_den > limit * q:
                 raise fail(pos, "not_found", "reconstructed value violates the perturbation bound")
             bounds[alpha] = b
-        nums.append(found.numerator)
-        dens.append(found.denominator)
+        nums.append(p)
+        dens.append(q)
 
     return HermitePlus(
         matrix=RatMatrix(

@@ -1,8 +1,12 @@
 """Continued-fraction rational number reconstruction with exact bounds.
 
-Scalars are ``fractions.Fraction`` throughout.  Floats are converted to the
-exact dyadic rational they denote (never through a decimal detour), so every
-comparison below is exact.
+The continued fraction runs on integers: ``reconstruct_ints`` takes a value
+as a numerator and a positive denominator, and every comparison is an
+integer cross-multiplication.  Hermite construction calls it directly on
+exact power sums over powers of two.  ``rational_reconstruct`` and
+``convergents`` are its ``fractions.Fraction`` entry points; floats are
+converted to the exact dyadic rational they denote (never through a decimal
+detour), so every comparison there is exact too.
 """
 
 from __future__ import annotations
@@ -21,6 +25,26 @@ def exact_fraction(value: RationalLike) -> Fraction:
     return Fraction(value)
 
 
+def _convergent_pairs(num: int, den: int) -> Iterator[tuple[int, int]]:
+    """Convergents p/q of num/den >= 0 (den > 0) as pairs, in order.
+
+    Each pair is in lowest terms.  Denominators are strictly increasing from
+    the second convergent on, and the last convergent is num/den.
+    """
+    p_prev, q_prev = 1, 0
+    p_prev2, q_prev2 = 0, 1
+    while True:
+        a, rem = divmod(num, den)
+        p = a * p_prev + p_prev2
+        q = a * q_prev + q_prev2
+        yield p, q
+        if rem == 0:
+            return
+        p_prev2, q_prev2 = p_prev, q_prev
+        p_prev, q_prev = p, q
+        num, den = den, rem
+
+
 def iter_convergents(alpha: Fraction) -> Iterator[Fraction]:
     """Continued-fraction convergents of alpha >= 0, in order.
 
@@ -29,47 +53,44 @@ def iter_convergents(alpha: Fraction) -> Iterator[Fraction]:
     """
     if alpha < 0:
         raise ValueError("iter_convergents requires alpha >= 0")
-    num, den = alpha.numerator, alpha.denominator
-    p_prev, q_prev = 1, 0
-    p_prev2, q_prev2 = 0, 1
-    while True:
-        a, rem = divmod(num, den)
-        p = a * p_prev + p_prev2
-        q = a * q_prev + q_prev2
+    for p, q in _convergent_pairs(alpha.numerator, alpha.denominator):
         yield Fraction(p, q)
-        if rem == 0:
-            return
-        p_prev2, q_prev2 = p_prev, q_prev
-        p_prev, q_prev = p, q
-        num, den = den, rem
 
 
 def convergents(alpha: Fraction) -> list[Fraction]:
     return list(iter_convergents(alpha))
 
 
-def rational_reconstruct(alpha: RationalLike, bound: int) -> Fraction | None:
-    """The unique p/q with q <= bound and |alpha - p/q| < 1/(2*bound^2).
+def reconstruct_ints(num: int, den: int, bound: int) -> tuple[int, int] | None:
+    """The unique p/q with 1 <= q <= bound and |num/den - p/q| < 1/(2*bound^2).
 
-    Returns None when no such fraction exists.  Uniqueness makes the first
-    qualifying convergent the answer; the distance and denominator
-    constraints are re-checked exactly before returning, so a non-None
-    result always satisfies them.  Negative inputs are reconstructed by
+    den must be positive.  Returns (p, q) in lowest terms, or None when no
+    such fraction exists.  Uniqueness makes the first qualifying convergent
+    the answer.  The distance test is the integer inequality
+    |num*q - p*den| * 2*bound^2 < den*q, so a non-None result always
+    satisfies both constraints.  Negative values are reconstructed by
     sign-splitting.
     """
     if bound < 1:
         raise ValueError("bound must be a positive integer")
-    a = exact_fraction(alpha)
-    if a < 0:
-        found = rational_reconstruct(-a, bound)
-        return None if found is None else -found
-    radius = Fraction(1, 2 * bound * bound)
-    for conv in iter_convergents(a):
-        if conv.denominator > bound:
+    sign = -1 if num < 0 else 1
+    num = abs(num)
+    inv_radius = 2 * bound * bound
+    for p, q in _convergent_pairs(num, den):
+        if q > bound:
             return None
-        if abs(a - conv) < radius:
-            return conv
+        if abs(num * q - p * den) * inv_radius < den * q:
+            return sign * p, q
     return None
+
+
+def rational_reconstruct(alpha: RationalLike, bound: int) -> Fraction | None:
+    """reconstruct_ints on an exact rational: the unique p/q with q <= bound
+    and |alpha - p/q| < 1/(2*bound^2), or None when no such fraction exists.
+    """
+    a = exact_fraction(alpha)
+    found = reconstruct_ints(a.numerator, a.denominator, bound)
+    return None if found is None else Fraction(*found)
 
 
 def denominator_bound(

@@ -498,6 +498,31 @@ def _pinned_grid7_ball(tmp_path):
             "--g", "x", "--center=1/4,1/4", "--eps2=1/16"]
 
 
+GRID8 = {
+    "variables": ["x", "y"],
+    "polynomials": [
+        "x^8+4*x^7-14*x^6-56*x^5+49*x^4+196*x^3-36*x^2-144*x",
+        "y^8+4*y^7-14*y^6-56*y^5+49*y^4+196*y^3-36*y^2-144*y",
+    ],
+}
+GRID8_EXACT_ROOTS = {
+    "accuracy_E": "1e-40",
+    "bound_M": "5",
+    "points": [[[str(a), "0"], [str(b), "0"]] for a in range(-4, 4) for b in range(-4, 4)],
+}
+
+
+def test_exact_8x8_grid_certifies_64_real_roots(tmp_path, capsys):
+    # k = 64: power sums near 1e18 formed in complex doubles reconstructed
+    # to wrong rationals inside the bound, and step 2 failed (exit 3,
+    # rank_deficient); exact sums certify, and no grid point lies in the ball
+    sys_path = write(tmp_path / "grid8.json", GRID8)
+    roots = write(tmp_path / "grid8_roots.json", GRID8_EXACT_ROOTS)
+    code, v = run(capsys, "pipeline", "--system", sys_path, "--roots", roots,
+                  "--g", "x", "--center=1/4,1/4", "--eps2=1/16")
+    assert (code, v["real_root_count"], v["ball"]["verdict"]) == (4, 64, "false")
+
+
 def _pinned_nonradical(tmp_path):
     sys_path = write(tmp_path / "s3.json", DOUBLE_ROOT)
     roots = write(tmp_path / "r3.json", DOUBLE_ROOT_ROOTS)

@@ -1,12 +1,16 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hermicert.hermite import (
     HermitePlus,
     NonRadicalRankError,
+    PowerSums,
     ReconstructionFailedError,
     approx_extended_hermite,
     build_extended_hermite,
@@ -33,29 +37,101 @@ def sqrt2_roots(accuracy=Fraction(1, 10**10)):
     )
 
 
-def approx_grid(sums, ext):
-    """The l x l approximate matrix: entry (i, j) is the power sum of b_i * b_j."""
+def exact_sums(sums: PowerSums) -> list[QC]:
+    """Each power sum as an exact complex rational."""
+    parts = zip(sums.re, sums.im, sums.exponents)
+    return [QC(Fraction(re, 1 << e), Fraction(im, 1 << e)) for re, im, e in parts]
+
+
+def approx_grid(sums: PowerSums, ext):
+    """The l x l matrix of exact power sums: entry (i, j) is the power sum
+    of b_i * b_j."""
+    values = exact_sums(sums)
     l = len(ext)
-    return [[sums[ext.product_index[i * l + j]] for j in range(l)] for i in range(l)]
+    return [[values[ext.product_index[i * l + j]] for j in range(l)] for i in range(l)]
 
 
 def test_approx_matrix_power_sums_of_sqrt2():
     ext = ExtendedBasis(B1X)
     sums = approx_extended_hermite(sqrt2_roots(), ext)
-    assert len(sums) == len(ext.products) == 5  # 1, x, ..., x^4
+    assert len(sums.re) == len(sums.im) == len(sums.exponents) == len(ext.products) == 5  # 1, ..., x^4
     approx = approx_grid(sums, ext)
     expected = [[2, 0, 4], [0, 4, 0], [4, 0, 8]]
     for i in range(3):
         for j in range(3):
-            assert abs(approx[i][j] - expected[i][j]) < 1e-9
+            assert approx[i][j].im == 0
+            assert abs(approx[i][j].re - expected[i][j]) < 1e-9
+    # the sums are those of the double SQRT2 itself, not of sqrt(2)
+    assert approx[0][1].re == 0 and approx[1][1].re == 2 * Fraction(SQRT2) ** 2 != 4
 
 
 def test_approx_matrix_single_point_at_origin():
     pts = ApproxRootSet(points=((0j,),), accuracy="1e-9", coord_bound=1)
     ext = ExtendedBasis(MonomialBasis([(0,)]))
     approx = approx_grid(approx_extended_hermite(pts, ext), ext)
-    assert approx[0][0] == 1
-    assert approx[0][1] == approx[1][0] == approx[1][1] == 0
+    assert approx[0][0].re == 1 and approx[0][0].im == 0
+    for i, j in [(0, 1), (1, 0), (1, 1)]:
+        assert approx[i][j].re == approx[i][j].im == 0
+
+
+def _oracle_power_sums(points, ext) -> list[QC]:
+    """sum_t z_t^alpha over the exact dyadic values of the doubles."""
+    out = []
+    for alpha in ext.products:
+        total = QC(0)
+        for p in points:
+            v = QC(1)
+            for z, e in zip(p, alpha):
+                v = v * QC(Fraction(z.real), Fraction(z.imag)) ** e
+            total = total + v
+        out.append(total)
+    return out
+
+
+COORDS = st.floats(min_value=-3, max_value=3, allow_nan=False)
+BASES = [
+    MonomialBasis([(0,), (1,)]),
+    MonomialBasis([(0,), (1,), (2,)]),
+    MonomialBasis([(0, 0), (1, 0), (0, 1)]),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), basis=st.sampled_from(BASES), complex_points=st.booleans())
+def test_prop_exact_sums_equal_fraction_power_sums(data, basis, complex_points):
+    k = data.draw(st.integers(min_value=1, max_value=4))
+    imag = COORDS if complex_points else st.just(0.0)
+    points = [
+        tuple(complex(data.draw(COORDS), data.draw(imag)) for _ in range(basis.arity))
+        for _ in range(k)
+    ]
+    ext = ExtendedBasis(basis)
+    sums = approx_extended_hermite(ApproxRootSet(points, accuracy="1e-9", coord_bound=5), ext)
+    got = exact_sums(sums)
+    want = _oracle_power_sums(points, ext)
+    assert [(z.re, z.im) for z in got] == [(z.re, z.im) for z in want]
+    if not any(z.imag for p in points for z in p):
+        assert sums.im == [0] * len(ext.products)
+
+
+def test_tiny_coordinate_builds_and_matches_the_exact_matrix():
+    # 1e-300 approximates the root 0: its scale is a power of two above
+    # 2^996, and the exact sums stay exact where complex doubles underflow
+    pts = ApproxRootSet(points=((1e-300 + 0j,), (0.5 + 0j,)), accuracy="1e-20", coord_bound=2)
+    hp = build_extended_hermite(pts, B1X)
+    oracle = exact_hermite_plus([(QC(0),), (QC(Fraction(1, 2)),)], B1X, coord_bound=2)
+    assert hp.matrix == oracle.matrix
+
+
+def test_power_sum_above_2_to_the_53_reconstructs_to_the_exact_integer():
+    # x^4 at x = 2^20 + 1 needs 81 bits: a double rounds it to an integer
+    # that the bound cannot tell from the true one
+    z = 2**20 + 1
+    pts = ApproxRootSet(points=((float(z) + 0j,),), accuracy="1e-40", coord_bound=2**21)
+    hp = build_extended_hermite(pts, MonomialBasis([(0,), (1,)]))
+    assert hp.labels.extension == ((0,), (1,), (2,))
+    assert [hp.matrix.entry(2, j) for j in range(3)] == [z**2, z**3, z**4]
+    assert z**4 > 2**53
 
 
 def is_coherent(hp: HermitePlus) -> bool:
@@ -93,7 +169,10 @@ def test_reconstruct_rejects_poor_accuracy():
 def test_reconstruct_rejects_large_imaginary_part():
     ext = ExtendedBasis(B1X)
     sums = approx_extended_hermite(sqrt2_roots(), ext)
-    sums[ext.product_index[1]] += 0.1j  # the power sum of x, at (0, 1) and (1, 0)
+    pos = ext.product_index[1]  # the power sum of x, at (0, 1) and (1, 0)
+    im = list(sums.im)
+    im[pos] += (1 << sums.exponents[pos]) // 10 + 1  # just above 0.1j
+    sums = dataclasses.replace(sums, im=im)
     with pytest.raises(ReconstructionFailedError) as err:
         reconstruct_hermite(sums, ext, Fraction(1, 10**10), 2, 2)
     assert err.value.reason == "imaginary_too_large"
@@ -155,7 +234,8 @@ def test_prop_bound_holds_on_reconstructed_entries():
             if d == 0:
                 continue
             err = e * k * n * d * m ** (d - 1)
-            assert abs(Fraction(approx[i][j].real) - hp.matrix.entry(i, j)) <= err
+            assert approx[i][j].im == 0
+            assert abs(approx[i][j].re - hp.matrix.entry(i, j)) <= err
 
 
 # -- non-radical construction ------------------------------------------------

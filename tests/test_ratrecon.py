@@ -11,6 +11,7 @@ from hermicert.ratrecon import (
     denominator_bound,
     exact_fraction,
     rational_reconstruct,
+    reconstruct_ints,
 )
 
 
@@ -27,6 +28,49 @@ def brute_force_best(alpha: Fraction, bound: int):
                 hits.append(cand)
     assert len(hits) <= 1
     return hits[0] if hits else None
+
+
+def fraction_loop_reconstruct(alpha: Fraction, bound: int):
+    """The reconstruction loop on Fraction convergents, as it was before
+    the continued fraction moved onto integers: the first convergent within
+    1/(2*bound^2), or None once a denominator exceeds bound."""
+    if alpha < 0:
+        found = fraction_loop_reconstruct(-alpha, bound)
+        return None if found is None else -found
+    radius = Fraction(1, 2 * bound * bound)
+    num, den = alpha.numerator, alpha.denominator
+    p_prev, q_prev, p_prev2, q_prev2 = 1, 0, 0, 1
+    while True:
+        a, rem = divmod(num, den)
+        p, q = a * p_prev + p_prev2, a * q_prev + q_prev2
+        conv = Fraction(p, q)
+        if conv.denominator > bound:
+            return None
+        if abs(alpha - conv) < radius:
+            return conv
+        if rem == 0:
+            return None
+        p_prev2, q_prev2, p_prev, q_prev = p_prev, q_prev, p, q
+        num, den = den, rem
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    num=st.integers(min_value=-(2**200), max_value=2**200),
+    den_bits=st.integers(min_value=0, max_value=200),
+    odd=st.integers(min_value=1, max_value=10**6),
+    bound=st.integers(min_value=1, max_value=10**12),
+    target=st.fractions(max_denominator=10**4),
+)
+def test_prop_integer_continued_fraction_matches_the_fraction_loop(num, den_bits, odd, bound, target):
+    # powers of two, as in exact power sums, and general denominators; num
+    # itself, and a value near a rational with a small denominator
+    for den in (1 << den_bits, odd << den_bits):
+        for n in (num, target.numerator * den // target.denominator + num % 5):
+            want = fraction_loop_reconstruct(Fraction(n, den), bound)
+            got = reconstruct_ints(n, den, bound)
+            assert got == (None if want is None else (want.numerator, want.denominator))
+            assert rational_reconstruct(Fraction(n, den), bound) == want
 
 
 def test_convergents_zero():
