@@ -9,7 +9,7 @@ through seven exact checks:
 3. identity-column structure, written by step 2;
 4. the quotient algebra is reduced (its trace form is nonsingular);
 5. pairwise commutation plus ideal membership;
-6. the full trace grid;
+6. H1 is the trace form of A, which fixes the rest of H+;
 7. the derivation of the weighted matrix for an arbitrary polynomial g.
 
 Passing them proves (by Mourrain's border-basis criterion) that the
@@ -35,6 +35,18 @@ Tr(b_i * g * b_j) and H_g is symmetric by construction; derive_hg cannot
 fail.  Only the non-radical route's weighted H1bar g(M), no trace form, is
 checked there.
 
+Step 6 compares H1 alone with T[i, j] = Tr(b_i * b_j), the one trace form
+both routes compute; comparing all l^2 entries of H+ with the traces of
+their label products accepts the same candidates and names the same first
+mismatch.  Column e of Y = H1^{-1} H+[B, ext] holds the coordinates in A
+of the label a_e = x_s * b_i (column i of M_s), and steps 1 and 2 proved
+H+ a flat extension of H1: H+[B, ext] = H1 Y, H+[ext, ext] = Y^T H1 Y.
+By bilinearity, Tr(b_i * a_e) = (T Y)[i, e] and Tr(a_e * a_f) =
+(Y^T T Y)[e, f] (Curto-Fialkow's flat extensions; Laurent-Mourrain 2009),
+so H1 = T makes every entry of H+ a trace.  If row r < k of H1 matches T,
+so does its border row (H1 Y)[r, .] = (T Y)[r, .]: the first mismatch in
+row-major order over H+ lies in H1, and step 6 names that entry.
+
 Step 1 rejects an H+ that is not symmetric, as no true H+ is, so every
 elimination here is linalg's one symmetric elimination, and each yields an
 inertia: step 2's of H1 (H1bar), step 4's of the trace matrix.  Their
@@ -54,20 +66,20 @@ weighted identity H1bar M_s = H1bar^{x_s}.  With H1 nonsingular, the rank
 condition rank H+ = k is the vanishing of the Schur complement,
 H+[ext, ext] = H+[ext, B] Y (Guttman's rank identity), so one product
 replaces a second elimination; the ranks themselves are computed only to
-word a failure.  Step 3 therefore checks nothing: its
-entry records that step 2 wrote the unit columns, as step 4 on the
-radical route records step 2's result.  Step 2's matrices go into one
+word a failure.  Step 3 therefore checks nothing: its entry records that
+step 2 wrote the unit columns, as step 4 on the radical route records
+step 2's result.  Step 2's matrices go into one
 NormalForms table of the vectors v_gamma = M^gamma e_1, the only copy of
-them that the certification keeps: step 4 on the non-radical route and
-step 6 read one trace per distinct label product off it, step 5 checks
-commutation column by column and membership as f(M) e_1 = 0, step 7
+them that the certification keeps: the trace form of steps 4 and 6 reads
+one trace per distinct base product off it, step 5 checks commutation
+column by column and membership as f(M) e_1 = 0, step 7
 builds g(M) from it for the one product H1 * g(M), and the certified
 outcome carries it so that derive_hg reads every later g(M) off it too.
-Each trace of steps 4 and 6 is a dot product, Tr(M^alpha) = tau . v_alpha:
+Each trace of the trace form is a dot product, Tr(M^alpha) = tau . v_alpha:
 in A, M^alpha = sum_j (v_alpha)_j M^(beta_j), so the trace functional
 tau_j = Tr(M^(beta_j)), computed once per certification from the base
 products v_(beta_i + beta_j) of the table, gives every trace from one
-vector.  tau comes from the M_s, never from row 0 of H+: step 6 checks H+
+vector.  tau comes from the M_s, never from row 0 of H+: step 6 checks H1
 against it, and a functional read off H+ would accept the moment matrix
 of any functional.
 
@@ -253,10 +265,10 @@ class NormalForms:
     D^gamma.  v_gamma is memoised, each from v_(gamma - e_s) by one product
     with D_s M_s that visits only the non-zero entries of its columns.  The
     table is built once per certification, right after step 2, shared by
-    steps 4, 5, 6 and 7, and kept on the certified outcome for derive_hg.
-    The traces of steps 4 and 6 read v_alpha once per monomial alpha and
-    the base products v_(beta_i + beta_j) once for the trace functional
-    tau (_trace_grid): Tr(M^alpha) = tau . v_alpha.
+    steps 4 to 7, and kept on the certified outcome for derive_hg.  The
+    trace form of steps 4 and 6 (_base_trace_matrix) reads only the base
+    products v_(beta_i + beta_j): once for the trace functional tau and once
+    as the v_alpha of its traces (_trace_grid), Tr(M^alpha) = tau . v_alpha.
     Its vectors mean what they say under the precondition that steps 2 and
     5 establish on both routes:
 
@@ -266,10 +278,10 @@ class NormalForms:
     - step 5 proved that the M_s commute, so M^gamma is well defined and
       every path to gamma gives the same v_gamma.
 
-    Step 5 itself uses only the columns until commutation is proved.
-    Step 4 on the non-radical route reads vectors before that: if step 5
-    then fails, the certification fails whatever step 4 read; if it
-    passes, every path gives the vectors step 4 memoised.
+    Step 5 itself uses only the columns until commutation is proved.  The
+    trace form is read off the table before that: if step 5 then fails,
+    the certification fails whatever was read; if it passes, every path
+    gives the vectors memoised for it.
     """
 
     def __init__(self, ms: Sequence[RatMatrix], basis: Sequence[Monomial]):
@@ -427,34 +439,22 @@ def _trace_grid(nf: NormalForms, monomials: Sequence[Monomial]) -> list[Fraction
     return traces
 
 
-def check_traces(hplus: HermitePlus, nf: NormalForms) -> None:
-    """Every entry of the full extended matrix must equal the trace of the
-    corresponding product of multiplication matrices.
-
-    One trace is computed per distinct label product, as tau . v_alpha with
-    the trace functional tau of the table's M_s (_trace_grid); the entries
-    are compared in row-major order.  tau is never read off H+, the matrix
-    checked here.  The table's matrices must have passed steps 2 and 5 (see
-    NormalForms)."""
-    labels = hplus.labels
-    traces = _trace_grid(nf, labels.products)
-    nums, dens = hplus.matrix.row_pairs()
-    for pos, p in enumerate(labels.product_index):
-        t = traces[p]
-        if nums[pos] * t.denominator != t.numerator * dens[pos]:
-            i, j = divmod(pos, len(labels))
-            raise StepFailure(
-                6,
-                "trace_mismatch",
-                f"entry ({i}, {j}): H+ = {hplus.matrix.entry(i, j)}, trace = {t}",
-            )
+def check_traces(h1: RatMatrix, trace_h1: RatMatrix) -> None:
+    """Step 6 on the radical route: H1 equals the trace form of A
+    (_base_trace_matrix), entry by entry in row-major order; every other
+    entry of H+ then equals its trace too (module docstring)."""
+    if h1 != trace_h1:
+        k = h1.rows
+        i, j = next((i, j) for i in range(k) for j in range(k) if h1.entry(i, j) != trace_h1.entry(i, j))
+        raise StepFailure(6, "trace_mismatch", f"entry ({i}, {j}): H+ = {h1.entry(i, j)}, trace = {trace_h1.entry(i, j)}")
 
 
 def _base_trace_matrix(labels: ExtendedBasis, nf: NormalForms) -> RatMatrix:
-    """H1[i, j] = Tr((b_i * b_j)(M)) over the base labels, one trace per
-    distinct product of the base block, each tau . v_alpha (_trace_grid);
-    the trace functional tau reads the same base products off the table, so
-    no other vector is built."""
+    """The trace form of A on the basis, T[i, j] = Tr((b_i * b_j)(M)), the
+    one trace form of both routes (steps 4 and 6): one trace per distinct
+    product of the base block, each tau . v_alpha (_trace_grid); the trace
+    functional tau reads the same base products off the table, so no other
+    vector is built."""
     k, l = len(labels.base), len(labels)
     cells = [labels.product_index[i * l + j] for i in range(k) for j in range(k)]
     wanted = sorted(set(cells))
@@ -510,10 +510,10 @@ def _run_steps_1_to_5(
     system: PolySystem, hplus: HermitePlus, diag: list[dict], *, radical: bool
 ) -> tuple[NormalForms, _Eliminated, _Eliminated]:
     """Steps 1-5: (the table of the M_s, (H1, its inertia from step 2), (the
-    trace matrix, its inertia from step 4)).  The trace matrix is computed
-    for step 4 on the non-radical route only; on the radical route the pair
-    is None, and step 4 records that step 2 proved H1 nonsingular, which
-    with step 6 proves A reduced (module docstring).
+    trace form of A on the basis, its inertia from step 4)).  Step 4 checks
+    the trace form's rank on the non-radical route; on the radical route it
+    records that step 2 proved H1 nonsingular (the inertia is None), and
+    step 6 compares H1 with the trace form (module docstring).
     """
     basis = hplus.labels.base
     if basis.arity != system.arity():
@@ -522,7 +522,7 @@ def _run_steps_1_to_5(
     ms, h1_inertia = _step(diag, 2, "mult_matrices", mult_matrices, h1, border, hplus)
     _step(diag, 3, "identity_columns", _recorded)
     nf = NormalForms(ms, basis.monomials)
-    trace_h1 = None if radical else _base_trace_matrix(hplus.labels, nf)
+    trace_h1 = _base_trace_matrix(hplus.labels, nf)
     trace_inertia = _step(diag, 4, "squarefree", _recorded if radical else check_squarefree, trace_h1)
     _step(diag, 5, "commute_and_membership", check_commute_and_membership, nf, system)
     return nf, (h1, h1_inertia), (trace_h1, trace_inertia)
@@ -551,8 +551,8 @@ def certify_pipeline(
         return certify_nonradical(system, g, hplus)
     diag: list[dict] = []
     try:
-        nf, (h1, h1_inertia), _ = _run_steps_1_to_5(system, hplus, diag, radical=True)
-        _step(diag, 6, "trace_grid", check_traces, hplus, nf)
+        nf, (h1, h1_inertia), (trace_h1, _) = _run_steps_1_to_5(system, hplus, diag, radical=True)
+        _step(diag, 6, "trace_grid", check_traces, h1, trace_h1)
         hg = _step(diag, 7, "hermite_for_g", hermite_for_g, h1, nf, g)
     except StepFailure as failure:
         return _fail(basis, diag, failure)

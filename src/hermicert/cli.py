@@ -7,9 +7,9 @@ is deterministic: repeated runs produce byte-identical output.  Exit codes:
 
 Exit 1 is kept for errors raised at the input boundary: each command first
 loads, parses and checks its inputs inside an _input_boundary block, and
-only a ValueError, KeyError or OSError raised there exits 1.  Construction,
-certification and derivation run after it; a ValueError raised there is a
-fault, not bad input, and propagates out of main.
+only the input errors listed there exit 1.  Construction, certification
+and derivation run after it; a ValueError raised there is a fault, not
+bad input, and propagates out of main.
 """
 
 from __future__ import annotations
@@ -71,15 +71,15 @@ class _BadInput(Exception):
 
 
 class _input_boundary:
-    """with _input_boundary(): the block that loads, parses and checks a
-    command's inputs.  A ValueError, KeyError or OSError raised in it (parse
-    errors included) becomes _BadInput."""
+    """with _input_boundary(): loads, parses and checks a command's inputs.
+    A ValueError, KeyError, OSError, TypeError or ZeroDivisionError raised
+    in it (parse errors included) becomes _BadInput."""
 
     def __enter__(self):
         return self
 
     def __exit__(self, kind, exc, tb):
-        if isinstance(exc, (ValueError, KeyError, OSError)):
+        if isinstance(exc, (ValueError, KeyError, OSError, TypeError, ZeroDivisionError)):
             raise _BadInput from exc
         return False
 

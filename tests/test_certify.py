@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import hermicert._kernels as kernels
 import hermicert.certify as certify_module
+from hermicert import jsonio
 from hermicert.certify import (
     NormalForms,
     SignatureMethodMismatchError,
@@ -231,21 +232,32 @@ def test_noncommuting_only_in_a_border_column():
         check_commute_and_membership(table([bent, m_y], basis), two_var)
 
 
+def trace_form(hp, ms):
+    """The trace form on hp's basis of the algebra on which x_s acts by M_s."""
+    return certify_module._base_trace_matrix(hp.labels, table(ms, hp.labels.base))
+
+
 def test_traces_match_and_detect_perturbation():
     hp = sqrt2_hermite()
-    nf = table([RatMatrix.from_rows([[0, 2], [1, 0]])])
-    assert check_traces(hp, nf) is None
+    h1, _ = extract_blocks(hp)
+    trace = trace_form(hp, [RatMatrix.from_rows([[0, 2], [1, 0]])])
+    assert check_traces(h1, trace) is None
+    # the (x^2, x^2) entry lies outside H1: the Schur complement of step 2
+    # sees it, and step 6 is never reached
     rows = hp.matrix.to_rows()
     rows[2][2] += 1
-    bad = HermitePlus(RatMatrix.from_rows(rows), hp.labels, hp.provenance)
+    out = certify_pipeline(F_SQRT2, G_X, HermitePlus(RatMatrix.from_rows(rows), hp.labels, hp.provenance))
+    assert (out.failed_step, out.reason) == (2, "rank_deficient")
+    # inside H1, step 6 names the first entry in row-major order
     with pytest.raises(StepFailure) as failure:
-        check_traces(bad, nf)
-    assert failure.value.step == 6
+        check_traces(RatMatrix.from_rows([[2, 1], [1, 4]]), trace)
+    assert (failure.value.step, failure.value.reason) == (6, "trace_mismatch")
+    assert failure.value.detail == "entry (0, 1): H+ = 1, trace = 0"
 
 
 def test_traces_single_point():
     hp = exact_hermite_plus([(QC(3),)], MonomialBasis([(0,)]))
-    assert check_traces(hp, table([RatMatrix.from_rows([[3]])], MonomialBasis([(0,)]))) is None
+    assert check_traces(extract_blocks(hp)[0], trace_form(hp, [RatMatrix.from_rows([[3]])])) is None
 
 
 def per_product_trace_grid(ms, monomials):
@@ -275,9 +287,12 @@ def per_product_trace_grid(ms, monomials):
     return [[trace_of(monomial_mul(a, b)) for b in monomials] for a in monomials]
 
 
+def grid_points():
+    return [(QC(a), QC(b)) for a in range(-2, 3) for b in range(-2, 3)]
+
+
 def grid_case():
-    grid = range(-2, 3)
-    points = [(QC(a), QC(b)) for a in grid for b in grid]
+    points = grid_points()
     basis = MonomialBasis(
         sorted(((i, j) for i in range(5) for j in range(5)), key=lambda m: (sum(m), -m[0]))
     )
@@ -286,24 +301,28 @@ def grid_case():
     return system, exact_hermite_plus(points, basis)
 
 
-def lagrange_case():
-    # the nonneg-lagrange ring: the critical points of 6x+6y-5 on the 4x4
-    # grid, l = -6 / f'(coordinate) with f = x(x-1)(x-2)(x-3)
+def lagrange_points():
+    # the critical points of 6x+6y-5 on the 4x4 grid, l = -6 / f'(coordinate)
+    # with f = x(x-1)(x-2)(x-3)
     roots = [Fraction(r) for r in range(4)]
-    variables = ["x", "y"]
-    system = PolySystem(variables, [parse_poly("x^4-6*x^3+11*x^2-6*x", variables),
-                                    parse_poly("y^4-6*y^3+11*y^2-6*y", variables)])
-    lag = lagrange_system(system, parse_poly("6*x+6*y-5", variables))
-    points = [
+    return [
         (QC(a), QC(b), QC(-6 / math.prod(a - r for r in roots if r != a)),
          QC(-6 / math.prod(b - r for r in roots if r != b)))
         for a in roots
         for b in roots
     ]
+
+
+def lagrange_case():
+    # the nonneg-lagrange ring
+    variables = ["x", "y"]
+    system = PolySystem(variables, [parse_poly("x^4-6*x^3+11*x^2-6*x", variables),
+                                    parse_poly("y^4-6*y^3+11*y^2-6*y", variables)])
+    lag = lagrange_system(system, parse_poly("6*x+6*y-5", variables))
     basis = MonomialBasis(
         sorted(((i, j, 0, 0) for i in range(4) for j in range(4)), key=lambda m: (sum(m), -m[0]))
     )
-    return lag, exact_hermite_plus(points, basis)
+    return lag, exact_hermite_plus(lagrange_points(), basis)
 
 
 def univariate_case():
@@ -407,9 +426,155 @@ def test_trace_grid_reads_one_vector_per_label_product():
     # tau . v_alpha reads v_alpha and the base products only, all of them
     # label products; the per-basis loop read v_(alpha + beta_i) for every i
     system, hp = lagrange_case()
+    nf = table(certify_pipeline(system, parse_poly("1", list(system.variables)), hp).mult_matrices, hp.labels.base)
+    certify_module._trace_grid(nf, hp.labels.products)
+    assert len(nf._vectors) == len(hp.labels.products)
+
+
+def test_certification_reads_the_base_products_not_every_label_product():
+    # step 6 compares H1 alone with the trace form, whose traces and tau
+    # read only the base products b_i * b_j; step 5 adds the vectors of the
+    # input polynomials' monomials.  Comparing all of H+ with its traces
+    # would read every label product (351 here).
+    system, hp = lagrange_case()
     out = certify_pipeline(system, parse_poly("1", list(system.variables)), hp)
     assert out.certified
-    assert len(out.normal_forms._vectors) <= len(hp.labels.products)
+    base = {monomial_mul(a, b) for a in hp.labels.base.monomials for b in hp.labels.base.monomials}
+    memoised = set(out.normal_forms._vectors)
+    assert base <= memoised
+    assert len(memoised) < len(hp.labels.products)
+
+
+# -- step 6 against the full trace grid ---------------------------------------
+#
+# Step 6 compares H1 alone with the trace form; the step it replaced compared
+# every entry of H+ with the trace of its label product.  Steps 1 and 2 make
+# H+ a flat extension of H1, so both accept the same candidates and name the
+# same first mismatch (certify's module docstring).  The old step is kept
+# here as the reference, swapped in for step 6, and every report must come
+# out byte for byte the same.
+
+
+def full_grid_step_6(hplus):
+    """The replaced step 6: every entry of H+, in row-major order, against
+    the trace of its label product (_trace_grid over labels.products), on
+    the table of the M_s that steps 1 and 2 give."""
+    h1, border = extract_blocks(hplus)
+    nf = NormalForms(mult_matrices(h1, border, hplus)[0], hplus.labels.base.monomials)
+    labels = hplus.labels
+    traces = certify_module._trace_grid(nf, labels.products)
+    for pos, p in enumerate(labels.product_index):
+        i, j = divmod(pos, len(labels))
+        entry = hplus.matrix.entry(i, j)
+        if entry != traces[p]:
+            raise StepFailure(6, "trace_mismatch", f"entry ({i}, {j}): H+ = {entry}, trace = {traces[p]}")
+
+
+def moment_candidate(hp, moment):
+    """H+[a, b] = moment(b_a * b_b) on hp's labels, with hp's provenance."""
+    labels = hp.labels
+    values = [moment(p) for p in labels.products]
+    l = len(labels)
+    rows = [[values[labels.product_index[i * l + j]] for j in range(l)] for i in range(l)]
+    return replace(hp, matrix=RatMatrix.from_rows(rows))
+
+
+def cube_roots_weighted(weights):
+    # sum_t w_t omega_t^m over the cube roots of unity, the conjugate pair
+    # sharing its weight: w_0 + w_1 (omega^m + omega^-m)
+    w0, w1 = weights
+    return lambda alpha: w0 + w1 * (2 if alpha[0] % 3 == 0 else -1)
+
+
+@functools.cache
+def oracle_input(name):
+    """(system, g, the true H+, the number of weights, weighted: weights ->
+    the moments alpha -> sum_t w_t xi_t^alpha)."""
+    if name == "grid":
+        system, hp = grid_case()
+        points = grid_points()
+        g = "x*y-1/2"
+    elif name == "nonneg":
+        system, hp = lagrange_case()
+        points = lagrange_points()
+        g = "6*x+6*y-5"
+    else:  # x^3 - 1 on {1, x, x^2}
+        system = PolySystem(["x"], [parse_poly("x^3-1", ["x"])])
+        moments = {(m,): cube_roots_weighted((1, 1))((m,)) for m in range(7)}
+        hp = functional_candidate([(0,), (1,), (2,)], 3, moments)
+        return system, parse_poly("x", ["x"]), hp, 2, cube_roots_weighted
+
+    # the points are real: each one's value at every label product, once
+    values = {alpha: [math.prod(z.re**e for z, e in zip(point, alpha)) for point in points]
+              for alpha in hp.labels.products}
+
+    def weighted(weights):
+        return lambda alpha: sum(w * v for w, v in zip(weights, values[alpha]))
+
+    return system, parse_poly(g, list(system.variables)), hp, len(points), weighted
+
+
+NONZERO = st.fractions(-3, 3, max_denominator=3).filter(bool)
+
+
+def corrupt(data, kind, hp, weight_count, weighted):
+    """A corrupted copy of hp, and for the "weighted" kind whether its
+    weights differ from the points' own (None for the other kinds)."""
+    if kind == "weighted":
+        weights = data.draw(st.lists(st.integers(1, 4), min_size=weight_count, max_size=weight_count))
+        return moment_candidate(hp, weighted(weights)), any(w != 1 for w in weights)
+    labels, k, l = hp.labels, hp.base_size(), len(hp.labels)
+    rows = hp.matrix.to_rows()
+    if kind == "hankel":  # one product's value, shifted wherever it appears
+        p, delta = data.draw(st.integers(0, len(labels.products) - 1)), data.draw(NONZERO)
+        for pos, q in enumerate(labels.product_index):
+            if q == p:
+                rows[pos // l][pos % l] += delta
+    elif kind == "border_scaled":
+        e, c = data.draw(st.integers(k, l - 1)), data.draw(NONZERO.filter(lambda c: c != 1))
+        for r in range(l):
+            rows[e][r] *= c
+            rows[r][e] *= c
+    elif kind == "flat":  # one mirrored entry of H1, and H+ its flat extension
+        i, j = data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, k - 1))
+        h1, border = extract_blocks(hp)
+        y = (inverse(h1) @ border).to_rows()
+        c = RatMatrix.from_rows([[int(r == t) for t in range(k)] + y[r] for r in range(k)])
+        rows = h1.to_rows()
+        rows[i][j] += data.draw(NONZERO)
+        rows[j][i] = rows[i][j]
+        rows = (RatMatrix.from_rows(list(zip(*c.to_rows()))) @ RatMatrix.from_rows(rows) @ c).to_rows()
+    else:  # one mirrored entry anywhere, or two outside H1
+        cell = st.tuples(st.integers(0, l - 1), st.integers(0, l - 1))
+        if kind == "mirrored":
+            cells = [data.draw(cell)]
+        else:
+            cells = [data.draw(cell.filter(lambda c: max(c) >= k)) for _ in range(2)]
+        for i, j in cells:
+            rows[i][j] += data.draw(NONZERO)
+            rows[j][i] = rows[i][j]
+    return replace(hp, matrix=RatMatrix.from_rows(rows)), None
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    name=st.sampled_from(["grid", "nonneg", "cube_roots"]),
+    kind=st.sampled_from(["mirrored", "hankel", "outside_h1", "border_scaled", "weighted", "flat"]),
+    data=st.data(),
+)
+def test_step_6_on_h1_reports_as_the_full_trace_grid(name, kind, data):
+    system, g, hp, weight_count, weighted = oracle_input(name)
+    candidate, reweighted = corrupt(data, kind, hp, weight_count, weighted)
+    variables = list(system.variables)
+    outcome = certify_pipeline(system, g, candidate)
+    new = jsonio.canonical_dumps(jsonio.report_to_json(outcome, variables))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(certify_module, "check_traces", lambda h1, trace: full_grid_step_6(candidate))
+        old = jsonio.canonical_dumps(jsonio.report_to_json(certify_pipeline(system, g, candidate), variables))
+    assert new == old
+    if reweighted:
+        # the true M_s and a nonsingular flat H+, but no trace form
+        assert outcome.failed_step == 6
 
 
 def dense_mult_matrices(hp):
@@ -648,7 +813,7 @@ def test_nonradical_literal_trace_comparison_would_fail():
     assert out.weighted_h1.entry(0, 0) == 2
     assert out.h1.entry(0, 0) != out.weighted_h1.entry(0, 0)
     with pytest.raises(StepFailure, match="trace_mismatch"):
-        check_traces(hp, table(out.mult_matrices, hp.labels.base))
+        check_traces(out.weighted_h1, out.h1)
     assert signature(out.h1) == 1
 
 
@@ -757,9 +922,8 @@ def test_corpus_nilpotent_functional_fails_on_the_radical_route():
     hp = functional_candidate([(0,), (1,)], 2, {(1,): 1})
     out = certify_pipeline(x2, ONE_X, hp)
     assert out.status == "fail" and out.failed_step in (4, 6)
-    nilpotent = table([RatMatrix.from_rows([[0, 0], [1, 0]])])
     with pytest.raises(StepFailure, match="trace_mismatch"):
-        check_traces(hp, nilpotent)
+        check_traces(extract_blocks(hp)[0], trace_form(hp, [RatMatrix.from_rows([[0, 0], [1, 0]])]))
 
 
 def test_corpus_singular_h1_with_full_rank_extension_fails_step_2():

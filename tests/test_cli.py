@@ -770,6 +770,9 @@ def bad_input_files(files):
         "sys_l1": write(tmp / "sys_l1.json", {"variables": ["l1"], "polynomials": ["l1^2-2"]}),
         "basis3": write(tmp / "basis3.json", {"monomials": ["1", "x", "x^2"]}),
         "empty": write(tmp / "empty.json", {"accuracy_E": "1e-10", "bound_M": "2", "points": []}),
+        "sys_zero": write(tmp / "sys_zero.json", {"variables": ["x"], "polynomials": ["1/0*x^2-2"]}),
+        "sys_int": write(tmp / "sys_int.json", {"variables": ["x"], "polynomials": [5]}),
+        "points_int": write(tmp / "points_int.json", {"accuracy_E": "1e-10", "bound_M": "2", "points": 5}),
     }
 
 
@@ -798,6 +801,32 @@ def test_bad_input_exits_with_usage_code(case, files, capsys):
     capsys.readouterr()
     code, payload = run(capsys, *argv)
     assert code == 1 and payload["error"]["type"] in ("ValueError", "ParseError"), payload
+
+
+# bad inputs whose error is no ValueError: a zero denominator, and a JSON
+# value of the wrong type; each exits 1 with the error payload in --out
+BAD_VALUES = {
+    "zero denominator": ("reconstruct-rational 1/0 5", "ZeroDivisionError"),
+    "center with a zero denominator": (
+        "ball --system {sys} --hermite {herm} --center=1/0 --eps2 1", "ZeroDivisionError"
+    ),
+    "pipeline center with a zero denominator": (
+        "pipeline --system {sys} --roots {roots} --center=1/0 --eps2 1", "ZeroDivisionError"
+    ),
+    "polynomial with a zero denominator": ("build --system {sys_zero} --roots {roots}", "ZeroDivisionError"),
+    "points that are no list": ("build --system {sys} --roots {points_int}", "TypeError"),
+    "polynomial that is no string": ("build --system {sys_int} --roots {roots}", "TypeError"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_VALUES))
+def test_bad_value_exits_with_usage_code_and_writes_the_payload(case, files, capsys):
+    paths = bad_input_files(files)
+    command, error = BAD_VALUES[case]
+    out = files["tmp"] / "out.json"
+    argv = [word.format(**paths) for word in command.split()] + ["--out", str(out)]
+    assert main(argv) == 1
+    assert json.loads(out.read_text(encoding="utf-8"))["error"]["type"] == error
 
 
 def test_nonneg_basis_of_the_wrong_size_is_bad_input(tmp_path, capsys):
