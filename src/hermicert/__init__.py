@@ -30,6 +30,7 @@ from .hermite import (
     PowerSums,
     approx_extended_hermite,
     build_extended_hermite,
+    build_hermite,
     build_nonradical,
     reconstruct_hermite,
 )
@@ -38,7 +39,6 @@ from .linalg import (
     RatMatrix,
     char_poly,
     inertia_ldl,
-    max_nonsingular_connected_submatrix,
     rank,
     sign_variations,
     signature_descartes,
@@ -59,7 +59,7 @@ from .polynomials import (
     PolySystem,
     parse_poly,
 )
-from .ratrecon import convergents, denominator_bound, rational_reconstruct
+from .ratrecon import denominator_bound, rational_reconstruct
 
 __version__ = "0.1.0"
 
@@ -86,19 +86,18 @@ __all__ = [
     "ball_polynomial",
     "bezout_bound",
     "build_extended_hermite",
+    "build_hermite",
     "build_nonradical",
     "certify_ball",
     "certify_nonneg",
     "certify_nonradical",
     "certify_pipeline",
     "char_poly",
-    "convergents",
     "denominator_bound",
     "derive_hg",
     "inertia_ldl",
     "lagrange_system",
     "match_and_filter",
-    "max_nonsingular_connected_submatrix",
     "newton_refine",
     "parse_poly",
     "rank",

@@ -17,7 +17,6 @@ from .hermite import HermitePlus, build_extended_hermite
 from .linalg import RatMatrix
 from .numroots import ApproxRootSet, select_basis
 from .polynomials import MonomialBasis, MultiPoly, PolySystem
-from .ratrecon import exact_fraction
 
 
 def real_root_count(h1: RatMatrix) -> int:
@@ -35,8 +34,8 @@ class BallQuery:
     radius_squared: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "center", tuple(exact_fraction(c) for c in self.center))
-        object.__setattr__(self, "radius_squared", exact_fraction(self.radius_squared))
+        object.__setattr__(self, "center", tuple(Fraction(c) for c in self.center))
+        object.__setattr__(self, "radius_squared", Fraction(self.radius_squared))
         if self.radius_squared <= 0:
             raise ValueError("radius_squared must be positive")
 
@@ -207,7 +206,7 @@ def certify_nonneg(
                 return failed("duplicate_points")
 
     if basis is None:
-        basis = select_basis(roots, lag.variables)
+        basis = select_basis(roots)
     hplus = build_extended_hermite(roots, basis)
     g_ext = _embed(query.g, lag.variables)
     outcome = certify_pipeline(lag, g_ext, hplus)

@@ -537,8 +537,8 @@ def certify_pipeline(
     (transposed) multiplication matrices, H1 is the Hermite matrix of the
     ideal and H_g = H1 * g(M).  The caller asserts that the point count is
     at least the quotient dimension; superfluous points make some step fail.
-    A matrix built from more points than its basis size (a reduced
-    non-radical build) goes to certify_nonradical instead.
+    A reduced non-radical build (HermitePlus.reduced, decided by
+    hermite.build_hermite) goes to certify_nonradical instead.
 
     The points are assumed to cover V(I): steps 2-5 prove V(J) within V(I)
     for the ideal J that the M_s define, not the converse, so a candidate
@@ -547,7 +547,7 @@ def certify_pipeline(
     under that assumption.
     """
     basis = hplus.labels.base
-    if hplus.provenance.point_count > len(basis):
+    if hplus.reduced:
         return certify_nonradical(system, g, hplus)
     diag: list[dict] = []
     try:

@@ -32,19 +32,17 @@ from .certificates import (
 )
 from .certify import certify_pipeline
 from .hermite import (
+    NoConnectedSelectionError,
     NonRadicalRankError,
     ReconstructionFailedError,
-    build_extended_hermite,
-    build_nonradical,
+    build_hermite,
 )
-from .linalg import NoConnectedSelectionError, _connected_scan
 from .numroots import (
     DivergedError,
     NoWellConditionedBasisError,
     SingularJacobianError,
     match_and_filter,
     newton_refine,
-    select_basis,
 )
 from .polynomials import MonomialBasis, parse_monomial, parse_poly
 from .ratrecon import rational_reconstruct
@@ -130,19 +128,6 @@ def _ball_query(center: str, eps2: str, variables) -> BallQuery:
     return BallQuery(center=point, radius_squared=Fraction(eps2))
 
 
-def _build_hermite(system, roots, basis):
-    """Shared by build and pipeline.  One connected scan of H1 gives both
-    the route and the reduction: rank H1 = k keeps the full matrix (with
-    complex roots a nonsingular H1 can have a singular connected minor),
-    and a lower rank reduces it to the scan's selection (build_nonradical)."""
-    if basis is None:
-        basis = select_basis(roots, system.variables)
-    hplus = build_extended_hermite(roots, basis)
-    k = len(basis)
-    selection = _connected_scan(hplus.matrix.submatrix(range(k), range(k)), basis.monomials)
-    return hplus if selection.rank == k else build_nonradical(hplus, selection)
-
-
 def _load_hermite(args):
     """(system, H+) from --system and --hermite."""
     system = _load_system(args.system)
@@ -155,7 +140,7 @@ def cmd_build(args) -> tuple[int, dict]:
         roots = _load_roots(args.roots, system.variables)
         basis = _load_basis(args.basis, system.variables)
         _check_points(roots, basis)
-    hplus = _build_hermite(system, roots, basis)
+    hplus = build_hermite(roots, basis)
     return EXIT_OK, jsonio.hermite_to_json(hplus, system.variables)
 
 
@@ -297,7 +282,7 @@ def cmd_pipeline(args) -> tuple[int, dict]:
         basis = _load_basis(args.basis, system.variables)
         _check_points(roots, basis)
         g = parse_poly(args.g, system.variables)
-    hplus = _build_hermite(system, roots, basis)
+    hplus = build_hermite(roots, basis)
     payload: dict = {"hermite": jsonio.hermite_to_json(hplus, system.variables)}
     outcome = certify_pipeline(system, g, hplus)
     payload["certificate"] = jsonio.report_to_json(outcome, system.variables)

@@ -10,6 +10,14 @@ and Hankel coherence hold by construction.  Because the sums are exact, the
 accepted perturbation bound E*k*n*d*M^(d-1) is rigorous for the given
 points.  Success here is still heuristic; soundness comes entirely from the
 certify module.
+
+build_hermite is the one constructor the commands call, and the one place
+the route is decided.  It selects a basis when none is given, builds H+,
+and makes the one connected scan of H1: rank H1 = k keeps H+ (the radical
+route), and a lower rank reduces it to the scan's connected nonsingular
+block of H1 (build_nonradical), from which certification rebuilds the
+Hermite matrices of the radical.  HermitePlus.reduced tells the two routes
+apart afterwards.
 """
 
 from __future__ import annotations
@@ -18,10 +26,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 
-from .linalg import ConnectedSelection, RatMatrix, _connected_scan, _reaching_rank, rank
-from .numroots import ApproxRootSet
+from .linalg import ConnectedSelection, RatMatrix, _connected_scan, rank
+from .numroots import ApproxRootSet, select_basis
 from .polynomials import ExtendedBasis, Monomial, MonomialBasis
-from .ratrecon import RationalLike, denominator_bound, exact_fraction, reconstruct_ints
+from .ratrecon import RationalLike, denominator_bound, reconstruct_ints
 
 
 class ReconstructionFailedError(RuntimeError):
@@ -41,6 +49,10 @@ class ReconstructionFailedError(RuntimeError):
 
 class NonRadicalRankError(RuntimeError):
     """rank(H+) exceeds the size of the connected nonsingular block."""
+
+
+class NoConnectedSelectionError(ValueError):
+    """The connected scan of H1 falls short of rank H1."""
 
 
 @dataclass(frozen=True)
@@ -83,6 +95,12 @@ class HermitePlus:
 
     def base_size(self) -> int:
         return len(self.labels.base)
+
+    @property
+    def reduced(self) -> bool:
+        """Built from more points than its basis size: a reduced non-radical
+        build, whose base size is the number of distinct roots (kbar)."""
+        return self.provenance.point_count > self.base_size()
 
 
 def approx_extended_hermite(points: ApproxRootSet, basis: ExtendedBasis) -> PowerSums:
@@ -188,8 +206,8 @@ def reconstruct_hermite(
     the first entry (i, j), in row-major order, that holds the failing
     product.
     """
-    E = exact_fraction(accuracy)
-    M = exact_fraction(coord_bound)
+    E = Fraction(accuracy)
+    M = Fraction(coord_bound)
     arity = basis.base.arity
     products = basis.products
     if not len(sums.re) == len(sums.im) == len(sums.exponents) == len(products):
@@ -261,24 +279,42 @@ def build_extended_hermite(
     return reconstruct_hermite(sums, ext, points.accuracy, len(points), points.coord_bound)
 
 
-def build_nonradical(full: HermitePlus, selection: ConnectedSelection | None = None) -> HermitePlus:
+def build_hermite(points: ApproxRootSet, basis: MonomialBasis | None = None) -> HermitePlus:
+    """The extended Hermite matrix of the points, on the route that fits them.
+
+    The basis is selected from the points when none is given (select_basis)
+    and must have one element per point.  One connected scan of H1 gives
+    both the route and the reduction: rank H1 = k keeps the full matrix
+    (with complex roots a nonsingular H1 can have a singular connected
+    minor), and a lower rank reduces it to the scan's selection
+    (build_nonradical).
+    """
+    if basis is None:
+        basis = select_basis(points)
+    k = len(basis)
+    if k != len(points):
+        raise ValueError(f"basis size {k} must equal the number of points {len(points)}")
+    full = build_extended_hermite(points, basis)
+    selection = _connected_scan(full.matrix.submatrix(range(k), range(k)), basis.monomials)
+    return full if selection.rank == k else build_nonradical(full, selection)
+
+
+def build_nonradical(full: HermitePlus, selection: ConnectedSelection) -> HermitePlus:
     """Hermite construction when the point multiset carries multiplicities.
 
-    Takes the full extended matrix built from the points, restricts it to the
-    largest connected nonsingular block of the base submatrix, and fails
-    unless rank(H+) matches that block size.  The block is the connected
-    scan of H1 (given when the caller made it), which must reach rank H1.
-    The returned matrix is indexed by the reduced extended basis, whose base
+    Restricts the full extended matrix built from the points to selection,
+    the connected scan of its base block H1 (linalg._connected_scan).  It
+    fails unless the selection reaches rank H1 (NoConnectedSelectionError)
+    and rank(H+) matches the selection's size (NonRadicalRankError).  The
+    returned matrix is indexed by the reduced extended basis, whose base
     size is the number of distinct roots (kbar); its provenance keeps the
     original point count (the total multiplicity).
     """
-    basis = full.labels.base
-    k = len(basis)
-    if full.provenance.point_count != k:
-        raise ValueError("basis size must equal the number of points (with multiplicity)")
-    if selection is None:
-        selection = _connected_scan(full.matrix.submatrix(range(k), range(k)), basis.monomials)
-    kbar = len(_reaching_rank(selection).monomials)
+    kbar = len(selection.indices)
+    if kbar < selection.rank:
+        raise NoConnectedSelectionError(
+            f"no connected selection of size {selection.rank} found (got {kbar})"
+        )
     if rank(full.matrix) > kbar:
         raise NonRadicalRankError(
             f"rank of the extended matrix exceeds the connected block size {kbar}"

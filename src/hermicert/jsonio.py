@@ -24,18 +24,17 @@ from .polynomials import (
     parse_monomial,
     parse_poly,
 )
-from .ratrecon import exact_fraction
 
 
 def frac_str(value: Fraction) -> str:
-    f = exact_fraction(value)
+    f = Fraction(value)
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
 def exact_decimal_str(value: Fraction) -> str:
     """Exact decimal form when the denominator divides a power of 10,
     otherwise the fraction form."""
-    f = exact_fraction(value)
+    f = Fraction(value)
     if f.denominator == 1:
         return str(f.numerator)
     d = f.denominator
@@ -131,8 +130,8 @@ def matrix_from_json(data: dict) -> RatMatrix:
 
 
 def hermite_to_json(hp: HermitePlus, variables: Sequence[str]) -> dict:
-    """A matrix built from more points than its basis size (a reduced
-    non-radical build) also records that size as "kbar"."""
+    """A reduced non-radical build (HermitePlus.reduced) also records its
+    basis size as "kbar"."""
     vs = list(variables)
     out = matrix_to_json(hp.matrix, labels=hp.labels.strings(vs))
     out["variables"] = vs
@@ -146,7 +145,7 @@ def hermite_to_json(hp: HermitePlus, variables: Sequence[str]) -> dict:
             for alpha, b in sorted(hp.provenance.bounds.items())
         },
     }
-    if hp.provenance.point_count > hp.base_size():
+    if hp.reduced:
         out["kbar"] = hp.base_size()
     return out
 
@@ -160,13 +159,18 @@ def hermite_from_json(data: dict, variables: Sequence[str] | None = None) -> Her
     if data.get("labels") is not None and list(data["labels"]) != expected:
         raise ValueError("labels do not match the extension of the basis")
     prov_in = data.get("provenance", {})
+    # k picks the certification route, so a float or a bool is refused, not
+    # truncated to an int
+    k = prov_in.get("k", len(basis))
+    if isinstance(k, bool) or not isinstance(k, (int, str)) or int(k) < 1:
+        raise ValueError(f"provenance k must be a positive integer, got {k!r}")
     bounds = {
         parse_monomial(s, vs): int(b) for s, b in prov_in.get("bounds", {}).items()
     }
     prov = HermiteProvenance(
         accuracy=Fraction(prov_in.get("E", 1)),
         coord_bound=Fraction(prov_in.get("M", 1)),
-        point_count=int(prov_in.get("k", len(basis))),
+        point_count=int(k),
         bounds=bounds,
     )
     return HermitePlus(matrix=matrix, labels=ext, provenance=prov)

@@ -23,10 +23,6 @@ class NotSymmetricError(ValueError):
     """A symmetric-only operation was applied to an asymmetric matrix."""
 
 
-class NoConnectedSelectionError(ValueError):
-    """No connected-to-1 monomial subset reaches the required rank."""
-
-
 class InverseCheckError(AssertionError):
     """A computed solution failed the residual A * X = B; this indicates a bug."""
 
@@ -248,7 +244,6 @@ def signature_descartes(a: RatMatrix) -> int:
 
 class ConnectedSelection(NamedTuple):
     monomials: tuple[tuple[int, ...], ...]
-    matrix: RatMatrix
     indices: tuple[int, ...]
     rank: int  # the rank of the scanned matrix
 
@@ -275,24 +270,4 @@ def _connected_scan(h: RatMatrix, monomials: Sequence[tuple[int, ...]]) -> Conne
         )
 
     pos, neg, _, picked, _ = _elimination(h, "submatrix selection", linked=linked)
-    return ConnectedSelection(
-        tuple(labels[i] for i in picked), h.submatrix(picked, picked), tuple(picked), pos + neg
-    )
-
-
-def max_nonsingular_connected_submatrix(
-    h: RatMatrix, monomials: Sequence[tuple[int, ...]]
-) -> ConnectedSelection:
-    """Largest nonsingular principal submatrix on a connected-to-1 label set:
-    the connected scan of h (_connected_scan), which must reach rank(h);
-    NoConnectedSelectionError is raised otherwise."""
-    return _reaching_rank(_connected_scan(h, monomials))
-
-
-def _reaching_rank(selection: ConnectedSelection) -> ConnectedSelection:
-    """selection, unless it falls short of the rank (NoConnectedSelectionError)."""
-    if len(selection.indices) < selection.rank:
-        raise NoConnectedSelectionError(
-            f"no connected selection of size {selection.rank} found (got {len(selection.indices)})"
-        )
-    return selection
+    return ConnectedSelection(tuple(labels[i] for i in picked), tuple(picked), pos + neg)

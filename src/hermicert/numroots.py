@@ -15,7 +15,6 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .polynomials import Monomial, MonomialBasis, PolySystem, iter_monomials
-from .ratrecon import exact_fraction
 
 # numpy is imported inside the functions that use it, so that commands which
 # never refine or select a basis do not pay for importing it.
@@ -59,8 +58,8 @@ class ApproxRootSet:
     def __post_init__(self):
         pts = tuple(tuple(complex(z) for z in p) for p in self.points)
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "accuracy", exact_fraction(self.accuracy))
-        object.__setattr__(self, "coord_bound", exact_fraction(self.coord_bound))
+        object.__setattr__(self, "accuracy", Fraction(self.accuracy))
+        object.__setattr__(self, "coord_bound", Fraction(self.coord_bound))
         if self.accuracy <= 0:
             raise ValueError("accuracy must be positive")
         if self.radii is not None:
@@ -242,7 +241,7 @@ def smallest_singular_value(v: np.ndarray) -> float:
     return float(np.linalg.svd(v, compute_uv=False)[-1])
 
 
-def select_basis(points: ApproxRootSet, variables: Sequence[str]) -> MonomialBasis:
+def select_basis(points: ApproxRootSet) -> MonomialBasis:
     """Greedy well-conditioned monomial basis of size k = #points.
 
     Monomials are scanned in graded-lex order; a candidate needs all of its
@@ -260,9 +259,7 @@ def select_basis(points: ApproxRootSet, variables: Sequence[str]) -> MonomialBas
     k = len(points)
     if k < 1:
         raise ValueError("need at least one point")
-    n = len(variables)
-    if points.arity() != n:
-        raise ValueError("point arity does not match the variable list")
+    n = points.arity()
     e_val = float(points.accuracy)
     m_val = float(points.coord_bound)
     chosen: list[Monomial] = []

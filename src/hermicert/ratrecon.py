@@ -3,10 +3,10 @@
 The continued fraction runs on integers: ``reconstruct_ints`` takes a value
 as a numerator and a positive denominator, and every comparison is an
 integer cross-multiplication.  Hermite construction calls it directly on
-exact power sums over powers of two.  ``rational_reconstruct`` and
-``convergents`` are its ``fractions.Fraction`` entry points; floats are
-converted to the exact dyadic rational they denote (never through a decimal
-detour), so every comparison there is exact too.
+exact power sums over powers of two.  ``rational_reconstruct`` is its
+``fractions.Fraction`` entry point; floats are converted to the exact
+dyadic rational they denote (never through a decimal detour), so every
+comparison there is exact too.
 """
 
 from __future__ import annotations
@@ -16,13 +16,6 @@ from math import isqrt
 from typing import Iterator
 
 RationalLike = Fraction | int | float | str
-
-
-def exact_fraction(value: RationalLike) -> Fraction:
-    """Exact conversion: floats become the dyadic rational they store."""
-    if isinstance(value, Fraction):
-        return value
-    return Fraction(value)
 
 
 def _convergent_pairs(num: int, den: int) -> Iterator[tuple[int, int]]:
@@ -43,22 +36,6 @@ def _convergent_pairs(num: int, den: int) -> Iterator[tuple[int, int]]:
         p_prev2, q_prev2 = p_prev, q_prev
         p_prev, q_prev = p, q
         num, den = den, rem
-
-
-def iter_convergents(alpha: Fraction) -> Iterator[Fraction]:
-    """Continued-fraction convergents of alpha >= 0, in order.
-
-    Denominators are strictly increasing from the second convergent on, and
-    the sequence terminates because alpha is rational.
-    """
-    if alpha < 0:
-        raise ValueError("iter_convergents requires alpha >= 0")
-    for p, q in _convergent_pairs(alpha.numerator, alpha.denominator):
-        yield Fraction(p, q)
-
-
-def convergents(alpha: Fraction) -> list[Fraction]:
-    return list(iter_convergents(alpha))
 
 
 def reconstruct_ints(num: int, den: int, bound: int) -> tuple[int, int] | None:
@@ -88,7 +65,7 @@ def rational_reconstruct(alpha: RationalLike, bound: int) -> Fraction | None:
     """reconstruct_ints on an exact rational: the unique p/q with q <= bound
     and |alpha - p/q| < 1/(2*bound^2), or None when no such fraction exists.
     """
-    a = exact_fraction(alpha)
+    a = Fraction(alpha)
     found = reconstruct_ints(a.numerator, a.denominator, bound)
     return None if found is None else Fraction(*found)
 
@@ -104,8 +81,8 @@ def denominator_bound(
     rounded optimistically).  Returns None when 2*E*k*n*d*M^(d-1) >= 1,
     i.e. the accuracy is too poor for any reconstruction.
     """
-    E = exact_fraction(accuracy)
-    M = exact_fraction(coord_bound)
+    E = Fraction(accuracy)
+    M = Fraction(coord_bound)
     if E <= 0 or M <= 0:
         raise ValueError("accuracy and coordinate bound must be positive")
     if min(k, n, d) < 1:

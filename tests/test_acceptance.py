@@ -22,7 +22,7 @@ from hermicert.certify import (
 )
 from hermicert.certificates import BallQuery, NonnegQuery, certify_ball, certify_nonneg
 from hermicert.cli import main
-from hermicert.hermite import HermitePlus, build_extended_hermite, build_nonradical
+from hermicert.hermite import HermitePlus, build_extended_hermite, build_hermite
 from hermicert.linalg import RatMatrix, inertia_ldl, signature_descartes
 from hermicert.numroots import ApproxRootSet, match_and_filter
 from hermicert.polynomials import MonomialBasis, MultiPoly, PolySystem, parse_poly
@@ -266,7 +266,7 @@ def test_criterion_6_nonradical_pipeline():
     pts = ApproxRootSet(
         points=((1 + 0j,), (1 + 0j,), (-2 + 0j,)), accuracy="1e-8", coord_bound=3
     )
-    hp = build_nonradical(build_extended_hermite(pts, MonomialBasis([(0,), (1,), (2,)])))
+    hp = build_hermite(pts, MonomialBasis([(0,), (1,), (2,)]))
     assert hp.base_size() == 2
     out = certify_nonradical(f, parse_poly("x", ["x"]), hp)
     assert out.certified
@@ -278,7 +278,7 @@ def test_criterion_6_nonradical_pipeline():
     # comparison contradicts the weighted entry (1 vs 2)
     f2 = PolySystem(["x"], [parse_poly("x^2-2*x+1", ["x"])])
     pts2 = ApproxRootSet(points=((1 + 0j,), (1 + 0j,)), accuracy="1e-8", coord_bound=2)
-    hp2 = build_nonradical(build_extended_hermite(pts2, MonomialBasis([(0,), (1,)])))
+    hp2 = build_hermite(pts2, MonomialBasis([(0,), (1,)]))
     out2 = certify_nonradical(f2, parse_poly("1", ["x"]), hp2)
     assert out2.certified
     assert out2.h1.entry(0, 0) == 1

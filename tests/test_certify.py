@@ -32,7 +32,7 @@ from hermicert.certify import (
     signature,
 )
 from hermicert.certificates import BallQuery, ball_polynomial, lagrange_system
-from hermicert.hermite import HermitePlus, HermiteProvenance, build_extended_hermite, build_nonradical
+from hermicert.hermite import HermitePlus, HermiteProvenance, build_extended_hermite, build_hermite
 from hermicert.linalg import Inertia, NotSymmetricError, RatMatrix, inverse, rank
 from hermicert.numroots import ApproxRootSet
 from hermicert.polynomials import (
@@ -350,7 +350,7 @@ def test_trace_grid_matches_per_product_reference_on_reduced_basis():
     # the DOUBLE_ROOT fixture: x^3-3x+2 with roots 1, 1, -2, reduced basis {1, x}
     f = PolySystem(["x"], [parse_poly("x^3-3*x+2", ["x"])])
     pts = ApproxRootSet(points=((1 + 0j,), (1 + 0j,), (-2 + 0j,)), accuracy="1e-8", coord_bound=3)
-    hp = build_nonradical(build_extended_hermite(pts, MonomialBasis([(0,), (1,), (2,)])))
+    hp = build_hermite(pts, MonomialBasis([(0,), (1,), (2,)]))
     out = certify_nonradical(f, G_X, hp)
     assert out.certified
     basis = hp.labels.base.monomials
@@ -409,13 +409,13 @@ def test_base_trace_matrix_matches_per_basis_oracle(name):
     )
 )
 def test_trace_grid_matches_per_basis_oracle_on_reduced_basis(mult):
-    # roots with multiplicities on {1, x, ..., x^(N-1)}: build_nonradical
+    # roots with multiplicities on {1, x, ..., x^(N-1)}: build_hermite
     # reduces the basis to one element per distinct root
     roots = [r for r, m in sorted(mult.items()) for _ in range(m)]
     system = PolySystem(["x"], [univariate_from_roots([Fraction(r) for r in roots], [])])
     full = MonomialBasis([(d,) for d in range(len(roots))])
     pts = ApproxRootSet(points=tuple((complex(r),) for r in roots), accuracy="1e-20", coord_bound=4)
-    hp = build_nonradical(build_extended_hermite(pts, full))
+    hp = build_hermite(pts, full)
     assert len(hp.labels.base) == len(mult)
     out = certify_nonradical(system, ONE_X, hp)
     assert out.certified, (out.reason, out.detail)
@@ -623,7 +623,7 @@ def test_normal_forms_match_dense_reference(case, make_gs):
 def test_normal_forms_match_dense_reference_on_reduced_basis():
     f = PolySystem(["x"], [parse_poly("x^3-3*x+2", ["x"])])
     pts = ApproxRootSet(points=((1 + 0j,), (1 + 0j,), (-2 + 0j,)), accuracy="1e-8", coord_bound=3)
-    hp = build_nonradical(build_extended_hermite(pts, MonomialBasis([(0,), (1,), (2,)])))
+    hp = build_hermite(pts, MonomialBasis([(0,), (1,), (2,)]))
     g = parse_poly("x^2-x+1/3", ["x"])
     out = certify_nonradical(f, g, hp)
     assert out.certified
@@ -720,7 +720,7 @@ def radical_square_outcome():
 def nonradical_univariate_outcome():
     f = PolySystem(["x"], [parse_poly("x^3-3*x+2", ["x"])])
     pts = ApproxRootSet(points=((1 + 0j,), (1 + 0j,), (-2 + 0j,)), accuracy="1e-8", coord_bound=3)
-    hp = build_nonradical(build_extended_hermite(pts, MonomialBasis([(0,), (1,), (2,)])))
+    hp = build_hermite(pts, MonomialBasis([(0,), (1,), (2,)]))
     return certify_nonradical(f, G_X, hp)
 
 
@@ -728,7 +728,7 @@ def nonradical_corner_outcome():
     # (0, 0) twice, (1, 0) and (0, 1): the reduced basis is {1, x, y}
     xy = ["x", "y"]
     pts = ApproxRootSet(points=((0j, 0j), (0j, 0j), (1 + 0j, 0j), (0j, 1 + 0j)), accuracy="1e-8", coord_bound=2)
-    hp = build_nonradical(build_extended_hermite(pts, MonomialBasis([(0, 0), (1, 0), (0, 1), (2, 0)])))
+    hp = build_hermite(pts, MonomialBasis([(0, 0), (1, 0), (0, 1), (2, 0)]))
     system = PolySystem(xy, [parse_poly(p, xy) for p in ("x^2-x", "y^2-y", "x*y")])
     return certify_nonradical(system, parse_poly("1", xy), hp)
 
@@ -789,7 +789,7 @@ def test_outcome_keeps_the_table_its_matrices_come_from():
 def test_nonradical_certifies_double_root_plus_simple():
     f = PolySystem(["x"], [parse_poly("x^3-3*x+2", ["x"])])
     pts = ApproxRootSet(points=((1 + 0j,), (1 + 0j,), (-2 + 0j,)), accuracy="1e-8", coord_bound=3)
-    hp = build_nonradical(build_extended_hermite(pts, MonomialBasis([(0,), (1,), (2,)])))
+    hp = build_hermite(pts, MonomialBasis([(0,), (1,), (2,)]))
     out = certify_nonradical(f, G_X, hp)
     assert out.certified
     assert out.mult_matrices[0] == RatMatrix.from_rows([[0, 2], [1, -1]])
@@ -806,7 +806,7 @@ def test_nonradical_literal_trace_comparison_would_fail():
     # check cannot be applied verbatim to weighted matrices
     f = PolySystem(["x"], [parse_poly("x^2-2*x+1", ["x"])])
     pts = ApproxRootSet(points=((1 + 0j,), (1 + 0j,)), accuracy="1e-8", coord_bound=2)
-    hp = build_nonradical(build_extended_hermite(pts, B1X))
+    hp = build_hermite(pts, B1X)
     out = certify_nonradical(f, parse_poly("1", ["x"]), hp)
     assert out.certified
     assert out.h1.entry(0, 0) == 1
@@ -820,7 +820,7 @@ def test_nonradical_literal_trace_comparison_would_fail():
 def test_nonradical_weighted_consistency_checks_guard_the_input():
     f = PolySystem(["x"], [parse_poly("x^3-3*x+2", ["x"])])
     pts = ApproxRootSet(points=((1 + 0j,), (1 + 0j,), (-2 + 0j,)), accuracy="1e-8", coord_bound=3)
-    hp = build_nonradical(build_extended_hermite(pts, MonomialBasis([(0,), (1,), (2,)])))
+    hp = build_hermite(pts, MonomialBasis([(0,), (1,), (2,)]))
     assert certify_nonradical(f, G_X, hp).certified
     # the same matrix claiming 4 points: H1[1,1] = 3 contradicts the count
     four = replace(hp, provenance=replace(hp.provenance, point_count=4))
@@ -843,7 +843,7 @@ def test_nonradical_signature_agreement_between_weighted_and_trace():
         f = PolySystem(["x"], [f_poly])
         pts = ApproxRootSet(points=tuple(points), accuracy="1e-12", coord_bound=5)
         basis = MonomialBasis([(d,) for d in range(k)])
-        hp = build_nonradical(build_extended_hermite(pts, basis))
+        hp = build_hermite(pts, basis)
         out = certify_nonradical(f, G_X, hp)
         assert out.certified, (out.reason, out.detail)
         assert signature(out.h1) == len(distinct)
@@ -944,7 +944,7 @@ def test_corpus_corner_entry_is_seen_only_by_the_rank_guard_on_the_nonradical_ro
     # H+[ext, ext] = H+[ext, B] H1^-1 H+[B, ext]
     f = PolySystem(["x"], [parse_poly("x^3-3*x+2", ["x"])])
     pts = ApproxRootSet(points=((1 + 0j,), (1 + 0j,), (-2 + 0j,)), accuracy="1e-8", coord_bound=3)
-    hp = build_nonradical(build_extended_hermite(pts, MonomialBasis([(0,), (1,), (2,)])))
+    hp = build_hermite(pts, MonomialBasis([(0,), (1,), (2,)]))
     rows = hp.matrix.to_rows()
     rows[2][2] += 1
     out = certify_nonradical(f, G_X, HermitePlus(RatMatrix.from_rows(rows), hp.labels, hp.provenance))

@@ -11,6 +11,7 @@ import pytest
 import hermicert._kernels as kernels
 import hermicert.certify
 import hermicert.cli
+import hermicert.hermite
 from hermicert.certify import SignatureMethodMismatchError
 from hermicert.cli import main
 
@@ -338,7 +339,7 @@ def test_pipeline_rejects_a_lone_ball_option_before_any_work(lone, files, capsys
 
         return stub
 
-    monkeypatch.setattr(hermicert.cli, "build_extended_hermite", refuse("build"))
+    monkeypatch.setattr(hermicert.cli, "build_hermite", refuse("build"))
     monkeypatch.setattr(hermicert.cli, "certify_pipeline", refuse("certify"))
     code, payload = run(capsys, "pipeline", "--system", files["sys"], "--roots", files["roots"], *lone)
     assert code == 1 and called == []
@@ -453,6 +454,46 @@ def test_ball_queries_take_the_nonradical_route(center, eps2, code, verdict, tmp
                  "--basis", basis, *query)
     assert (got, v["ball"]["verdict"], v["real_root_count"]) == (code, verdict, 2)
     assert v["hermite"]["kbar"] == 2
+
+
+def test_nonradical_rank_error_exits_2_from_build_and_pipeline(tmp_path, capsys):
+    # V(x, y^2 - y) with (0, 0) doubled, on {1, x, x^2}: x vanishes at every
+    # point, so rank H1 = 1, but the extension label y separates the roots
+    sys_path = write(tmp_path / "s.json", {"variables": ["x", "y"], "polynomials": ["x", "y^2-y"]})
+    points = [[["0", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]], [["0", "0"], ["1", "0"]]]
+    roots = write(tmp_path / "r.json", {"accuracy_E": "1e-8", "bound_M": "2", "points": points})
+    basis = write(tmp_path / "b.json", {"monomials": ["1", "x", "x^2"]})
+    for command in ("build", "pipeline"):
+        code, v = run(capsys, command, "--system", sys_path, "--roots", roots, "--basis", basis)
+        assert code == 2, command
+        assert v["error"] == {
+            "type": "NonRadicalRankError",
+            "message": "rank of the extended matrix exceeds the connected block size 1",
+        }
+
+
+@pytest.mark.parametrize(
+    "k, code",
+    [(3, 0), ("3", 0), (2.9, 1), (True, 1), (0, 1), (-3, 1), ("2.9", 1)],
+    ids=["int", "integer string", "float", "bool", "zero", "negative", "decimal string"],
+)
+def test_provenance_k_must_be_a_positive_integer(k, code, tmp_path, capsys):
+    # k picks the route: on the reduced x^3 - 3x + 2 matrix (kbar 2, k 3) a k
+    # read as 2 or 1 would send it down the radical route, to fail at step 6
+    sys_path = write(tmp_path / "s3.json", DOUBLE_ROOT)
+    roots = write(tmp_path / "r3.json", DOUBLE_ROOT_ROOTS)
+    basis = write(tmp_path / "b3.json", {"monomials": ["1", "x", "x^2"]})
+    herm = tmp_path / "h3.json"
+    assert main(["build", "--system", sys_path, "--roots", roots, "--basis", basis, "--out", str(herm)]) == 0
+    data = json.loads(herm.read_text(encoding="utf-8"))
+    data["provenance"]["k"] = k
+    write(herm, data)
+    got, v = run(capsys, "certify", "--system", sys_path, "--hermite", str(herm))
+    assert got == code, v
+    if code:
+        assert v["error"]["type"] == "ValueError"
+    else:
+        assert v["status"] == "certified"
 
 
 def _grid2_hermite(tmp_path):
@@ -753,7 +794,7 @@ def test_value_error_inside_construction_propagates_out_of_main(files, capsys, m
     def broken(*args):
         raise ValueError("fault inside construction")
 
-    monkeypatch.setattr(hermicert.cli, "build_extended_hermite", broken)
+    monkeypatch.setattr(hermicert.hermite, "build_extended_hermite", broken)
     with pytest.raises(ValueError, match="fault inside construction"):
         main(["build", "--system", files["sys"], "--roots", files["roots"]])
 

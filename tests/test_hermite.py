@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 
 from hermicert.hermite import (
     HermitePlus,
+    NoConnectedSelectionError,
     NonRadicalRankError,
     PowerSums,
     ReconstructionFailedError,
     approx_extended_hermite,
     build_extended_hermite,
-    build_nonradical,
+    build_hermite,
     reconstruct_hermite,
 )
 from hermicert.linalg import RatMatrix
@@ -245,8 +246,8 @@ def test_nonradical_double_root_plus_simple():
     pts = ApproxRootSet(
         points=((1 + 0j,), (1 + 0j,), (-2 + 0j,)), accuracy="1e-8", coord_bound=3
     )
-    hp = build_nonradical(build_extended_hermite(pts, MonomialBasis([(0,), (1,), (2,)])))
-    assert hp.base_size() == 2
+    hp = build_hermite(pts, MonomialBasis([(0,), (1,), (2,)]))
+    assert hp.base_size() == 2 and hp.reduced
     assert hp.labels.base.monomials == ((0,), (1,))
     assert hp.matrix == RatMatrix.from_rows([[3, 0, 6], [0, 6, -6], [6, -6, 18]])
     assert hp.provenance.point_count == 3
@@ -258,14 +259,14 @@ def test_nonradical_double_root_plus_simple():
 
 def test_nonradical_distinct_points_keep_everything():
     pts = ApproxRootSet(points=((1 + 0j,), (-2 + 0j,)), accuracy="1e-8", coord_bound=3)
-    hp = build_nonradical(build_extended_hermite(pts, B1X))
-    assert hp.base_size() == 2
+    hp = build_hermite(pts, B1X)
+    assert hp.base_size() == 2 and not hp.reduced
     assert hp.labels.base == B1X
 
 
 def test_nonradical_double_root_only():
     pts = ApproxRootSet(points=((1 + 0j,), (1 + 0j,)), accuracy="1e-8", coord_bound=2)
-    hp = build_nonradical(build_extended_hermite(pts, B1X))
+    hp = build_hermite(pts, B1X)
     assert hp.base_size() == 1
     assert hp.matrix.entry(0, 0) == 2
     assert hp.labels.extension == ((0,), (1,))
@@ -276,7 +277,7 @@ def test_nonradical_rejects_basis_size_mismatch():
         points=((1 + 0j,), (1 + 0j,), (-2 + 0j,)), accuracy="1e-8", coord_bound=3
     )
     with pytest.raises(ValueError):
-        build_nonradical(build_extended_hermite(pts, B1X))
+        build_hermite(pts, B1X)
 
 
 def test_nonradical_output_rank_contract():
@@ -285,7 +286,27 @@ def test_nonradical_output_rank_contract():
     pts = ApproxRootSet(
         points=((1 + 0j,), (1 + 0j,), (-2 + 0j,)), accuracy="1e-8", coord_bound=3
     )
-    hp = build_nonradical(build_extended_hermite(pts, MonomialBasis([(0,), (1,), (2,)])))
+    hp = build_hermite(pts, MonomialBasis([(0,), (1,), (2,)]))
     kbar = hp.base_size()
     h1 = hp.matrix.submatrix(range(kbar), range(kbar))
     assert rank(h1) == rank(hp.matrix) == kbar
+
+
+def test_nonradical_rank_of_h_plus_above_the_connected_block_is_rejected():
+    # V(x, y^2 - y) with (0, 0) doubled, on {1, x, x^2}: x vanishes at every
+    # point, so rank H1 = 1 and the scan keeps {1}, but the extension label y
+    # separates the two roots, so rank H+ = 2
+    pts = ApproxRootSet(points=((0j, 0j), (0j, 0j), (0j, 1 + 0j)), accuracy="1e-8", coord_bound=2)
+    with pytest.raises(NonRadicalRankError, match="exceeds the connected block size 1"):
+        build_hermite(pts, MonomialBasis([(0, 0), (1, 0), (2, 0)]))
+
+
+def test_nonradical_scan_falling_short_of_rank_h1_is_rejected():
+    # y = 1 at every point, so y joins no selection and xy, which separates
+    # the two roots, has no selected single-variable quotient: the scan of
+    # {1, y, xy} keeps {1} while rank H1 = 2
+    pts = ApproxRootSet(
+        points=((0j, 1 + 0j), (0j, 1 + 0j), (1 + 0j, 1 + 0j)), accuracy="1e-8", coord_bound=2
+    )
+    with pytest.raises(NoConnectedSelectionError, match="of size 2 found \\(got 1\\)"):
+        build_hermite(pts, MonomialBasis([(0, 0), (0, 1), (1, 1)]))

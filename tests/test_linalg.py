@@ -13,14 +13,13 @@ from hypothesis import strategies as st
 
 from hermicert.linalg import (
     Inertia,
-    NoConnectedSelectionError,
     NotSymmetricError,
     RatMatrix,
     SingularMatrixError,
+    _connected_scan,
     char_poly,
     inertia_ldl,
     inverse,
-    max_nonsingular_connected_submatrix,
     rank,
     signature_descartes,
     solve,
@@ -69,7 +68,7 @@ def test_rank_equals_rank_of_transpose():
             inverse,
             inertia_ldl,
             lambda a: solve(a, RatMatrix.identity(a.rows)),
-            lambda a: max_nonsingular_connected_submatrix(a, [(d,) for d in range(a.rows)]),
+            lambda a: _connected_scan(a, [(d,) for d in range(a.rows)]),
         ):
             with pytest.raises(NotSymmetricError):
                 op(m)
@@ -323,15 +322,13 @@ def test_cayley_hamilton():
 
 def test_connected_submatrix_examples():
     h = RatMatrix.from_rows([[3, 0, 6], [0, 6, -6], [6, -6, 18]])
-    sel = max_nonsingular_connected_submatrix(h, [(0,), (1,), (2,)])
-    assert sel.monomials == ((0,), (1,))
-    assert sel.matrix == RatMatrix.from_rows([[3, 0], [0, 6]])
-    full = max_nonsingular_connected_submatrix(RatMatrix.identity(3), [(0,), (1,), (2,)])
-    assert full.monomials == ((0,), (1,), (2,))
-    rank1 = max_nonsingular_connected_submatrix(
-        RatMatrix.from_rows([[5, 5], [5, 5]]), [(0,), (1,)]
-    )
-    assert rank1.monomials == ((0,),)
+    sel = _connected_scan(h, [(0,), (1,), (2,)])
+    assert sel.monomials == ((0,), (1,)) and sel.rank == 2
+    assert h.submatrix(sel.indices, sel.indices) == RatMatrix.from_rows([[3, 0], [0, 6]])
+    full = _connected_scan(RatMatrix.identity(3), [(0,), (1,), (2,)])
+    assert full.monomials == ((0,), (1,), (2,)) and full.rank == 3
+    rank1 = _connected_scan(RatMatrix.from_rows([[5, 5], [5, 5]]), [(0,), (1,)])
+    assert rank1.monomials == ((0,),) and rank1.rank == 1
 
 
 def test_connected_submatrix_rank_matches_on_weighted_power_sum_grams():
@@ -352,18 +349,18 @@ def test_connected_submatrix_rank_matches_on_weighted_power_sum_grams():
             for i in range(total)
         ]
         h = RatMatrix.from_rows(h_rows)
-        sel = max_nonsingular_connected_submatrix(h, [(d,) for d in range(total)])
-        assert len(sel.monomials) == rank(h) == m
-        assert rank(sel.matrix) == m
+        sel = _connected_scan(h, [(d,) for d in range(total)])
+        assert len(sel.monomials) == sel.rank == rank(h) == m
+        assert rank(h.submatrix(sel.indices, sel.indices)) == m
         assert sel.monomials == tuple((d,) for d in range(m))
 
 
 def test_connected_submatrix_failure_when_only_disconnected_subsets_work():
     # rank 1 but the only nonzero diagonal entry is on x^2, unreachable
-    # without x: the greedy connected scan must fail
+    # without x: the greedy connected scan must fall short of the rank
     h = RatMatrix.from_rows([[0, 0, 0], [0, 0, 0], [0, 0, 1]])
-    with pytest.raises(NoConnectedSelectionError):
-        max_nonsingular_connected_submatrix(h, [(0,), (1,), (2,)])
+    sel = _connected_scan(h, [(0,), (1,), (2,)])
+    assert (sel.indices, sel.rank) == ((), 1)
 
 
 def greedy_selection_reference(h, monomials):
@@ -414,14 +411,13 @@ def test_connected_submatrix_matches_per_trial_reference_on_weighted_grams():
             ]
         )
         expected = greedy_selection_reference(h, labels)
+        sel = _connected_scan(h, labels)
+        assert sel.rank == rank(h)
         if expected is None:
-            with pytest.raises(NoConnectedSelectionError):
-                max_nonsingular_connected_submatrix(h, labels)
+            assert len(sel.indices) < sel.rank
         else:
-            sel = max_nonsingular_connected_submatrix(h, labels)
             assert sel.indices == expected
             assert sel.monomials == tuple(labels[i] for i in expected)
-            assert sel.matrix == h.submatrix(expected, expected)
         seen.add((arity, min(weights) < 0, expected is None))
     assert {(1, False, False), (2, False, False), (1, True, False), (2, True, False)} <= seen
     assert any(raised for _, _, raised in seen)

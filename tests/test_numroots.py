@@ -142,14 +142,14 @@ def test_frobenius_perturbation_bound_on_samples():
 
 def test_select_basis_single_point():
     pts = ApproxRootSet(points=((0.25 + 0j,),), accuracy="1e-8", coord_bound=1)
-    assert select_basis(pts, ["x"]).monomials == ((0,),)
+    assert select_basis(pts).monomials == ((0,),)
 
 
 def test_select_basis_sqrt2():
     pts = ApproxRootSet(
         points=((SQRT2 + 0j,), (-SQRT2 + 0j,)), accuracy=Fraction(1, 10**10), coord_bound=2
     )
-    basis = select_basis(pts, ["x"])
+    basis = select_basis(pts)
     assert basis.monomials == ((0,), (1,))
     v = vandermonde(pts.points, basis.monomials)
     assert smallest_singular_value(v) > 2 * 1 * 1 * 1 * 1e-10
@@ -160,7 +160,7 @@ def test_select_basis_rejects_near_duplicates():
         points=((0.5 + 0j,), (0.5 + 1e-14 + 0j,)), accuracy="1e-6", coord_bound=1
     )
     with pytest.raises(NoWellConditionedBasisError):
-        select_basis(pts, ["x"])
+        select_basis(pts)
 
 
 def test_select_basis_rejects_rounding_level_sigma_min():
@@ -169,7 +169,7 @@ def test_select_basis_rejects_rounding_level_sigma_min():
     # build then fails on the non-radical route.
     grid = tuple((complex(a), complex(b)) for a in range(-2, 3) for b in range(-2, 3))
     pts = ApproxRootSet(points=grid, accuracy="1e-40", coord_bound=3)
-    basis = select_basis(pts, ["x", "y"])
+    basis = select_basis(pts)
     grlex = sorted(((i, j) for i in range(5) for j in range(5)), key=lambda m: (sum(m), -m[0]))
     assert basis.monomials == tuple(grlex)
 
@@ -182,7 +182,7 @@ def test_select_basis_output_is_connected():
         accuracy="1e-8",
         coord_bound=2,
     )
-    basis = select_basis(pts, ["x", "y", "l1"])
+    basis = select_basis(pts)
     assert is_connected_to_1(basis.monomials)
     assert len(basis) == 2
 

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hermicert.numroots import ApproxRootSet
 from hermicert.ratrecon import (
-    convergents,
+    _convergent_pairs,
     denominator_bound,
-    exact_fraction,
     rational_reconstruct,
     reconstruct_ints,
 )
@@ -74,24 +74,19 @@ def test_prop_integer_continued_fraction_matches_the_fraction_loop(num, den_bits
 
 
 def test_convergents_zero():
-    assert convergents(Fraction(0)) == [Fraction(0)]
+    assert list(_convergent_pairs(0, 1)) == [(0, 1)]
 
 
 def test_convergents_reproduce_exact_value():
-    cs = convergents(Fraction(355, 113))
-    assert cs[-1] == Fraction(355, 113)
+    cs = list(_convergent_pairs(355, 113))
+    assert cs[-1] == (355, 113)
 
 
 def test_convergents_include_one_third():
     alpha = Fraction(333333, 1000000)
-    cs = convergents(alpha)
-    assert Fraction(1, 3) in cs
+    cs = list(_convergent_pairs(alpha.numerator, alpha.denominator))
+    assert (1, 3) in cs
     assert brute_force_best(alpha, 10) == Fraction(1, 3)
-
-
-def test_convergents_rejects_negative():
-    with pytest.raises(ValueError):
-        convergents(Fraction(-1, 2))
 
 
 def test_reconstruct_exact_within_bound():
@@ -143,8 +138,11 @@ def test_reconstruct_recovers_under_bounded_perturbation(p, q, dn):
 @given(p=st.integers(min_value=0, max_value=10**6), q=st.integers(min_value=1, max_value=10**6))
 def test_convergent_denominators_increase_and_alternate(p, q):
     alpha = Fraction(p, q)
-    cs = convergents(alpha)
-    dens = [c.denominator for c in cs]
+    pairs = list(_convergent_pairs(p, q))
+    assert all(gcd(a, b) == 1 for a, b in pairs)
+    cs = [Fraction(a, b) for a, b in pairs]
+    assert cs[-1] == alpha
+    dens = [b for _, b in pairs]
     assert all(a < b for a, b in zip(dens[1:], dens[2:]))
     signs = [c - alpha for c in cs[:-1]]
     for a, b in zip(signs, signs[1:]):
@@ -186,7 +184,8 @@ def test_denominator_bound_validation():
 
 
 def test_exact_fraction_of_float_is_dyadic():
-    f = exact_fraction(0.1)
+    # a float accuracy is stored as the dyadic rational the double holds
+    f = ApproxRootSet(points=((0j,),), accuracy=0.1, coord_bound=1).accuracy
     assert f == Fraction(0.1)
     assert f != Fraction(1, 10)
     assert gcd(f.denominator, 2) == 2
