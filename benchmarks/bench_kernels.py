@@ -8,21 +8,34 @@ interpreter overhead dominates; the larger power-sum entries typical of
 extended Hermite matrices, where arbitrary-precision integer arithmetic
 dominates; the weighted matrices of a ball query on the 5x5 (k=25) and 7x7
 (k=49) grids, whose rational entries are where the signatures' cost lies;
-the H1 of the 5x5 grid alone (its inertia) and with its border columns, the
-one solve of certification step 2, which yields that inertia too; the
-product of that step's Schur-complement check, the border rows times the
-solution; and a zero-diagonal matrix, every pivot of which is a 2x2 block.
+the H1 of the 5x5 grid alone (its inertia and its characteristic
+polynomial: its odd moments vanish, so its non-zero pattern falls into
+four connected blocks, where the ball matrices are one) and with its border
+columns, the one solve of certification step 2, which yields that inertia
+too; the product of that step's Schur-complement check, the border rows
+times the solution; and a zero-diagonal matrix, every pivot of which is a
+2x2 block.
 Every matrix these kernels eliminate, and every characteristic polynomial,
 is symmetric.  Two construction rows time the exact power sums and their
 reconstruction (approx_extended_hermite + reconstruct_hermite) for the 5x5
 grid on the basis x^a y^b, a, b <= 4: from its exact integer points at
 E = 1e-40, and from points moved by up to 1e-14 per coordinate at E = 1e-13.
 
-Usage: python benchmarks/bench_kernels.py [--repeat N]
+Usage: python benchmarks/bench_kernels.py [--repeat N] [--paired PATH]
+
+Each row prints the best of N calls.  With --paired, PATH is a second
+kernels module (for example an older _kernels.py saved to a file): each of
+N rounds times one call of every kernel row through both modules, in
+alternating order within one process, and the row prints the median and
+the quartiles of the per-round ratio hermicert._kernels / PATH, so a ratio
+below 1 means hermicert._kernels is faster.  The construction rows do not
+call the kernels directly and are left out of the paired table.
 """
 
 import argparse
+import importlib.util
 import random
+import statistics
 import time
 from fractions import Fraction
 
@@ -160,6 +173,7 @@ def workloads(rng):
         ("charpoly 25x25 ball H_g", kernels.charpoly, (25, *ball)),
         ("eliminate 25x25 ball H_g", kernels.eliminate, (25, *ball)),
         ("eliminate 25x25 grid H1 (inertia)", kernels.eliminate, (25, *h1)),
+        ("charpoly 25x25 grid H1", kernels.charpoly, (25, *h1)),
         ("eliminate 25x25 grid H1 + 10 border", kernels.eliminate, (25, *h1, (10, *border))),
         ("mat_mul 10x25x10 grid Schur complement", kernels.mat_mul, (10, 25, 10, *border_rows, *y)),
         ("eliminate 12x12 2x2 pivots + 12 rhs", kernels.eliminate, (12, *blocks, (12, *b_identity(12)))),
@@ -170,18 +184,51 @@ def workloads(rng):
     ]
 
 
+def load_kernels(path):
+    spec = importlib.util.spec_from_file_location("paired_kernels", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def paired_ratios(func, other, args, rounds):
+    """Per-round time of func over other on the same arguments, one call of
+    each per round, the first of the two alternating between rounds."""
+    ratios = []
+    for r in range(rounds):
+        times = {}
+        for f in (func, other) if r % 2 else (other, func):
+            t0 = time.perf_counter()
+            f(*args)
+            times[f] = time.perf_counter() - t0
+        ratios.append(times[func] / times[other])
+    return ratios
+
+
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--repeat", type=int, default=20)
+    parser.add_argument("--paired", metavar="PATH", help="a second kernels module to compare with")
     args = parser.parse_args()
+    if args.paired and args.repeat < 2:
+        parser.error("--paired needs --repeat 2 or more for quartiles")
 
     rng = random.Random(2024)
-    header = f"{'workload':<42} {'best':>10}"
+    if args.paired:
+        other = load_kernels(args.paired)
+        header = f"{'workload':<42} {'median':>8} {'q1':>7} {'q3':>7}"
+    else:
+        header = f"{'workload':<42} {'best':>10}"
     print(header)
     print("-" * len(header))
     for label, func, call_args in workloads(rng):
-        best = bench(func, *call_args, repeat=args.repeat)
-        print(f"{label:<42} {best * 1e3:>8.3f}ms")
+        if not args.paired:
+            best = bench(func, *call_args, repeat=args.repeat)
+            print(f"{label:<42} {best * 1e3:>8.3f}ms")
+        elif func.__module__ == kernels.__name__:
+            ratios = paired_ratios(func, getattr(other, func.__name__), call_args, args.repeat)
+            q1, med, q3 = statistics.quantiles(ratios, n=4)
+            print(f"{label:<42} {med:>8.3f} {q1:>7.3f} {q3:>7.3f}")
 
 
 if __name__ == "__main__":

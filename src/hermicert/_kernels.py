@@ -7,8 +7,9 @@ Every kernel first scales its input to integers with _scaled (one lcm per
 matrix, or per row or column for the product) and then runs on plain ints:
 one fraction-free symmetric elimination, which gives every inertia and
 rank, solves and runs the connected scan; the characteristic polynomial
-of a symmetric matrix, division-free (Berkowitz); and the product as
-integer dot products.  A rational result is reduced once per entry.
+of a symmetric matrix, division-free (Berkowitz) on each connected block of
+its non-zero pattern; and the product as integer dot products.  A rational
+result is reduced once per entry.
 """
 
 from math import gcd, lcm
@@ -49,22 +50,29 @@ def integer_rows(k, nums, dens):
     return l, [flat[i * k : (i + 1) * k] for i in range(k)]
 
 
-def charpoly(k, nums, dens):
-    """Monic characteristic polynomial of a symmetric matrix by Berkowitz's
-    division-free algorithm.
+def _components(k, a):
+    """The connected components of the graph on 0..k-1 with an edge i - j
+    wherever a[i][j] != 0, each as a list of indices.
 
-    Returns descending coefficient pair lists ([1, c1, ..., ck] for
-    lambda^k + c1 lambda^(k-1) + ... + ck).  The recurrence runs on plain
-    ints (no gcd, no division) over the integer matrix B = L * A, and
-    c_i(A) = c_i(B) / L^i is reduced once per coefficient at the end.  B is
-    symmetric, so the row R of each step is S^T and
-    R A^j S = (A^floor(j/2) S) . (A^ceil(j/2) S) needs only half of the
-    matrix-vector products.  The caller checks the symmetry
-    (linalg.char_poly); the result for any other matrix is wrong.
-    """
-    if k == 0:
-        return [1], [1]
-    l, a = integer_rows(k, nums, dens)
+    a is symmetric, so row i lists every neighbour of i: one walk over the
+    rows, each read only at the indices not yet reached, O(k^2)."""
+    left = list(range(k))
+    comps = []
+    while left:
+        comp = [left.pop(0)]
+        for i in comp:  # grows as the walk reaches new indices
+            if not left:
+                break
+            row = a[i]
+            comp += [j for j in left if row[j]]
+            left = [j for j in left if not row[j]]
+        comps.append(comp)
+    return comps
+
+
+def _berkowitz(k, a):
+    """Integer coefficients [1, c1, ..., ck] of det(lambda I - A), A a
+    symmetric k x k integer matrix as rows, k >= 1 (Berkowitz 1984)."""
     # grow the trailing principal submatrix A_r = a[r:, r:] one row and
     # column at a time: with A_r = [[a_rr, S^T], [S, A_(r+1)]],
     # p_r = T p_(r+1) where T is lower-triangular Toeplitz with first column
@@ -85,6 +93,45 @@ def charpoly(k, nums, dens):
                 w.append(v)
             t.append(-sum(map(mul, w[h], w[j - h])))
         p = [sum(map(mul, t[i::-1], p)) for i in range(len(t))]
+    return p
+
+
+def charpoly(k, nums, dens):
+    """Monic characteristic polynomial of a symmetric matrix: Berkowitz's
+    division-free algorithm on each connected block of its non-zero pattern.
+
+    Returns descending coefficient pair lists ([1, c1, ..., ck] for
+    lambda^k + c1 lambda^(k-1) + ... + ck).  Everything runs on plain ints
+    (no gcd, no division) over the integer matrix B = L * A, and
+    c_i(A) = c_i(B) / L^i is reduced once per coefficient at the end.
+
+    The pattern of B is symmetric, so its rows give the graph with an edge
+    i - j wherever b_ij != 0 (_components).  Listing the indices component
+    by component is a permutation P with P^T B P = diag(B_1, ..., B_m), so
+    det(lambda I - B) = prod_i det(lambda I - B_i) exactly: the polynomial
+    of each principal block B_i (Berkowitz, on B itself when m = 1) and
+    their product, an integer convolution; a connected B is a product of
+    one polynomial.  A point set symmetric under x -> -x makes moment
+    matrices whose odd moments vanish, which split this way.
+    B_i is symmetric, so the row R of each Berkowitz step is S^T and
+    R A^j S = (A^floor(j/2) S) . (A^ceil(j/2) S) needs only half of the
+    matrix-vector products.  The caller checks the symmetry
+    (linalg.char_poly); the result for any other matrix is wrong.
+    """
+    if k == 0:
+        return [1], [1]
+    l, a = integer_rows(k, nums, dens)
+    polys = [
+        _berkowitz(len(c), a if len(c) == k else [[a[i][j] for j in c] for i in c])
+        for c in _components(k, a)
+    ]
+    p = polys.pop()
+    for q in polys:
+        prod = [0] * (len(p) + len(q) - 1)
+        for i, x in enumerate(p):
+            for j, y in enumerate(q):
+                prod[i + j] += x * y
+        p = prod
     cn, cd = [], []
     li = 1
     for c in p:

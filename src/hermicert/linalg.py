@@ -203,10 +203,12 @@ def char_poly(a: RatMatrix) -> list[Fraction]:
     coefficients; raises NotSymmetricError for any other matrix.
 
     Berkowitz's algorithm on the integer matrix L * A, L the lcm of the
-    denominators: division-free, O(k^4) integer operations and no gcd in
-    the loop; the i-th coefficient is divided by L^i once at the end.  The
-    symmetry halves the matrix-vector products.  The package needs it
-    only for signatures (signature_descartes).
+    denominators, run on each connected block of its non-zero pattern and
+    the block polynomials multiplied: division-free, O(sum k_i^4) integer
+    operations for blocks of sizes k_i (O(k^4) when the pattern is
+    connected) and no gcd in the loop; the i-th coefficient is divided by
+    L^i once at the end.  The symmetry halves the matrix-vector products.
+    The package needs it only for signatures (signature_descartes).
     """
     if not a.is_symmetric():
         raise NotSymmetricError("characteristic polynomial requires a symmetric matrix")

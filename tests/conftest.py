@@ -156,3 +156,12 @@ def wrong_signature_kernel(kernels, name: str):
         return [-c if i % 2 else c for i, c in enumerate(cn)], cd
 
     return "charpoly", wrong
+
+
+def split_components(kernels):
+    """(kernel attribute, faulty stand-in) for the component walk in front
+    of the characteristic polynomial: every index its own component, so
+    every off-diagonal coupling is dropped and the polynomial is that of
+    the diagonal ([[1, 2], [2, 1]] gives (lambda - 1)^2).  Install it with
+    setattr(kernels, *...)."""
+    return "_components", lambda k, a: [[i] for i in range(k)]

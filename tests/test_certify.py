@@ -49,6 +49,7 @@ from conftest import (
     exact_hermite_plus,
     matrix_trace,
     roots_as_qc,
+    split_components,
     univariate_from_roots,
     wrong_signature_kernel,
 )
@@ -1039,5 +1040,40 @@ raise SystemExit(1)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     proc = subprocess.run(
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+SPLIT_SCRIPT = """
+from fractions import Fraction
+import hermicert._kernels as kernels
+from conftest import split_components
+from hermicert.certify import SignatureMethodMismatchError, certify_pipeline
+from hermicert.hermite import build_extended_hermite
+from hermicert.numroots import ApproxRootSet
+from hermicert.polynomials import MonomialBasis, PolySystem, parse_poly
+# the roots -1 and 2: H1 = [[2, 1], [1, 5]] and H_x = [[1, 3], [3, 7]] are
+# connected; split, H1 keeps its signature 2 and H_x reads 2 instead of 0
+f = PolySystem(["x"], [parse_poly("x^2-x-2", ["x"])])
+pts = ApproxRootSet(points=((-1 + 0j,), (2 + 0j,)), accuracy=Fraction(1, 10**10), coord_bound=3)
+hplus = build_extended_hermite(pts, MonomialBasis([(0,), (1,)]))
+setattr(kernels, *split_components(kernels))
+try:
+    certify_pipeline(f, parse_poly("x", ["x"]), hplus)
+except SignatureMethodMismatchError:
+    raise SystemExit(0)
+raise SystemExit(1)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_a_component_split_that_drops_a_coupling_is_caught_by_the_cross_check(flags):
+    # the Descartes half stays checked against the elimination when the
+    # characteristic polynomial is taken block by block
+    here = Path(__file__).resolve().parent
+    path = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", SPLIT_SCRIPT], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr

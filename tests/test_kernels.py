@@ -333,7 +333,8 @@ def ldl_inertia_oracle(k, nums, dens, steps=None):
 
 def berkowitz_oracle(k, nums, dens):
     """Berkowitz's algorithm with every R A^j S formed as R (A^j S), for any
-    square matrix: an oracle independent of the kernel's symmetric split."""
+    square matrix, on the whole matrix: an oracle independent of the
+    kernel's symmetric split and of its split into connected blocks."""
     if k == 0:
         return [1], [1]
     l = 1
@@ -367,8 +368,35 @@ def symmetric_case(rng, k, kind):
     - "chained-blocks": the remainder after each of the first k // 2 - 1
       blocks has a zero diagonal again, so 2x2 blocks follow each other;
     - "negative-then-block": a negative 1x1 pivot leaves a zero diagonal,
-      so a 2x2 block is taken with d < 0 and |d| > 1."""
+      so a 2x2 block is taken with d < 0 and |d| > 1;
+    - "permuted-blocks": dense blocks of sizes 1 to 4, some of them zero,
+      under a random symmetric permutation, so the non-zero pattern has
+      several connected components, among them 1x1 blocks and zero rows;
+    - "sparse-chain": a path or an arrow through the indices in a random
+      order, diagonal entries zero or not, so the pattern is connected but
+      most pairs are linked only through others."""
     a = [[0] * k for _ in range(k)]
+    if kind == "permuted-blocks":
+        order = rng.sample(range(k), k)
+        s = 0
+        while s < k:
+            block = order[s : s + rng.randint(1, 4)]
+            zero = rng.random() < 0.2
+            for i in block:
+                for j in block:
+                    if i <= j:
+                        a[i][j] = a[j][i] = 0 if zero else rand_int(rng)
+            s += len(block)
+        return a
+    if kind == "sparse-chain":
+        order = rng.sample(range(k), k)
+        hub = rng.random() < 0.5  # an arrow: every index linked to the first
+        for t in range(1, k):
+            i, j = order[0 if hub else t - 1], order[t]
+            a[i][j] = a[j][i] = rand_int(rng)
+        for i in range(k):
+            a[i][i] = rand_int(rng) if rng.random() < 0.5 else 0
+        return a
     if kind == "low-rank":
         r = rng.randint(0, k)
         c = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(r)]
@@ -407,7 +435,8 @@ def as_pairs(k, rows, scale):
 
 
 SYMMETRIC_KINDS = (
-    "dense", "low-rank", "diagonal", "zero-diagonal", "chained-blocks", "negative-then-block"
+    "dense", "low-rank", "diagonal", "zero-diagonal", "chained-blocks", "negative-then-block",
+    "permuted-blocks", "sparse-chain",
 )
 
 
@@ -436,10 +465,41 @@ def test_inertia_matches_rational_ldl_oracle():
 
 def test_charpoly_matches_unsplit_berkowitz_oracle():
     rng = random.Random(2027)
+    split = False
     for trial in range(13 * len(SYMMETRIC_KINDS) * 2):
         k = trial % 13
         kind = SYMMETRIC_KINDS[trial // 13 % len(SYMMETRIC_KINDS)]
         scale = [rng.randint(1, 2**10) for _ in range(k)]
-        nums, dens = as_pairs(k, symmetric_case(rng, k, kind), scale)
+        rows = symmetric_case(rng, k, kind)
+        nums, dens = as_pairs(k, rows, scale)
         got = kernels.charpoly(k, nums, dens)
         assert got == berkowitz_oracle(k, nums, dens), (k, kind)
+        parts = len(kernels._components(k, rows))
+        if kind == "sparse-chain" and k:
+            assert parts == 1, rows
+        split |= kind == "permuted-blocks" and parts > 2 and any(not any(r) for r in rows)
+    assert split
+
+
+def grid_moment_matrix(weight):
+    """sum_p weight(p) b_i(p) b_j(p) over the 5x5 integer grid, b the
+    monomials x^a y^b with a, b <= 4, as k = 25 rows of Fractions."""
+    grid = [(x, y) for x in range(-2, 3) for y in range(-2, 3)]
+    basis = [(a, b) for a in range(5) for b in range(5)]
+    w = {p: Fraction(weight(*p)) for p in grid}
+    return [
+        [sum(w[x, y] * x ** (a + c) * y ** (b + d) for x, y in grid) for c, d in basis]
+        for a, b in basis
+    ]
+
+
+def test_grid_h1_splits_by_parity_and_a_ball_h_g_does_not():
+    # the odd moments of the symmetric grid vanish, so H1 falls into the four
+    # parity classes of (a, b); the linear terms of a ball weight with a
+    # non-dyadic center couple them again
+    h1 = grid_moment_matrix(lambda x, y: 1)
+    c = (Fraction(1, 3), Fraction(-2, 5))
+    hg = grid_moment_matrix(lambda x, y: (x - c[0]) ** 2 + (y - c[1]) ** 2 - Fraction(3, 7))
+    for rows, sizes in ((h1, [4, 6, 6, 9]), (hg, [25])):
+        _, b = kernels.integer_rows(25, *flat_pairs(rows))
+        assert sorted(map(len, kernels._components(25, b))) == sizes

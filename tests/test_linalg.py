@@ -282,6 +282,31 @@ def test_char_poly_matches_faddeev_leverrier_oracle():
             assert got == [expected.terms.get((k - i,), 0) for i in range(k + 1)], (k, eigen)
 
 
+def test_char_poly_is_invariant_under_a_symmetric_permutation_of_blocks():
+    # A is block diagonal (blocks of sizes 1 to 4, some zero, or one block
+    # linked as a path); P^T A P scatters the blocks, so the kernel meets
+    # the same connected components in other positions
+    rng = random.Random(47)
+    for trial in range(60):
+        k = trial % 10
+        rows = [[Fraction(0)] * k for _ in range(k)]
+        s = 0
+        while s < k:
+            size = k if trial % 3 == 0 else rng.randint(1, 4)
+            zero = rng.random() < 0.2
+            for i in range(s, min(s + size, k)):
+                for j in range(i, min(s + size, k)):
+                    chain = trial % 3 == 0 and j > i + 1  # a path: only neighbours linked
+                    f = Fraction(rng.randint(-9, 9), rng.randint(1, 2**6))
+                    rows[i][j] = rows[j][i] = 0 if zero or chain else f
+            s += size
+        perm = rng.sample(range(k), k)
+        permuted = [[rows[perm[i]][perm[j]] for j in range(k)] for i in range(k)]
+        expected = faddeev_leverrier(rows)
+        assert char_poly(RatMatrix.from_rows(rows)) == expected, (k, rows)
+        assert char_poly(RatMatrix.from_rows(permuted)) == expected, (k, perm)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=8))
 def test_signature_methods_agree(seed, k):
