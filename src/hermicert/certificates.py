@@ -1,7 +1,9 @@
 """Signature-based certificates: real-root counts, real roots in a ball,
 and non-negativity over a real variety.
 
-Each verdict rests on exact signatures of certified Hermite matrices and is
+Each verdict is read from a certified outcome: the caller builds the
+extended Hermite matrix (hermite.build_hermite) and this module certifies
+it and compares exact signatures; it constructs nothing.  A verdict is
 tri-state: "true", "false", or "fail" when certification could not go
 through.  A failed certification never turns into a verdict.
 """
@@ -13,10 +15,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from .certify import CertificationOutcome, certify_pipeline, derive_hg, signature
-from .hermite import HermitePlus, build_extended_hermite
+from .hermite import HermitePlus
 from .linalg import RatMatrix
-from .numroots import ApproxRootSet, select_basis
-from .polynomials import MonomialBasis, MultiPoly, PolySystem
+from .polynomials import MultiPoly, PolySystem
 
 
 def real_root_count(h1: RatMatrix) -> int:
@@ -155,63 +156,32 @@ class NonnegCertificate:
     verdict: str  # "true" | "false" | "fail"
     sigma_hg: int | None
     sigma_hg2: int | None
-    outcome: CertificationOutcome | None
+    outcome: CertificationOutcome
     lagrange: PolySystem
-    basis: MonomialBasis | None
     hg2: RatMatrix | None = None
-    reason: str | None = None
     assume_smooth_bounded: bool = False
 
 
-def certify_nonneg(
-    query: NonnegQuery,
-    roots: ApproxRootSet,
-    basis: MonomialBasis | None = None,
-) -> NonnegCertificate:
+def certify_nonneg(query: NonnegQuery, hplus: HermitePlus) -> NonnegCertificate:
     """Non-negativity of g over the real points of V(f).
 
-    The supplied roots must approximate all critical points of g on V(f),
-    i.e. the solutions of the Lagrange system; duplicates are rejected.  A
-    basis is selected from the points unless one is given, the extended
-    Hermite matrix is reconstructed and certified once, and both H_g and
-    H_(g^2) are derived from the certified data; the derivation cannot fail
-    (derive_hg).  Equal signatures prove g >= 0 on V(f) n R^n.  Basis
-    selection and reconstruction raise their construction errors; duplicate
-    points and a failed certification give a "fail" verdict.
+    hplus is the extended Hermite matrix built (hermite.build_hermite) from
+    approximations of all critical points of g on V(f), the roots of the
+    Lagrange system.  It is certified once against that system, and both
+    H_g and H_(g^2) are derived from the certified data; the derivation
+    cannot fail (derive_hg).  Repeated critical points take the non-radical
+    route, whose Hermite matrices are those of the radical: sigma(H_g) sums
+    sign g and sigma(H_(g^2)) counts the real critical points off g = 0, so
+    equal signatures prove g >= 0 on V(f) n R^n either way.  A failed
+    certification gives a "fail" verdict.
     """
     lag = lagrange_system(query.system, query.g)
-    n_ext = lag.arity()
-    s = len(query.system.polys)
-
-    def failed(reason: str, outcome=None, basis_=None) -> NonnegCertificate:
-        return NonnegCertificate(
-            "fail",
-            None,
-            None,
-            outcome,
-            lag,
-            basis_,
-            reason=reason,
-            assume_smooth_bounded=query.assume_smooth_bounded,
-        )
-
-    if roots.arity() != n_ext:
-        raise ValueError(
-            f"roots must live in C^{n_ext} (variety variables plus {s} multipliers)"
-        )
-    pts = roots.points
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if pts[i] == pts[j]:
-                return failed("duplicate_points")
-
-    if basis is None:
-        basis = select_basis(roots)
-    hplus = build_extended_hermite(roots, basis)
     g_ext = _embed(query.g, lag.variables)
     outcome = certify_pipeline(lag, g_ext, hplus)
     if not outcome.certified:
-        return failed(outcome.reason or "certification_failed", outcome, basis)
+        return NonnegCertificate(
+            "fail", None, None, outcome, lag, assume_smooth_bounded=query.assume_smooth_bounded
+        )
     hg2, s_g2 = derive_hg(outcome, g_ext * g_ext)
     return NonnegCertificate(
         "true" if outcome.sigma_hg == s_g2 else "false",
@@ -219,7 +189,6 @@ def certify_nonneg(
         s_g2,
         outcome,
         lag,
-        basis,
         hg2=hg2,
         assume_smooth_bounded=query.assume_smooth_bounded,
     )

@@ -178,7 +178,7 @@ def cmd_nonneg(args) -> tuple[int, dict]:
         roots = _load_roots(args.roots, variables)
         basis = _load_basis(args.basis, variables)
         _check_points(roots, basis)
-    cert = certify_nonneg(query, roots, basis=basis)
+    cert = certify_nonneg(query, build_hermite(roots, basis))
     payload = {
         "verdict": cert.verdict,
         "sigma_Hg": cert.sigma_hg,
@@ -186,14 +186,10 @@ def cmd_nonneg(args) -> tuple[int, dict]:
         "lagrange_system": jsonio.system_to_json(cert.lagrange),
         "bezout_bound": bezout_bound(system, g),
         "assume_smooth_bounded": cert.assume_smooth_bounded,
-        "certificate": (
-            jsonio.report_to_json(cert.outcome, cert.lagrange.variables)
-            if cert.outcome is not None
-            else {"status": "fail", "reason": cert.reason}
-        ),
+        "certificate": jsonio.report_to_json(cert.outcome, cert.lagrange.variables),
     }
-    if cert.verdict == "fail" and cert.reason:
-        payload["reason"] = cert.reason
+    if cert.verdict == "fail":
+        payload["reason"] = cert.outcome.reason
     return _verdict_exit(cert.verdict), payload
 
 
@@ -213,6 +209,8 @@ def cmd_refine(args) -> tuple[int, dict]:
         system = _load_system(args.system)
         if len(system.polys) != system.arity():
             raise ValueError("refine requires a square system")
+        if args.iters < 0:
+            raise ValueError("iters must be non-negative")
         roots = _load_roots(args.roots, system.variables)
     refined = []
     residuals = []
@@ -238,6 +236,8 @@ def cmd_filter_roots(args) -> tuple[int, dict]:
     with _input_boundary():
         if len(args.system) != 2 or len(args.roots) != 2:
             raise ValueError("filter-roots needs --system and --roots twice (list A, list B)")
+        if args.max_rounds < 0:
+            raise ValueError("max-rounds must be non-negative")
         system_a = _load_system(args.system[0])
         system_b = _load_system(args.system[1])
         roots_a = _load_roots(args.roots[0], system_a.variables)
@@ -347,7 +347,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", required=True)
     p.add_argument("--g", required=True)
     p.add_argument("--roots", required=True, help="approximate roots of the Lagrange system")
-    p.add_argument("--basis", help="basis JSON over the extended ring")
+    p.add_argument(
+        "--basis",
+        help="basis JSON over the extended ring; selected automatically when omitted, "
+        "required for repeated critical points",
+    )
     p.add_argument("--assume-smooth-bounded", action="store_true")
     common(p)
     p.set_defaults(func=cmd_nonneg)

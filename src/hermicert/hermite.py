@@ -11,13 +11,14 @@ accepted perturbation bound E*k*n*d*M^(d-1) is rigorous for the given
 points.  Success here is still heuristic; soundness comes entirely from the
 certify module.
 
-build_hermite is the one constructor the commands call, and the one place
-the route is decided.  It selects a basis when none is given, builds H+,
-and makes the one connected scan of H1: rank H1 = k keeps H+ (the radical
-route), and a lower rank reduces it to the scan's connected nonsingular
-block of H1 (build_nonradical), from which certification rebuilds the
-Hermite matrices of the radical.  HermitePlus.reduced tells the two routes
-apart afterwards.
+build_hermite is the one constructor of build, pipeline and nonneg (whose
+points are the roots of the Lagrange system), and the one place the route
+is decided.  It selects a basis when none is given (select_basis finds none
+for repeated points, so those need a given basis), builds H+, and makes the
+one connected scan of H1: rank H1 = k keeps H+ (the radical route), and a
+lower rank reduces it to the scan's connected nonsingular block of H1
+(build_nonradical), from which certification rebuilds the Hermite matrices
+of the radical.  HermitePlus.reduced tells the two routes apart afterwards.
 """
 
 from __future__ import annotations

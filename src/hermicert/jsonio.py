@@ -70,6 +70,9 @@ def system_to_json(system: PolySystem) -> dict:
 
 def system_from_json(data: dict) -> PolySystem:
     variables = data["variables"]
+    # a string would be read as one variable per character
+    if not (isinstance(variables, list) and variables and all(isinstance(v, str) for v in variables)):
+        raise ValueError("variables must be a non-empty list of strings")
     return PolySystem(variables, [parse_poly(s, variables) for s in data["polynomials"]])
 
 
@@ -159,6 +162,8 @@ def hermite_from_json(data: dict, variables: Sequence[str] | None = None) -> Her
     if data.get("labels") is not None and list(data["labels"]) != expected:
         raise ValueError("labels do not match the extension of the basis")
     prov_in = data.get("provenance", {})
+    if not isinstance(prov_in, dict) or not isinstance(prov_in.get("bounds", {}), dict):
+        raise TypeError("provenance and its bounds must be JSON objects")
     # k picks the certification route, so a float or a bool is refused, not
     # truncated to an int
     k = prov_in.get("k", len(basis))

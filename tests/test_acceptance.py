@@ -314,11 +314,12 @@ def test_criterion_8_nonnegativity_certificates():
         coord_bound=2,
     )
     res = certify_nonneg(
-        NonnegQuery(circle, parse_poly("x+2", ["x", "y"]), assume_smooth_bounded=True), crit
+        NonnegQuery(circle, parse_poly("x+2", ["x", "y"]), assume_smooth_bounded=True),
+        build_hermite(crit),
     )
     assert res.verdict == "true"
     assert res.sigma_hg == 2 and res.sigma_hg2 == 2
-    res2 = certify_nonneg(NonnegQuery(circle, parse_poly("x", ["x", "y"])), crit)
+    res2 = certify_nonneg(NonnegQuery(circle, parse_poly("x", ["x", "y"])), build_hermite(crit))
     assert res2.verdict == "false"
     assert res2.sigma_hg == 0 and res2.sigma_hg2 == 2
     _report(8, "non-negativity certificates", time.perf_counter() - start, 2.0)

@@ -15,9 +15,9 @@ from hermicert.certificates import (
     real_root_count,
 )
 from hermicert.certify import certify_pipeline
-from hermicert.hermite import build_extended_hermite
+from hermicert.hermite import build_extended_hermite, build_hermite
 from hermicert.linalg import NotSymmetricError, RatMatrix
-from hermicert.numroots import ApproxRootSet
+from hermicert.numroots import ApproxRootSet, NoWellConditionedBasisError
 from hermicert.polynomials import MonomialBasis, PolySystem, parse_poly
 
 from conftest import exact_hermite_plus, roots_as_qc
@@ -201,7 +201,7 @@ def test_ball_on_a_tampered_h1_raises_and_gives_no_verdict():
 
 def test_nonneg_true_for_shifted_coordinate():
     query = NonnegQuery(CIRCLE, parse_poly("x+2", ["x", "y"]), assume_smooth_bounded=True)
-    cert = certify_nonneg(query, circle_critical_roots())
+    cert = certify_nonneg(query, build_hermite(circle_critical_roots()))
     assert cert.verdict == "true"
     assert cert.sigma_hg == 2 and cert.sigma_hg2 == 2
     assert cert.outcome.hg == RatMatrix.from_rows([[4, 2], [2, 4]])
@@ -210,28 +210,57 @@ def test_nonneg_true_for_shifted_coordinate():
 
 def test_nonneg_false_for_plain_coordinate():
     query = NonnegQuery(CIRCLE, parse_poly("x", ["x", "y"]))
-    cert = certify_nonneg(query, circle_critical_roots())
+    cert = certify_nonneg(query, build_hermite(circle_critical_roots()))
     assert cert.verdict == "false"
     assert cert.sigma_hg == 0 and cert.sigma_hg2 == 2
 
 
-def test_nonneg_fails_on_duplicate_points():
-    dup = ApproxRootSet(
-        points=((1 + 0j, 0j, -0.5 + 0j), (1 + 0j, 0j, -0.5 + 0j)),
-        accuracy="1e-8",
-        coord_bound=2,
-    )
-    cert = certify_nonneg(NonnegQuery(CIRCLE, parse_poly("x+2", ["x", "y"])), dup)
-    assert cert.verdict == "fail" and cert.reason == "duplicate_points"
+# the critical points (+-1, 0, 0) of x^3 - 3x (and of x^3 - 3x + 2) on the
+# circle, each of multiplicity 3 in the Lagrange system: dim Q[x, y, l1]/I = 6
+TRIPLE_CRITICAL_ROOTS = ApproxRootSet(
+    points=((1 + 0j, 0j, 0j),) * 3 + ((-1 + 0j, 0j, 0j),) * 3,
+    accuracy="1e-10",
+    coord_bound=2,
+)
+# 1, x, y, l1, x*y, x*l1
+TRIPLE_BASIS = MonomialBasis(
+    [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1)]
+)
+
+
+def test_nonneg_repeated_critical_points_need_a_given_basis():
+    with pytest.raises(NoWellConditionedBasisError):
+        build_hermite(TRIPLE_CRITICAL_ROOTS)
+    hplus = build_hermite(TRIPLE_CRITICAL_ROOTS, TRIPLE_BASIS)
+    assert hplus.reduced and hplus.base_size() == 2
+
+
+@pytest.mark.parametrize(
+    "g, verdict, sigmas",
+    [
+        # g(1) = -2 and g(-1) = 2
+        ("x^3-3*x", "false", (0, 2)),
+        # (x - 1)^2 (x + 2): g(1) = 0 and g(-1) = 4
+        ("x^3-3*x+2", "true", (1, 1)),
+    ],
+)
+def test_nonneg_repeated_critical_points_certify_through_the_radical(g, verdict, sigmas):
+    # on the radical, sigma(H_g) sums sign g and sigma(H_(g^2)) counts the
+    # real critical points off g = 0
+    hplus = build_hermite(TRIPLE_CRITICAL_ROOTS, TRIPLE_BASIS)
+    cert = certify_nonneg(NonnegQuery(CIRCLE, parse_poly(g, ["x", "y"])), hplus)
+    assert cert.verdict == verdict
+    assert (cert.sigma_hg, cert.sigma_hg2) == sigmas
+    assert cert.outcome.weighted_h1 == RatMatrix.from_rows([[6, 0], [0, 6]])
 
 
 def test_nonneg_constant_shift_stays_true():
     # L depends on f and grad g only, so g and g + 1 share critical points
     base = certify_nonneg(
-        NonnegQuery(CIRCLE, parse_poly("x+2", ["x", "y"])), circle_critical_roots()
+        NonnegQuery(CIRCLE, parse_poly("x+2", ["x", "y"])), build_hermite(circle_critical_roots())
     )
     shifted = certify_nonneg(
-        NonnegQuery(CIRCLE, parse_poly("x+3", ["x", "y"])), circle_critical_roots()
+        NonnegQuery(CIRCLE, parse_poly("x+3", ["x", "y"])), build_hermite(circle_critical_roots())
     )
     assert base.verdict == "true" and shifted.verdict == "true"
 
@@ -251,6 +280,6 @@ def test_nonneg_tri_state_on_bad_roots():
         accuracy="1e-8",
         coord_bound=6,
     )
-    cert = certify_nonneg(NonnegQuery(CIRCLE, parse_poly("x+2", ["x", "y"])), bogus)
+    cert = certify_nonneg(NonnegQuery(CIRCLE, parse_poly("x+2", ["x", "y"])), build_hermite(bogus))
     assert cert.verdict == "fail"
     assert cert.sigma_hg is None and cert.sigma_hg2 is None

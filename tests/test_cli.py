@@ -693,11 +693,11 @@ def test_cube_roots_of_unity_certify_through_a_2x2_pivot(tmp_path, capsys, monke
 
 # eliminations per run of the grid-ball, nonradical and nonneg-lagrange
 # shapes (5, 9 and 4 before the route scan and step 2 gave their ranks and
-# inertias): pipeline's route scan of H1, step 2's solve of H1, step 4's
-# trace matrix and rank H+ on the non-radical route, and one inertia per
-# signature of a matrix not eliminated before
+# inertias): the route scan of H1 in build_hermite (pipeline and nonneg),
+# step 2's solve of H1, step 4's trace matrix and rank H+ on the non-radical
+# route, and one inertia per signature of a matrix not eliminated before
 @pytest.mark.parametrize(
-    "name, most", [("pipeline-ball", 4), ("pipeline-nonradical", 6), ("nonneg", 3)]
+    "name, most", [("pipeline-ball", 4), ("pipeline-nonradical", 6), ("nonneg", 4)]
 )
 def test_eliminations_per_run(name, most, tmp_path, monkeypatch):
     make_argv, exit_code, _ = PINNED_OUTPUTS[name]
@@ -738,6 +738,8 @@ def test_each_run_builds_one_normal_form_table(name, tmp_path, monkeypatch):
         ("0.01", [["1", "-0.5"], ["-1", "0.5"]], "ReconstructionFailedError"),
         # two nearly coincident critical points leave no well-conditioned basis
         ("1e-8", [["1", "-0.5"], ["1.000000000001", "-0.5"]], "NoWellConditionedBasisError"),
+        # nor do repeated ones, which need a given basis
+        ("1e-10", [["1", "0"]] * 3 + [["-1", "0"]] * 3, "NoWellConditionedBasisError"),
     ],
 )
 def test_nonneg_construction_failure_exits_2(accuracy, points, error, tmp_path, capsys):
@@ -752,6 +754,31 @@ def test_nonneg_construction_failure_exits_2(accuracy, points, error, tmp_path, 
     )
     code, v = run(capsys, "nonneg", "--system", circle, "--g", "x+2", "--roots", lroots)
     assert code == 2 and v["error"]["type"] == error
+
+
+@pytest.mark.parametrize(
+    "g, code, verdict, sigmas",
+    [
+        # g(1) = -2 and g(-1) = 2
+        ("x^3-3*x", 4, "false", (0, 2)),
+        # (x - 1)^2 (x + 2): g(1) = 0 and g(-1) = 4
+        ("x^3-3*x+2", 0, "true", (1, 1)),
+    ],
+)
+def test_nonneg_repeated_critical_points_certify_through_the_radical(
+    g, code, verdict, sigmas, tmp_path, capsys
+):
+    # the critical points (+-1, 0, 0) of both g on the circle, each of
+    # multiplicity 3 in the Lagrange system: dim Q[x, y, l1]/I = 6
+    circle = write(tmp_path / "circle.json", CIRCLE)
+    points = [[["1", "0"], ["0", "0"], ["0", "0"]]] * 3 + [[["-1", "0"], ["0", "0"], ["0", "0"]]] * 3
+    lroots = write(tmp_path / "lroots.json", {"accuracy_E": "1e-10", "bound_M": "2", "points": points})
+    basis = write(tmp_path / "lbasis.json", {"monomials": ["1", "x", "y", "l1", "x*y", "x*l1"]})
+    got, v = run(capsys, "nonneg", "--system", circle, "--g", g, "--roots", lroots, "--basis", basis)
+    assert (got, v["verdict"]) == (code, verdict)
+    assert (v["sigma_Hg"], v["sigma_Hg2"]) == sigmas
+    assert v["certificate"]["basis"] == ["1", "x"]
+    assert v["certificate"]["weighted_H1"]["entries"] == [["6", "0"], ["0", "6"]]
 
 
 @pytest.mark.parametrize("kernel", ["inertia", "charpoly"])
@@ -803,6 +830,12 @@ def bad_input_files(files):
     tmp = files["tmp"]
     herm = str(tmp / "herm.json")
     assert main(["build", "--system", files["sys"], "--roots", files["roots"], "--out", herm]) == 0
+    herm_data = json.loads(Path(herm).read_text(encoding="utf-8"))
+    roots_data = json.loads(Path(files["roots"]).read_text(encoding="utf-8"))
+
+    def herm_with(name, provenance):
+        return write(tmp / f"{name}.json", {**herm_data, "provenance": provenance})
+
     return {
         **files,
         "herm": herm,
@@ -814,6 +847,17 @@ def bad_input_files(files):
         "sys_zero": write(tmp / "sys_zero.json", {"variables": ["x"], "polynomials": ["1/0*x^2-2"]}),
         "sys_int": write(tmp / "sys_int.json", {"variables": ["x"], "polynomials": [5]}),
         "points_int": write(tmp / "points_int.json", {"accuracy_E": "1e-10", "bound_M": "2", "points": 5}),
+        "sys_novars": write(tmp / "sys_novars.json", {"variables": [], "polynomials": ["2"]}),
+        "nullary": write(tmp / "nullary.json", {"accuracy_E": "1e-10", "bound_M": "2", "points": [[], []]}),
+        "sys_varstr": write(tmp / "sys_varstr.json", {"variables": "xy", "polynomials": ["x^2-2", "y"]}),
+        "roots_xy": write(
+            tmp / "roots_xy.json",
+            {**roots_data, "points": [[p[0], ["0", "0"]] for p in roots_data["points"]]},
+        ),
+        "roots_radii": write(tmp / "roots_radii.json", {**roots_data, "radii": ["1e-8", "1e-8"]}),
+        "herm_prov_int": herm_with("herm_prov_int", 5),
+        "herm_prov_list": herm_with("herm_prov_list", []),
+        "herm_bounds_int": herm_with("herm_bounds_int", {**herm_data["provenance"], "bounds": 5}),
     }
 
 
@@ -832,6 +876,11 @@ BAD_INPUTS = {
     "no radii": "filter-roots --system {sys} --roots {roots} --system {sys} --roots {roots}",
     "zero bound": "reconstruct-rational 1/3 0",
     "multiplier name clash": "nonneg --system {sys_l1} --g l1 --roots {roots}",
+    "no variables": "build --system {sys_novars} --roots {nullary}",
+    "pipeline with no variables": "pipeline --system {sys_novars} --roots {nullary}",
+    "variables that are no list": "build --system {sys_varstr} --roots {roots_xy}",
+    "negative iterations": "refine --system {sys} --roots {roots} --iters -3",
+    "negative rounds": "filter-roots --system {sys} --roots {roots_radii} --system {sys} --roots {roots_radii} --max-rounds -1",
 }
 
 
@@ -857,6 +906,9 @@ BAD_VALUES = {
     "polynomial with a zero denominator": ("build --system {sys_zero} --roots {roots}", "ZeroDivisionError"),
     "points that are no list": ("build --system {sys} --roots {points_int}", "TypeError"),
     "polynomial that is no string": ("build --system {sys_int} --roots {roots}", "TypeError"),
+    "provenance that is no object": ("certify --system {sys} --hermite {herm_prov_int}", "TypeError"),
+    "provenance that is a list": ("ball --system {sys} --hermite {herm_prov_list} --center 1 --eps2 1", "TypeError"),
+    "bounds that are no object": ("count-real --system {sys} --hermite {herm_bounds_int}", "TypeError"),
 }
 
 
