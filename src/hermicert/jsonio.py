@@ -70,10 +70,15 @@ def system_to_json(system: PolySystem) -> dict:
 
 def system_from_json(data: dict) -> PolySystem:
     variables = data["variables"]
-    # a string would be read as one variable per character
+    polynomials = data["polynomials"]
+    # a string would be read as one variable, or one polynomial, per character
     if not (isinstance(variables, list) and variables and all(isinstance(v, str) for v in variables)):
         raise ValueError("variables must be a non-empty list of strings")
-    return PolySystem(variables, [parse_poly(s, variables) for s in data["polynomials"]])
+    if len(set(variables)) != len(variables):
+        raise ValueError("variables must be distinct")
+    if not (isinstance(polynomials, list) and all(isinstance(p, str) for p in polynomials)):
+        raise TypeError("polynomials must be a list of strings")
+    return PolySystem(variables, [parse_poly(p, variables) for p in polynomials])
 
 
 # -- root sets ------------------------------------------------------------

@@ -1,6 +1,10 @@
 """Floating-point frontend: Newton refinement, root-list filtering,
 Vandermonde conditioning and well-conditioned basis selection.
 
+Basis selection runs in pure Python; numpy is imported only by Newton
+refinement (refine, filter-roots), inside newton_refine, so that the
+commands which never refine do not pay for importing it.
+
 Nothing here is certified by itself; every float that matters is later
 re-derived or verified in exact arithmetic by the construction and
 certification stages.
@@ -10,14 +14,15 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from itertools import repeat
+from operator import mul, neg, sub
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .polynomials import Monomial, MonomialBasis, PolySystem, iter_monomials
 
-# numpy is imported inside the functions that use it, so that commands which
-# never refine or select a basis do not pay for importing it.
 if TYPE_CHECKING:
     import numpy as np
 
@@ -39,6 +44,8 @@ class NoWellConditionedBasisError(RuntimeError):
 COND_LIMIT = 1e12
 _MAX_HALVINGS = 8
 _MAX_GROWTH = 3
+_EPS = sys.float_info.epsilon
+_INVERSE_ITERATIONS = 100
 
 
 @dataclass(frozen=True)
@@ -216,29 +223,123 @@ def match_and_filter(
     return FilterResult(tuple(kept), inconclusive)
 
 
-def vandermonde(points: Sequence[Point], monomials: Sequence[Monomial]) -> np.ndarray:
-    """Complex matrix with rows indexing points, columns indexing monomials,
-    entries z_i^alpha_j."""
-    import numpy as np
-
-    arity = len(points[0]) if points else 0
-    z = np.array(points, dtype=complex).reshape(len(points), arity)
-    exps = np.array(monomials, dtype=int).reshape(len(monomials), arity)
-    return (z[:, None, :] ** exps[None, :, :]).prod(axis=2)
+def vandermonde(points: Sequence[Point], monomials: Sequence[Monomial]) -> list[list[complex]]:
+    """Rows indexing points, columns indexing monomials, entries z_i^alpha_j."""
+    return [[math.prod(z**e for z, e in zip(p, mono)) for mono in monomials] for p in points]
 
 
-def smallest_singular_value(v: np.ndarray) -> float:
-    """The min(rows, cols)-th singular value by LAPACK; 0.0 without columns.
+class _GramSchmidt:
+    """Orthonormal columns q_1..q_m in C^size, grown one at a time.
 
-    LAPACK's SVD is backward stable, so the value is accurate to about
-    eps * ||V|| in absolute terms (eps the machine epsilon), not relative
-    to sigma_min itself.  select_basis never trusts a value below that level.
+    They are kept twice: conjugated, for the projections Q^H c, and as rows,
+    for the products Q r, so that every inner loop is one C-level
+    sum(map(mul, ...)).  A real column stays a list of floats.
     """
-    import numpy as np
 
-    if v.shape[1] == 0:
+    __slots__ = ("conj_columns", "rows")
+
+    def __init__(self, size: int):
+        self.conj_columns: list[list] = []
+        self.rows: list[list] = [[] for _ in range(size)]
+
+    def project_out(self, c: list) -> tuple[list, list]:
+        """(r, w) with c = Q r + w and w orthogonal to Q, by classical
+        Gram-Schmidt run twice; twice keeps w orthogonal to Q to working
+        precision (Giraud, Langou & Rozloznik 2005)."""
+        # Each pass subtracts in the sum that forms Q s, starting it at -c: it
+        # returns the residual with its sign flipped, which the next pass
+        # flips back.
+        r = _dots(self.conj_columns, c)
+        u = _dots(self.rows, r, map(neg, c))  # Q r - c
+        s = _dots(self.conj_columns, u)  # minus the correction to r
+        return list(map(sub, r, s)), _dots(self.rows, s, map(neg, u))
+
+    def append(self, w: list, rho: float) -> None:
+        """Add the column w / rho, where rho = ||w||."""
+        q = [wi / rho for wi in w]
+        self.conj_columns.append([z.conjugate() for z in q] if isinstance(q[0], complex) else q)
+        for row, qi in zip(self.rows, q):
+            row.append(qi)
+
+
+def _dots(vectors: Iterable, x: list, starts: Iterable | None = None) -> list:
+    """[sum(map(mul, v, x), start) for v, start in zip(vectors, starts)],
+    the starts 0.0 by default, with the loop over vectors at C level too."""
+    products = map(map, repeat(mul), vectors, repeat(x))
+    return list(map(sum, products, repeat(0.0) if starts is None else starts))
+
+
+def _norm(v: Sequence[complex]) -> float:
+    return math.hypot(*map(abs, v))
+
+
+def _triangular_sigma_min(columns: list[list]) -> float:
+    """sigma_min of the upper triangular R with the given columns (column j
+    holds rows 0..j), as 1/||R^-1||_2 by inverse iteration on R^H R.
+
+    The start solves R^H y = x with x_j = +-1 chosen to make each y_j large
+    (the LINPACK condition estimator); each step then solves R z = y and
+    R^H y = z/||z||.  ||y|| is a Rayleigh-quotient lower bound on ||R^-1||
+    that does not decrease, and the iteration stops when it stops growing.
+    """
+    m = len(columns)
+    conj = [[z.conjugate() for z in col] for col in columns]
+    rows = [[columns[j][i] for j in range(i, m)] for i in range(m)]
+
+    def forward(x):  # R^H y = x, with x chosen on the fly when x is None
+        y: list = []
+        for j, col in enumerate(conj):
+            s = sum(map(mul, col, y))
+            xj = (-s / abs(s) if s else 1.0) if x is None else x[j]
+            y.append((xj - s) / col[j])
+        return y
+
+    def back(y):  # R z = y
+        z = [0.0] * m
+        for i in range(m - 1, -1, -1):
+            row = rows[i]
+            z[i] = (y[i] - sum(map(mul, row[1:], z[i + 1 :]))) / row[0]
+        return z
+
+    y = forward(None)
+    estimate = _norm(y) / math.sqrt(m)
+    for _ in range(_INVERSE_ITERATIONS):
+        z = back(y)
+        z_norm = _norm(z)
+        y = forward([zi / z_norm for zi in z])
+        grown = _norm(y)
+        if grown <= estimate * (1 + 4 * _EPS):
+            break
+        estimate = grown
+    return 1 / estimate
+
+
+def smallest_singular_value(v: Sequence[Sequence[complex]]) -> float:
+    """The min(rows, cols)-th singular value of the matrix with rows v; 0.0
+    without rows or columns.
+
+    The columns of v (of its conjugate transpose when v is wide) are
+    factored V = QR by classical Gram-Schmidt run twice, whose Q is
+    orthonormal to working precision, so sigma_min(R) equals sigma_min(V)
+    up to about eps * ||V|| (eps the machine epsilon), the accuracy of a
+    backward-stable SVD: absolute, not relative to sigma_min itself.
+    select_basis never trusts a value below that level.
+    """
+    columns = [list(c) for c in zip(*v)]
+    if len(columns) > len(v):
+        columns = [[z.conjugate() for z in row] for row in v]
+    if not columns or not columns[0]:
         return 0.0
-    return float(np.linalg.svd(v, compute_uv=False)[-1])
+    gs = _GramSchmidt(len(columns[0]))
+    r_columns = []
+    for c in columns:
+        r, w = gs.project_out(c)
+        rho = _norm(w)
+        if rho == 0:
+            return 0.0
+        gs.append(w, rho)
+        r_columns.append(r + [rho])
+    return _triangular_sigma_min(r_columns)
 
 
 def select_basis(points: ApproxRootSet) -> MonomialBasis:
@@ -247,42 +348,80 @@ def select_basis(points: ApproxRootSet) -> MonomialBasis:
     Monomials are scanned in graded-lex order; a candidate needs all of its
     single-variable divisors already selected (so the result is an order
     ideal, in particular connected to 1) and must keep sigma_min of the
-    trial Vandermonde V above both k*n*d*M^(d-1)*E, where d is the maximal
-    degree selected so far, and the rounding floor max(rows, cols)*eps*||V||_F
-    (numpy's matrix_rank tolerance, with the Frobenius norm standing in for
-    sigma_max).  Below the floor a computed sigma_min is indistinguishable
-    from rounding error, however small E is.  Any order ideal of size k has
-    degree <= k-1, which bounds the scan.
-    """
-    import numpy as np
+    trial Vandermonde V above t = max(k*n*d*M^(d-1)*E, k*eps*||V||_F),
+    where d is the candidate's degree, the trial's largest as the scan is
+    graded.  The second term is the
+    rounding floor max(rows, cols)*eps*||V||_F (numpy's matrix_rank
+    tolerance, with the Frobenius norm standing in for sigma_max): below it
+    a computed sigma_min is indistinguishable from rounding error, however
+    small E is.  Any order ideal of size k has degree <= k-1, which bounds
+    the scan.
 
+    V = QR is factored incrementally: a candidate's column is its divisor's
+    column times one coordinate, and classical Gram-Schmidt run twice splits
+    it into R's new column r and a residual of norm rho.  Q stays
+    orthonormal to working precision, so sigma_min(V) = sigma_min(R) up to
+    the rounding floor.  The candidate is rejected when rho <= t (sigma_min
+    <= rho, R's last diagonal entry) and accepted when 1/||R^-1||_F > t
+    (sigma_min >= 1/||R^-1||_F; R^-1 gains one bordered column per accepted
+    monomial).  Only between the two bounds is sigma_min(R) computed
+    (smallest_singular_value).  A coordinate whose imaginary parts all
+    vanish enters as floats: the same arithmetic on a cheaper number type.
+    """
     k = len(points)
     if k < 1:
         raise ValueError("need at least one point")
     n = points.arity()
     e_val = float(points.accuracy)
     m_val = float(points.coord_bound)
+    coords = []
+    for s in range(n):
+        zs = [p[s] for p in points.points]
+        coords.append(zs if any(z.imag for z in zs) else [z.real for z in zs])
+    gs = _GramSchmidt(k)
+    columns: dict[Monomial, list] = {}  # the Vandermonde column of each chosen monomial
+    r_columns: list[list] = []  # R, column j holding rows 0..j
+    r_inv_rows: list[list] = []  # R^-1, row i holding columns i..m-1
+    r_inv_frob2 = 0.0  # ||R^-1||_F^2
+    frob2 = 0.0  # ||V||_F^2 over the chosen columns
     chosen: list[Monomial] = []
-    chosen_set: set[Monomial] = set()
     for mono in iter_monomials(n, k - 1):
         if len(chosen) == k:
             break
-        if sum(mono) > 0:
-            divisors_ok = all(
-                mono[:i] + (e - 1,) + mono[i + 1 :] in chosen_set
-                for i, e in enumerate(mono)
-                if e
-            )
-            if not divisors_ok:
+        d = sum(mono)
+        if d > 0:
+            divisors = [(i, mono[:i] + (e - 1,) + mono[i + 1 :]) for i, e in enumerate(mono) if e]
+            if not all(dv in columns for _, dv in divisors):
                 continue
-        trial = chosen + [mono]
-        d = max(sum(m) for m in trial)
-        v = vandermonde(points.points, trial)
-        floor = max(v.shape) * np.finfo(float).eps * np.linalg.norm(v)
-        threshold = max(k * n * d * m_val ** (d - 1) * e_val, floor)
-        if smallest_singular_value(v) > threshold:
-            chosen.append(mono)
-            chosen_set.add(mono)
+            var, divisor = divisors[0]
+            c = list(map(mul, columns[divisor], coords[var]))
+        else:
+            c = [1.0] * k
+        c_norm = _norm(c)
+        frob = math.sqrt(frob2 + c_norm * c_norm)
+        threshold = max(k * n * d * m_val ** (d - 1) * e_val, k * _EPS * frob)
+        r, w = gs.project_out(c)
+        rho = _norm(w)
+        if rho <= threshold:
+            continue
+        # R^-1 r; the reversed row i and the reversed r pair up columns m-1..i
+        y = _dots(map(reversed, r_inv_rows), r[::-1])
+        y_norm = _norm(y)
+        trial_inv_frob2 = r_inv_frob2 + (y_norm * y_norm + 1) / (rho * rho)
+        if 1 / math.sqrt(trial_inv_frob2) <= threshold:
+            trial = r_columns + [r + [rho]]
+            rows = [[col[i] if i < len(col) else 0.0 for col in trial] for i in range(len(trial))]
+            if smallest_singular_value(rows) <= threshold:
+                continue
+        chosen.append(mono)
+        columns[mono] = c
+        frob2 += c_norm * c_norm
+        gs.append(w, rho)
+        r_columns.append(r + [rho])
+        for row, yi in zip(r_inv_rows, y):
+            row.append(-yi / rho)
+        r_inv_rows.append([1 / rho])
+        r_inv_frob2 = trial_inv_frob2
     if len(chosen) != k:
         raise NoWellConditionedBasisError(
             f"no well-conditioned connected basis of size {k} (accuracy too large "

@@ -383,14 +383,50 @@ def test_outputs_are_byte_identical_across_runs(files, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_cli_import_does_not_load_numpy():
-    # numpy is needed only by Newton refinement and basis selection, so it is
-    # imported there; commands such as nonradical never pay for it
+# Runs build, pipeline (the README example on x^2 - 2) and nonneg (g = x on
+# x^2 + y^2 - 1) through cli.main in the directory given as argv[1], then
+# exits 0 when numpy was never imported.
+NO_NUMPY_SCRIPT = """
+import json, os, sys
+from hermicert.cli import main
+os.chdir(sys.argv[1])
+def write(name, doc):
+    with open(name, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+write("sys.json", {"variables": ["x"], "polynomials": ["x^2-2"]})
+write("roots.json", {"accuracy_E": "1e-10", "bound_M": "2",
+                     "points": [[["1.4142135623730951", "0"]], [["-1.4142135623730951", "0"]]]})
+write("circle.json", {"variables": ["x", "y"], "polynomials": ["x^2+y^2-1"]})
+write("lroots.json", {"accuracy_E": "1e-8", "bound_M": "2",
+                      "points": [[["1", "0"], ["0", "0"], ["-0.5", "0"]],
+                                 [["-1", "0"], ["0", "0"], ["0.5", "0"]]]})
+codes = [
+    main(["build", "--system", "sys.json", "--roots", "roots.json", "--out", "herm.json"]),
+    main(["pipeline", "--system", "sys.json", "--roots", "roots.json",
+          "--center", "7/5", "--eps2", "1/100", "--out", "pipe.json"]),
+    main(["nonneg", "--system", "circle.json", "--g", "x", "--roots", "lroots.json",
+          "--out", "nonneg.json"]),
+]
+if codes != [0, 0, 4]:
+    sys.exit(f"exit codes {codes}")
+sys.exit("numpy" in sys.modules)
+"""
+
+
+def test_cli_import_does_not_load_numpy(tmp_path):
+    # numpy is needed only by Newton refinement (refine, filter-roots), so it
+    # is imported there; importing the CLI and running build, pipeline or
+    # nonneg never pay for it
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     script = "import sys, hermicert.cli; sys.exit('numpy' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr or "numpy was imported"
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_SCRIPT, str(tmp_path)], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr or "numpy was imported"
+    assert json.loads((tmp_path / "pipe.json").read_text(encoding="utf-8"))["ball"]["verdict"] == "true"
 
 
 GRID2 = {"variables": ["x", "y"], "polynomials": ["x^2-1", "y^2-4"]}
@@ -850,6 +886,11 @@ def bad_input_files(files):
         "sys_novars": write(tmp / "sys_novars.json", {"variables": [], "polynomials": ["2"]}),
         "nullary": write(tmp / "nullary.json", {"accuracy_E": "1e-10", "bound_M": "2", "points": [[], []]}),
         "sys_varstr": write(tmp / "sys_varstr.json", {"variables": "xy", "polynomials": ["x^2-2", "y"]}),
+        "sys_polystr": write(tmp / "sys_polystr.json", {"variables": ["x", "y"], "polynomials": "xy"}),
+        "sys_twice": write(tmp / "sys_twice.json", {"variables": ["x", "x"], "polynomials": ["x"]}),
+        "origin": write(
+            tmp / "origin.json", {"accuracy_E": "1e-10", "bound_M": "2", "points": [[["0", "0"], ["0", "0"]]]}
+        ),
         "roots_xy": write(
             tmp / "roots_xy.json",
             {**roots_data, "points": [[p[0], ["0", "0"]] for p in roots_data["points"]]},
@@ -879,6 +920,7 @@ BAD_INPUTS = {
     "no variables": "build --system {sys_novars} --roots {nullary}",
     "pipeline with no variables": "pipeline --system {sys_novars} --roots {nullary}",
     "variables that are no list": "build --system {sys_varstr} --roots {roots_xy}",
+    "repeated variables": "pipeline --system {sys_twice} --roots {origin}",
     "negative iterations": "refine --system {sys} --roots {roots} --iters -3",
     "negative rounds": "filter-roots --system {sys} --roots {roots_radii} --system {sys} --roots {roots_radii} --max-rounds -1",
 }
@@ -906,6 +948,7 @@ BAD_VALUES = {
     "polynomial with a zero denominator": ("build --system {sys_zero} --roots {roots}", "ZeroDivisionError"),
     "points that are no list": ("build --system {sys} --roots {points_int}", "TypeError"),
     "polynomial that is no string": ("build --system {sys_int} --roots {roots}", "TypeError"),
+    "polynomials that are no list": ("pipeline --system {sys_polystr} --roots {origin}", "TypeError"),
     "provenance that is no object": ("certify --system {sys} --hermite {herm_prov_int}", "TypeError"),
     "provenance that is a list": ("ball --system {sys} --hermite {herm_prov_list} --center 1 --eps2 1", "TypeError"),
     "bounds that are no object": ("count-real --system {sys} --hermite {herm_bounds_int}", "TypeError"),

@@ -1,10 +1,14 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from hermicert import numroots
 from hermicert.numroots import (
     ApproxRootSet,
     DivergedError,
@@ -16,7 +20,7 @@ from hermicert.numroots import (
     smallest_singular_value,
     vandermonde,
 )
-from hermicert.polynomials import PolySystem, parse_poly
+from hermicert.polynomials import PolySystem, iter_monomials, parse_poly
 
 
 def system(*texts, variables=("x",)):
@@ -63,38 +67,36 @@ def test_newton_requires_square_system():
 
 def test_vandermonde_ones_column():
     v = vandermonde([(1 + 2j,), (3 + 0j,), (0j,)], [(0,)])
-    assert v.shape == (3, 1) and v.dtype == complex
-    assert (v[:, 0] == 1).all()
+    assert [len(row) for row in v] == [1, 1, 1] and all(type(row[0]) is complex for row in v)
+    assert all(row[0] == 1 for row in v)
 
 
 def test_vandermonde_sqrt2_points():
     v = vandermonde([(SQRT2 + 0j,), (-SQRT2 + 0j,)], [(0,), (1,)])
-    assert v[0].tolist() == [1 + 0j, SQRT2 + 0j]
-    assert v[1].tolist() == [1 + 0j, -SQRT2 + 0j]
+    assert v[0] == [1 + 0j, SQRT2 + 0j]
+    assert v[1] == [1 + 0j, -SQRT2 + 0j]
 
 
 def test_vandermonde_matches_loop_reference():
-    from hermicert.polynomials import iter_monomials
-
     rng = random.Random(5)
-    tol = 16 * np.finfo(float).eps
+    tol = 16 * sys.float_info.epsilon
     for n in (1, 2, 3):
         pts = [tuple(complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(n))
                for _ in range(5)]
         monos = list(iter_monomials(n, 6))
         v = vandermonde(pts, monos)
-        assert v.shape == (len(pts), len(monos))
+        assert [len(row) for row in v] == [len(monos)] * len(pts)
         for i, p in enumerate(pts):
             for j, mono in enumerate(monos):
                 ref = 1 + 0j
                 for z, e in zip(p, mono):
                     ref *= z**e
-                assert abs(v[i, j] - ref) <= tol * abs(ref)
+                assert abs(v[i][j] - ref) <= tol * abs(ref)
 
 
 def test_vandermonde_empty_basis():
     v = vandermonde([(1 + 0j,), (2 + 0j,)], [])
-    assert v.shape == (2, 0)
+    assert v == [[], []]
     assert smallest_singular_value(v) == 0.0
 
 
@@ -105,12 +107,23 @@ def test_approx_root_set_rejects_non_finite(bad):
 
 
 def test_smallest_singular_value_examples():
-    ident = np.array([[1, 0], [0, 1]], dtype=complex)
+    ident = [[1 + 0j, 0j], [0j, 1 + 0j]]
     assert abs(smallest_singular_value(ident) - 1) < 1e-13
-    padded = np.array([[3, 0], [0, 1], [0, 0]], dtype=complex)
+    padded = [[3 + 0j, 0j], [0j, 1 + 0j], [0j, 0j]]
     assert abs(smallest_singular_value(padded) - 1) < 1e-13
-    near = np.array([[1, 1], [1, 1 + 1e-6]], dtype=complex)
+    near = [[1 + 0j, 1 + 0j], [1 + 0j, 1 + 1e-6 + 0j]]
     assert abs(smallest_singular_value(near) - 5e-7) < 1e-8
+
+
+@pytest.mark.parametrize("rows, cols", [(6, 4), (4, 6), (5, 5), (7, 1)])
+def test_smallest_singular_value_matches_numpy_svd(rows, cols):
+    # the min(rows, cols)-th singular value, wide matrices included, to the
+    # absolute accuracy of a backward-stable SVD
+    rng = random.Random(rows * 10 + cols)
+    for _ in range(10):
+        v = [[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(cols)] for _ in range(rows)]
+        ref = float(np.linalg.svd(np.array(v), compute_uv=False)[-1])
+        assert abs(smallest_singular_value(v) - ref) <= 1e-12 * np.linalg.norm(v)
 
 
 def test_frobenius_perturbation_bound_on_samples():
@@ -131,7 +144,7 @@ def test_frobenius_perturbation_bound_on_samples():
             xis.append((z + delta * complex(math.cos(angle), math.sin(angle)),))
         v_z = vandermonde(zs, monos)
         v_xi = vandermonde(xis, monos)
-        frob = float(np.linalg.norm(v_xi - v_z))
+        frob = math.hypot(*(abs(a - b) for ra, rb in zip(v_xi, v_z) for a, b in zip(ra, rb)))
         bound = k * 1 * d * m_bound ** (d - 1) * e_bound
         assert frob <= bound
         assert smallest_singular_value(v_xi) >= smallest_singular_value(v_z) - frob - 1e-12
@@ -185,6 +198,119 @@ def test_select_basis_output_is_connected():
     basis = select_basis(pts)
     assert is_connected_to_1(basis.monomials)
     assert len(basis) == 2
+
+
+def numpy_select_basis(points):
+    """The selection as it was on numpy's SVD, kept as the reference: one
+    Vandermonde and one SVD per trial.  Returns the monomials (None when no
+    basis is found) and the smallest relative distance |sigma_min - t| / t
+    over the trials."""
+    k = len(points)
+    n = points.arity()
+    e_val = float(points.accuracy)
+    m_val = float(points.coord_bound)
+    z = np.array(points.points, dtype=complex).reshape(k, n)
+    chosen = []
+    margin = math.inf
+    for mono in iter_monomials(n, k - 1):
+        if len(chosen) == k:
+            break
+        if sum(mono) > 0 and not all(
+            mono[:i] + (e - 1,) + mono[i + 1 :] in chosen for i, e in enumerate(mono) if e
+        ):
+            continue
+        trial = chosen + [mono]
+        d = max(sum(m) for m in trial)
+        exps = np.array(trial, dtype=int).reshape(len(trial), n)
+        v = (z[:, None, :] ** exps[None, :, :]).prod(axis=2)
+        floor = max(v.shape) * np.finfo(float).eps * np.linalg.norm(v)
+        threshold = max(k * n * d * m_val ** (d - 1) * e_val, floor)
+        sigma = float(np.linalg.svd(v, compute_uv=False)[-1])
+        margin = min(margin, abs(sigma - threshold) / threshold)
+        if sigma > threshold:
+            chosen.append(mono)
+    return (tuple(chosen) if len(chosen) == k else None), margin
+
+
+def selected(points):
+    try:
+        return select_basis(points).monomials
+    except NoWellConditionedBasisError:
+        return None
+
+
+def coordinate(complex_points):
+    part = st.floats(-2, 2, allow_nan=False)
+    if complex_points:
+        return st.builds(complex, part, part)
+    return part.map(complex)
+
+
+@pytest.mark.parametrize("complex_points", [False, True], ids=["real", "complex"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_select_basis_matches_the_numpy_reference(complex_points, data):
+    n = data.draw(st.integers(1, 3))
+    k = data.draw(st.integers(1, 9))
+    pts = data.draw(st.lists(st.tuples(*[coordinate(complex_points)] * n), min_size=k, max_size=k))
+    accuracy = data.draw(st.sampled_from(["1e-40", "1e-13", "1e-8", "1e-4", "1e-2"]))
+    points = ApproxRootSet(points=tuple(pts), accuracy=accuracy, coord_bound=3)
+    reference, margin = numpy_select_basis(points)
+    assume(margin > 1e-6)
+    assert selected(points) == reference
+
+
+def grid(side, lo, shift=0.0, seed=0):
+    rng = random.Random(seed)
+    return tuple(
+        (complex(a + rng.uniform(-shift, shift)), complex(b + rng.uniform(-shift, shift)))
+        for a in range(lo, lo + side)
+        for b in range(lo, lo + side)
+    )
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        ApproxRootSet(points=grid(5, -2), accuracy="1e-40", coord_bound=3),
+        ApproxRootSet(points=grid(7, -3), accuracy="1e-40", coord_bound=4),
+        ApproxRootSet(points=grid(8, -4), accuracy="1e-40", coord_bound=5),
+        ApproxRootSet(points=grid(5, -2, shift=1e-14, seed=1), accuracy="1e-13", coord_bound=3),
+    ],
+    ids=["5x5", "7x7", "8x8", "5x5-moved"],
+)
+def test_select_basis_matches_the_numpy_reference_on_grids(points):
+    assert selected(points) == numpy_select_basis(points)[0]
+
+
+@pytest.mark.parametrize(
+    "values, accuracy, coord_bound, expected",
+    [
+        ((-1, 0, 1), "5e-2", 2, ((0,), (1,), (2,))),
+        ((0, 1, 2), "2e-2", 3, None),
+    ],
+    ids=["accepted", "rejected"],
+)
+def test_select_basis_between_the_bounds_decides_on_sigma_min(
+    values, accuracy, coord_bound, expected, monkeypatch
+):
+    # At x^2 the residual norm rho lies above t = 3*2*M*E (0.6 and 0.36),
+    # and 1/||R^-1||_F below it, so neither bound decides: sigma_min(R) is
+    # computed, 0.662 > 0.6 accepts x^2 and 0.348 <= 0.36 rejects it.
+    sigmas = []
+
+    def spy(v):
+        sigmas.append(smallest_singular_value(v))
+        return sigmas[-1]
+
+    monkeypatch.setattr(numroots, "smallest_singular_value", spy)
+    points = ApproxRootSet(
+        points=tuple((complex(x),) for x in values), accuracy=accuracy, coord_bound=coord_bound
+    )
+    assert selected(points) == expected == numpy_select_basis(points)[0]
+    v = np.array(vandermonde(points.points, [(0,), (1,), (2,)]))
+    assert len(sigmas) == 1
+    assert abs(sigmas[0] - np.linalg.svd(v, compute_uv=False)[-1]) < 1e-14
 
 
 def test_approx_root_set_validates_bound():
