@@ -50,7 +50,6 @@ from .numroots import (
     newton_refine,
     select_basis,
     smallest_singular_value,
-    vandermonde,
 )
 from .polynomials import (
     ExtendedBasis,
@@ -110,6 +109,5 @@ __all__ = [
     "signature_descartes",
     "smallest_singular_value",
     "solve",
-    "vandermonde",
     "__version__",
 ]

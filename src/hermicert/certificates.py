@@ -10,7 +10,6 @@ through.  A failed certification never turns into a verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -27,21 +26,22 @@ def real_root_count(h1: RatMatrix) -> int:
     return signature(h1)
 
 
-@dataclass(frozen=True)
 class BallQuery:
     """Closed ball with rational center and rational squared radius."""
 
-    center: tuple[Fraction, ...]
-    radius_squared: Fraction
+    __slots__ = ("center", "radius_squared")
 
-    def __post_init__(self):
-        object.__setattr__(self, "center", tuple(Fraction(c) for c in self.center))
-        object.__setattr__(self, "radius_squared", Fraction(self.radius_squared))
-        if self.radius_squared <= 0:
+    def __init__(self, center: Sequence[Fraction], radius_squared: Fraction):
+        center, radius_squared = tuple(Fraction(c) for c in center), Fraction(radius_squared)
+        if radius_squared <= 0:
             raise ValueError("radius_squared must be positive")
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "radius_squared", radius_squared)
+
+    def __setattr__(self, *_):
+        raise AttributeError("BallQuery is immutable")
 
 
-@dataclass(frozen=True)
 class NonnegQuery:
     """Is g non-negative on the real points of V(f)?
 
@@ -50,15 +50,19 @@ class NonnegQuery:
     here and are echoed into reports.
     """
 
-    system: PolySystem
-    g: MultiPoly
-    assume_smooth_bounded: bool = False
+    __slots__ = ("system", "g", "assume_smooth_bounded")
 
-    def __post_init__(self):
-        if len(self.system.polys) > self.system.arity():
+    def __init__(self, system: PolySystem, g: MultiPoly, assume_smooth_bounded: bool = False):
+        if len(system.polys) > system.arity():
             raise ValueError("need at most as many constraints as variables")
-        if self.g.variables != self.system.variables:
+        if g.variables != system.variables:
             raise ValueError("g must live in the system's ring")
+        object.__setattr__(self, "system", system)
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "assume_smooth_bounded", assume_smooth_bounded)
+
+    def __setattr__(self, *_):
+        raise AttributeError("NonnegQuery is immutable")
 
 
 def lagrange_variables(system: PolySystem) -> tuple[str, ...]:
@@ -117,13 +121,22 @@ def ball_polynomial(variables: Sequence[str], query: BallQuery) -> MultiPoly:
     return g
 
 
-@dataclass
 class BallCertificate:
-    verdict: str  # "true" | "false" | "fail"
-    sigma_h1: int | None
-    sigma_hg: int | None
-    outcome: CertificationOutcome
-    query: BallQuery
+    """A ball verdict: "true", "false" or "fail", with the signatures of H1
+    and H_g that decide it (None on "fail")."""
+
+    __slots__ = ("verdict", "sigma_h1", "sigma_hg", "outcome", "query")
+
+    def __init__(
+        self,
+        verdict: str,
+        sigma_h1: int | None,
+        sigma_hg: int | None,
+        outcome: CertificationOutcome,
+        query: BallQuery,
+    ):
+        self.verdict, self.sigma_h1, self.sigma_hg = verdict, sigma_h1, sigma_hg
+        self.outcome, self.query = outcome, query
 
 
 def certify_ball(system: PolySystem, query: BallQuery, hplus: HermitePlus) -> BallCertificate:
@@ -151,15 +164,25 @@ def ball_from_outcome(
     return BallCertificate(verdict, s1, sg, outcome, query)
 
 
-@dataclass
 class NonnegCertificate:
-    verdict: str  # "true" | "false" | "fail"
-    sigma_hg: int | None
-    sigma_hg2: int | None
-    outcome: CertificationOutcome
-    lagrange: PolySystem
-    hg2: RatMatrix | None = None
-    assume_smooth_bounded: bool = False
+    """A non-negativity verdict: "true", "false" or "fail", with the
+    signatures of H_g and H_(g^2) that decide it (None on "fail")."""
+
+    __slots__ = ("verdict", "sigma_hg", "sigma_hg2", "outcome", "lagrange", "hg2", "assume_smooth_bounded")
+
+    def __init__(
+        self,
+        verdict: str,
+        sigma_hg: int | None,
+        sigma_hg2: int | None,
+        outcome: CertificationOutcome,
+        lagrange: PolySystem,
+        hg2: RatMatrix | None = None,
+        assume_smooth_bounded: bool = False,
+    ):
+        self.verdict, self.sigma_hg, self.sigma_hg2 = verdict, sigma_hg, sigma_hg2
+        self.outcome, self.lagrange, self.hg2 = outcome, lagrange, hg2
+        self.assume_smooth_bounded = assume_smooth_bounded
 
 
 def certify_nonneg(query: NonnegQuery, hplus: HermitePlus) -> NonnegCertificate:

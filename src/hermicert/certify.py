@@ -91,9 +91,9 @@ multiplication matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
+from operator import attrgetter
 from typing import Sequence
 
 from .hermite import HermitePlus
@@ -119,6 +119,14 @@ from .polynomials import (
 _Eliminated = tuple[RatMatrix, Inertia]  # a matrix and its inertia
 
 
+# the fields an outcome compares and prints: all but its normal-form table
+_OUTCOME_FIELDS = (
+    "status", "basis", "failed_step", "reason", "detail", "h1", "hg", "g",
+    "sigma_h1", "sigma_hg", "weighted_h1", "weighted_hg", "diagnostics",
+)
+_outcome_value = attrgetter(*_OUTCOME_FIELDS)
+
+
 class SignatureMethodMismatchError(AssertionError):
     """The two exact signature methods disagreed; this indicates a bug."""
 
@@ -132,7 +140,6 @@ class StepFailure(Exception):
         self.step, self.reason, self.detail, self.check = step, reason, detail, check
 
 
-@dataclass
 class CertificationOutcome:
     """Certified matrices or the first failing step.
 
@@ -140,25 +147,45 @@ class CertificationOutcome:
     normal-form table and the signatures sigma_h1, sigma_hg are all present,
     and every other H_g and its signature is derived from them by derive_hg.
     mult_matrices reads the M_s the table was built from, so the two cannot
-    disagree; the table is neither compared nor serialized.  For the
-    non-radical route h1/hg are the trace-based matrices of the radical and
-    the multiplicity-weighted pair is exposed separately.
+    disagree; the table is neither compared, printed nor serialized.  For
+    the non-radical route h1/hg are the trace-based matrices of the radical
+    and the multiplicity-weighted pair is exposed separately.
     """
 
-    status: str
-    basis: MonomialBasis
-    failed_step: int | None = None
-    reason: str | None = None
-    detail: str = ""
-    h1: RatMatrix | None = None
-    hg: RatMatrix | None = None
-    normal_forms: NormalForms | None = field(default=None, repr=False, compare=False)
-    g: MultiPoly | None = None
-    sigma_h1: int | None = None
-    sigma_hg: int | None = None
-    weighted_h1: RatMatrix | None = None
-    weighted_hg: RatMatrix | None = None
-    diagnostics: list[dict] = field(default_factory=list)
+    __slots__ = ("normal_forms",) + _OUTCOME_FIELDS
+
+    def __init__(
+        self,
+        status: str,
+        basis: MonomialBasis,
+        failed_step: int | None = None,
+        reason: str | None = None,
+        detail: str = "",
+        h1: RatMatrix | None = None,
+        hg: RatMatrix | None = None,
+        normal_forms: NormalForms | None = None,
+        g: MultiPoly | None = None,
+        sigma_h1: int | None = None,
+        sigma_hg: int | None = None,
+        weighted_h1: RatMatrix | None = None,
+        weighted_hg: RatMatrix | None = None,
+        diagnostics: list[dict] | None = None,
+    ):
+        self.status, self.basis = status, basis
+        self.failed_step, self.reason, self.detail = failed_step, reason, detail
+        self.h1, self.hg, self.normal_forms, self.g = h1, hg, normal_forms, g
+        self.sigma_h1, self.sigma_hg = sigma_h1, sigma_hg
+        self.weighted_h1, self.weighted_hg = weighted_h1, weighted_hg
+        self.diagnostics = [] if diagnostics is None else diagnostics
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _outcome_value(self) == _outcome_value(other)
+
+    def __repr__(self) -> str:
+        fields = map("{}={!r}".format, _OUTCOME_FIELDS, _outcome_value(self))
+        return f"CertificationOutcome({', '.join(fields)})"
 
     @property
     def certified(self) -> bool:

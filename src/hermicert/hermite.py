@@ -23,7 +23,6 @@ of the radical.  HermitePlus.reduced tells the two routes apart afterwards.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 
@@ -56,27 +55,42 @@ class NoConnectedSelectionError(ValueError):
     """The connected scan of H1 falls short of rank H1."""
 
 
-@dataclass(frozen=True)
 class HermiteProvenance:
-    accuracy: Fraction
-    coord_bound: Fraction
-    point_count: int
-    bounds: dict = field(default_factory=dict)  # power-sum monomial -> denominator bound
+    """What an extended Hermite matrix was built from: the accuracy E, the
+    coordinate bound M, the point count k and, per power-sum monomial, the
+    denominator bound its reconstruction used."""
+
+    __slots__ = ("accuracy", "coord_bound", "point_count", "bounds")
+
+    def __init__(
+        self, accuracy: Fraction, coord_bound: Fraction, point_count: int, bounds: dict | None = None
+    ):
+        object.__setattr__(self, "accuracy", accuracy)
+        object.__setattr__(self, "coord_bound", coord_bound)
+        object.__setattr__(self, "point_count", point_count)
+        object.__setattr__(self, "bounds", {} if bounds is None else bounds)
+
+    def __setattr__(self, *_):
+        raise AttributeError("HermiteProvenance is immutable")
 
 
-@dataclass(frozen=True)
 class PowerSums:
     """Exact power sums, one per distinct label product of an extended basis.
 
     The sum for products[pos] is (re[pos] + i*im[pos]) / 2^exponents[pos].
     """
 
-    re: list[int]
-    im: list[int]
-    exponents: list[int]
+    __slots__ = ("re", "im", "exponents")
+
+    def __init__(self, re: list[int], im: list[int], exponents: list[int]):
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
+        object.__setattr__(self, "exponents", exponents)
+
+    def __setattr__(self, *_):
+        raise AttributeError("PowerSums is immutable")
 
 
-@dataclass(frozen=True)
 class HermitePlus:
     """Extended Hermite matrix with its labelling basis and provenance.
 
@@ -85,14 +99,18 @@ class HermitePlus:
     representable on purpose, certification decides their fate.
     """
 
-    matrix: RatMatrix
-    labels: ExtendedBasis
-    provenance: HermiteProvenance
+    __slots__ = ("matrix", "labels", "provenance")
 
-    def __post_init__(self):
-        l = len(self.labels)
-        if self.matrix.rows != l or self.matrix.cols != l:
+    def __init__(self, matrix: RatMatrix, labels: ExtendedBasis, provenance: HermiteProvenance):
+        l = len(labels)
+        if matrix.rows != l or matrix.cols != l:
             raise ValueError("matrix size does not match the extended basis")
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "provenance", provenance)
+
+    def __setattr__(self, *_):
+        raise AttributeError("HermitePlus is immutable")
 
     def base_size(self) -> int:
         return len(self.labels.base)

@@ -8,8 +8,10 @@ strings.  Serialization is deterministic: same inputs, same bytes.
 
 from __future__ import annotations
 
-import json
+import math
 from fractions import Fraction
+from itertools import repeat
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Sequence
 
 from .certify import CertificationOutcome
@@ -55,7 +57,60 @@ def exact_decimal_str(value: Fraction) -> str:
 
 
 def canonical_dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """json.dumps(obj, indent=2, sort_keys=True) + "\n", byte for byte.
+
+    json's indent forces its pure-Python encoder; this writer makes the same
+    text with one str.join per list of strings (the rows of every matrix).
+    """
+    return _dumps(obj, "\n") + "\n"
+
+
+def _dumps(obj, newline: str) -> str:
+    """obj as json writes it, nested below the line break and indent
+    newline."""
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = newline + "  "
+        if all(map(isinstance, obj, repeat(str))):
+            items = map(_quote, obj)
+        else:
+            items = (_dumps(item, inner) for item in obj)
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = newline + "  "
+        items = (
+            _quote(key if isinstance(key, str) else _scalar(key)) + ": " + _dumps(value, inner)
+            for key, value in sorted(obj.items())
+        )
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    return _scalar(obj)
+
+
+def _scalar(obj) -> str:
+    """A string, number, bool or None as json writes it; a key that is not a
+    string is written as this text, quoted."""
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if obj != obj:
+            return "NaN"
+        if obj == math.inf:
+            return "Infinity"
+        if obj == -math.inf:
+            return "-Infinity"
+        return float.__repr__(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 # -- polynomial systems ---------------------------------------------------

@@ -15,7 +15,6 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import mul, neg, sub
@@ -48,7 +47,6 @@ _EPS = sys.float_info.epsilon
 _INVERSE_ITERATIONS = 100
 
 
-@dataclass(frozen=True)
 class ApproxRootSet:
     """Approximate roots with a shared accuracy bound E and coordinate bound M.
 
@@ -57,23 +55,24 @@ class ApproxRootSet:
     root each point approximates (used by match_and_filter).
     """
 
-    points: tuple[Point, ...]
-    accuracy: Fraction
-    coord_bound: Fraction
-    radii: tuple[float, ...] | None = None
+    __slots__ = ("points", "accuracy", "coord_bound", "radii")
 
-    def __post_init__(self):
-        pts = tuple(tuple(complex(z) for z in p) for p in self.points)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "accuracy", Fraction(self.accuracy))
-        object.__setattr__(self, "coord_bound", Fraction(self.coord_bound))
-        if self.accuracy <= 0:
+    def __init__(
+        self,
+        points: Iterable[Sequence[complex]],
+        accuracy: Fraction,
+        coord_bound: Fraction,
+        radii: Iterable[float] | None = None,
+    ):
+        pts = tuple(tuple(complex(z) for z in p) for p in points)
+        accuracy, coord_bound = Fraction(accuracy), Fraction(coord_bound)
+        if accuracy <= 0:
             raise ValueError("accuracy must be positive")
-        if self.radii is not None:
-            object.__setattr__(self, "radii", tuple(float(r) for r in self.radii))
-            if len(self.radii) != len(pts):
+        if radii is not None:
+            radii = tuple(float(r) for r in radii)
+            if len(radii) != len(pts):
                 raise ValueError("one radius per point required")
-        limit = float(self.coord_bound - self.accuracy)
+        limit = float(coord_bound - accuracy)
         for p in pts:
             if not all(cmath.isfinite(z) for z in p):
                 raise ValueError(f"point {p} has a non-finite coordinate")
@@ -81,6 +80,13 @@ class ApproxRootSet:
                 raise ValueError(
                     f"point {p} violates the coordinate bound |z|_inf <= M - E = {limit}"
                 )
+        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "accuracy", accuracy)
+        object.__setattr__(self, "coord_bound", coord_bound)
+        object.__setattr__(self, "radii", radii)
+
+    def __setattr__(self, *_):
+        raise AttributeError("ApproxRootSet is immutable")
 
     def __len__(self) -> int:
         return len(self.points)
@@ -221,11 +227,6 @@ def match_and_filter(
         if decision is not None:
             kept.append(decision)
     return FilterResult(tuple(kept), inconclusive)
-
-
-def vandermonde(points: Sequence[Point], monomials: Sequence[Monomial]) -> list[list[complex]]:
-    """Rows indexing points, columns indexing monomials, entries z_i^alpha_j."""
-    return [[math.prod(z**e for z, e in zip(p, mono)) for mono in monomials] for p in points]
 
 
 class _GramSchmidt:

@@ -4,7 +4,6 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -97,7 +96,7 @@ def test_extract_blocks_rejects_an_asymmetric_candidate():
     rows = hp.matrix.to_rows()
     rows[0][1] += 1
     with pytest.raises(StepFailure) as failure:
-        extract_blocks(replace(hp, matrix=RatMatrix.from_rows(rows)))
+        extract_blocks(HermitePlus(RatMatrix.from_rows(rows), hp.labels, hp.provenance))
     assert (failure.value.step, failure.value.reason) == (1, "not_symmetric")
     assert failure.value.detail == "H+ is not symmetric"
 
@@ -477,7 +476,7 @@ def moment_candidate(hp, moment):
     values = [moment(p) for p in labels.products]
     l = len(labels)
     rows = [[values[labels.product_index[i * l + j]] for j in range(l)] for i in range(l)]
-    return replace(hp, matrix=RatMatrix.from_rows(rows))
+    return HermitePlus(RatMatrix.from_rows(rows), hp.labels, hp.provenance)
 
 
 def cube_roots_weighted(weights):
@@ -554,7 +553,7 @@ def corrupt(data, kind, hp, weight_count, weighted):
         for i, j in cells:
             rows[i][j] += data.draw(NONZERO)
             rows[j][i] = rows[i][j]
-    return replace(hp, matrix=RatMatrix.from_rows(rows)), None
+    return HermitePlus(RatMatrix.from_rows(rows), hp.labels, hp.provenance), None
 
 
 @settings(max_examples=100, deadline=None)
@@ -824,7 +823,10 @@ def test_nonradical_weighted_consistency_checks_guard_the_input():
     hp = build_hermite(pts, MonomialBasis([(0,), (1,), (2,)]))
     assert certify_nonradical(f, G_X, hp).certified
     # the same matrix claiming 4 points: H1[1,1] = 3 contradicts the count
-    four = replace(hp, provenance=replace(hp.provenance, point_count=4))
+    prov = hp.provenance
+    four = HermitePlus(
+        hp.matrix, hp.labels, HermiteProvenance(prov.accuracy, prov.coord_bound, 4, prov.bounds)
+    )
     out = certify_nonradical(f, G_X, four)
     assert out.status == "fail" and out.reason == "weighted_inconsistent"
 

@@ -383,10 +383,19 @@ def test_outputs_are_byte_identical_across_runs(files, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+# Modules that importing the CLI, or running build, pipeline or nonneg, must
+# not load: numpy is needed only by Newton refinement (refine, filter-roots),
+# and dataclasses (which imports inspect) would cost more than all of
+# hermicert's own import.
+UNLOADED = ("numpy", "dataclasses", "inspect")
+
+# Exits naming the modules among argv[1:] that are loaded, 0 when none is.
+LOADED_SCRIPT = "import sys; sys.exit(' '.join(m for m in sys.argv[1:] if m in sys.modules) or None)"
+
 # Runs build, pipeline (the README example on x^2 - 2) and nonneg (g = x on
 # x^2 + y^2 - 1) through cli.main in the directory given as argv[1], then
-# exits 0 when numpy was never imported.
-NO_NUMPY_SCRIPT = """
+# exits as LOADED_SCRIPT does for the modules named in argv[2:].
+COMMANDS_SCRIPT = """
 import json, os, sys
 from hermicert.cli import main
 os.chdir(sys.argv[1])
@@ -409,23 +418,24 @@ codes = [
 ]
 if codes != [0, 0, 4]:
     sys.exit(f"exit codes {codes}")
-sys.exit("numpy" in sys.modules)
+sys.exit(" ".join(m for m in sys.argv[2:] if m in sys.modules) or None)
 """
 
 
 def test_cli_import_does_not_load_numpy(tmp_path):
-    # numpy is needed only by Newton refinement (refine, filter-roots), so it
-    # is imported there; importing the CLI and running build, pipeline or
-    # nonneg never pay for it
+    # nor dataclasses or inspect (UNLOADED); a module that a bare interpreter
+    # already has, such as one a site hook imports, is not hermicert's doing
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    script = "import sys, hermicert.cli; sys.exit('numpy' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr or "numpy was imported"
-    proc = subprocess.run(
-        [sys.executable, "-c", NO_NUMPY_SCRIPT, str(tmp_path)], env=env, capture_output=True, text=True
-    )
-    assert proc.returncode == 0, proc.stderr or "numpy was imported"
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-c", *args], env=env, capture_output=True, text=True)
+
+    watched = [m for m in UNLOADED if m not in run(LOADED_SCRIPT, *UNLOADED).stderr.split()]
+    proc = run("import hermicert.cli\n" + LOADED_SCRIPT, *watched)
+    assert proc.returncode == 0, proc.stderr
+    proc = run(COMMANDS_SCRIPT, str(tmp_path), *watched)
+    assert proc.returncode == 0, proc.stderr
     assert json.loads((tmp_path / "pipe.json").read_text(encoding="utf-8"))["ball"]["verdict"] == "true"
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -173,7 +172,7 @@ def test_reconstruct_rejects_large_imaginary_part():
     pos = ext.product_index[1]  # the power sum of x, at (0, 1) and (1, 0)
     im = list(sums.im)
     im[pos] += (1 << sums.exponents[pos]) // 10 + 1  # just above 0.1j
-    sums = dataclasses.replace(sums, im=im)
+    sums = PowerSums(sums.re, im, sums.exponents)
     with pytest.raises(ReconstructionFailedError) as err:
         reconstruct_hermite(sums, ext, Fraction(1, 10**10), 2, 2)
     assert err.value.reason == "imaginary_too_large"

@@ -3,6 +3,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hermicert.hermite import build_extended_hermite
 from hermicert.jsonio import (
@@ -101,3 +103,30 @@ def test_canonical_dumps_sorted_and_newline_terminated():
     text = canonical_dumps({"b": 1, "a": 2})
     assert text.endswith("\n")
     assert text.index('"a"') < text.index('"b"')
+
+
+TEXT = st.text(st.characters(exclude_categories=()))  # surrogates and controls too
+SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | TEXT
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda children: st.lists(children)
+    | st.lists(TEXT)  # the one-join path of canonical_dumps
+    | st.lists(children).map(tuple)
+    | st.dictionaries(TEXT, children)
+    | st.dictionaries(st.integers() | st.floats() | st.booleans(), children),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_canonical_dumps_matches_json_dumps(obj):
+    assert canonical_dumps(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("obj", [object(), [Fraction(1, 2)], {(1, 2): "a"}, {"a": 1, 2: "b"}])
+def test_canonical_dumps_rejects_what_json_rejects(obj):
+    with pytest.raises(TypeError):
+        json.dumps(obj, indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        canonical_dumps(obj)

@@ -18,7 +18,6 @@ from hermicert.numroots import (
     newton_refine,
     select_basis,
     smallest_singular_value,
-    vandermonde,
 )
 from hermicert.polynomials import PolySystem, iter_monomials, parse_poly
 
@@ -198,6 +197,12 @@ def test_select_basis_output_is_connected():
     basis = select_basis(pts)
     assert is_connected_to_1(basis.monomials)
     assert len(basis) == 2
+
+
+def vandermonde(points, monomials):
+    """Rows indexing points, columns indexing monomials, entries z_i^alpha_j:
+    the matrix whose columns select_basis grows one at a time."""
+    return [[math.prod(z**e for z, e in zip(p, mono)) for mono in monomials] for p in points]
 
 
 def numpy_select_basis(points):
