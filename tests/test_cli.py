@@ -423,8 +423,9 @@ sys.exit(" ".join(m for m in sys.argv[2:] if m in sys.modules) or None)
 
 
 def test_cli_import_does_not_load_numpy(tmp_path):
-    # nor dataclasses or inspect (UNLOADED); a module that a bare interpreter
-    # already has, such as one a site hook imports, is not hermicert's doing
+    # nor any other module in UNLOADED; one that a bare interpreter already
+    # has, such as one a site hook imports, is not hermicert's doing and is
+    # not watched
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
 
