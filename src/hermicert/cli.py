@@ -240,6 +240,11 @@ def cmd_filter_roots(args) -> tuple[int, dict]:
             raise ValueError("max-rounds must be non-negative")
         system_a = _load_system(args.system[0])
         system_b = _load_system(args.system[1])
+        # distances are taken coordinate by coordinate, and Newton needs square systems
+        if system_a.variables != system_b.variables:
+            raise ValueError("filter-roots needs both systems in the same variables")
+        if len(system_a.polys) != system_a.arity() or len(system_b.polys) != system_b.arity():
+            raise ValueError("filter-roots requires square systems")
         roots_a = _load_roots(args.roots[0], system_a.variables)
         roots_b = _load_roots(args.roots[1], system_b.variables)
         if roots_a.radii is None or roots_b.radii is None:

@@ -1,9 +1,9 @@
 """Floating-point frontend: Newton refinement, root-list filtering,
 Vandermonde conditioning and well-conditioned basis selection.
 
-Basis selection runs in pure Python; numpy is imported only by Newton
-refinement (refine, filter-roots), inside newton_refine, so that the
-commands which never refine do not pay for importing it.
+All of it runs in pure Python on one QR factorization, classical
+Gram-Schmidt run twice: basis selection grows it one Vandermonde column at
+a time, and each Newton step factors the Jacobian with it.
 
 Nothing here is certified by itself; every float that matters is later
 re-derived or verified in exact arithmetic by the construction and
@@ -18,18 +18,16 @@ import sys
 from fractions import Fraction
 from itertools import repeat
 from operator import mul, neg, sub
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .polynomials import Monomial, MonomialBasis, PolySystem, iter_monomials
-
-if TYPE_CHECKING:
-    import numpy as np
 
 Point = tuple[complex, ...]
 
 
 class SingularJacobianError(RuntimeError):
-    """Newton step rejected: Jacobian condition estimate above 1e12."""
+    """Newton step rejected: the Jacobian's condition estimate ||J||_F / sigma_min(J),
+    between kappa_2 and sqrt(n)*kappa_2 for n unknowns, is above 1e12."""
 
 
 class DivergedError(RuntimeError):
@@ -51,8 +49,8 @@ class ApproxRootSet:
     """Approximate roots with a shared accuracy bound E and coordinate bound M.
 
     Every point must have finite coordinates with max_i |z_i| <= M - E.
-    Optional per-point radii are upper bounds on the distance to the exact
-    root each point approximates (used by match_and_filter).
+    Optional per-point radii r >= 0 (NaN is not, inf is) bound the distance
+    to the exact root each point approximates (used by match_and_filter).
     """
 
     __slots__ = ("points", "accuracy", "coord_bound", "radii")
@@ -70,8 +68,8 @@ class ApproxRootSet:
             raise ValueError("accuracy must be positive")
         if radii is not None:
             radii = tuple(float(r) for r in radii)
-            if len(radii) != len(pts):
-                raise ValueError("one radius per point required")
+            if len(radii) != len(pts) or not all(r >= 0 for r in radii):
+                raise ValueError("one radius r >= 0 per point required")
         limit = float(coord_bound - accuracy)
         for p in pts:
             if not all(cmath.isfinite(z) for z in p):
@@ -104,16 +102,6 @@ def _residual(system: PolySystem, z: Sequence[complex]) -> float:
     return math.sqrt(sum(abs(p.eval_complex(z)) ** 2 for p in system.polys))
 
 
-def _jacobian(system: PolySystem, z: Sequence[complex]) -> np.ndarray:
-    import numpy as np
-
-    n = system.arity()
-    rows = []
-    for p in system.polys:
-        rows.append([p.partial_derivative(j).eval_complex(z) for j in range(n)])
-    return np.array(rows, dtype=complex)
-
-
 def newton_refine(system: PolySystem, z: Sequence[complex], iters: int) -> RefineResult:
     """Damped Newton iteration for a square system.
 
@@ -122,39 +110,30 @@ def newton_refine(system: PolySystem, z: Sequence[complex], iters: int) -> Refin
     growth events raise DivergedError.  Accepted steps therefore never
     increase the residual.
     """
-    if len(system.polys) != system.arity():
+    n = system.arity()
+    if len(system.polys) != n:
         raise ValueError("newton_refine requires a square system")
-    import numpy as np
-
+    partials = [[p.partial_derivative(j) for p in system.polys] for j in range(n)]  # J's columns
     current = tuple(complex(c) for c in z)
     res = _residual(system, current)
     growth = 0
     for _ in range(iters):
-        jac = _jacobian(system, current)
-        try:
-            cond = np.linalg.cond(jac)
-        except np.linalg.LinAlgError:  # pragma: no cover
-            raise SingularJacobianError("condition estimate failed")
-        if not np.isfinite(cond) or cond > COND_LIMIT:
+        columns = [[d.eval_complex(current) for d in col] for col in partials]
+        cond, step = _newton_step(columns, [-p.eval_complex(current) for p in system.polys])
+        if not cond <= COND_LIMIT:
             raise SingularJacobianError(f"Jacobian condition estimate {cond:.3e} exceeds 1e12")
-        values = np.array([p.eval_complex(current) for p in system.polys], dtype=complex)
-        step = np.linalg.solve(jac, -values)
         scale = 1.0
-        accepted = None
         for _ in range(_MAX_HALVINGS + 1):
             trial = tuple(c + scale * s for c, s in zip(current, step))
             trial_res = _residual(system, trial)
             if trial_res <= res:
-                accepted = (trial, trial_res)
+                current, res, growth = trial, trial_res, 0
                 break
             scale *= 0.5
-        if accepted is None:
+        else:
             growth += 1
             if growth >= _MAX_GROWTH:
                 raise DivergedError("residual grew on three consecutive iterations")
-            continue
-        growth = 0
-        current, res = accepted
     return RefineResult(current, res)
 
 
@@ -274,6 +253,15 @@ def _norm(v: Sequence[complex]) -> float:
     return math.hypot(*map(abs, v))
 
 
+def _back(rows: list[list], y: Sequence) -> list:
+    """z with R z = y for the upper triangular R with rows[i] = R[i, i:]."""
+    z = [0.0] * len(rows)
+    for i in range(len(rows) - 1, -1, -1):
+        row = rows[i]
+        z[i] = (y[i] - sum(map(mul, row[1:], z[i + 1 :]))) / row[0]
+    return z
+
+
 def _triangular_sigma_min(columns: list[list]) -> float:
     """sigma_min of the upper triangular R with the given columns (column j
     holds rows 0..j), as 1/||R^-1||_2 by inverse iteration on R^H R.
@@ -295,17 +283,10 @@ def _triangular_sigma_min(columns: list[list]) -> float:
             y.append((xj - s) / col[j])
         return y
 
-    def back(y):  # R z = y
-        z = [0.0] * m
-        for i in range(m - 1, -1, -1):
-            row = rows[i]
-            z[i] = (y[i] - sum(map(mul, row[1:], z[i + 1 :]))) / row[0]
-        return z
-
     y = forward(None)
     estimate = _norm(y) / math.sqrt(m)
     for _ in range(_INVERSE_ITERATIONS):
-        z = back(y)
+        z = _back(rows, y)
         z_norm = _norm(z)
         y = forward([zi / z_norm for zi in z])
         grown = _norm(y)
@@ -313,6 +294,35 @@ def _triangular_sigma_min(columns: list[list]) -> float:
             break
         estimate = grown
     return 1 / estimate
+
+
+def _qr(columns: list[list]) -> tuple[list[list], list[list]] | None:
+    """(Q^H, R) with columns = QR by classical Gram-Schmidt run twice, Q^H by rows
+    and R by columns (column j holding rows 0..j); None when a residual norm is 0."""
+    gs = _GramSchmidt(len(columns[0]))
+    r_columns = []
+    for c in columns:
+        r, w = gs.project_out(c)
+        rho = _norm(w)
+        if rho == 0:
+            return None
+        gs.append(w, rho)
+        r_columns.append(r + [rho])
+    return gs.conj_columns, r_columns
+
+
+def _newton_step(columns: list[list], minus_f: list) -> tuple[float, list | None]:
+    """(||J||_F / sigma_min(J), J^-1 (-F)) for the square J with the given columns: R s =
+    Q^H (-F) for J = QR, with sigma_min(R) for sigma_min(J); (inf, None) if J is singular."""
+    qr = _qr(columns)
+    if qr is None:
+        return math.inf, None
+    q_conj, r = qr
+    frob = math.hypot(*map(_norm, columns))
+    # inverse iteration on R / ||J||_F overflows only far above COND_LIMIT
+    sigma = _triangular_sigma_min([[x / frob for x in c] for c in r])
+    step = _back([[c[i] for c in r[i:]] for i in range(len(r))], _dots(q_conj, minus_f))
+    return (1 / sigma if sigma else math.inf), step
 
 
 def smallest_singular_value(v: Sequence[Sequence[complex]]) -> float:
@@ -329,18 +339,8 @@ def smallest_singular_value(v: Sequence[Sequence[complex]]) -> float:
     columns = [list(c) for c in zip(*v)]
     if len(columns) > len(v):
         columns = [[z.conjugate() for z in row] for row in v]
-    if not columns or not columns[0]:
-        return 0.0
-    gs = _GramSchmidt(len(columns[0]))
-    r_columns = []
-    for c in columns:
-        r, w = gs.project_out(c)
-        rho = _norm(w)
-        if rho == 0:
-            return 0.0
-        gs.append(w, rho)
-        r_columns.append(r + [rho])
-    return _triangular_sigma_min(r_columns)
+    qr = _qr(columns) if columns and columns[0] else None
+    return 0.0 if qr is None else _triangular_sigma_min(qr[1])
 
 
 def select_basis(points: ApproxRootSet) -> MonomialBasis:

@@ -135,13 +135,48 @@ def test_nonneg_verdicts(tmp_path, capsys):
     assert (v["sigma_Hg"], v["sigma_Hg2"]) == (0, 2)
 
 
-def test_refine_moves_points_to_roots(tmp_path, capsys):
+ROUGH_SQRT2_ROOTS = {"accuracy_E": "1e-1", "bound_M": "2", "points": [[["1.5", "0"]], [["-1.4", "0"]]]}
+PLANTED_A = {"variables": ["x", "y"], "polynomials": ["x^2-1", "y^2-1"]}
+PLANTED_B = {"variables": ["x", "y"], "polynomials": ["x^2-1", "x+y"]}
+PLANTED_ROOTS_A = {
+    "accuracy_E": "1e-9",
+    "bound_M": "2",
+    "points": [
+        [["1", "0"], ["1", "0"]],
+        [["1", "0"], ["-1", "0"]],
+        [["-1", "0"], ["1", "0"]],
+        [["-1", "0"], ["-1", "0"]],
+    ],
+    "radii": ["1e-6", "1e-6", "1e-6", "1e-6"],
+}
+PLANTED_ROOTS_B = {
+    "accuracy_E": "1e-9",
+    "bound_M": "2",
+    "points": [[["1", "0"], ["-1", "0"]], [["-1", "0"], ["1", "0"]]],
+    "radii": ["1e-6", "1e-6"],
+}
+
+
+def _pinned_refine(tmp_path):
     sys_path = write(tmp_path / "s.json", {"variables": ["x"], "polynomials": ["x^2-2"]})
-    rough = write(
-        tmp_path / "rough.json",
-        {"accuracy_E": "1e-1", "bound_M": "2", "points": [[["1.5", "0"]], [["-1.4", "0"]]]},
-    )
-    code, v = run(capsys, "refine", "--system", sys_path, "--roots", rough, "--iters", "4")
+    rough = write(tmp_path / "rough.json", ROUGH_SQRT2_ROOTS)
+    return ["refine", "--system", sys_path, "--roots", rough, "--iters", "4"]
+
+
+def _pinned_filter_roots(tmp_path):
+    # list A holds the four roots of the square subsystem (x^2 - 1, y^2 - 1),
+    # list B the two roots of the full system; two of A's points match none
+    return [
+        "filter-roots",
+        "--system", write(tmp_path / "sa.json", PLANTED_A),
+        "--system", write(tmp_path / "sb.json", PLANTED_B),
+        "--roots", write(tmp_path / "ra.json", PLANTED_ROOTS_A),
+        "--roots", write(tmp_path / "rb.json", PLANTED_ROOTS_B),
+    ]
+
+
+def test_refine_moves_points_to_roots(tmp_path, capsys):
+    code, v = run(capsys, *_pinned_refine(tmp_path))
     assert code == 0
     assert abs(float(v["points"][0][0][0]) - SQRT2) < 1e-12
     assert abs(float(v["points"][1][0][0]) + SQRT2) < 1e-12
@@ -149,39 +184,7 @@ def test_refine_moves_points_to_roots(tmp_path, capsys):
 
 
 def test_filter_roots_cli(tmp_path, capsys):
-    sys_a = write(
-        tmp_path / "sa.json", {"variables": ["x", "y"], "polynomials": ["x^2-1", "y^2-1"]}
-    )
-    sys_b = write(
-        tmp_path / "sb.json", {"variables": ["x", "y"], "polynomials": ["x^2-1", "x+y"]}
-    )
-    roots_a = write(
-        tmp_path / "ra.json",
-        {
-            "accuracy_E": "1e-9",
-            "bound_M": "2",
-            "points": [
-                [["1", "0"], ["1", "0"]],
-                [["1", "0"], ["-1", "0"]],
-                [["-1", "0"], ["1", "0"]],
-                [["-1", "0"], ["-1", "0"]],
-            ],
-            "radii": ["1e-6", "1e-6", "1e-6", "1e-6"],
-        },
-    )
-    roots_b = write(
-        tmp_path / "rb.json",
-        {
-            "accuracy_E": "1e-9",
-            "bound_M": "2",
-            "points": [[["1", "0"], ["-1", "0"]], [["-1", "0"], ["1", "0"]]],
-            "radii": ["1e-6", "1e-6"],
-        },
-    )
-    code, v = run(
-        capsys, "filter-roots", "--system", sys_a, "--system", sys_b,
-        "--roots", roots_a, "--roots", roots_b,
-    )
+    code, v = run(capsys, *_pinned_filter_roots(tmp_path))
     assert code == 0
     assert len(v["points"]) == 2
     assert v["inconclusive"] is False
@@ -383,18 +386,19 @@ def test_outputs_are_byte_identical_across_runs(files, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-# Modules that importing the CLI, or running build, pipeline or nonneg, must
-# not load: numpy is needed only by Newton refinement (refine, filter-roots),
-# and dataclasses (which imports inspect) would cost more than all of
+# Modules that importing the CLI, or running any command, must not load:
+# hermicert's floating-point code is pure Python, so numpy would be a dead
+# weight, and dataclasses (which imports inspect) would cost more than all of
 # hermicert's own import.
 UNLOADED = ("numpy", "dataclasses", "inspect")
 
 # Exits naming the modules among argv[1:] that are loaded, 0 when none is.
 LOADED_SCRIPT = "import sys; sys.exit(' '.join(m for m in sys.argv[1:] if m in sys.modules) or None)"
 
-# Runs build, pipeline (the README example on x^2 - 2) and nonneg (g = x on
-# x^2 + y^2 - 1) through cli.main in the directory given as argv[1], then
-# exits as LOADED_SCRIPT does for the modules named in argv[2:].
+# Runs build, pipeline (the README example on x^2 - 2), nonneg (g = x on
+# x^2 + y^2 - 1), refine and filter-roots (on x^2 - 2) through cli.main in the
+# directory given as argv[1], then exits as LOADED_SCRIPT does for the modules
+# named in argv[2:].
 COMMANDS_SCRIPT = """
 import json, os, sys
 from hermicert.cli import main
@@ -409,14 +413,19 @@ write("circle.json", {"variables": ["x", "y"], "polynomials": ["x^2+y^2-1"]})
 write("lroots.json", {"accuracy_E": "1e-8", "bound_M": "2",
                       "points": [[["1", "0"], ["0", "0"], ["-0.5", "0"]],
                                  [["-1", "0"], ["0", "0"], ["0.5", "0"]]]})
+write("radii.json", {"accuracy_E": "1e-10", "bound_M": "2", "radii": ["1e-8", "1e-8"],
+                     "points": [[["1.4", "0"]], [["-1.4", "0"]]]})
 codes = [
     main(["build", "--system", "sys.json", "--roots", "roots.json", "--out", "herm.json"]),
     main(["pipeline", "--system", "sys.json", "--roots", "roots.json",
           "--center", "7/5", "--eps2", "1/100", "--out", "pipe.json"]),
     main(["nonneg", "--system", "circle.json", "--g", "x", "--roots", "lroots.json",
           "--out", "nonneg.json"]),
+    main(["refine", "--system", "sys.json", "--roots", "radii.json", "--out", "refine.json"]),
+    main(["filter-roots", "--system", "sys.json", "--roots", "radii.json",
+          "--system", "sys.json", "--roots", "radii.json", "--out", "filter.json"]),
 ]
-if codes != [0, 0, 4]:
+if codes != [0, 0, 4, 0, 0]:
     sys.exit(f"exit codes {codes}")
 sys.exit(" ".join(m for m in sys.argv[2:] if m in sys.modules) or None)
 """
@@ -684,9 +693,25 @@ PINNED_OUTPUTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(PINNED_OUTPUTS))
+# the same for Newton refinement, recorded from the implementation that ran
+# it on numpy's linear algebra
+PINNED_REFINE_OUTPUTS = {
+    "refine": (
+        _pinned_refine,
+        0,
+        "b69319fd241b81886e48d1fa0d2355cf76a88b19c125f12d87039d83ab249465",
+    ),
+    "filter-roots": (
+        _pinned_filter_roots,
+        0,
+        "aa1d9c22e232d876db0aeba527e9d95a380438536934f761eed9c14c9fde3053",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_OUTPUTS | PINNED_REFINE_OUTPUTS))
 def test_out_bytes_match_pinned_digest(name, tmp_path):
-    make_argv, exit_code, digest = PINNED_OUTPUTS[name]
+    make_argv, exit_code, digest = (PINNED_OUTPUTS | PINNED_REFINE_OUTPUTS)[name]
     out = tmp_path / "out.json"
     assert main(make_argv(tmp_path) + ["--out", str(out)]) == exit_code
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
@@ -907,6 +932,13 @@ def bad_input_files(files):
             {**roots_data, "points": [[p[0], ["0", "0"]] for p in roots_data["points"]]},
         ),
         "roots_radii": write(tmp / "roots_radii.json", {**roots_data, "radii": ["1e-8", "1e-8"]}),
+        "radii_nan": write(tmp / "radii_nan.json", {**roots_data, "radii": ["nan", "1e-8"]}),
+        "radii_negative": write(tmp / "radii_negative.json", {**roots_data, "radii": ["1e-8", "-1e-300"]}),
+        "sys_over": write(tmp / "sys_over.json", {"variables": ["x"], "polynomials": ["x^2-2", "x^3-2*x"]}),
+        "roots_xy_radii": write(
+            tmp / "roots_xy_radii.json",
+            {**roots_data, "points": [[p[0], ["0", "0"]] for p in roots_data["points"]], "radii": ["1e-8", "1e-8"]},
+        ),
         "herm_prov_int": herm_with("herm_prov_int", 5),
         "herm_prov_list": herm_with("herm_prov_list", []),
         "herm_bounds_int": herm_with("herm_bounds_int", {**herm_data["provenance"], "bounds": 5}),
@@ -934,6 +966,13 @@ BAD_INPUTS = {
     "repeated variables": "pipeline --system {sys_twice} --roots {origin}",
     "negative iterations": "refine --system {sys} --roots {roots} --iters -3",
     "negative rounds": "filter-roots --system {sys} --roots {roots_radii} --system {sys} --roots {roots_radii} --max-rounds -1",
+    # the kept list must stay a superset of the common roots: radii must be
+    # >= 0, and both systems square in the same variables
+    "filter-roots non-square system A": "filter-roots --system {sys_over} --roots {roots_radii} --system {sys} --roots {roots_radii}",
+    "filter-roots non-square system B": "filter-roots --system {sys} --roots {roots_radii} --system {sys_over} --roots {roots_radii}",
+    "filter-roots in other variables": "filter-roots --system {sys} --roots {roots_radii} --system {sys_xy} --roots {roots_xy_radii}",
+    "NaN radius": "filter-roots --system {sys} --roots {radii_nan} --system {sys} --roots {roots_radii}",
+    "negative radius": "filter-roots --system {sys} --roots {roots_radii} --system {sys} --roots {radii_negative}",
 }
 
 

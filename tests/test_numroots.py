@@ -61,6 +61,50 @@ def test_newton_requires_square_system():
         newton_refine(system("x^2-2", "x^3-2"), [1.0 + 0j], 1)
 
 
+def square_matrices():
+    part = st.floats(-4, 4, allow_nan=False)
+    return st.integers(1, 4).flatmap(
+        lambda n: st.lists(
+            st.lists(st.builds(complex, part, part), min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=square_matrices(), rhs=st.lists(st.complex_numbers(max_magnitude=4), min_size=4, max_size=4))
+def test_newton_step_matches_numpy(rows, rhs):
+    # the estimate ||J||_F / sigma_min(R) against numpy's 2-norm kappa_2: at
+    # least kappa_2 up to the inverse iteration's stopping rule, at most
+    # sqrt(n) * kappa_2; the step against numpy's LU solve, to the forward
+    # error of a backward-stable solve
+    n = len(rows)
+    a = np.array(rows)
+    cond = np.linalg.cond(a)
+    assume(cond <= 1e10)
+    estimate, step = numroots._newton_step([list(c) for c in zip(*rows)], rhs[:n])
+    assert 1 - 1e-5 <= estimate / cond <= math.sqrt(n) * (1 + 1e-9)
+    ref = np.linalg.solve(a, rhs[:n])
+    assume(np.isfinite(ref).all())  # a matrix of subnormal entries can overflow the solution
+
+    def norm(v):  # without numpy's overflow in squaring
+        return math.hypot(*map(abs, v))
+
+    assert norm(np.array(step) - ref) <= 16 * sys.float_info.epsilon * cond * norm(ref)
+
+
+@pytest.mark.parametrize("start", [1.5, 1 + 1j, -2.0])
+def test_newton_point_coordinates_are_complex(start):
+    res = newton_refine(system("x^2-2*y", "x*y-1", variables=("x", "y")), [start, start], 3)
+    assert [type(c) for c in res.point] == [complex, complex]
+
+
+def test_newton_step_on_a_badly_scaled_system():
+    # J = [[1e-200]]: the condition estimate is scale invariant, so the one
+    # step lands on the root as numpy's would
+    tiny = "1/1" + "0" * 200
+    assert newton_refine(system(f"{tiny}*x-{tiny}"), [0.5 + 0j], 1).point == (1 + 0j,)
+
+
 # -- vandermonde / svd -------------------------------------------------------
 
 
@@ -316,6 +360,18 @@ def test_select_basis_between_the_bounds_decides_on_sigma_min(
     v = np.array(vandermonde(points.points, [(0,), (1,), (2,)]))
     assert len(sigmas) == 1
     assert abs(sigmas[0] - np.linalg.svd(v, compute_uv=False)[-1]) < 1e-14
+
+
+def test_approx_root_set_radii_are_non_negative():
+    # an infinite radius is vacuous but sound; a NaN one would discard every match
+    def roots(radius):
+        return ApproxRootSet(points=((1 + 0j,),), accuracy="1e-8", coord_bound=2, radii=(radius,))
+
+    for radius in (0.0, math.inf):
+        assert roots(radius).radii == (radius,)
+    for radius in (float("nan"), -1e-300):
+        with pytest.raises(ValueError, match="radius"):
+            roots(radius)
 
 
 def test_approx_root_set_validates_bound():
