@@ -3,23 +3,35 @@
 A matrix is a flat row-major pair of lists (nums, dens) of Python ints with
 every entry stored reduced and dens[i] > 0.  These functions are the inner
 loops of the whole package; ``hermicert.linalg`` wraps them for RatMatrix.
-Every kernel first scales its input to integers with _scaled (one lcm per
-matrix, or per row or column for the product) and then runs on plain ints:
-one fraction-free symmetric elimination, which gives every inertia and
-rank, solves and runs the connected scan; the characteristic polynomial
-of a symmetric matrix, division-free (Berkowitz) on each connected block of
-its non-zero pattern; and the product as integer dot products.  A rational
-result is reduced once per entry.
+The module also holds the package's two exact conversions, and no other
+module does them: scaled takes (num, den) pairs to integers over one
+denominator, their lcm, and reduced takes integers over denominators back
+to lowest terms.  Every kernel first scales its input to integers (one lcm
+per matrix, or per row or column for the product) and then runs on plain
+ints: one fraction-free symmetric elimination, which gives every inertia
+and rank, solves and runs the connected scan; the characteristic
+polynomial of a symmetric matrix, division-free (Berkowitz) on each
+connected block of its non-zero pattern; and the product as integer dot
+products.  A rational result is reduced once per entry.
 """
 
+from itertools import accumulate, repeat
 from math import gcd, lcm
-from operator import mul
+from operator import floordiv, mul
 
 
-def _scaled(nums, dens):
-    """(L, [L * n / d for each entry]): L the lcm of the denominators."""
+def scaled(nums, dens):
+    """(L, [L * n / d for each entry]): L > 0 the lcm of the denominators
+    (1 for no entries), each d > 0.  A zero entry costs no division."""
     l = lcm(*dens)
-    return l, [n * (l // d) for n, d in zip(nums, dens)]
+    return l, [n * (l // d) if n else 0 for n, d in zip(nums, dens)]
+
+
+def reduced(nums, dens):
+    """(nums, dens) of the entries nums[i] / dens[i], dens[i] > 0, in lowest
+    terms; a zero entry becomes 0 / 1."""
+    gs = list(map(gcd, nums, dens))
+    return list(map(floordiv, nums, gs)), list(map(floordiv, dens, gs))
 
 
 def mat_mul(ar, ac, bc, an, ad, bn, bd):
@@ -28,17 +40,12 @@ def mat_mul(ar, ac, bc, an, ad, bn, bd):
     Row i of A is scaled to integers by its lcm r_i and column j of B by its
     lcm c_j; entry (i, j) is their integer dot product over r_i * c_j,
     reduced once."""
-    rows = [_scaled(an[i * ac : (i + 1) * ac], ad[i * ac : (i + 1) * ac]) for i in range(ar)]
-    cols = [_scaled(bn[j::bc], bd[j::bc]) for j in range(bc)]
-    cn, cd = [], []
-    for r, row in rows:
-        for c, col in cols:
-            s = sum(map(mul, row, col))
-            d = r * c
-            g = gcd(s, d)
-            cn.append(s // g)
-            cd.append(d // g)
-    return cn, cd
+    rows = [scaled(an[i * ac : (i + 1) * ac], ad[i * ac : (i + 1) * ac]) for i in range(ar)]
+    cols = [scaled(bn[j::bc], bd[j::bc]) for j in range(bc)]
+    return reduced(
+        [sum(map(mul, row, col)) for _, row in rows for _, col in cols],
+        [r * c for r, _ in rows for c, _ in cols],
+    )
 
 
 def integer_rows(k, nums, dens):
@@ -46,7 +53,7 @@ def integer_rows(k, nums, dens):
 
     L > 0, so B has the inertia and the sign pattern of A, and
     c_i(A) = c_i(B) / L^i for the characteristic polynomial."""
-    l, flat = _scaled(nums, dens)
+    l, flat = scaled(nums, dens)
     return l, [flat[i * k : (i + 1) * k] for i in range(k)]
 
 
@@ -132,14 +139,7 @@ def charpoly(k, nums, dens):
             for j, y in enumerate(q):
                 prod[i + j] += x * y
         p = prod
-    cn, cd = [], []
-    li = 1
-    for c in p:
-        g = gcd(c, li)
-        cn.append(c // g)
-        cd.append(li // g)
-        li *= l
-    return cn, cd
+    return reduced(p, list(accumulate(repeat(l, k), mul, initial=1)))
 
 
 def _catch_up(u, lev, s, d):
@@ -203,12 +203,12 @@ def eliminate(k, nums, dens, rhs=None, linked=None):
     back-substitution: a 1x1 row gives b_vv Y_v, and rows p and q of a
     block give b Y_q and b Y_p.  X_ij = L Y_ij / (L_C d), reduced once.
     """
-    l, flat = _scaled(nums, dens)
+    l, flat = scaled(nums, dens)
     # u[i]: the entries (i, j), j >= i, of row i, then its right-hand side
     u = [flat[i * k + i : (i + 1) * k] for i in range(k)]
     if rhs is not None:
         m, bn, bd = rhs
-        lc, flat = _scaled(bn, bd)
+        lc, flat = scaled(bn, bd)
         for i, row in enumerate(u):
             row += flat[i * m : (i + 1) * m]
     label = list(range(k))  # the label at each position
@@ -284,9 +284,8 @@ def eliminate(k, nums, dens, rhs=None, linked=None):
                 acc = [x - f * z for x, z in zip(acc, w)]
         y[target] = [x // div for x in acc]
     den = lc * d
-    sign = -1 if den < 0 else 1
+    f = l if den > 0 else -l
     xs = [x for p in sorted(range(k), key=label.__getitem__) for x in y[p]]
-    if l != 1:
-        xs = [l * x for x in xs]
-    gs = [gcd(x, den) * sign for x in xs]
-    return pos, neg, zero, picked, ([x // g for x, g in zip(xs, gs)], [den // g for g in gs])
+    if f != 1:
+        xs = [f * x for x in xs]
+    return pos, neg, zero, picked, reduced(xs, [abs(den)] * len(xs))

@@ -92,10 +92,10 @@ multiplication matrices.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
 from operator import attrgetter
 from typing import Sequence
 
+from . import _kernels as kernels
 from .hermite import HermitePlus
 from .linalg import (
     Inertia,
@@ -289,11 +289,13 @@ class NormalForms:
     matrices holds the M_s the table was built from.  Each M_s is scaled to
     integers by the lcm D_s of its denominators and kept as its columns'
     non-zero entries, so a vector is an integer list with one denominator,
-    D^gamma.  v_gamma is memoised, each from v_(gamma - e_s) by one product
-    with D_s M_s that visits only the non-zero entries of its columns.  The
-    table is built once per certification, right after step 2, shared by
-    steps 4 to 7, and kept on the certified outcome for derive_hg.  The
-    trace form of steps 4 and 6 (_base_trace_matrix) reads only the base
+    D^gamma.  The conversions are _kernels': scaled puts each M_s, and the
+    terms of each image g(M) M^beta e_1, over one denominator, and reduced
+    takes g(M) back to lowest terms.  v_gamma is memoised, each from
+    v_(gamma - e_s) by one product with D_s M_s that visits only the
+    non-zero entries of its columns.  The table is built once per
+    certification, right after step 2, shared by steps 4 to 7, and kept on
+    the certified outcome for derive_hg.  The trace form of steps 4 and 6 (_base_trace_matrix) reads only the base
     products v_(beta_i + beta_j): once for the trace functional tau and once
     as the v_alpha of its traces (_trace_grid), Tr(M^alpha) = tau . v_alpha.
     Its vectors mean what they say under the precondition that steps 2 and
@@ -320,15 +322,9 @@ class NormalForms:
         # columns[s][t]: non-zero (row, integer entry) of D_s * M_s e_t
         self.columns: list[list[list[tuple[int, int]]]] = []
         for m in ms:
-            nums, dens = m.row_pairs()
-            d = lcm(*dens)
+            d, flat = kernels.scaled(*m.row_pairs())
             self.scales.append(d)
-            self.columns.append(
-                [
-                    [(r, nums[r * k + t] * (d // dens[r * k + t])) for r in range(k) if nums[r * k + t]]
-                    for t in range(k)
-                ]
-            )
+            self.columns.append([[(r, x) for r, x in enumerate(flat[t::k]) if x] for t in range(k)])
         start = [0] * k
         start[0] = 1
         self._vectors: dict[Monomial, tuple[list[int], int]] = {(0,) * len(ms): (start, 1)}
@@ -369,31 +365,35 @@ class NormalForms:
         vector over one denominator."""
         if len(g.variables) != len(self.columns):
             raise ValueError("matrix count does not match ring arity")
-        terms = []
-        den = 1
+        nums, dens, vectors = [], [], []
         for alpha, coeff in g.terms.items():
             w, d = self.vector(monomial_mul(alpha, beta))
-            q = coeff.denominator * d
-            terms.append((coeff.numerator, q, w))
-            den = lcm(den, q)
+            nums.append(coeff.numerator)
+            dens.append(coeff.denominator * d)
+            vectors.append(w)
+        den, fs = kernels.scaled(nums, dens)
         out = [0] * self.k
-        for p, q, w in terms:
-            f = p * (den // q)
+        for f, w in zip(fs, vectors):
             for r, x in enumerate(w):
                 if x:
                     out[r] += f * x
         return out, den
 
     def poly_matrix(self, g: MultiPoly) -> RatMatrix:
-        """g(M_1, ..., M_n), column j being g(M) e_j = g(M) M^(beta_j) e_1."""
+        """g(M_1, ..., M_n), column j being g(M) e_j = g(M) M^(beta_j) e_1.
+        Most entries are zero, and only the others are reduced."""
         k = self.k
-        nums, dens = [0] * (k * k), [1] * (k * k)
+        at, xs, ds = [], [], []
         for j, beta in enumerate(self.basis):
             w, den = self.image(g, beta)
             for r, x in enumerate(w):
                 if x:
-                    common = gcd(x, den)
-                    nums[r * k + j], dens[r * k + j] = x // common, den // common
+                    at.append(r * k + j)
+                    xs.append(x)
+                    ds.append(den)
+        nums, dens = [0] * (k * k), [1] * (k * k)
+        for p, x, d in zip(at, *kernels.reduced(xs, ds)):
+            nums[p], dens[p] = x, d
         return RatMatrix(k, k, nums, dens)
 
 
@@ -428,22 +428,15 @@ def _trace_functional(nf: NormalForms) -> tuple[list[int], int]:
     candidate matrix that step 6 checks.
     """
     basis = nf.basis
-    sums = []
+    k = len(basis)
+    nums, dens = [], []  # (v_(beta_j + beta_i))_i, row j by row j
     for beta in basis:
-        num, den = 0, 1
         for i, other in enumerate(basis):
             w, d = nf.vector(monomial_mul(beta, other))
-            x = w[i]
-            if x:
-                if d == den:
-                    num += x
-                else:
-                    g = gcd(d, den)
-                    num = num * (d // g) + x * (den // g)
-                    den = den // g * d
-        sums.append((num, den))
-    common = lcm(*(den for _, den in sums))
-    return [num * (common // den) for num, den in sums], common
+            nums.append(w[i])
+            dens.append(d if w[i] else 1)  # a zero term leaves the lcm alone
+    common, flat = kernels.scaled(nums, dens)
+    return [sum(flat[j * k : (j + 1) * k]) for j in range(k)], common
 
 
 def _trace_grid(nf: NormalForms, monomials: Sequence[Monomial]) -> list[Fraction]:

@@ -38,6 +38,7 @@ from .hermite import (
     build_hermite,
 )
 from .numroots import (
+    CoordinateBoundError,
     DivergedError,
     NoWellConditionedBasisError,
     SingularJacobianError,
@@ -60,6 +61,7 @@ _CONSTRUCTION_ERRORS = (
     NoConnectedSelectionError,
     SingularJacobianError,
     DivergedError,
+    CoordinateBoundError,
 )
 
 
@@ -70,14 +72,15 @@ class _BadInput(Exception):
 
 class _input_boundary:
     """with _input_boundary(): loads, parses and checks a command's inputs.
-    A ValueError, KeyError, OSError, TypeError or ZeroDivisionError raised
-    in it (parse errors included) becomes _BadInput."""
+    A ValueError, KeyError, OSError, TypeError or ArithmeticError (a zero
+    denominator, or a value beyond the range of a double) raised in it,
+    parse errors included, becomes _BadInput."""
 
     def __enter__(self):
         return self
 
     def __exit__(self, kind, exc, tb):
-        if isinstance(exc, (ValueError, KeyError, OSError, TypeError, ZeroDivisionError)):
+        if isinstance(exc, (ValueError, KeyError, OSError, TypeError, ArithmeticError)):
             raise _BadInput from exc
         return False
 
@@ -115,6 +118,17 @@ def _check_points(roots, basis: MonomialBasis | None = None) -> None:
         raise ValueError("need at least one point")
     if basis is not None and len(basis) != len(roots):
         raise ValueError(f"basis size {len(basis)} must equal the number of points {len(roots)}")
+
+
+def _refined_roots(roots, points, radii):
+    """The refined points as a root set with the E and M of roots; a point
+    that refinement moved out of |z|_inf <= M - E raises CoordinateBoundError.
+    Newton accepts only finite points and the radii stay >= 0, so the bound
+    is the one check of a root set that they can fail."""
+    try:
+        return type(roots)(points=points, accuracy=roots.accuracy, coord_bound=roots.coord_bound, radii=radii)
+    except ValueError as exc:
+        raise CoordinateBoundError(f"refinement left the box: {exc}") from exc
 
 
 def _verdict_exit(verdict: str) -> int:
@@ -221,13 +235,7 @@ def cmd_refine(args) -> tuple[int, dict]:
             raise type(exc)(f"point {idx}: {exc}") from exc
         refined.append(result.point)
         residuals.append(result.residual)
-    out_roots = type(roots)(
-        points=tuple(refined),
-        accuracy=roots.accuracy,
-        coord_bound=roots.coord_bound,
-        radii=roots.radii,
-    )
-    payload = jsonio.roots_to_json(out_roots)
+    payload = jsonio.roots_to_json(_refined_roots(roots, tuple(refined), roots.radii))
     payload["residuals"] = [repr(r) for r in residuals]
     return EXIT_OK, payload
 
@@ -252,13 +260,7 @@ def cmd_filter_roots(args) -> tuple[int, dict]:
     result = match_and_filter(roots_a, roots_b, system_a, system_b, max_rounds=args.max_rounds)
     kept_points = tuple(p for p, _ in result.kept)
     kept_radii = tuple(r for _, r in result.kept)
-    out_roots = type(roots_a)(
-        points=kept_points,
-        accuracy=roots_a.accuracy,
-        coord_bound=roots_a.coord_bound,
-        radii=kept_radii,
-    )
-    payload = jsonio.roots_to_json(out_roots)
+    payload = jsonio.roots_to_json(_refined_roots(roots_a, kept_points, kept_radii))
     payload["inconclusive"] = result.inconclusive
     return EXIT_OK, payload
 

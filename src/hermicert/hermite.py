@@ -234,16 +234,12 @@ def reconstruct_hermite(
     l = len(basis)
     degrees = {sum(alpha) for alpha in products} - {0}
     # per degree: err = E*k*n*d*M^(d-1) as err_num / err_den, and the
-    # denominator bound
+    # denominator bound of err
     scale = E.numerator * point_count * arity
-    checks = {
-        d: (
-            scale * d * M.numerator ** (d - 1),
-            E.denominator * M.denominator ** (d - 1),
-            denominator_bound(E, point_count, arity, d, M),
-        )
-        for d in degrees
-    }
+    checks = {}
+    for d in degrees:
+        err_num, err_den = scale * d * M.numerator ** (d - 1), E.denominator * M.denominator ** (d - 1)
+        checks[d] = err_num, err_den, denominator_bound(err_num, err_den)
 
     def fail(pos: int, reason: str, detail: str):
         entry = divmod(basis.product_index.index(pos), l)

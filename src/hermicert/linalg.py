@@ -8,7 +8,6 @@ exact; there is no floating point anywhere in this module.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
@@ -98,16 +97,10 @@ class RatMatrix:
         )
         return f"RatMatrix({self.rows}x{self.cols}: {body})"
 
-    @classmethod
-    def _reduced(cls, rows: int, cols: int, nums: list[int], dens: list[int]) -> "RatMatrix":
-        """The matrix of the entries nums[i] / dens[i], dens[i] > 0, reduced."""
-        gs = list(map(gcd, nums, dens))
-        return cls(rows, cols, [n // g for n, g in zip(nums, gs)], [d // g for d, g in zip(dens, gs)])
-
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
         self._check_same_shape(other)
         nums = [an * bd + bn * ad for an, ad, bn, bd in zip(self._n, self._d, other._n, other._d)]
-        return RatMatrix._reduced(self.rows, self.cols, nums, list(map(mul, self._d, other._d)))
+        return RatMatrix(self.rows, self.cols, *kernels.reduced(nums, list(map(mul, self._d, other._d))))
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
@@ -120,7 +113,7 @@ class RatMatrix:
     def scale(self, factor) -> "RatMatrix":
         f = Fraction(factor)
         nums = [n * f.numerator for n in self._n]
-        return RatMatrix._reduced(self.rows, self.cols, nums, [d * f.denominator for d in self._d])
+        return RatMatrix(self.rows, self.cols, *kernels.reduced(nums, [d * f.denominator for d in self._d]))
 
     def is_symmetric(self) -> bool:
         if self.rows != self.cols:

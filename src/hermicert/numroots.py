@@ -34,6 +34,11 @@ class DivergedError(RuntimeError):
     """Newton iteration grew the residual three times in a row."""
 
 
+class CoordinateBoundError(RuntimeError):
+    """Refinement moved a point out of the box |z|_inf <= M - E of its root
+    set, so the refined points form no root set with that E and M."""
+
+
 class NoWellConditionedBasisError(RuntimeError):
     """No connected-to-1 basis keeps the Vandermonde well conditioned."""
 

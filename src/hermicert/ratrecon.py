@@ -3,10 +3,11 @@
 The continued fraction runs on integers: ``reconstruct_ints`` takes a value
 as a numerator and a positive denominator, and every comparison is an
 integer cross-multiplication.  Hermite construction calls it directly on
-exact power sums over powers of two.  ``rational_reconstruct`` is its
-``fractions.Fraction`` entry point; floats are converted to the exact
-dyadic rational they denote (never through a decimal detour), so every
-comparison there is exact too.
+exact power sums over powers of two, with the bound that
+``denominator_bound`` gives for the error bound of each entry.
+``rational_reconstruct`` is its ``fractions.Fraction`` entry point; floats
+are converted to the exact dyadic rational they denote (never through a
+decimal detour), so every comparison there is exact too.
 """
 
 from __future__ import annotations
@@ -70,31 +71,16 @@ def rational_reconstruct(alpha: RationalLike, bound: int) -> Fraction | None:
     return None if found is None else Fraction(*found)
 
 
-def denominator_bound(
-    accuracy: RationalLike, k: int, n: int, d: int, coord_bound: RationalLike
-) -> int | None:
-    """Reconstruction denominator bound ceil((2*E*k*n*d*M^(d-1))^(-1/2)).
+def denominator_bound(err_num: int, err_den: int) -> int | None:
+    """The reconstruction denominator bound of an error bound
+    err = err_num / err_den > 0: the least b with 2*err*b^2 >= 1, that is
+    ceil((2*err)^(-1/2)), by one exact integer square root.  Returns None
+    when 2*err >= 1, i.e. the accuracy is too poor for any reconstruction.
 
-    E is the root accuracy, k the number of points, n the number of
-    variables, d the monomial degree and M the coordinate bound.  Everything
-    is evaluated exactly (integer square root with true ceiling, never
-    rounded optimistically).  Returns None when 2*E*k*n*d*M^(d-1) >= 1,
-    i.e. the accuracy is too poor for any reconstruction.
+    hermite.reconstruct_hermite passes err = E*k*n*d*M^(d-1) for the
+    entries of degree d.
     """
-    E = Fraction(accuracy)
-    M = Fraction(coord_bound)
-    if E <= 0 or M <= 0:
-        raise ValueError("accuracy and coordinate bound must be positive")
-    if min(k, n, d) < 1:
-        raise ValueError("k, n, d must be >= 1")
-    x = 2 * E * k * n * d * M ** (d - 1)
-    if x >= 1:
+    if 2 * err_num >= err_den:
         return None
-    # smallest b with b*b >= 1/x, i.e. b*b*p >= q for x = p/q
-    p, q = x.numerator, x.denominator
-    b = isqrt(q // p)
-    while b * b * p < q:
-        b += 1
-    while b > 1 and (b - 1) * (b - 1) * p >= q:
-        b -= 1
-    return b
+    # b*b >= c = ceil(err_den / (2*err_num)) <=> b > isqrt(c - 1)
+    return isqrt((err_den - 1) // (2 * err_num)) + 1

@@ -1,12 +1,17 @@
+import copy
 import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hermicert._kernels as kernels
 import hermicert.certify
@@ -181,6 +186,28 @@ def test_refine_moves_points_to_roots(tmp_path, capsys):
     assert abs(float(v["points"][0][0][0]) - SQRT2) < 1e-12
     assert abs(float(v["points"][1][0][0]) + SQRT2) < 1e-12
     assert len(v["residuals"]) == 2
+
+
+@pytest.mark.parametrize(
+    "command, reached",
+    [("refine", "3.0009"), ("filter-roots", "3+0j")],
+)
+def test_refinement_leaving_the_box_is_a_refinement_failure(command, reached, tmp_path, capsys):
+    # Newton from 1.5 on x^2 - 9 heads for the root 3, outside |x| <= M - E =
+    # 1.9: the refined points form no root set with this E and M.  refine
+    # stops after three steps; filter-roots keeps the point its refinements
+    # of both lists still match
+    sys_path = write(tmp_path / "s.json", {"variables": ["x"], "polynomials": ["x^2-9"]})
+    roots = write(
+        tmp_path / "r.json", {"accuracy_E": "0.1", "bound_M": "2", "points": [[["1.5", "0"]]], "radii": ["10"]}
+    )
+    argv = [command, "--system", sys_path, "--roots", roots]
+    if command == "filter-roots":
+        argv += argv[1:]
+    code, payload = run(capsys, *argv)
+    assert code == 2, payload
+    assert payload["error"]["type"] == "CoordinateBoundError"
+    assert reached in payload["error"]["message"] and "M - E = 1.9" in payload["error"]["message"]
 
 
 def test_filter_roots_cli(tmp_path, capsys):
@@ -932,6 +959,8 @@ def bad_input_files(files):
             {**roots_data, "points": [[p[0], ["0", "0"]] for p in roots_data["points"]]},
         ),
         "roots_radii": write(tmp / "roots_radii.json", {**roots_data, "radii": ["1e-8", "1e-8"]}),
+        "roots_huge_E": write(tmp / "roots_huge_E.json", {**roots_data, "accuracy_E": "2e308"}),
+        "roots_huge_M": write(tmp / "roots_huge_M.json", {**roots_data, "bound_M": "1e400"}),
         "radii_nan": write(tmp / "radii_nan.json", {**roots_data, "radii": ["nan", "1e-8"]}),
         "radii_negative": write(tmp / "radii_negative.json", {**roots_data, "radii": ["1e-8", "-1e-300"]}),
         "sys_over": write(tmp / "sys_over.json", {"variables": ["x"], "polynomials": ["x^2-2", "x^3-2*x"]}),
@@ -1002,6 +1031,9 @@ BAD_VALUES = {
     "provenance that is no object": ("certify --system {sys} --hermite {herm_prov_int}", "TypeError"),
     "provenance that is a list": ("ball --system {sys} --hermite {herm_prov_list} --center 1 --eps2 1", "TypeError"),
     "bounds that are no object": ("count-real --system {sys} --hermite {herm_bounds_int}", "TypeError"),
+    # exact as Fractions, but M - E is beyond the range of a double
+    "accuracy beyond a double": ("build --system {sys} --roots {roots_huge_E}", "OverflowError"),
+    "bound beyond a double": ("refine --system {sys} --roots {roots_huge_M}", "OverflowError"),
 }
 
 
@@ -1035,3 +1067,120 @@ def test_nonneg_basis_of_the_wrong_size_is_bad_input(tmp_path, capsys):
     basis2 = write(tmp_path / "b2.json", {"monomials": ["1", "x"]})
     code, payload = run(capsys, "nonneg", "--system", system, "--g", "x", "--roots", roots, "--basis", basis2)
     assert (code, payload["verdict"], payload["certificate"]["status"]) == (4, "false", "certified")
+
+
+# The input boundary under mutation: valid inputs of eight commands with one
+# to three values replaced, keys dropped or list entries repeated.  Whatever
+# the input, main returns an exit code 0-4 and writes a JSON payload; exit 1
+# names the input error and exit 2 a construction error.
+FUZZ_DOCS = {
+    "system": {"variables": ["x"], "polynomials": ["x^2-2"]},
+    "roots": {
+        "accuracy_E": "1e-10",
+        "bound_M": "2",
+        "points": [[[repr(SQRT2), "0"]], [[repr(-SQRT2), "0"]]],
+        "radii": ["1e-8", "1e-8"],
+    },
+    # nonneg on g = x over V(x^2 - 1): the critical points (+-1, -+1/2) in (x, l1)
+    "lagrange_system": {"variables": ["x"], "polynomials": ["x^2-1"]},
+    "lagrange_roots": {
+        "accuracy_E": "1e-10",
+        "bound_M": "2",
+        "points": [[["1", "0"], ["-0.5", "0"]], [["-1", "0"], ["0.5", "0"]]],
+    },
+}
+FUZZ_COMMANDS = {
+    "build": "build --system {system} --roots {roots}",
+    "pipeline": "pipeline --system {system} --roots {roots} --center 7/5 --eps2 1/100",
+    "nonneg": "nonneg --system {lagrange_system} --g x --roots {lagrange_roots}",
+    "refine": "refine --system {system} --roots {roots}",
+    "filter-roots": "filter-roots --system {system} --roots {roots} --system {system} --roots {roots_b}",
+    "certify": "certify --system {system} --hermite {hermite} --g x",
+    "ball": "ball --system {system} --hermite {hermite} --center 7/5 --eps2 1/100",
+    "count-real": "count-real --system {system} --hermite {hermite}",
+}
+FUZZ_PATHS = {
+    "system": [("variables",), ("variables", 0), ("polynomials",), ("polynomials", 0)],
+    "roots": [
+        ("accuracy_E",), ("bound_M",), ("points",), ("points", 0), ("points", 1, 0), ("points", 0, 0, 0),
+        ("points", 1, 0, 1), ("radii",), ("radii", 0),
+    ],
+    "hermite": [
+        ("basis",), ("basis", 1), ("labels", 2), ("entries",), ("entries", 0), ("entries", 1, 1), ("rows",),
+        ("variables",), ("provenance",), ("provenance", "E"), ("provenance", "M"), ("provenance", "k"),
+        ("provenance", "bounds"), ("provenance", "bounds", "x^2"),
+    ],
+}
+FUZZ_PATHS["roots_b"] = FUZZ_PATHS["lagrange_roots"] = FUZZ_PATHS["roots"]
+FUZZ_PATHS["lagrange_system"] = FUZZ_PATHS["system"]
+FUZZ_VALUES = ["nan", "inf", "2e308", "1e400", "1e-400", "1/0", "", 5, 2.5, None, True, [], {}, ["x"]]
+
+
+@st.composite
+def mutated_commands(draw):
+    """(command, [(file, path, op, value)]): op "set" puts value at path,
+    "drop" deletes it and "repeat" inserts a second copy of a list entry."""
+    command = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    names = sorted(set(re.findall(r"\{(\w+)\}", FUZZ_COMMANDS[command])))
+    mutations = []
+    for _ in range(draw(st.integers(1, 3))):
+        name = draw(st.sampled_from(names))
+        path = draw(st.sampled_from(FUZZ_PATHS[name]))
+        op = draw(st.sampled_from(["set", "set", "drop", "repeat"]))
+        mutations.append((name, path, op, draw(st.sampled_from(FUZZ_VALUES)) if op == "set" else None))
+    return command, mutations
+
+
+def _has(doc, key) -> bool:
+    if isinstance(doc, dict):
+        return key in doc
+    return isinstance(doc, list) and isinstance(key, int) and key < len(doc)
+
+
+def _mutate(doc, path, op, value):
+    """op at path, when an earlier mutation has left the path in place."""
+    *head, last = path
+    for key in head:
+        if not _has(doc, key):
+            return
+        doc = doc[key]
+    if not _has(doc, last):
+        return
+    if op == "set":
+        doc[last] = copy.deepcopy(value)
+    elif op == "drop":
+        del doc[last]
+    elif isinstance(doc, list):
+        doc.insert(last, copy.deepcopy(doc[last]))
+
+
+@pytest.fixture(scope="module")
+def hermite_doc(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    paths = {name: write(tmp / f"{name}.json", doc) for name, doc in FUZZ_DOCS.items()}
+    out = tmp / "hermite.json"
+    assert main(["build", "--system", paths["system"], "--roots", paths["roots"], "--out", str(out)]) == 0
+    return json.loads(out.read_text(encoding="utf-8"))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=mutated_commands())
+@example(case=("build", [("roots", ("bound_M",), "set", "1e400")]))
+@example(case=("refine", [("roots", ("accuracy_E",), "set", "2e308")]))
+def test_mutated_inputs_exit_with_a_code_and_a_json_payload(case, hermite_doc):
+    command, mutations = case
+    docs = {**FUZZ_DOCS, "roots_b": FUZZ_DOCS["roots"], "hermite": hermite_doc}
+    docs = {name: copy.deepcopy(doc) for name, doc in docs.items()}  # roots_b apart from roots
+    for name, path, op, value in mutations:
+        _mutate(docs[name], path, op, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: write(Path(tmp) / f"{name}.json", doc) for name, doc in docs.items()}
+        out = Path(tmp) / "out.json"
+        argv = [word.format(**paths) for word in FUZZ_COMMANDS[command].split()] + ["--out", str(out)]
+        code = main(argv)
+        payload = json.loads(out.read_text(encoding="utf-8"))
+    assert code in range(5) and isinstance(payload, dict)
+    if code == 1:
+        assert payload["error"]["type"]
+    if code == 2:
+        assert payload["error"]["type"] in {e.__name__ for e in hermicert.cli._CONSTRUCTION_ERRORS}

@@ -1,9 +1,11 @@
 """Independent oracles for the exact matrix kernels."""
 
+import ast
 import random
 from fractions import Fraction
 from math import gcd
 from operator import mul
+from pathlib import Path
 
 from hermicert import _kernels as kernels
 from hermicert.linalg import RatMatrix, signature_descartes
@@ -69,6 +71,48 @@ def mat_mul_oracle(ar, ac, bc, an, ad, bn, bd):
 
 def assert_reduced(nums, dens):
     assert all(d > 0 and gcd(n, d) == 1 for n, d in zip(nums, dens)), (nums, dens)
+
+
+def test_scaled_puts_every_entry_over_the_lcm():
+    assert kernels.scaled([], []) == (1, [])
+    assert kernels.scaled([0, 0], [1, 1]) == (1, [0, 0])
+    # zeros keep their denominators in the lcm; -3/4 and 5/6 over 12
+    assert kernels.scaled([0, -3, 5, 0], [7, 4, 6, 1]) == (84, [0, -63, 70, 0])
+    rng = random.Random(5)
+    for count in range(12):
+        nums, dens = rand_pairs(rng, count, 2**40, 2**30)
+        l, ints = kernels.scaled(nums, dens)
+        assert l > 0 and all(l % d == 0 for d in dens)
+        assert [Fraction(x, l) for x in ints] == [Fraction(n, d) for n, d in zip(nums, dens)]
+
+
+def test_reduced_gives_lowest_terms():
+    assert kernels.reduced([], []) == ([], [])
+    assert kernels.reduced([0, 0], [5, 1]) == ([0, 0], [1, 1])
+    assert kernels.reduced([-6, 4, -7, 0], [4, 2, 1, 12]) == ([-3, 2, -7, 0], [2, 1, 1, 1])
+    rng = random.Random(6)
+    for count in range(12):
+        nums = [rng.randint(-(2**50), 2**50) * rng.choice([0, 1, 2**20]) for _ in range(count)]
+        dens = [rng.randint(1, 2**40) for _ in range(count)]
+        got = kernels.reduced(nums, dens)
+        assert_reduced(*got)
+        assert [Fraction(n, d) for n, d in zip(*got)] == [Fraction(n, d) for n, d in zip(nums, dens)]
+
+
+def test_only_the_kernels_import_gcd_or_lcm():
+    # _kernels holds the package's one scaling and one reduction (scaled,
+    # reduced); a module that imports gcd or lcm is writing its own copy
+    src = Path(kernels.__file__).parent
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "_kernels.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "math":
+                offenders += [(path.name, a.name) for a in node.names if a.name in ("gcd", "lcm")]
+            elif isinstance(node, ast.Attribute) and node.attr in ("gcd", "lcm"):
+                offenders.append((path.name, node.attr))
+    assert offenders == []
 
 
 def test_mat_mul_matches_fraction_triple_loop():

@@ -1,8 +1,7 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -160,27 +159,57 @@ def test_reconstruct_output_always_satisfies_constraints():
             assert abs(alpha - out) < Fraction(1, 2 * bound * bound)
 
 
+def error_pair(E, k, n, d, M):
+    """err = E*k*n*d*M^(d-1) as the pair (num, den) that
+    hermite.reconstruct_hermite passes, unreduced."""
+    E, M = Fraction(E), Fraction(M)
+    return E.numerator * k * n * d * M.numerator ** (d - 1), E.denominator * M.denominator ** (d - 1)
+
+
+def reference_bound(E, k, n, d, M):
+    """ceil((2*E*k*n*d*M^(d-1))^(-1/2)) from Fractions, or None when the
+    product is >= 1: the least b with b*b*x >= 1, found from isqrt(1/x)."""
+    x = 2 * Fraction(E) * k * n * d * Fraction(M) ** (d - 1)
+    if x >= 1:
+        return None
+    b = isqrt(int(1 / x))
+    while b * b * x < 1:
+        b += 1
+    while b > 1 and (b - 1) * (b - 1) * x >= 1:
+        b -= 1
+    return b
+
+
 def test_denominator_bound_simple():
-    assert denominator_bound(Fraction(1, 200), 1, 1, 1, 1) == 10
+    assert denominator_bound(*error_pair(Fraction(1, 200), 1, 1, 1, 1)) == 10
 
 
 def test_denominator_bound_exact_integer_sqrt():
     # 2*E*k*n*d*M^(d-1) = 128e-10; ceil(sqrt(10^10/128)) computed exactly
-    b = denominator_bound(Fraction(1, 10**10), 2, 1, 4, 2)
+    b = denominator_bound(*error_pair(Fraction(1, 10**10), 2, 1, 4, 2))
     product = 2 * Fraction(1, 10**10) * 2 * 1 * 4 * 2**3
     assert b == 8839
     assert b * b * product >= 1 > (b - 1) * (b - 1) * product
 
 
 def test_denominator_bound_not_usable():
-    assert denominator_bound(1, 1, 1, 1, 1) is None
+    assert denominator_bound(*error_pair(1, 1, 1, 1, 1)) is None
+    assert denominator_bound(1, 2) is None  # 2 * err = 1 exactly
 
 
-def test_denominator_bound_validation():
-    with pytest.raises(ValueError):
-        denominator_bound(Fraction(-1, 2), 1, 1, 1, 1)
-    with pytest.raises(ValueError):
-        denominator_bound(Fraction(1, 2), 0, 1, 1, 1)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    e=st.fractions(min_value=Fraction(1, 10**30), max_value=Fraction(1, 2)),
+    m=st.fractions(min_value=Fraction(1, 10**3), max_value=10**3),
+    k=st.integers(1, 100),
+    n=st.integers(1, 6),
+    d=st.integers(1, 12),
+    common=st.integers(1, 10**6),
+)
+def test_denominator_bound_matches_the_fraction_reference(e, m, k, n, d, common):
+    # the pair need not be in lowest terms: reconstruct_hermite passes it unreduced
+    num, den = error_pair(e, k, n, d, m)
+    assert denominator_bound(num * common, den * common) == reference_bound(e, k, n, d, m)
 
 
 def test_exact_fraction_of_float_is_dyadic():
