@@ -23,6 +23,10 @@ E = 1e-40, and from points moved by up to 1e-14 per coordinate at E = 1e-13.
 
 Usage: python benchmarks/bench_kernels.py [--repeat N] [--paired PATH]
 
+The script puts its checkout's src/ first on sys.path, so it times the
+sources next to it, with or without PYTHONPATH and whether or not hermicert
+is installed.
+
 Each row prints the best of N calls.  With --paired, PATH is a second
 kernels module (for example an older _kernels.py saved to a file): each of
 N rounds times one call of every kernel row through both modules, in
@@ -36,13 +40,17 @@ import argparse
 import importlib.util
 import random
 import statistics
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
-from hermicert import _kernels as kernels
-from hermicert.hermite import approx_extended_hermite, reconstruct_hermite
-from hermicert.numroots import ApproxRootSet
-from hermicert.polynomials import ExtendedBasis, MonomialBasis
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from hermicert import _kernels as kernels  # noqa: E402
+from hermicert.hermite import approx_extended_hermite, reconstruct_hermite  # noqa: E402
+from hermicert.numroots import ApproxRootSet  # noqa: E402
+from hermicert.polynomials import ExtendedBasis, MonomialBasis  # noqa: E402
 
 
 def small_entries(rng, count):

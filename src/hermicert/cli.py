@@ -31,16 +31,10 @@ from .certificates import (
     lagrange_variables,
 )
 from .certify import certify_pipeline
-from .hermite import (
-    NoConnectedSelectionError,
-    NonRadicalRankError,
-    ReconstructionFailedError,
-    build_hermite,
-)
+from .hermite import ReconstructionFailedError, build_hermite
 from .numroots import (
     CoordinateBoundError,
     DivergedError,
-    NoWellConditionedBasisError,
     SingularJacobianError,
     match_and_filter,
     newton_refine,
@@ -56,9 +50,6 @@ EXIT_VERDICT_FALSE = 4
 
 _CONSTRUCTION_ERRORS = (
     ReconstructionFailedError,
-    NonRadicalRankError,
-    NoWellConditionedBasisError,
-    NoConnectedSelectionError,
     SingularJacobianError,
     DivergedError,
     CoordinateBoundError,
@@ -356,8 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--roots", required=True, help="approximate roots of the Lagrange system")
     p.add_argument(
         "--basis",
-        help="basis JSON over the extended ring; selected automatically when omitted, "
-        "required for repeated critical points",
+        help="basis JSON over the extended ring, one monomial per point; selected "
+        "automatically when omitted",
     )
     p.add_argument("--assume-smooth-bounded", action="store_true")
     common(p)

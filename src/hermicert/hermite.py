@@ -13,12 +13,15 @@ certify module.
 
 build_hermite is the one constructor of build, pipeline and nonneg (whose
 points are the roots of the Lagrange system), and the one place the route
-is decided.  It selects a basis when none is given (select_basis finds none
-for repeated points, so those need a given basis), builds H+, and makes the
-one connected scan of H1: rank H1 = k keeps H+ (the radical route), and a
-lower rank reduces it to the scan's connected nonsingular block of H1
-(build_nonradical), from which certification rebuilds the Hermite matrices
-of the radical.  HermitePlus.reduced tells the two routes apart afterwards.
+is decided.  It selects a basis when none is given (on repeated points
+select_basis accepts fewer monomials than points), builds H+ from every
+point, and makes the one connected scan of H1: a nonsingular H1 keeps H+,
+and a singular one is reduced to the scan's connected nonsingular block
+(build_nonradical).  H+ built from more points than its base size is the
+non-radical route, from which certification rebuilds the Hermite matrices
+of the radical; HermitePlus.reduced tells the two routes apart afterwards.
+Nothing here rejects a matrix that was built: certification step 2 checks
+the ranks.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import mul
 
-from .linalg import ConnectedSelection, RatMatrix, _connected_scan, rank
+from .linalg import ConnectedSelection, RatMatrix, _connected_scan
 from .numroots import ApproxRootSet, select_basis
 from .polynomials import ExtendedBasis, Monomial, MonomialBasis
 from .ratrecon import RationalLike, denominator_bound, reconstruct_ints
@@ -45,14 +48,6 @@ class ReconstructionFailedError(RuntimeError):
         if detail:
             msg += f" ({detail})"
         super().__init__(msg)
-
-
-class NonRadicalRankError(RuntimeError):
-    """rank(H+) exceeds the size of the connected nonsingular block."""
-
-
-class NoConnectedSelectionError(ValueError):
-    """The connected scan of H1 falls short of rank H1."""
 
 
 class HermiteProvenance:
@@ -297,18 +292,18 @@ def build_extended_hermite(
 def build_hermite(points: ApproxRootSet, basis: MonomialBasis | None = None) -> HermitePlus:
     """The extended Hermite matrix of the points, on the route that fits them.
 
-    The basis is selected from the points when none is given (select_basis)
-    and must have one element per point.  One connected scan of H1 gives
-    both the route and the reduction: rank H1 = k keeps the full matrix
-    (with complex roots a nonsingular H1 can have a singular connected
-    minor), and a lower rank reduces it to the scan's selection
-    (build_nonradical).
+    A given basis must have one element per point; without one, the basis
+    is selected from the points (select_basis) and may be smaller.  One
+    connected scan of H1 gives both the route and the reduction: a
+    nonsingular H1 keeps the full matrix (with complex roots it can have a
+    singular connected minor), and a singular one reduces it to the scan's
+    selection (build_nonradical).
     """
     if basis is None:
         basis = select_basis(points)
+    elif len(basis) != len(points):
+        raise ValueError(f"basis size {len(basis)} must equal the number of points {len(points)}")
     k = len(basis)
-    if k != len(points):
-        raise ValueError(f"basis size {k} must equal the number of points {len(points)}")
     full = build_extended_hermite(points, basis)
     selection = _connected_scan(full.matrix.submatrix(range(k), range(k)), basis.monomials)
     return full if selection.rank == k else build_nonradical(full, selection)
@@ -318,22 +313,16 @@ def build_nonradical(full: HermitePlus, selection: ConnectedSelection) -> Hermit
     """Hermite construction when the point multiset carries multiplicities.
 
     Restricts the full extended matrix built from the points to selection,
-    the connected scan of its base block H1 (linalg._connected_scan).  It
-    fails unless the selection reaches rank H1 (NoConnectedSelectionError)
-    and rank(H+) matches the selection's size (NonRadicalRankError).  The
+    the connected scan of its base block H1 (linalg._connected_scan).  The
     returned matrix is indexed by the reduced extended basis, whose base
-    size is the number of distinct roots (kbar); its provenance keeps the
-    original point count (the total multiplicity).
+    size kbar is the number of distinct roots when it certifies; its
+    provenance keeps the original point count (the total multiplicity).
+    No rank is checked here: certification step 2 checks rank H+ = kbar on
+    the returned matrix.  When H+ holds the moments of real points, a
+    reduced H+ of that rank makes the span of the selection on the points
+    closed under every x_s, so kbar is the number of distinct points; the
+    selection then reaches rank H1, and the full H+ has rank kbar too.
     """
-    kbar = len(selection.indices)
-    if kbar < selection.rank:
-        raise NoConnectedSelectionError(
-            f"no connected selection of size {selection.rank} found (got {kbar})"
-        )
-    if rank(full.matrix) > kbar:
-        raise NonRadicalRankError(
-            f"rank of the extended matrix exceeds the connected block size {kbar}"
-        )
     reduced_ext = ExtendedBasis(MonomialBasis(selection.monomials))
     idx = [full.labels.index_of(m) for m in reduced_ext.extension]
     sub = full.matrix.submatrix(idx, idx)

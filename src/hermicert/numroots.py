@@ -39,10 +39,6 @@ class CoordinateBoundError(RuntimeError):
     set, so the refined points form no root set with that E and M."""
 
 
-class NoWellConditionedBasisError(RuntimeError):
-    """No connected-to-1 basis keeps the Vandermonde well conditioned."""
-
-
 COND_LIMIT = 1e12
 _MAX_HALVINGS = 8
 _MAX_GROWTH = 3
@@ -349,7 +345,7 @@ def smallest_singular_value(v: Sequence[Sequence[complex]]) -> float:
 
 
 def select_basis(points: ApproxRootSet) -> MonomialBasis:
-    """Greedy well-conditioned monomial basis of size k = #points.
+    """Greedy well-conditioned monomial basis of size at most k = #points.
 
     Monomials are scanned in graded-lex order; a candidate needs all of its
     single-variable divisors already selected (so the result is an order
@@ -361,7 +357,12 @@ def select_basis(points: ApproxRootSet) -> MonomialBasis:
     tolerance, with the Frobenius norm standing in for sigma_max): below it
     a computed sigma_min is indistinguishable from rounding error, however
     small E is.  Any order ideal of size k has degree <= k-1, which bounds
-    the scan.
+    the scan, and so does the degree after that of the last accepted
+    monomial: past it every candidate has an unselected divisor.  The
+    order ideal accepted by then is returned, whatever its size: repeated
+    or nearly coincident points (or an E too large) leave fewer than k
+    monomials, and certification decides whether they are a basis of the
+    radical.
 
     V = QR is factored incrementally: a candidate's column is its divisor's
     column times one coordinate, and classical Gram-Schmidt run twice splits
@@ -391,10 +392,12 @@ def select_basis(points: ApproxRootSet) -> MonomialBasis:
     r_inv_frob2 = 0.0  # ||R^-1||_F^2
     frob2 = 0.0  # ||V||_F^2 over the chosen columns
     chosen: list[Monomial] = []
+    top = 0  # the degree of the last chosen monomial
     for mono in iter_monomials(n, k - 1):
-        if len(chosen) == k:
-            break
         d = sum(mono)
+        # past degree top + 1, every candidate has an unchosen divisor
+        if len(chosen) == k or d > top + 1:
+            break
         if d > 0:
             divisors = [(i, mono[:i] + (e - 1,) + mono[i + 1 :]) for i, e in enumerate(mono) if e]
             if not all(dv in columns for _, dv in divisors):
@@ -420,6 +423,7 @@ def select_basis(points: ApproxRootSet) -> MonomialBasis:
             if smallest_singular_value(rows) <= threshold:
                 continue
         chosen.append(mono)
+        top = d
         columns[mono] = c
         frob2 += c_norm * c_norm
         gs.append(w, rho)
@@ -428,9 +432,4 @@ def select_basis(points: ApproxRootSet) -> MonomialBasis:
             row.append(-yi / rho)
         r_inv_rows.append([1 / rho])
         r_inv_frob2 = trial_inv_frob2
-    if len(chosen) != k:
-        raise NoWellConditionedBasisError(
-            f"no well-conditioned connected basis of size {k} (accuracy too large "
-            "or points nearly coincident)"
-        )
     return MonomialBasis(chosen)

@@ -17,7 +17,7 @@ from hermicert.certificates import (
 from hermicert.certify import certify_pipeline
 from hermicert.hermite import build_extended_hermite, build_hermite
 from hermicert.linalg import NotSymmetricError, RatMatrix
-from hermicert.numroots import ApproxRootSet, NoWellConditionedBasisError
+from hermicert.numroots import ApproxRootSet
 from hermicert.polynomials import MonomialBasis, PolySystem, parse_poly
 
 from conftest import exact_hermite_plus, roots_as_qc
@@ -228,11 +228,15 @@ TRIPLE_BASIS = MonomialBasis(
 )
 
 
-def test_nonneg_repeated_critical_points_need_a_given_basis():
-    with pytest.raises(NoWellConditionedBasisError):
-        build_hermite(TRIPLE_CRITICAL_ROOTS)
-    hplus = build_hermite(TRIPLE_CRITICAL_ROOTS, TRIPLE_BASIS)
-    assert hplus.reduced and hplus.base_size() == 2
+def test_nonneg_repeated_critical_points_select_the_reduced_basis():
+    # select_basis accepts {1, x} of the six points, and H+ built from all
+    # six on it is the reduced matrix that the given basis is reduced to
+    selected = build_hermite(TRIPLE_CRITICAL_ROOTS)
+    given = build_hermite(TRIPLE_CRITICAL_ROOTS, TRIPLE_BASIS)
+    assert selected.reduced and selected.base_size() == 2
+    assert selected.labels.base.monomials == given.labels.base.monomials == ((0, 0, 0), (1, 0, 0))
+    assert selected.matrix == given.matrix
+    assert selected.provenance.bounds == given.provenance.bounds
 
 
 @pytest.mark.parametrize(

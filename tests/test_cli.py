@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -85,6 +86,9 @@ def test_certify_fail_exit_code(files, capsys, tmp_path):
     assert code == 3
     assert report["status"] == "fail"
     assert isinstance(report["failed_step"], int)
+    code, v = run(capsys, "count-real", "--system", files["sys"], "--hermite", herm)
+    assert code == 3 and v["real_root_count"] is None
+    assert v["certificate"] == report
 
 
 def test_ball_verdicts_and_exit_codes(files, capsys, tmp_path):
@@ -215,6 +219,56 @@ def test_filter_roots_cli(tmp_path, capsys):
     assert code == 0
     assert len(v["points"]) == 2
     assert v["inconclusive"] is False
+
+
+@pytest.mark.parametrize(
+    "poly, start, error",
+    [
+        # the Jacobian 2x vanishes at the start
+        ("x^2", "0", "SingularJacobianError"),
+        # no real step reaches a root of x^2 + 1, and each one overshoots
+        ("x^2+1", "0.001", "DivergedError"),
+    ],
+)
+def test_refine_names_the_point_whose_newton_iteration_fails(poly, start, error, tmp_path, capsys):
+    sys_path = write(tmp_path / "s.json", {"variables": ["x"], "polynomials": [poly]})
+    roots = write(tmp_path / "r.json", {"accuracy_E": "1e-8", "bound_M": "2", "points": [[[start, "0"]]]})
+    code, v = run(capsys, "refine", "--system", sys_path, "--roots", roots)
+    assert code == 2 and v["error"]["type"] == error
+    assert v["error"]["message"].startswith("point 0: ")
+
+
+def _filter_roots_x(tmp_path, poly, roots_a, roots_b, rounds):
+    """filter-roots with the one system poly in x for both lists, each list
+    given as (point, radius) pairs."""
+    sys_path = write(tmp_path / "s.json", {"variables": ["x"], "polynomials": [poly]})
+    argv = ["filter-roots", "--system", sys_path, "--system", sys_path]
+    for name, pairs in (("a.json", roots_a), ("b.json", roots_b)):
+        doc = {
+            "accuracy_E": "1e-8",
+            "bound_M": "2",
+            "points": [[[x, "0"]] for x, _ in pairs],
+            "radii": [r for _, r in pairs],
+        }
+        argv += ["--roots", write(tmp_path / name, doc)]
+    return argv + ["--max-rounds", str(rounds)]
+
+
+def test_filter_roots_is_inconclusive_when_a_point_still_matches_two(tmp_path, capsys):
+    # 0 with radius 1 matches both roots of x^2 - 1, and no round separates them
+    argv = _filter_roots_x(tmp_path, "x^2-1", [("0", "1")], [("1", "0.5"), ("-1", "0.5")], 0)
+    code, v = run(capsys, *argv)
+    assert code == 0 and v["inconclusive"] is True
+    assert v["points"] == [[["0.0", "0.0"]]]
+
+
+def test_filter_roots_keeps_a_point_whose_refinement_fails(tmp_path, capsys):
+    # Newton fails at the double root 0 of x^2 on both lists, so each round
+    # keeps the point and its radius, and the point is kept
+    argv = _filter_roots_x(tmp_path, "x^2", [("0", "1")], [("0", "1")], 2)
+    code, v = run(capsys, *argv)
+    assert code == 0 and v["inconclusive"] is False
+    assert (v["points"], v["radii"]) == ([[["0.0", "0.0"]]], ["1.0"])
 
 
 def test_reconstruct_rational_cli(capsys):
@@ -378,13 +432,18 @@ def test_pipeline_rejects_a_lone_ball_option_before_any_work(lone, files, capsys
 
 def test_construction_failure_exit_code(tmp_path, capsys):
     sys_path = write(tmp_path / "s.json", {"variables": ["x"], "polynomials": ["x^2-2"]})
-    # duplicated points cannot yield a well-conditioned basis
+    # a duplicated point selects the basis {1} and builds the reduced matrix;
+    # 0.5 is no root of x^2 - 2, which certification, not construction, finds
     dup = write(
         tmp_path / "dup.json",
         {"accuracy_E": "1e-6", "bound_M": "2", "points": [[["0.5", "0"]], [["0.5", "0"]]]},
     )
-    code, v = run(capsys, "build", "--system", sys_path, "--roots", dup)
-    assert code == 2 and "error" in v
+    herm = str(tmp_path / "herm.json")
+    assert main(["build", "--system", sys_path, "--roots", dup, "--out", herm]) == 0
+    assert json.loads((tmp_path / "herm.json").read_text())["kbar"] == 1
+    code, report = run(capsys, "certify", "--system", sys_path, "--hermite", herm)
+    assert code == 3
+    assert (report["failed_step"], report["reason"]) == (5, "nonmember")
 
 
 def test_reconstruction_failure_exit_code(tmp_path, capsys):
@@ -512,12 +571,32 @@ GRID5_EXACT_ROOTS = {
 def test_pipeline_certifies_exact_grid_with_tiny_accuracy(tmp_path, capsys):
     # Exact, distinct points with a tiny E: a basis monomial accepted on a
     # rounding-level sigma_min would send the build down the non-radical
-    # route, where it fails with NonRadicalRankError (exit 2).
+    # route, where certification step 2 fails it (exit 3).
     sys_path = write(tmp_path / "grid5.json", GRID5)
     roots = write(tmp_path / "grid5_roots.json", GRID5_EXACT_ROOTS)
     code, v = run(capsys, "pipeline", "--system", sys_path, "--roots", roots)
     assert code == 0
     assert v["real_root_count"] == 25 and "kbar" not in v["hermite"]
+
+
+@pytest.mark.parametrize("doubled", [-2, -1, 1, 2])
+def test_pipeline_certifies_a_doubled_grid_column_without_a_basis(doubled, tmp_path, capsys):
+    # V((x - doubled) x (x^2 - 1) (x^2 - 4), y (y^2 - 1) (y^2 - 4)): the 5x5
+    # grid with the column x = doubled given twice, 30 points on 25 roots.
+    # select_basis accepts 25 monomials, and the H+ built from all 30
+    # points on them certifies through the radical
+    x_poly = f"x^6{-doubled:+}*x^5-5*x^4{5 * doubled:+}*x^3+4*x^2{-4 * doubled:+}*x"
+    polys = [x_poly, "y^5-5*y^3+4*y"]
+    sys_path = write(tmp_path / "s.json", {"variables": ["x", "y"], "polynomials": polys})
+    grid = range(-2, 3)
+    points = [(a, b) for a in grid for b in grid] + [(doubled, b) for b in grid]
+    random.Random(doubled).shuffle(points)
+    rows = [[[str(a), "0"], [str(b), "0"]] for a, b in points]
+    roots = write(tmp_path / "r.json", {"accuracy_E": "1e-14", "bound_M": "3", "points": rows})
+    code, v = run(capsys, "pipeline", "--system", sys_path, "--roots", roots, "--g", "x")
+    assert code == 0
+    assert v["real_root_count"] == v["hermite"]["kbar"] == 25
+    assert v["hermite"]["provenance"]["k"] == 30
 
 
 @pytest.mark.parametrize(
@@ -539,20 +618,21 @@ def test_ball_queries_take_the_nonradical_route(center, eps2, code, verdict, tmp
     assert v["hermite"]["kbar"] == 2
 
 
-def test_nonradical_rank_error_exits_2_from_build_and_pipeline(tmp_path, capsys):
+def test_nonradical_rank_excess_builds_and_fails_certification_at_step_2(tmp_path, capsys):
     # V(x, y^2 - y) with (0, 0) doubled, on {1, x, x^2}: x vanishes at every
     # point, so rank H1 = 1, but the extension label y separates the roots
     sys_path = write(tmp_path / "s.json", {"variables": ["x", "y"], "polynomials": ["x", "y^2-y"]})
     points = [[["0", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]], [["0", "0"], ["1", "0"]]]
     roots = write(tmp_path / "r.json", {"accuracy_E": "1e-8", "bound_M": "2", "points": points})
     basis = write(tmp_path / "b.json", {"monomials": ["1", "x", "x^2"]})
-    for command in ("build", "pipeline"):
-        code, v = run(capsys, command, "--system", sys_path, "--roots", roots, "--basis", basis)
-        assert code == 2, command
-        assert v["error"] == {
-            "type": "NonRadicalRankError",
-            "message": "rank of the extended matrix exceeds the connected block size 1",
-        }
+    argv = ["--system", sys_path, "--roots", roots, "--basis", basis]
+    code, v = run(capsys, "build", *argv)
+    assert code == 0 and v["kbar"] == 1
+    code, v = run(capsys, "pipeline", *argv)
+    assert code == 3 and v["verdict"] == "fail"
+    certificate = v["certificate"]
+    assert (certificate["failed_step"], certificate["reason"]) == (2, "rank_deficient")
+    assert certificate["detail"] == "rank H1 = 1, rank H+ = 2, expected 1"
 
 
 @pytest.mark.parametrize(
@@ -793,10 +873,10 @@ def test_cube_roots_of_unity_certify_through_a_2x2_pivot(tmp_path, capsys, monke
 # eliminations per run of the grid-ball, nonradical and nonneg-lagrange
 # shapes (5, 9 and 4 before the route scan and step 2 gave their ranks and
 # inertias): the route scan of H1 in build_hermite (pipeline and nonneg),
-# step 2's solve of H1, step 4's trace matrix and rank H+ on the non-radical
-# route, and one inertia per signature of a matrix not eliminated before
+# step 2's solve of H1, step 4's trace matrix on the non-radical route, and
+# one inertia per signature of a matrix not eliminated before
 @pytest.mark.parametrize(
-    "name, most", [("pipeline-ball", 4), ("pipeline-nonradical", 6), ("nonneg", 4)]
+    "name, most", [("pipeline-ball", 4), ("pipeline-nonradical", 5), ("nonneg", 4)]
 )
 def test_eliminations_per_run(name, most, tmp_path, monkeypatch):
     make_argv, exit_code, _ = PINNED_OUTPUTS[name]
@@ -830,18 +910,9 @@ def test_each_run_builds_one_normal_form_table(name, tmp_path, monkeypatch):
     assert len(built) == 1
 
 
-@pytest.mark.parametrize(
-    "accuracy, points, error",
-    [
-        # accuracy too poor for the denominator bounds
-        ("0.01", [["1", "-0.5"], ["-1", "0.5"]], "ReconstructionFailedError"),
-        # two nearly coincident critical points leave no well-conditioned basis
-        ("1e-8", [["1", "-0.5"], ["1.000000000001", "-0.5"]], "NoWellConditionedBasisError"),
-        # nor do repeated ones, which need a given basis
-        ("1e-10", [["1", "0"]] * 3 + [["-1", "0"]] * 3, "NoWellConditionedBasisError"),
-    ],
-)
-def test_nonneg_construction_failure_exits_2(accuracy, points, error, tmp_path, capsys):
+def _nonneg_circle(tmp_path, capsys, accuracy, points):
+    """nonneg of x + 2 on the circle from Lagrange points (x, 0, l1), without
+    a basis."""
     circle = write(tmp_path / "circle.json", CIRCLE)
     lroots = write(
         tmp_path / "lroots.json",
@@ -851,8 +922,40 @@ def test_nonneg_construction_failure_exits_2(accuracy, points, error, tmp_path, 
             "points": [[[x, "0"], ["0", "0"], [l1, "0"]] for x, l1 in points],
         },
     )
-    code, v = run(capsys, "nonneg", "--system", circle, "--g", "x+2", "--roots", lroots)
+    return run(capsys, "nonneg", "--system", circle, "--g", "x+2", "--roots", lroots)
+
+
+@pytest.mark.parametrize(
+    "accuracy, points, error",
+    [
+        # accuracy too poor for the denominator bounds
+        ("0.01", [["1", "-0.5"], ["-1", "0.5"]], "ReconstructionFailedError"),
+    ],
+)
+def test_nonneg_construction_failure_exits_2(accuracy, points, error, tmp_path, capsys):
+    code, v = _nonneg_circle(tmp_path, capsys, accuracy, points)
     assert code == 2 and v["error"]["type"] == error
+
+
+@pytest.mark.parametrize(
+    "accuracy, points, code, reason, basis",
+    [
+        # two approximations of (1, 0, -1/2) 1e-12 apart select {1}, and
+        # H+ from both is that of the one root counted twice: it certifies
+        # with sigma(H_g) = sign g(1) = 1
+        ("1e-8", [["1", "-0.5"], ["1.000000000001", "-0.5"]], 0, None, ["1"]),
+        # repeated points select {1, x}; (+-1, 0, 0) are not critical points
+        # of x + 2 (l1 = -+1/2 there), which certification finds
+        ("1e-10", [["1", "0"]] * 3 + [["-1", "0"]] * 3, 3, "nonmember", ["1", "x"]),
+    ],
+    ids=["near-duplicates", "repeated"],
+)
+def test_nonneg_without_a_basis_certification_decides(
+    accuracy, points, code, reason, basis, tmp_path, capsys
+):
+    got, v = _nonneg_circle(tmp_path, capsys, accuracy, points)
+    assert got == code and v.get("reason") == reason
+    assert v["certificate"]["basis"] == basis
 
 
 @pytest.mark.parametrize(
@@ -868,16 +971,19 @@ def test_nonneg_repeated_critical_points_certify_through_the_radical(
     g, code, verdict, sigmas, tmp_path, capsys
 ):
     # the critical points (+-1, 0, 0) of both g on the circle, each of
-    # multiplicity 3 in the Lagrange system: dim Q[x, y, l1]/I = 6
+    # multiplicity 3 in the Lagrange system: dim Q[x, y, l1]/I = 6.  The
+    # given basis is reduced to {1, x}, which select_basis picks without one
     circle = write(tmp_path / "circle.json", CIRCLE)
     points = [[["1", "0"], ["0", "0"], ["0", "0"]]] * 3 + [[["-1", "0"], ["0", "0"], ["0", "0"]]] * 3
     lroots = write(tmp_path / "lroots.json", {"accuracy_E": "1e-10", "bound_M": "2", "points": points})
     basis = write(tmp_path / "lbasis.json", {"monomials": ["1", "x", "y", "l1", "x*y", "x*l1"]})
-    got, v = run(capsys, "nonneg", "--system", circle, "--g", g, "--roots", lroots, "--basis", basis)
-    assert (got, v["verdict"]) == (code, verdict)
-    assert (v["sigma_Hg"], v["sigma_Hg2"]) == sigmas
-    assert v["certificate"]["basis"] == ["1", "x"]
-    assert v["certificate"]["weighted_H1"]["entries"] == [["6", "0"], ["0", "6"]]
+    argv = ["nonneg", "--system", circle, "--g", g, "--roots", lroots]
+    for given in ([], ["--basis", basis]):
+        got, v = run(capsys, *argv, *given)
+        assert (got, v["verdict"]) == (code, verdict)
+        assert (v["sigma_Hg"], v["sigma_Hg2"]) == sigmas
+        assert v["certificate"]["basis"] == ["1", "x"]
+        assert v["certificate"]["weighted_H1"]["entries"] == [["6", "0"], ["0", "6"]]
 
 
 @pytest.mark.parametrize("kernel", ["inertia", "charpoly"])

@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hermicert.certify import certify_pipeline
 from hermicert.hermite import (
     HermitePlus,
-    NoConnectedSelectionError,
-    NonRadicalRankError,
     PowerSums,
     ReconstructionFailedError,
     approx_extended_hermite,
@@ -22,7 +21,9 @@ from hermicert.numroots import ApproxRootSet
 from hermicert.polynomials import (
     ExtendedBasis,
     MonomialBasis,
+    PolySystem,
     monomial_mul,
+    parse_poly,
 )
 
 from conftest import QC, exact_hermite_plus, newton_girard_power_sums
@@ -291,21 +292,33 @@ def test_nonradical_output_rank_contract():
     assert rank(h1) == rank(hp.matrix) == kbar
 
 
+def fails_step_2_on_one_selected_label(polys, points, basis):
+    """The reduced H+ that build_hermite returns, on the selection {1}, and
+    certification rejecting it at step 2 with the ranks of the two roots."""
+    variables = ["x", "y"]
+    system = PolySystem(variables, [parse_poly(p, variables) for p in polys])
+    pts = ApproxRootSet(points=points, accuracy="1e-8", coord_bound=2)
+    hp = build_hermite(pts, MonomialBasis(basis))
+    assert hp.reduced and hp.labels.base.monomials == ((0, 0),)
+    outcome = certify_pipeline(system, parse_poly("1", variables), hp)
+    assert (outcome.status, outcome.failed_step, outcome.reason) == ("fail", 2, "rank_deficient")
+    assert outcome.detail == "rank H1 = 1, rank H+ = 2, expected 1"
+
+
 def test_nonradical_rank_of_h_plus_above_the_connected_block_is_rejected():
     # V(x, y^2 - y) with (0, 0) doubled, on {1, x, x^2}: x vanishes at every
     # point, so rank H1 = 1 and the scan keeps {1}, but the extension label y
     # separates the two roots, so rank H+ = 2
-    pts = ApproxRootSet(points=((0j, 0j), (0j, 0j), (0j, 1 + 0j)), accuracy="1e-8", coord_bound=2)
-    with pytest.raises(NonRadicalRankError, match="exceeds the connected block size 1"):
-        build_hermite(pts, MonomialBasis([(0, 0), (1, 0), (2, 0)]))
+    fails_step_2_on_one_selected_label(
+        ["x", "y^2-y"], ((0j, 0j), (0j, 0j), (0j, 1 + 0j)), [(0, 0), (1, 0), (2, 0)]
+    )
 
 
 def test_nonradical_scan_falling_short_of_rank_h1_is_rejected():
-    # y = 1 at every point, so y joins no selection and xy, which separates
-    # the two roots, has no selected single-variable quotient: the scan of
-    # {1, y, xy} keeps {1} while rank H1 = 2
-    pts = ApproxRootSet(
-        points=((0j, 1 + 0j), (0j, 1 + 0j), (1 + 0j, 1 + 0j)), accuracy="1e-8", coord_bound=2
+    # V(x^2 - x, y - 1) with (0, 1) doubled: y = 1 at every point, so y joins
+    # no selection and xy, which separates the two roots, has no selected
+    # single-variable quotient; the scan of {1, y, xy} keeps {1} while
+    # rank H1 = 2, and the extension label x separates the roots
+    fails_step_2_on_one_selected_label(
+        ["x^2-x", "y-1"], ((0j, 1 + 0j), (0j, 1 + 0j), (1 + 0j, 1 + 0j)), [(0, 0), (0, 1), (1, 1)]
     )
-    with pytest.raises(NoConnectedSelectionError, match="of size 2 found \\(got 1\\)"):
-        build_hermite(pts, MonomialBasis([(0, 0), (0, 1), (1, 1)]))

@@ -12,7 +12,6 @@ from hermicert import numroots
 from hermicert.numroots import (
     ApproxRootSet,
     DivergedError,
-    NoWellConditionedBasisError,
     SingularJacobianError,
     match_and_filter,
     newton_refine,
@@ -215,8 +214,26 @@ def test_select_basis_rejects_near_duplicates():
     pts = ApproxRootSet(
         points=((0.5 + 0j,), (0.5 + 1e-14 + 0j,)), accuracy="1e-6", coord_bound=1
     )
-    with pytest.raises(NoWellConditionedBasisError):
-        select_basis(pts)
+    # x's column lies about 1e-14 from the span of 1's, below the threshold
+    assert select_basis(pts).monomials == ((0,),)
+
+
+def test_select_basis_stops_one_degree_past_the_last_accepted_monomial(monkeypatch):
+    # one point given six times in four variables: only 1 is accepted, and
+    # the scan stops at the first monomial of degree 2 instead of drawing
+    # all 126 monomials of degree <= 5
+    drawn = []
+
+    def counting(n, degree):
+        for mono in iter_monomials(n, degree):
+            drawn.append(mono)
+            yield mono
+
+    monkeypatch.setattr(numroots, "iter_monomials", counting)
+    point = (0.5 + 0j, 0.25 + 0j, -0.5 + 0j, 1 + 0j)
+    pts = ApproxRootSet(points=(point,) * 6, accuracy="1e-10", coord_bound=2)
+    assert select_basis(pts).monomials == ((0, 0, 0, 0),)
+    assert len(drawn) == 6
 
 
 def test_select_basis_rejects_rounding_level_sigma_min():
@@ -251,8 +268,8 @@ def vandermonde(points, monomials):
 
 def numpy_select_basis(points):
     """The selection as it was on numpy's SVD, kept as the reference: one
-    Vandermonde and one SVD per trial.  Returns the monomials (None when no
-    basis is found) and the smallest relative distance |sigma_min - t| / t
+    Vandermonde and one SVD per trial.  Returns the accepted monomials, k of
+    them or fewer, and the smallest relative distance |sigma_min - t| / t
     over the trials."""
     k = len(points)
     n = points.arity()
@@ -278,14 +295,7 @@ def numpy_select_basis(points):
         margin = min(margin, abs(sigma - threshold) / threshold)
         if sigma > threshold:
             chosen.append(mono)
-    return (tuple(chosen) if len(chosen) == k else None), margin
-
-
-def selected(points):
-    try:
-        return select_basis(points).monomials
-    except NoWellConditionedBasisError:
-        return None
+    return tuple(chosen), margin
 
 
 def coordinate(complex_points):
@@ -306,7 +316,7 @@ def test_select_basis_matches_the_numpy_reference(complex_points, data):
     points = ApproxRootSet(points=tuple(pts), accuracy=accuracy, coord_bound=3)
     reference, margin = numpy_select_basis(points)
     assume(margin > 1e-6)
-    assert selected(points) == reference
+    assert select_basis(points).monomials == reference
 
 
 def grid(side, lo, shift=0.0, seed=0):
@@ -329,14 +339,14 @@ def grid(side, lo, shift=0.0, seed=0):
     ids=["5x5", "7x7", "8x8", "5x5-moved"],
 )
 def test_select_basis_matches_the_numpy_reference_on_grids(points):
-    assert selected(points) == numpy_select_basis(points)[0]
+    assert select_basis(points).monomials == numpy_select_basis(points)[0]
 
 
 @pytest.mark.parametrize(
     "values, accuracy, coord_bound, expected",
     [
         ((-1, 0, 1), "5e-2", 2, ((0,), (1,), (2,))),
-        ((0, 1, 2), "2e-2", 3, None),
+        ((0, 1, 2), "2e-2", 3, ((0,), (1,))),
     ],
     ids=["accepted", "rejected"],
 )
@@ -356,7 +366,7 @@ def test_select_basis_between_the_bounds_decides_on_sigma_min(
     points = ApproxRootSet(
         points=tuple((complex(x),) for x in values), accuracy=accuracy, coord_bound=coord_bound
     )
-    assert selected(points) == expected == numpy_select_basis(points)[0]
+    assert select_basis(points).monomials == expected == numpy_select_basis(points)[0]
     v = np.array(vandermonde(points.points, [(0,), (1,), (2,)]))
     assert len(sigmas) == 1
     assert abs(sigmas[0] - np.linalg.svd(v, compute_uv=False)[-1]) < 1e-14
