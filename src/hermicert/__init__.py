@@ -38,10 +38,10 @@ from .linalg import (
     Inertia,
     RatMatrix,
     char_poly,
+    inertia_descartes,
     inertia_ldl,
     rank,
     sign_variations,
-    signature_descartes,
     solve,
 )
 from .numroots import (
@@ -94,6 +94,7 @@ __all__ = [
     "char_poly",
     "denominator_bound",
     "derive_hg",
+    "inertia_descartes",
     "inertia_ldl",
     "lagrange_system",
     "match_and_filter",
@@ -106,7 +107,6 @@ __all__ = [
     "select_basis",
     "sign_variations",
     "signature",
-    "signature_descartes",
     "smallest_singular_value",
     "solve",
     "__version__",

@@ -166,9 +166,11 @@ def ball_from_outcome(
 
 class NonnegCertificate:
     """A non-negativity verdict: "true", "false" or "fail", with the
-    signatures of H_g and H_(g^2) that decide it (None on "fail")."""
+    signatures of H_g and H_(g^2) that decide it (None on "fail").  No
+    H_(g^2) is kept: sigma_hg2 is read off sigma(H1) when H_g is
+    nonsingular, and derive_hg(outcome, g^2) gives the matrix on request."""
 
-    __slots__ = ("verdict", "sigma_hg", "sigma_hg2", "outcome", "lagrange", "hg2", "assume_smooth_bounded")
+    __slots__ = ("verdict", "sigma_hg", "sigma_hg2", "outcome", "lagrange", "assume_smooth_bounded")
 
     def __init__(
         self,
@@ -177,11 +179,10 @@ class NonnegCertificate:
         sigma_hg2: int | None,
         outcome: CertificationOutcome,
         lagrange: PolySystem,
-        hg2: RatMatrix | None = None,
         assume_smooth_bounded: bool = False,
     ):
         self.verdict, self.sigma_hg, self.sigma_hg2 = verdict, sigma_hg, sigma_hg2
-        self.outcome, self.lagrange, self.hg2 = outcome, lagrange, hg2
+        self.outcome, self.lagrange = outcome, lagrange
         self.assume_smooth_bounded = assume_smooth_bounded
 
 
@@ -190,13 +191,20 @@ def certify_nonneg(query: NonnegQuery, hplus: HermitePlus) -> NonnegCertificate:
 
     hplus is the extended Hermite matrix built (hermite.build_hermite) from
     approximations of all critical points of g on V(f), the roots of the
-    Lagrange system.  It is certified once against that system, and both
-    H_g and H_(g^2) are derived from the certified data; the derivation
-    cannot fail (derive_hg).  Repeated critical points take the non-radical
-    route, whose Hermite matrices are those of the radical: sigma(H_g) sums
-    sign g and sigma(H_(g^2)) counts the real critical points off g = 0, so
-    equal signatures prove g >= 0 on V(f) n R^n either way.  A failed
+    Lagrange system.  It is certified once against that system for g, which
+    gives H_g.  Repeated critical points take the non-radical route, whose
+    Hermite matrices are those of the radical: sigma(H_g) sums sign g and
+    sigma(H_(g^2)) counts the real critical points off g = 0, so equal
+    signatures prove g >= 0 on V(f) n R^n either way.  A failed
     certification gives a "fail" verdict.
+
+    Both routes certify H1 as the trace form of a reduced algebra A, and
+    H_g = H1 * g(M).  By Hermite's theorem rank H_g is the number of points
+    of V(A) where g does not vanish (Pedersen-Roy-Szpirglas 1993), so when
+    the outcome's inertia of H_g, confirmed by both methods, has no zero,
+    g^2 > 0 at every real critical point and sigma(H_(g^2)) = sigma(H1).
+    Only a singular H_g needs H_(g^2), derived from the certified data
+    (derive_hg, which cannot fail).
     """
     lag = lagrange_system(query.system, query.g)
     g_ext = _embed(query.g, lag.variables)
@@ -205,13 +213,15 @@ def certify_nonneg(query: NonnegQuery, hplus: HermitePlus) -> NonnegCertificate:
         return NonnegCertificate(
             "fail", None, None, outcome, lag, assume_smooth_bounded=query.assume_smooth_bounded
         )
-    hg2, s_g2 = derive_hg(outcome, g_ext * g_ext)
+    if outcome.hg_inertia.zero:
+        s_g2 = derive_hg(outcome, g_ext * g_ext)[1]
+    else:
+        s_g2 = outcome.sigma_h1
     return NonnegCertificate(
         "true" if outcome.sigma_hg == s_g2 else "false",
         outcome.sigma_hg,
         s_g2,
         outcome,
         lag,
-        hg2=hg2,
         assume_smooth_bounded=query.assume_smooth_bounded,
     )

@@ -51,7 +51,10 @@ Step 1 rejects an H+ that is not symmetric, as no true H+ is, so every
 elimination here is linalg's one symmetric elimination, and each yields an
 inertia: step 2's of H1 (H1bar), step 4's of the trace matrix.  Their
 signatures reuse it and add only the characteristic polynomial, the
-independent method that signature cross-checks.
+independent method that signature cross-checks.  The cross-check compares
+the whole inertia, zero count included, so the certified outcome's inertia
+of H_g gives its rank, the number of roots of A where g does not vanish
+(Hermite's theorem again), which certificates.certify_nonneg reads.
 
 The label structure comes from the ExtendedBasis: its shifts table gives
 the position of every x_s * b_i, and its products table the distinct
@@ -101,9 +104,9 @@ from .linalg import (
     Inertia,
     RatMatrix,
     SingularMatrixError,
+    inertia_descartes,
     inertia_ldl,
     rank,
-    signature_descartes,
     solve,
 )
 from .polynomials import (
@@ -122,7 +125,7 @@ _Eliminated = tuple[RatMatrix, Inertia]  # a matrix and its inertia
 # the fields an outcome compares and prints: all but its normal-form table
 _OUTCOME_FIELDS = (
     "status", "basis", "failed_step", "reason", "detail", "h1", "hg", "g",
-    "sigma_h1", "sigma_hg", "weighted_h1", "weighted_hg", "diagnostics",
+    "sigma_h1", "hg_inertia", "weighted_h1", "weighted_hg", "diagnostics",
 )
 _outcome_value = attrgetter(*_OUTCOME_FIELDS)
 
@@ -144,8 +147,11 @@ class CertificationOutcome:
     """Certified matrices or the first failing step.
 
     status is "certified" or "fail"; when certified, g, h1, hg, the
-    normal-form table and the signatures sigma_h1, sigma_hg are all present,
-    and every other H_g and its signature is derived from them by derive_hg.
+    normal-form table, sigma_h1 and the inertia of H_g (hg_inertia, which
+    gives sigma_hg) are all present, and every other H_g and its signature
+    is derived from them by derive_hg.  Both exact methods of signature
+    agree on hg_inertia, so its zero count is the nullity of H_g, which
+    Hermite's theorem makes the number of complex roots where g vanishes.
     mult_matrices reads the M_s the table was built from, so the two cannot
     disagree; the table is neither compared, printed nor serialized.  For
     the non-radical route h1/hg are the trace-based matrices of the radical
@@ -166,7 +172,7 @@ class CertificationOutcome:
         normal_forms: NormalForms | None = None,
         g: MultiPoly | None = None,
         sigma_h1: int | None = None,
-        sigma_hg: int | None = None,
+        hg_inertia: Inertia | None = None,
         weighted_h1: RatMatrix | None = None,
         weighted_hg: RatMatrix | None = None,
         diagnostics: list[dict] | None = None,
@@ -174,7 +180,7 @@ class CertificationOutcome:
         self.status, self.basis = status, basis
         self.failed_step, self.reason, self.detail = failed_step, reason, detail
         self.h1, self.hg, self.normal_forms, self.g = h1, hg, normal_forms, g
-        self.sigma_h1, self.sigma_hg = sigma_h1, sigma_hg
+        self.sigma_h1, self.hg_inertia = sigma_h1, hg_inertia
         self.weighted_h1, self.weighted_hg = weighted_h1, weighted_hg
         self.diagnostics = [] if diagnostics is None else diagnostics
 
@@ -192,20 +198,31 @@ class CertificationOutcome:
         return self.status == "certified"
 
     @property
+    def sigma_hg(self) -> int | None:
+        return None if self.hg_inertia is None else self.hg_inertia.signature
+
+    @property
     def mult_matrices(self) -> list[RatMatrix] | None:
         return None if self.normal_forms is None else self.normal_forms.matrices
 
 
 def signature(a: RatMatrix, inertia: Inertia | None = None) -> int:
     """Signature via symmetric elimination, cross-checked by Descartes; the
-    inertia is given when a step already eliminated a, computed otherwise."""
-    s_ldl = (inertia_ldl(a) if inertia is None else inertia).signature
-    s_desc = signature_descartes(a)
-    if s_ldl != s_desc:
+    inertia is given when a step already eliminated a, computed otherwise.
+
+    The cross-check compares the full inertia (positive, negative, zero):
+    the elimination's pivot counts against the sign variations of p(x) and
+    p(-x) and the multiplicity of the root 0 of the characteristic
+    polynomial p.  A given inertia that passes is thereby confirmed by both
+    methods, its zero count included.
+    """
+    ldl = inertia_ldl(a) if inertia is None else inertia
+    desc = inertia_descartes(a)
+    if ldl != desc:
         raise SignatureMethodMismatchError(
-            f"inertia {s_ldl} vs Descartes {s_desc}: exact methods disagree"
+            f"inertia {tuple(ldl)} vs Descartes {tuple(desc)}: exact methods disagree"
         )
-    return s_ldl
+    return ldl.signature
 
 
 def extract_blocks(hplus: HermitePlus) -> tuple[RatMatrix, RatMatrix]:
@@ -577,7 +594,6 @@ def certify_pipeline(
     except StepFailure as failure:
         return _fail(basis, diag, failure)
 
-    sigma_h1 = signature(h1, h1_inertia)
     return CertificationOutcome(
         status="certified",
         basis=basis,
@@ -585,15 +601,21 @@ def certify_pipeline(
         hg=hg,
         normal_forms=nf,
         g=g,
-        sigma_h1=sigma_h1,
-        sigma_hg=_signature_of_hg(hg, h1, sigma_h1),
+        sigma_h1=signature(h1, h1_inertia),
+        hg_inertia=_inertia_of_hg(hg, (h1, h1_inertia)),
         diagnostics=diag,
     )
 
 
-def _signature_of_hg(hg: RatMatrix, h1: RatMatrix, sigma_h1: int) -> int:
-    """sigma(H_g), reusing sigma(H1) when g(M) = I makes the two equal."""
-    return sigma_h1 if hg == h1 else signature(hg)
+def _inertia_of_hg(hg: RatMatrix, h1: _Eliminated) -> Inertia:
+    """The inertia of H_g, confirmed by both methods of signature; H1's own
+    when g(M) = I makes the two equal, the caller's signature of H1 having
+    confirmed it."""
+    if hg == h1[0]:
+        return h1[1]
+    inertia = inertia_ldl(hg)
+    signature(hg, inertia)
+    return inertia
 
 
 def derive_hg(outcome: CertificationOutcome, g: MultiPoly) -> tuple[RatMatrix, int]:
@@ -628,10 +650,10 @@ def _check_point_count(h1_weighted: RatMatrix, points: int) -> None:
 
 def _weighted_step_7(
     trace: _Eliminated, weighted: _Eliminated, nf: NormalForms, g: MultiPoly
-) -> tuple[RatMatrix, RatMatrix, int, int]:
+) -> tuple[RatMatrix, RatMatrix, int, Inertia]:
     """Step 7 on the non-radical route, given (H1, its inertia) and (H1bar,
-    its inertia) from steps 4 and 2: (H_g, H1bar * g(M), sigma(H1),
-    sigma(H_g)).
+    its inertia) from steps 4 and 2: (H_g, H1bar * g(M), sigma(H1), the
+    inertia of H_g).
 
     H_g = H1 * g(M) needs no check (hermite_for_g).  The weighted pair does:
     H1bar * g(M) must be symmetric (step 1 proved H1bar symmetric), and the
@@ -646,9 +668,9 @@ def _weighted_step_7(
     mismatch = None
     if signature(*weighted) != sigma_h1:
         mismatch = "1"
-    else:  # both H1 agree, so sigma_h1 stands in for either H_g equal to its H1
-        sigma_hg = _signature_of_hg(hg_trace, trace[0], sigma_h1)
-        if _signature_of_hg(hg_weighted, weighted[0], sigma_h1) != sigma_hg:
+    else:
+        hg_inertia = _inertia_of_hg(hg_trace, trace)
+        if _inertia_of_hg(hg_weighted, weighted).signature != hg_inertia.signature:
             mismatch = "g"
     if mismatch:
         raise StepFailure(
@@ -657,7 +679,7 @@ def _weighted_step_7(
             f"trace-based and weighted signatures differ for g = {mismatch}",
             "signature_agreement",
         )
-    return hg_trace, hg_weighted, sigma_h1, sigma_hg
+    return hg_trace, hg_weighted, sigma_h1, hg_inertia
 
 
 def certify_nonradical(
@@ -686,7 +708,7 @@ def certify_nonradical(
         nf, weighted, trace = _run_steps_1_to_5(system, hplus, diag, radical=False)
         points = hplus.provenance.point_count
         _step(diag, 6, "weighted_consistency", _check_point_count, weighted[0], points)
-        hg_trace, hg_weighted, sigma_h1, sigma_hg = _step(
+        hg_trace, hg_weighted, sigma_h1, hg_inertia = _step(
             diag, 7, "hermite_for_g", _weighted_step_7, trace, weighted, nf, g
         )
     except StepFailure as failure:
@@ -700,7 +722,7 @@ def certify_nonradical(
         normal_forms=nf,
         g=g,
         sigma_h1=sigma_h1,
-        sigma_hg=sigma_hg,
+        hg_inertia=hg_inertia,
         weighted_h1=weighted[0],
         weighted_hg=hg_weighted,
         diagnostics=diag,

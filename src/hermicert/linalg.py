@@ -201,7 +201,7 @@ def char_poly(a: RatMatrix) -> list[Fraction]:
     operations for blocks of sizes k_i (O(k^4) when the pattern is
     connected) and no gcd in the loop; the i-th coefficient is divided by
     L^i once at the end.  The symmetry halves the matrix-vector products.
-    The package needs it only for signatures (signature_descartes).
+    The package needs it only for inertias (inertia_descartes).
     """
     if not a.is_symmetric():
         raise NotSymmetricError("characteristic polynomial requires a symmetric matrix")
@@ -213,7 +213,7 @@ def inertia_ldl(a: RatMatrix) -> Inertia:
     """Inertia of a symmetric matrix by the one fraction-free symmetric
     elimination (_kernels.eliminate); raises NotSymmetricError for any
     other matrix.  Independent of char_poly, so certify.signature can
-    cross-check the two."""
+    cross-check it against inertia_descartes."""
     pos, neg, zero, *_ = _elimination(a, "inertia")
     return Inertia(pos, neg, zero)
 
@@ -224,17 +224,20 @@ def sign_variations(coeffs: Sequence[Fraction]) -> int:
     return sum(1 for x, y in zip(signs, signs[1:]) if x != y)
 
 
-def signature_descartes(a: RatMatrix) -> int:
-    """Signature from Descartes' rule applied to the characteristic polynomial.
+def inertia_descartes(a: RatMatrix) -> Inertia:
+    """Inertia from Descartes' rule applied to the characteristic polynomial.
 
     All eigenvalues of a symmetric matrix are real, so the rule is exact:
-    the signature is var(p(x)) - var(p(-x)).  char_poly raises
-    NotSymmetricError for any other matrix.
+    var(p(x)) positive and var(p(-x)) negative eigenvalues, and the zero
+    eigenvalue has the multiplicity of the root 0, the number of trailing
+    zero coefficients.  char_poly raises NotSymmetricError for any other
+    matrix.
     """
     p = char_poly(a)
     k = len(p) - 1
     flipped = [c if (k - i) % 2 == 0 else -c for i, c in enumerate(p)]
-    return sign_variations(p) - sign_variations(flipped)
+    zero = next(i for i, c in enumerate(reversed(p)) if c)  # p is monic
+    return Inertia(sign_variations(p), sign_variations(flipped), zero)
 
 
 class ConnectedSelection(NamedTuple):

@@ -14,7 +14,7 @@ from hermicert.certificates import (
     lagrange_system,
     real_root_count,
 )
-from hermicert.certify import certify_pipeline
+from hermicert.certify import certify_pipeline, derive_hg
 from hermicert.hermite import build_extended_hermite, build_hermite
 from hermicert.linalg import NotSymmetricError, RatMatrix
 from hermicert.numroots import ApproxRootSet
@@ -41,6 +41,21 @@ def circle_critical_roots():
         accuracy="1e-8",
         coord_bound=2,
     )
+
+
+# the critical points of x^2 on the circle: (0, +-1, 0), where x^2 vanishes,
+# and (+-1, 0, -1)
+CIRCLE_X2_CRITICAL_ROOTS = ApproxRootSet(
+    points=((0j, 1 + 0j, 0j), (0j, -1 + 0j, 0j), (1 + 0j, 0j, -1 + 0j), (-1 + 0j, 0j, -1 + 0j)),
+    accuracy="1e-8",
+    coord_bound=2,
+)
+
+
+def squared_in_lagrange_ring(cert, g: str):
+    """g^2 in the ring of cert's Lagrange system."""
+    g_ext = parse_poly(g, list(cert.lagrange.variables))
+    return g_ext * g_ext
 
 
 # -- real root count -----------------------------------------------------------
@@ -205,7 +220,8 @@ def test_nonneg_true_for_shifted_coordinate():
     assert cert.verdict == "true"
     assert cert.sigma_hg == 2 and cert.sigma_hg2 == 2
     assert cert.outcome.hg == RatMatrix.from_rows([[4, 2], [2, 4]])
-    assert cert.hg2 == RatMatrix.from_rows([[10, 8], [8, 10]])
+    hg2 = derive_hg(cert.outcome, squared_in_lagrange_ring(cert, "x+2"))[0]
+    assert hg2 == RatMatrix.from_rows([[10, 8], [8, 10]])
 
 
 def test_nonneg_false_for_plain_coordinate():
@@ -256,6 +272,27 @@ def test_nonneg_repeated_critical_points_certify_through_the_radical(g, verdict,
     assert cert.verdict == verdict
     assert (cert.sigma_hg, cert.sigma_hg2) == sigmas
     assert cert.outcome.weighted_h1 == RatMatrix.from_rows([[6, 0], [0, 6]])
+
+
+@pytest.mark.parametrize(
+    "g, roots, singular",
+    [
+        ("x+2", circle_critical_roots, False),
+        ("x", circle_critical_roots, False),
+        ("x+3", circle_critical_roots, False),
+        # x^2 vanishes at (0, +-1, 0): reading sigma(H_(g^2)) off
+        # sigma(H1) = 4 would give "false"
+        ("x^2", lambda: CIRCLE_X2_CRITICAL_ROOTS, True),
+        ("x^3-3*x", lambda: TRIPLE_CRITICAL_ROOTS, False),
+        ("x^3-3*x+2", lambda: TRIPLE_CRITICAL_ROOTS, True),
+    ],
+)
+def test_nonneg_sigma_hg2_is_that_of_the_derived_hg2(g, roots, singular):
+    # with H_g nonsingular sigma(H_(g^2)) is read off sigma(H1), otherwise
+    # derived: either way it is the signature of H1 * g^2(M)
+    cert = certify_nonneg(NonnegQuery(CIRCLE, parse_poly(g, ["x", "y"])), build_hermite(roots()))
+    assert bool(cert.outcome.hg_inertia.zero) == singular
+    assert cert.sigma_hg2 == derive_hg(cert.outcome, squared_in_lagrange_ring(cert, g))[1]
 
 
 def test_nonneg_constant_shift_stays_true():

@@ -1012,6 +1012,23 @@ def test_wrong_signature_kernel_is_caught_by_the_cross_check(kernel, monkeypatch
         certify_pipeline(F_SQRT2, G_X, sqrt2_hermite())
 
 
+def test_signature_cross_check_compares_the_zero_count(monkeypatch):
+    # inertia (1, 0, 2); an elimination reporting (2, 1, 0) keeps pos - neg
+    # but claims a nonsingular matrix, which the zero count of Descartes
+    # (the root 0 of lambda^2 (lambda - 2), twice) refutes
+    m = RatMatrix.from_rows([[1, 1, 0], [1, 1, 0], [0, 0, 0]])
+    right = certify_module.inertia_ldl
+
+    def wrong(a):
+        pos, neg, zero = right(a)
+        return Inertia(pos + 1, neg + 1, zero - 2)
+
+    assert signature(m) == 1
+    monkeypatch.setattr(certify_module, "inertia_ldl", wrong)
+    with pytest.raises(SignatureMethodMismatchError):
+        signature(m)
+
+
 @pytest.mark.parametrize("kernel", ["inertia", "charpoly"])
 def test_wrong_signature_kernel_is_caught_under_optimize_flag(kernel):
     script = f"""

@@ -824,9 +824,49 @@ def test_out_bytes_match_pinned_digest(name, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+CIRCLE_X2_LAGRANGE_ROOTS = {
+    "accuracy_E": "1e-8",
+    "bound_M": "2",
+    "points": [
+        [["0", "0"], ["1", "0"], ["0", "0"]],
+        [["0", "0"], ["-1", "0"], ["0", "0"]],
+        [["1", "0"], ["0", "0"], ["-1", "0"]],
+        [["-1", "0"], ["0", "0"], ["-1", "0"]],
+    ],
+}
+
+
+def _nonneg_circle_x2(tmp_path):
+    # the critical points of x^2 on the circle: (0, +-1, 0), where x^2
+    # vanishes, and (+-1, 0, -1); sigma(H1) = 4, sigma(H_g) = 2
+    circle = write(tmp_path / "circle.json", CIRCLE)
+    lroots = write(tmp_path / "lroots.json", CIRCLE_X2_LAGRANGE_ROOTS)
+    return ["nonneg", "--system", circle, "--g", "x^2", "--roots", lroots]
+
+
+def test_nonneg_with_a_singular_hg_derives_hg2(tmp_path, capsys):
+    # H_g is singular, so sigma(H_(g^2)) = 2 is derived, not read off
+    # sigma(H1) = 4, which would give "false"
+    code, v = run(capsys, *_nonneg_circle_x2(tmp_path))
+    assert (code, v["verdict"]) == (0, "true")
+    assert (v["sigma_Hg"], v["sigma_Hg2"]) == (2, 2)
+    assert v["certificate"]["signatures"] == {"H1": 4, "Hg": 2}
+
+
+# H_(g^2) is derived only when H_g is singular: not for the pinned nonneg
+# (x + 2 vanishes at no critical point), but for x^2 on the circle
+COUNTED_RUNS = PINNED_OUTPUTS | {"nonneg-singular-hg": (_nonneg_circle_x2, 0, None)}
+
+
 @pytest.mark.parametrize(
     "name, calls",
-    [("pipeline-ball", 3), ("pipeline-nonradical", 4), ("nonneg", 3), ("count-real", 1)],
+    [
+        ("pipeline-ball", 3),
+        ("pipeline-nonradical", 4),
+        ("nonneg", 2),
+        ("nonneg-singular-hg", 3),
+        ("count-real", 1),
+    ],
 )
 def test_each_signature_is_computed_once(name, calls, tmp_path, monkeypatch):
     original = hermicert.certify.signature
@@ -839,7 +879,7 @@ def test_each_signature_is_computed_once(name, calls, tmp_path, monkeypatch):
     for mod_name, mod in list(sys.modules.items()):
         if mod_name.startswith("hermicert") and getattr(mod, "signature", None) is original:
             monkeypatch.setattr(mod, "signature", counting)
-    make_argv, exit_code, _ = PINNED_OUTPUTS[name]
+    make_argv, exit_code, _ = COUNTED_RUNS[name]
     assert main(make_argv(tmp_path) + ["--out", str(tmp_path / "out.json")]) == exit_code
     assert len(seen) == calls
 

@@ -8,7 +8,7 @@ from operator import mul
 from pathlib import Path
 
 from hermicert import _kernels as kernels
-from hermicert.linalg import RatMatrix, signature_descartes
+from hermicert.linalg import RatMatrix, inertia_descartes
 
 
 def rand_fraction(rng, span=9, dens=9):
@@ -155,8 +155,8 @@ def inertia(k, nums, dens):
 
 
 def test_inertia_matches_rank_and_descartes_signature():
-    # two independent routes: zero = k - rank (Fraction Gauss) and
-    # pos - neg = signature from the characteristic polynomial (Berkowitz)
+    # two independent routes: zero = k - rank (Fraction Gauss), and the
+    # whole inertia from the characteristic polynomial (Berkowitz)
     rng = random.Random(99)
     cases = []
     for _ in range(40):
@@ -173,7 +173,7 @@ def test_inertia_matches_rank_and_descartes_signature():
         pos, neg, zero = inertia(k, nums, dens)
         assert pos + neg + zero == k
         assert zero == k - gauss_rank_oracle(k, k, nums, dens)
-        assert pos - neg == signature_descartes(RatMatrix(k, k, list(nums), list(dens)))
+        assert (pos, neg, zero) == inertia_descartes(RatMatrix(k, k, list(nums), list(dens)))
         seen_zero |= zero > 0
         seen_block |= k > 1 and not any(nums[i * k + i] for i in range(k)) and pos > 0
     assert seen_zero and seen_block

@@ -18,10 +18,10 @@ from hermicert.linalg import (
     SingularMatrixError,
     _connected_scan,
     char_poly,
+    inertia_descartes,
     inertia_ldl,
     inverse,
     rank,
-    signature_descartes,
     solve,
 )
 from hermicert.polynomials import MultiPoly
@@ -188,13 +188,16 @@ def test_inertia_requires_symmetry():
     with pytest.raises(NotSymmetricError):
         inertia_ldl(RatMatrix.from_rows([[1, 2], [3, 4]]))
     with pytest.raises(NotSymmetricError):
-        signature_descartes(RatMatrix.from_rows([[1, 2], [3, 4]]))
+        inertia_descartes(RatMatrix.from_rows([[1, 2], [3, 4]]))
 
 
 def test_signature_descartes_examples():
-    assert signature_descartes(RatMatrix.from_rows([[2, 0], [0, 4]])) == 2
-    assert signature_descartes(RatMatrix.zeros(3, 3)) == 0
-    assert signature_descartes(RatMatrix.from_rows([[0, 4], [4, 0]])) == 0
+    assert inertia_descartes(RatMatrix.from_rows([[2, 0], [0, 4]])) == Inertia(2, 0, 0)
+    assert inertia_descartes(RatMatrix.zeros(3, 3)) == Inertia(0, 0, 3)
+    assert inertia_descartes(RatMatrix.from_rows([[0, 4], [4, 0]])) == Inertia(1, 1, 0)
+    # (lambda - 4) lambda: the zero count is the multiplicity of the root 0
+    assert inertia_descartes(RatMatrix.from_rows([[2, 2], [2, 2]])) == Inertia(1, 0, 1)
+    assert inertia_descartes(RatMatrix.from_rows([[-1, 1, 0], [1, -1, 0], [0, 0, 0]])) == Inertia(0, 1, 2)
 
 
 def test_char_poly_examples():
@@ -312,7 +315,7 @@ def test_char_poly_is_invariant_under_a_symmetric_permutation_of_blocks():
 def test_signature_methods_agree(seed, k):
     rng = random.Random(seed)
     m = rand_symmetric(rng, k)
-    assert inertia_ldl(m).signature == signature_descartes(m)
+    assert inertia_ldl(m) == inertia_descartes(m)
 
 
 def test_inertia_counts_sum_to_dimension():
