@@ -9,7 +9,7 @@ denominator, their lcm, and reduced takes integers over denominators back
 to lowest terms.  Every kernel first scales its input to integers (one lcm
 per matrix, or per row or column for the product) and then runs on plain
 ints: one fraction-free symmetric elimination, which gives every inertia
-and rank, solves and runs the connected scan; the characteristic
+and rank, solves and runs hermite's connected scan; the characteristic
 polynomial of a symmetric matrix, division-free (Berkowitz) on each
 connected block of its non-zero pattern; and the product as integer dot
 products.  A rational result is reduced once per entry.
@@ -194,7 +194,7 @@ def eliminate(k, nums, dens, rhs=None, linked=None):
     moved to the front of the remainder by symmetric exchanges (_swap).
     With linked(t, picked), each label t is first offered once, in order,
     and taken as a 1x1 pivot when its entry is non-zero and it is linked to
-    the labels picked so far (linalg's connected scan); the remainder is
+    the labels picked so far (hermite's connected scan); the remainder is
     then eliminated as above, so the inertia is always all of A's.
 
     Each pivot row, as taken, is an equation of the reduced system in the

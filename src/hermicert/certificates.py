@@ -16,7 +16,7 @@ from typing import Sequence
 from .certify import CertificationOutcome, certify_pipeline, derive_hg, signature
 from .hermite import HermitePlus
 from .linalg import RatMatrix
-from .polynomials import MultiPoly, PolySystem
+from .polynomials import Frozen, MultiPoly, PolySystem
 
 
 def real_root_count(h1: RatMatrix) -> int:
@@ -26,7 +26,7 @@ def real_root_count(h1: RatMatrix) -> int:
     return signature(h1)
 
 
-class BallQuery:
+class BallQuery(Frozen):
     """Closed ball with rational center and rational squared radius."""
 
     __slots__ = ("center", "radius_squared")
@@ -35,14 +35,10 @@ class BallQuery:
         center, radius_squared = tuple(Fraction(c) for c in center), Fraction(radius_squared)
         if radius_squared <= 0:
             raise ValueError("radius_squared must be positive")
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "radius_squared", radius_squared)
-
-    def __setattr__(self, *_):
-        raise AttributeError("BallQuery is immutable")
+        self._set(center=center, radius_squared=radius_squared)
 
 
-class NonnegQuery:
+class NonnegQuery(Frozen):
     """Is g non-negative on the real points of V(f)?
 
     Assumption flags record caller-asserted hypotheses (smoothness,
@@ -57,12 +53,7 @@ class NonnegQuery:
             raise ValueError("need at most as many constraints as variables")
         if g.variables != system.variables:
             raise ValueError("g must live in the system's ring")
-        object.__setattr__(self, "system", system)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "assume_smooth_bounded", assume_smooth_bounded)
-
-    def __setattr__(self, *_):
-        raise AttributeError("NonnegQuery is immutable")
+        self._set(system=system, g=g, assume_smooth_bounded=assume_smooth_bounded)
 
 
 def lagrange_variables(system: PolySystem) -> tuple[str, ...]:
@@ -121,7 +112,7 @@ def ball_polynomial(variables: Sequence[str], query: BallQuery) -> MultiPoly:
     return g
 
 
-class BallCertificate:
+class BallCertificate(Frozen):
     """A ball verdict: "true", "false" or "fail", with the signatures of H1
     and H_g that decide it (None on "fail")."""
 
@@ -135,8 +126,7 @@ class BallCertificate:
         outcome: CertificationOutcome,
         query: BallQuery,
     ):
-        self.verdict, self.sigma_h1, self.sigma_hg = verdict, sigma_h1, sigma_hg
-        self.outcome, self.query = outcome, query
+        self._set(verdict=verdict, sigma_h1=sigma_h1, sigma_hg=sigma_hg, outcome=outcome, query=query)
 
 
 def certify_ball(system: PolySystem, query: BallQuery, hplus: HermitePlus) -> BallCertificate:
@@ -164,7 +154,7 @@ def ball_from_outcome(
     return BallCertificate(verdict, s1, sg, outcome, query)
 
 
-class NonnegCertificate:
+class NonnegCertificate(Frozen):
     """A non-negativity verdict: "true", "false" or "fail", with the
     signatures of H_g and H_(g^2) that decide it (None on "fail").  No
     H_(g^2) is kept: sigma_hg2 is read off sigma(H1) when H_g is
@@ -181,9 +171,10 @@ class NonnegCertificate:
         lagrange: PolySystem,
         assume_smooth_bounded: bool = False,
     ):
-        self.verdict, self.sigma_hg, self.sigma_hg2 = verdict, sigma_hg, sigma_hg2
-        self.outcome, self.lagrange = outcome, lagrange
-        self.assume_smooth_bounded = assume_smooth_bounded
+        self._set(
+            verdict=verdict, sigma_hg=sigma_hg, sigma_hg2=sigma_hg2,
+            outcome=outcome, lagrange=lagrange, assume_smooth_bounded=assume_smooth_bounded,
+        )
 
 
 def certify_nonneg(query: NonnegQuery, hplus: HermitePlus) -> NonnegCertificate:

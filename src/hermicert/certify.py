@@ -111,6 +111,7 @@ from .linalg import (
 )
 from .polynomials import (
     ExtendedBasis,
+    Frozen,
     Monomial,
     MonomialBasis,
     MultiPoly,
@@ -143,7 +144,7 @@ class StepFailure(Exception):
         self.step, self.reason, self.detail, self.check = step, reason, detail, check
 
 
-class CertificationOutcome:
+class CertificationOutcome(Frozen):
     """Certified matrices or the first failing step.
 
     status is "certified" or "fail"; when certified, g, h1, hg, the
@@ -155,7 +156,9 @@ class CertificationOutcome:
     mult_matrices reads the M_s the table was built from, so the two cannot
     disagree; the table is neither compared, printed nor serialized.  For
     the non-radical route h1/hg are the trace-based matrices of the radical
-    and the multiplicity-weighted pair is exposed separately.
+    and the multiplicity-weighted pair is exposed separately.  The outcome
+    is frozen (polynomials.Frozen): derive_hg trusts its h1 and table, so
+    no field can be reassigned after certification.
     """
 
     __slots__ = ("normal_forms",) + _OUTCOME_FIELDS
@@ -177,12 +180,12 @@ class CertificationOutcome:
         weighted_hg: RatMatrix | None = None,
         diagnostics: list[dict] | None = None,
     ):
-        self.status, self.basis = status, basis
-        self.failed_step, self.reason, self.detail = failed_step, reason, detail
-        self.h1, self.hg, self.normal_forms, self.g = h1, hg, normal_forms, g
-        self.sigma_h1, self.hg_inertia = sigma_h1, hg_inertia
-        self.weighted_h1, self.weighted_hg = weighted_h1, weighted_hg
-        self.diagnostics = [] if diagnostics is None else diagnostics
+        self._set(
+            status=status, basis=basis, failed_step=failed_step, reason=reason, detail=detail,
+            h1=h1, hg=hg, normal_forms=normal_forms, g=g, sigma_h1=sigma_h1, hg_inertia=hg_inertia,
+            weighted_h1=weighted_h1, weighted_hg=weighted_hg,
+            diagnostics=[] if diagnostics is None else diagnostics,
+        )
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:

@@ -93,22 +93,21 @@ def _load_roots(path: str, variables):
     return roots
 
 
-def _load_basis(path: str | None, variables) -> MonomialBasis | None:
-    """The basis file, or None when none is given (the basis is then
-    selected from the points)."""
-    if not path:
-        return None
-    data = _load_json(path)
-    return MonomialBasis([parse_monomial(s, variables) for s in data["monomials"]])
-
-
-def _check_points(roots, basis: MonomialBasis | None = None) -> None:
-    """A Hermite matrix is built from one point at least, and a basis given
-    to build, pipeline or nonneg has one element per point."""
+def _load_points(args, variables):
+    """(roots, basis) from --roots and --basis, the points of a Hermite
+    matrix for build, pipeline and nonneg: one point at least, and a given
+    basis has one element per point.  basis is None when none is given
+    (it is then selected from the points)."""
+    roots = _load_roots(args.roots, variables)
+    basis = None
+    if args.basis:
+        data = _load_json(args.basis)
+        basis = MonomialBasis([parse_monomial(s, variables) for s in data["monomials"]])
     if not len(roots):
         raise ValueError("need at least one point")
     if basis is not None and len(basis) != len(roots):
         raise ValueError(f"basis size {len(basis)} must equal the number of points {len(roots)}")
+    return roots, basis
 
 
 def _refined_roots(roots, points, radii):
@@ -142,9 +141,7 @@ def _load_hermite(args):
 def cmd_build(args) -> tuple[int, dict]:
     with _input_boundary():
         system = _load_system(args.system)
-        roots = _load_roots(args.roots, system.variables)
-        basis = _load_basis(args.basis, system.variables)
-        _check_points(roots, basis)
+        roots, basis = _load_points(args, system.variables)
     hplus = build_hermite(roots, basis)
     return EXIT_OK, jsonio.hermite_to_json(hplus, system.variables)
 
@@ -179,10 +176,7 @@ def cmd_nonneg(args) -> tuple[int, dict]:
         system = _load_system(args.system)
         g = parse_poly(args.g, system.variables)
         query = NonnegQuery(system, g, assume_smooth_bounded=args.assume_smooth_bounded)
-        variables = lagrange_variables(system)
-        roots = _load_roots(args.roots, variables)
-        basis = _load_basis(args.basis, variables)
-        _check_points(roots, basis)
+        roots, basis = _load_points(args, lagrange_variables(system))
     cert = certify_nonneg(query, build_hermite(roots, basis))
     payload = {
         "verdict": cert.verdict,
@@ -276,9 +270,7 @@ def cmd_pipeline(args) -> tuple[int, dict]:
             raise ValueError("--center and --eps2 must be given together")
         system = _load_system(args.system)
         query = None if args.center is None else _ball_query(args.center, args.eps2, system.variables)
-        roots = _load_roots(args.roots, system.variables)
-        basis = _load_basis(args.basis, system.variables)
-        _check_points(roots, basis)
+        roots, basis = _load_points(args, system.variables)
         g = parse_poly(args.g, system.variables)
     hplus = build_hermite(roots, basis)
     payload: dict = {"hermite": jsonio.hermite_to_json(hplus, system.variables)}

@@ -28,10 +28,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import mul
+from typing import NamedTuple, Sequence
 
-from .linalg import ConnectedSelection, RatMatrix, _connected_scan
+from .linalg import RatMatrix, _elimination
 from .numroots import ApproxRootSet, select_basis
-from .polynomials import ExtendedBasis, Monomial, MonomialBasis
+from .polynomials import ExtendedBasis, Frozen, Monomial, MonomialBasis, linked
 from .ratrecon import RationalLike, denominator_bound, reconstruct_ints
 
 
@@ -50,7 +51,7 @@ class ReconstructionFailedError(RuntimeError):
         super().__init__(msg)
 
 
-class HermiteProvenance:
+class HermiteProvenance(Frozen):
     """What an extended Hermite matrix was built from: the accuracy E, the
     coordinate bound M, the point count k and, per power-sum monomial, the
     denominator bound its reconstruction used."""
@@ -60,16 +61,11 @@ class HermiteProvenance:
     def __init__(
         self, accuracy: Fraction, coord_bound: Fraction, point_count: int, bounds: dict | None = None
     ):
-        object.__setattr__(self, "accuracy", accuracy)
-        object.__setattr__(self, "coord_bound", coord_bound)
-        object.__setattr__(self, "point_count", point_count)
-        object.__setattr__(self, "bounds", {} if bounds is None else bounds)
-
-    def __setattr__(self, *_):
-        raise AttributeError("HermiteProvenance is immutable")
+        bounds = {} if bounds is None else bounds
+        self._set(accuracy=accuracy, coord_bound=coord_bound, point_count=point_count, bounds=bounds)
 
 
-class PowerSums:
+class PowerSums(Frozen):
     """Exact power sums, one per distinct label product of an extended basis.
 
     The sum for products[pos] is (re[pos] + i*im[pos]) / 2^exponents[pos].
@@ -78,15 +74,10 @@ class PowerSums:
     __slots__ = ("re", "im", "exponents")
 
     def __init__(self, re: list[int], im: list[int], exponents: list[int]):
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
-        object.__setattr__(self, "exponents", exponents)
-
-    def __setattr__(self, *_):
-        raise AttributeError("PowerSums is immutable")
+        self._set(re=re, im=im, exponents=exponents)
 
 
-class HermitePlus:
+class HermitePlus(Frozen):
     """Extended Hermite matrix with its labelling basis and provenance.
 
     A correctly built instance is symmetric and Hankel-coherent (equal
@@ -100,12 +91,7 @@ class HermitePlus:
         l = len(labels)
         if matrix.rows != l or matrix.cols != l:
             raise ValueError("matrix size does not match the extended basis")
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "provenance", provenance)
-
-    def __setattr__(self, *_):
-        raise AttributeError("HermitePlus is immutable")
+        self._set(matrix=matrix, labels=labels, provenance=provenance)
 
     def base_size(self) -> int:
         return len(self.labels.base)
@@ -289,6 +275,35 @@ def build_extended_hermite(
     return reconstruct_hermite(sums, ext, points.accuracy, len(points), points.coord_bound)
 
 
+class ConnectedSelection(NamedTuple):
+    monomials: tuple[Monomial, ...]
+    indices: tuple[int, ...]
+    rank: int  # the rank of the scanned matrix
+
+
+def _connected_scan(h: RatMatrix, monomials: Sequence[Monomial]) -> ConnectedSelection:
+    """The greedy connected selection of a symmetric h and the rank of h,
+    from one elimination, the selection possibly falling short of the rank.
+
+    The labels are scanned in their given (graded-lex) order, and a
+    monomial is kept when it is linked to the selection by a
+    single-variable quotient (polynomials.linked) and the principal minor
+    stays nonsingular: the linked pivot rule of _kernels.eliminate, where a
+    label's diagonal entry is its Schur complement against the kept block
+    (times that block's determinant).  The elimination then finishes the
+    rank.
+    """
+    if len(monomials) != h.rows:
+        raise ValueError("label count does not match matrix size")
+    labels = [tuple(m) for m in monomials]
+
+    def pivot_allowed(t, picked):
+        return linked(labels[t], {labels[i] for i in picked})
+
+    pos, neg, _, picked, _ = _elimination(h, "submatrix selection", linked=pivot_allowed)
+    return ConnectedSelection(tuple(labels[i] for i in picked), tuple(picked), pos + neg)
+
+
 def build_hermite(points: ApproxRootSet, basis: MonomialBasis | None = None) -> HermitePlus:
     """The extended Hermite matrix of the points, on the route that fits them.
 
@@ -313,7 +328,7 @@ def build_nonradical(full: HermitePlus, selection: ConnectedSelection) -> Hermit
     """Hermite construction when the point multiset carries multiplicities.
 
     Restricts the full extended matrix built from the points to selection,
-    the connected scan of its base block H1 (linalg._connected_scan).  The
+    the connected scan of its base block H1 (_connected_scan).  The
     returned matrix is indexed by the reduced extended basis, whose base
     size kbar is the number of distinct roots when it certifies; its
     provenance keeps the original point count (the total multiplicity).

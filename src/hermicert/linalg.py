@@ -75,9 +75,6 @@ class RatMatrix:
         p = i * self.cols + j
         return Fraction(self._n[p], self._d[p])
 
-    def to_rows(self) -> list[list[Fraction]]:
-        return [[self.entry(i, j) for j in range(self.cols)] for i in range(self.rows)]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, RatMatrix):
             return NotImplemented
@@ -127,9 +124,6 @@ class RatMatrix:
                 ):
                     return False
         return True
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self._n)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "RatMatrix":
         n, d = [], []
@@ -239,33 +233,3 @@ def inertia_descartes(a: RatMatrix) -> Inertia:
     zero = next(i for i, c in enumerate(reversed(p)) if c)  # p is monic
     return Inertia(sign_variations(p), sign_variations(flipped), zero)
 
-
-class ConnectedSelection(NamedTuple):
-    monomials: tuple[tuple[int, ...], ...]
-    indices: tuple[int, ...]
-    rank: int  # the rank of the scanned matrix
-
-
-def _connected_scan(h: RatMatrix, monomials: Sequence[tuple[int, ...]]) -> ConnectedSelection:
-    """The greedy connected selection of a symmetric h and the rank of h,
-    from one elimination, the selection possibly falling short of the rank.
-
-    The labels are scanned in their given (graded-lex) order, and a
-    monomial is kept when it is linked to the selection by a
-    single-variable quotient and the principal minor stays nonsingular:
-    the linked pivot rule of _kernels.eliminate, where a label's diagonal
-    entry is its Schur complement against the kept block (times that
-    block's determinant).  The elimination then finishes the rank.
-    """
-    if len(monomials) != h.rows:
-        raise ValueError("label count does not match matrix size")
-    labels = [tuple(m) for m in monomials]
-
-    def linked(t, picked):  # 1, or a single-variable quotient already picked
-        mono, chosen = labels[t], {labels[i] for i in picked}
-        return not any(mono) or any(
-            e and mono[:i] + (e - 1,) + mono[i + 1 :] in chosen for i, e in enumerate(mono)
-        )
-
-    pos, neg, _, picked, _ = _elimination(h, "submatrix selection", linked=linked)
-    return ConnectedSelection(tuple(labels[i] for i in picked), tuple(picked), pos + neg)

@@ -20,7 +20,7 @@ from itertools import repeat
 from operator import mul, neg, sub
 from typing import Iterable, NamedTuple, Sequence
 
-from .polynomials import Monomial, MonomialBasis, PolySystem, iter_monomials
+from .polynomials import Frozen, Monomial, MonomialBasis, PolySystem, iter_monomials
 
 Point = tuple[complex, ...]
 
@@ -46,7 +46,7 @@ _EPS = sys.float_info.epsilon
 _INVERSE_ITERATIONS = 100
 
 
-class ApproxRootSet:
+class ApproxRootSet(Frozen):
     """Approximate roots with a shared accuracy bound E and coordinate bound M.
 
     Every point must have finite coordinates with max_i |z_i| <= M - E.
@@ -79,13 +79,7 @@ class ApproxRootSet:
                 raise ValueError(
                     f"point {p} violates the coordinate bound |z|_inf <= M - E = {limit}"
                 )
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "accuracy", accuracy)
-        object.__setattr__(self, "coord_bound", coord_bound)
-        object.__setattr__(self, "radii", radii)
-
-    def __setattr__(self, *_):
-        raise AttributeError("ApproxRootSet is immutable")
+        self._set(points=pts, accuracy=accuracy, coord_bound=coord_bound, radii=radii)
 
     def __len__(self) -> int:
         return len(self.points)

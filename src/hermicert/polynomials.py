@@ -65,7 +65,21 @@ def iter_monomials(arity: int, max_degree: int) -> Iterator[Monomial]:
         yield from compositions(degree, arity)
 
 
-class MultiPoly:
+class Frozen:
+    """Base of the package's immutable classes: __init__ writes the fields
+    once, through _set, and any later assignment raises AttributeError."""
+
+    __slots__ = ()
+
+    def _set(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class MultiPoly(Frozen):
     """Immutable multivariate polynomial with exact coefficients."""
 
     __slots__ = ("variables", "terms")
@@ -81,11 +95,7 @@ class MultiPoly:
             if len(m) != len(vs) or any(e < 0 for e in m):
                 raise ValueError(f"bad monomial {m} for {len(vs)} variables")
             clean[m] = c
-        object.__setattr__(self, "variables", vs)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, *_):
-        raise AttributeError("MultiPoly is immutable")
+        self._set(variables=vs, terms=clean)
 
     # -- constructors -------------------------------------------------
 
@@ -127,10 +137,6 @@ class MultiPoly:
                 terms[m] = terms.get(m, Fraction(0)) + ca * cb
         return MultiPoly(self.variables, terms)
 
-    def scale(self, factor) -> "MultiPoly":
-        f = Fraction(factor)
-        return MultiPoly(self.variables, {m: c * f for m, c in self.terms.items()})
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -140,9 +146,6 @@ class MultiPoly:
         return hash((self.variables, frozenset(self.terms.items())))
 
     # -- queries --------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def total_degree(self) -> int:
         return max((monomial_degree(m) for m in self.terms), default=0)
@@ -233,7 +236,7 @@ class MultiPoly:
         return f"MultiPoly({self.to_text()!r})"
 
 
-class PolySystem:
+class PolySystem(Frozen):
     """A list of polynomials sharing one ring."""
 
     __slots__ = ("variables", "polys")
@@ -244,11 +247,7 @@ class PolySystem:
         for p in ps:
             if p.variables != vs:
                 raise ValueError("system polynomials must share the ring")
-        object.__setattr__(self, "variables", vs)
-        object.__setattr__(self, "polys", ps)
-
-    def __setattr__(self, *_):
-        raise AttributeError("PolySystem is immutable")
+        self._set(variables=vs, polys=ps)
 
     def __len__(self) -> int:
         return len(self.polys)
@@ -389,24 +388,22 @@ def parse_monomial(text: str, variables: Sequence[str]) -> Monomial:
 # -- monomial bases -------------------------------------------------------
 
 
+def linked(mono: Monomial, present) -> bool:
+    """mono is 1, or one of its single-variable quotients is in present."""
+    return not any(mono) or any(
+        e and mono[:i] + (e - 1,) + mono[i + 1 :] in present for i, e in enumerate(mono)
+    )
+
+
 def is_connected_to_1(monomials: Sequence[Monomial]) -> bool:
-    """Every non-constant element has a single-variable quotient in the set."""
+    """The set holds 1, and every element of it is linked to the set."""
     present = set(tuple(m) for m in monomials)
     if (0,) * len(tuple(monomials[0])) not in present:
         return False
-    for mono in present:
-        if sum(mono) == 0:
-            continue
-        if not any(
-            mono[:i] + (e - 1,) + mono[i + 1 :] in present
-            for i, e in enumerate(mono)
-            if e
-        ):
-            return False
-    return True
+    return all(linked(mono, present) for mono in present)
 
 
-class MonomialBasis:
+class MonomialBasis(Frozen):
     """Ordered, distinct monomial set connected to 1 (1 comes first)."""
 
     __slots__ = ("arity", "monomials")
@@ -424,11 +421,7 @@ class MonomialBasis:
             raise ValueError("the first basis element must be 1")
         if not is_connected_to_1(monos):
             raise ValueError("basis is not connected to 1")
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "monomials", monos)
-
-    def __setattr__(self, *_):
-        raise AttributeError("MonomialBasis is immutable")
+        self._set(arity=arity, monomials=monos)
 
     def __len__(self) -> int:
         return len(self.monomials)
@@ -451,7 +444,7 @@ class MonomialBasis:
         return f"MonomialBasis({self.monomials})"
 
 
-class ExtendedBasis:
+class ExtendedBasis(Frozen):
     """A basis B together with its extension B+ = B u (x_i * B), base first.
 
     The extension list keeps the base as a prefix; appended products are
@@ -468,7 +461,6 @@ class ExtendedBasis:
     __slots__ = ("base", "extension", "products", "product_index", "shifts")
 
     def __init__(self, base: MonomialBasis):
-        object.__setattr__(self, "base", base)
         units = [tuple(int(t == s) for t in range(base.arity)) for s in range(base.arity)]
         shifted = [[monomial_mul(mono, unit) for mono in base.monomials] for unit in units]
         added = set(m for row in shifted for m in row) - set(base.monomials)
@@ -495,13 +487,13 @@ class ExtendedBasis:
                 digits.append(e)
             products.append(tuple(reversed(digits)))
         index = {code: p for p, code in enumerate(distinct)}
-        object.__setattr__(self, "extension", ext)
-        object.__setattr__(self, "products", tuple(products))
-        object.__setattr__(self, "product_index", tuple(map(index.__getitem__, pairs)))
-        object.__setattr__(self, "shifts", tuple(tuple(position[m] for m in row) for row in shifted))
-
-    def __setattr__(self, *_):
-        raise AttributeError("ExtendedBasis is immutable")
+        self._set(
+            base=base,
+            extension=ext,
+            products=tuple(products),
+            product_index=tuple(map(index.__getitem__, pairs)),
+            shifts=tuple(tuple(position[m] for m in row) for row in shifted),
+        )
 
     def __len__(self) -> int:
         return len(self.extension)

@@ -50,6 +50,14 @@ def matrix_trace(m: RatMatrix) -> Fraction:
     return sum((m.entry(i, i) for i in range(m.rows)), Fraction(0))
 
 
+def matrix_rows(m: RatMatrix) -> list[list[Fraction]]:
+    return [[m.entry(i, j) for j in range(m.cols)] for i in range(m.rows)]
+
+
+def is_zero_matrix(m: RatMatrix) -> bool:
+    return all(m.entry(i, j) == 0 for i in range(m.rows) for j in range(m.cols))
+
+
 def newton_girard_power_sums(char_coeffs, upto: int) -> list[Fraction]:
     """Power sums p_0..p_upto of the roots of a monic polynomial.
 
@@ -120,7 +128,7 @@ def univariate_from_roots(
     for r in real_roots:
         poly = poly * (x - MultiPoly.constant(["x"], r))
     for c, d in complex_pairs:
-        quad = x * x - x.scale(2 * c) + MultiPoly.constant(["x"], c * c + d * d)
+        quad = x * x - MultiPoly.constant(["x"], 2 * c) * x + MultiPoly.constant(["x"], c * c + d * d)
         poly = poly * quad
     return poly
 

@@ -28,7 +28,7 @@ from hermicert.numroots import ApproxRootSet, match_and_filter
 from hermicert.polynomials import MonomialBasis, MultiPoly, PolySystem, parse_poly
 from hermicert.ratrecon import rational_reconstruct
 
-from conftest import exact_hermite_plus, roots_as_qc, univariate_from_roots
+from conftest import exact_hermite_plus, matrix_rows, roots_as_qc, univariate_from_roots
 
 SQRT2 = math.sqrt(2)
 
@@ -165,7 +165,7 @@ def test_criterion_3_certification_soundness_fuzzing():
     for _ in range(100):
         system, hp, _ = instances[rng.randrange(len(instances))]
         size = hp.matrix.rows
-        rows = hp.matrix.to_rows()
+        rows = matrix_rows(hp.matrix)
         i, j = rng.randrange(size), rng.randrange(size)
         delta = Fraction(rng.randint(1, 7), rng.randint(1, 7)) * rng.choice([1, -1])
         rows[i][j] += delta

@@ -20,7 +20,7 @@ from hermicert.linalg import NotSymmetricError, RatMatrix
 from hermicert.numroots import ApproxRootSet
 from hermicert.polynomials import MonomialBasis, PolySystem, parse_poly
 
-from conftest import exact_hermite_plus, roots_as_qc
+from conftest import exact_hermite_plus, matrix_rows, roots_as_qc
 
 SQRT2 = math.sqrt(2)
 B1X = MonomialBasis([(0,), (1,)])
@@ -174,7 +174,7 @@ def test_ball_fail_propagates():
     from hermicert.hermite import HermitePlus
 
     hp = sqrt2_hermite()
-    rows = hp.matrix.to_rows()
+    rows = matrix_rows(hp.matrix)
     rows[0][0] += 1
     bad = HermitePlus(RatMatrix.from_rows(rows), hp.labels, hp.provenance)
     cert = certify_ball(
@@ -202,8 +202,9 @@ def test_ball_from_outcome_matches_certify_ball():
 def test_ball_on_a_tampered_h1_raises_and_gives_no_verdict():
     outcome = certify_pipeline(F_SQRT2, parse_poly("x", ["x"]), sqrt2_hermite())
     # a wrong (still symmetric) H1 is no trace form: for g = (x - 1)^2 - 1/4,
-    # g(M) is [[11/4, -4], [-2, 11/4]] and H1 * g(M) = [[33/4, -12], [-8, 11]]
-    outcome.h1 = RatMatrix.from_rows([[3, 0], [0, 4]])
+    # g(M) is [[11/4, -4], [-2, 11/4]] and H1 * g(M) = [[33/4, -12], [-8, 11]];
+    # the outcome is frozen, so the tampering goes around its guard
+    object.__setattr__(outcome, "h1", RatMatrix.from_rows([[3, 0], [0, 4]]))
     query = BallQuery(center=(Fraction(1),), radius_squared=Fraction(1, 4))
     cert = None
     with pytest.raises(NotSymmetricError):

@@ -1,12 +1,25 @@
+import ast
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hermicert
+from hermicert.certificates import (
+    BallCertificate,
+    BallQuery,
+    NonnegCertificate,
+    NonnegQuery,
+    ball_from_outcome,
+)
+from hermicert.certify import CertificationOutcome, certify_pipeline
+from hermicert.hermite import HermitePlus, HermiteProvenance, PowerSums, build_extended_hermite
 from hermicert.linalg import RatMatrix, char_poly, sign_variations
+from hermicert.numroots import ApproxRootSet
 from hermicert.polynomials import (
     ExtendedBasis,
     MonomialBasis,
@@ -21,7 +34,7 @@ from hermicert.polynomials import (
     parse_poly,
 )
 
-from conftest import matrix_trace, newton_girard_power_sums, univariate_from_roots
+from conftest import is_zero_matrix, matrix_trace, newton_girard_power_sums, univariate_from_roots
 
 
 # -- parsing ---------------------------------------------------------------
@@ -89,7 +102,7 @@ def test_partial_derivatives():
     assert p.partial_derivative(0) == parse_poly("2*x", ["x"])
     c = parse_poly("x^2 + y^2 - 1", ["x", "y"])
     assert c.partial_derivative(1) == parse_poly("2*y", ["x", "y"])
-    assert MultiPoly.constant(["x"], 3).partial_derivative(0).is_zero()
+    assert not MultiPoly.constant(["x"], 3).partial_derivative(0).terms
 
 
 def test_eval_complex_near_root_is_tiny():
@@ -112,11 +125,11 @@ def test_eval_complex_ignores_unused_variables():
 def test_eval_at_matrices_examples():
     p = parse_poly("x^2 - 2", ["x"])
     m = RatMatrix.from_rows([[0, 2], [1, 0]])
-    assert p.eval_at_matrices([m]).is_zero()
+    assert is_zero_matrix(p.eval_at_matrices([m]))
     assert MultiPoly.constant(["x"], 1).eval_at_matrices([m]) == RatMatrix.identity(2)
     cubic = parse_poly("x^3 - 3*x + 2", ["x"])  # (x-1)^2 (x+2)
     m2 = RatMatrix.from_rows([[0, 2], [1, -1]])
-    assert cubic.eval_at_matrices([m2]).is_zero()
+    assert is_zero_matrix(cubic.eval_at_matrices([m2]))
 
 
 def test_eval_at_matrices_is_ring_homomorphism_on_commuting_family():
@@ -275,3 +288,80 @@ def test_monomial_strings_round_trip():
 def test_poly_system_requires_shared_ring():
     with pytest.raises(ValueError):
         PolySystem(["x"], [parse_poly("x", ["x"]), parse_poly("y", ["y"])])
+
+
+# -- immutability ----------------------------------------------------------
+
+
+def _sqrt2_hplus():
+    pts = ApproxRootSet(points=((2**0.5 + 0j,), (-(2**0.5) + 0j,)), accuracy="1e-10", coord_bound=2)
+    return build_extended_hermite(pts, MonomialBasis([(0,), (1,)]))
+
+
+def _sqrt2_system():
+    return PolySystem(["x"], [parse_poly("x^2-2", ["x"])])
+
+
+def _sqrt2_outcome():
+    return certify_pipeline(_sqrt2_system(), parse_poly("x", ["x"]), _sqrt2_hplus())
+
+
+_FROZEN_VALUES = {
+    MultiPoly: lambda: parse_poly("x^2-2", ["x"]),
+    PolySystem: _sqrt2_system,
+    MonomialBasis: lambda: MonomialBasis([(0,), (1,)]),
+    ExtendedBasis: lambda: ExtendedBasis(MonomialBasis([(0,), (1,)])),
+    ApproxRootSet: lambda: ApproxRootSet(points=((1 + 0j,),), accuracy="1e-10", coord_bound=2),
+    HermiteProvenance: lambda: HermiteProvenance(Fraction(1, 10**10), Fraction(2), 1),
+    PowerSums: lambda: PowerSums([1], [0], [0]),
+    HermitePlus: _sqrt2_hplus,
+    BallQuery: lambda: BallQuery(center=(Fraction(1),), radius_squared=Fraction(1, 4)),
+    NonnegQuery: lambda: NonnegQuery(PolySystem(["x"], []), parse_poly("x^2", ["x"])),
+    CertificationOutcome: _sqrt2_outcome,
+    BallCertificate: lambda: ball_from_outcome(
+        _sqrt2_outcome(), ["x"], BallQuery(center=(Fraction(1),), radius_squared=Fraction(1, 4))
+    ),
+    NonnegCertificate: lambda: NonnegCertificate("fail", None, None, _sqrt2_outcome(), PolySystem(["x"], [])),
+}
+
+
+@pytest.mark.parametrize("cls", list(_FROZEN_VALUES), ids=lambda cls: cls.__name__)
+def test_value_and_result_classes_refuse_assignment(cls):
+    value = _FROZEN_VALUES[cls]()
+    assert type(value) is cls
+    field = cls.__slots__[0]
+    before = getattr(value, field)
+    with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
+        setattr(value, field, None)
+    assert getattr(value, field) is before
+
+
+def _scoped_nodes(node, scope=""):
+    # every node under node, with the dotted name of the class or function around it
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = f"{scope}.{child.name}" if scope else child.name
+        yield inner, child
+        yield from _scoped_nodes(child, inner)
+
+
+def test_only_frozen_defines_or_bypasses_setattr():
+    # polynomials.Frozen is the package's one immutability mechanism: a second
+    # object.__setattr__ or __setattr__ is a class writing its own guard
+    found = []
+    for path in sorted(Path(hermicert.__file__).parent.glob("*.py")):
+        for scope, node in _scoped_nodes(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "__setattr__":
+                found.append((path.name, scope, "def __setattr__"))
+            elif (
+                isinstance(node, ast.Attribute)
+                and node.attr == "__setattr__"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "object"
+            ):
+                found.append((path.name, scope, "object.__setattr__"))
+    assert sorted(found) == [
+        ("polynomials.py", "Frozen.__setattr__", "def __setattr__"),
+        ("polynomials.py", "Frozen._set", "object.__setattr__"),
+    ]
