@@ -8,6 +8,8 @@ interpreter overhead dominates; the larger power-sum entries typical of
 extended Hermite matrices, where arbitrary-precision integer arithmetic
 dominates; the weighted matrices of a ball query on the 5x5 (k=25) and 7x7
 (k=49) grids, whose rational entries are where the signatures' cost lies;
+the power-sum characteristic polynomial of the ball's g(M) on both grids,
+which gives the Descartes half of H_g's signature when every root is real;
 the H1 of the 5x5 grid alone (its inertia and its characteristic
 polynomial: its odd moments vanish, so its non-zero pattern falls into
 four connected blocks, where the ball matrices are one) and with its border
@@ -33,7 +35,8 @@ N rounds times one call of every kernel row through both modules, in
 alternating order within one process, and the row prints the median and
 the quartiles of the per-round ratio hermicert._kernels / PATH, so a ratio
 below 1 means hermicert._kernels is faster.  The construction rows do not
-call the kernels directly and are left out of the paired table.
+call the kernels directly, and a row whose kernel PATH lacks has nothing to
+compare with: both are left out of the paired table.
 """
 
 import argparse
@@ -71,16 +74,12 @@ def power_sum_entries(rng, k):
     return nums, [1] * (k * k)
 
 
-def ball_hg_entries(rng, n=5):
-    """The k=n^2 ball matrix H_g of the n x n integer grid (n odd): entry
-    (i, j) is sum_p g(p) p^(b_i + b_j) over the grid, b the monomials x^a y^b
-    with a, b < n, and g = |p - c|^2 - r^2 with c in odd quarters and r^2 in
-    odd sixteenths, as a ball query makes them (denominators up to 16)."""
+def grid_moments(n, weight):
+    """sum_p weight(p) p^(b_i + b_j) over the n x n integer grid (n odd), b
+    the monomials x^a y^b with a, b < n, as flat pairs."""
     grid = range(-(n // 2), n // 2 + 1)
     basis = [(a, b) for a in range(n) for b in range(n)]
-    c = [Fraction(2 * rng.randint(-6, 5) + 1, 4) for _ in range(2)]
-    r2 = Fraction(2 * rng.randint(0, 15) + 1, 16)
-    weights = {(x, y): (x - c[0]) ** 2 + (y - c[1]) ** 2 - r2 for x in grid for y in grid}
+    weights = {(x, y): Fraction(weight(x, y)) for x in grid for y in grid}
     sums = {}
     nums, dens = [], []
     for bi in basis:
@@ -91,6 +90,32 @@ def ball_hg_entries(rng, n=5):
             nums.append(sums[e].numerator)
             dens.append(sums[e].denominator)
     return nums, dens
+
+
+def ball_weight(rng):
+    """g = |p - c|^2 - r^2 with c in odd quarters and r^2 in odd sixteenths,
+    as a ball query makes them (denominators up to 16)."""
+    c = [Fraction(2 * rng.randint(-6, 5) + 1, 4) for _ in range(2)]
+    r2 = Fraction(2 * rng.randint(0, 15) + 1, 16)
+    return lambda x, y: (x - c[0]) ** 2 + (y - c[1]) ** 2 - r2
+
+
+def ball_hg_entries(rng, n=5):
+    """The k=n^2 ball matrix H_g of the n x n integer grid (n odd): entry
+    (i, j) is sum_p g(p) p^(b_i + b_j) over the grid for a ball polynomial g
+    (ball_weight)."""
+    return grid_moments(n, ball_weight(rng))
+
+
+def ball_gm_args(rng, n):
+    """(k, g(M) as flat pairs, tau, 1) for a ball polynomial g on the n x n
+    grid, k = n^2: the arguments of power_sum_charpoly.  g(M) = H1^-1 H_g
+    (H_g = H1 g(M)) by one elimination, and tau_j = Tr(M^(b_j)) =
+    sum_p b_j(p) is row 0 of H1, whose b_0 is 1."""
+    k = n * n
+    h1 = grid_moments(n, lambda x, y: 1)
+    gm = kernels.eliminate(k, *h1, (k, *ball_hg_entries(rng, n)))[4]
+    return (k, *gm, h1[0][:k], 1)
 
 
 def grid_border_entries():
@@ -172,6 +197,7 @@ def workloads(rng):
     ext = ExtendedBasis(MonomialBasis([(a, b) for a in range(5) for b in range(5)]))
     exact = grid_points(rng, 0.0, "1e-40")
     noisy = grid_points(rng, 1e-14, "1e-13")
+    gm25, gm49 = ball_gm_args(rng, 5), ball_gm_args(rng, 7)
     return [
         ("mat_mul 8x8 small", kernels.mat_mul, (k, k, k, *a, *b)),
         ("charpoly 8x8 small", kernels.charpoly, (k, *sym)),
@@ -179,6 +205,7 @@ def workloads(rng):
         ("charpoly 10x10 power-sums", kernels.charpoly, (10, *big)),
         ("eliminate 10x10 power-sums", kernels.eliminate, (10, *big)),
         ("charpoly 25x25 ball H_g", kernels.charpoly, (25, *ball)),
+        ("power-sum charpoly 25x25 ball g(M)", kernels.power_sum_charpoly, gm25),
         ("eliminate 25x25 ball H_g", kernels.eliminate, (25, *ball)),
         ("eliminate 25x25 grid H1 (inertia)", kernels.eliminate, (25, *h1)),
         ("charpoly 25x25 grid H1", kernels.charpoly, (25, *h1)),
@@ -186,6 +213,7 @@ def workloads(rng):
         ("mat_mul 10x25x10 grid Schur complement", kernels.mat_mul, (10, 25, 10, *border_rows, *y)),
         ("eliminate 12x12 2x2 pivots + 12 rhs", kernels.eliminate, (12, *blocks, (12, *b_identity(12)))),
         ("charpoly 49x49 ball H_g", kernels.charpoly, (49, *ball49)),
+        ("power-sum charpoly 49x49 ball g(M)", kernels.power_sum_charpoly, gm49),
         ("eliminate 49x49 ball H_g", kernels.eliminate, (49, *ball49)),
         ("construct 5x5 grid, exact points", construct, (exact, ext)),
         ("construct 5x5 grid, noise 1e-14", construct, (noisy, ext)),
@@ -233,7 +261,7 @@ def main():
         if not args.paired:
             best = bench(func, *call_args, repeat=args.repeat)
             print(f"{label:<42} {best * 1e3:>8.3f}ms")
-        elif func.__module__ == kernels.__name__:
+        elif func.__module__ == kernels.__name__ and hasattr(other, func.__name__):
             ratios = paired_ratios(func, getattr(other, func.__name__), call_args, args.repeat)
             q1, med, q3 = statistics.quantiles(ratios, n=4)
             print(f"{label:<42} {med:>8.3f} {q1:>7.3f} {q3:>7.3f}")

@@ -11,8 +11,11 @@ per matrix, or per row or column for the product) and then runs on plain
 ints: one fraction-free symmetric elimination, which gives every inertia
 and rank, solves and runs hermite's connected scan; the characteristic
 polynomial of a symmetric matrix, division-free (Berkowitz) on each
-connected block of its non-zero pattern; and the product as integer dot
-products.  A rational result is reduced once per entry.
+connected block of its non-zero pattern; the characteristic polynomial of
+a multiplication matrix D g(M) from its power sums, read off a trace
+functional, and Newton's identities, whose divisions are exact and checked
+(InexactDivisionError); and the product as integer dot products.  A
+rational result is reduced once per entry.
 """
 
 from itertools import accumulate, repeat
@@ -140,6 +143,63 @@ def charpoly(k, nums, dens):
                 prod[i + j] += x * y
         p = prod
     return reduced(p, list(accumulate(repeat(l, k), mul, initial=1)))
+
+
+class InexactDivisionError(AssertionError):
+    """A division that is exact by construction left a remainder; this
+    indicates a bug."""
+
+
+def _exact(n, d, what):
+    """n / d for integers that d divides; raises InexactDivisionError (which
+    survives -O) otherwise."""
+    q, r = divmod(n, d)
+    if r:
+        raise InexactDivisionError(f"{what}: {n} / {d} is not an integer")
+    return q
+
+
+def newton_charpoly(p):
+    """Integer coefficients [1, c1, ..., ck] of det(lambda I - X) from the
+    power sums p = [Tr(X), ..., Tr(X^k)] of a k x k integer matrix X, by
+    Newton's identities: j c_j = -(p_j + c_1 p_(j-1) + ... + c_(j-1) p_1).
+
+    Every c_j of an integer matrix is an integer, so a division by j that
+    leaves a remainder raises InexactDivisionError.  O(k^2) operations.
+    """
+    c = [1]
+    for j in range(1, len(p) + 1):
+        c.append(_exact(-sum(map(mul, c, reversed(p[:j]))), j, "Newton's identity"))
+    return c
+
+
+def power_sum_charpoly(k, nums, dens, tau, t):
+    """Integer coefficients [1, c1, ..., ck] of det(lambda I - X), X = D * G
+    for a k x k matrix G of an algebra with trace functional tau (given as
+    integers t * tau over t > 0), D the lcm of G's denominators.
+
+    G is the matrix of multiplication by some element g of a k-dimensional
+    algebra A in a basis starting with 1 (column j holds the coordinates of
+    g * b_j, b_1 = 1), so X^j is the matrix of (D g)^j and
+    Tr(X^j) = tau . X^j e_1: the power sums take k sparse products X w from
+    w = e_1 and one dot product each, and newton_charpoly turns them into
+    coefficients.  X is an integer matrix, so every Tr(X^j) is an integer:
+    a division by t that leaves a remainder raises InexactDivisionError.
+    O(k * nnz(X)) for the products, against Berkowitz's O(k^4); G need not
+    be symmetric.
+    """
+    _, flat = scaled(nums, dens)
+    rows = []  # the columns and the entries of the non-zero part of each row
+    for r in range(k):
+        row = flat[r * k : (r + 1) * k]
+        cols = [c for c, x in enumerate(row) if x]
+        rows.append((cols, [row[c] for c in cols]))
+    w = [1] + [0] * (k - 1)
+    p = []
+    for _ in range(k):
+        w = [sum(map(mul, xs, [w[c] for c in cols])) for cols, xs in rows]
+        p.append(_exact(sum(map(mul, tau, w)), t, "power sum"))
+    return newton_charpoly(p)
 
 
 def _catch_up(u, lev, s, d):

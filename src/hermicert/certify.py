@@ -50,11 +50,24 @@ row-major order over H+ lies in H1, and step 6 names that entry.
 Step 1 rejects an H+ that is not symmetric, as no true H+ is, so every
 elimination here is linalg's one symmetric elimination, and each yields an
 inertia: step 2's of H1 (H1bar), step 4's of the trace matrix.  Their
-signatures reuse it and add only the characteristic polynomial, the
+signatures reuse it and add only a polynomial for Descartes' rule, the
 independent method that signature cross-checks.  The cross-check compares
 the whole inertia, zero count included, so the certified outcome's inertia
 of H_g gives its rank, the number of roots of A where g does not vanish
 (Hermite's theorem again), which certificates.certify_nonneg reads.
+
+That polynomial is the characteristic polynomial of the matrix itself
+(Berkowitz, O(k^4)) for H1 and H1bar, and for every H_g when sigma(H1) < k.
+When the certified inertia of H1 is (k, 0, 0), every root is real and H1
+is positive definite, so H_g = H1 g(M) is congruent to the symmetric
+H1^(1/2) g(M) H1^(-1/2), which is similar to g(M) (Hermite's theorem;
+Pedersen-Roy-Szpirglas 1993): the inertia of H_g counts the signs of g at
+the roots, the eigenvalues of g(M).  The integer characteristic polynomial
+of D g(M), D > 0, then serves, from the power sums
+Tr((D g(M))^j) = tau . (D g(M))^j e_1 and Newton's identities in O(k^3)
+(_power_sum_poly).  On the non-radical route one such polynomial serves
+both H1 g(M) and H1bar g(M): step 7 checks H1bar g(M) symmetric and
+sigma(H1bar) = sigma(H1) before reading it.
 
 The label structure comes from the ExtendedBasis: its shifts table gives
 the position of every x_s * b_i, and its products table the distinct
@@ -107,6 +120,7 @@ from .linalg import (
     inertia_descartes,
     inertia_ldl,
     rank,
+    root_signs,
     solve,
 )
 from .polynomials import (
@@ -209,18 +223,22 @@ class CertificationOutcome(Frozen):
         return None if self.normal_forms is None else self.normal_forms.matrices
 
 
-def signature(a: RatMatrix, inertia: Inertia | None = None) -> int:
+def signature(a: RatMatrix, inertia: Inertia | None = None, poly: list[int] | None = None) -> int:
     """Signature via symmetric elimination, cross-checked by Descartes; the
     inertia is given when a step already eliminated a, computed otherwise.
 
     The cross-check compares the full inertia (positive, negative, zero):
     the elimination's pivot counts against the sign variations of p(x) and
-    p(-x) and the multiplicity of the root 0 of the characteristic
-    polynomial p.  A given inertia that passes is thereby confirmed by both
-    methods, its zero count included.
+    p(-x) and the multiplicity of the root 0 of a real-rooted polynomial p
+    whose roots have the signs of a's eigenvalues.  p is poly when given,
+    the power-sum polynomial of g(M) for H_g = H1 g(M) with H1 positive
+    definite (_power_sum_poly); otherwise it is the characteristic
+    polynomial of a itself (Berkowitz, linalg.inertia_descartes).  A given
+    inertia that passes is thereby confirmed by both methods, its zero
+    count included.
     """
     ldl = inertia_ldl(a) if inertia is None else inertia
-    desc = inertia_descartes(a)
+    desc = inertia_descartes(a) if poly is None else root_signs(poly)
     if ldl != desc:
         raise SignatureMethodMismatchError(
             f"inertia {tuple(ldl)} vs Descartes {tuple(desc)}: exact methods disagree"
@@ -315,9 +333,12 @@ class NormalForms:
     v_(gamma - e_s) by one product with D_s M_s that visits only the
     non-zero entries of its columns.  The table is built once per
     certification, right after step 2, shared by steps 4 to 7, and kept on
-    the certified outcome for derive_hg.  The trace form of steps 4 and 6 (_base_trace_matrix) reads only the base
-    products v_(beta_i + beta_j): once for the trace functional tau and once
-    as the v_alpha of its traces (_trace_grid), Tr(M^alpha) = tau . v_alpha.
+    the certified outcome for derive_hg.  The trace form of steps 4 and 6
+    (_base_trace_matrix) reads only the base products v_(beta_i + beta_j):
+    once for the trace functional tau and once as the v_alpha of its traces
+    (_trace_grid), Tr(M^alpha) = tau . v_alpha.  tau is memoised
+    (trace_functional), so the power sums of every g(M) whose signature
+    reads them (_power_sum_poly) use the one tau of the certification.
     Its vectors mean what they say under the precondition that steps 2 and
     5 establish on both routes:
 
@@ -348,6 +369,7 @@ class NormalForms:
         start = [0] * k
         start[0] = 1
         self._vectors: dict[Monomial, tuple[list[int], int]] = {(0,) * len(ms): (start, 1)}
+        self._tau: tuple[list[int], int] | None = None
 
     def apply(self, s: int, w: Sequence[int]) -> list[int]:
         """D_s * M_s * w for an integer vector w."""
@@ -399,6 +421,27 @@ class NormalForms:
                     out[r] += f * x
         return out, den
 
+    def trace_functional(self) -> tuple[list[int], int]:
+        """(T * tau, T): tau_j = Tr(M^(beta_j)) over one common denominator T,
+        computed once per table and memoised.
+
+        Tr(M^(beta_j)) = sum_i e_i^T M^(beta_j) M^(beta_i) e_1
+        = sum_i (v_(beta_j + beta_i))_i, so tau reads only the base products
+        beta_i + beta_j off the table: it comes from the M_s, never from the
+        candidate matrix that step 6 checks.
+        """
+        if self._tau is None:
+            k = self.k
+            nums, dens = [], []  # (v_(beta_j + beta_i))_i, row j by row j
+            for beta in self.basis:
+                for i, other in enumerate(self.basis):
+                    w, d = self.vector(monomial_mul(beta, other))
+                    nums.append(w[i])
+                    dens.append(d if w[i] else 1)  # a zero term leaves the lcm alone
+            common, flat = kernels.scaled(nums, dens)
+            self._tau = [sum(flat[j * k : (j + 1) * k]) for j in range(k)], common
+        return self._tau
+
     def poly_matrix(self, g: MultiPoly) -> RatMatrix:
         """g(M_1, ..., M_n), column j being g(M) e_j = g(M) M^(beta_j) e_1.
         Most entries are zero, and only the others are reduced."""
@@ -439,26 +482,6 @@ def check_commute_and_membership(nf: NormalForms, system: PolySystem) -> None:
             raise StepFailure(5, "nonmember", f"input polynomial {idx} does not vanish")
 
 
-def _trace_functional(nf: NormalForms) -> tuple[list[int], int]:
-    """(T * tau, T): tau_j = Tr(M^(beta_j)) over one common denominator T.
-
-    Tr(M^(beta_j)) = sum_i e_i^T M^(beta_j) M^(beta_i) e_1
-    = sum_i (v_(beta_j + beta_i))_i, so tau reads only the base products
-    beta_i + beta_j off the table: it comes from the M_s, never from the
-    candidate matrix that step 6 checks.
-    """
-    basis = nf.basis
-    k = len(basis)
-    nums, dens = [], []  # (v_(beta_j + beta_i))_i, row j by row j
-    for beta in basis:
-        for i, other in enumerate(basis):
-            w, d = nf.vector(monomial_mul(beta, other))
-            nums.append(w[i])
-            dens.append(d if w[i] else 1)  # a zero term leaves the lcm alone
-    common, flat = kernels.scaled(nums, dens)
-    return [sum(flat[j * k : (j + 1) * k]) for j in range(k)], common
-
-
 def _trace_grid(nf: NormalForms, monomials: Sequence[Monomial]) -> list[Fraction]:
     """Tr(alpha(M)) for each monomial alpha, in order: tau . v_alpha.
 
@@ -467,11 +490,11 @@ def _trace_grid(nf: NormalForms, monomials: Sequence[Monomial]) -> list[Fraction
     both sides commute with every M_s (step 5) and map e_1 to c, and
     e_i = M^(beta_i) e_1 (step 2), so both map e_i to M^(beta_i) c.  Hence
     Tr(M^alpha) = sum_j c_j Tr(M^(beta_j)) = tau . c, with the trace
-    functional tau computed once per call (_trace_functional): the same
-    exact rational as the trace of the matrix product, under the table's
-    precondition (NormalForms).
+    functional tau memoised on the table (NormalForms.trace_functional): the
+    same exact rational as the trace of the matrix product, under the
+    table's precondition (NormalForms).
     """
-    tau, common = _trace_functional(nf)
+    tau, common = nf.trace_functional()
     traces = []
     for alpha in monomials:
         w, d = nf.vector(alpha)
@@ -502,9 +525,12 @@ def _base_trace_matrix(labels: ExtendedBasis, nf: NormalForms) -> RatMatrix:
     return RatMatrix(k, k, [traces[p].numerator for p in cells], [traces[p].denominator for p in cells])
 
 
-def hermite_for_g(h1: RatMatrix, nf: NormalForms, g: MultiPoly) -> RatMatrix:
-    """H_g = H1 * g(M_1, ..., M_n), g(M) read off the normal-form table, so
-    the one product formed is H1 * g(M).
+def hermite_for_g(h1: RatMatrix, nf: NormalForms, g: MultiPoly) -> tuple[RatMatrix, RatMatrix]:
+    """(H_g, g(M)): H_g = H1 * g(M_1, ..., M_n), g(M) read off the
+    normal-form table, so the one product formed is H1 * g(M).  g(M) is
+    returned for the Descartes half of H_g's signature (_power_sum_poly)
+    and for the weighted pair of the non-radical route, so it is formed
+    once per polynomial.
 
     Nothing is checked.  Every H1 passed here is a certified trace form:
     step 6 proves it on the radical route, and _base_trace_matrix builds it
@@ -513,7 +539,30 @@ def hermite_for_g(h1: RatMatrix, nf: NormalForms, g: MultiPoly) -> RatMatrix:
     symmetric in i and j.  The weighted H1bar * g(M) is no trace form:
     _weighted_step_7 checks it.
     """
-    return h1 @ nf.poly_matrix(g)
+    gm = nf.poly_matrix(g)
+    return h1 @ gm, gm
+
+
+def _power_sum_poly(sigma_h1: int, nf: NormalForms, gm: RatMatrix) -> list[int] | None:
+    """The polynomial whose sign pattern gives the Descartes half of the
+    signature of H_g = H1 g(M) (signature): the integer characteristic
+    polynomial of X = D g(M), D the lcm of g(M)'s denominators, when
+    sigma(H1) = k; None otherwise, for Berkowitz on H_g itself.
+
+    sigma(H1) = k makes H1 positive definite, and every root of A real
+    (Hermite's theorem; Pedersen-Roy-Szpirglas 1993).  Then H_g is congruent
+    to H1^(-1/2) H_g H1^(-1/2) = H1^(1/2) g(M) H1^(-1/2), a symmetric matrix
+    similar to g(M): the inertia of H_g counts the signs of g(M)'s
+    eigenvalues, the real values of g at the roots, and X has the same
+    signs.  The same holds for any positive definite S with S g(M)
+    symmetric, such as the non-radical route's H1bar once
+    sigma(H1bar) = sigma(H1) = k.  The polynomial takes O(k^3) from the
+    power sums Tr(X^j) = tau . X^j e_1 and the table's trace functional
+    (_kernels.power_sum_charpoly), against Berkowitz's O(k^4) on H_g.
+    """
+    if sigma_h1 != nf.k:
+        return None
+    return kernels.power_sum_charpoly(nf.k, *gm.row_pairs(), *nf.trace_functional())
 
 
 def _step(diag: list[dict], step: int, name: str, check, *args):
@@ -593,10 +642,11 @@ def certify_pipeline(
     try:
         nf, (h1, h1_inertia), (trace_h1, _) = _run_steps_1_to_5(system, hplus, diag, radical=True)
         _step(diag, 6, "trace_grid", check_traces, h1, trace_h1)
-        hg = _step(diag, 7, "hermite_for_g", hermite_for_g, h1, nf, g)
+        hg, gm = _step(diag, 7, "hermite_for_g", hermite_for_g, h1, nf, g)
     except StepFailure as failure:
         return _fail(basis, diag, failure)
 
+    sigma_h1 = signature(h1, h1_inertia)
     return CertificationOutcome(
         status="certified",
         basis=basis,
@@ -604,20 +654,21 @@ def certify_pipeline(
         hg=hg,
         normal_forms=nf,
         g=g,
-        sigma_h1=signature(h1, h1_inertia),
-        hg_inertia=_inertia_of_hg(hg, (h1, h1_inertia)),
+        sigma_h1=sigma_h1,
+        hg_inertia=_inertia_of_hg(hg, (h1, h1_inertia), _power_sum_poly(sigma_h1, nf, gm)),
         diagnostics=diag,
     )
 
 
-def _inertia_of_hg(hg: RatMatrix, h1: _Eliminated) -> Inertia:
-    """The inertia of H_g, confirmed by both methods of signature; H1's own
-    when g(M) = I makes the two equal, the caller's signature of H1 having
-    confirmed it."""
+def _inertia_of_hg(hg: RatMatrix, h1: _Eliminated, poly: list[int] | None) -> Inertia:
+    """The inertia of H_g, confirmed by both methods of signature, the
+    Descartes half read off poly when it is given (_power_sum_poly); H1's
+    own when g(M) = I makes the two equal, the caller's signature of H1
+    having confirmed it."""
     if hg == h1[0]:
         return h1[1]
     inertia = inertia_ldl(hg)
-    signature(hg, inertia)
+    signature(hg, inertia, poly)
     return inertia
 
 
@@ -636,8 +687,9 @@ def derive_hg(outcome: CertificationOutcome, g: MultiPoly) -> tuple[RatMatrix, i
         raise ValueError("outcome is not certified")
     if g == outcome.g:
         return outcome.hg, outcome.sigma_hg
-    hg = hermite_for_g(outcome.h1, outcome.normal_forms, g)
-    return hg, signature(hg)
+    nf = outcome.normal_forms
+    hg, gm = hermite_for_g(outcome.h1, nf, g)
+    return hg, signature(hg, None, _power_sum_poly(outcome.sigma_h1, nf, gm))
 
 
 def _check_point_count(h1_weighted: RatMatrix, points: int) -> None:
@@ -659,12 +711,14 @@ def _weighted_step_7(
     inertia of H_g).
 
     H_g = H1 * g(M) needs no check (hermite_for_g).  The weighted pair does:
-    H1bar * g(M) must be symmetric (step 1 proved H1bar symmetric), and the
-    weighted and trace-based signatures must agree for 1 and for g,
-    positive weights preserving sign counts.
+    H1bar * g(M), with the same g(M), must be symmetric (step 1 proved H1bar
+    symmetric), and the weighted and trace-based signatures must agree for
+    1 and for g, positive weights preserving sign counts.  Once they agree
+    for 1, one power-sum polynomial of g(M) gives the Descartes half of both
+    signatures for g when sigma(H1) = k (_power_sum_poly).
     """
-    hg_trace = hermite_for_g(trace[0], nf, g)
-    hg_weighted = hermite_for_g(weighted[0], nf, g)
+    hg_trace, gm = hermite_for_g(trace[0], nf, g)
+    hg_weighted = weighted[0] @ gm
     if not hg_weighted.is_symmetric():
         raise StepFailure(7, "not_symmetric", "H1 * g(M) is not symmetric", "weighted_hermite_for_g")
     sigma_h1 = signature(*trace)
@@ -672,8 +726,9 @@ def _weighted_step_7(
     if signature(*weighted) != sigma_h1:
         mismatch = "1"
     else:
-        hg_inertia = _inertia_of_hg(hg_trace, trace)
-        if _inertia_of_hg(hg_weighted, weighted).signature != hg_inertia.signature:
+        poly = _power_sum_poly(sigma_h1, nf, gm)
+        hg_inertia = _inertia_of_hg(hg_trace, trace, poly)
+        if _inertia_of_hg(hg_weighted, weighted, poly).signature != hg_inertia.signature:
             mismatch = "g"
     if mismatch:
         raise StepFailure(

@@ -195,7 +195,11 @@ def char_poly(a: RatMatrix) -> list[Fraction]:
     operations for blocks of sizes k_i (O(k^4) when the pattern is
     connected) and no gcd in the loop; the i-th coefficient is divided by
     L^i once at the end.  The symmetry halves the matrix-vector products.
-    The package needs it only for inertias (inertia_descartes).
+    The package needs it only for inertias (inertia_descartes), and only
+    where no cheaper polynomial has the same sign pattern: for H1, H1bar,
+    and H_g when sigma(H1) < k.  When H1 is positive definite (every root
+    real), the signature of H_g = H1 g(M) reads the polynomial of g(M) from
+    its power sums in O(k^3) instead (certify.signature).
     """
     if not a.is_symmetric():
         raise NotSymmetricError("characteristic polynomial requires a symmetric matrix")
@@ -218,18 +222,23 @@ def sign_variations(coeffs: Sequence[Fraction]) -> int:
     return sum(1 for x, y in zip(signs, signs[1:]) if x != y)
 
 
-def inertia_descartes(a: RatMatrix) -> Inertia:
-    """Inertia from Descartes' rule applied to the characteristic polynomial.
+def root_signs(p: Sequence) -> Inertia:
+    """(positive, negative, zero) root counts of a real polynomial, given by
+    its descending coefficients [1, c1, ..., ck], all of whose roots are
+    real: Descartes' rule, which is exact then.
 
-    All eigenvalues of a symmetric matrix are real, so the rule is exact:
-    var(p(x)) positive and var(p(-x)) negative eigenvalues, and the zero
-    eigenvalue has the multiplicity of the root 0, the number of trailing
-    zero coefficients.  char_poly raises NotSymmetricError for any other
-    matrix.
+    var(p(x)) roots are positive and var(p(-x)) negative, and the root 0
+    has the multiplicity of the trailing zero coefficients.
     """
-    p = char_poly(a)
     k = len(p) - 1
     flipped = [c if (k - i) % 2 == 0 else -c for i, c in enumerate(p)]
     zero = next(i for i, c in enumerate(reversed(p)) if c)  # p is monic
     return Inertia(sign_variations(p), sign_variations(flipped), zero)
 
+
+def inertia_descartes(a: RatMatrix) -> Inertia:
+    """Inertia from Descartes' rule applied to the characteristic polynomial
+    (root_signs): every eigenvalue of a symmetric matrix is real, so the
+    rule is exact.  char_poly raises NotSymmetricError for any other matrix.
+    """
+    return root_signs(char_poly(a))

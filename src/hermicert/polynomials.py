@@ -67,7 +67,8 @@ def iter_monomials(arity: int, max_degree: int) -> Iterator[Monomial]:
 
 class Frozen:
     """Base of the package's immutable classes: __init__ writes the fields
-    once, through _set, and any later assignment raises AttributeError."""
+    once, through _set, and any later assignment or deletion raises
+    AttributeError."""
 
     __slots__ = ()
 
@@ -77,6 +78,8 @@ class Frozen:
 
     def __setattr__(self, *_):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
 
 
 class MultiPoly(Frozen):

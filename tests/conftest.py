@@ -144,11 +144,13 @@ def roots_as_qc(
 
 
 def wrong_signature_kernel(kernels, name: str):
-    """(kernel attribute, faulty stand-in) for the inertia half or the
-    characteristic-polynomial half of a signature, whose signature is minus
-    the true one, so it is wrong whenever the true signature is non-zero:
-    the one symmetric elimination with its inertia counts swapped, or the
-    characteristic polynomial of -A.  Install it with setattr(kernels, *...)."""
+    """(kernel attribute, faulty stand-in) for the inertia half or one of the
+    two sources of the Descartes half of a signature, whose signature is
+    minus the true one, so it is wrong whenever the true signature is
+    non-zero: the one symmetric elimination with its inertia counts swapped
+    ("inertia"), the characteristic polynomial of -A ("charpoly", Berkowitz
+    on the matrix), or the power-sum polynomial of -X ("power_sums", for
+    H_g when sigma(H1) = k).  Install it with setattr(kernels, *...)."""
     if name == "inertia":
         right = kernels.eliminate
 
@@ -157,11 +159,17 @@ def wrong_signature_kernel(kernels, name: str):
             return (neg, pos, *rest)
 
         return "eliminate", wrong
+    def negated(coeffs):  # det(lambda I + A) from det(lambda I - A)
+        return [-c if i % 2 else c for i, c in enumerate(coeffs)]
+
+    if name == "power_sums":
+        right_sums = kernels.power_sum_charpoly
+        return "power_sum_charpoly", lambda *args: negated(right_sums(*args))
     right = kernels.charpoly
 
     def wrong(k, nums, dens):
         cn, cd = right(k, nums, dens)
-        return [-c if i % 2 else c for i, c in enumerate(cn)], cd
+        return negated(cn), cd
 
     return "charpoly", wrong
 

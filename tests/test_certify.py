@@ -32,7 +32,16 @@ from hermicert.certify import (
 )
 from hermicert.certificates import BallQuery, ball_polynomial, lagrange_system
 from hermicert.hermite import HermitePlus, HermiteProvenance, build_extended_hermite, build_hermite
-from hermicert.linalg import Inertia, NotSymmetricError, RatMatrix, inverse, rank
+from hermicert.linalg import (
+    Inertia,
+    NotSymmetricError,
+    RatMatrix,
+    inertia_descartes,
+    inertia_ldl,
+    inverse,
+    rank,
+    root_signs,
+)
 from hermicert.numroots import ApproxRootSet
 from hermicert.polynomials import (
     ExtendedBasis,
@@ -638,9 +647,10 @@ def test_hermite_for_g_examples():
     h1 = RatMatrix.from_rows([[2, 0], [0, 4]])
     m = [RatMatrix.from_rows([[0, 2], [1, 0]])]
     nf = table(m)
-    assert hermite_for_g(h1, nf, G_X) == RatMatrix.from_rows([[0, 4], [4, 0]])
-    assert hermite_for_g(h1, nf, parse_poly("1", ["x"])) == h1
-    assert hermite_for_g(h1, nf, parse_poly("x^2", ["x"])) == h1.scale(2)
+    # each H_g comes with the g(M) it was formed from
+    assert hermite_for_g(h1, nf, G_X) == (RatMatrix.from_rows([[0, 4], [4, 0]]), m[0])
+    assert hermite_for_g(h1, nf, parse_poly("1", ["x"])) == (h1, RatMatrix.identity(2))
+    assert hermite_for_g(h1, nf, parse_poly("x^2", ["x"])) == (h1.scale(2), RatMatrix.identity(2).scale(2))
 
 
 def test_pipeline_certifies_sqrt2_end_to_end():
@@ -688,7 +698,7 @@ def test_derive_hg_reuses_own_g_and_derives_others():
     steps = list(out.diagnostics)
     x2 = parse_poly("x^2", ["x"])
     hg2, sigma = derive_hg(out, x2)
-    assert hg2 == hermite_for_g(out.h1, table(out.mult_matrices), x2)
+    assert hg2 == hermite_for_g(out.h1, table(out.mult_matrices), x2)[0]
     assert hg2 == dense_hermite_for_g(out.h1, out.mult_matrices, x2)
     assert sigma == signature(hg2) == 2
     assert out.diagnostics == steps
@@ -766,6 +776,66 @@ def test_derived_hg_is_symmetric_and_matches_dense_reference(name, data):
     assert hg.is_symmetric()
     assert hg == dense_hermite_for_g(out.h1, out.mult_matrices, g)
     assert sigma == signature(hg)
+
+
+def _value(g: MultiPoly, point) -> Fraction:
+    return sum((c * math.prod(z**e for z, e in zip(point, m)) for m, c in g.terms.items()), Fraction(0))
+
+
+def _interpolant(variables, xs, ys) -> MultiPoly:
+    """The polynomial in the first variable of degree < len(xs) through
+    (xs[i], ys[i]) (Lagrange)."""
+    x = MultiPoly.variable(variables, 0)
+    total = MultiPoly.constant(variables, 0)
+    for i, (xi, yi) in enumerate(zip(xs, ys)):
+        term = MultiPoly.constant(variables, yi)
+        for j, xj in enumerate(xs):
+            if j != i:
+                term = term * (x - MultiPoly.constant(variables, xj)) * MultiPoly.constant(variables, 1 / (xi - xj))
+        total = total + term
+    return total
+
+
+SMALL_RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_power_sum_inertia_matches_both_methods_on_real_points(data):
+    # k <= 8 real points in one or two variables (with distinct x, so
+    # {1, x, ..., x^(k-1)} is a basis and y is an interpolant in x): sigma(H1)
+    # = k, so the signature of H_g reads the power sums of g(M), whose sign
+    # count must be both inertias of H_g, for a g that may vanish at a point
+    arity = data.draw(st.sampled_from([1, 2]), label="arity")
+    k = data.draw(st.integers(1, 8), label="k")
+    variables = ["x", "y"][:arity]
+    xs = data.draw(st.lists(SMALL_RATIONALS, min_size=k, max_size=k, unique=True), label="xs")
+    x = MultiPoly.variable(variables, 0)
+    f = MultiPoly.constant(variables, 1)
+    for a in xs:
+        f = f * (x - MultiPoly.constant(variables, a))
+    polys, points = [f], [(a,) for a in xs]
+    if arity == 2:
+        ys = data.draw(st.lists(SMALL_RATIONALS, min_size=k, max_size=k), label="ys")
+        polys.append(MultiPoly.variable(variables, 1) - _interpolant(variables, xs, ys))
+        points = list(zip(xs, ys))
+    monomials = [m for m in product(range(3), repeat=arity) if sum(m) <= 2]
+    terms = st.dictionaries(st.sampled_from(monomials), SMALL_RATIONALS.filter(bool), min_size=1, max_size=4)
+    g = MultiPoly(variables, data.draw(terms, label="g"))
+    if data.draw(st.booleans(), label="vanishes"):
+        root = data.draw(st.sampled_from(points), label="root")
+        g = g - MultiPoly.constant(variables, _value(g, root))
+    basis = MonomialBasis([(i,) + (0,) * (arity - 1) for i in range(k)])
+    hp = exact_hermite_plus([tuple(QC(z) for z in p) for p in points], basis)
+    out = certify_pipeline(PolySystem(variables, polys), g, hp)
+    assert out.certified and out.sigma_h1 == k, (out.reason, out.detail)
+    nf = out.normal_forms
+    hg, gm = hermite_for_g(out.h1, nf, g)
+    poly = kernels.power_sum_charpoly(k, *gm.row_pairs(), *nf.trace_functional())
+    signs = [_value(g, p) for p in points]
+    expected = Inertia(sum(v > 0 for v in signs), sum(v < 0 for v in signs), sum(v == 0 for v in signs))
+    assert root_signs(poly) == inertia_ldl(hg) == inertia_descartes(hg) == expected
+    assert out.hg_inertia == expected
 
 
 def test_derive_hg_refuses_an_uncertified_outcome():
@@ -1006,12 +1076,14 @@ def test_corpus_weighted_form_off_the_moments_fails_the_hg_signature_agreement()
     assert out.detail.endswith("for g = g")
 
 
-@pytest.mark.parametrize("kernel", ["inertia", "charpoly"])
+@pytest.mark.parametrize("kernel", ["inertia", "charpoly", "power_sums"])
 def test_wrong_signature_kernel_is_caught_by_the_cross_check(kernel, monkeypatch):
-    # sigma(H1) = 2 for x^2 - 2, so either faulty kernel reports -2
+    # sigma(H1) = 2 for x^2 - 2, so a faulty elimination or Berkowitz kernel
+    # reports -2; both roots are real and x + 2 > 0 at both, so H_(x+2) reads
+    # the power sums of its g(M), and a faulty power-sum kernel reports -2
     monkeypatch.setattr(kernels, *wrong_signature_kernel(kernels, kernel))
     with pytest.raises(SignatureMethodMismatchError):
-        certify_pipeline(F_SQRT2, G_X, sqrt2_hermite())
+        certify_pipeline(F_SQRT2, parse_poly("x+2", ["x"]), sqrt2_hermite())
 
 
 def test_signature_cross_check_compares_the_zero_count(monkeypatch):
@@ -1031,7 +1103,7 @@ def test_signature_cross_check_compares_the_zero_count(monkeypatch):
         signature(m)
 
 
-@pytest.mark.parametrize("kernel", ["inertia", "charpoly"])
+@pytest.mark.parametrize("kernel", ["inertia", "charpoly", "power_sums"])
 def test_wrong_signature_kernel_is_caught_under_optimize_flag(kernel):
     script = f"""
 import math
@@ -1051,7 +1123,7 @@ pts = ApproxRootSet(
 hplus = build_extended_hermite(pts, MonomialBasis([(0,), (1,)]))
 setattr(kernels, *wrong_signature_kernel(kernels, "{kernel}"))
 try:
-    certify_pipeline(f, parse_poly("x", ["x"]), hplus)
+    certify_pipeline(f, parse_poly("x+2", ["x"]), hplus)
 except SignatureMethodMismatchError:
     raise SystemExit(0)
 raise SystemExit(1)
@@ -1066,21 +1138,18 @@ raise SystemExit(1)
 
 
 SPLIT_SCRIPT = """
-from fractions import Fraction
 import hermicert._kernels as kernels
 from conftest import split_components
-from hermicert.certify import SignatureMethodMismatchError, certify_pipeline
-from hermicert.hermite import build_extended_hermite
-from hermicert.numroots import ApproxRootSet
-from hermicert.polynomials import MonomialBasis, PolySystem, parse_poly
-# the roots -1 and 2: H1 = [[2, 1], [1, 5]] and H_x = [[1, 3], [3, 7]] are
-# connected; split, H1 keeps its signature 2 and H_x reads 2 instead of 0
-f = PolySystem(["x"], [parse_poly("x^2-x-2", ["x"])])
-pts = ApproxRootSet(points=((-1 + 0j,), (2 + 0j,)), accuracy=Fraction(1, 10**10), coord_bound=3)
-hplus = build_extended_hermite(pts, MonomialBasis([(0,), (1,)]))
+from hermicert.certify import SignatureMethodMismatchError, signature
+from hermicert.linalg import RatMatrix
+# [[1, 3], [3, 7]] is connected and indefinite (det -2): split, its
+# polynomial is (lambda - 1)(lambda - 7), whose Descartes inertia (2, 0, 0)
+# the elimination's (1, 1, 0) refutes.  Given no polynomial, signature
+# runs Berkowitz on the matrix itself, as for H1 and for H_g with complex
+# roots (H_x of x^2 - x - 2, this matrix, reads the power sums of M_x)
 setattr(kernels, *split_components(kernels))
 try:
-    certify_pipeline(f, parse_poly("x", ["x"]), hplus)
+    signature(RatMatrix.from_rows([[1, 3], [3, 7]]))
 except SignatureMethodMismatchError:
     raise SystemExit(0)
 raise SystemExit(1)

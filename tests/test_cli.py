@@ -933,6 +933,35 @@ def test_eliminations_per_run(name, most, tmp_path, monkeypatch):
     assert len(calls) <= most, calls
 
 
+# Berkowitz polynomials per run (3, 3, 4 and 2 when every signature took
+# one): only H1 and H1bar need one when sigma(H1) = k, since every H_g then
+# reads its Descartes half off the power sums of g(M); the complex roots of
+# the cube roots of unity keep Berkowitz on H_x too
+@pytest.mark.parametrize(
+    "name, calls",
+    [
+        ("pipeline-ball", 1),
+        ("pipeline-grid7-ball", 1),
+        ("pipeline-nonradical", 2),
+        ("nonneg", 1),
+        ("pipeline-cube-roots", 2),
+    ],
+)
+def test_characteristic_polynomials_per_run(name, calls, tmp_path, monkeypatch):
+    make_argv, exit_code, _ = PINNED_OUTPUTS[name]
+    argv = make_argv(tmp_path) + ["--out", str(tmp_path / "out.json")]
+    seen = []
+    original = kernels.charpoly
+
+    def counting(k, *args):
+        seen.append(k)
+        return original(k, *args)
+
+    monkeypatch.setattr(kernels, "charpoly", counting)
+    assert main(argv) == exit_code
+    assert len(seen) == calls, seen
+
+
 @pytest.mark.parametrize("name", sorted(PINNED_OUTPUTS))
 def test_each_run_builds_one_normal_form_table(name, tmp_path, monkeypatch):
     # certify once, derive every H_g from the same table
@@ -1026,19 +1055,20 @@ def test_nonneg_repeated_critical_points_certify_through_the_radical(
         assert v["certificate"]["weighted_H1"]["entries"] == [["6", "0"], ["0", "6"]]
 
 
-@pytest.mark.parametrize("kernel", ["inertia", "charpoly"])
+@pytest.mark.parametrize("kernel", ["inertia", "charpoly", "power_sums"])
 @pytest.mark.parametrize("command", ["certify", "pipeline"])
 def test_signature_mismatch_propagates_out_of_main(
     files, capsys, tmp_path, monkeypatch, kernel, command
 ):
-    # an internal fault is not bad input: main must not report it as EXIT_USAGE
+    # an internal fault is not bad input: main must not report it as EXIT_USAGE.
+    # sigma(H1) = sigma(H_(x+2)) = 2, so each faulty kernel reports -2
     herm = str(tmp_path / "herm.json")
     assert main(["build", "--system", files["sys"], "--roots", files["roots"], "--out", herm]) == 0
     capsys.readouterr()
     monkeypatch.setattr(kernels, *wrong_signature_kernel(kernels, kernel))
     source = ["--hermite", herm] if command == "certify" else ["--roots", files["roots"]]
     with pytest.raises(SignatureMethodMismatchError):
-        main([command, "--system", files["sys"], *source])
+        main([command, "--system", files["sys"], *source, "--g", "x+2"])
     assert capsys.readouterr().out == ""
 
 

@@ -3,9 +3,11 @@
 import ast
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from pathlib import Path
+
+import pytest
 
 from hermicert import _kernels as kernels
 from hermicert.linalg import RatMatrix, inertia_descartes
@@ -547,3 +549,93 @@ def test_grid_h1_splits_by_parity_and_a_ball_h_g_does_not():
     for rows, sizes in ((h1, [4, 6, 6, 9]), (hg, [25])):
         _, b = kernels.integer_rows(25, *flat_pairs(rows))
         assert sorted(map(len, kernels._components(25, b))) == sizes
+
+
+def dense_power_sums(rows):
+    """Tr(X), ..., Tr(X^k) of an integer matrix given as k rows, by dense
+    powers: no trace functional and no Newton recurrence."""
+    k = len(rows)
+    sums, power = [], rows
+    for _ in range(k):
+        sums.append(sum(power[i][i] for i in range(k)))
+        power = [[sum(power[i][m] * rows[m][j] for m in range(k)) for j in range(k)] for i in range(k)]
+    return sums
+
+
+def monic_from_roots(roots):
+    """[1, c1, ..., ck] of prod (lambda - r)."""
+    c = [1]
+    for r in roots:
+        c = [a - r * b for a, b in zip(c + [0], [0] + c)]
+    return c
+
+
+def companion(roots):
+    """The matrix of multiplication by x on Q[x]/(p), p = prod (x - r), in the
+    basis 1, x, ..., x^(k-1), column j holding the coordinates of x * x^j."""
+    c = monic_from_roots(roots)
+    k = len(roots)
+    rows = [[0] * k for _ in range(k)]
+    for j in range(k - 1):
+        rows[j + 1][j] = 1
+    for i in range(k):
+        rows[i][k - 1] = -c[k - i]
+    return rows
+
+
+def test_newton_charpoly_matches_known_polynomials():
+    rng = random.Random(2031)
+    cases = {
+        "k = 1": ([[5]], [5]),
+        "k = 1, zero": ([[0]], [0]),
+        "diagonal, zero and repeated": (
+            [[v if i == j else 0 for j in range(6)] for i, v in enumerate([3, -1, 0, 0, 2, 2])],
+            [3, -1, 0, 0, 2, 2],
+        ),
+        "companion, zero and repeated": (companion([1, 1, -2, 0]), [1, 1, -2, 0]),
+        "companion, all zero": (companion([0, 0, 0]), [0, 0, 0]),
+    }
+    for name, (rows, roots) in cases.items():
+        assert kernels.newton_charpoly(dense_power_sums(rows)) == monic_from_roots(roots), name
+    # integer matrices of every symmetric kind, against Berkowitz
+    for trial in range(2 * len(SYMMETRIC_KINDS)):
+        k = 1 + trial % 7
+        rows = symmetric_case(rng, k, SYMMETRIC_KINDS[trial % len(SYMMETRIC_KINDS)])
+        nums, dens = as_pairs(k, rows, [1] * k)
+        assert kernels.newton_charpoly(dense_power_sums(rows)) == kernels.charpoly(k, nums, dens)[0]
+
+
+def test_newton_charpoly_refuses_a_non_integral_power_sum():
+    # p = (1, 0) would give c2 = 1/2: no integer matrix has these power sums
+    with pytest.raises(kernels.InexactDivisionError, match="Newton"):
+        kernels.newton_charpoly([1, 0])
+    assert issubclass(kernels.InexactDivisionError, AssertionError)
+
+
+def test_power_sum_charpoly_of_multiplication_matrices():
+    # Q[x]/(p) for p with integer roots r: tau_j = Tr(x^j) = sum r^j, and
+    # g(C), C the companion matrix, has the eigenvalues g(r)
+    for roots in ([2], [1, -1], [3, 0, 0, -2], [1, 1, 2, -3, 0]):
+        k = len(roots)
+        tau = [sum(r**j for r in roots) for j in range(k)]
+        c = companion(roots)
+        c2 = [[sum(c[i][m] * c[m][j] for m in range(k)) for j in range(k)] for i in range(k)]
+        for name, g, values in (
+            ("x", c, roots),
+            ("x^2 - x", [[a - b for a, b in zip(p, q)] for p, q in zip(c2, c)], [r * r - r for r in roots]),
+        ):
+            nums = [x for row in g for x in row]
+            assert kernels.power_sum_charpoly(k, nums, [1] * (k * k), tau, 1) == monic_from_roots(values), (roots, name)
+            # G = g(C) / 6 and tau over t = 3: X = D G has the eigenvalues D g(r) / 6
+            fs = [Fraction(x, 6) for x in nums]
+            d = lcm(*(f.denominator for f in fs))
+            got = kernels.power_sum_charpoly(
+                k, [f.numerator for f in fs], [f.denominator for f in fs], [3 * x for x in tau], 3
+            )
+            assert got == monic_from_roots([d * v / 6 for v in values]), (roots, name)
+
+
+def test_power_sum_charpoly_refuses_a_non_integral_trace():
+    # tau = (1, 1) over t = 2 for C = [[0, 1], [1, 0]] (x^2 = 1): Tr(C) = 1/2
+    with pytest.raises(kernels.InexactDivisionError, match="power sum"):
+        kernels.power_sum_charpoly(2, [0, 1, 1, 0], [1] * 4, [1, 1], 2)

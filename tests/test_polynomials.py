@@ -333,6 +333,8 @@ def test_value_and_result_classes_refuse_assignment(cls):
     before = getattr(value, field)
     with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
         setattr(value, field, None)
+    with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
+        delattr(value, field)
     assert getattr(value, field) is before
 
 
