@@ -16,8 +16,10 @@ Passing them proves (by Mourrain's border-basis criterion) that the
 candidate is the true Hermite matrix of the input ideal; every failure is
 reported with the step that caught it: a failing check raises
 StepFailure, one runner, _step, writes every step's diagnostics entry ("ok",
-or "fail" with the reason and detail), and each route catches the first
-failure once.
+or "fail" with the reason and detail), and one step sequence, _certify,
+runs both routes and catches the first failure once.  The route is read at
+steps 4, 6 and 7 only, and the outcome's h1 is the trace form T of A on
+both: on the radical route step 6 proves the candidate's H1 equal to it.
 
 Step 4 rests on Hermite's theorem: the rank of the trace form of
 A = Q[x]/J counts the distinct roots, so in characteristic 0 a
@@ -31,8 +33,9 @@ On the non-radical route H1bar is a weighted form, which can be nonsingular
 on an algebra that is not reduced, so step 4 checks the rank of the trace
 matrix itself.  Step 7 needs no check on the trace form H1 of A: column j
 of g(M) holds the coordinates of g * b_j, so (H1 g(M))[i, j] =
-Tr(b_i * g * b_j) and H_g is symmetric by construction; derive_hg cannot
-fail.  Only the non-radical route's weighted H1bar g(M), no trace form, is
+Tr(b_i * g * b_j) and H_g is symmetric by construction.  Step 7 and
+derive_hg share one derivation (_derive), which therefore cannot fail.
+Only the non-radical route's weighted H1bar g(M), no trace form, is
 checked there.
 
 Step 6 compares H1 alone with T[i, j] = Tr(b_i * b_j), the one trace form
@@ -65,7 +68,8 @@ Pedersen-Roy-Szpirglas 1993): the inertia of H_g counts the signs of g at
 the roots, the eigenvalues of g(M).  The integer characteristic polynomial
 of D g(M), D > 0, then serves, from the power sums
 Tr((D g(M))^j) = tau . (D g(M))^j e_1 and Newton's identities in O(k^3)
-(_power_sum_poly).  On the non-radical route one such polynomial serves
+(_derive).  The same holds for any positive definite S with S g(M)
+symmetric, so on the non-radical route one such polynomial serves
 both H1 g(M) and H1bar g(M): step 7 checks H1bar g(M) symmetric and
 sigma(H1bar) = sigma(H1) before reading it.
 
@@ -134,13 +138,10 @@ from .polynomials import (
 )
 
 
-_Eliminated = tuple[RatMatrix, Inertia]  # a matrix and its inertia
-
-
 # the fields an outcome compares and prints: all but its normal-form table
 _OUTCOME_FIELDS = (
     "status", "basis", "failed_step", "reason", "detail", "h1", "hg", "g",
-    "sigma_h1", "hg_inertia", "weighted_h1", "weighted_hg", "diagnostics",
+    "h1_inertia", "hg_inertia", "weighted_h1", "weighted_hg", "diagnostics",
 )
 _outcome_value = attrgetter(*_OUTCOME_FIELDS)
 
@@ -162,11 +163,12 @@ class CertificationOutcome(Frozen):
     """Certified matrices or the first failing step.
 
     status is "certified" or "fail"; when certified, g, h1, hg, the
-    normal-form table, sigma_h1 and the inertia of H_g (hg_inertia, which
-    gives sigma_hg) are all present, and every other H_g and its signature
-    is derived from them by derive_hg.  Both exact methods of signature
-    agree on hg_inertia, so its zero count is the nullity of H_g, which
-    Hermite's theorem makes the number of complex roots where g vanishes.
+    normal-form table and the inertias of H1 and H_g (h1_inertia and
+    hg_inertia, which give sigma_h1 and sigma_hg) are all present, and
+    every other H_g and its signature is derived from them by derive_hg.
+    Both exact methods of signature agree on each inertia, so the zero
+    count of hg_inertia is the nullity of H_g, which Hermite's theorem
+    makes the number of complex roots where g vanishes.
     mult_matrices reads the M_s the table was built from, so the two cannot
     disagree; the table is neither compared, printed nor serialized.  For
     the non-radical route h1/hg are the trace-based matrices of the radical
@@ -188,7 +190,7 @@ class CertificationOutcome(Frozen):
         hg: RatMatrix | None = None,
         normal_forms: NormalForms | None = None,
         g: MultiPoly | None = None,
-        sigma_h1: int | None = None,
+        h1_inertia: Inertia | None = None,
         hg_inertia: Inertia | None = None,
         weighted_h1: RatMatrix | None = None,
         weighted_hg: RatMatrix | None = None,
@@ -196,7 +198,7 @@ class CertificationOutcome(Frozen):
     ):
         self._set(
             status=status, basis=basis, failed_step=failed_step, reason=reason, detail=detail,
-            h1=h1, hg=hg, normal_forms=normal_forms, g=g, sigma_h1=sigma_h1, hg_inertia=hg_inertia,
+            h1=h1, hg=hg, normal_forms=normal_forms, g=g, h1_inertia=h1_inertia, hg_inertia=hg_inertia,
             weighted_h1=weighted_h1, weighted_hg=weighted_hg,
             diagnostics=[] if diagnostics is None else diagnostics,
         )
@@ -213,6 +215,10 @@ class CertificationOutcome(Frozen):
     @property
     def certified(self) -> bool:
         return self.status == "certified"
+
+    @property
+    def sigma_h1(self) -> int | None:
+        return None if self.h1_inertia is None else self.h1_inertia.signature
 
     @property
     def sigma_hg(self) -> int | None:
@@ -528,41 +534,90 @@ def _base_trace_matrix(labels: ExtendedBasis, nf: NormalForms) -> RatMatrix:
 def hermite_for_g(h1: RatMatrix, nf: NormalForms, g: MultiPoly) -> tuple[RatMatrix, RatMatrix]:
     """(H_g, g(M)): H_g = H1 * g(M_1, ..., M_n), g(M) read off the
     normal-form table, so the one product formed is H1 * g(M).  g(M) is
-    returned for the Descartes half of H_g's signature (_power_sum_poly)
-    and for the weighted pair of the non-radical route, so it is formed
-    once per polynomial.
+    returned for the Descartes half of H_g's signature (_derive) and for
+    the weighted pair of the non-radical route, so it is formed once per
+    polynomial.
 
-    Nothing is checked.  Every H1 passed here is a certified trace form:
-    step 6 proves it on the radical route, and _base_trace_matrix builds it
-    under steps 2 and 5 on the non-radical route.  Column j of g(M) holds
-    the coordinates of g * b_j, so (H1 g(M))[i, j] = Tr(b_i * g * b_j) is
-    symmetric in i and j.  The weighted H1bar * g(M) is no trace form:
-    _weighted_step_7 checks it.
+    Nothing is checked.  Every H1 passed here is the certified trace form
+    of A: _base_trace_matrix builds it under steps 2 and 5, and on the
+    radical route step 6 proves the candidate's H1 equal to it.  Column j
+    of g(M) holds the coordinates of g * b_j, so (H1 g(M))[i, j] =
+    Tr(b_i * g * b_j) is symmetric in i and j.  The weighted H1bar * g(M)
+    is no trace form: step 7 checks it (_hermite_step).
     """
     gm = nf.poly_matrix(g)
     return h1 @ gm, gm
 
 
-def _power_sum_poly(sigma_h1: int, nf: NormalForms, gm: RatMatrix) -> list[int] | None:
-    """The polynomial whose sign pattern gives the Descartes half of the
-    signature of H_g = H1 g(M) (signature): the integer characteristic
-    polynomial of X = D g(M), D the lcm of g(M)'s denominators, when
-    sigma(H1) = k; None otherwise, for Berkowitz on H_g itself.
+def _derive(
+    h1: RatMatrix, h1_inertia: Inertia, nf: NormalForms, g: MultiPoly
+) -> tuple[RatMatrix, RatMatrix, list[int] | None, Inertia]:
+    """The one derivation of step 7 and derive_hg: (H_g, g(M), the
+    power-sum polynomial or None, the inertia of H_g), from the certified
+    trace form H1 and its inertia, which both methods of signature confirmed.
 
-    sigma(H1) = k makes H1 positive definite, and every root of A real
-    (Hermite's theorem; Pedersen-Roy-Szpirglas 1993).  Then H_g is congruent
-    to H1^(-1/2) H_g H1^(-1/2) = H1^(1/2) g(M) H1^(-1/2), a symmetric matrix
-    similar to g(M): the inertia of H_g counts the signs of g(M)'s
-    eigenvalues, the real values of g at the roots, and X has the same
-    signs.  The same holds for any positive definite S with S g(M)
-    symmetric, such as the non-radical route's H1bar once
-    sigma(H1bar) = sigma(H1) = k.  The polynomial takes O(k^3) from the
-    power sums Tr(X^j) = tau . X^j e_1 and the table's trace functional
-    (_kernels.power_sum_charpoly), against Berkowitz's O(k^4) on H_g.
+    When H_g = H1, that is when g(M) = I, the inertia is H1's own.
+    Otherwise the elimination's inertia of H_g is cross-checked (signature)
+    against the integer characteristic polynomial of X = D g(M), D the lcm
+    of g(M)'s denominators, when sigma(H1) = k: its O(k^3) power sums
+    Tr(X^j) = tau . X^j e_1 (_kernels.power_sum_charpoly) give the signs of
+    H_g's eigenvalues (module docstring).  Otherwise the polynomial is None,
+    for Berkowitz on H_g itself.
     """
-    if sigma_h1 != nf.k:
-        return None
-    return kernels.power_sum_charpoly(nf.k, *gm.row_pairs(), *nf.trace_functional())
+    hg, gm = hermite_for_g(h1, nf, g)
+    if hg == h1:
+        return hg, gm, None, h1_inertia
+    poly = None
+    if h1_inertia.signature == nf.k:
+        poly = kernels.power_sum_charpoly(nf.k, *gm.row_pairs(), *nf.trace_functional())
+    inertia = inertia_ldl(hg)
+    signature(hg, inertia, poly)
+    return hg, gm, poly, inertia
+
+
+def _check_point_count(h1_weighted: RatMatrix, points: int) -> None:
+    """Step 6 on the non-radical route: H1bar[1, 1], the total multiplicity,
+    is the provenance point count."""
+    if h1_weighted.entry(0, 0) != points:
+        raise StepFailure(
+            6,
+            "weighted_inconsistent",
+            f"H1[1,1] = {h1_weighted.entry(0, 0)} but {points} points were used",
+        )
+
+
+def _hermite_step(
+    h1: RatMatrix, h1_inertia: Inertia, nf: NormalForms, g: MultiPoly,
+    weighted: tuple[RatMatrix | None, Inertia | None],
+) -> tuple[RatMatrix, Inertia, RatMatrix | None]:
+    """Step 7: (H_g, its inertia, H1bar * g(M) or None), from the trace form
+    H1 and its inertia, and (H1bar, its inertia) from step 2 on the
+    non-radical route, (None, None) on the radical one.
+
+    H1's inertia is confirmed by both methods (signature) and H_g derived
+    (_derive), which needs no check (hermite_for_g).  H1bar * g(M), with the
+    same g(M), does: it must be symmetric, and the weighted and trace-based
+    signatures must agree for 1 and for g, positive weights preserving sign
+    counts.  H1bar * g(M) = H1bar exactly when g(M) = I and H_g = H1, so the
+    agreement for 1 covers g; otherwise the power-sum polynomial of g(M)
+    serves both signatures for g (module docstring).
+    """
+    sigma_h1 = signature(h1, h1_inertia)
+    hg, gm, poly, hg_inertia = _derive(h1, h1_inertia, nf, g)
+    h1bar, h1bar_inertia = weighted
+    if h1bar is None:
+        return hg, hg_inertia, None
+    hg_weighted = h1bar @ gm
+    if not hg_weighted.is_symmetric():
+        raise StepFailure(7, "not_symmetric", "H1 * g(M) is not symmetric", "weighted_hermite_for_g")
+    if signature(h1bar, h1bar_inertia) != sigma_h1:
+        mismatch = "1"
+    elif hg_weighted != h1bar and signature(hg_weighted, None, poly) != hg_inertia.signature:
+        mismatch = "g"
+    else:
+        return hg, hg_inertia, hg_weighted
+    detail = f"trace-based and weighted signatures differ for g = {mismatch}"
+    raise StepFailure(7, "weighted_signature_mismatch", detail, "signature_agreement")
 
 
 def _step(diag: list[dict], step: int, name: str, check, *args):
@@ -584,50 +639,58 @@ def _recorded(*_) -> None:
     proved (module docstring)."""
 
 
-def _fail(outcome_basis: MonomialBasis, diag: list[dict], failure: StepFailure) -> CertificationOutcome:
-    return CertificationOutcome(
-        status="fail",
-        basis=outcome_basis,
-        failed_step=failure.step,
-        reason=failure.reason,
-        detail=failure.detail,
-        diagnostics=diag,
-    )
-
-
-def _run_steps_1_to_5(
-    system: PolySystem, hplus: HermitePlus, diag: list[dict], *, radical: bool
-) -> tuple[NormalForms, _Eliminated, _Eliminated]:
-    """Steps 1-5: (the table of the M_s, (H1, its inertia from step 2), (the
-    trace form of A on the basis, its inertia from step 4)).  Step 4 checks
-    the trace form's rank on the non-radical route; on the radical route it
-    records that step 2 proved H1 nonsingular (the inertia is None), and
-    step 6 compares H1 with the trace form (module docstring).
-    """
-    basis = hplus.labels.base
+def _certify(
+    system: PolySystem, g: MultiPoly, hplus: HermitePlus, reduced: bool
+) -> CertificationOutcome:
+    """The one step sequence of both routes, reduced picking the non-radical
+    one, which only steps 4, 6 and 7 read (module docstring).  On the
+    radical route step 6 proves H1 = T, so step 2's inertia of H1 is T's;
+    on the non-radical route step 2's H1 is the weighted H1bar and step 4
+    yields T's inertia.  A g from another ring raises ValueError."""
+    labels = hplus.labels
+    basis = labels.base
     if basis.arity != system.arity():
         raise ValueError("system arity does not match the basis")
-    h1, border = _step(diag, 1, "extract_blocks", extract_blocks, hplus)
-    ms, h1_inertia = _step(diag, 2, "mult_matrices", mult_matrices, h1, border, hplus)
-    _step(diag, 3, "identity_columns", _recorded)
-    nf = NormalForms(ms, basis.monomials)
-    trace_h1 = _base_trace_matrix(hplus.labels, nf)
-    trace_inertia = _step(diag, 4, "squarefree", _recorded if radical else check_squarefree, trace_h1)
-    _step(diag, 5, "commute_and_membership", check_commute_and_membership, nf, system)
-    return nf, (h1, h1_inertia), (trace_h1, trace_inertia)
+    if g.variables != system.variables:
+        raise ValueError("g must live in the system's ring")
+    diag: list[dict] = []
+    try:
+        h1, border = _step(diag, 1, "extract_blocks", extract_blocks, hplus)
+        ms, h1_inertia = _step(diag, 2, "mult_matrices", mult_matrices, h1, border, hplus)
+        _step(diag, 3, "identity_columns", _recorded)
+        nf = NormalForms(ms, basis.monomials)
+        trace = _base_trace_matrix(labels, nf)
+        trace_inertia = _step(diag, 4, "squarefree", check_squarefree if reduced else _recorded, trace)
+        _step(diag, 5, "commute_and_membership", check_commute_and_membership, nf, system)
+        if reduced:
+            _step(diag, 6, "weighted_consistency", _check_point_count, h1, hplus.provenance.point_count)
+            weighted = h1, h1_inertia
+        else:
+            _step(diag, 6, "trace_grid", check_traces, h1, trace)
+            trace_inertia, weighted = h1_inertia, (None, None)
+        hg, hg_inertia, weighted_hg = _step(
+            diag, 7, "hermite_for_g", _hermite_step, trace, trace_inertia, nf, g, weighted
+        )
+    except StepFailure as failure:
+        return CertificationOutcome("fail", basis, failure.step, failure.reason, failure.detail, diagnostics=diag)
+    return CertificationOutcome(
+        "certified", basis, h1=trace, hg=hg, normal_forms=nf, g=g, h1_inertia=trace_inertia,
+        hg_inertia=hg_inertia, weighted_h1=weighted[0], weighted_hg=weighted_hg, diagnostics=diag,
+    )
 
 
 def certify_pipeline(
     system: PolySystem, g: MultiPoly, hplus: HermitePlus
 ) -> CertificationOutcome:
-    """Steps 1-7 for a radical zero-dimensional ideal candidate.
+    """Steps 1-7 on the build's route: the radical route, or the non-radical
+    one (certify_nonradical) for a reduced build (HermitePlus.reduced,
+    decided by hermite.build_hermite); both run one sequence (_certify).
 
     Success certifies that the basis spans the quotient, the M_s are the
     (transposed) multiplication matrices, H1 is the Hermite matrix of the
-    ideal and H_g = H1 * g(M).  The caller asserts that the point count is
-    at least the quotient dimension; superfluous points make some step fail.
-    A reduced non-radical build (HermitePlus.reduced, decided by
-    hermite.build_hermite) goes to certify_nonradical instead.
+    ideal (of its radical on the non-radical route) and H_g = H1 * g(M).
+    The caller asserts that the point count is at least the quotient
+    dimension; superfluous points make some step fail.
 
     The points are assumed to cover V(I): steps 2-5 prove V(J) within V(I)
     for the ideal J that the M_s define, not the converse, so a candidate
@@ -635,115 +698,37 @@ def certify_pipeline(
     lower bound, and a ball "false" or a non-negativity "true" holds only
     under that assumption.
     """
-    basis = hplus.labels.base
-    if hplus.reduced:
-        return certify_nonradical(system, g, hplus)
-    diag: list[dict] = []
-    try:
-        nf, (h1, h1_inertia), (trace_h1, _) = _run_steps_1_to_5(system, hplus, diag, radical=True)
-        _step(diag, 6, "trace_grid", check_traces, h1, trace_h1)
-        hg, gm = _step(diag, 7, "hermite_for_g", hermite_for_g, h1, nf, g)
-    except StepFailure as failure:
-        return _fail(basis, diag, failure)
-
-    sigma_h1 = signature(h1, h1_inertia)
-    return CertificationOutcome(
-        status="certified",
-        basis=basis,
-        h1=h1,
-        hg=hg,
-        normal_forms=nf,
-        g=g,
-        sigma_h1=sigma_h1,
-        hg_inertia=_inertia_of_hg(hg, (h1, h1_inertia), _power_sum_poly(sigma_h1, nf, gm)),
-        diagnostics=diag,
-    )
-
-
-def _inertia_of_hg(hg: RatMatrix, h1: _Eliminated, poly: list[int] | None) -> Inertia:
-    """The inertia of H_g, confirmed by both methods of signature, the
-    Descartes half read off poly when it is given (_power_sum_poly); H1's
-    own when g(M) = I makes the two equal, the caller's signature of H1
-    having confirmed it."""
-    if hg == h1[0]:
-        return h1[1]
-    inertia = inertia_ldl(hg)
-    signature(hg, inertia, poly)
-    return inertia
+    return _certify(system, g, hplus, hplus.reduced)
 
 
 def derive_hg(outcome: CertificationOutcome, g: MultiPoly) -> tuple[RatMatrix, int]:
-    """Step 7 for another g on a certified outcome: (H1 * g(M), its signature).
+    """Step 7 for another g on a certified outcome: (H1 * g(M), its
+    signature).
 
-    The outcome's own g gives the stored pair.  Any other g reads g(M) off
-    the outcome's normal-form table, the one its certification built, whose
-    vectors are exact wherever they were first memoised.  It cannot fail:
-    the outcome's H1 is a certified trace form, so H1 * g(M) is symmetric
+    The outcome's own g gives the stored pair.  Any other g goes through
+    step 7's one derivation (_derive) from the outcome's H1, its confirmed
+    inertia (h1_inertia) and the normal-form table its certification built,
+    whose vectors are exact wherever they were first memoised.  It cannot
+    fail: H1 is a certified trace form, so H1 * g(M) is symmetric
     (hermite_for_g).  Nothing is logged: the outcome's diagnostics describe
     its certification, not later derivations.  An outcome that is not
-    certified raises ValueError.
+    certified, or a g from another ring than its own, raises ValueError.
     """
     if not outcome.certified:
         raise ValueError("outcome is not certified")
+    if g.variables != outcome.g.variables:
+        raise ValueError("g must live in the system's ring")
     if g == outcome.g:
         return outcome.hg, outcome.sigma_hg
-    nf = outcome.normal_forms
-    hg, gm = hermite_for_g(outcome.h1, nf, g)
-    return hg, signature(hg, None, _power_sum_poly(outcome.sigma_h1, nf, gm))
-
-
-def _check_point_count(h1_weighted: RatMatrix, points: int) -> None:
-    """Step 6 on the non-radical route: H1bar[1, 1], the total multiplicity,
-    is the provenance point count."""
-    if h1_weighted.entry(0, 0) != points:
-        raise StepFailure(
-            6,
-            "weighted_inconsistent",
-            f"H1[1,1] = {h1_weighted.entry(0, 0)} but {points} points were used",
-        )
-
-
-def _weighted_step_7(
-    trace: _Eliminated, weighted: _Eliminated, nf: NormalForms, g: MultiPoly
-) -> tuple[RatMatrix, RatMatrix, int, Inertia]:
-    """Step 7 on the non-radical route, given (H1, its inertia) and (H1bar,
-    its inertia) from steps 4 and 2: (H_g, H1bar * g(M), sigma(H1), the
-    inertia of H_g).
-
-    H_g = H1 * g(M) needs no check (hermite_for_g).  The weighted pair does:
-    H1bar * g(M), with the same g(M), must be symmetric (step 1 proved H1bar
-    symmetric), and the weighted and trace-based signatures must agree for
-    1 and for g, positive weights preserving sign counts.  Once they agree
-    for 1, one power-sum polynomial of g(M) gives the Descartes half of both
-    signatures for g when sigma(H1) = k (_power_sum_poly).
-    """
-    hg_trace, gm = hermite_for_g(trace[0], nf, g)
-    hg_weighted = weighted[0] @ gm
-    if not hg_weighted.is_symmetric():
-        raise StepFailure(7, "not_symmetric", "H1 * g(M) is not symmetric", "weighted_hermite_for_g")
-    sigma_h1 = signature(*trace)
-    mismatch = None
-    if signature(*weighted) != sigma_h1:
-        mismatch = "1"
-    else:
-        poly = _power_sum_poly(sigma_h1, nf, gm)
-        hg_inertia = _inertia_of_hg(hg_trace, trace, poly)
-        if _inertia_of_hg(hg_weighted, weighted, poly).signature != hg_inertia.signature:
-            mismatch = "g"
-    if mismatch:
-        raise StepFailure(
-            7,
-            "weighted_signature_mismatch",
-            f"trace-based and weighted signatures differ for g = {mismatch}",
-            "signature_agreement",
-        )
-    return hg_trace, hg_weighted, sigma_h1, hg_inertia
+    hg, _, _, inertia = _derive(outcome.h1, outcome.h1_inertia, outcome.normal_forms, g)
+    return hg, inertia.signature
 
 
 def certify_nonradical(
     system: PolySystem, g: MultiPoly, hplus: HermitePlus
 ) -> CertificationOutcome:
-    """Certification through the radical of a non-radical ideal.
+    """Certification through the radical of a non-radical ideal: the one
+    sequence (_certify) on its non-radical route, on any build.
 
     hplus is the reduced extended matrix from build_nonradical: its base
     labels span the quotient by the radical, and its provenance keeps the
@@ -758,30 +743,7 @@ def certify_nonradical(
     entry equals the provenance point count (step 6), and in step 7
     H1bar * g(M) is symmetric and the signatures of the weighted and
     trace-based matrices agree (positive weights preserve sign counts).
-    Any disagreement is a failure, never silently resolved.
+    Any disagreement is a failure, never silently resolved.  On a radical
+    build every weight is 1: H1bar is the trace form, weighted_h1 = h1.
     """
-    basis = hplus.labels.base
-    diag: list[dict] = []
-    try:
-        nf, weighted, trace = _run_steps_1_to_5(system, hplus, diag, radical=False)
-        points = hplus.provenance.point_count
-        _step(diag, 6, "weighted_consistency", _check_point_count, weighted[0], points)
-        hg_trace, hg_weighted, sigma_h1, hg_inertia = _step(
-            diag, 7, "hermite_for_g", _weighted_step_7, trace, weighted, nf, g
-        )
-    except StepFailure as failure:
-        return _fail(basis, diag, failure)
-
-    return CertificationOutcome(
-        status="certified",
-        basis=basis,
-        h1=trace[0],
-        hg=hg_trace,
-        normal_forms=nf,
-        g=g,
-        sigma_h1=sigma_h1,
-        hg_inertia=hg_inertia,
-        weighted_h1=weighted[0],
-        weighted_hg=hg_weighted,
-        diagnostics=diag,
-    )
+    return _certify(system, g, hplus, True)

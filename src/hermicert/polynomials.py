@@ -65,10 +65,18 @@ def iter_monomials(arity: int, max_degree: int) -> Iterator[Monomial]:
         yield from compositions(degree, arity)
 
 
+def _rebuilt(cls: type, fields: dict) -> "Frozen":
+    """A Frozen instance of cls with the given fields, written by _set."""
+    obj = cls.__new__(cls)
+    obj._set(**fields)
+    return obj
+
+
 class Frozen:
     """Base of the package's immutable classes: __init__ writes the fields
     once, through _set, and any later assignment or deletion raises
-    AttributeError."""
+    AttributeError.  copy, deepcopy and pickle rebuild an instance from its
+    slots through _set as well (__reduce__)."""
 
     __slots__ = ()
 
@@ -80,6 +88,10 @@ class Frozen:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     __delattr__ = __setattr__
+
+    def __reduce__(self):
+        names = [name for cls in type(self).__mro__ for name in getattr(cls, "__slots__", ())]
+        return _rebuilt, (type(self), {name: getattr(self, name) for name in names})
 
 
 class MultiPoly(Frozen):

@@ -925,6 +925,70 @@ def test_nonradical_signature_agreement_between_weighted_and_trace():
         assert signature(out.weighted_h1) == signature(out.h1)
 
 
+def double_root_case():
+    # x^3 - 3x + 2 = (x - 1)^2 (x + 2) from the points 1, 1, -2: a reduced build
+    f = PolySystem(["x"], [parse_poly("x^3-3*x+2", ["x"])])
+    pts = ApproxRootSet(points=((1 + 0j,), (1 + 0j,), (-2 + 0j,)), accuracy="1e-8", coord_bound=3)
+    return f, build_hermite(pts, MonomialBasis([(0,), (1,), (2,)]))
+
+
+STEPS_1_TO_5 = [
+    (1, "extract_blocks"), (2, "mult_matrices"), (3, "identity_columns"), (4, "squarefree"),
+    (5, "commute_and_membership"),
+]
+ROUTES = {
+    "radical": (lambda: (F_SQRT2, sqrt2_hermite()), [(6, "trace_grid"), (7, "hermite_for_g")]),
+    "nonradical": (double_root_case, [(6, "weighted_consistency"), (7, "hermite_for_g")]),
+}
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_derivation_equals_certification_on_both_routes(route):
+    # step 7 and derive_hg share one derivation: H_g derived from an outcome
+    # certified for g = 1 is the H_g certified for g itself, g(M) = I and a
+    # g vanishing at a root (x - 1 on the non-radical route) included
+    make, last_steps = ROUTES[route]
+    system, hp = make()
+    assert hp.reduced == (route == "nonradical")
+    one = certify_pipeline(system, parse_poly("1", ["x"]), hp)
+    for text in ("1", "x", "x^2", "x-1"):
+        g = parse_poly(text, ["x"])
+        out = certify_pipeline(system, g, hp)
+        assert out.certified, (out.reason, out.detail)
+        assert derive_hg(one, g) == (out.hg, out.sigma_hg)
+        assert out.h1_inertia == one.h1_inertia and out.sigma_h1 == out.h1_inertia.signature
+        assert [(entry["step"], entry["check"]) for entry in out.diagnostics] == STEPS_1_TO_5 + last_steps
+
+
+@pytest.mark.parametrize("make", [lambda: (F_SQRT2, sqrt2_hermite()), univariate_case])
+def test_nonradical_route_on_a_radical_build_certifies_as_the_radical_route(make):
+    # every weight is 1, so H1bar is the trace form and the weighted pair is
+    # (h1, hg); sqrt(2) has sigma(H1) = k (power sums), the univariate case
+    # a complex pair (Berkowitz)
+    system, hp = make()
+    assert not hp.reduced
+    for g in (parse_poly("1", ["x"]), G_X, parse_poly("x^2-1", ["x"])):
+        weighted, radical = certify_nonradical(system, g, hp), certify_pipeline(system, g, hp)
+        assert weighted.certified, (weighted.reason, weighted.detail)
+        assert weighted.weighted_h1 == weighted.h1 == radical.h1
+        assert weighted.weighted_hg == weighted.hg == radical.hg
+        assert (weighted.sigma_h1, weighted.sigma_hg) == (radical.sigma_h1, radical.sigma_hg)
+        assert weighted.diagnostics[5]["check"] == "weighted_consistency"
+
+
+def test_a_g_from_another_ring_is_refused():
+    # y + 3 in ["y"] on x^2 - 2 in ["x"]: the one variable of each ring would
+    # be read as the other's, and sigma(H_(y+3)) reported as sigma(H_(x+3))
+    y3 = parse_poly("y+3", ["y"])
+    for certify in (certify_pipeline, certify_nonradical):
+        with pytest.raises(ValueError, match="g must live in the system's ring"):
+            certify(F_SQRT2, y3, sqrt2_hermite())
+    out = certify_pipeline(F_SQRT2, G_X, sqrt2_hermite())
+    with pytest.raises(ValueError, match="g must live in the system's ring"):
+        derive_hg(out, parse_poly("z^2", ["z"]))
+    assert derive_hg(out, parse_poly("x^2", ["x"]))[1] == 2
+
+
 def test_planted_corruptions_always_fail():
     rng = random.Random(2024)
     hp = sqrt2_hermite()

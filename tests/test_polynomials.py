@@ -1,5 +1,7 @@
 import ast
+import copy
 import itertools
+import pickle
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -22,6 +24,7 @@ from hermicert.linalg import RatMatrix, char_poly, sign_variations
 from hermicert.numroots import ApproxRootSet
 from hermicert.polynomials import (
     ExtendedBasis,
+    Frozen,
     MonomialBasis,
     MultiPoly,
     ParseError,
@@ -336,6 +339,34 @@ def test_value_and_result_classes_refuse_assignment(cls):
     with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
         delattr(value, field)
     assert getattr(value, field) is before
+
+
+def _tree(value):
+    # value with every object that compares by identity opened up into its
+    # type and fields, so that equal trees mean equal values
+    if isinstance(value, Frozen):
+        return type(value), [_tree(getattr(value, field)) for field in type(value).__slots__]
+    if isinstance(value, (list, tuple)):
+        return type(value), [_tree(x) for x in value]
+    if isinstance(value, dict):
+        return {key: _tree(x) for key, x in value.items()}
+    if hasattr(value, "__dict__"):  # the outcome's normal-form table
+        return type(value), _tree(vars(value))
+    return value
+
+
+@pytest.mark.parametrize("cls", list(_FROZEN_VALUES), ids=lambda cls: cls.__name__)
+def test_value_and_result_classes_copy_and_pickle(cls):
+    # copy, deepcopy and a pickle round trip rebuild the instance through
+    # Frozen._set: the same fields, and still frozen
+    value = _FROZEN_VALUES[cls]()
+    shallow = copy.copy(value)
+    assert all(getattr(shallow, field) is getattr(value, field) for field in cls.__slots__)
+    for twin in (shallow, copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is cls and twin is not value
+        assert _tree(twin) == _tree(value)
+        with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
+            setattr(twin, cls.__slots__[0], None)
 
 
 def _scoped_nodes(node, scope=""):
