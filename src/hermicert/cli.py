@@ -39,7 +39,7 @@ from .numroots import (
     match_and_filter,
     newton_refine,
 )
-from .polynomials import MonomialBasis, parse_monomial, parse_poly
+from .polynomials import parse_poly
 from .ratrecon import rational_reconstruct
 
 EXIT_OK = 0
@@ -101,8 +101,7 @@ def _load_points(args, variables):
     roots = _load_roots(args.roots, variables)
     basis = None
     if args.basis:
-        data = _load_json(args.basis)
-        basis = MonomialBasis([parse_monomial(s, variables) for s in data["monomials"]])
+        basis = jsonio.basis_from_json(_load_json(args.basis)["monomials"], variables)
     if not len(roots):
         raise ValueError("need at least one point")
     if basis is not None and len(basis) != len(roots):

@@ -3,7 +3,9 @@
 Rationals serialize as "p/q" (or "p" when the denominator is 1); decimal
 strings are accepted anywhere a rational is expected and parsed exactly.
 Root coordinates are doubles and serialize as shortest round-trip decimal
-strings.  Serialization is deterministic: same inputs, same bytes.
+strings.  Serialization is deterministic: same inputs, same bytes.  Every
+list in a format must be a JSON list (json_list): a string in its place
+would otherwise be read one character per entry.
 """
 
 from __future__ import annotations
@@ -113,6 +115,14 @@ def _scalar(obj) -> str:
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
+def json_list(value, what: str, error: type[Exception] = TypeError) -> list:
+    """value, when it is a JSON list; anything else raises error.  A string
+    is refused too: iterated, it would give one entry per character."""
+    if not isinstance(value, list):
+        raise error(f"{what} must be a JSON list, not {type(value).__name__}")
+    return value
+
+
 # -- polynomial systems ---------------------------------------------------
 
 
@@ -126,12 +136,13 @@ def system_to_json(system: PolySystem) -> dict:
 def system_from_json(data: dict) -> PolySystem:
     variables = data["variables"]
     polynomials = data["polynomials"]
-    # a string would be read as one variable, or one polynomial, per character
-    if not (isinstance(variables, list) and variables and all(isinstance(v, str) for v in variables)):
+    # every fault of the variable list is a ValueError, a string in its place
+    # as well as an empty or a repeated list
+    if not (json_list(variables, "variables", ValueError) and all(isinstance(v, str) for v in variables)):
         raise ValueError("variables must be a non-empty list of strings")
     if len(set(variables)) != len(variables):
         raise ValueError("variables must be distinct")
-    if not (isinstance(polynomials, list) and all(isinstance(p, str) for p in polynomials)):
+    if not all(isinstance(p, str) for p in json_list(polynomials, "polynomials")):
         raise TypeError("polynomials must be a list of strings")
     return PolySystem(variables, [parse_poly(p, variables) for p in polynomials])
 
@@ -153,12 +164,13 @@ def roots_to_json(roots: ApproxRootSet) -> dict:
 
 
 def roots_from_json(data: dict) -> ApproxRootSet:
-    points = tuple(
-        tuple(complex(float(re), float(im)) for re, im in point) for point in data["points"]
-    )
-    radii = tuple(float(r) for r in data["radii"]) if "radii" in data else None
+    points = []
+    for point in json_list(data["points"], "points"):
+        pairs = [json_list(pair, "a coordinate [re, im]") for pair in json_list(point, "a point")]
+        points.append(tuple(complex(float(re), float(im)) for re, im in pairs))
+    radii = tuple(float(r) for r in json_list(data["radii"], "radii")) if "radii" in data else None
     return ApproxRootSet(
-        points=points,
+        points=tuple(points),
         accuracy=Fraction(data["accuracy_E"]),
         coord_bound=Fraction(data["bound_M"]),
         radii=radii,
@@ -183,7 +195,8 @@ def matrix_to_json(m: RatMatrix, labels: Sequence[str] | None = None) -> dict:
 
 
 def matrix_from_json(data: dict) -> RatMatrix:
-    m = RatMatrix.from_rows([[Fraction(e) for e in row] for row in data["entries"]])
+    rows = json_list(data["entries"], "entries")
+    m = RatMatrix.from_rows([[Fraction(e) for e in json_list(row, "a row of entries")] for row in rows])
     if m.rows != data["rows"] or m.cols != data["cols"]:
         raise ValueError("matrix dimensions disagree with the entry grid")
     return m
@@ -213,13 +226,19 @@ def hermite_to_json(hp: HermitePlus, variables: Sequence[str]) -> dict:
     return out
 
 
+def basis_from_json(monomials, variables: Sequence[str]) -> MonomialBasis:
+    """A monomial basis from its list of monomial texts: the "basis" of a
+    Hermite file, or the "monomials" of a --basis file."""
+    return MonomialBasis([parse_monomial(s, variables) for s in json_list(monomials, "a basis")])
+
+
 def hermite_from_json(data: dict, variables: Sequence[str] | None = None) -> HermitePlus:
-    vs = list(variables if variables is not None else data["variables"])
+    vs = list(variables) if variables is not None else json_list(data["variables"], "variables")
     matrix = matrix_from_json(data)
-    basis = MonomialBasis([parse_monomial(s, vs) for s in data["basis"]])
+    basis = basis_from_json(data["basis"], vs)
     ext = ExtendedBasis(basis)
     expected = [monomial_str(m, vs) for m in ext.extension]
-    if data.get("labels") is not None and list(data["labels"]) != expected:
+    if data.get("labels") is not None and json_list(data["labels"], "labels") != expected:
         raise ValueError("labels do not match the extension of the basis")
     prov_in = data.get("provenance", {})
     if not isinstance(prov_in, dict) or not isinstance(prov_in.get("bounds", {}), dict):

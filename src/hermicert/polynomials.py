@@ -4,6 +4,13 @@ Monomials are exponent tuples; polynomials map monomials to nonzero
 Fraction coefficients.  The canonical term order is graded lexicographic
 (degree first, then earlier variables heavier), which fixes printing and
 every deterministic scan in the package.
+
+parse_poly reads the package's one polynomial grammar, which is regular:
+sign-joined terms, a sign before every term but the first; a term is a
+coefficient "p" or "p/q" or a power, then "*"-joined powers; a power is a
+variable name with an optional "^e", e a non-negative integer.  Whitespace
+may stand around every token.  One compiled term pattern reads a term at a
+time, each from the end of the previous one.
 """
 
 from __future__ import annotations
@@ -280,114 +287,43 @@ class PolySystem(Frozen):
 # -- parsing ------------------------------------------------------------
 
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<number>\d+(?:/\d+)?)|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[-+*^()]))"
+# No two quantifiers that match whitespace stand side by side (hence
+# \s*(?:([+-])\s*)? and not \s*([+-]?)\s*), so a match takes time linear in
+# the text, whatever follows it.
+_POWER_RE = re.compile(rf"({_NAME_RE.pattern})(?:\s*\^\s*(\d+))?")
+_TERM_RE = re.compile(
+    rf"\s*(?:(?P<sign>[+-])\s*)?(?:(?P<coeff>\d+(?:/\d+)?)|{_POWER_RE.pattern})"
+    rf"(?:\s*\*\s*{_POWER_RE.pattern})*\s*"
 )
 
 
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == m.start():
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ParseError(f"unexpected character {stripped[0]!r}", pos)
-        if m.group("number"):
-            tokens.append(("number", m.group("number"), m.start("number")))
-        elif m.group("name"):
-            tokens.append(("name", m.group("name"), m.start("name")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
-
-
 def parse_poly(text: str, variables: Sequence[str]) -> MultiPoly:
-    """Parse the textual grammar: sign-joined terms of rational coefficients
-    and '*'-separated variable powers, e.g. "3/4*x1*x2 - x2^3"."""
+    """Parse the textual grammar (see the module docstring), e.g.
+    "3/4*x1*x2 - x2^3".  Text outside it, or a name outside variables,
+    raises ParseError at its position; a zero denominator raises
+    ZeroDivisionError."""
     vs = tuple(variables)
     for name in vs:
         if not _NAME_RE.fullmatch(name):
             raise ValueError(f"invalid variable name {name!r}")
     index = {name: i for i, name in enumerate(vs)}
-    tokens = _tokenize(text)
-    it = 0
-
-    def peek():
-        return tokens[it]
-
-    def advance():
-        nonlocal it
-        tok = tokens[it]
-        it += 1
-        return tok
-
-    def parse_varpow() -> tuple[int, int]:
-        kind, value, pos = advance()
-        if kind != "name":
-            raise ParseError("expected a variable name", pos)
-        if value not in index:
-            raise ParseError(f"unknown variable {value!r}", pos)
-        exp = 1
-        if peek()[:2] == ("op", "^"):
-            advance()
-            k2, v2, p2 = advance()
-            if k2 != "number" or "/" in v2:
-                raise ParseError("expected an integer exponent after '^'", p2)
-            exp = int(v2)
-        return index[value], exp
-
-    def parse_term() -> tuple[Monomial, Fraction]:
-        coeff = Fraction(1)
-        expos = [0] * len(vs)
-        kind, value, pos = peek()
-        saw_factor = False
-        if kind == "number":
-            advance()
-            coeff = Fraction(value)
-            saw_factor = True
-            if peek()[:2] == ("op", "*"):
-                advance()
-                vi, e = parse_varpow()
-                expos[vi] += e
-            elif peek()[0] == "name":
-                raise ParseError("missing '*' between coefficient and variable", peek()[2])
-        elif kind == "name":
-            vi, e = parse_varpow()
-            expos[vi] += e
-            saw_factor = True
-        else:
-            raise ParseError("expected a term", pos)
-        while peek()[:2] == ("op", "*"):
-            advance()
-            vi, e = parse_varpow()
-            expos[vi] += e
-        if not saw_factor:
-            raise ParseError("empty term", pos)
-        return tuple(expos), coeff
-
     terms: dict[Monomial, Fraction] = {}
-    sign = Fraction(1)
-    kind, value, pos = peek()
-    if kind == "op" and value in "+-":
-        advance()
-        sign = Fraction(-1) if value == "-" else Fraction(1)
+    pos = 0
     while True:
-        mono, coeff = parse_term()
-        terms[mono] = terms.get(mono, Fraction(0)) + sign * coeff
-        kind, value, pos = peek()
-        if kind == "end":
-            break
-        if kind == "op" and value in "+-":
-            advance()
-            sign = Fraction(-1) if value == "-" else Fraction(1)
-            continue
-        raise ParseError(f"expected '+' or '-', got {value!r}", pos)
-    return MultiPoly(vs, terms)
+        term = _TERM_RE.match(text, pos)
+        if not term or (pos and not term["sign"]):
+            raise ParseError("expected '+' or '-' and a term" if pos else "expected a term", pos)
+        coeff = Fraction(term["coeff"] or 1)
+        expos = [0] * len(vs)
+        for power in _POWER_RE.finditer(text, term.start(), term.end()):
+            if power[1] not in index:
+                raise ParseError(f"unknown variable {power[1]!r}", power.start())
+            expos[index[power[1]]] += int(power[2] or 1)
+        mono = tuple(expos)
+        terms[mono] = terms.get(mono, 0) + (-coeff if term["sign"] == "-" else coeff)
+        pos = term.end()
+        if pos == len(text):
+            return MultiPoly(vs, terms)
 
 
 def parse_monomial(text: str, variables: Sequence[str]) -> Monomial:

@@ -1147,6 +1147,20 @@ def bad_input_files(files):
         "herm_prov_int": herm_with("herm_prov_int", 5),
         "herm_prov_list": herm_with("herm_prov_list", []),
         "herm_bounds_int": herm_with("herm_bounds_int", {**herm_data["provenance"], "bounds": 5}),
+        # a string where a list belongs, which iteration would read one
+        # character per entry: the coordinate "10" as re "1", im "0" (the
+        # roots 1 and 2 of x^2 - 3x + 2), the radii "11" as (1, 1), the
+        # basis "1x" as {1, x}, and each row of entries as its digits
+        "sys_12": write(tmp / "sys_12.json", {"variables": ["x"], "polynomials": ["x^2-3*x+2"]}),
+        "roots_str": write(
+            tmp / "roots_str.json", {"accuracy_E": "1e-10", "bound_M": "3", "points": [["10"], ["20"]]}
+        ),
+        "radii_str": write(tmp / "radii_str.json", {**roots_data, "radii": "11"}),
+        "basis_str": write(tmp / "basis_str.json", {"monomials": "1x"}),
+        "herm_basis_str": write(tmp / "herm_basis_str.json", {**herm_data, "basis": "1x"}),
+        "herm_rows_str": write(
+            tmp / "herm_rows_str.json", {**herm_data, "entries": ["".join(row) for row in herm_data["entries"]]}
+        ),
     }
 
 
@@ -1210,6 +1224,13 @@ BAD_VALUES = {
     # exact as Fractions, but M - E is beyond the range of a double
     "accuracy beyond a double": ("build --system {sys} --roots {roots_huge_E}", "OverflowError"),
     "bound beyond a double": ("refine --system {sys} --roots {roots_huge_M}", "OverflowError"),
+    "coordinate that is no list": ("pipeline --system {sys_12} --roots {roots_str} --g x", "TypeError"),
+    "radii that are no list": (
+        "filter-roots --system {sys} --roots {radii_str} --system {sys} --roots {radii_str}", "TypeError"
+    ),
+    "basis monomials that are no list": ("pipeline --system {sys} --roots {roots} --basis {basis_str}", "TypeError"),
+    "Hermite basis that is no list": ("certify --system {sys} --hermite {herm_basis_str} --g x", "TypeError"),
+    "Hermite rows that are no lists": ("certify --system {sys} --hermite {herm_rows_str} --g x", "TypeError"),
 }
 
 

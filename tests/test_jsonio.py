@@ -99,6 +99,17 @@ def test_hermite_rejects_mismatched_labels():
         hermite_from_json(data)
 
 
+def test_hermite_refuses_a_string_where_a_list_belongs():
+    # one point on the basis {1}: the labels ["1", "x"] and the variables
+    # ["x"] are what the strings "1x" and "x" give one character per entry
+    pts = ApproxRootSet(points=((0.5 + 0j,),), accuracy="1e-9", coord_bound=1)
+    data = hermite_to_json(build_extended_hermite(pts, MonomialBasis([(0,)])), ["x"])
+    assert data["labels"] == ["1", "x"]
+    for key, value in [("labels", "1x"), ("variables", "x")]:
+        with pytest.raises(TypeError):
+            hermite_from_json({**data, key: value})
+
+
 def test_canonical_dumps_sorted_and_newline_terminated():
     text = canonical_dumps({"b": 1, "a": 2})
     assert text.endswith("\n")

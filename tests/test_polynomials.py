@@ -3,6 +3,7 @@ import copy
 import itertools
 import pickle
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -95,6 +96,78 @@ def test_parse_print_identity_on_random_polys(data):
         terms[mono] = coeff
     p = MultiPoly(variables, terms)
     assert parse_poly(p.to_text(), variables) == p
+
+
+_GAP = st.text(alphabet=" \t\n", max_size=3)
+
+
+@st.composite
+def grammar_texts(draw):
+    """(text, poly): a text built from the grammar in x, y and x1, with
+    whitespace around its tokens, and the polynomial its terms sum to."""
+    variables = ["x", "y", "x1"]
+    text, terms = [draw(_GAP)], {}
+    for i in range(draw(st.integers(1, 4))):
+        sign = draw(st.sampled_from(["+", "-"] if i else ["", "+", "-"]))
+        factors, coeff, expos = [], Fraction(1), [0, 0, 0]
+        if draw(st.booleans()):
+            p, q = draw(st.integers(0, 10**6)), draw(st.integers(1, 999))
+            zeros = draw(st.sampled_from(["", "0", "00"]))
+            if draw(st.booleans()):
+                factors.append(f"{zeros}{p}/{zeros}{q}")
+                coeff = Fraction(p, q)
+            else:
+                factors.append(f"{zeros}{p}")
+                coeff = Fraction(p)
+        # variables drawn with replacement, so a term may repeat one
+        for _ in range(draw(st.integers(0 if factors else 1, 4))):
+            v = draw(st.integers(0, 2))
+            e = draw(st.sampled_from([None, "0", "1", "2", "10", "007", "123"]))
+            expos[v] += 1 if e is None else int(e)
+            factors.append(variables[v] if e is None else f"{variables[v]}{draw(_GAP)}^{draw(_GAP)}{e}")
+        if sign:
+            text += [sign, draw(_GAP)]
+        text.append("".join(f + (draw(_GAP) + "*" + draw(_GAP)) * (j < len(factors) - 1) for j, f in enumerate(factors)))
+        text.append(draw(_GAP))
+        mono = tuple(expos)
+        terms[mono] = terms.get(mono, 0) + (-coeff if sign == "-" else coeff)
+    return "".join(text), MultiPoly(variables, terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(grammar_texts())
+def test_parse_reads_every_text_of_the_grammar(case):
+    text, poly = case
+    assert parse_poly(text, poly.variables) == poly
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "2x", "2 x", "x y", "x^2y",  # a missing '*'
+        "x^1/2", "x^ 3/4", "x^y", "x^-1", "x^1.5",  # '^' not followed by a non-negative integer
+        "x**2", "2**x", "x * * y",  # '**'
+        "x +", "x^2 -", "-", "x - \t",  # a trailing sign
+        "", " \t\n",  # an empty text
+        "(x)", "2*(x+y)", "x*y)",  # parentheses
+        "x % 2", "x.5", "x+_y", "x;y", "1/2/3", "1 /2", "x*2",  # a stray character or token
+        "x + zz", "zz", "2*x*X",  # an unknown variable
+    ],
+)
+def test_parse_error_carries_a_position_within_the_text(text):
+    with pytest.raises(ParseError) as err:
+        parse_poly(text, ["x", "y"])
+    assert 0 <= err.value.position <= len(text)
+
+
+@pytest.mark.parametrize("text", [" " * 100_000 + "%", "x" + " *x" * 40_000])
+def test_parse_takes_linear_time(text):
+    start = time.perf_counter()
+    try:
+        parse_poly(text, ["x"])
+    except ParseError:
+        pass
+    assert time.perf_counter() - start < 1.0
 
 
 # -- calculus and evaluation ------------------------------------------------
