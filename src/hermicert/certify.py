@@ -238,10 +238,9 @@ def signature(a: RatMatrix, inertia: Inertia | None = None, poly: list[int] | No
     p(-x) and the multiplicity of the root 0 of a real-rooted polynomial p
     whose roots have the signs of a's eigenvalues.  p is poly when given,
     the power-sum polynomial of g(M) for H_g = H1 g(M) with H1 positive
-    definite (_power_sum_poly); otherwise it is the characteristic
-    polynomial of a itself (Berkowitz, linalg.inertia_descartes).  A given
-    inertia that passes is thereby confirmed by both methods, its zero
-    count included.
+    definite (_derive); otherwise it is the characteristic polynomial of a
+    itself (Berkowitz, linalg.inertia_descartes).  A given inertia that
+    passes is thereby confirmed by both methods, its zero count included.
     """
     ldl = inertia_ldl(a) if inertia is None else inertia
     desc = inertia_descartes(a) if poly is None else root_signs(poly)
@@ -344,7 +343,7 @@ class NormalForms:
     once for the trace functional tau and once as the v_alpha of its traces
     (_trace_grid), Tr(M^alpha) = tau . v_alpha.  tau is memoised
     (trace_functional), so the power sums of every g(M) whose signature
-    reads them (_power_sum_poly) use the one tau of the certification.
+    reads them (_derive) use the one tau of the certification.
     Its vectors mean what they say under the precondition that steps 2 and
     5 establish on both routes:
 
@@ -385,13 +384,6 @@ class NormalForms:
             if x:
                 for r, c in columns[t]:
                     out[r] += c * x
-        return out
-
-    def column(self, s: int, t: int) -> list[int]:
-        """D_s * M_s e_t as a dense integer vector."""
-        out = [0] * self.k
-        for r, c in self.columns[s][t]:
-            out[r] = c
         return out
 
     def vector(self, gamma: Monomial) -> tuple[list[int], int]:
@@ -471,16 +463,18 @@ def check_commute_and_membership(nf: NormalForms, system: PolySystem) -> None:
     at them.
 
     Commutation is checked column by column in the integer-scaled form:
-    D_a D_b M_a (M_b e_t) against D_b D_a M_b (M_a e_t).  Membership then
+    D_a D_b M_a (M_b e_t) against D_b D_a M_b (M_a e_t), each product read
+    through NormalForms.apply on the unit vector e_t.  Membership then
     needs one vector per polynomial: the M_s commute and step 2's unit
     columns give M^(beta_j) e_1 = e_j, so f(M) e_j = M^(beta_j) f(M) e_1,
     and f(M) = 0 exactly when f(M) e_1 = sum_alpha f_alpha v_alpha = 0.
     """
     n = len(nf.columns)
+    units = [[int(r == t) for r in range(nf.k)] for t in range(nf.k)]
     for a in range(n):
         for b in range(a + 1, n):
-            for t in range(nf.k):
-                if nf.apply(a, nf.column(b, t)) != nf.apply(b, nf.column(a, t)):
+            for e in units:
+                if nf.apply(a, nf.apply(b, e)) != nf.apply(b, nf.apply(a, e)):
                     raise StepFailure(5, "noncommuting", f"M_{a} and M_{b}")
     origin = (0,) * n
     for idx, poly in enumerate(system.polys):

@@ -125,10 +125,10 @@ def _verdict_exit(verdict: str) -> int:
 
 
 def _ball_query(center: str, eps2: str, variables) -> BallQuery:
-    point = tuple(Fraction(part.strip()) for part in center.split(","))
-    if len(point) != len(variables):
+    query = BallQuery(center=center.split(","), radius_squared=eps2)
+    if len(query.center) != len(variables):
         raise ValueError("center arity does not match the ring")
-    return BallQuery(center=point, radius_squared=Fraction(eps2))
+    return query
 
 
 def _load_hermite(args):

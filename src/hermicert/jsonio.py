@@ -5,7 +5,14 @@ strings are accepted anywhere a rational is expected and parsed exactly.
 Root coordinates are doubles and serialize as shortest round-trip decimal
 strings.  Serialization is deterministic: same inputs, same bytes.  Every
 list in a format must be a JSON list (json_list): a string in its place
-would otherwise be read one character per entry.
+would otherwise be read one character per entry.  Every numeral must be a
+JSON string (json_numeral) and every count a JSON integer (json_count); a
+bool is refused in both places, since float(True) and Fraction(True) read
+it as 1, and a JSON number in place of a numeral would skip the exact
+reading of its digits.  Each numeral is converted once: by the
+constructor that keeps it (RatMatrix.from_rows for entries, ApproxRootSet
+for E, M and radii), or here when none converts it (coordinates and the
+provenance E and M).
 """
 
 from __future__ import annotations
@@ -123,6 +130,22 @@ def json_list(value, what: str, error: type[Exception] = TypeError) -> list:
     return value
 
 
+def json_numeral(value, what: str) -> str:
+    """value, when it is a JSON string; anything else, a number or a bool
+    included, raises TypeError."""
+    if not isinstance(value, str):
+        raise TypeError(f"{what} must be a JSON string, not {type(value).__name__}")
+    return value
+
+
+def json_count(value, what: str) -> int:
+    """value, when it is a JSON integer; anything else, a bool or a float
+    included, raises TypeError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{what} must be a JSON integer, not {type(value).__name__}")
+    return value
+
+
 # -- polynomial systems ---------------------------------------------------
 
 
@@ -167,12 +190,15 @@ def roots_from_json(data: dict) -> ApproxRootSet:
     points = []
     for point in json_list(data["points"], "points"):
         pairs = [json_list(pair, "a coordinate [re, im]") for pair in json_list(point, "a point")]
-        points.append(tuple(complex(float(re), float(im)) for re, im in pairs))
-    radii = tuple(float(r) for r in json_list(data["radii"], "radii")) if "radii" in data else None
+        parts = [[float(json_numeral(x, "a coordinate")) for x in pair] for pair in pairs]
+        points.append(tuple(complex(re, im) for re, im in parts))
+    radii = (
+        [json_numeral(r, "a radius") for r in json_list(data["radii"], "radii")] if "radii" in data else None
+    )
     return ApproxRootSet(
-        points=tuple(points),
-        accuracy=Fraction(data["accuracy_E"]),
-        coord_bound=Fraction(data["bound_M"]),
+        points=points,
+        accuracy=json_numeral(data["accuracy_E"], "accuracy_E"),
+        coord_bound=json_numeral(data["bound_M"], "bound_M"),
         radii=radii,
     )
 
@@ -195,9 +221,9 @@ def matrix_to_json(m: RatMatrix, labels: Sequence[str] | None = None) -> dict:
 
 
 def matrix_from_json(data: dict) -> RatMatrix:
-    rows = json_list(data["entries"], "entries")
-    m = RatMatrix.from_rows([[Fraction(e) for e in json_list(row, "a row of entries")] for row in rows])
-    if m.rows != data["rows"] or m.cols != data["cols"]:
+    rows = [json_list(row, "a row of entries") for row in json_list(data["entries"], "entries")]
+    m = RatMatrix.from_rows([[json_numeral(e, "an entry") for e in row] for row in rows])
+    if (m.rows, m.cols) != (json_count(data["rows"], "rows"), json_count(data["cols"], "cols")):
         raise ValueError("matrix dimensions disagree with the entry grid")
     return m
 
@@ -237,8 +263,7 @@ def hermite_from_json(data: dict, variables: Sequence[str] | None = None) -> Her
     matrix = matrix_from_json(data)
     basis = basis_from_json(data["basis"], vs)
     ext = ExtendedBasis(basis)
-    expected = [monomial_str(m, vs) for m in ext.extension]
-    if data.get("labels") is not None and json_list(data["labels"], "labels") != expected:
+    if data.get("labels") is not None and json_list(data["labels"], "labels") != ext.strings(vs):
         raise ValueError("labels do not match the extension of the basis")
     prov_in = data.get("provenance", {})
     if not isinstance(prov_in, dict) or not isinstance(prov_in.get("bounds", {}), dict):
@@ -249,11 +274,11 @@ def hermite_from_json(data: dict, variables: Sequence[str] | None = None) -> Her
     if isinstance(k, bool) or not isinstance(k, (int, str)) or int(k) < 1:
         raise ValueError(f"provenance k must be a positive integer, got {k!r}")
     bounds = {
-        parse_monomial(s, vs): int(b) for s, b in prov_in.get("bounds", {}).items()
+        parse_monomial(s, vs): json_count(b, "a bound") for s, b in prov_in.get("bounds", {}).items()
     }
     prov = HermiteProvenance(
-        accuracy=Fraction(prov_in.get("E", 1)),
-        coord_bound=Fraction(prov_in.get("M", 1)),
+        accuracy=Fraction(json_numeral(prov_in.get("E", "1"), "provenance E")),
+        coord_bound=Fraction(json_numeral(prov_in.get("M", "1"), "provenance M")),
         point_count=int(k),
         bounds=bounds,
     )

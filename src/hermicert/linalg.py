@@ -85,9 +85,6 @@ class RatMatrix:
             and self._d == other._d
         )
 
-    def __hash__(self):
-        return hash((self.rows, self.cols, tuple(self._n), tuple(self._d)))
-
     def __repr__(self) -> str:
         body = "; ".join(
             " ".join(str(self.entry(i, j)) for j in range(self.cols)) for i in range(self.rows)
@@ -113,26 +110,15 @@ class RatMatrix:
         return RatMatrix(self.rows, self.cols, *kernels.reduced(nums, [d * f.denominator for d in self._d]))
 
     def is_symmetric(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        k = self.rows
-        for i in range(k):
-            for j in range(i + 1, k):
-                if (
-                    self._n[i * k + j] != self._n[j * k + i]
-                    or self._d[i * k + j] != self._d[j * k + i]
-                ):
-                    return False
-        return True
+        k, n, d = self.rows, self._n, self._d
+        return k == self.cols and all(
+            n[i * k : i * k + k] == n[i::k] and d[i * k : i * k + k] == d[i::k] for i in range(k)
+        )
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "RatMatrix":
-        n, d = [], []
-        for i in row_idx:
-            base = i * self.cols
-            for j in col_idx:
-                n.append(self._n[base + j])
-                d.append(self._d[base + j])
-        return RatMatrix(len(row_idx), len(col_idx), n, d)
+        c, n, d = self.cols, self._n, self._d
+        at = [i * c + j for i in row_idx for j in col_idx]
+        return RatMatrix(len(row_idx), len(col_idx), [n[p] for p in at], [d[p] for p in at])
 
     def row_pairs(self) -> tuple[list[int], list[int]]:
         return list(self._n), list(self._d)

@@ -271,12 +271,6 @@ class PolySystem(Frozen):
                 raise ValueError("system polynomials must share the ring")
         self._set(variables=vs, polys=ps)
 
-    def __len__(self) -> int:
-        return len(self.polys)
-
-    def __iter__(self):
-        return iter(self.polys)
-
     def arity(self) -> int:
         return len(self.variables)
 
@@ -377,9 +371,6 @@ class MonomialBasis(Frozen):
     def __len__(self) -> int:
         return len(self.monomials)
 
-    def __iter__(self):
-        return iter(self.monomials)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, MonomialBasis):
             return NotImplemented
@@ -404,12 +395,13 @@ class ExtendedBasis(Frozen):
 
     - products: the distinct label products b_i * b_j, in ascending order;
       entry (i, j) of the matrix is a function of b_i * b_j alone;
+    - position[m]: the position of the label m in the extension;
     - product_index[i * l + j]: the position of b_i * b_j in products;
     - shifts[s][i]: the position of x_s * b_i in the extension, below the
       base size exactly when x_s * b_i lies in the basis.
     """
 
-    __slots__ = ("base", "extension", "products", "product_index", "shifts")
+    __slots__ = ("base", "extension", "position", "products", "product_index", "shifts")
 
     def __init__(self, base: MonomialBasis):
         units = [tuple(int(t == s) for t in range(base.arity)) for s in range(base.arity)]
@@ -441,6 +433,7 @@ class ExtendedBasis(Frozen):
         self._set(
             base=base,
             extension=ext,
+            position=position,
             products=tuple(products),
             product_index=tuple(map(index.__getitem__, pairs)),
             shifts=tuple(tuple(position[m] for m in row) for row in shifted),
@@ -449,14 +442,9 @@ class ExtendedBasis(Frozen):
     def __len__(self) -> int:
         return len(self.extension)
 
-    def __iter__(self):
-        return iter(self.extension)
-
     def index_of(self, mono: Monomial) -> int:
-        try:
-            return self.extension.index(tuple(mono))
-        except ValueError:
-            raise KeyError(f"monomial {mono} not in extended basis") from None
+        """The position of mono in the extension; KeyError outside it."""
+        return self.position[tuple(mono)]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExtendedBasis):

@@ -1111,6 +1111,9 @@ def bad_input_files(files):
     def herm_with(name, provenance):
         return write(tmp / f"{name}.json", {**herm_data, "provenance": provenance})
 
+    entries_bool = [list(row) for row in herm_data["entries"]]
+    entries_bool[0][1] = False  # in place of "0": Fraction(False) == 0
+
     return {
         **files,
         "herm": herm,
@@ -1160,6 +1163,24 @@ def bad_input_files(files):
         "herm_basis_str": write(tmp / "herm_basis_str.json", {**herm_data, "basis": "1x"}),
         "herm_rows_str": write(
             tmp / "herm_rows_str.json", {**herm_data, "entries": ["".join(row) for row in herm_data["entries"]]}
+        ),
+        # a bool or a JSON number where a numeral or a count belongs, which
+        # float and Fraction would read as 1 or 0 and int would truncate: the
+        # roots 1 and 0 of x^2 - x as true and false, E = true (E = 1 fails
+        # reconstruction, exit 2), a radius true and a bound 1.7 (read as 1)
+        "sys_x2x": write(tmp / "sys_x2x.json", {"variables": ["x"], "polynomials": ["x^2-x"]}),
+        "roots_bool": write(
+            tmp / "roots_bool.json",
+            {"accuracy_E": "1e-10", "bound_M": "2", "points": [[[True, False]], [[False, False]]]},
+        ),
+        "roots_E_bool": write(
+            tmp / "roots_E_bool.json", {"accuracy_E": True, "bound_M": "2", "points": [[["1", "0"]], [["0", "0"]]]}
+        ),
+        "radii_bool": write(tmp / "radii_bool.json", {**roots_data, "radii": [True, "1e-8"]}),
+        "herm_entry_bool": write(tmp / "herm_entry_bool.json", {**herm_data, "entries": entries_bool}),
+        "herm_bound_float": herm_with(
+            "herm_bound_float",
+            {**herm_data["provenance"], "bounds": {**herm_data["provenance"]["bounds"], "x^2": 1.7}},
         ),
     }
 
@@ -1231,6 +1252,13 @@ BAD_VALUES = {
     "basis monomials that are no list": ("pipeline --system {sys} --roots {roots} --basis {basis_str}", "TypeError"),
     "Hermite basis that is no list": ("certify --system {sys} --hermite {herm_basis_str} --g x", "TypeError"),
     "Hermite rows that are no lists": ("certify --system {sys} --hermite {herm_rows_str} --g x", "TypeError"),
+    "coordinates that are bools": ("pipeline --system {sys_x2x} --roots {roots_bool} --g x", "TypeError"),
+    "Hermite entry that is a bool": ("certify --system {sys} --hermite {herm_entry_bool} --g x", "TypeError"),
+    "radius that is a bool": (
+        "filter-roots --system {sys} --roots {radii_bool} --system {sys} --roots {roots_radii}", "TypeError"
+    ),
+    "accuracy that is a bool": ("build --system {sys_x2x} --roots {roots_E_bool}", "TypeError"),
+    "bound that is no integer": ("count-real --system {sys} --hermite {herm_bound_float}", "TypeError"),
 }
 
 

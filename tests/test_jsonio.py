@@ -52,6 +52,20 @@ def test_matrix_dimension_validation():
         matrix_from_json({"rows": 2, "cols": 2, "entries": [["1", "0"]]})
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("rows", True), ("cols", 1.0), ("entries", [[1]]), ("entries", [[True]]), ("entries", [[0.5]])],
+    ids=["rows true", "cols 1.0", "entry 1", "entry true", "entry 0.5"],
+)
+def test_matrix_counts_are_json_integers_and_entries_json_strings(key, value):
+    # true and 1.0 compare equal to 1, and Fraction would read the JSON
+    # numbers 1, true and 0.5 without a word
+    data = {"rows": 1, "cols": 1, "entries": [["1"]]}
+    assert matrix_from_json(data) == RatMatrix.from_rows([[1]])
+    with pytest.raises(TypeError):
+        matrix_from_json({**data, key: value})
+
+
 def test_system_round_trip():
     f = PolySystem(["x", "y"], [parse_poly("x^2+y^2-1", ["x", "y"])])
     again = system_from_json(json.loads(json.dumps(system_to_json(f))))

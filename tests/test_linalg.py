@@ -456,3 +456,38 @@ def test_matrix_equality_and_trace():
     assert matrix_trace(m) == 5
     assert m == RatMatrix.from_rows([[1, 2], [3, 4]])
     assert m != RatMatrix.from_rows([[1, 2], [3, 5]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_symmetry_and_submatrix_match_their_entrywise_definitions(data):
+    # square, non-square and empty shapes; a symmetric matrix is drawn half
+    # the time, and then its mirror entry (j, i) may differ from (i, j) in its
+    # numerator alone or in its denominator alone (both in lowest terms)
+    rows = data.draw(st.integers(0, 5), label="rows")
+    cols = data.draw(st.one_of(st.just(rows), st.integers(0, 5)), label="cols")
+    value = st.fractions(-4, 4, max_denominator=6)
+    grid = [[data.draw(value) for _ in range(cols)] for _ in range(rows)]
+    if rows == cols and data.draw(st.booleans(), label="symmetric"):
+        grid = [[grid[min(i, j)][max(i, j)] for j in range(cols)] for i in range(rows)]
+        if rows > 1 and data.draw(st.booleans(), label="mirror differs"):
+            i, j = data.draw(st.permutations(range(rows)), label="entry")[:2]
+            f = data.draw(value.filter(bool), label="value")
+            n, d = f.numerator, f.denominator
+            grid[i][j] = f
+            # gcd(n + d, d) = gcd(n, d + |n|) = gcd(n, d) = 1
+            mirror = st.sampled_from([Fraction(n + d, d), Fraction(n, d + abs(n))])
+            grid[j][i] = data.draw(mirror, label="mirror")
+    entries = [f for row in grid for f in row]
+    m = RatMatrix(rows, cols, [f.numerator for f in entries], [f.denominator for f in entries])
+    symmetric = rows == cols and all(grid[i][j] == grid[j][i] for i in range(rows) for j in range(cols))
+    assert m.is_symmetric() == symmetric
+    # repeated and unordered indices, and empty index lists
+    def indices(n):
+        return st.lists(st.integers(0, n - 1), max_size=6) if n else st.just([])
+
+    row_idx = data.draw(indices(rows), label="row_idx")
+    col_idx = data.draw(indices(cols), label="col_idx")
+    sub = m.submatrix(row_idx, col_idx)
+    assert (sub.rows, sub.cols) == (len(row_idx), len(col_idx))
+    assert all(sub.entry(a, b) == grid[i][j] for a, i in enumerate(row_idx) for b, j in enumerate(col_idx))

@@ -293,6 +293,8 @@ def test_extended_basis_univariate():
     ext = ExtendedBasis(MonomialBasis([(0,), (1,)]))
     assert ext.extension == ((0,), (1,), (2,))
     assert ext.index_of((2,)) == 2
+    with pytest.raises(KeyError):
+        ext.index_of((3,))  # a label product, not a label
     assert ext.products == ((0,), (1,), (2,), (3,), (4,))
     assert ext.product_index == (0, 1, 2, 1, 2, 3, 2, 3, 4)  # x^i * x^j = x^(i+j)
     assert ext.shifts == ((1, 2),)  # x * 1 = x is in the basis, x * x = x^2 is not
