@@ -198,10 +198,12 @@ def reconstruct_hermite(
     real.  Both depend on d alone and are computed once per degree.  For
     d = 0 the bound degenerates to zero error, and the entry is taken as the
     sum itself, whose imaginary part must vanish.  The reconstructed value
-    is re-checked against the perturbation bound before acceptance.  Since
-    the sums are exact, the bound is rigorous: every accepted entry lies
-    within E*k*n*d*M^(d-1) of the power sum of the points as given.  Every
-    comparison is an integer cross-multiplication, and the continued
+    lies within the perturbation bound without a second check:
+    ratrecon.denominator_bound gives the least b with 2*err*b^2 >= 1, and
+    reconstruct_ints returns p/q only when |x - p/q| < 1/(2*b^2) <= err.
+    Since the sums are exact, the bound is rigorous: every accepted entry
+    lies within E*k*n*d*M^(d-1) of the power sum of the points as given.
+    Every comparison is an integer cross-multiplication, and the continued
     fraction runs on integers (ratrecon.reconstruct_ints).  A failure names
     the first entry (i, j), in row-major order, that holds the failing
     product.
@@ -251,8 +253,6 @@ def reconstruct_hermite(
             if found is None:
                 raise fail(pos, "not_found", f"no rational with denominator <= {b} near {re / den:.12g}")
             p, q = found
-            if abs(re * q - p * den) * err_den > limit * q:
-                raise fail(pos, "not_found", "reconstructed value violates the perturbation bound")
             bounds[alpha] = b
         nums.append(p)
         dens.append(q)
@@ -291,17 +291,16 @@ def _connected_scan(h: RatMatrix, monomials: Sequence[Monomial]) -> ConnectedSel
     stays nonsingular: the linked pivot rule of _kernels.eliminate, where a
     label's diagonal entry is its Schur complement against the kept block
     (times that block's determinant).  The elimination then finishes the
-    rank.
+    rank.  The one caller (build_hermite) passes H1 at the basis size with
+    basis.monomials, which are tuples, so the labels are neither counted
+    nor copied.
     """
-    if len(monomials) != h.rows:
-        raise ValueError("label count does not match matrix size")
-    labels = [tuple(m) for m in monomials]
 
     def pivot_allowed(t, picked):
-        return linked(labels[t], {labels[i] for i in picked})
+        return linked(monomials[t], {monomials[i] for i in picked})
 
     pos, neg, _, picked, _ = _elimination(h, "submatrix selection", linked=pivot_allowed)
-    return ConnectedSelection(tuple(labels[i] for i in picked), tuple(picked), pos + neg)
+    return ConnectedSelection(tuple(monomials[i] for i in picked), tuple(picked), pos + neg)
 
 
 def build_hermite(points: ApproxRootSet, basis: MonomialBasis | None = None) -> HermitePlus:

@@ -12,12 +12,13 @@ it as 1, and a JSON number in place of a numeral would skip the exact
 reading of its digits.  Each numeral is converted once: by the
 constructor that keeps it (RatMatrix.from_rows for entries, ApproxRootSet
 for E, M and radii), or here when none converts it (coordinates and the
-provenance E and M).
+provenance E and M).  The report writer (canonical_dumps) writes only
+strings, ints, bools, None, lists and dicts with string keys; a float or a
+non-string key raises TypeError.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote
@@ -66,7 +67,11 @@ def exact_decimal_str(value: Fraction) -> str:
 
 
 def canonical_dumps(obj) -> str:
-    """json.dumps(obj, indent=2, sort_keys=True) + "\n", byte for byte.
+    """json.dumps(obj, indent=2, sort_keys=True) + "\n", byte for byte, for
+    the values hermicert writes: dicts with string keys, lists and tuples,
+    strings, ints, bools and None.  Any other value, a float or a key that
+    is not a string included, raises TypeError: every numeral travels as a
+    string.
 
     json's indent forces its pure-Python encoder; this writer makes the same
     text with one str.join per list of strings (the rows of every matrix).
@@ -90,17 +95,13 @@ def _dumps(obj, newline: str) -> str:
         if not obj:
             return "{}"
         inner = newline + "  "
-        items = (
-            _quote(key if isinstance(key, str) else _scalar(key)) + ": " + _dumps(value, inner)
-            for key, value in sorted(obj.items())
-        )
+        items = (_quote(key) + ": " + _dumps(value, inner) for key, value in sorted(obj.items()))
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     return _scalar(obj)
 
 
 def _scalar(obj) -> str:
-    """A string, number, bool or None as json writes it; a key that is not a
-    string is written as this text, quoted."""
+    """A string, int, bool or None as json writes it."""
     if isinstance(obj, str):
         return _quote(obj)
     if obj is None:
@@ -111,14 +112,6 @@ def _scalar(obj) -> str:
         return "false"
     if isinstance(obj, int):
         return int.__repr__(obj)
-    if isinstance(obj, float):
-        if obj != obj:
-            return "NaN"
-        if obj == math.inf:
-            return "Infinity"
-        if obj == -math.inf:
-            return "-Infinity"
-        return float.__repr__(obj)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
@@ -273,9 +266,12 @@ def hermite_from_json(data: dict, variables: Sequence[str] | None = None) -> Her
     k = prov_in.get("k", len(basis))
     if isinstance(k, bool) or not isinstance(k, (int, str)) or int(k) < 1:
         raise ValueError(f"provenance k must be a positive integer, got {k!r}")
-    bounds = {
-        parse_monomial(s, vs): json_count(b, "a bound") for s, b in prov_in.get("bounds", {}).items()
-    }
+    bounds_in = prov_in.get("bounds", {})
+    bounds = {parse_monomial(s, vs): json_count(b, "a bound") for s, b in bounds_in.items()}
+    # "x", "x^1" and "1*x" name one monomial: merged, all but one would be
+    # dropped without a word
+    if len(bounds) != len(bounds_in):
+        raise ValueError("provenance bounds must name distinct monomials")
     prov = HermiteProvenance(
         accuracy=Fraction(json_numeral(prov_in.get("E", "1"), "provenance E")),
         coord_bound=Fraction(json_numeral(prov_in.get("M", "1"), "provenance M")),

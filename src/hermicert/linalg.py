@@ -8,7 +8,6 @@ exact; there is no floating point anywhere in this module.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from . import _kernels as kernels
@@ -60,17 +59,6 @@ class RatMatrix:
         dens = [f.denominator for row in data for f in row]
         return cls(r, c, nums, dens)
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "RatMatrix":
-        return cls(rows, cols, [0] * (rows * cols), [1] * (rows * cols))
-
-    @classmethod
-    def identity(cls, k: int) -> "RatMatrix":
-        m = cls.zeros(k, k)
-        for i in range(k):
-            m._n[i * k + i] = 1
-        return m
-
     def entry(self, i: int, j: int) -> Fraction:
         p = i * self.cols + j
         return Fraction(self._n[p], self._d[p])
@@ -91,11 +79,6 @@ class RatMatrix:
         )
         return f"RatMatrix({self.rows}x{self.cols}: {body})"
 
-    def __add__(self, other: "RatMatrix") -> "RatMatrix":
-        self._check_same_shape(other)
-        nums = [an * bd + bn * ad for an, ad, bn, bd in zip(self._n, self._d, other._n, other._d)]
-        return RatMatrix(self.rows, self.cols, *kernels.reduced(nums, list(map(mul, self._d, other._d))))
-
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise ValueError(f"dimension mismatch: {self.cols} vs {other.rows}")
@@ -103,11 +86,6 @@ class RatMatrix:
             self.rows, self.cols, other.cols, self._n, self._d, other._n, other._d
         )
         return RatMatrix(self.rows, other.cols, n, d)
-
-    def scale(self, factor) -> "RatMatrix":
-        f = Fraction(factor)
-        nums = [n * f.numerator for n in self._n]
-        return RatMatrix(self.rows, self.cols, *kernels.reduced(nums, [d * f.denominator for d in self._d]))
 
     def is_symmetric(self) -> bool:
         k, n, d = self.rows, self._n, self._d
@@ -122,10 +100,6 @@ class RatMatrix:
 
     def row_pairs(self) -> tuple[list[int], list[int]]:
         return list(self._n), list(self._d)
-
-    def _check_same_shape(self, other: "RatMatrix"):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
 
 
 def _elimination(a: RatMatrix, name: str, rhs=None, linked=None):
@@ -168,7 +142,9 @@ def inverse(a: RatMatrix) -> RatMatrix:
 
     No command calls it: certification solves only the border columns
     (certify.mult_matrices).  perfbench/tracer.py still probes this name."""
-    return solve(a, RatMatrix.identity(a.rows))[0]
+    k = a.rows
+    eye = [int(i == j) for i in range(k) for j in range(k)]
+    return solve(a, RatMatrix(k, k, eye, [1] * (k * k)))[0]
 
 
 def char_poly(a: RatMatrix) -> list[Fraction]:

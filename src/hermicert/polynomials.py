@@ -220,20 +220,23 @@ class MultiPoly(Frozen):
         for mono in self.terms:
             for i, e in enumerate(mono):
                 max_exp[i] = max(max_exp[i], e)
+        eye = RatMatrix.from_rows([[int(i == j) for j in range(k)] for i in range(k)])
         powers: list[list[RatMatrix]] = []
         for i, m in enumerate(mats):
-            cache = [RatMatrix.identity(k)]
+            cache = [eye]
             for _ in range(max_exp[i]):
                 cache.append(cache[-1] @ m)
             powers.append(cache)
-        total = RatMatrix.zeros(k, k)
+        total = [[Fraction(0)] * k for _ in range(k)]
         for mono, c in self.sorted_terms():
-            acc = RatMatrix.identity(k)
+            acc = eye
             for i, e in enumerate(mono):
                 if e:
                     acc = acc @ powers[i][e]
-            total = total + acc.scale(c)
-        return total
+            for i, row in enumerate(total):
+                for j in range(k):
+                    row[j] += c * acc.entry(i, j)
+        return RatMatrix.from_rows(total)
 
     def to_text(self) -> str:
         if not self.terms:

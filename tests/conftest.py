@@ -50,6 +50,10 @@ def matrix_trace(m: RatMatrix) -> Fraction:
     return sum((m.entry(i, i) for i in range(m.rows)), Fraction(0))
 
 
+def identity(k: int) -> RatMatrix:
+    return RatMatrix.from_rows([[int(i == j) for j in range(k)] for i in range(k)])
+
+
 def matrix_rows(m: RatMatrix) -> list[list[Fraction]]:
     return [[m.entry(i, j) for j in range(m.cols)] for i in range(m.rows)]
 

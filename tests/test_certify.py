@@ -55,6 +55,7 @@ from hermicert.polynomials import (
 from conftest import (
     QC,
     exact_hermite_plus,
+    identity,
     matrix_rows,
     matrix_trace,
     roots_as_qc,
@@ -279,7 +280,7 @@ def per_product_trace_grid(ms, monomials):
             max_exp[i] = max(max_exp[i], 2 * e)
     powers = []
     for i, m in enumerate(ms):
-        cache = [RatMatrix.identity(k)]
+        cache = [identity(k)]
         for _ in range(max_exp[i]):
             cache.append(cache[-1] @ m)
         powers.append(cache)
@@ -287,7 +288,7 @@ def per_product_trace_grid(ms, monomials):
 
     def trace_of(alpha):
         if alpha not in traces:
-            acc = RatMatrix.identity(k)
+            acc = identity(k)
             for i, e in enumerate(alpha):
                 if e:
                     acc = acc @ powers[i][e]
@@ -649,8 +650,20 @@ def test_hermite_for_g_examples():
     nf = table(m)
     # each H_g comes with the g(M) it was formed from
     assert hermite_for_g(h1, nf, G_X) == (RatMatrix.from_rows([[0, 4], [4, 0]]), m[0])
-    assert hermite_for_g(h1, nf, parse_poly("1", ["x"])) == (h1, RatMatrix.identity(2))
-    assert hermite_for_g(h1, nf, parse_poly("x^2", ["x"])) == (h1.scale(2), RatMatrix.identity(2).scale(2))
+    assert hermite_for_g(h1, nf, parse_poly("1", ["x"])) == (h1, identity(2))
+    assert hermite_for_g(h1, nf, parse_poly("x^2", ["x"])) == (
+        RatMatrix.from_rows([[4, 0], [0, 8]]),
+        RatMatrix.from_rows([[2, 0], [0, 2]]),
+    )
+
+
+@pytest.mark.parametrize("g", ["x*y", "y"])
+def test_hermite_for_g_refuses_a_g_of_another_ring(g):
+    # the table has one variable: read without the arity check, the exponent
+    # of y would be dropped, giving H_x for x*y and H1 for y
+    nf = table([RatMatrix.from_rows([[0, 2], [1, 0]])])
+    with pytest.raises(ValueError, match="ring arity"):
+        hermite_for_g(RatMatrix.from_rows([[2, 0], [0, 4]]), nf, parse_poly(g, ["x", "y"]))
 
 
 def test_pipeline_certifies_sqrt2_end_to_end():

@@ -1182,6 +1182,15 @@ def bad_input_files(files):
             "herm_bound_float",
             {**herm_data["provenance"], "bounds": {**herm_data["provenance"]["bounds"], "x^2": 1.7}},
         ),
+        # three keys that name the monomial x: merged, two bounds would be
+        # dropped without a word
+        "herm_bounds_twice": herm_with(
+            "herm_bounds_twice",
+            {**herm_data["provenance"], "bounds": {"x": 5, "x^1": 7, "1*x": 9}},
+        ),
+        "basis_sum": write(tmp / "basis_sum.json", {"monomials": ["1", "x+y"]}),
+        "basis_coeff": write(tmp / "basis_coeff.json", {"monomials": ["1", "2*x"]}),
+        "basis_empty": write(tmp / "basis_empty.json", {"monomials": []}),
     }
 
 
@@ -1213,20 +1222,34 @@ BAD_INPUTS = {
     "filter-roots in other variables": "filter-roots --system {sys} --roots {roots_radii} --system {sys_xy} --roots {roots_xy_radii}",
     "NaN radius": "filter-roots --system {sys} --roots {radii_nan} --system {sys} --roots {roots_radii}",
     "negative radius": "filter-roots --system {sys} --roots {roots_radii} --system {sys} --roots {radii_negative}",
+    # a case given as (command, text) must also name its fault in the message
+    "filter-roots with one list": (
+        "filter-roots --system {sys} --roots {roots_radii}", "needs --system and --roots twice"
+    ),
+    "basis entry that is a sum": (
+        "pipeline --system {sys_xy} --roots {roots_xy} --basis {basis_sum}", "expected a single monomial"
+    ),
+    "basis entry with a coefficient": (
+        "pipeline --system {sys_xy} --roots {roots_xy} --basis {basis_coeff}", "coefficient must be 1"
+    ),
+    "empty basis": ("pipeline --system {sys_xy} --roots {roots_xy} --basis {basis_empty}", "empty basis"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_exits_with_usage_code(case, files, capsys):
     paths = bad_input_files(files)
-    argv = [word.format(**paths) for word in BAD_INPUTS[case].split()]
+    command, text = BAD_INPUTS[case] if isinstance(BAD_INPUTS[case], tuple) else (BAD_INPUTS[case], "")
+    argv = [word.format(**paths) for word in command.split()]
     capsys.readouterr()
     code, payload = run(capsys, *argv)
     assert code == 1 and payload["error"]["type"] in ("ValueError", "ParseError"), payload
+    assert text in payload["error"]["message"], payload
 
 
-# bad inputs whose error is no ValueError: a zero denominator, and a JSON
-# value of the wrong type; each exits 1 with the error payload in --out
+# bad inputs whose exact error type the payload in --out must name: a zero
+# denominator, a JSON value of the wrong type, and bound keys that name one
+# monomial twice; each exits 1
 BAD_VALUES = {
     "zero denominator": ("reconstruct-rational 1/0 5", "ZeroDivisionError"),
     "center with a zero denominator": (
@@ -1259,6 +1282,7 @@ BAD_VALUES = {
     ),
     "accuracy that is a bool": ("build --system {sys_x2x} --roots {roots_E_bool}", "TypeError"),
     "bound that is no integer": ("count-real --system {sys} --hermite {herm_bound_float}", "TypeError"),
+    "bounds that name one monomial twice": ("count-real --system {sys} --hermite {herm_bounds_twice}", "ValueError"),
 }
 
 

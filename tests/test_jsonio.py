@@ -131,14 +131,15 @@ def test_canonical_dumps_sorted_and_newline_terminated():
 
 
 TEXT = st.text(st.characters(exclude_categories=()))  # surrogates and controls too
-SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | TEXT
+# the writer's domain: every numeral hermicert writes is a string, and every
+# key is one
+SCALARS = st.none() | st.booleans() | st.integers() | TEXT
 JSON_VALUES = st.recursive(
     SCALARS,
     lambda children: st.lists(children)
     | st.lists(TEXT)  # the one-join path of canonical_dumps
     | st.lists(children).map(tuple)
-    | st.dictionaries(TEXT, children)
-    | st.dictionaries(st.integers() | st.floats() | st.booleans(), children),
+    | st.dictionaries(TEXT, children),
     max_leaves=30,
 )
 
@@ -153,5 +154,16 @@ def test_canonical_dumps_matches_json_dumps(obj):
 def test_canonical_dumps_rejects_what_json_rejects(obj):
     with pytest.raises(TypeError):
         json.dumps(obj, indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        canonical_dumps(obj)
+
+
+@pytest.mark.parametrize(
+    "obj", [0.5, [1.0], float("nan"), {"a": [-math.inf]}, {1: "a"}, {"a": {True: 1}}, {None: 1}]
+)
+def test_canonical_dumps_refuses_floats_and_non_string_keys(obj):
+    # json writes these; hermicert writes every numeral and every key as a
+    # string, so a float or another key reaching the writer is a fault
+    json.dumps(obj, indent=2, sort_keys=True)
     with pytest.raises(TypeError):
         canonical_dumps(obj)

@@ -1,6 +1,7 @@
 import ast
 import copy
 import itertools
+import operator
 import pickle
 import random
 import time
@@ -38,7 +39,14 @@ from hermicert.polynomials import (
     parse_poly,
 )
 
-from conftest import is_zero_matrix, matrix_trace, newton_girard_power_sums, univariate_from_roots
+from conftest import (
+    identity,
+    is_zero_matrix,
+    matrix_rows,
+    matrix_trace,
+    newton_girard_power_sums,
+    univariate_from_roots,
+)
 
 
 # -- parsing ---------------------------------------------------------------
@@ -202,7 +210,7 @@ def test_eval_at_matrices_examples():
     p = parse_poly("x^2 - 2", ["x"])
     m = RatMatrix.from_rows([[0, 2], [1, 0]])
     assert is_zero_matrix(p.eval_at_matrices([m]))
-    assert MultiPoly.constant(["x"], 1).eval_at_matrices([m]) == RatMatrix.identity(2)
+    assert MultiPoly.constant(["x"], 1).eval_at_matrices([m]) == identity(2)
     cubic = parse_poly("x^3 - 3*x + 2", ["x"])  # (x-1)^2 (x+2)
     m2 = RatMatrix.from_rows([[0, 2], [1, -1]])
     assert is_zero_matrix(cubic.eval_at_matrices([m2]))
@@ -219,16 +227,18 @@ def test_eval_at_matrices_is_ring_homomorphism_on_commuting_family():
         vs = ["a", "b"]
         p = MultiPoly(vs, {(1, 0): Fraction(2), (0, 1): Fraction(-1), (0, 0): Fraction(3)})
         q = MultiPoly(vs, {(1, 1): Fraction(1), (2, 0): Fraction(1, 2)})
-        assert (p * q).eval_at_matrices(mats) == p.eval_at_matrices(mats) @ q.eval_at_matrices(mats)
-        assert (p + q).eval_at_matrices(mats) == p.eval_at_matrices(mats) + q.eval_at_matrices(mats)
+        pm, qm = p.eval_at_matrices(mats), q.eval_at_matrices(mats)
+        assert (p * q).eval_at_matrices(mats) == pm @ qm
+        sums = [[a + b for a, b in zip(r, s)] for r, s in zip(matrix_rows(pm), matrix_rows(qm))]
+        assert (p + q).eval_at_matrices(mats) == RatMatrix.from_rows(sums)
 
 
 def test_eval_at_matrices_dimension_mismatch():
     p = parse_poly("x + y", ["x", "y"])
     with pytest.raises(ValueError):
-        p.eval_at_matrices([RatMatrix.identity(2)])
+        p.eval_at_matrices([identity(2)])
     with pytest.raises(ValueError):
-        p.eval_at_matrices([RatMatrix.identity(2), RatMatrix.identity(3)])
+        p.eval_at_matrices([identity(2), identity(3)])
 
 
 # -- univariate helpers ------------------------------------------------------
@@ -253,7 +263,7 @@ def test_newton_girard_equals_traces_of_matrix_powers():
         upper = [[Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(3)] for _ in range(3)]
         m = RatMatrix.from_rows([[upper[min(i, j)][max(i, j)] for j in range(3)] for i in range(3)])
         sums = newton_girard_power_sums(char_poly(m), 6)
-        power = RatMatrix.identity(3)
+        power = identity(3)
         for t in range(7):
             assert sums[t] == matrix_trace(power)
             power = power @ m
@@ -366,6 +376,13 @@ def test_monomial_strings_round_trip():
 def test_poly_system_requires_shared_ring():
     with pytest.raises(ValueError):
         PolySystem(["x"], [parse_poly("x", ["x"]), parse_poly("y", ["y"])])
+
+
+def test_ring_operations_require_one_ring():
+    x, y = parse_poly("x", ["x"]), parse_poly("y", ["y"])
+    for op in (operator.add, operator.mul):
+        with pytest.raises(ValueError, match="different rings"):
+            op(x, y)
 
 
 # -- immutability ----------------------------------------------------------

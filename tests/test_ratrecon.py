@@ -212,6 +212,22 @@ def test_denominator_bound_matches_the_fraction_reference(e, m, k, n, d, common)
     assert denominator_bound(num * common, den * common) == reference_bound(e, k, n, d, m)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    err=st.fractions(min_value=Fraction(1, 10**20), max_value=Fraction(1, 3)),
+    p=st.integers(-(10**6), 10**6),
+    q=st.integers(1, 10**4),
+    shift=st.fractions(min_value=-1, max_value=1, max_denominator=10**6),
+)
+def test_reconstruction_at_the_denominator_bound_stays_within_err(err, p, q, shift):
+    # reconstruct_hermite accepts p/q without comparing it with err: b is the
+    # least with 2*err*b^2 >= 1, and a result lies within 1/(2*b^2) <= err
+    b = denominator_bound(err.numerator, err.denominator)
+    value = Fraction(p, q) + shift * err
+    found = reconstruct_ints(value.numerator, value.denominator, b)
+    assert found is None or abs(value - Fraction(*found)) < err
+
+
 def test_exact_fraction_of_float_is_dyadic():
     # a float accuracy is stored as the dyadic rational the double holds
     f = ApproxRootSet(points=((0j,),), accuracy=0.1, coord_bound=1).accuracy
