@@ -110,13 +110,15 @@ def approx_extended_hermite(points: ApproxRootSet, basis: ExtendedBasis) -> Powe
     Every double is a dyadic rational m / 2^q.  One power of two per
     variable, 2^s with s the largest q among that variable's real and
     imaginary parts, scales every coordinate to a Gaussian integer.  Each
-    point's value at every extension label is computed once, and the sum of
-    a label product b_i * b_j is one integer dot product of two such value
-    vectors over the points (four when some coordinate is not real), over
-    the denominator 2^(sum_s alpha_s * s_s).  Entry (i, j) of the extended
-    Hermite matrix is the power sum of b_i * b_j.  Weighted matrices H_g are
-    never approximated: the certify module derives them exactly from the
-    certified multiplication matrices.
+    point's value at every extension label is computed once, degree by
+    degree, as its value at one single-variable quotient of the label times
+    one coordinate.  The sum of a label product is one integer dot product
+    of the value vectors of the two labels of its first cell
+    (basis.first_cells) over the points (four when some coordinate is not
+    real), over the denominator 2^(sum_s alpha_s * s_s).  Entry (i, j) of
+    the extended Hermite matrix is the power sum of b_i * b_j.  Weighted
+    matrices H_g are never approximated: the certify module derives them
+    exactly from the certified multiplication matrices.
     """
     arity = basis.base.arity
     for p in points.points:
@@ -134,35 +136,29 @@ def approx_extended_hermite(points: ApproxRootSet, basis: ExtendedBasis) -> Powe
         im_cols.append([m * (scale // q) for m, q in im_parts])
     real = not any(map(any, im_cols))
 
-    # powers[s][e]: the e-th powers of variable s, as (re, im) value vectors
+    # each label's values from those of one single-variable quotient, which
+    # every label of B+ but 1 has in B+, in order of degree
     ones = ([1] * k, [0] * k)
-    powers = []
-    for s, e_max in enumerate(max(e) for e in zip(*basis.extension)):
-        table = [ones]
-        col = (re_cols[s], im_cols[s])
-        for _ in range(e_max):
-            table.append(_times(table[-1], col, real))
-        powers.append(table)
-    values = []
-    for beta in basis.extension:
+    values: dict[Monomial, tuple[list[int], list[int]]] = {}
+    for beta in sorted(basis.extension, key=sum):
         v = ones
         for s, e in enumerate(beta):
-            if e:
-                v = powers[s][e] if v is ones else _times(v, powers[s][e], real)
-        values.append(v)
+            quotient = beta[:s] + (e - 1,) + beta[s + 1 :]
+            if e and quotient in values:
+                v = _times(values[quotient], (re_cols[s], im_cols[s]), real)
+                break
+        values[beta] = v
 
-    # one pair (i, j) with b_i * b_j = alpha per alpha, the first in
-    # row-major order; the sums are exact, so every such pair gives the same
-    l = len(basis)
-    first = dict(zip(reversed(basis.product_index), range(l * l - 1, -1, -1)))
-    pairs = [divmod(first[pos], l) for pos in range(len(basis.products))]
+    # the values of the two labels of each product's first cell; the sums
+    # are exact, so every cell that holds the product gives the same
+    ext = basis.extension
+    pairs = [(values[ext[i]], values[ext[j]]) for i, j in basis.first_cells]
     if real:
-        re = [sum(map(mul, values[i][0], values[j][0])) for i, j in pairs]
+        re = [sum(map(mul, a, c)) for (a, _), (c, _) in pairs]
         im = [0] * len(pairs)
     else:
         re, im = [], []
-        for i, j in pairs:
-            (a, b), (c, d) = values[i], values[j]
+        for (a, b), (c, d) in pairs:
             re.append(sum(map(mul, a, c)) - sum(map(mul, b, d)))
             im.append(sum(map(mul, a, d)) + sum(map(mul, b, c)))
     exponents = [sum(map(mul, alpha, scales)) for alpha in basis.products]
@@ -205,8 +201,8 @@ def reconstruct_hermite(
     lies within E*k*n*d*M^(d-1) of the power sum of the points as given.
     Every comparison is an integer cross-multiplication, and the continued
     fraction runs on integers (ratrecon.reconstruct_ints).  A failure names
-    the first entry (i, j), in row-major order, that holds the failing
-    product.
+    the first cell of the failing product (basis.first_cells), the first
+    entry (i, j) in row-major order that holds it.
     """
     E = Fraction(accuracy)
     M = Fraction(coord_bound)
@@ -225,8 +221,7 @@ def reconstruct_hermite(
         checks[d] = err_num, err_den, denominator_bound(err_num, err_den)
 
     def fail(pos: int, reason: str, detail: str):
-        entry = divmod(basis.product_index.index(pos), l)
-        return ReconstructionFailedError(entry, reason, detail)
+        return ReconstructionFailedError(basis.first_cells[pos], reason, detail)
 
     nums, dens = [], []
     bounds: dict[Monomial, int] = {}

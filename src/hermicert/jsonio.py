@@ -252,7 +252,12 @@ def basis_from_json(monomials, variables: Sequence[str]) -> MonomialBasis:
 
 
 def hermite_from_json(data: dict, variables: Sequence[str] | None = None) -> HermitePlus:
+    """The Hermite file data, read in the given variables (the system's) or
+    in its own.  Variables the file lists must be those given: the basis and
+    the labels are read in their order."""
     vs = list(variables) if variables is not None else json_list(data["variables"], "variables")
+    if data.get("variables", vs) != vs:
+        raise ValueError(f"the Hermite file's variables {data['variables']} differ from the system's {vs}")
     matrix = matrix_from_json(data)
     basis = basis_from_json(data["basis"], vs)
     ext = ExtendedBasis(basis)

@@ -153,54 +153,45 @@ def match_and_filter(
 
     For (z, eps) in list_a the match set is every (z', eps') in list_b with
     ||z - z'|| <= eps + eps'.  An empty match set discards z.  Otherwise both
-    sides are refined by Newton w.r.t. their own system; after k rounds the
-    radii contract to eps / 2^(2^k - 1), and a point whose match set empties
-    out (separation achieved) is discarded.  Points are kept once max_rounds
-    is exhausted, so the kept list is a superset of the true-root
-    approximations; a match set still holding more than one candidate marks
-    the result inconclusive.  Points whose refinement fails keep their
-    current value and radius (conservative).
+    sides take one Newton step w.r.t. their own system per round (_refined);
+    after round r the radii contract to eps / 2^(2^r - 1), and a point whose
+    match set empties out (separation achieved) is discarded.  Points are
+    kept once max_rounds rounds have run, so the kept list is a superset of
+    the true-root approximations; a match set still holding more than one
+    candidate marks the result inconclusive.  A point whose step fails
+    keeps its current value and radius (conservative).
     """
     if list_a.radii is None or list_b.radii is None:
         raise ValueError("match_and_filter requires per-point radii on both lists")
+    if max_rounds < 0:
+        raise ValueError("max_rounds must be non-negative")
     kept: list[tuple[Point, float]] = []
     inconclusive = False
     for z0, eps0 in zip(list_a.points, list_a.radii):
-        z_cur, eps_cur = z0, eps0
-        b_pts = list(list_b.points)
-        b_rad = list(list_b.radii)
-        rounds = 0
-        decision = None
-        while True:
-            matches = [
-                j
-                for j in range(len(b_pts))
-                if _dist(z_cur, b_pts[j]) <= eps_cur + b_rad[j]
-            ]
-            if not matches:
-                decision = None
+        z, eps = z0, eps0
+        b_pts, b_rad = list(list_b.points), list(list_b.radii)
+        # round r matches the points of r - 1 steps; the last one only matches
+        for rounds in range(1, max_rounds + 2):
+            matches = [j for j in range(len(b_pts)) if _dist(z, b_pts[j]) <= eps + b_rad[j]]
+            if not matches or rounds > max_rounds:
                 break
-            if rounds >= max_rounds:
-                decision = (z_cur, eps_cur)
-                if len(matches) > 1:
-                    inconclusive = True
-                break
-            rounds += 1
             contraction = 2.0 ** (2**rounds - 1)
-            try:
-                z_cur = newton_refine(system_a, z_cur, 1).point
-                eps_cur = eps0 / contraction
-            except (SingularJacobianError, DivergedError):
-                pass
+            z, eps = _refined(system_a, z, eps, eps0 / contraction)
             for j in matches:
-                try:
-                    b_pts[j] = newton_refine(system_b, b_pts[j], 1).point
-                    b_rad[j] = list_b.radii[j] / contraction
-                except (SingularJacobianError, DivergedError):
-                    pass
-        if decision is not None:
-            kept.append(decision)
+                b_pts[j], b_rad[j] = _refined(system_b, b_pts[j], b_rad[j], list_b.radii[j] / contraction)
+        if matches:
+            kept.append((z, eps))
+            inconclusive = inconclusive or len(matches) > 1
     return FilterResult(tuple(kept), inconclusive)
+
+
+def _refined(system: PolySystem, z: Point, radius: float, contracted: float) -> tuple[Point, float]:
+    """z after one Newton step and the contracted radius; z and radius
+    unchanged when the step fails."""
+    try:
+        return newton_refine(system, z, 1).point, contracted
+    except (SingularJacobianError, DivergedError):
+        return z, radius
 
 
 class _GramSchmidt:
@@ -308,7 +299,11 @@ def _qr(columns: list[list]) -> tuple[list[list], list[list]] | None:
 
 def _newton_step(columns: list[list], minus_f: list) -> tuple[float, list | None]:
     """(||J||_F / sigma_min(J), J^-1 (-F)) for the square J with the given columns: R s =
-    Q^H (-F) for J = QR, with sigma_min(R) for sigma_min(J); (inf, None) if J is singular."""
+    Q^H (-F) for J = QR, with sigma_min(R) for sigma_min(J); (inf, None) if J is singular.
+
+    A -F of subnormal norm is solved scaled by an exact power of two to a norm
+    in [1/2, 1), and the step scaled back: solved as given, every product of
+    the solve would round onto the subnormal grid."""
     qr = _qr(columns)
     if qr is None:
         return math.inf, None
@@ -316,8 +311,17 @@ def _newton_step(columns: list[list], minus_f: list) -> tuple[float, list | None
     frob = math.hypot(*map(_norm, columns))
     # inverse iteration on R / ||J||_F overflows only far above COND_LIMIT
     sigma = _triangular_sigma_min([[x / frob for x in c] for c in r])
-    step = _back([[c[i] for c in r[i:]] for i in range(len(r))], _dots(q_conj, minus_f))
-    return (1 / sigma if sigma else math.inf), step
+    f_norm = _norm(minus_f)
+    shift = -math.frexp(f_norm)[1] if 0 < f_norm < sys.float_info.min else 0
+    step = _back([[c[i] for c in r[i:]] for i in range(len(r))], _dots(q_conj, _ldexp(minus_f, shift)))
+    return (1 / sigma if sigma else math.inf), _ldexp(step, -shift)
+
+
+def _ldexp(v: list, shift: int) -> list:
+    """v * 2^shift, each part scaled by math.ldexp; v itself when shift is 0."""
+    if not shift:
+        return v
+    return [complex(math.ldexp(z.real, shift), math.ldexp(z.imag, shift)) for z in v]
 
 
 def smallest_singular_value(v: Sequence[Sequence[complex]]) -> float:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Iterator, Sequence
 
 from .linalg import RatMatrix
@@ -398,13 +399,15 @@ class ExtendedBasis(Frozen):
 
     - products: the distinct label products b_i * b_j, in ascending order;
       entry (i, j) of the matrix is a function of b_i * b_j alone;
+    - first_cells[p]: the first cell (i, j), in row-major order, that holds
+      products[p], from which products[p] is derived;
     - position[m]: the position of the label m in the extension;
     - product_index[i * l + j]: the position of b_i * b_j in products;
     - shifts[s][i]: the position of x_s * b_i in the extension, below the
       base size exactly when x_s * b_i lies in the basis.
     """
 
-    __slots__ = ("base", "extension", "position", "products", "product_index", "shifts")
+    __slots__ = ("base", "extension", "position", "products", "first_cells", "product_index", "shifts")
 
     def __init__(self, base: MonomialBasis):
         units = [tuple(int(t == s) for t in range(base.arity)) for s in range(base.arity)]
@@ -424,20 +427,18 @@ class ExtendedBasis(Frozen):
                 code = code * radix + e
             codes.append(code)
         pairs = [a + b for a in codes for b in codes]
-        distinct = sorted(set(pairs))
-        products = []
-        for code in distinct:
-            digits = []
-            for _ in range(base.arity):
-                code, e = divmod(code, radix)
-                digits.append(e)
-            products.append(tuple(reversed(digits)))
+        l = len(ext)
+        # written from the last cell back, so the first cell of each code stays
+        first = dict(zip(reversed(pairs), range(l * l - 1, -1, -1)))
+        distinct = sorted(first)
+        first_cells = tuple(divmod(first[code], l) for code in distinct)
         index = {code: p for p, code in enumerate(distinct)}
         self._set(
             base=base,
             extension=ext,
             position=position,
-            products=tuple(products),
+            products=tuple(tuple(map(add, ext[i], ext[j])) for i, j in first_cells),
+            first_cells=first_cells,
             product_index=tuple(map(index.__getitem__, pairs)),
             shifts=tuple(tuple(position[m] for m in row) for row in shifted),
         )

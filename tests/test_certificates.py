@@ -325,3 +325,29 @@ def test_nonneg_tri_state_on_bad_roots():
     cert = certify_nonneg(NonnegQuery(CIRCLE, parse_poly("x+2", ["x", "y"])), build_hermite(bogus))
     assert cert.verdict == "fail"
     assert cert.sigma_hg is None and cert.sigma_hg2 is None
+
+
+X2 = PolySystem(("x",), [parse_poly("x^2-2", ["x"])])
+
+
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        pytest.param(
+            lambda: NonnegQuery(X2, parse_poly("y", ["y"])), "g must live in the system's ring", id="nonneg g"
+        ),
+        pytest.param(
+            lambda: lagrange_system(X2, parse_poly("y", ["y"])),
+            "g must live in the system's ring",
+            id="lagrange g",
+        ),
+        pytest.param(
+            lambda: ball_polynomial(["x", "y"], BallQuery((1,), 1)),
+            "center arity does not match the ring",
+            id="ball center",
+        ),
+    ],
+)
+def test_certificates_guards(call, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        call()

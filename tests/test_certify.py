@@ -1244,3 +1244,13 @@ def test_a_component_split_that_drops_a_coupling_is_caught_by_the_cross_check(fl
         [sys.executable, *flags, "-c", SPLIT_SCRIPT], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("certify", [certify_pipeline, certify_nonradical], ids=["pipeline", "nonradical"])
+def test_certify_guards(certify):
+    # both routes run one step sequence, which first checks the ring: here a
+    # build in [x] against a system in [x, y]
+    xy = ("x", "y")
+    system = PolySystem(xy, [parse_poly("x^2-2", xy), parse_poly("y", xy)])
+    with pytest.raises(ValueError, match="system arity does not match the basis"):
+        certify(system, parse_poly("x", xy), sqrt2_hermite())

@@ -1114,6 +1114,18 @@ def bad_input_files(files):
     entries_bool = [list(row) for row in herm_data["entries"]]
     entries_bool[0][1] = False  # in place of "0": Fraction(False) == 0
 
+    # a Hermite file of x^2 - 1, y - 2x built in [x, y], without its labels:
+    # read in [y, x] its basis {1, x} would name {1, y} without a word
+    sys_xy2 = write(tmp / "sys_xy2.json", {"variables": ["x", "y"], "polynomials": ["x^2-1", "y-2*x"]})
+    roots_xy2 = write(
+        tmp / "roots_xy2.json",
+        {"accuracy_E": "1e-10", "bound_M": "3", "points": [[["1", "0"], ["2", "0"]], [["-1", "0"], ["-2", "0"]]]},
+    )
+    herm_xy = str(tmp / "herm_xy.json")
+    assert main(["build", "--system", sys_xy2, "--roots", roots_xy2, "--out", herm_xy]) == 0
+    herm_xy_data = json.loads(Path(herm_xy).read_text(encoding="utf-8"))
+    del herm_xy_data["labels"]
+
     return {
         **files,
         "herm": herm,
@@ -1188,6 +1200,8 @@ def bad_input_files(files):
             "herm_bounds_twice",
             {**herm_data["provenance"], "bounds": {"x": 5, "x^1": 7, "1*x": 9}},
         ),
+        "herm_xy_unlabelled": write(tmp / "herm_xy_unlabelled.json", herm_xy_data),
+        "sys_yx": write(tmp / "sys_yx.json", {"variables": ["y", "x"], "polynomials": ["x^2-1", "y-2*x"]}),
         "basis_sum": write(tmp / "basis_sum.json", {"monomials": ["1", "x+y"]}),
         "basis_coeff": write(tmp / "basis_coeff.json", {"monomials": ["1", "2*x"]}),
         "basis_empty": write(tmp / "basis_empty.json", {"monomials": []}),
@@ -1233,6 +1247,11 @@ BAD_INPUTS = {
         "pipeline --system {sys_xy} --roots {roots_xy} --basis {basis_coeff}", "coefficient must be 1"
     ),
     "empty basis": ("pipeline --system {sys_xy} --roots {roots_xy} --basis {basis_empty}", "empty basis"),
+    # read in the system's order, the file's basis and matrix would name
+    # other labels, and certification would reject it as noncommuting
+    "Hermite file in other variables": (
+        "count-real --system {sys_yx} --hermite {herm_xy_unlabelled}", "differ from the system's"
+    ),
 }
 
 

@@ -94,6 +94,9 @@ BASES = [
     MonomialBasis([(0,), (1,)]),
     MonomialBasis([(0,), (1,), (2,)]),
     MonomialBasis([(0, 0), (1, 0), (0, 1)]),
+    # out of graded order: each label's values are built after a quotient's
+    MonomialBasis([(0,), (2,), (1,)]),
+    MonomialBasis([(0, 0), (1, 1), (0, 1), (1, 0)]),
 ]
 
 
@@ -322,3 +325,44 @@ def test_nonradical_scan_falling_short_of_rank_h1_is_rejected():
     fails_step_2_on_one_selected_label(
         ["x^2-x", "y-1"], ((0j, 1 + 0j), (0j, 1 + 0j), (1 + 0j, 1 + 0j)), [(0, 0), (0, 1), (1, 1)]
     )
+
+
+B1X_EXT = ExtendedBasis(MonomialBasis([(0,), (1,)]))  # labels 1, x, x^2
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        pytest.param(
+            lambda: HermitePlus(RatMatrix.from_rows([[1, 0], [0, 1]]), B1X_EXT, None),
+            ValueError,
+            "matrix size does not match the extended basis",
+            id="matrix size",
+        ),
+        pytest.param(
+            lambda: approx_extended_hermite(
+                ApproxRootSet(points=((1 + 0j, 2 + 0j),), accuracy="1e-10", coord_bound=3), B1X_EXT
+            ),
+            ValueError,
+            "point arity does not match the basis",
+            id="point arity",
+        ),
+        pytest.param(
+            lambda: reconstruct_hermite(PowerSums([2], [0], [0]), B1X_EXT, "1e-10", 2, 2),
+            ValueError,
+            "power-sum count does not match the basis",
+            id="power-sum count",
+        ),
+        # the degree-0 sum counts the points, so it is real; a failure names
+        # the first cell of its product, (0, 0)
+        pytest.param(
+            lambda: reconstruct_hermite(PowerSums([2] * 5, [1, 0, 0, 0, 0], [0] * 5), B1X_EXT, "1e-10", 2, 2),
+            ReconstructionFailedError,
+            r"entry \(0, 0\): imaginary_too_large \(degree-0 entry\)",
+            id="imaginary degree-0 sum",
+        ),
+    ],
+)
+def test_hermite_guards(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()

@@ -491,3 +491,19 @@ def test_symmetry_and_submatrix_match_their_entrywise_definitions(data):
     sub = m.submatrix(row_idx, col_idx)
     assert (sub.rows, sub.cols) == (len(row_idx), len(col_idx))
     assert all(sub.entry(a, b) == grid[i][j] for a, i in enumerate(row_idx) for b, j in enumerate(col_idx))
+
+
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        pytest.param(lambda: RatMatrix(2, 2, [1], [1]), "entry count does not match dimensions", id="entry count"),
+        pytest.param(
+            lambda: RatMatrix.from_rows([[1, 2]]) @ RatMatrix.from_rows([[1, 2]]),
+            "dimension mismatch: 2 vs 1",
+            id="product shapes",
+        ),
+    ],
+)
+def test_linalg_guards(call, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        call()

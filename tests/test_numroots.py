@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hermicert import numroots
@@ -88,7 +88,41 @@ def test_newton_step_matches_numpy(rows, rhs):
     def norm(v):  # without numpy's overflow in squaring
         return math.hypot(*map(abs, v))
 
+    # below the normal range one unit of the subnormal grid exceeds this
+    # bound, and numpy's own solve can miss by one unit (the exact test
+    # below covers that range)
+    assume(norm(ref) >= sys.float_info.min)
     assert norm(np.array(step) - ref) <= 16 * sys.float_info.epsilon * cond * norm(ref)
+
+
+UNIT = 2.0**-1074  # one unit of the subnormal grid
+
+
+def subnormal_parts():
+    # integer multiples of UNIT, their sizes spread over the subnormal range
+    return st.integers(0, 51).flatmap(lambda bits: st.integers(-(2**bits), 2**bits)).map(lambda m: m * UNIT)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    j=st.builds(complex, st.floats(-4, 4), st.floats(-4, 4)).filter(lambda z: abs(z) >= 1e-3),
+    minus_f=st.builds(complex, subnormal_parts(), subnormal_parts()),
+)
+# solved as given, this step is 1.8 units off the exact quotient
+@example(j=0.5 + 0.25j, minus_f=complex(393 * UNIT, 393 * UNIT))
+# numpy's solve is one unit off here
+@example(j=1 + 1.5j, minus_f=complex(2.2e-311, 2.2e-311))
+def test_newton_step_of_a_subnormal_residual(j, minus_f):
+    # -F of subnormal norm: each part of the step lies within
+    # 16 * eps * cond * ||x|| + one unit of the exact quotient x = -F / J,
+    # cond = 1 for 1x1 J
+    _, (step,) = numroots._newton_step([[j]], [minus_f])
+    a, b = Fraction(j.real), Fraction(j.imag)
+    c, d = Fraction(minus_f.real), Fraction(minus_f.imag)
+    x_re, x_im = (c * a + d * b) / (a * a + b * b), (d * a - c * b) / (a * a + b * b)
+    bound = Fraction(16 * sys.float_info.epsilon * math.hypot(x_re, x_im)) + Fraction(UNIT)
+    assert abs(Fraction(step.real) - x_re) <= bound
+    assert abs(Fraction(step.imag) - x_im) <= bound
 
 
 @pytest.mark.parametrize("start", [1.5, 1 + 1j, -2.0])
@@ -440,6 +474,26 @@ def test_filter_discards_far_fake_in_either_orientation():
     assert len(result.kept) == 2
     result_rev = match_and_filter(list_a, list_b, sys_a, sys_b)
     assert all(p in [q for q, _ in result_rev.kept] for p in list_b.points)
+
+
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        pytest.param(
+            lambda: select_basis(ApproxRootSet(points=(), accuracy="1e-9", coord_bound=2)),
+            "need at least one point",
+            id="select_basis without points",
+        ),
+        pytest.param(
+            lambda: match_and_filter(*_planted_lists()[2:], *_planted_lists()[:2], max_rounds=-1),
+            "max_rounds must be non-negative",
+            id="negative rounds",
+        ),
+    ],
+)
+def test_numroots_guards(call, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        call()
 
 
 def test_filter_requires_radii():

@@ -307,6 +307,7 @@ def test_extended_basis_univariate():
         ext.index_of((3,))  # a label product, not a label
     assert ext.products == ((0,), (1,), (2,), (3,), (4,))
     assert ext.product_index == (0, 1, 2, 1, 2, 3, 2, 3, 4)  # x^i * x^j = x^(i+j)
+    assert ext.first_cells == ((0, 0), (0, 1), (0, 2), (1, 2), (2, 2))
     assert ext.shifts == ((1, 2),)  # x * 1 = x is in the basis, x * x = x^2 is not
 
 
@@ -352,6 +353,7 @@ def test_extended_basis_tables_match_brute_force_on_order_ideals():
         pairs = [monomial_mul(a, b) for a in labels for b in labels]
         assert ext.products == tuple(sorted(set(pairs)))
         assert [ext.products[p] for p in ext.product_index] == pairs
+        assert ext.first_cells == tuple(divmod(pairs.index(alpha), l) for alpha in ext.products)
         for s in range(basis.arity):
             unit = tuple(int(t == s) for t in range(basis.arity))
             for i, mono in enumerate(basis.monomials):
@@ -490,3 +492,25 @@ def test_only_frozen_defines_or_bypasses_setattr():
         ("polynomials.py", "Frozen.__setattr__", "def __setattr__"),
         ("polynomials.py", "Frozen._set", "object.__setattr__"),
     ]
+
+
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        pytest.param(lambda: MultiPoly(("x",), {(1, 0): 1}), r"bad monomial \(1, 0\) for 1 variables", id="arity"),
+        pytest.param(lambda: MultiPoly(("x",), {(-1,): 1}), r"bad monomial \(-1,\)", id="negative exponent"),
+        pytest.param(
+            lambda: parse_poly("x", ["x"]).partial_derivative(1), "variable index out of range", id="derivative"
+        ),
+        pytest.param(
+            lambda: parse_poly("x", ["x"]).eval_complex((1j, 2j)), "point arity does not match ring", id="evaluation"
+        ),
+        pytest.param(
+            lambda: MultiPoly((), {(): 1}).eval_at_matrices([]), "need at least one matrix", id="no matrices"
+        ),
+        pytest.param(lambda: MonomialBasis([(0,), (1, 0)]), "mixed arities in basis", id="basis arities"),
+    ],
+)
+def test_polynomials_guards(call, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        call()

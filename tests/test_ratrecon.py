@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from math import gcd, isqrt
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -234,3 +235,12 @@ def test_exact_fraction_of_float_is_dyadic():
     assert f == Fraction(0.1)
     assert f != Fraction(1, 10)
     assert gcd(f.denominator, 2) == 2
+
+
+@pytest.mark.parametrize(
+    "call, fragment",
+    [pytest.param(lambda: reconstruct_ints(1, 3, 0), "bound must be a positive integer", id="zero bound")],
+)
+def test_ratrecon_guards(call, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        call()
