@@ -3,8 +3,8 @@ and non-negativity over a real variety.
 
 Each verdict is read from a certified outcome: the caller builds the
 extended Hermite matrix (hermite.build_hermite) and this module certifies
-it and compares exact signatures; it constructs nothing.  A verdict is
-tri-state: "true", "false", or "fail" when certification could not go
+it and compares exact signatures; it builds no Hermite matrix.  A verdict
+is tri-state: "true", "false", or "fail" when certification could not go
 through.  A failed certification never turns into a verdict.
 """
 
@@ -41,29 +41,25 @@ class BallQuery(Frozen):
 class NonnegQuery(Frozen):
     """Is g non-negative on the real points of V(f)?
 
+    lagrange is the critical-point system of g on V(f) (lagrange_system),
+    built once here: its variables are the ring of the critical points, and
+    certify_nonneg certifies against it.  Construction raises ValueError
+    when the system has more constraints than variables, when g lives in
+    another ring, or when a multiplier name l1..ls is a variable of the
+    system.
+
     Assumption flags record caller-asserted hypotheses (smoothness,
     boundedness, finitely many critical points); they are not verifiable
     here and are echoed into reports.
     """
 
-    __slots__ = ("system", "g", "assume_smooth_bounded")
+    __slots__ = ("system", "g", "lagrange", "assume_smooth_bounded")
 
     def __init__(self, system: PolySystem, g: MultiPoly, assume_smooth_bounded: bool = False):
         if len(system.polys) > system.arity():
             raise ValueError("need at most as many constraints as variables")
-        if g.variables != system.variables:
-            raise ValueError("g must live in the system's ring")
-        self._set(system=system, g=g, assume_smooth_bounded=assume_smooth_bounded)
-
-
-def lagrange_variables(system: PolySystem) -> tuple[str, ...]:
-    """The ring of the Lagrange system: the system's variables followed by
-    one multiplier l1..ls per constraint."""
-    multipliers = tuple(f"l{j + 1}" for j in range(len(system.polys)))
-    clash = set(multipliers) & set(system.variables)
-    if clash:
-        raise ValueError(f"variable names {sorted(clash)} collide with multiplier names")
-    return tuple(system.variables) + multipliers
+        lagrange = lagrange_system(system, g)
+        self._set(system=system, g=g, lagrange=lagrange, assume_smooth_bounded=assume_smooth_bounded)
 
 
 def _embed(p: MultiPoly, variables: tuple[str, ...]) -> MultiPoly:
@@ -77,13 +73,19 @@ def lagrange_system(system: PolySystem, g: MultiPoly) -> PolySystem:
     """Critical-point system of g on V(f): the constraints plus
     dg/dx_i + sum_j l_j * df_j/dx_i for every variable x_i.
 
-    The ring is lagrange_variables(system); the result is square (n+s
-    polynomials in n+s variables).
+    Its ring is the system's variables followed by one multiplier l1..ls
+    per constraint; the result is square (n+s polynomials in n+s
+    variables).  Raises ValueError when g lives in another ring than the
+    system or a multiplier name is a variable of the system.
     """
     if g.variables != system.variables:
         raise ValueError("g must live in the system's ring")
     n = system.arity()
-    ext_vars = lagrange_variables(system)
+    multipliers = tuple(f"l{j + 1}" for j in range(len(system.polys)))
+    clash = set(multipliers) & set(system.variables)
+    if clash:
+        raise ValueError(f"variable names {sorted(clash)} collide with multiplier names")
+    ext_vars = tuple(system.variables) + multipliers
     polys = [_embed(p, ext_vars) for p in system.polys]
     for i in range(n):
         acc = _embed(g.partial_derivative(i), ext_vars)
@@ -182,12 +184,12 @@ def certify_nonneg(query: NonnegQuery, hplus: HermitePlus) -> NonnegCertificate:
 
     hplus is the extended Hermite matrix built (hermite.build_hermite) from
     approximations of all critical points of g on V(f), the roots of the
-    Lagrange system.  It is certified once against that system for g, which
-    gives H_g.  Repeated critical points take the non-radical route, whose
-    Hermite matrices are those of the radical: sigma(H_g) sums sign g and
-    sigma(H_(g^2)) counts the real critical points off g = 0, so equal
-    signatures prove g >= 0 on V(f) n R^n either way.  A failed
-    certification gives a "fail" verdict.
+    Lagrange system query.lagrange.  It is certified once against that
+    system for g, which gives H_g.  Repeated critical points take the
+    non-radical route, whose Hermite matrices are those of the radical:
+    sigma(H_g) sums sign g and sigma(H_(g^2)) counts the real critical
+    points off g = 0, so equal signatures prove g >= 0 on V(f) n R^n
+    either way.  A failed certification gives a "fail" verdict.
 
     Both routes certify H1 as the trace form of a reduced algebra A, and
     H_g = H1 * g(M).  By Hermite's theorem rank H_g is the number of points
@@ -197,7 +199,7 @@ def certify_nonneg(query: NonnegQuery, hplus: HermitePlus) -> NonnegCertificate:
     Only a singular H_g needs H_(g^2), derived from the certified data
     (derive_hg, which cannot fail).
     """
-    lag = lagrange_system(query.system, query.g)
+    lag = query.lagrange
     g_ext = _embed(query.g, lag.variables)
     outcome = certify_pipeline(lag, g_ext, hplus)
     if not outcome.certified:

@@ -10,6 +10,17 @@ loads, parses and checks its inputs inside an _input_boundary block, and
 only the input errors listed there exit 1.  Construction, certification
 and derivation run after it; a ValueError raised there is a fault, not
 bad input, and propagates out of main.
+
+Three library calls run inside the boundary, because each one is where
+the rules on its arguments are checked: NonnegQuery (no more constraints
+than variables, g in the system's ring, no multiplier name among the
+variables), match_and_filter (radii on both lists,
+max_rounds >= 0, square systems in one variable list) and
+rational_reconstruct (a bound >= 1, a rational value).  None of them
+constructs a Hermite matrix or certifies one: NonnegQuery derives the
+Lagrange system, match_and_filter takes only floating-point Newton steps,
+and rational_reconstruct is the whole of its command, so every ValueError
+they raise is an argument error.
 """
 
 from __future__ import annotations
@@ -17,7 +28,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import jsonio
@@ -28,7 +38,6 @@ from .certificates import (
     bezout_bound,
     certify_ball,
     certify_nonneg,
-    lagrange_variables,
 )
 from .certify import certify_pipeline
 from .hermite import ReconstructionFailedError, build_hermite
@@ -88,7 +97,7 @@ def _load_system(path: str):
 def _load_roots(path: str, variables):
     """The roots file, checked to hold points of the ring of variables."""
     roots = jsonio.roots_from_json(_load_json(path))
-    if any(len(point) != len(variables) for point in roots.points):
+    if roots.points and roots.arity() != len(variables):
         raise ValueError("point arity does not match the variable list")
     return roots
 
@@ -124,6 +133,15 @@ def _verdict_exit(verdict: str) -> int:
     return {"true": EXIT_OK, "false": EXIT_VERDICT_FALSE}.get(verdict, EXIT_CERTIFY_FAIL)
 
 
+def _certified_exit(outcome) -> int:
+    return EXIT_OK if outcome.certified else EXIT_CERTIFY_FAIL
+
+
+def _ball_payload(cert) -> dict:
+    """The verdict of a ball certificate and the signatures that decide it."""
+    return {"verdict": cert.verdict, "sigma_H1": cert.sigma_h1, "sigma_Hg": cert.sigma_hg}
+
+
 def _ball_query(center: str, eps2: str, variables) -> BallQuery:
     query = BallQuery(center=center.split(","), radius_squared=eps2)
     if len(query.center) != len(variables):
@@ -150,8 +168,7 @@ def cmd_certify(args) -> tuple[int, dict]:
         system, hplus = _load_hermite(args)
         g = parse_poly(args.g, system.variables)
     outcome = certify_pipeline(system, g, hplus)
-    report = jsonio.report_to_json(outcome, system.variables)
-    return (EXIT_OK if outcome.certified else EXIT_CERTIFY_FAIL), report
+    return _certified_exit(outcome), jsonio.report_to_json(outcome, system.variables)
 
 
 def cmd_ball(args) -> tuple[int, dict]:
@@ -160,9 +177,7 @@ def cmd_ball(args) -> tuple[int, dict]:
         query = _ball_query(args.center, args.eps2, system.variables)
     cert = certify_ball(system, query, hplus)
     payload = {
-        "verdict": cert.verdict,
-        "sigma_H1": cert.sigma_h1,
-        "sigma_Hg": cert.sigma_hg,
+        **_ball_payload(cert),
         "center": [jsonio.frac_str(c) for c in query.center],
         "eps2": jsonio.frac_str(query.radius_squared),
         "certificate": jsonio.report_to_json(cert.outcome, system.variables),
@@ -175,7 +190,7 @@ def cmd_nonneg(args) -> tuple[int, dict]:
         system = _load_system(args.system)
         g = parse_poly(args.g, system.variables)
         query = NonnegQuery(system, g, assume_smooth_bounded=args.assume_smooth_bounded)
-        roots, basis = _load_points(args, lagrange_variables(system))
+        roots, basis = _load_points(args, query.lagrange.variables)
     cert = certify_nonneg(query, build_hermite(roots, basis))
     payload = {
         "verdict": cert.verdict,
@@ -194,12 +209,9 @@ def cmd_nonneg(args) -> tuple[int, dict]:
 def cmd_count_real(args) -> tuple[int, dict]:
     with _input_boundary():
         system, hplus = _load_hermite(args)
-    one = parse_poly("1", system.variables)
-    outcome = certify_pipeline(system, one, hplus)
+    outcome = certify_pipeline(system, parse_poly("1", system.variables), hplus)
     report = jsonio.report_to_json(outcome, system.variables)
-    if not outcome.certified:
-        return EXIT_CERTIFY_FAIL, {"real_root_count": None, "certificate": report}
-    return EXIT_OK, {"real_root_count": outcome.sigma_h1, "certificate": report}
+    return _certified_exit(outcome), {"real_root_count": outcome.sigma_h1, "certificate": report}
 
 
 def cmd_refine(args) -> tuple[int, dict]:
@@ -228,20 +240,10 @@ def cmd_filter_roots(args) -> tuple[int, dict]:
     with _input_boundary():
         if len(args.system) != 2 or len(args.roots) != 2:
             raise ValueError("filter-roots needs --system and --roots twice (list A, list B)")
-        if args.max_rounds < 0:
-            raise ValueError("max-rounds must be non-negative")
-        system_a = _load_system(args.system[0])
-        system_b = _load_system(args.system[1])
-        # distances are taken coordinate by coordinate, and Newton needs square systems
-        if system_a.variables != system_b.variables:
-            raise ValueError("filter-roots needs both systems in the same variables")
-        if len(system_a.polys) != system_a.arity() or len(system_b.polys) != system_b.arity():
-            raise ValueError("filter-roots requires square systems")
+        system_a, system_b = map(_load_system, args.system)
         roots_a = _load_roots(args.roots[0], system_a.variables)
         roots_b = _load_roots(args.roots[1], system_b.variables)
-        if roots_a.radii is None or roots_b.radii is None:
-            raise ValueError("filter-roots requires per-point radii on both lists")
-    result = match_and_filter(roots_a, roots_b, system_a, system_b, max_rounds=args.max_rounds)
+        result = match_and_filter(roots_a, roots_b, system_a, system_b, max_rounds=args.max_rounds)
     kept_points = tuple(p for p, _ in result.kept)
     kept_radii = tuple(r for _, r in result.kept)
     payload = jsonio.roots_to_json(_refined_roots(roots_a, kept_points, kept_radii))
@@ -251,15 +253,9 @@ def cmd_filter_roots(args) -> tuple[int, dict]:
 
 def cmd_reconstruct_rational(args) -> tuple[int, dict]:
     with _input_boundary():
-        value = Fraction(args.value)
-        if args.bound < 1:
-            raise ValueError("bound must be a positive integer")
-    result = rational_reconstruct(value, args.bound)
-    payload = {
-        "value": args.value,
-        "bound": args.bound,
-        "result": None if result is None else jsonio.frac_str(result),
-    }
+        result = rational_reconstruct(args.value, args.bound)
+    text = None if result is None else jsonio.frac_str(result)
+    payload = {"value": args.value, "bound": args.bound, "result": text}
     return (EXIT_OK if result is not None else EXIT_CONSTRUCTION), payload
 
 
@@ -281,11 +277,7 @@ def cmd_pipeline(args) -> tuple[int, dict]:
     payload["real_root_count"] = outcome.sigma_h1
     if query is not None:
         cert = ball_from_outcome(outcome, system.variables, query)
-        payload["ball"] = {
-            "verdict": cert.verdict,
-            "sigma_H1": cert.sigma_h1,
-            "sigma_Hg": cert.sigma_hg,
-        }
+        payload["ball"] = _ball_payload(cert)
         return _verdict_exit(cert.verdict), payload
     return EXIT_OK, payload
 
@@ -307,33 +299,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--out", help="write the JSON result to this path instead of stdout")
+    def command(name, handler, help, *required_files):
+        """The sub-command name, run by handler, with one required
+        --<file> option per entry of required_files.  --out is added to
+        every sub-command at the end, so it stays last in --help."""
+        p = sub.add_parser(name, help=help)
+        for option in required_files:
+            p.add_argument(f"--{option}", required=True)
+        p.set_defaults(func=handler)
+        return p
 
-    p = sub.add_parser("build", help="reconstruct the extended Hermite matrix from roots")
-    p.add_argument("--system", required=True)
-    p.add_argument("--roots", required=True)
+    p = command("build", cmd_build, "reconstruct the extended Hermite matrix from roots", "system", "roots")
     p.add_argument("--basis", help="basis JSON; selected automatically when omitted")
-    common(p)
-    p.set_defaults(func=cmd_build)
 
-    p = sub.add_parser("certify", help="symbolically certify a Hermite matrix")
-    p.add_argument("--system", required=True)
-    p.add_argument("--hermite", required=True)
+    p = command("certify", cmd_certify, "symbolically certify a Hermite matrix", "system", "hermite")
     p.add_argument("--g", default="1", help="polynomial for the weighted matrix (default 1)")
-    common(p)
-    p.set_defaults(func=cmd_certify)
 
-    p = sub.add_parser("ball", help="certify whether a real root lies in a closed ball")
-    p.add_argument("--system", required=True)
-    p.add_argument("--hermite", required=True)
+    p = command("ball", cmd_ball, "certify whether a real root lies in a closed ball", "system", "hermite")
     p.add_argument("--center", required=True, help="comma-separated rational coordinates")
     p.add_argument("--eps2", required=True, help="squared radius, rational")
-    common(p)
-    p.set_defaults(func=cmd_ball)
 
-    p = sub.add_parser("nonneg", help="certify non-negativity of g over the real variety")
-    p.add_argument("--system", required=True)
+    p = command("nonneg", cmd_nonneg, "certify non-negativity of g over the real variety", "system")
     p.add_argument("--g", required=True)
     p.add_argument("--roots", required=True, help="approximate roots of the Lagrange system")
     p.add_argument(
@@ -342,47 +328,31 @@ def build_parser() -> argparse.ArgumentParser:
         "automatically when omitted",
     )
     p.add_argument("--assume-smooth-bounded", action="store_true")
-    common(p)
-    p.set_defaults(func=cmd_nonneg)
 
-    p = sub.add_parser("count-real", help="certified number of distinct real roots")
-    p.add_argument("--system", required=True)
-    p.add_argument("--hermite", required=True)
-    common(p)
-    p.set_defaults(func=cmd_count_real)
+    command("count-real", cmd_count_real, "certified number of distinct real roots", "system", "hermite")
 
-    p = sub.add_parser("refine", help="Newton-refine a roots file")
-    p.add_argument("--system", required=True)
-    p.add_argument("--roots", required=True)
+    p = command("refine", cmd_refine, "Newton-refine a roots file", "system", "roots")
     p.add_argument("--iters", type=int, default=3)
-    common(p)
-    p.set_defaults(func=cmd_refine)
 
-    p = sub.add_parser(
-        "filter-roots", help="discard points of list A that cannot be roots of both systems"
+    p = command(
+        "filter-roots", cmd_filter_roots, "discard points of list A that cannot be roots of both systems"
     )
     p.add_argument("--system", action="append", required=True, help="give twice: A then B")
     p.add_argument("--roots", action="append", required=True, help="give twice: A then B")
     p.add_argument("--max-rounds", type=int, default=6)
-    common(p)
-    p.set_defaults(func=cmd_filter_roots)
 
-    p = sub.add_parser("reconstruct-rational", help="rational number reconstruction")
+    p = command("reconstruct-rational", cmd_reconstruct_rational, "rational number reconstruction")
     p.add_argument("value", help="decimal or rational string")
     p.add_argument("bound", type=int, help="denominator bound")
-    common(p)
-    p.set_defaults(func=cmd_reconstruct_rational)
 
-    p = sub.add_parser("pipeline", help="build, certify, and report in one run")
-    p.add_argument("--system", required=True)
-    p.add_argument("--roots", required=True)
+    p = command("pipeline", cmd_pipeline, "build, certify, and report in one run", "system", "roots")
     p.add_argument("--basis")
     p.add_argument("--g", default="1")
     p.add_argument("--center")
     p.add_argument("--eps2")
-    common(p)
-    p.set_defaults(func=cmd_pipeline)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", help="write the JSON result to this path instead of stdout")
     return parser
 
 

@@ -121,9 +121,8 @@ def approx_extended_hermite(points: ApproxRootSet, basis: ExtendedBasis) -> Powe
     exactly from the certified multiplication matrices.
     """
     arity = basis.base.arity
-    for p in points.points:
-        if len(p) != arity:
-            raise ValueError("point arity does not match the basis")
+    if points.points and points.arity() != arity:
+        raise ValueError("point arity does not match the basis")
     k = len(points)
     scales, re_cols, im_cols = [], [], []
     for s in range(arity):

@@ -31,7 +31,8 @@ class SingularJacobianError(RuntimeError):
 
 
 class DivergedError(RuntimeError):
-    """Newton iteration grew the residual three times in a row."""
+    """Newton iteration grew the residual three times in a row, or met a
+    residual, a Jacobian or a step beyond the range of a double."""
 
 
 class CoordinateBoundError(RuntimeError):
@@ -49,7 +50,8 @@ _INVERSE_ITERATIONS = 100
 class ApproxRootSet(Frozen):
     """Approximate roots with a shared accuracy bound E and coordinate bound M.
 
-    Every point must have finite coordinates with max_i |z_i| <= M - E.
+    All points have one arity, and every point must have finite coordinates
+    with max_i |z_i| <= M - E; ValueError otherwise.
     Optional per-point radii r >= 0 (NaN is not, inf is) bound the distance
     to the exact root each point approximates (used by match_and_filter).
     """
@@ -67,6 +69,8 @@ class ApproxRootSet(Frozen):
         accuracy, coord_bound = Fraction(accuracy), Fraction(coord_bound)
         if accuracy <= 0:
             raise ValueError("accuracy must be positive")
+        if len(set(map(len, pts))) > 1:
+            raise ValueError("points of different arities")
         if radii is not None:
             radii = tuple(float(r) for r in radii)
             if len(radii) != len(pts) or not all(r >= 0 for r in radii):
@@ -93,8 +97,21 @@ class RefineResult(NamedTuple):
     residual: float
 
 
+def _l2(values: Iterable[complex]) -> float:
+    """The 2-norm as the square root of a sum of squares; by math.hypot of
+    the real and imaginary parts where a modulus, a square or the sum
+    exceeds the range of a double, so a norm within it is computed without
+    overflow."""
+    values = list(values)
+    try:
+        norm = math.sqrt(sum(abs(v) ** 2 for v in values))
+    except OverflowError:
+        norm = math.inf
+    return norm if norm < math.inf else math.hypot(*(t for v in values for t in (v.real, v.imag)))
+
+
 def _residual(system: PolySystem, z: Sequence[complex]) -> float:
-    return math.sqrt(sum(abs(p.eval_complex(z)) ** 2 for p in system.polys))
+    return _l2(p.eval_complex(z) for p in system.polys)
 
 
 def newton_refine(system: PolySystem, z: Sequence[complex], iters: int) -> RefineResult:
@@ -104,6 +121,13 @@ def newton_refine(system: PolySystem, z: Sequence[complex], iters: int) -> Refin
     step that cannot decrease it counts as growth, and three consecutive
     growth events raise DivergedError.  Accepted steps therefore never
     increase the residual.
+
+    Raises ValueError for a system that is not square,
+    SingularJacobianError for a Jacobian whose condition estimate exceeds
+    1e12, and DivergedError for three growths in a row or for a residual at
+    z, or a Jacobian or step at an accepted point, beyond the range of a
+    double (a trial step whose residual is beyond it counts as one that
+    grows it).
     """
     n = system.arity()
     if len(system.polys) != n:
@@ -111,10 +135,15 @@ def newton_refine(system: PolySystem, z: Sequence[complex], iters: int) -> Refin
     partials = [[p.partial_derivative(j) for p in system.polys] for j in range(n)]  # J's columns
     current = tuple(complex(c) for c in z)
     res = _residual(system, current)
+    if not res < math.inf:
+        raise DivergedError("residual beyond the range of a double")
     growth = 0
     for _ in range(iters):
         columns = [[d.eval_complex(current) for d in col] for col in partials]
-        cond, step = _newton_step(columns, [-p.eval_complex(current) for p in system.polys])
+        try:
+            cond, step = _newton_step(columns, [-p.eval_complex(current) for p in system.polys])
+        except OverflowError as exc:
+            raise DivergedError("Newton step beyond the range of a double") from exc
         if not cond <= COND_LIMIT:
             raise SingularJacobianError(f"Jacobian condition estimate {cond:.3e} exceeds 1e12")
         scale = 1.0
@@ -133,7 +162,7 @@ def newton_refine(system: PolySystem, z: Sequence[complex], iters: int) -> Refin
 
 
 def _dist(a: Point, b: Point) -> float:
-    return math.sqrt(sum(abs(x - y) ** 2 for x, y in zip(a, b)))
+    return _l2(x - y for x, y in zip(a, b))
 
 
 class FilterResult(NamedTuple):
@@ -151,10 +180,16 @@ def match_and_filter(
     """Filter list_a against list_b: keep only points that can approximate a
     common root of both square systems.
 
+    Its rules are checked before anything else, each with ValueError: both
+    lists carry per-point radii, max_rounds >= 0, and both systems are
+    square in one variable list (distances are taken coordinate by
+    coordinate, and Newton needs square systems).
+
     For (z, eps) in list_a the match set is every (z', eps') in list_b with
     ||z - z'|| <= eps + eps'.  An empty match set discards z.  Otherwise both
     sides take one Newton step w.r.t. their own system per round (_refined);
-    after round r the radii contract to eps / 2^(2^r - 1), and a point whose
+    after round r the radii contract to eps / 2^(2^r - 1) (math.ldexp: exact,
+    and 0.0 once that leaves the range of a double), and a point whose
     match set empties out (separation achieved) is discarded.  Points are
     kept once max_rounds rounds have run, so the kept list is a superset of
     the true-root approximations; a match set still holding more than one
@@ -165,6 +200,10 @@ def match_and_filter(
         raise ValueError("match_and_filter requires per-point radii on both lists")
     if max_rounds < 0:
         raise ValueError("max_rounds must be non-negative")
+    if system_a.variables != system_b.variables:
+        raise ValueError("match_and_filter needs both systems in the same variables")
+    if len(system_a.polys) != system_a.arity() or len(system_b.polys) != system_b.arity():
+        raise ValueError("match_and_filter requires square systems")
     kept: list[tuple[Point, float]] = []
     inconclusive = False
     for z0, eps0 in zip(list_a.points, list_a.radii):
@@ -175,10 +214,10 @@ def match_and_filter(
             matches = [j for j in range(len(b_pts)) if _dist(z, b_pts[j]) <= eps + b_rad[j]]
             if not matches or rounds > max_rounds:
                 break
-            contraction = 2.0 ** (2**rounds - 1)
-            z, eps = _refined(system_a, z, eps, eps0 / contraction)
+            shift = 1 - 2**rounds  # radii contract by the exact power 2^shift
+            z, eps = _refined(system_a, z, eps, math.ldexp(eps0, shift))
             for j in matches:
-                b_pts[j], b_rad[j] = _refined(system_b, b_pts[j], b_rad[j], list_b.radii[j] / contraction)
+                b_pts[j], b_rad[j] = _refined(system_b, b_pts[j], b_rad[j], math.ldexp(list_b.radii[j], shift))
         if matches:
             kept.append((z, eps))
             inconclusive = inconclusive or len(matches) > 1
@@ -250,7 +289,17 @@ def _back(rows: list[list], y: Sequence) -> list:
 
 def _triangular_sigma_min(columns: list[list]) -> float:
     """sigma_min of the upper triangular R with the given columns (column j
-    holds rows 0..j), as 1/||R^-1||_2 by inverse iteration on R^H R.
+    holds rows 0..j), as 1/||R^-1||_2 (_inverse_norm); 0.0 when R has a zero
+    diagonal entry or ||R^-1|| exceeds the range of a double."""
+    try:
+        return 1 / _inverse_norm(columns)
+    except (ZeroDivisionError, OverflowError):
+        return 0.0
+
+
+def _inverse_norm(columns: list[list]) -> float:
+    """||R^-1||_2 for the upper triangular R with the given columns, by
+    inverse iteration on R^H R.
 
     The start solves R^H y = x with x_j = +-1 chosen to make each y_j large
     (the LINPACK condition estimator); each step then solves R z = y and
@@ -279,7 +328,7 @@ def _triangular_sigma_min(columns: list[list]) -> float:
         if grown <= estimate * (1 + 4 * _EPS):
             break
         estimate = grown
-    return 1 / estimate
+    return estimate
 
 
 def _qr(columns: list[list]) -> tuple[list[list], list[list]] | None:
@@ -303,13 +352,17 @@ def _newton_step(columns: list[list], minus_f: list) -> tuple[float, list | None
 
     A -F of subnormal norm is solved scaled by an exact power of two to a norm
     in [1/2, 1), and the step scaled back: solved as given, every product of
-    the solve would round onto the subnormal grid."""
+    the solve would round onto the subnormal grid.  A J, or a value of the
+    solve, beyond the range of a double raises OverflowError."""
+    frob = math.hypot(*map(_norm, columns))
+    if not frob < math.inf:
+        raise OverflowError("Jacobian beyond the range of a double")
     qr = _qr(columns)
     if qr is None:
         return math.inf, None
     q_conj, r = qr
-    frob = math.hypot(*map(_norm, columns))
-    # inverse iteration on R / ||J||_F overflows only far above COND_LIMIT
+    # inverse iteration on R / ||J||_F overflows only far above COND_LIMIT,
+    # where the sigma_min it gives is 0.0
     sigma = _triangular_sigma_min([[x / frob for x in c] for c in r])
     f_norm = _norm(minus_f)
     shift = -math.frexp(f_norm)[1] if 0 < f_norm < sys.float_info.min else 0
@@ -350,7 +403,8 @@ def select_basis(points: ApproxRootSet) -> MonomialBasis:
     ideal, in particular connected to 1) and must keep sigma_min of the
     trial Vandermonde V above t = max(k*n*d*M^(d-1)*E, k*eps*||V||_F),
     where d is the candidate's degree, the trial's largest as the scan is
-    graded.  The second term is the
+    graded; where M^(d-1) exceeds the range of a double the first term is
+    +inf, which rejects the candidate.  The second term is the
     rounding floor max(rows, cols)*eps*||V||_F (numpy's matrix_rank
     tolerance, with the Frobenius norm standing in for sigma_max): below it
     a computed sigma_min is indistinguishable from rounding error, however
@@ -406,7 +460,11 @@ def select_basis(points: ApproxRootSet) -> MonomialBasis:
             c = [1.0] * k
         c_norm = _norm(c)
         frob = math.sqrt(frob2 + c_norm * c_norm)
-        threshold = max(k * n * d * m_val ** (d - 1) * e_val, k * _EPS * frob)
+        try:
+            bound = k * n * d * m_val ** (d - 1) * e_val
+        except OverflowError:  # M^(d-1) beyond a double: +inf, whatever E is
+            bound = math.inf
+        threshold = max(bound, k * _EPS * frob)
         r, w = gs.project_out(c)
         rho = _norm(w)
         if rho <= threshold:

@@ -15,6 +15,7 @@ time, each from the end of the previous one.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from operator import add
@@ -190,14 +191,19 @@ class MultiPoly(Frozen):
         return MultiPoly(self.variables, terms)
 
     def eval_complex(self, point: Sequence[complex]) -> complex:
+        """The value at point in complex doubles; not finite where a
+        coefficient, a power or a product exceeds the range of a double."""
         if len(point) != len(self.variables):
             raise ValueError("point arity does not match ring")
         total = 0j
         for mono, c in self.terms.items():
-            v = complex(float(c))
-            for z, e in zip(point, mono):
-                if e:
-                    v *= complex(z) ** e
+            try:
+                v = complex(float(c))
+                for z, e in zip(point, mono):
+                    if e:
+                        v *= complex(z) ** e
+            except OverflowError:  # where float() and ** raise, * gives inf or nan
+                return complex(math.inf, math.inf)
             total += v
         return total
 

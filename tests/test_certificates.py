@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import hermicert.certificates
 from hermicert.certificates import (
     BallQuery,
     NonnegQuery,
@@ -223,6 +224,26 @@ def test_nonneg_true_for_shifted_coordinate():
     assert cert.outcome.hg == RatMatrix.from_rows([[4, 2], [2, 4]])
     hg2 = derive_hg(cert.outcome, squared_in_lagrange_ring(cert, "x+2"))[0]
     assert hg2 == RatMatrix.from_rows([[10, 8], [8, 10]])
+
+
+def test_nonneg_query_builds_its_lagrange_system_once(monkeypatch):
+    g = parse_poly("x+2", ["x", "y"])
+    query = NonnegQuery(CIRCLE, g)
+    lag = lagrange_system(CIRCLE, g)
+    assert (query.lagrange.variables, query.lagrange.polys) == (lag.variables, lag.polys)
+
+    def rebuilt(*args):
+        raise AssertionError("certify_nonneg derived the Lagrange system again")
+
+    monkeypatch.setattr(hermicert.certificates, "lagrange_system", rebuilt)
+    cert = certify_nonneg(query, build_hermite(circle_critical_roots()))
+    assert cert.verdict == "true" and cert.lagrange is query.lagrange
+
+
+def test_nonneg_query_rejects_a_multiplier_name_clash():
+    clash = PolySystem(["x", "l1"], [parse_poly("x^2+l1^2-1", ["x", "l1"])])
+    with pytest.raises(ValueError, match="collide with multiplier names"):
+        NonnegQuery(clash, parse_poly("x", ["x", "l1"]))
 
 
 def test_nonneg_false_for_plain_coordinate():

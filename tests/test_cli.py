@@ -1,3 +1,4 @@
+import argparse
 import copy
 import hashlib
 import json
@@ -19,7 +20,7 @@ import hermicert.certify
 import hermicert.cli
 import hermicert.hermite
 from hermicert.certify import SignatureMethodMismatchError
-from hermicert.cli import main
+from hermicert.cli import build_parser, main
 
 from conftest import wrong_signature_kernel
 
@@ -271,6 +272,93 @@ def test_filter_roots_keeps_a_point_whose_refinement_fails(tmp_path, capsys):
     assert (v["points"], v["radii"]) == ([[["0.0", "0.0"]]], ["1.0"])
 
 
+@pytest.mark.parametrize("rounds", [11, 64])
+def test_filter_roots_past_ten_rounds_contracts_the_radii_to_zero(rounds, tmp_path, capsys):
+    # after round r the radii are eps / 2^(2^r - 1): from round 11 on that
+    # power of two is beyond the range of a double, and the radii are 0.0
+    sys_path = write(tmp_path / "s.json", {"variables": ["x"], "polynomials": ["x^2-2"]})
+    roots = write(
+        tmp_path / "r.json",
+        {
+            "accuracy_E": "1e-10",
+            "bound_M": "2",
+            "points": [[[repr(SQRT2), "0"]], [[repr(-SQRT2), "0"]]],
+            "radii": ["1e-3", "1e-3"],
+        },
+    )
+    lists = ["--system", sys_path, "--roots", roots] * 2
+    code, v = run(capsys, "filter-roots", *lists, "--max-rounds", str(rounds))
+    assert code == 0, v
+    assert len(v["points"]) == 2 and v["radii"] == ["0.0", "0.0"] and v["inconclusive"] is False
+
+
+def test_basis_selection_with_powers_of_m_beyond_a_double_rejects_the_candidate(tmp_path, capsys):
+    # M^2 = 1e400 for the degree-3 candidate: its threshold is +inf, the
+    # basis {1, x, x^2} is too small for 4 points, and reconstruction finds
+    # the accuracy too poor (2*E*k*n*d*M^(d-1) >= 1)
+    sys_path = write(tmp_path / "s.json", {"variables": ["x"], "polynomials": ["x^4-5*x^2+4"]})
+    roots = write(
+        tmp_path / "r.json",
+        {"accuracy_E": "1e-250", "bound_M": "1e200", "points": [[[x, "0"]] for x in ("1", "-1", "2", "-2")]},
+    )
+    code, v = run(capsys, "pipeline", "--system", sys_path, "--roots", roots)
+    assert code == 2 and v["error"]["type"] == "ReconstructionFailedError"
+    assert "not_usable" in v["error"]["message"]
+
+
+def _far_roots(tmp_path, name, *xs):
+    """A roots file of the points xs in x, each with radius 1, and M = 1e201."""
+    doc = {"accuracy_E": "1e-10", "bound_M": "1e201", "points": [[[x, "0"]] for x in xs], "radii": ["1"] * len(xs)}
+    return write(tmp_path / name, doc)
+
+
+def test_refine_far_from_the_root_computes_a_residual_beyond_a_squared_double(tmp_path, capsys):
+    # the residual of x^2 - 2 at 1e100 is 1e200, a double whose square is not
+    sys_path = write(tmp_path / "s.json", {"variables": ["x"], "polynomials": ["x^2-2"]})
+    code, v = run(capsys, "refine", "--system", sys_path, "--roots", _far_roots(tmp_path, "r.json", "1e100"))
+    assert code == 0, v
+    # three Newton steps halve x each time: 1.25e99, where x^2 - 2 is 1.5625e198
+    assert v["points"] == [[["1.25e+99", "0.0"]]] and v["residuals"] == ["1.5625e+198"]
+
+
+@pytest.mark.parametrize(
+    "poly, start",
+    [
+        # x^2 at 1e200 is beyond the range of a double
+        ("x^2-2", "1e200"),
+        # and so is the coefficient 10^400
+        ("1" + "0" * 400 + "*x-1", "1"),
+    ],
+    ids=["power", "coefficient"],
+)
+def test_refine_from_a_residual_beyond_a_double_is_a_failed_newton_step(poly, start, tmp_path, capsys):
+    sys_path = write(tmp_path / "s.json", {"variables": ["x"], "polynomials": [poly]})
+    code, v = run(capsys, "refine", "--system", sys_path, "--roots", _far_roots(tmp_path, "r.json", start))
+    assert code == 2 and v["error"]["type"] == "DivergedError"
+    assert v["error"]["message"] == "point 0: residual beyond the range of a double"
+
+
+@pytest.mark.parametrize(
+    "list_b, kept",
+    [
+        # both lists match at 1e200, where no Newton step can be taken:
+        # the point is kept with its radius
+        ("1e200", [[["1e+200", "0.0"]]]),
+        # 2e200 apart, beyond radii 1 + 1, though the square of that
+        # distance is beyond the range of a double
+        ("-1e200", []),
+    ],
+)
+def test_filter_roots_far_from_the_origin(list_b, kept, tmp_path, capsys):
+    sys_path = write(tmp_path / "s.json", {"variables": ["x"], "polynomials": ["x^2-2"]})
+    roots_a = _far_roots(tmp_path, "a.json", "1e200")
+    roots_b = _far_roots(tmp_path, "b.json", list_b)
+    argv = ["--system", sys_path, "--roots", roots_a, "--system", sys_path, "--roots", roots_b]
+    code, v = run(capsys, "filter-roots", *argv)
+    assert code == 0, v
+    assert v["points"] == kept and v["radii"] == ["1.0"] * len(kept) and v["inconclusive"] is False
+
+
 def test_reconstruct_rational_cli(capsys):
     code, v = run(capsys, "reconstruct-rational", "0.3333333", "100")
     assert code == 0 and v["result"] == "1/3"
@@ -378,6 +466,85 @@ def test_argument_errors_exit_with_usage_code(argv, capsys):
         main(argv)
     assert exc.value.code == 1
     assert "error:" in capsys.readouterr().err
+
+
+# Every sub-command's options, name -> (required, default, action, type),
+# as read from build_parser() before it declared them through one helper.
+CLI_SURFACE = {
+    "build": {
+        "--system": (True, None, "_StoreAction", None),
+        "--roots": (True, None, "_StoreAction", None),
+        "--basis": (False, None, "_StoreAction", None),
+        "--out": (False, None, "_StoreAction", None),
+    },
+    "certify": {
+        "--system": (True, None, "_StoreAction", None),
+        "--hermite": (True, None, "_StoreAction", None),
+        "--g": (False, "1", "_StoreAction", None),
+        "--out": (False, None, "_StoreAction", None),
+    },
+    "ball": {
+        "--system": (True, None, "_StoreAction", None),
+        "--hermite": (True, None, "_StoreAction", None),
+        "--center": (True, None, "_StoreAction", None),
+        "--eps2": (True, None, "_StoreAction", None),
+        "--out": (False, None, "_StoreAction", None),
+    },
+    "nonneg": {
+        "--system": (True, None, "_StoreAction", None),
+        "--g": (True, None, "_StoreAction", None),
+        "--roots": (True, None, "_StoreAction", None),
+        "--basis": (False, None, "_StoreAction", None),
+        "--assume-smooth-bounded": (False, False, "_StoreTrueAction", None),
+        "--out": (False, None, "_StoreAction", None),
+    },
+    "count-real": {
+        "--system": (True, None, "_StoreAction", None),
+        "--hermite": (True, None, "_StoreAction", None),
+        "--out": (False, None, "_StoreAction", None),
+    },
+    "refine": {
+        "--system": (True, None, "_StoreAction", None),
+        "--roots": (True, None, "_StoreAction", None),
+        "--iters": (False, 3, "_StoreAction", "int"),
+        "--out": (False, None, "_StoreAction", None),
+    },
+    "filter-roots": {
+        "--system": (True, None, "_AppendAction", None),
+        "--roots": (True, None, "_AppendAction", None),
+        "--max-rounds": (False, 6, "_StoreAction", "int"),
+        "--out": (False, None, "_StoreAction", None),
+    },
+    "reconstruct-rational": {
+        "value": (True, None, "_StoreAction", None),
+        "bound": (True, None, "_StoreAction", "int"),
+        "--out": (False, None, "_StoreAction", None),
+    },
+    "pipeline": {
+        "--system": (True, None, "_StoreAction", None),
+        "--roots": (True, None, "_StoreAction", None),
+        "--basis": (False, None, "_StoreAction", None),
+        "--g": (False, "1", "_StoreAction", None),
+        "--center": (False, None, "_StoreAction", None),
+        "--eps2": (False, None, "_StoreAction", None),
+        "--out": (False, None, "_StoreAction", None),
+    },
+}
+
+
+def test_every_sub_command_keeps_its_options():
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    surface = {
+        name: {
+            (a.option_strings[0] if a.option_strings else a.dest): (
+                a.required, a.default, type(a).__name__, a.type and a.type.__name__
+            )
+            for a in p._actions
+            if not isinstance(a, argparse._HelpAction)
+        }
+        for name, p in commands.choices.items()
+    }
+    assert surface == CLI_SURFACE
 
 
 def test_help_exits_zero(capsys):
@@ -1381,7 +1548,12 @@ FUZZ_PATHS = {
 }
 FUZZ_PATHS["roots_b"] = FUZZ_PATHS["lagrange_roots"] = FUZZ_PATHS["roots"]
 FUZZ_PATHS["lagrange_system"] = FUZZ_PATHS["system"]
-FUZZ_VALUES = ["nan", "inf", "2e308", "1e400", "1e-400", "1/0", "", 5, 2.5, None, True, [], {}, ["x"]]
+FUZZ_VALUES = [
+    "nan", "inf", "2e308", "1e400", "1e-400", "1e200", "-1e200", "1/0", "", 5, 2.5, None, True, [], {}, ["x"]
+]
+# M = 1e201 and a first coordinate of 1e200, whose square leaves the range of a double
+FAR = [(("bound_M",), "set", "1e201"), (("points", 0, 0, 0), "set", "1e200")]
+FAR_LISTS = [(name, *m) for name in ("roots", "roots_b") for m in FAR]
 
 
 @st.composite
@@ -1435,6 +1607,23 @@ def hermite_doc(tmp_path_factory):
 @given(case=mutated_commands())
 @example(case=("build", [("roots", ("bound_M",), "set", "1e400")]))
 @example(case=("refine", [("roots", ("accuracy_E",), "set", "2e308")]))
+@example(case=("refine", [("roots", ("bound_M",), "set", "1e101"), ("roots", ("points", 0, 0, 0), "set", "1e100")]))
+@example(case=("refine", [("roots", *FAR[0]), ("roots", *FAR[1])]))
+@example(case=("refine", [("system", ("polynomials", 0), "set", "1" + "0" * 400 + "*x-1")]))
+@example(case=("filter-roots", FAR_LISTS))
+@example(case=("filter-roots", FAR_LISTS + [("roots_b", ("points", 0, 0, 0), "set", "-1e200")]))
+@example(
+    case=(
+        "pipeline",
+        [
+            ("system", ("polynomials", 0), "set", "x^4-5*x^2+4"),
+            ("roots", ("points",), "set", [[[x, "0"]] for x in ("1", "-1", "2", "-2")]),
+            ("roots", ("radii",), "drop", None),
+            ("roots", ("accuracy_E",), "set", "1e-250"),
+            ("roots", ("bound_M",), "set", "1e200"),
+        ],
+    )
+)
 def test_mutated_inputs_exit_with_a_code_and_a_json_payload(case, hermite_doc):
     command, mutations = case
     docs = {**FUZZ_DOCS, "roots_b": FUZZ_DOCS["roots"], "hermite": hermite_doc}

@@ -182,6 +182,42 @@ def test_approx_root_set_rejects_non_finite(bad):
         ApproxRootSet(points=((0.5 + 0j,), (bad,)), accuracy="1e-8", coord_bound=2)
 
 
+@pytest.mark.parametrize("points", [((1 + 0j, 3 + 0j), (2 + 0j,)), ((1 + 0j,), (2 + 0j, 5 + 0j))])
+def test_approx_root_set_rejects_points_of_different_arities(points):
+    # both orders: with the longer point first, the Hermite matrix would
+    # index past the shorter one; with the shorter first, basis selection
+    # would read the first coordinate alone
+    with pytest.raises(ValueError, match="different arities"):
+        ApproxRootSet(points=points, accuracy="1e-8", coord_bound=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.complex_numbers(max_magnitude=1e150, allow_nan=False, allow_infinity=False), max_size=5))
+def test_l2_is_the_square_root_of_the_sum_of_squares(values):
+    assert numroots._l2(values) == math.sqrt(sum(abs(v) ** 2 for v in values))
+
+
+@pytest.mark.parametrize(
+    "values, norm",
+    [
+        ([1e200], 1e200),
+        ([complex(3e200, 4e200)], 5e200),
+        ([complex(1e308, 1e308)], math.hypot(1e308, 1e308)),
+        ([1e308, 1e308], math.hypot(1e308, 1e308)),
+        ([complex(1e308, 1e308)] * 2, math.inf),
+    ],
+)
+def test_l2_beyond_a_squared_double(values, norm):
+    # a norm within the range of a double is computed without overflow
+    assert numroots._l2(values) == pytest.approx(norm, rel=4 * sys.float_info.epsilon)
+
+
+def test_sigma_min_of_a_triangular_matrix_with_a_zero_diagonal_entry():
+    # R / ||J||_F underflows to such a diagonal when the condition exceeds
+    # the range of a double: R is singular to working precision
+    assert numroots._triangular_sigma_min([[1.0], [0.5, 0.0]]) == 0.0
+
+
 def test_smallest_singular_value_examples():
     ident = [[1 + 0j, 0j], [0j, 1 + 0j]]
     assert abs(smallest_singular_value(ident) - 1) < 1e-13
@@ -242,6 +278,15 @@ def test_select_basis_sqrt2():
     assert basis.monomials == ((0,), (1,))
     v = vandermonde(pts.points, basis.monomials)
     assert smallest_singular_value(v) > 2 * 1 * 1 * 1 * 1e-10
+
+
+@pytest.mark.parametrize("accuracy", ["1e-250", "1e-400"])
+def test_select_basis_rejects_a_candidate_whose_power_of_m_leaves_a_double(accuracy):
+    # M^2 = 1e400 for x^3: its threshold is +inf, also for an E that is 0.0
+    # as a double (where +inf * 0.0 would be NaN, which rejects nothing)
+    points = ((1 + 0j,), (-1 + 0j,), (2 + 0j,), (-2 + 0j,))
+    pts = ApproxRootSet(points=points, accuracy=accuracy, coord_bound="1e200")
+    assert select_basis(pts).monomials == ((0,), (1,), (2,))
 
 
 def test_select_basis_rejects_near_duplicates():
@@ -430,6 +475,13 @@ def test_approx_root_set_validates_bound():
 # -- match and filter ----------------------------------------------------------
 
 
+def _far_apart_lists():
+    """Two one-point lists 2 apart with radii 1e-6: no point matches."""
+    return tuple(
+        ApproxRootSet(points=((x + 0j, 0j),), accuracy="1e-9", coord_bound=3, radii=(1e-6,)) for x in (1, -1)
+    )
+
+
 def _planted_lists():
     sys_a = system("x^2-1", "y^2-1", variables=("x", "y"))
     sys_b = system("x^2-1", "x+y", variables=("x", "y"))
@@ -488,6 +540,19 @@ def test_filter_discards_far_fake_in_either_orientation():
             lambda: match_and_filter(*_planted_lists()[2:], *_planted_lists()[:2], max_rounds=-1),
             "max_rounds must be non-negative",
             id="negative rounds",
+        ),
+        # checked even where no point matches and no Newton step is taken
+        pytest.param(
+            lambda: match_and_filter(*_far_apart_lists(), system("x^2-1", "y", variables=("x", "y")),
+                                     system("x^2-1", variables=("x", "y"))),
+            "requires square systems",
+            id="non-square system",
+        ),
+        pytest.param(
+            lambda: match_and_filter(*_far_apart_lists(), system("x^2-1", "y", variables=("x", "y")),
+                                     system("x^2-1", "y", variables=("y", "x"))),
+            "same variables",
+            id="systems in other variables",
         ),
     ],
 )
